@@ -1,13 +1,17 @@
 //! Reworked simulation-engine microbenchmarks: raw event throughput on a
-//! reused world, and the amortized profiling sweep that the §IV-A cost
-//! matrices are built from.
+//! reused world, the amortized profiling sweep that the §IV-A cost
+//! matrices are built from, and the clustered sweep's bookkeeping around
+//! its measurements.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hbar_core::algorithms::Algorithm;
+use hbar_core::clustering::{classify_pairs, ClassingConfig};
 use hbar_simnet::barrier::schedule_programs;
 use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
+use hbar_simnet::sweep::{DescriptorExecutor, PairSample, PairWorkDescriptor, SweepError};
 use hbar_simnet::world::{SimConfig, SimWorld};
-use hbar_simnet::NoiseModel;
+use hbar_simnet::{measure_profile_compressed, NoiseModel, SpillConfig, SweepConfig};
+use hbar_topo::features::TopologyExtractor;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use std::hint::black_box;
@@ -64,5 +68,76 @@ fn bench_profile_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine_throughput, bench_profile_sweep);
+/// Answers every descriptor at once, so that what is left of a sweep is
+/// the driver's own work.
+struct InstantExecutor;
+
+impl DescriptorExecutor for InstantExecutor {
+    fn execute_batch(
+        &mut self,
+        descriptors: &[PairWorkDescriptor],
+    ) -> Result<Vec<PairSample>, SweepError> {
+        Ok(descriptors
+            .iter()
+            .map(|d| PairSample {
+                id: d.id,
+                o: 1e-6,
+                l: 1e-7,
+            })
+            .collect())
+    }
+}
+
+/// What the clustered sweep does besides measuring: classing alone, and
+/// classing plus the tiled class-grid scatter with half the tiles spilled.
+fn bench_profile_bookkeeping(c: &mut Criterion) {
+    let mut group = c.benchmark_group("profile_bookkeeping");
+    group.sample_size(10);
+    let mapping = RankMapping::Block;
+    for p in [1024usize, 4096] {
+        let machine = MachineSpec::new(p.div_ceil(8), 2, 4);
+        let cores = mapping.place(&machine, p);
+        group.bench_with_input(BenchmarkId::new("classify", p), &machine, |b, machine| {
+            b.iter(|| {
+                black_box(classify_pairs(
+                    black_box(machine),
+                    &cores,
+                    p,
+                    &TopologyExtractor::default(),
+                    &ClassingConfig::default(),
+                ))
+            })
+        });
+        let spill = SpillConfig::budgeted(
+            std::env::temp_dir().join(format!("hbar_bench_spill_{}_{p}", std::process::id())),
+            p * p,
+        );
+        group.bench_with_input(
+            BenchmarkId::new("compressed_sweep", p),
+            &machine,
+            |b, machine| {
+                b.iter(|| {
+                    black_box(measure_profile_compressed(
+                        black_box(machine),
+                        &mapping,
+                        p,
+                        NoiseModel::none(),
+                        &SweepConfig::default(),
+                        &spill,
+                        &mut InstantExecutor,
+                    ))
+                })
+            },
+        );
+        let _ = std::fs::remove_dir(&spill.dir);
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_engine_throughput,
+    bench_profile_sweep,
+    bench_profile_bookkeeping
+);
 criterion_main!(benches);

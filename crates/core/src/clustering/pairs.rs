@@ -14,9 +14,17 @@
 //! The classing itself is exact (hash on the feature vector), so the only
 //! approximation error is within-class measurement scatter, which the
 //! sweep estimates from the probes and bounds in its report.
+//!
+//! It is also cheap: features depend on a rank only through its *kind*
+//! ([`PairFeatureExtractor::rank_kind`]), so the extractor and the hash
+//! run once per pair of kinds, and "which class is pair `(i, j)`?" is two
+//! array loads ([`PairClassing::class_of`]) for every later stage of the
+//! sweep. Member counts and probes come from the same map by counting
+//! each row's partners per kind, without visiting the pairs.
 
 use hbar_topo::features::{PairFeatureExtractor, PairFeatures, RankFeatures};
 use hbar_topo::machine::MachineSpec;
+use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// SplitMix64 finalizer: the standard 64-bit avalanche mix. Used both for
@@ -60,17 +68,29 @@ pub struct DiagClass {
     pub probes: Vec<u32>,
 }
 
-/// The complete classing of a `P`-rank placement's profiling work.
-#[derive(Clone, Debug, Default)]
+/// Table entry of a kind pair that no classed pair has.
+const NO_CLASS: u32 = u32::MAX;
+
+/// The complete classing of a `P`-rank placement's profiling work: the
+/// classes, and the map from every pair and every rank to its class.
+#[derive(Clone, Debug)]
 pub struct PairClassing {
     /// Off-diagonal classes, in first-appearance (scan) order.
     pub pair_classes: Vec<PairClass>,
     /// Diagonal classes, in first-appearance order.
     pub diag_classes: Vec<DiagClass>,
-    /// Total off-diagonal pairs scanned.
+    /// Total off-diagonal pairs classed.
     pub total_pairs: usize,
-    pair_index: HashMap<PairFeatures, u32>,
-    diag_index: HashMap<RankFeatures, u32>,
+    p: usize,
+    symmetric: bool,
+    /// Rank → kind, kinds numbered `0..kinds` in first-appearance order.
+    kind_of: Vec<u32>,
+    kinds: usize,
+    /// `kinds × kinds`, row-major: (kind of the pair's first rank, kind of
+    /// its second) → pair class.
+    pair_table: Vec<u32>,
+    /// Kind → diagonal class.
+    diag_table: Vec<u32>,
 }
 
 /// Tuning knobs for [`classify_pairs`].
@@ -96,55 +116,89 @@ impl Default for ClassingConfig {
     }
 }
 
-/// Deterministic reservoir sampler: keeps a uniform-without-replacement
-/// sample of `capacity` items from a stream, with acceptance decisions
-/// driven by SplitMix64 of the item ordinal instead of an RNG object, so
-/// the same stream always yields the same sample.
-struct Reservoir<T> {
-    items: Vec<T>,
-    capacity: usize,
-    seen: u64,
-    seed: u64,
-}
+/// Reservoir decisions evaluated per parallel block.
+const PICK_BLOCK: u64 = 1 << 20;
 
-impl<T> Reservoir<T> {
-    fn new(capacity: usize, seed: u64) -> Self {
-        Reservoir {
-            items: Vec::with_capacity(capacity.min(8)),
-            capacity,
-            seen: 0,
-            seed,
-        }
+/// Deterministic reservoir sampling (algorithm R with a counter-mode hash
+/// as the uniform draw) of `capacity` items from a stream of `offers`:
+/// the 1-based ordinals of the offers the slots end up holding. Whether
+/// offer `n` is kept, and in which slot, is a function of `(seed, n)`
+/// alone, so the stream is not needed and blocks of decisions run in
+/// parallel.
+fn reservoir_picks(capacity: usize, seed: u64, offers: u64) -> Vec<u64> {
+    if capacity == 0 {
+        return Vec::new();
     }
-
-    fn offer(&mut self, item: T) {
-        self.seen += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-            return;
-        }
-        // Classic algorithm R with a counter-mode hash as the uniform draw.
-        let r = splitmix64(self.seed ^ self.seen) % self.seen;
-        if (r as usize) < self.capacity {
-            self.items[r as usize] = item;
-        }
+    let cap = capacity as u64;
+    let mut slots: Vec<u64> = (1..=cap.min(offers)).collect();
+    let blocks: Vec<u64> = (cap + 1..=offers).step_by(PICK_BLOCK as usize).collect();
+    let kept: Vec<Vec<(usize, u64)>> = blocks
+        .into_par_iter()
+        .map(|lo| {
+            (lo..=offers.min(lo + PICK_BLOCK - 1))
+                .filter_map(|n| {
+                    let r = splitmix64(seed ^ n) % n;
+                    (r < cap).then_some((r as usize, n))
+                })
+                .collect()
+        })
+        .collect();
+    for (slot, n) in kept.into_iter().flatten() {
+        slots[slot] = n;
     }
+    slots
 }
 
 impl PairClassing {
-    /// Index of the class containing a pair with these features, if the
-    /// classing saw one. Scatter uses this to map every matrix entry back
-    /// to its class estimate.
-    pub fn pair_class_index(&self, features: &PairFeatures) -> Option<usize> {
-        self.pair_index.get(features).map(|&i| i as usize)
+    /// Number of ranks classed.
+    pub fn p(&self) -> usize {
+        self.p
     }
 
-    /// Index of the diagonal class with these features.
-    pub fn diag_class_index(&self, features: &RankFeatures) -> Option<usize> {
-        self.diag_index.get(features).map(|&i| i as usize)
+    /// Whether unordered pairs were classed (each `i < j` once) or
+    /// ordered ones.
+    pub fn symmetric(&self) -> bool {
+        self.symmetric
+    }
+
+    /// Index into [`Self::pair_classes`] of the class of pair `(i, j)`,
+    /// `i ≠ j`. A symmetric classing answers both orientations with the
+    /// class of `(min, max)`.
+    #[inline]
+    pub fn class_of(&self, i: usize, j: usize) -> usize {
+        debug_assert_ne!(i, j, "the diagonal has its own classes");
+        let (a, b) = if self.symmetric && j < i {
+            (j, i)
+        } else {
+            (i, j)
+        };
+        self.pair_table[self.kind_of[a] as usize * self.kinds + self.kind_of[b] as usize] as usize
+    }
+
+    /// [`Self::class_of`] along row `i`: the classes of `(i, j)` for every
+    /// `j ≠ i` in ascending `j`, with the row's own kind looked up once.
+    pub fn row_classes(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let k = self.kinds;
+        let ki = self.kind_of[i] as usize;
+        let table_row = &self.pair_table[ki * k..][..k];
+        let mirrored = self.symmetric;
+        let before = self.kind_of[..i].iter().map(move |&kj| {
+            if mirrored {
+                self.pair_table[kj as usize * k + ki]
+            } else {
+                table_row[kj as usize]
+            }
+        });
+        let after = self.kind_of[i + 1..]
+            .iter()
+            .map(move |&kj| table_row[kj as usize]);
+        before.chain(after).map(|c| c as usize)
+    }
+
+    /// Index into [`Self::diag_classes`] of rank `i`'s diagonal class.
+    #[inline]
+    pub fn diag_class_of(&self, i: usize) -> usize {
+        self.diag_table[self.kind_of[i] as usize] as usize
     }
 
     /// Total measurements the clustered sweep will run (representatives
@@ -167,6 +221,75 @@ impl PairClassing {
         self.pair_classes.iter().all(|c| c.members == 1)
             && self.diag_classes.iter().all(|c| c.members == 1)
     }
+
+    /// The classed partners of rank `i` in scan order: the later ranks
+    /// under a symmetric classing, every other rank under an ordered one.
+    pub fn partners(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let start = if self.symmetric { i + 1 } else { 0 };
+        (start..self.p).filter(move |&j| j != i)
+    }
+
+    /// Walks the classed pairs in scan order without visiting them: row
+    /// `i` has a known number of partners of each kind, so a class's
+    /// members in the row are a sum over kinds. Returns every class's
+    /// member count and, for each `(class, n)` of `wanted` (sorted), the
+    /// class's `n`-th member, the representative being member 0; only
+    /// rows that hold a wanted member are searched.
+    fn scan(&self, wanted: &[(u32, u64)]) -> (Vec<u64>, Vec<(u32, u32)>) {
+        let classes = self.pair_classes.len();
+        let mut head = vec![wanted.len(); classes];
+        for (q, &(c, _)) in wanted.iter().enumerate().rev() {
+            head[c as usize] = q;
+        }
+        let mut found = vec![(0, 0); wanted.len()];
+        let mut members = vec![0u64; classes];
+        let mut in_row = vec![0u64; classes];
+        let mut touched = Vec::new();
+        let mut partners = vec![0u64; self.kinds];
+        for &k in &self.kind_of {
+            partners[k as usize] += 1;
+        }
+        for i in 0..self.p {
+            let ka = self.kind_of[i] as usize;
+            let table_row = &self.pair_table[ka * self.kinds..][..self.kinds];
+            partners[ka] -= 1;
+            // Neighbouring kinds mostly share a class: add up each run of
+            // equal table entries before touching the class's counter.
+            let mut kb = 0;
+            while kb < self.kinds {
+                let c = table_row[kb];
+                let mut n = 0;
+                while kb < self.kinds && table_row[kb] == c {
+                    n += partners[kb];
+                    kb += 1;
+                }
+                if n > 0 {
+                    in_row[c as usize] += n;
+                    touched.push(c as usize);
+                }
+            }
+            for c in touched.drain(..) {
+                let n = std::mem::take(&mut in_row[c]);
+                while let Some(&(_, ordinal)) = wanted
+                    .get(head[c])
+                    .filter(|q| q.0 as usize == c && q.1 < members[c] + n)
+                {
+                    let j = self
+                        .partners(i)
+                        .filter(|&j| self.class_of(i, j) == c)
+                        .nth((ordinal - members[c]) as usize)
+                        .expect("a row holds the members its kind counts add up to");
+                    found[head[c]] = (i as u32, j as u32);
+                    head[c] += 1;
+                }
+                members[c] += n;
+            }
+            if !self.symmetric {
+                partners[ka] += 1;
+            }
+        }
+        (members, found)
+    }
 }
 
 /// Classes every profiling pair (and every diagonal) of a `p`-rank
@@ -174,7 +297,8 @@ impl PairClassing {
 ///
 /// Scan order is the exhaustive sweep's enumeration order — `i` outer,
 /// `j` inner — so representatives (first member seen) are deterministic
-/// and independent of thread count.
+/// and independent of thread count. The extractor is called once per pair
+/// of rank kinds that some classed pair has, never per pair of ranks.
 ///
 /// # Panics
 /// Panics if `p < 2` or `cores` does not cover `p` ranks.
@@ -191,82 +315,160 @@ pub fn classify_pairs(
         "placement covers {} ranks, need {p}",
         cores.len()
     );
-    let mut classing = PairClassing::default();
-    let mut reservoirs: Vec<Reservoir<(u32, u32)>> = Vec::new();
-    let offer = |classing: &mut PairClassing,
-                 reservoirs: &mut Vec<Reservoir<(u32, u32)>>,
-                 i: usize,
-                 j: usize| {
-        let f = extractor.pair_features(machine, (i, j), (cores[i], cores[j]));
-        classing.total_pairs += 1;
-        match classing.pair_index.get(&f) {
-            Some(&idx) => {
-                let idx = idx as usize;
-                classing.pair_classes[idx].members += 1;
-                reservoirs[idx].offer((i as u32, j as u32));
+
+    // Kinds, and each kind's first and last rank.
+    let mut kind_ids: HashMap<u64, u32> = HashMap::new();
+    let (mut first, mut last) = (Vec::new(), Vec::new());
+    let kind_of: Vec<u32> = (0..p)
+        .map(|i| {
+            let k = *kind_ids
+                .entry(extractor.rank_kind(machine, i, cores[i]))
+                .or_insert(first.len() as u32);
+            if k as usize == first.len() {
+                first.push(i);
+                last.push(i);
+            } else {
+                last[k as usize] = i;
             }
-            None => {
-                let idx = classing.pair_classes.len() as u32;
-                classing.pair_index.insert(f, idx);
-                classing.pair_classes.push(PairClass {
-                    features: f,
-                    representative: (i as u32, j as u32),
-                    members: 1,
-                    probes: Vec::new(),
-                });
-                reservoirs.push(Reservoir::new(
-                    cfg.probes_per_class,
-                    splitmix64(cfg.probe_seed ^ (idx as u64)),
-                ));
+            k
+        })
+        .collect();
+    let kinds = first.len();
+
+    // Kind → diagonal class. Kinds are numbered by first rank, so the
+    // classes come out in first-appearance order.
+    let mut diag_ids: HashMap<RankFeatures, u32> = HashMap::new();
+    let mut diag_features = Vec::new();
+    let diag_table: Vec<u32> = first
+        .iter()
+        .map(|&i| {
+            let f = extractor.rank_features(machine, i, cores[i]);
+            *diag_ids.entry(f).or_insert_with(|| {
+                diag_features.push(f);
+                diag_features.len() as u32 - 1
+            })
+        })
+        .collect();
+    let mut diag_ranks = vec![Vec::new(); diag_features.len()];
+    for (i, &k) in kind_of.iter().enumerate() {
+        diag_ranks[diag_table[k as usize] as usize].push(i as u32);
+    }
+    let diag_classes = diag_features
+        .into_iter()
+        .zip(diag_ranks)
+        .enumerate()
+        .map(|(c, (features, ranks))| {
+            let seed = splitmix64(cfg.probe_seed ^ 0xD1A6_0000 ^ c as u64);
+            DiagClass {
+                features,
+                representative: ranks[0],
+                members: ranks.len(),
+                probes: reservoir_picks(cfg.probes_per_class, seed, ranks.len() as u64 - 1)
+                    .into_iter()
+                    .map(|n| ranks[n as usize])
+                    .collect(),
             }
-        }
-    };
-    if cfg.symmetric {
-        for i in 0..p {
-            for j in (i + 1)..p {
-                offer(&mut classing, &mut reservoirs, i, j);
-            }
-        }
-    } else {
-        for i in 0..p {
-            for j in 0..p {
-                if i != j {
-                    offer(&mut classing, &mut reservoirs, i, j);
-                }
+        })
+        .collect();
+
+    // Kind pair → pair class, numbered as the features turn up. A kind
+    // pair has a classed member exactly when `(first, last)` is one.
+    let mut pair_ids: HashMap<PairFeatures, u32> = HashMap::new();
+    let mut pair_features = Vec::new();
+    let mut pair_table = vec![NO_CLASS; kinds * kinds];
+    // Neighbouring kinds mostly share features: skip the hash then.
+    let mut previous = None;
+    for (table_row, &i) in pair_table.chunks_exact_mut(kinds).zip(&first) {
+        for (cell, &j) in table_row.iter_mut().zip(&last) {
+            if if cfg.symmetric { i < j } else { i != j } {
+                let f = extractor.pair_features(machine, (i, j), (cores[i], cores[j]));
+                *cell = match previous {
+                    Some((seen, id)) if seen == f => id,
+                    _ => *pair_ids.entry(f).or_insert_with(|| {
+                        pair_features.push(f);
+                        pair_features.len() as u32 - 1
+                    }),
+                };
+                previous = Some((f, *cell));
             }
         }
     }
-    for (class, reservoir) in classing.pair_classes.iter_mut().zip(reservoirs) {
-        class.probes = reservoir.items;
+    let mut classing = PairClassing {
+        pair_classes: Vec::new(),
+        diag_classes,
+        total_pairs: if cfg.symmetric {
+            p * (p - 1) / 2
+        } else {
+            p * (p - 1)
+        },
+        p,
+        symmetric: cfg.symmetric,
+        kind_of,
+        kinds,
+        pair_table,
+        diag_table,
+    };
+
+    // Renumber by first member in scan order, which is also the
+    // representative. A class's first member lies in the first row of one
+    // of its kinds.
+    let mut renumbered = vec![NO_CLASS; pair_features.len()];
+    let mut pair_classes = Vec::with_capacity(pair_features.len());
+    for &i in &first {
+        if pair_classes.len() == pair_features.len() {
+            break;
+        }
+        for j in classing.partners(i) {
+            let c = classing.class_of(i, j);
+            if renumbered[c] == NO_CLASS {
+                renumbered[c] = pair_classes.len() as u32;
+                pair_classes.push(PairClass {
+                    features: pair_features[c],
+                    representative: (i as u32, j as u32),
+                    members: 0,
+                    probes: Vec::new(),
+                });
+            }
+        }
+    }
+    classing.pair_classes = pair_classes;
+    for cell in &mut classing.pair_table {
+        if *cell != NO_CLASS {
+            *cell = renumbered[*cell as usize];
+        }
     }
 
-    let mut diag_reservoirs: Vec<Reservoir<u32>> = Vec::new();
-    for (i, &core) in cores.iter().enumerate().take(p) {
-        let f = extractor.rank_features(machine, i, core);
-        match classing.diag_index.get(&f) {
-            Some(&idx) => {
-                let idx = idx as usize;
-                classing.diag_classes[idx].members += 1;
-                diag_reservoirs[idx].offer(i as u32);
-            }
-            None => {
-                let idx = classing.diag_classes.len() as u32;
-                classing.diag_index.insert(f, idx);
-                classing.diag_classes.push(DiagClass {
-                    features: f,
-                    representative: i as u32,
-                    members: 1,
-                    probes: Vec::new(),
-                });
-                diag_reservoirs.push(Reservoir::new(
-                    cfg.probes_per_class,
-                    splitmix64(cfg.probe_seed ^ 0xD1A6_0000 ^ (idx as u64)),
-                ));
-            }
-        }
-    }
-    for (class, reservoir) in classing.diag_classes.iter_mut().zip(diag_reservoirs) {
-        class.probes = reservoir.items;
+    let (members, _) = classing.scan(&[]);
+    let picks: Vec<Vec<u64>> = members
+        .iter()
+        .enumerate()
+        .map(|(c, &m)| {
+            let seed = splitmix64(cfg.probe_seed ^ c as u64);
+            reservoir_picks(cfg.probes_per_class, seed, m - 1)
+        })
+        .collect();
+    let mut wanted: Vec<(u32, u64)> = picks
+        .iter()
+        .enumerate()
+        .flat_map(|(c, ns)| ns.iter().map(move |&n| (c as u32, n)))
+        .collect();
+    wanted.sort_unstable();
+    let found = if wanted.is_empty() {
+        Vec::new()
+    } else {
+        classing.scan(&wanted).1
+    };
+    for (c, (class, ns)) in classing.pair_classes.iter_mut().zip(&picks).enumerate() {
+        class.members = members[c] as usize;
+        class.probes = ns
+            .iter()
+            .map(|&n| {
+                let q = wanted
+                    .binary_search(&(c as u32, n))
+                    .expect("every pick is wanted");
+                found[q]
+            })
+            .collect();
     }
     classing
 }
@@ -425,14 +627,20 @@ mod tests {
     #[test]
     fn class_lookup_round_trips() {
         let machine = MachineSpec::dual_quad_cluster(2);
-        let cores = RankMapping::Block.place(&machine, 16);
+        let cores = RankMapping::RoundRobin.place(&machine, 16);
         let ex = TopologyExtractor::default();
         let classing = classify_pairs(&machine, &cores, 16, &ex, &ClassingConfig::default());
-        for (idx, class) in classing.pair_classes.iter().enumerate() {
-            assert_eq!(classing.pair_class_index(&class.features), Some(idx));
-        }
-        for (idx, class) in classing.diag_classes.iter().enumerate() {
-            assert_eq!(classing.diag_class_index(&class.features), Some(idx));
+        for i in 0..16 {
+            for j in 0..16 {
+                if i == j {
+                    let f = ex.rank_features(&machine, i, cores[i]);
+                    assert_eq!(classing.diag_classes[classing.diag_class_of(i)].features, f);
+                } else {
+                    let (a, b) = (i.min(j), i.max(j));
+                    let f = ex.pair_features(&machine, (a, b), (cores[a], cores[b]));
+                    assert_eq!(classing.pair_classes[classing.class_of(i, j)].features, f);
+                }
+            }
         }
     }
 

@@ -8,16 +8,21 @@
 //! cell, 512 MiB at `P = 16384`) plus per-class value tables, never
 //! touching dense storage.
 //!
-//! The grid itself is produced **tile-at-a-time** (a tile is
-//! [`SpillConfig::tile_rows`] consecutive rows) so the scatter's working
-//! set beyond the final grid is bounded: finished tiles stage in memory
-//! while total staged bytes fit [`SpillConfig::mem_budget_bytes`], and
-//! overflow tiles stream to `tile_NNNNN.bin` files in a spill directory.
-//! The final merge walks tile ids in ascending order — memory-staged and
+//! The grid itself is produced **tile-at-a-time**, after measurement, in
+//! tile-id order (a tile is [`SpillConfig::tile_rows`] consecutive rows),
+//! so the scatter's working set beyond the final grid is bounded. A tile
+//! is one buffer holding its rows' cells as little-endian `u16` — the byte
+//! image of its spill run — filled in place, row-parallel, by looking each
+//! cell up in the classing's map. Finished tiles stage in memory while
+//! total staged bytes fit [`SpillConfig::mem_budget_bytes`]; a tile that
+//! would not fit is written to `tile_NNNNN.bin` in the spill directory
+//! instead. The final merge walks tile ids in ascending order and decodes
+//! each tile straight into its rows of the grid — memory-staged and
 //! spilled tiles interleave arbitrarily, but the merge order is the
 //! production order, so the resulting grid is byte-identical regardless
-//! of budget, tile size, or how many tiles spilled. Spill files are
-//! deleted as they are consumed.
+//! of budget, tile size, or how many tiles spilled. A spill run is read
+//! back only if its file is exactly as long as its tile, and every spill
+//! file is removed when the scatter ends, however it ends.
 //!
 //! The class space of the grid extends the classing's:
 //!
@@ -38,12 +43,11 @@
 
 use crate::noise::NoiseModel;
 use crate::sweep::{
-    measure_classes, ClassMeasurements, DescriptorExecutor, LocalExecutor, SweepConfig, SweepError,
-    SweepReport,
+    measure_placement, ClassMeasurements, DescriptorExecutor, LocalExecutor, SweepConfig,
+    SweepError, SweepReport,
 };
-use hbar_core::clustering::{classify_pairs, ClassingConfig, PairClassing};
+use hbar_core::clustering::PairClassing;
 use hbar_topo::compressed::{CompressError, CompressedCostModel, MAX_CLASSES};
-use hbar_topo::features::{ExactExtractor, PairFeatureExtractor, TopologyExtractor};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use rayon::prelude::*;
@@ -109,21 +113,24 @@ pub struct SpillReport {
 /// and spilling the rest; then merges them back in tile-id order.
 struct TileSink<'a> {
     cfg: &'a SpillConfig,
-    staged: HashMap<usize, Vec<u16>>,
-    staged_bytes: usize,
-    dir_ready: bool,
+    p: usize,
+    /// One entry per tile pushed, in id order: the staged bytes, or `None`
+    /// for a tile that is in its spill file (or already merged).
+    tiles: Vec<Option<Vec<u8>>>,
+    /// Ids of the spill files created.
+    spilled: Vec<usize>,
     report: SpillReport,
 }
 
 impl<'a> TileSink<'a> {
-    fn new(cfg: &'a SpillConfig) -> Self {
+    fn new(cfg: &'a SpillConfig, p: usize) -> Self {
         TileSink {
             cfg,
-            staged: HashMap::new(),
-            staged_bytes: 0,
-            dir_ready: false,
+            p,
+            tiles: Vec::new(),
+            spilled: Vec::new(),
             report: SpillReport {
-                tile_rows: cfg.tile_rows,
+                tile_rows: cfg.tile_rows.max(1),
                 ..SpillReport::default()
             },
         }
@@ -133,84 +140,91 @@ impl<'a> TileSink<'a> {
         self.cfg.dir.join(format!("tile_{id:05}.bin"))
     }
 
-    fn push(&mut self, id: usize, tile: Vec<u16>) -> Result<(), SweepError> {
-        debug_assert_eq!(id, self.report.tiles, "tiles must arrive in order");
+    /// Bytes of tile `id`: `tile_rows` rows of `p` cells, fewer rows in
+    /// the last tile.
+    fn tile_bytes(&self, id: usize) -> usize {
+        let rows = self.report.tile_rows;
+        rows.min(self.p - id * rows) * self.p * 2
+    }
+
+    fn push(&mut self, tile: Vec<u8>) -> Result<(), SweepError> {
+        let id = self.tiles.len();
+        assert_eq!(tile.len(), self.tile_bytes(id), "size of tile {id}");
         self.report.tiles += 1;
-        let bytes = std::mem::size_of_val(tile.as_slice());
-        if self.staged_bytes + bytes <= self.cfg.mem_budget_bytes {
-            self.staged_bytes += bytes;
-            self.report.staged_peak_bytes = self.report.staged_peak_bytes.max(self.staged_bytes);
-            self.staged.insert(id, tile);
+        // Tiles stay staged until the merge, so the staged total only grows
+        // and is its own peak.
+        if self.report.staged_peak_bytes + tile.len() <= self.cfg.mem_budget_bytes {
+            self.report.staged_peak_bytes += tile.len();
+            self.tiles.push(Some(tile));
             return Ok(());
         }
-        if !self.dir_ready {
-            fs::create_dir_all(&self.cfg.dir)?;
-            self.dir_ready = true;
-        }
-        let mut raw = Vec::with_capacity(bytes);
-        for v in &tile {
-            raw.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut f = fs::File::create(self.spill_path(id))?;
-        f.write_all(&raw)?;
+        self.tiles.push(None);
+        fs::create_dir_all(&self.cfg.dir)?;
+        // Listed before it is written: a failed write leaves a file too.
+        self.spilled.push(id);
+        fs::File::create(self.spill_path(id))?.write_all(&tile)?;
         self.report.spilled_tiles += 1;
-        self.report.spill_bytes += bytes as u64;
+        self.report.spill_bytes += tile.len() as u64;
         Ok(())
     }
 
-    /// Reassembles the full `p × p` grid, consuming staged tiles and
-    /// deleting spill files as it goes.
-    fn merge(mut self, p: usize) -> Result<(Vec<u16>, SpillReport), SweepError> {
-        let mut grid = vec![0u16; p * p];
-        let mut offset = 0usize;
-        let mut raw = Vec::new();
-        for id in 0..self.report.tiles {
-            let dst = &mut grid[offset..];
-            let len = if let Some(tile) = self.staged.remove(&id) {
-                dst[..tile.len()].copy_from_slice(&tile);
-                self.staged_bytes -= std::mem::size_of_val(tile.as_slice());
-                tile.len()
-            } else {
-                let path = self.spill_path(id);
-                raw.clear();
-                fs::File::open(&path)?.read_to_end(&mut raw)?;
-                fs::remove_file(&path)?;
-                if raw.len() % 2 != 0 {
-                    return Err(SweepError::Protocol(format!(
-                        "spill tile {id} holds {} bytes (odd)",
-                        raw.len()
-                    )));
+    /// Reassembles the full `p × p` grid. A spill run is read only once
+    /// its file length has matched its tile's, so a foreign or damaged
+    /// file can neither overrun the grid nor size an allocation.
+    fn merge(mut self) -> Result<(Vec<u16>, SpillReport), SweepError> {
+        let mut grid = vec![0u16; self.p * self.p];
+        let mut rest = grid.as_mut_slice();
+        let mut run = Vec::new();
+        for id in 0..self.tiles.len() {
+            let expected = self.tile_bytes(id);
+            let staged = self.tiles[id].take();
+            let bytes = match &staged {
+                Some(tile) => tile,
+                None => {
+                    let mut file = fs::File::open(self.spill_path(id))?;
+                    let len = file.metadata()?.len();
+                    if len != expected as u64 {
+                        return Err(SweepError::Protocol(format!(
+                            "spill tile {id} holds {len} bytes, its tile {expected}"
+                        )));
+                    }
+                    run.resize(expected, 0);
+                    file.read_exact(&mut run)?;
+                    &run
                 }
-                for (cell, chunk) in dst.iter_mut().zip(raw.chunks_exact(2)) {
-                    *cell = u16::from_le_bytes([chunk[0], chunk[1]]);
-                }
-                raw.len() / 2
             };
-            offset += len;
+            let (cells, later) = rest.split_at_mut(expected / 2);
+            for (cell, le) in cells.iter_mut().zip(bytes.chunks_exact(2)) {
+                *cell = u16::from_le_bytes([le[0], le[1]]);
+            }
+            rest = later;
         }
-        if offset != p * p {
-            return Err(SweepError::Protocol(format!(
-                "tiles covered {offset} cells of a {p}×{p} grid"
-            )));
+        Ok((grid, std::mem::take(&mut self.report)))
+    }
+}
+
+impl Drop for TileSink<'_> {
+    /// Spill files are scratch: whether the scatter merged them or failed
+    /// half way, none outlives it.
+    fn drop(&mut self) {
+        for &id in &self.spilled {
+            let _ = fs::remove_file(self.spill_path(id));
         }
-        Ok((grid, self.report))
     }
 }
 
 /// Scatters class measurements into a [`CompressedCostModel`], producing
 /// the grid tile-at-a-time under `spill`'s memory budget. Tile contents
 /// are computed row-parallel; tile order (and therefore the grid, and
-/// therefore the model fingerprint) is deterministic.
+/// therefore the model fingerprint) is deterministic. Consumes the
+/// classing: its map is needed to fill the tiles and is released before
+/// they are merged into the full grid.
 pub(crate) fn scatter_compressed_tiles(
-    machine: &MachineSpec,
-    cores: &[usize],
-    classing: &PairClassing,
-    extractor: &(dyn PairFeatureExtractor + Sync),
-    symmetric: bool,
+    classing: PairClassing,
     m: &ClassMeasurements,
     spill: &SpillConfig,
 ) -> Result<(CompressedCostModel, SpillReport), SweepError> {
-    let p = cores.len();
+    let p = classing.p();
     let n_pair = classing.pair_classes.len();
     let n_diag = classing.diag_classes.len();
     let needed = n_pair + n_diag + m.exploded_pairs.len() + m.exploded_diags.len();
@@ -251,54 +265,53 @@ pub(crate) fn scatter_compressed_tiles(
         table_l.push(0.0);
     }
 
-    // Tile production. Each cell re-derives its features exactly as the
-    // dense scatter does; symmetric classings saw only `(min, max)`
-    // orientations, so lookups use that orientation for both triangles.
-    let class_of_cell = |i: usize, j: usize| -> u16 {
-        if i == j {
-            let f = extractor.rank_features(machine, i, cores[i]);
-            let c = classing
-                .diag_class_index(&f)
-                .expect("scatter features must re-derive a seen diag class");
-            if m.explode_diag[c] {
-                exploded_diag_ids[&i]
-            } else {
-                (n_pair + c) as u16
-            }
+    // A rank's cell is its diagonal class, a pair's its class; members of
+    // exploded classes have cells of their own, keyed in the orientation
+    // the classing scanned (and the sweep measured) them in.
+    let diag_cell = |i: usize| -> u16 {
+        let c = classing.diag_class_of(i);
+        if m.explode_diag[c] {
+            exploded_diag_ids[&i]
         } else {
-            let (a, b) = if symmetric {
-                (i.min(j), i.max(j))
-            } else {
-                (i, j)
-            };
-            let f = extractor.pair_features(machine, (a, b), (cores[a], cores[b]));
-            let c = classing
-                .pair_class_index(&f)
-                .expect("scatter features must re-derive a seen class");
-            if m.explode_pair[c] {
-                exploded_pair_ids[&(a, b)]
-            } else {
-                c as u16
-            }
+            (n_pair + c) as u16
         }
     };
-    let tile_rows = spill.tile_rows.max(1);
-    let mut sink = TileSink::new(spill);
-    for (tile_id, start) in (0..p).step_by(tile_rows).enumerate() {
-        let rows = tile_rows.min(p - start);
-        // Row-parallel with order-preserving collect: the tile bytes are
-        // identical to a sequential fill regardless of thread count.
-        let row_data: Vec<Vec<u16>> = (start..start + rows)
-            .into_par_iter()
-            .map(|i| (0..p).map(|j| class_of_cell(i, j)).collect())
-            .collect();
-        let mut tile = Vec::with_capacity(rows * p);
-        for row in row_data {
-            tile.extend_from_slice(&row);
-        }
-        sink.push(tile_id, tile)?;
+    let exploded_cell = |i: usize, j: usize| -> Option<u16> {
+        m.explode_pair[classing.class_of(i, j)].then(|| {
+            if classing.symmetric() {
+                exploded_pair_ids[&(i.min(j), i.max(j))]
+            } else {
+                exploded_pair_ids[&(i, j)]
+            }
+        })
+    };
+    let mut sink = TileSink::new(spill, p);
+    let tile_rows = sink.report.tile_rows;
+    for start in (0..p).step_by(tile_rows) {
+        // Rows are independent, so the tile's bytes do not depend on the
+        // thread count.
+        let mut tile = vec![0u8; tile_rows.min(p - start) * p * 2];
+        tile.par_chunks_mut(p * 2).enumerate().for_each(|(r, row)| {
+            let i = start + r;
+            let (before, rest) = row.split_at_mut(2 * i);
+            let (diag, after) = rest.split_at_mut(2);
+            diag.copy_from_slice(&diag_cell(i).to_le_bytes());
+            let cells = before.chunks_exact_mut(2).chain(after.chunks_exact_mut(2));
+            for (cell, c) in cells.zip(classing.row_classes(i)) {
+                cell.copy_from_slice(&(c as u16).to_le_bytes());
+            }
+            if !m.exploded_pairs.is_empty() {
+                for j in (0..p).filter(|&j| j != i) {
+                    if let Some(id) = exploded_cell(i, j) {
+                        row[2 * j..][..2].copy_from_slice(&id.to_le_bytes());
+                    }
+                }
+            }
+        });
+        sink.push(tile)?;
     }
-    let (grid, report) = sink.merge(p)?;
+    drop(classing);
+    let (grid, report) = sink.merge()?;
 
     let model =
         CompressedCostModel::from_parts(p, grid, table_o, table_l).map_err(SweepError::Compress)?;
@@ -323,39 +336,8 @@ pub fn measure_profile_compressed(
     spill: &SpillConfig,
     executor: &mut dyn DescriptorExecutor,
 ) -> Result<(CompressedCostModel, SweepReport, SpillReport), SweepError> {
-    assert!(p >= 2, "profiling needs at least two ranks, got {p}");
-    let cores = mapping.place(machine, p);
-    let regime = crate::sweep::noise_regime_of(&noise);
-    let topo_extractor = TopologyExtractor::with_noise_regime(regime);
-    let exact_extractor = ExactExtractor {
-        noise_regime: regime,
-    };
-    let extractor: &(dyn PairFeatureExtractor + Sync) = if cfg.exact_classes {
-        &exact_extractor
-    } else {
-        &topo_extractor
-    };
-    let classing = classify_pairs(
-        machine,
-        &cores,
-        p,
-        extractor,
-        &ClassingConfig {
-            symmetric: cfg.profiling.symmetric,
-            probes_per_class: cfg.probes_per_class,
-            probe_seed: cfg.probe_seed,
-        },
-    );
-    let (m, report) = measure_classes(machine, &cores, &classing, extractor, noise, cfg, executor)?;
-    let (model, spill_report) = scatter_compressed_tiles(
-        machine,
-        &cores,
-        &classing,
-        extractor,
-        cfg.profiling.symmetric,
-        &m,
-        spill,
-    )?;
+    let (classing, m, report) = measure_placement(machine, mapping, p, noise, cfg, executor)?;
+    let (model, spill_report) = scatter_compressed_tiles(classing, &m, spill)?;
     Ok((model, report, spill_report))
 }
 
@@ -381,7 +363,9 @@ pub fn measure_profile_clustered_compressed(
 mod tests {
     use super::*;
     use crate::sweep::measure_profile_clustered;
+    use hbar_core::clustering::{classify_pairs, ClassingConfig};
     use hbar_topo::cost::{CostMatrices, CostProvider};
+    use hbar_topo::features::ExactExtractor;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn bit_equal(a: &CostMatrices, b: &CostMatrices) -> bool {
@@ -455,6 +439,84 @@ mod tests {
         // Spill files are consumed by the merge.
         assert_eq!(fs::read_dir(&spilled.dir).unwrap().count(), 0);
         fs::remove_dir_all(&spilled.dir).unwrap();
+    }
+
+    /// Spills the four 2-row tiles of an 8-rank grid, damages
+    /// `tile_00002.bin`, and returns what the merge made of it. Whatever
+    /// the outcome, no spill file may be left behind.
+    fn merge_after(tag: &str, damage: impl Fn(&std::path::Path)) -> SweepError {
+        let cfg = SpillConfig {
+            mem_budget_bytes: 0,
+            tile_rows: 2,
+            ..SpillConfig::in_memory(scratch_dir(tag))
+        };
+        let mut sink = TileSink::new(&cfg, 8);
+        for id in 0..4 {
+            sink.push(vec![id; 2 * 8 * 2]).unwrap();
+        }
+        assert_eq!(fs::read_dir(&cfg.dir).unwrap().count(), 4);
+        damage(&cfg.dir.join("tile_00002.bin"));
+        let err = sink.merge().expect_err("a damaged run must not merge");
+        assert_eq!(fs::read_dir(&cfg.dir).unwrap().count(), 0);
+        fs::remove_dir_all(&cfg.dir).unwrap();
+        err
+    }
+
+    #[test]
+    fn missing_spill_run_is_an_io_error() {
+        let err = merge_after("missing", |path| fs::remove_file(path).unwrap());
+        assert!(matches!(err, SweepError::Io(_)), "{err}");
+    }
+
+    #[test]
+    fn truncated_spill_run_is_a_protocol_error() {
+        let err = merge_after("truncated", |path| {
+            fs::OpenOptions::new()
+                .write(true)
+                .open(path)
+                .unwrap()
+                .set_len(31)
+                .unwrap()
+        });
+        assert!(matches!(err, SweepError::Protocol(_)), "{err}");
+    }
+
+    #[test]
+    fn oversized_spill_run_is_a_protocol_error() {
+        // Long enough to run past the end of the grid if it were trusted.
+        let err = merge_after("oversized", |path| fs::write(path, vec![0; 1024]).unwrap());
+        assert!(matches!(err, SweepError::Protocol(_)), "{err}");
+    }
+
+    #[test]
+    fn abandoned_sink_removes_its_spill_files() {
+        // What a failed `push` leaves to the sink's drop.
+        let cfg = SpillConfig {
+            mem_budget_bytes: 0,
+            tile_rows: 2,
+            ..SpillConfig::in_memory(scratch_dir("abandoned"))
+        };
+        let mut sink = TileSink::new(&cfg, 8);
+        sink.push(vec![0; 32]).unwrap();
+        sink.push(vec![1; 32]).unwrap();
+        assert_eq!(fs::read_dir(&cfg.dir).unwrap().count(), 2);
+        drop(sink);
+        assert_eq!(fs::read_dir(&cfg.dir).unwrap().count(), 0);
+        fs::remove_dir_all(&cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn unwritable_spill_directory_is_an_io_error() {
+        let blocker = scratch_dir("blocker");
+        fs::write(&blocker, b"not a directory").unwrap();
+        let cfg = SpillConfig {
+            mem_budget_bytes: 0,
+            tile_rows: 2,
+            ..SpillConfig::in_memory(blocker.join("spill"))
+        };
+        let err = TileSink::new(&cfg, 8).push(vec![0; 32]).unwrap_err();
+        assert!(matches!(err, SweepError::Io(_)), "{err}");
+        fs::remove_file(&blocker).unwrap();
     }
 
     #[test]
@@ -551,22 +613,21 @@ mod tests {
             },
         );
         let n_pair = classing.pair_classes.len();
+        let n_diag = classing.diag_classes.len();
         assert!(n_pair > MAX_CLASSES);
         let m = ClassMeasurements {
             pair_estimates: vec![(1e-6, 1e-7); n_pair],
-            diag_estimates: vec![1e-7; classing.diag_classes.len()],
+            diag_estimates: vec![1e-7; n_diag],
             explode_pair: vec![false; n_pair],
-            explode_diag: vec![false; classing.diag_classes.len()],
+            explode_diag: vec![false; n_diag],
             exploded_pairs: HashMap::new(),
             exploded_diags: HashMap::new(),
         };
         let spill = SpillConfig::in_memory(scratch_dir("overflow"));
-        let err =
-            scatter_compressed_tiles(&machine, &cores, &classing, &extractor, true, &m, &spill)
-                .expect_err("must overflow");
+        let err = scatter_compressed_tiles(classing, &m, &spill).expect_err("must overflow");
         match err {
             SweepError::Compress(CompressError::ClassOverflow { needed }) => {
-                assert_eq!(needed, n_pair + classing.diag_classes.len());
+                assert_eq!(needed, n_pair + n_diag);
             }
             other => panic!("wrong error: {other}"),
         }

@@ -8,7 +8,9 @@
 //!
 //! 1. **classing** — pairs are grouped into equivalence classes by
 //!    feature vector ([`hbar_topo::features`]; exact hashing in
-//!    [`hbar_core::clustering::classify_pairs`]);
+//!    [`hbar_core::clustering::classify_pairs`]), and the classing's
+//!    rank-kind map answers "which class is pair `(i, j)`?" for the two
+//!    later layers, which never see the extractor;
 //! 2. **execution** — one *representative* per class is measured, plus a
 //!    configurable number of *validation probes* (other members measured
 //!    under their own sub-seeds) that estimate the within-class scatter;
@@ -121,6 +123,14 @@ pub enum SweepError {
     /// The compressed scatter could not build a valid class model (e.g.
     /// the class space overflowed the `u16` grid).
     Compress(CompressError),
+    /// The placement handed to the measurement phase covers a different
+    /// number of ranks than the classing it came with.
+    PlacementMismatch {
+        /// Ranks the classing classed.
+        classed: usize,
+        /// Ranks the placement covers.
+        placed: usize,
+    },
 }
 
 impl std::fmt::Display for SweepError {
@@ -133,6 +143,10 @@ impl std::fmt::Display for SweepError {
                 "all workers exhausted with {remaining_batches} batches unexecuted"
             ),
             SweepError::Compress(e) => write!(f, "compressed scatter failed: {e}"),
+            SweepError::PlacementMismatch { classed, placed } => write!(
+                f,
+                "classing covers {classed} ranks but the placement covers {placed}"
+            ),
         }
     }
 }
@@ -414,17 +428,35 @@ pub fn measure_profile_decomposed(
     cfg: &SweepConfig,
     executor: &mut dyn DescriptorExecutor,
 ) -> Result<(TopologyProfile, SweepReport), SweepError> {
+    let (classing, m, report) = measure_placement(machine, mapping, p, noise, cfg, executor)?;
+    Ok((
+        TopologyProfile {
+            machine: machine.clone(),
+            mapping: mapping.clone(),
+            p,
+            cost: scatter_dense(&classing, &m),
+        },
+        report,
+    ))
+}
+
+/// Places, classes and measures — everything up to the scatter, which is
+/// where the dense and the compressed sweep part ways.
+pub(crate) fn measure_placement(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+    noise: NoiseModel,
+    cfg: &SweepConfig,
+    executor: &mut dyn DescriptorExecutor,
+) -> Result<(PairClassing, ClassMeasurements, SweepReport), SweepError> {
     assert!(p >= 2, "profiling needs at least two ranks, got {p}");
     let cores = mapping.place(machine, p);
-    let regime = noise_regime_of(&noise);
-    let topo_extractor = TopologyExtractor::with_noise_regime(regime);
-    let exact_extractor = ExactExtractor {
-        noise_regime: regime,
-    };
+    let noise_regime = noise_regime_of(&noise);
     let extractor: &dyn PairFeatureExtractor = if cfg.exact_classes {
-        &exact_extractor
+        &ExactExtractor { noise_regime }
     } else {
-        &topo_extractor
+        &TopologyExtractor { noise_regime }
     };
     let classing = classify_pairs(
         machine,
@@ -437,19 +469,8 @@ pub fn measure_profile_decomposed(
             probe_seed: cfg.probe_seed,
         },
     );
-
-    let (cost, report) =
-        run_classed_sweep(machine, &cores, &classing, extractor, noise, cfg, executor)?;
-
-    Ok((
-        TopologyProfile {
-            machine: machine.clone(),
-            mapping: mapping.clone(),
-            p,
-            cost,
-        },
-        report,
-    ))
+    let (m, report) = measure_classes(&cores, &classing, noise, cfg, executor)?;
+    Ok((classing, m, report))
 }
 
 /// One class's sample set across growth rounds.
@@ -479,43 +500,24 @@ pub(crate) struct ClassMeasurements {
     pub(crate) exploded_diags: HashMap<usize, f64>,
 }
 
-/// Executes the measurement plan for an already-built classing and
-/// scatters estimates into dense cost matrices.
-fn run_classed_sweep(
-    machine: &MachineSpec,
-    cores: &[usize],
-    classing: &PairClassing,
-    extractor: &dyn PairFeatureExtractor,
-    noise: NoiseModel,
-    cfg: &SweepConfig,
-    executor: &mut dyn DescriptorExecutor,
-) -> Result<(CostMatrices, SweepReport), SweepError> {
-    let (m, report) = measure_classes(machine, cores, classing, extractor, noise, cfg, executor)?;
-    let cost = scatter_dense(
-        machine,
-        cores,
-        classing,
-        extractor,
-        cfg.profiling.symmetric,
-        &m,
-    );
-    Ok((cost, report))
-}
-
 /// The measurement phase: representatives + probes, adaptive growth, and
 /// the explosion safety valve. Returns class-space results only — matrix
 /// materialization is the scatter phase's job, so this function's memory
 /// footprint is independent of `P²`.
 pub(crate) fn measure_classes(
-    machine: &MachineSpec,
     cores: &[usize],
     classing: &PairClassing,
-    extractor: &dyn PairFeatureExtractor,
     noise: NoiseModel,
     cfg: &SweepConfig,
     executor: &mut dyn DescriptorExecutor,
 ) -> Result<(ClassMeasurements, SweepReport), SweepError> {
-    let p = cores.len();
+    let p = classing.p();
+    if cores.len() != p {
+        return Err(SweepError::PlacementMismatch {
+            classed: p,
+            placed: cores.len(),
+        });
+    }
     let n_pair = classing.pair_classes.len();
     let n_diag = classing.diag_classes.len();
 
@@ -689,8 +691,6 @@ pub(crate) fn measure_classes(
     let pair_estimates: Vec<(f64, f64)> = pair_samples.iter().map(|s| medians(&s.values)).collect();
     let diag_estimates: Vec<f64> = diag_samples.iter().map(|s| medians(&s.values).0).collect();
 
-    let symmetric = cfg.profiling.symmetric;
-
     // Safety valve: a class whose *validated* scatter still exceeds
     // `explode_rel_tol` after all growth rounds abandons the clustering
     // shortcut — every member is measured individually at the base
@@ -715,17 +715,8 @@ pub(crate) fn measure_classes(
         let mut descriptors = Vec::new();
         let mut keys: Vec<(bool, usize, usize)> = Vec::new();
         for i in 0..p {
-            let range: Box<dyn Iterator<Item = usize>> = if symmetric {
-                Box::new((i + 1)..p)
-            } else {
-                Box::new((0..p).filter(move |&j| j != i))
-            };
-            for j in range {
-                let f = extractor.pair_features(machine, (i, j), (cores[i], cores[j]));
-                let c = classing
-                    .pair_class_index(&f)
-                    .expect("explosion features must re-derive a seen class");
-                if explode_pair[c] {
+            for j in classing.partners(i) {
+                if explode_pair[classing.class_of(i, j)] {
                     descriptors.push(PairWorkDescriptor {
                         id: descriptors.len() as u32,
                         kind: WorkKind::Pair,
@@ -739,11 +730,7 @@ pub(crate) fn measure_classes(
                     keys.push((false, i, j));
                 }
             }
-            let f = extractor.rank_features(machine, i, cores[i]);
-            let c = classing
-                .diag_class_index(&f)
-                .expect("explosion features must re-derive a seen diag class");
-            if explode_diag[c] {
+            if explode_diag[classing.diag_class_of(i)] {
                 descriptors.push(PairWorkDescriptor {
                     id: descriptors.len() as u32,
                     kind: WorkKind::Diag,
@@ -851,34 +838,17 @@ pub(crate) fn measure_classes(
     ))
 }
 
-/// The dense scatter: maps every matrix entry to its class estimate by
-/// re-deriving the entry's feature vector (same extractor, same placement
-/// — the classing saw identical features). Exploded classes scatter their
-/// per-member exact measurements instead. Allocates the full `|P|²`
-/// matrices; past P ≈ 4096 prefer the tiled class-grid scatter in
-/// [`crate::scatter`].
-fn scatter_dense(
-    machine: &MachineSpec,
-    cores: &[usize],
-    classing: &PairClassing,
-    extractor: &dyn PairFeatureExtractor,
-    symmetric: bool,
-    m: &ClassMeasurements,
-) -> CostMatrices {
-    let p = cores.len();
+/// The dense scatter: writes every matrix entry its class's estimate,
+/// or its own exact measurement when the class exploded. Allocates the
+/// full `|P|²` matrices; past P ≈ 4096 prefer the tiled class-grid scatter
+/// in [`crate::scatter`].
+fn scatter_dense(classing: &PairClassing, m: &ClassMeasurements) -> CostMatrices {
+    let p = classing.p();
     let mut o = DenseMatrix::new(p);
     let mut l = DenseMatrix::new(p);
     for i in 0..p {
-        let range: Box<dyn Iterator<Item = usize>> = if symmetric {
-            Box::new((i + 1)..p)
-        } else {
-            Box::new((0..p).filter(move |&j| j != i))
-        };
-        for j in range {
-            let f = extractor.pair_features(machine, (i, j), (cores[i], cores[j]));
-            let c = classing
-                .pair_class_index(&f)
-                .expect("scatter features must re-derive a seen class");
+        for j in classing.partners(i) {
+            let c = classing.class_of(i, j);
             let (oij, lij) = if m.explode_pair[c] {
                 m.exploded_pairs[&(i, j)]
             } else {
@@ -886,15 +856,12 @@ fn scatter_dense(
             };
             o[(i, j)] = oij;
             l[(i, j)] = lij;
-            if symmetric {
+            if classing.symmetric() {
                 o[(j, i)] = oij;
                 l[(j, i)] = lij;
             }
         }
-        let f = extractor.rank_features(machine, i, cores[i]);
-        let c = classing
-            .diag_class_index(&f)
-            .expect("scatter features must re-derive a seen diag class");
+        let c = classing.diag_class_of(i);
         o[(i, i)] = if m.explode_diag[c] {
             m.exploded_diags[&i]
         } else {
@@ -1011,6 +978,30 @@ mod tests {
         // Explosion re-measures all 120 pairs + 16 diags on top of the
         // class representatives and probes.
         assert!(report.measurements >= 120 + 16, "{}", report.measurements);
+    }
+
+    #[test]
+    fn placement_that_disagrees_with_the_classing_is_rejected() {
+        // The classing classes the first 12 of 16 placed ranks; measuring
+        // it against all 16 used to run into pairs it had never seen.
+        let machine = MachineSpec::dual_quad_cluster(2);
+        let cores = RankMapping::Block.place(&machine, 16);
+        let extractor = TopologyExtractor::default();
+        let classing = classify_pairs(&machine, &cores, 12, &extractor, &ClassingConfig::default());
+        let cfg = SweepConfig::fast();
+        let noise = NoiseModel::none();
+        let mut executor = SequentialExecutor::new(machine, noise, cfg.profiling.clone());
+        let err = measure_classes(&cores, &classing, noise, &cfg, &mut executor)
+            .err()
+            .expect("16 placed ranks against 12 classed ones");
+        assert!(matches!(
+            err,
+            SweepError::PlacementMismatch {
+                classed: 12,
+                placed: 16
+            }
+        ));
+        assert!(measure_classes(&cores[..12], &classing, noise, &cfg, &mut executor).is_ok());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! clusters, wire-format round trips, and the loopback driver↔worker
 //! fleet with a mid-sweep crash.
 
+use hbar_core::clustering::splitmix64;
 use hbar_simnet::distrib::{
     serve_worker, shutdown_worker, FleetExecutor, FleetOptions, WorkerFault,
 };
@@ -12,7 +13,8 @@ use hbar_simnet::sweep::{
     SweepConfig, WorkKind,
 };
 use hbar_simnet::wire::JobHeader;
-use hbar_simnet::NoiseModel;
+use hbar_simnet::{measure_profile_clustered_compressed, NoiseModel, SpillConfig};
+use hbar_topo::cost::{CostMatrices, CostProvider};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
@@ -22,18 +24,15 @@ use std::time::Duration;
 
 /// Bit-level equality of two profiles' cost matrices.
 fn bits_equal(a: &TopologyProfile, b: &TopologyProfile) -> bool {
-    a.cost
-        .o
-        .as_slice()
-        .iter()
-        .zip(b.cost.o.as_slice())
-        .all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.cost
-            .l
-            .as_slice()
-            .iter()
-            .zip(b.cost.l.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+    costs_bits_equal(&a.cost, &b.cost)
+}
+
+fn costs_bits_equal(a: &CostMatrices, b: &CostMatrices) -> bool {
+    let bits = |m: &CostMatrices| -> Vec<u64> {
+        let values = m.o.as_slice().iter().chain(m.l.as_slice());
+        values.map(|v| v.to_bits()).collect()
+    };
+    bits(a) == bits(b)
 }
 
 /// Worst relative off-diagonal error of `a` against reference `b`.
@@ -81,6 +80,76 @@ proptest! {
         );
         prop_assert!(bits_equal(&exhaustive, &clustered));
         prop_assert_eq!(report.measurements, p * (p - 1) / 2 + p);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// With a negative explosion tolerance every class explodes (zero
+    /// scatter exceeds it too — at a tolerance of 0 two equal probes would
+    /// keep a class whole), so each member is measured on its own and the
+    /// clustered sweep must put the exhaustive sweep's value into every
+    /// cell — which it can only do if the explosion enumeration and both
+    /// scatters find, for every pair, the class the classing put it in.
+    /// Checked through the dense scatter, the in-memory tiles and the
+    /// all-spilled tiles, over machine shapes, placements (a rank count
+    /// that is no multiple of the node size included), both sweep
+    /// orientations and probe counts.
+    #[test]
+    fn exploded_sweep_equals_exhaustive_through_every_scatter(
+        (nodes, sockets, cores) in (1usize..=3, 1usize..=2, 1usize..=3),
+        short in 0usize..3,
+        placement in 0usize..3,
+        symmetric in any::<bool>(),
+        probes in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let machine = MachineSpec::new(nodes, sockets, cores);
+        let p = machine.total_cores().saturating_sub(short);
+        prop_assume!(p >= 2);
+        let mapping = match placement {
+            0 => RankMapping::Block,
+            1 => RankMapping::RoundRobin,
+            _ => {
+                let mut order: Vec<usize> = (0..machine.total_cores()).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, (splitmix64(seed ^ i as u64) % (i as u64 + 1)) as usize);
+                }
+                RankMapping::Custom(order)
+            }
+        };
+        let noise = NoiseModel::realistic(seed);
+        let profiling = ProfilingConfig { symmetric, ..ProfilingConfig::fast() };
+        let exhaustive = measure_profile(&machine, &mapping, p, noise, &profiling);
+        let cfg = SweepConfig {
+            profiling,
+            probes_per_class: [0, 1, 4][probes],
+            explode_rel_tol: -1.0,
+            ..SweepConfig::fast()
+        };
+        let (dense, dense_report) = measure_profile_clustered(&machine, &mapping, p, noise, &cfg);
+        prop_assert!(bits_equal(&exhaustive, &dense));
+
+        let dir = std::env::temp_dir().join(format!(
+            "hbar_sweep_parity_{}_{nodes}{sockets}{cores}{short}{placement}_{seed}",
+            std::process::id()
+        ));
+        let staged = SpillConfig { tile_rows: 3, ..SpillConfig::in_memory(&dir) };
+        let (in_memory, report, _) =
+            measure_profile_clustered_compressed(&machine, &mapping, p, noise, &cfg, &staged)
+                .unwrap();
+        prop_assert_eq!(report.measurements, dense_report.measurements);
+        prop_assert!(costs_bits_equal(&in_memory.to_dense(), &exhaustive.cost));
+
+        let all_spilled = SpillConfig { mem_budget_bytes: 0, ..staged };
+        let (spilled, _, spill_report) =
+            measure_profile_clustered_compressed(&machine, &mapping, p, noise, &cfg, &all_spilled)
+                .unwrap();
+        prop_assert_eq!(spill_report.spilled_tiles, p.div_ceil(3));
+        prop_assert_eq!(spilled.grid(), in_memory.grid());
+        prop_assert_eq!(spilled.fingerprint(), in_memory.fingerprint());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

@@ -133,27 +133,45 @@ impl CompressedCostModel {
         }
         let mut on_diag = vec![false; classes];
         let mut off_diag = vec![false; classes];
-        for (cell, &c) in grid.iter().enumerate() {
-            let class = c as usize;
-            if class >= classes {
-                return Err(CompressError::ClassOutOfRange {
-                    cell,
-                    class: c,
-                    classes,
-                });
+        // Cells mostly repeat their left neighbour's class: check and flag
+        // a class where it changes, not per cell.
+        let flag_runs = |first: usize, cells: &[u16], flags: &mut [bool]| {
+            let mut run = None;
+            for (cell, &c) in cells.iter().enumerate() {
+                if run != Some(c) {
+                    if c as usize >= classes {
+                        return Err(CompressError::ClassOutOfRange {
+                            cell: first + cell,
+                            class: c,
+                            classes,
+                        });
+                    }
+                    flags[c as usize] = true;
+                    run = Some(c);
+                }
             }
-            if cell / p == cell % p {
-                on_diag[class] = true;
-            } else {
-                off_diag[class] = true;
-            }
+            Ok(())
+        };
+        for (i, row) in grid.chunks_exact(p.max(1)).enumerate() {
+            flag_runs(i * p, &row[..i], &mut off_diag)?;
+            flag_runs(i * p + i, &row[i..=i], &mut on_diag)?;
+            flag_runs(i * p + i + 1, &row[i + 1..], &mut off_diag)?;
         }
         if let Some(class) = (0..classes).find(|&c| on_diag[c] && off_diag[c]) {
             return Err(CompressError::DiagClassShared {
                 class: class as u16,
             });
         }
-        let symmetric = (0..p).all(|i| (i + 1..p).all(|j| grid[i * p + j] == grid[j * p + i]));
+        // Compared block against mirrored block, so that the transposed
+        // reads stay in cache.
+        const BLOCK: usize = 64;
+        let symmetric = (0..p).step_by(BLOCK).all(|bi| {
+            (bi..p).step_by(BLOCK).all(|bj| {
+                (bi..p.min(bi + BLOCK)).all(|i| {
+                    (bj.max(i + 1)..p.min(bj + BLOCK)).all(|j| grid[i * p + j] == grid[j * p + i])
+                })
+            })
+        });
         let fingerprint = Self::stream_fingerprint(p, &grid, &table_o, &table_l);
         Ok(CompressedCostModel {
             p,
@@ -489,6 +507,50 @@ mod tests {
             )),
             CompressError::DiagClassShared { class: 0 }
         );
+        // The first bad cell in row-major order is the one reported, on
+        // or off the diagonal, also right after a cell of a valid class.
+        for (grid, cell) in [
+            (vec![0, 1, 7, 0, 1, 7, 1, 1, 0], 2),
+            (vec![0, 1, 1, 1, 9, 7, 1, 1, 0], 4),
+        ] {
+            assert_eq!(
+                err(CompressedCostModel::from_parts(
+                    3,
+                    grid.clone(),
+                    vec![0.5, 1.0],
+                    vec![0.0, 2.0]
+                )),
+                CompressError::ClassOutOfRange {
+                    cell,
+                    class: grid[cell],
+                    classes: 2
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn symmetry_is_decided_cell_for_cell_across_blocks() {
+        // One mirrored pair out of step, far enough apart to sit in
+        // different comparison blocks.
+        let p = 150;
+        let mut grid = vec![1u16; p * p];
+        for i in 0..p {
+            grid[i * p + i] = 0;
+        }
+        let tables = || (vec![0.5, 1.0, 1.0], vec![0.0, 2.0, 2.0]);
+        let (o, l) = tables();
+        let even = CompressedCostModel::from_parts(p, grid.clone(), o, l).unwrap();
+        assert!(even.is_symmetric());
+        grid[3 * p + 140] = 2;
+        let (o, l) = tables();
+        let skewed = CompressedCostModel::from_parts(p, grid.clone(), o, l).unwrap();
+        assert!(!skewed.is_symmetric());
+        grid[140 * p + 3] = 2;
+        let (o, l) = tables();
+        assert!(CompressedCostModel::from_parts(p, grid, o, l)
+            .unwrap()
+            .is_symmetric());
     }
 
     #[test]

@@ -79,8 +79,10 @@ pub struct RankFeatures {
 /// Pluggable feature extraction over a machine's core pairs.
 ///
 /// Implementations must be deterministic pure functions of
-/// `(machine, cores)`: the clustered sweep calls them twice (classing and
-/// scatter) and relies on both passes agreeing.
+/// `(machine, ranks, cores)`. The classing calls them once per *pair of
+/// rank kinds* ([`Self::rank_kind`]), not once per pair of ranks, and
+/// every later stage of the sweep reads the classing's map instead of
+/// calling the extractor again.
 pub trait PairFeatureExtractor: Sync {
     /// Features of the ordered pair `(rank_i on core_a, rank_j on core_b)`.
     /// `ranks` are provided for extractors that refine by rank identity.
@@ -96,6 +98,24 @@ pub trait PairFeatureExtractor: Sync {
 
     /// Quantized noise regime stamped into every produced feature vector.
     fn noise_regime(&self) -> u16;
+
+    /// The rank's *kind*: everything about `(rank, core)` that this
+    /// extractor's features can depend on.
+    ///
+    /// Contract: `pair_features` depends on its two ranks (and their
+    /// cores) only through their kinds, and `rank_features` on its rank
+    /// only through its kind — replacing either endpoint by another of
+    /// equal kind (leaving the two endpoints distinct and, for a symmetric
+    /// sweep, in the same rank order) returns equal features. The classing
+    /// relies on this to evaluate the extractor on `K²` kind pairs instead
+    /// of `|P|²` rank pairs, where `K` is the number of distinct kinds.
+    ///
+    /// The default — the rank itself — satisfies the contract for every
+    /// extractor (`K = |P|`); override it only to make the classing
+    /// cheaper.
+    fn rank_kind(&self, _machine: &MachineSpec, rank: usize, _core: usize) -> u64 {
+        rank as u64
+    }
 }
 
 /// The default extractor: classes pairs by interconnect topology alone
@@ -160,6 +180,12 @@ impl PairFeatureExtractor for TopologyExtractor {
 
     fn noise_regime(&self) -> u16 {
         self.noise_regime
+    }
+
+    /// `(node, socket)`: all the features above read of a core.
+    fn rank_kind(&self, machine: &MachineSpec, _rank: usize, core: usize) -> u64 {
+        let c = machine.core(core);
+        ((c.node as u64) << 32) | c.socket as u64
     }
 }
 

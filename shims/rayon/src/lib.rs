@@ -2,7 +2,8 @@
 //!
 //! The workspace uses rayon as a deterministic data-parallel map: every
 //! call site is `par_iter()/into_par_iter()` followed by `map(...)` and an
-//! order-preserving `collect()`/`sum()`. This shim reproduces exactly that
+//! order-preserving `collect()`/`sum()`, or `par_chunks_mut()` followed by
+//! `enumerate().for_each(...)`. This shim reproduces exactly that
 //! contract on `std::thread::scope`: inputs are split into contiguous
 //! chunks, one OS thread per chunk, and outputs land in input order, so
 //! results are bit-identical to the sequential loop regardless of thread
@@ -66,6 +67,18 @@ impl<I: Send> ParIter<I> {
     /// Accepted for API compatibility; chunking is already contiguous.
     pub fn with_min_len(self, _min: usize) -> Self {
         self
+    }
+
+    /// Pairs every item with its index.
+    pub fn enumerate(self) -> ParIter<(usize, I)> {
+        ParIter {
+            items: self.items.into_iter().enumerate().collect(),
+        }
+    }
+
+    /// Runs `f` on every item in parallel.
+    pub fn for_each<F: Fn(I) + Sync>(self, f: F) {
+        par_map_ordered(self.items, &f);
     }
 }
 
@@ -275,8 +288,23 @@ impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
     }
 }
 
+/// `par_chunks_mut()` for mutable slices.
+pub trait ParallelSliceMut<T: Send> {
+    /// Splits the slice into disjoint mutable chunks of `chunk_size`
+    /// elements (the last may be shorter), one parallel item each.
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]>;
+}
+
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]> {
+        ParIter {
+            items: self.chunks_mut(chunk_size).collect(),
+        }
+    }
+}
+
 pub mod prelude {
-    pub use super::{IntoParallelIterator, IntoParallelRefIterator};
+    pub use super::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
 }
 
 #[cfg(test)]
@@ -294,6 +322,16 @@ mod tests {
         let words = vec!["a".to_string(), "bb".to_string(), "ccc".to_string()];
         let lens: Vec<usize> = words.par_iter().map(|w| w.len()).collect();
         assert_eq!(lens, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn chunks_mut_for_each_writes_every_chunk_in_place() {
+        let mut cells = vec![0usize; 1003];
+        cells
+            .par_chunks_mut(10)
+            .enumerate()
+            .for_each(|(c, chunk)| chunk.iter_mut().for_each(|v| *v = c));
+        assert!(cells.iter().enumerate().all(|(i, &v)| v == i / 10));
     }
 
     #[test]

@@ -1,12 +1,7 @@
 //! Algorithmic-model kernel scaling: Eq. 3 knowledge closure and SSS
-//! clustering at P = 64/256/1024, optimized vs the frozen baseline
-//! (`hbar_bench::baseline_model`). The `model-perf` binary runs the same
-//! comparison standalone and records it in `BENCH_model.json`.
+//! clustering at P = 64/256/1024.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hbar_bench::baseline_model::{
-    baseline_knowledge_closure, baseline_sss_clusters, BaselineBitMat,
-};
 use hbar_core::clustering::{try_sss_clusters_with, SssScratch, SSS_DEFAULT_SPARSENESS};
 use hbar_matrix::{BoolMatrix, ClosureWorkspace};
 use hbar_topo::machine::MachineSpec;
@@ -37,13 +32,8 @@ fn bench_closure_scaling(c: &mut Criterion) {
     group.sample_size(10);
     for p in RANKS {
         let stages = dissemination(p);
-        let base_stages: Vec<BaselineBitMat> =
-            stages.iter().map(BaselineBitMat::from_matrix).collect();
-        group.bench_with_input(BenchmarkId::new("baseline", p), &base_stages, |b, s| {
-            b.iter(|| black_box(baseline_knowledge_closure(p, black_box(s))))
-        });
         let mut ws = ClosureWorkspace::new();
-        group.bench_with_input(BenchmarkId::new("optimized", p), &stages, |b, s| {
+        group.bench_with_input(BenchmarkId::from_parameter(p), &stages, |b, s| {
             b.iter(|| {
                 black_box(ws.closure(p, black_box(s)));
             })
@@ -61,18 +51,8 @@ fn bench_cluster_scaling(c: &mut Criterion) {
         let metric = DistanceMetric::from_costs(&profile.cost);
         let members: Vec<usize> = (0..p).collect();
         let dia = metric.diameter();
-        group.bench_with_input(BenchmarkId::new("baseline", p), &metric, |b, m| {
-            b.iter(|| {
-                black_box(baseline_sss_clusters(
-                    black_box(m),
-                    &members,
-                    SSS_DEFAULT_SPARSENESS,
-                    dia,
-                ))
-            })
-        });
         let mut scratch = SssScratch::default();
-        group.bench_with_input(BenchmarkId::new("optimized", p), &metric, |b, m| {
+        group.bench_with_input(BenchmarkId::from_parameter(p), &metric, |b, m| {
             b.iter(|| {
                 black_box(
                     try_sss_clusters_with(

@@ -6,7 +6,6 @@
 //! bench reports our equivalent number.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hbar_bench::baseline::tune_hybrid_costs_baseline;
 use hbar_core::compose::{tune_hybrid, tune_hybrid_costs_with, TunerConfig};
 use hbar_core::cost::CostEvaluator;
 use hbar_topo::machine::MachineSpec;
@@ -37,13 +36,8 @@ fn bench_tune(c: &mut Criterion) {
     group.finish();
 }
 
-/// Rank scaling of the tuner, optimized vs the frozen pre-optimization
-/// baseline (`hbar_bench::baseline`). The `tuner-perf` binary runs the
-/// same comparison standalone and records it in `BENCH_tuner.json`.
-///
-/// The optimized tuner runs out to P = 1024 (the blocked-kernel target
-/// scale); the frozen baseline stops at P = 256, so a full optimized tune
-/// at 1024 can be read directly against the seed-era P = 256 wall time.
+/// Rank scaling of the tuner out to P = 1024 (the blocked-kernel target
+/// scale).
 fn bench_tune_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("tune_scaling");
     group.sample_size(10);
@@ -54,21 +48,10 @@ fn bench_tune_scaling(c: &mut Criterion) {
         let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
         let members: Vec<usize> = (0..p).collect();
         let cfg = TunerConfig::default();
-        if p <= 256 {
-            group.bench_with_input(BenchmarkId::new("baseline", p), &profile, |b, profile| {
-                b.iter(|| {
-                    black_box(tune_hybrid_costs_baseline(
-                        black_box(&profile.cost),
-                        &members,
-                        &cfg,
-                    ))
-                })
-            });
-        }
         // A long-lived evaluator, as the adaptive re-tuning loop holds
         // one: scratch arenas and the score memo stay warm across calls.
         let mut eval = CostEvaluator::new(cfg.cost_params);
-        group.bench_with_input(BenchmarkId::new("optimized", p), &profile, |b, profile| {
+        group.bench_with_input(BenchmarkId::from_parameter(p), &profile, |b, profile| {
             b.iter(|| {
                 black_box(tune_hybrid_costs_with(
                     black_box(&profile.cost),

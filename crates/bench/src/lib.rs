@@ -19,19 +19,13 @@
 //! simulated fabric.
 
 pub mod ablation;
-pub mod baseline;
-pub mod baseline_engine;
-pub mod baseline_model;
-pub mod baseline_profile;
 pub mod construction;
 pub mod context;
 pub mod data;
 pub mod delay;
 pub mod heatmap;
-pub mod perf_cli;
 pub mod performance;
 pub mod plot;
-pub mod stats;
 pub mod validation;
 
 pub use context::ExperimentContext;

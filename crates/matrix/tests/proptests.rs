@@ -1,12 +1,73 @@
 //! Property-based tests for the matrix substrate.
 
-use hbar_matrix::{knowledge_closure, BoolMatrix, DenseMatrix};
+use hbar_matrix::{knowledge_closure, BoolMatrix, ClosureWorkspace, DenseMatrix};
 use proptest::prelude::*;
 
 fn arb_bool_matrix(max_n: usize) -> impl Strategy<Value = BoolMatrix> {
     (1..=max_n)
         .prop_flat_map(move |n| (Just(n), prop::collection::vec((0..n, 0..n), 0..n * 3)))
         .prop_map(|(n, edges)| BoolMatrix::from_edges(n, &edges))
+}
+
+/// Eq. 3 by definition — `K₀ = I`, `K ← K ∨ K·S` per stage — through
+/// `get`/`set` alone: the oracle for the blocked/scatter closure kernels.
+fn eq3_closure(n: usize, stages: &[BoolMatrix]) -> BoolMatrix {
+    let mut k = BoolMatrix::identity(n);
+    for s in stages {
+        let prev = k.clone();
+        for (m, j) in (0..n).flat_map(|m| (0..n).map(move |j| (m, j))) {
+            if s.get(m, j) {
+                // The signal m → j carries all m knew before the stage.
+                for i in (0..n).filter(|&i| prev.get(i, m)) {
+                    k.set(i, j, true);
+                }
+            }
+        }
+    }
+    k
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `ClosureWorkspace` agrees with the definition of Eq. 3 — closure
+    /// and barrier verdict — on random stage lists at sizes crossing the
+    /// 64-bit word and the block boundary. Half the cases end in a
+    /// dissemination schedule, so both verdicts and the saturation early
+    /// exit are exercised.
+    #[test]
+    fn closure_workspace_matches_eq3_definition(
+        n in 1usize..=130,
+        stage_edges in prop::collection::vec(
+            prop::collection::vec((0usize..130, 0usize..130), 0..300), 0..6),
+        complete in any::<bool>(),
+    ) {
+        let mut stages: Vec<BoolMatrix> = stage_edges
+            .iter()
+            .map(|edges| {
+                let clipped: Vec<(usize, usize)> =
+                    edges.iter().map(|&(i, j)| (i % n, j % n)).collect();
+                BoolMatrix::from_edges(n, &clipped)
+            })
+            .collect();
+        if complete {
+            let mut step = 1;
+            while step < n {
+                let ring: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + step) % n)).collect();
+                stages.push(BoolMatrix::from_edges(n, &ring));
+                step *= 2;
+            }
+        }
+        let want = eq3_closure(n, &stages);
+        if complete {
+            prop_assert!(want.is_all_true(), "dissemination must saturate the oracle");
+        }
+        let mut ws = ClosureWorkspace::new();
+        // Leave another size's state behind in the workspace first.
+        ws.closure(131 - n, &stages[..0]);
+        prop_assert_eq!(ws.closure(n, &stages), &want);
+        prop_assert_eq!(ws.is_barrier(n, &stages), want.is_all_true());
+    }
 }
 
 proptest! {

@@ -16,7 +16,7 @@
 //!   (concurrent misses on one key tune once), and the bounded worker
 //!   pool with per-worker reusable `CostEvaluator`s;
 //! * [`client`] — the pipelining [`TuneClient`] used by
-//!   `hbar tune-client`, the tests, and the `serve-perf` harness;
+//!   `hbar tune-client`, the tests, and the `serve_zipf` benchmark workload;
 //! * [`workload`] — seeded synthetic topologies and Zipf sampling for
 //!   load generation.
 //!

@@ -173,101 +173,10 @@ pub fn measure_profile(
     }
 }
 
-/// The §IV-B profiling-cost reduction, end to end: benchmark only one
-/// representative pair per link class present under the placement (plus
-/// one `O_ii` rank), then replicate the class values across the full
-/// `P × P` matrices.
-///
-/// "A great deal of duplicate effort could be rationalized by
-/// constructing P × P matrices from replicating component submatrices" —
-/// the paper measured everything anyway to rule out surprises, found
-/// "similar submatrices corresponding to similar subsystems", and
-/// concluded the shortcut loses no significant information. This
-/// function is that shortcut; `replication_error` against a full
-/// [`measure_profile`] quantifies the loss (tested).
-///
-/// # Panics
-/// Panics if `p < 2` or the mapping cannot place `p` ranks.
-pub fn measure_profile_replicated(
-    machine: &MachineSpec,
-    mapping: &RankMapping,
-    p: usize,
-    noise: NoiseModel,
-    cfg: &ProfilingConfig,
-) -> TopologyProfile {
-    use hbar_topo::machine::LinkClass;
-    use hbar_topo::replicate::{replicate_by_class, ClassRepresentatives};
-    assert!(p >= 2, "profiling needs at least two ranks, got {p}");
-    let cores = mapping.place(machine, p);
-
-    // One representative ordered pair per class present.
-    let mut rep_pair: Vec<(LinkClass, (usize, usize))> = Vec::new();
-    for class in LinkClass::ALL {
-        'outer: for i in 0..p {
-            for j in 0..p {
-                if i != j && machine.link_class(cores[i], cores[j]) == class {
-                    rep_pair.push((class, (i, j)));
-                    break 'outer;
-                }
-            }
-        }
-    }
-
-    let mut reps = ClassRepresentatives {
-        o_same_socket: 0.0,
-        o_cross_socket: 0.0,
-        o_inter_node: 0.0,
-        l_same_socket: 0.0,
-        l_cross_socket: 0.0,
-        l_inter_node: 0.0,
-        o_diag: 0.0,
-    };
-    for (class, (i, j)) in rep_pair {
-        let mut bench = pair_bench(
-            machine,
-            cores[i],
-            cores[j],
-            noise,
-            pair_sub_seed(i, j, noise.seed),
-        );
-        let (o, l) = measure_pair(&mut bench, cfg);
-        match class {
-            LinkClass::SameSocket => {
-                reps.o_same_socket = o;
-                reps.l_same_socket = l;
-            }
-            LinkClass::CrossSocket => {
-                reps.o_cross_socket = o;
-                reps.l_cross_socket = l;
-            }
-            LinkClass::InterNode => {
-                reps.o_inter_node = o;
-                reps.l_inter_node = l;
-            }
-        }
-    }
-    // One O_ii measurement, replicated along the diagonal.
-    let mut bench = pair_bench(
-        machine,
-        cores[0],
-        cores[1 % p],
-        noise,
-        diag_sub_seed(0, noise.seed),
-    );
-    reps.o_diag = bench.noop(cfg.noop_calls);
-
-    TopologyProfile {
-        machine: machine.clone(),
-        mapping: mapping.clone(),
-        p,
-        cost: replicate_by_class(&reps, machine, &cores),
-    }
-}
-
 /// Runs one pair's full §IV-A measurement schedule — the ping-pong size
 /// sweep then the burst-count sweep, in the fixed order both drivers
 /// promise — and regresses out `(O_ij, L_ij)`. Shared by
-/// [`measure_profile`] and [`measure_profile_replicated`], amortizing one
+/// [`measure_profile`] and the decomposed sweep's executors, amortizing one
 /// engine and one pair of program buffers across every sample point.
 pub(crate) fn measure_pair(bench: &mut PairBench, cfg: &ProfilingConfig) -> (f64, f64) {
     let o_points: Vec<(f64, f64)> = cfg
@@ -418,54 +327,6 @@ mod tests {
         // symmetry is (almost surely) broken but values stay close.
         assert!(!measured.cost.o.is_symmetric());
         assert!(measured.cost.o.asymmetry() < 0.5);
-    }
-
-    #[test]
-    fn replicated_profiling_loses_no_significant_information() {
-        // §IV-B's claim, checked end to end: a profile built from one
-        // measured pair per link class is close to the fully measured
-        // one, at a fraction of the benchmark count.
-        use hbar_topo::replicate::replication_error;
-        let machine = MachineSpec::new(2, 2, 2);
-        let mapping = RankMapping::RoundRobin;
-        let full = measure_profile(
-            &machine,
-            &mapping,
-            8,
-            NoiseModel::none(),
-            &ProfilingConfig::fast(),
-        );
-        let replicated = super::measure_profile_replicated(
-            &machine,
-            &mapping,
-            8,
-            NoiseModel::none(),
-            &ProfilingConfig::fast(),
-        );
-        let err = replication_error(&full.cost, &replicated.cost);
-        assert!(err < 0.05, "replication error {err}");
-        // And it still drives the tuner to a valid barrier.
-        let tuned = hbar_core::compose::tune_hybrid(
-            &replicated,
-            &hbar_core::compose::TunerConfig::default(),
-        );
-        assert!(hbar_core::verify::is_barrier(&tuned.schedule));
-    }
-
-    #[test]
-    fn replicated_profiling_handles_single_class_machines() {
-        // A single-socket node has only SameSocket links.
-        let machine = MachineSpec::new(1, 1, 4);
-        let prof = super::measure_profile_replicated(
-            &machine,
-            &RankMapping::Block,
-            4,
-            NoiseModel::none(),
-            &ProfilingConfig::fast(),
-        );
-        assert_eq!(prof.p, 4);
-        assert!(prof.cost.o[(0, 3)] > 0.0);
-        assert_eq!(prof.cost.o[(0, 1)], prof.cost.o[(2, 3)]);
     }
 
     #[test]

@@ -17,12 +17,9 @@
 //!    repetitions grow geometrically until the scatter is below the
 //!    configured tolerance (the Hunold & Carpen-Amarie prescription:
 //!    adaptive repetition, stop when the CI is tight). The grow/stop
-//!    decision and the median/spread arithmetic are delegated to
-//!    [`hbar_stats`] ([`StoppingRule`], [`hbar_stats::rel_spread`],
-//!    [`hbar_stats::median`]) — the same implementation the `*-perf`
-//!    harnesses measure under, pinned bit-identical to the historical
-//!    in-module code by the `stopping_parity` regression test. Work
-//!    items are
+//!    decision and the median/spread arithmetic are the private
+//!    `StoppingRule`, `rel_spread` and `median` below, pinned bit for
+//!    bit by the `stopping_parity` regression test. Work items are
 //!    self-contained [`PairWorkDescriptor`]s, so execution can fan out to
 //!    a work-stealing thread pool ([`LocalExecutor`]) or a TCP worker
 //!    fleet ([`crate::distrib`]) interchangeably;
@@ -39,14 +36,13 @@
 //! forced by [`SweepConfig::exact_classes`] or produced naturally by a
 //! fully heterogeneous machine — the clustered sweep performs exactly the
 //! exhaustive sweep's measurements under the same sub-seeds and must
-//! reproduce [`crate::profiling::measure_profile`] bit-for-bit. The
-//! regression harness (`profile-perf`) gates on this.
+//! reproduce [`crate::profiling::measure_profile`] bit-for-bit
+//! (`tests/sweep.rs` gates on this).
 
 use crate::noise::NoiseModel;
 use crate::profiling::{diag_sub_seed, measure_pair, pair_bench, pair_sub_seed, ProfilingConfig};
 use hbar_core::clustering::{classify_pairs, ClassingConfig, PairClassing};
 use hbar_matrix::DenseMatrix;
-use hbar_stats::StoppingRule;
 use hbar_topo::compressed::CompressError;
 use hbar_topo::cost::CostMatrices;
 use hbar_topo::features::{ExactExtractor, PairFeatureExtractor, TopologyExtractor};
@@ -590,12 +586,10 @@ pub(crate) fn measure_classes(
     let mut measurements = 0usize;
     let mut growth_rounds = 0u32;
 
-    // The shared stopping rule (also used by the `*-perf` harnesses via
-    // `hbar_stats::measure_adaptive`): grow while the relative scatter
-    // exceeds the tolerance, within the round budget.
+    // Grow while the relative scatter exceeds the tolerance, within the
+    // round budget.
     let rule = StoppingRule {
         rel_tol: cfg.ci_rel_tol,
-        max_rounds: cfg.max_growth_rounds,
     };
 
     // Round 0 measures every class; later rounds re-measure only classes
@@ -872,24 +866,67 @@ fn scatter_dense(classing: &PairClassing, m: &ClassMeasurements) -> CostMatrices
     CostMatrices { o, l }
 }
 
+/// Grow-until-tight: repetitions grow while the relative dispersion
+/// exceeds `rel_tol`.
+struct StoppingRule {
+    /// Relative dispersion above which another growth round is taken.
+    rel_tol: f64,
+}
+
+impl StoppingRule {
+    /// Whether a sample set with dispersion `spread` warrants growing
+    /// the repetition count.
+    fn should_grow(&self, spread: f64) -> bool {
+        spread > self.rel_tol
+    }
+}
+
+/// The sample median: middle order statistic, or the mean of the two
+/// middle order statistics for even lengths (`sort_unstable_by(
+/// partial_cmp)` then `(x[n/2-1] + x[n/2]) / 2`).
+///
+/// # Panics
+/// Panics on an empty slice or NaN samples.
+fn median(xs: &[f64]) -> f64 {
+    assert!(!xs.is_empty(), "median of an empty sample");
+    let mut v = xs.to_vec();
+    v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite measurement"));
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// Relative dispersion of samples about their median:
+/// `max_i |x_i − median| / max(|median|, ε)`; `0` for fewer than two
+/// samples (a singleton has no scatter evidence).
+///
+/// # Panics
+/// Panics on NaN samples.
+fn rel_spread(xs: &[f64]) -> f64 {
+    if xs.len() < 2 {
+        return 0.0;
+    }
+    let m = median(xs);
+    let denom = m.abs().max(1e-300);
+    xs.iter().map(|x| (x - m).abs() / denom).fold(0.0, f64::max)
+}
+
 /// Relative scatter of the `(o, l)` samples around their medians,
-/// delegated component-wise to the shared rule
-/// ([`hbar_stats::rel_spread`]): `max |x − median| / max(|median|, ε)`,
-/// `0` for fewer than two samples. The shared implementation is
-/// bit-identical to the historical in-module one (pinned by the
-/// `stopping_parity` regression test).
+/// component-wise [`rel_spread`].
 fn rel_spreads(values: &[(f64, f64)]) -> (f64, f64) {
     let os: Vec<f64> = values.iter().map(|v| v.0).collect();
     let ls: Vec<f64> = values.iter().map(|v| v.1).collect();
-    (hbar_stats::rel_spread(&os), hbar_stats::rel_spread(&ls))
+    (rel_spread(&os), rel_spread(&ls))
 }
 
-/// Component-wise medians of the `(o, l)` samples, delegated to
-/// [`hbar_stats::median`].
+/// Component-wise [`median`]s of the `(o, l)` samples.
 fn medians(values: &[(f64, f64)]) -> (f64, f64) {
     let os: Vec<f64> = values.iter().map(|v| v.0).collect();
     let ls: Vec<f64> = values.iter().map(|v| v.1).collect();
-    (hbar_stats::median(&os), hbar_stats::median(&ls))
+    (median(&os), median(&ls))
 }
 
 /// Sequential single-descriptor executor used by the worker loop and
@@ -927,6 +964,7 @@ impl DescriptorExecutor for SequentialExecutor {
 mod tests {
     use super::*;
     use crate::profiling::measure_profile;
+    use proptest::prelude::*;
 
     fn bit_equal(a: &CostMatrices, b: &CostMatrices) -> bool {
         a.o.as_slice()
@@ -938,6 +976,54 @@ mod tests {
                 .iter()
                 .zip(b.l.as_slice())
                 .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn median_matches_sweep_semantics() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&[7.5]), 7.5);
+    }
+
+    #[test]
+    fn rel_spread_matches_sweep_arithmetic() {
+        assert_eq!(rel_spread(&[5.0]), 0.0);
+        // median 10, worst |dev| 2 → 0.2.
+        assert_eq!(rel_spread(&[8.0, 10.0, 12.0]), 0.2);
+        // Zero median is ε-guarded, not a division by zero.
+        assert!(rel_spread(&[-1.0, 0.0, 1.0]).is_finite());
+    }
+
+    #[test]
+    fn stopping_rule_thresholds() {
+        let rule = StoppingRule { rel_tol: 0.05 };
+        assert!(rule.should_grow(0.0501));
+        assert!(!rule.should_grow(0.05));
+    }
+
+    proptest! {
+        /// A sample mirrored around `c` has median `c`.
+        #[test]
+        fn symmetric_samples_pin_the_median(
+            half in prop::collection::vec(0.0f64..100.0, 1..40),
+            c in -50.0f64..50.0,
+            odd in any::<bool>(),
+        ) {
+            let mut xs: Vec<f64> = half.iter().flat_map(|&d| [c - d, c + d]).collect();
+            if odd {
+                xs.push(c);
+            }
+            prop_assert!((median(&xs) - c).abs() <= 1e-9f64.max(c.abs() * 1e-9));
+        }
+
+        /// Identical samples have zero spread, and the stopping rule
+        /// never asks for more of them.
+        #[test]
+        fn constant_samples_are_converged(x in 0.1f64..1.0e6, n in 2usize..40) {
+            let xs = vec![x; n];
+            prop_assert_eq!(rel_spread(&xs), 0.0);
+            prop_assert!(!StoppingRule { rel_tol: 0.05 }.should_grow(rel_spread(&xs)));
+        }
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Pins the decomposed sweep's adaptive-repetition behavior to golden
-//! hashes captured before the stopping rule was delegated to
-//! `hbar-stats`. The configuration deliberately drives every layer of
+//! hashes captured from the sweep's original hand-rolled stopping
+//! arithmetic. The configuration deliberately drives every layer of
 //! the repetition logic — multi-member classes, validation probes, a
 //! tolerance tight enough to force growth rounds, and the explosion
-//! safety valve disabled — so any drift in the shared rule's arithmetic
+//! safety valve disabled — so any drift in the rule's arithmetic
 //! (median, relative spread, grow/stop decision) changes the scattered
 //! matrices and flips the hash.
+//!
+//! Also pins the exhaustive sweep — and through it the simulation
+//! engine, the pair benchmarks and the noise stream — to the profiles
+//! of the pre-rework engine.
 
-use hbar_simnet::profiling::ProfilingConfig;
+use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
 use hbar_simnet::sweep::{measure_profile_clustered, SweepConfig};
 use hbar_simnet::NoiseModel;
 use hbar_topo::machine::MachineSpec;
@@ -86,6 +90,40 @@ fn adaptive_repetition_is_bit_identical_to_pre_refactor_behavior_p16() {
     );
 }
 
+/// The reusable engine (arenas reset between runs, radix-heap event
+/// queue, flat matching pools, in-place program rebuilds) measures, bit
+/// for bit, the profiles of the engine it replaced (fresh engine per
+/// run, binary-heap queue, `VecDeque` pools, cloned programs) fed the
+/// same noise draws: the fast schedule at P = 8 and 16, the paper's
+/// full schedule at P = 8.
+#[test]
+fn exhaustive_profile_is_bit_identical_to_pre_rework_engine() {
+    for (schedule, p, cfg, golden) in [
+        (
+            "fast",
+            8usize,
+            ProfilingConfig::fast(),
+            GOLDEN_ENGINE_FAST_P8,
+        ),
+        ("fast", 16, ProfilingConfig::fast(), GOLDEN_ENGINE_FAST_P16),
+        ("full", 8, ProfilingConfig::default(), GOLDEN_ENGINE_FULL_P8),
+    ] {
+        let machine = MachineSpec::new(p.div_ceil(8), 2, 4);
+        let profile = measure_profile(
+            &machine,
+            &RankMapping::RoundRobin,
+            p,
+            NoiseModel::realistic(42),
+            &cfg,
+        );
+        assert_eq!(
+            profile_fingerprint(&profile),
+            golden,
+            "{schedule} exhaustive profile at P={p} diverged from the pre-rework engine"
+        );
+    }
+}
+
 /// Golden fingerprints captured from the pre-refactor sweep (the
 /// hand-rolled `rel_spreads`/`medians` in `sweep.rs` as of PR 7) under
 /// the pinned seeds above. Do not update these without demonstrating the
@@ -93,3 +131,11 @@ fn adaptive_repetition_is_bit_identical_to_pre_refactor_behavior_p16() {
 /// measurement.
 const GOLDEN_P8: u64 = 7051013349102083021;
 const GOLDEN_P16: u64 = 15183762971726166949;
+
+/// Captured at 267efdb, the last commit to carry the pre-rework engine
+/// (a frozen copy in `hbar-bench`), by hashing its profiles on these
+/// inputs after asserting the live engine's hash the same.
+/// EXPERIMENTS.md records how to rerun it from history.
+const GOLDEN_ENGINE_FAST_P8: u64 = 14639149511285633526;
+const GOLDEN_ENGINE_FAST_P16: u64 = 12421229643955368876;
+const GOLDEN_ENGINE_FULL_P8: u64 = 4112949929277677322;

@@ -4,6 +4,8 @@
 //! fleet with a mid-sweep crash.
 
 use hbar_core::clustering::splitmix64;
+use hbar_core::compose::{tune_hybrid, TunerConfig};
+use hbar_core::verify::is_barrier;
 use hbar_simnet::distrib::{
     serve_worker, shutdown_worker, FleetExecutor, FleetOptions, WorkerFault,
 };
@@ -154,38 +156,81 @@ proptest! {
 }
 
 /// Clustered estimates stay within the recorded error bound of the
-/// exhaustive sweep on both paper clusters at P ∈ {16, 32, 64}.
+/// exhaustive sweep on both paper clusters at P ∈ {16, 32, 64}, in two
+/// noise regimes, and on the §IV-B shortcut's own terms.
 ///
-/// The bound here (20%) is for the `fast()` test schedule, whose few
-/// repetitions leave substantial residual noise in *both* sweeps (the
-/// worst observed gap, ~15% on dual_hex at P = 32, is noise floor, not
-/// clustering bias — both estimates of the same pair wobble that much);
-/// the full schedule is held to ≤ 5% by the `profile-perf` harness
-/// (recorded in BENCH_profile.json).
+/// * Under `realistic` noise the bound is 20%: the `fast()` schedule's
+///   few repetitions leave substantial residual noise in *both* sweeps
+///   (the worst observed gap, ~15% on dual_hex at P = 32, is noise floor,
+///   not clustering bias — both estimates of the same pair wobble that
+///   much).
+/// * Under `quiet` noise — the pinned, dedicated-node regime profiling
+///   methodology prescribes — per-pair intercepts are tight enough for
+///   the entrywise gap to measure clustering bias, and it is held to 5%.
+/// * §IV-B's "replicate component submatrices" shortcut taken literally
+///   — one measurement per class, no validation probes, no noise —
+///   loses under 5% against measuring every pair, and on a single-socket
+///   machine (one link class) gives equal links equal entries.
+///
+/// Every clustered profile must also measure fewer pairs than the
+/// exhaustive sweep and still tune to a barrier.
 #[test]
 fn clustered_error_bounded_on_paper_clusters() {
-    for (name, machine) in [
-        ("dual_quad", MachineSpec::dual_quad_cluster(8)),
-        ("dual_hex", MachineSpec::dual_hex_cluster(6)),
-    ] {
-        for p in [16usize, 32, 64] {
-            let mapping = RankMapping::Block;
-            let noise = NoiseModel::realistic(2026);
-            let exhaustive =
-                measure_profile(&machine, &mapping, p, noise, &ProfilingConfig::fast());
-            let (clustered, report) =
-                measure_profile_clustered(&machine, &mapping, p, noise, &SweepConfig::fast());
-            let err = worst_rel_error(&clustered, &exhaustive);
-            assert!(
-                err < 0.2,
-                "{name} P={p}: clustered error {err} out of bound"
-            );
-            assert!(
-                report.measurements < report.total_pairs + p,
-                "{name} P={p}: no reduction ({} measurements)",
-                report.measurements
-            );
+    let check = |name: &str,
+                 machine: &MachineSpec,
+                 mapping: &RankMapping,
+                 p: usize,
+                 noise: NoiseModel,
+                 cfg: &SweepConfig,
+                 bound: f64| {
+        let name = format!("{name} P={p} jitter={}", noise.jitter_sigma);
+        let exhaustive = measure_profile(machine, mapping, p, noise, &cfg.profiling);
+        let (clustered, report) = measure_profile_clustered(machine, mapping, p, noise, cfg);
+        let err = worst_rel_error(&clustered, &exhaustive);
+        assert!(err < bound, "{name}: clustered error {err} out of bound");
+        assert!(
+            report.measurements < report.total_pairs + p,
+            "{name}: no reduction ({} measurements)",
+            report.measurements
+        );
+        if machine.nodes * machine.sockets == 1 {
+            for (i, j) in (0..p).flat_map(|i| (0..p).map(move |j| (i, j))) {
+                if i != j {
+                    assert_eq!(clustered.cost.o[(i, j)], clustered.cost.o[(0, 1)]);
+                    assert_eq!(clustered.cost.l[(i, j)], clustered.cost.l[(0, 1)]);
+                }
+            }
         }
+        let tuned = tune_hybrid(&clustered, &TunerConfig::default());
+        assert!(is_barrier(&tuned.schedule), "{name}: not a barrier");
+    };
+
+    for (noise, bound) in [
+        (NoiseModel::realistic(2026), 0.2),
+        (NoiseModel::quiet(42), 0.05),
+    ] {
+        for (name, machine) in [
+            ("dual_quad", MachineSpec::dual_quad_cluster(8)),
+            ("dual_hex", MachineSpec::dual_hex_cluster(6)),
+        ] {
+            for p in [16usize, 32, 64] {
+                let cfg = SweepConfig::fast();
+                check(name, &machine, &RankMapping::Block, p, noise, &cfg, bound);
+            }
+        }
+    }
+
+    let unprobed = SweepConfig {
+        probes_per_class: 0,
+        ..SweepConfig::fast()
+    };
+    let (rr, block) = (RankMapping::RoundRobin, RankMapping::Block);
+    for (name, machine, mapping, p) in [
+        ("2x2x2", MachineSpec::new(2, 2, 2), &rr, 8),
+        ("1x1x4", MachineSpec::new(1, 1, 4), &block, 4),
+    ] {
+        let none = NoiseModel::none();
+        check(name, &machine, mapping, p, none, &unprobed, 0.05);
     }
 }
 

@@ -24,10 +24,10 @@
 //! ([`cost`]), the regression statistics used to extract parameters from
 //! benchmark samples ([`regress`]), on-disk profiles ([`profile`]), the
 //! symmetrized metric view needed by SSS clustering ([`metric`]), heat-map
-//! rendering for Fig. 9 ([`heatmap`]), the component-submatrix
-//! replication shortcut discussed in §IV-B ([`replicate`]), and its
-//! generalization to feature-vector pair classes ([`features`]) that the
-//! decomposed profiling sweep clusters on. For machines past P ≈ 4096,
+//! rendering for Fig. 9 ([`heatmap`]), and the feature-vector pair
+//! classes ([`features`]) — §IV-B's "replicate component submatrices"
+//! shortcut, generalized — that the decomposed profiling sweep clusters
+//! on. For machines past P ≈ 4096,
 //! [`compressed`] stores the same model as a `u16` class grid plus
 //! per-class value tables (2 bytes per pair instead of 16), and
 //! [`cost::CostProvider`] abstracts over both storages so the tuner
@@ -43,7 +43,6 @@ pub mod mapping;
 pub mod metric;
 pub mod profile;
 pub mod regress;
-pub mod replicate;
 
 pub use compressed::{CompressError, CompressedCostModel, MAX_CLASSES};
 pub use cost::{

@@ -1,21 +1,8 @@
 //! `hbar` — command-line front end to the barrier-synthesis pipeline.
 //!
-//! ```text
-//! hbar profile  --machine 8x2x4 --mapping rr --ranks 64 --out prof.json [--fast] [--seed N] [--exact-machine]
-//!               [--clustered] [--probes N] [--workers HOST:PORT,...] [--stop-workers]
-//!               [--compressed] [--mem-budget BYTES]
-//! hbar profile-worker --listen HOST:PORT
-//! hbar serve    --listen HOST:PORT [--shards N] [--cache-cap N] [--cache-bytes N] [--workers N]
-//! hbar tune-client --connect HOST:PORT [--count N] [--requests N] [--seed N] [--zipf S]
-//!               [--check all|sample|none] [--stats] [--shutdown]
-//! hbar tune     --profile prof.json --out sched.json [--extended] [--exact-scoring] [--sparseness F]
-//! hbar predict  --profile prof.json --schedule sched.json
-//! hbar verify   --schedule sched.json
-//! hbar simulate --profile prof.json --schedule sched.json [--reps N] [--seed N]
-//! hbar codegen  --schedule sched.json --lang c|rust [--name NAME]
-//! hbar heatmap  --profile prof.json [--matrix l|o]
-//! hbar search   --profile prof.json --out sched.json [--max-stages N] [--max-expansions N]
-//! ```
+//! `hbar help` prints every command with its flags. That text is
+//! generated from [`COMMANDS`], the table the parser itself works from,
+//! so there is no second list to keep in step.
 //!
 //! `hbar serve` is the tuning daemon (sharded schedule cache, request
 //! coalescing, bounded tuner pool); `hbar tune-client` is its load
@@ -67,67 +54,184 @@ fn main() -> ExitCode {
     }
 }
 
+/// One command: its handler and the flags it takes. This table is all
+/// the parser knows: [`parse_flags`] rejects a flag that is not listed
+/// for the command, and [`usage`] prints the ones that are.
+struct Command {
+    name: &'static str,
+    run: fn(&Flags) -> Result<(), String>,
+    /// Flags that take a value: `(name, placeholder, required)`.
+    values: &'static [(&'static str, &'static str, bool)],
+    /// Flags that take none.
+    switches: &'static [&'static str],
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "profile",
+        run: cmd_profile,
+        values: &[
+            ("machine", "NxSxC|cluster-a|cluster-b", true),
+            ("out", "FILE", true),
+            ("mapping", "rr|block", false),
+            ("ranks", "N", false),
+            ("seed", "N", false),
+            ("probes", "N", false),
+            ("workers", "HOST:PORT,...", false),
+            ("mem-budget", "BYTES", false),
+        ],
+        switches: &[
+            "fast",
+            "exact-machine",
+            "clustered",
+            "stop-workers",
+            "compressed",
+        ],
+    },
+    Command {
+        name: "profile-worker",
+        run: cmd_profile_worker,
+        values: &[("listen", "HOST:PORT", true)],
+        switches: &[],
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        values: &[
+            ("listen", "HOST:PORT", true),
+            ("shards", "N", false),
+            ("cache-cap", "N", false),
+            ("cache-bytes", "N", false),
+            ("workers", "N", false),
+        ],
+        switches: &[],
+    },
+    Command {
+        name: "tune-client",
+        run: cmd_tune_client,
+        values: &[
+            ("connect", "HOST:PORT", true),
+            ("count", "N", false),
+            ("requests", "N", false),
+            ("seed", "N", false),
+            ("zipf", "S", false),
+            ("check", "all|sample|none", false),
+        ],
+        switches: &["stats", "shutdown"],
+    },
+    Command {
+        name: "tune",
+        run: cmd_tune,
+        values: &[
+            ("profile", "FILE", true),
+            ("out", "FILE", true),
+            ("sparseness", "F", false),
+        ],
+        switches: &["extended", "exact-scoring"],
+    },
+    Command {
+        name: "predict",
+        run: cmd_predict,
+        values: &[("profile", "FILE", true), ("schedule", "FILE", true)],
+        switches: &[],
+    },
+    Command {
+        name: "verify",
+        run: cmd_verify,
+        values: &[("schedule", "FILE", true)],
+        switches: &[],
+    },
+    Command {
+        name: "simulate",
+        run: cmd_simulate,
+        values: &[
+            ("profile", "FILE", true),
+            ("schedule", "FILE", true),
+            ("reps", "N", false),
+            ("seed", "N", false),
+        ],
+        switches: &[],
+    },
+    Command {
+        name: "codegen",
+        run: cmd_codegen,
+        values: &[
+            ("schedule", "FILE", true),
+            ("lang", "c|rust", false),
+            ("name", "NAME", false),
+        ],
+        switches: &[],
+    },
+    Command {
+        name: "heatmap",
+        run: cmd_heatmap,
+        values: &[("profile", "FILE", true), ("matrix", "l|o", false)],
+        switches: &[],
+    },
+    Command {
+        name: "search",
+        run: cmd_search,
+        values: &[
+            ("profile", "FILE", true),
+            ("out", "FILE", true),
+            ("max-stages", "N", false),
+            ("max-expansions", "N", false),
+        ],
+        switches: &[],
+    },
+];
+
 fn run(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         return Err(usage());
     };
-    let flags = parse_flags(&args[1..])?;
-    match cmd.as_str() {
-        "profile" => cmd_profile(&flags),
-        "profile-worker" => cmd_profile_worker(&flags),
-        "serve" => cmd_serve(&flags),
-        "tune-client" => cmd_tune_client(&flags),
-        "tune" => cmd_tune(&flags),
-        "predict" => cmd_predict(&flags),
-        "verify" => cmd_verify(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "codegen" => cmd_codegen(&flags),
-        "heatmap" => cmd_heatmap(&flags),
-        "search" => cmd_search(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
     }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(format!("unknown command `{name}`\n{}", usage()));
+    };
+    (cmd.run)(&parse_flags(cmd, &args[1..])?)
 }
 
 fn usage() -> String {
-    "usage: hbar <profile|profile-worker|serve|tune-client|tune|predict|verify|simulate|codegen|heatmap|search> [--flag value]...\n\
-     run `hbar help` or see the crate docs for flags"
-        .to_string()
+    let mut text = "usage: hbar <command> [--flag value]...".to_string();
+    for cmd in COMMANDS {
+        text += &format!("\n  hbar {}", cmd.name);
+        for &(flag, placeholder, required) in cmd.values {
+            text += &if required {
+                format!(" --{flag} {placeholder}")
+            } else {
+                format!(" [--{flag} {placeholder}]")
+            };
+        }
+        for flag in cmd.switches {
+            text += &format!(" [--{flag}]");
+        }
+    }
+    text
 }
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+fn parse_flags(cmd: &Command, args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("expected --flag, got `{a}`"));
         };
-        // Boolean flags take no value; value flags consume the next arg.
-        let boolean = matches!(
-            name,
-            "fast"
-                | "extended"
-                | "exact-scoring"
-                | "exact-machine"
-                | "clustered"
-                | "compressed"
-                | "stop-workers"
-                | "stats"
-                | "shutdown"
-        );
-        if boolean {
-            flags.insert(name.to_string(), "true".to_string());
+        // Switches take no value; value flags consume the next arg.
+        let value = if cmd.switches.contains(&name) {
+            "true"
+        } else if cmd.values.iter().any(|&(flag, _, _)| flag == name) {
+            it.next()
+                .ok_or_else(|| format!("flag --{name} needs a value"))?
         } else {
-            let v = it
-                .next()
-                .ok_or_else(|| format!("flag --{name} needs a value"))?;
-            flags.insert(name.to_string(), v.clone());
-        }
+            return Err(format!("unknown flag --{name} for `{}`", cmd.name));
+        };
+        flags.insert(name.to_string(), value.to_string());
     }
     Ok(flags)
 }

@@ -159,6 +159,26 @@ fn helpful_errors() {
     assert!(!o.status.success());
     assert!(stderr(&o).contains("needs a value"));
 
+    // A misspelt flag is an error, not a silently applied default.
+    let o = hbar(&["profile", "--machine", "2x2x2", "--probs", "4"]);
+    assert_eq!(o.status.code(), Some(1));
+    assert!(stderr(&o).contains("unknown flag --probs for `profile`"));
+
+    // So is a flag that only another command takes.
+    let o = hbar(&["serve", "--listen", "127.0.0.1:0", "--ranks", "8"]);
+    assert_eq!(o.status.code(), Some(1));
+    assert!(stderr(&o).contains("unknown flag --ranks for `serve`"));
+
+    // A value flag at the end of the line, after a valid switch.
+    let o = hbar(&["profile", "--machine", "2x2x2", "--fast", "--out"]);
+    assert_eq!(o.status.code(), Some(1));
+    assert!(stderr(&o).contains("flag --out needs a value"));
+
+    // The usage text comes from the table the parser rejects by.
+    let o = hbar(&["help"]);
+    assert!(o.status.success());
+    assert!(stdout(&o).contains("hbar serve --listen HOST:PORT [--shards N]"));
+
     let o = hbar(&["profile", "--machine", "0x1x1", "--out", "/tmp/x.json"]);
     assert!(!o.status.success());
 

@@ -1,11 +1,12 @@
 //! Reworked simulation-engine microbenchmarks: raw event throughput on a
-//! reused world, the amortized profiling sweep that the §IV-A cost
-//! matrices are built from, and the clustered sweep's bookkeeping around
-//! its measurements.
+//! reused world, P-rank barrier execution at the benchmark's scale, the
+//! amortized profiling sweep that the §IV-A cost matrices are built from,
+//! and the clustered sweep's bookkeeping around its measurements.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hbar_core::algorithms::Algorithm;
 use hbar_core::clustering::{classify_pairs, ClassingConfig};
+use hbar_core::compose::{tune_hybrid, TunerConfig};
 use hbar_simnet::barrier::schedule_programs;
 use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
 use hbar_simnet::sweep::{DescriptorExecutor, PairSample, PairWorkDescriptor, SweepError};
@@ -14,6 +15,7 @@ use hbar_simnet::{measure_profile_compressed, NoiseModel, SpillConfig, SweepConf
 use hbar_topo::features::TopologyExtractor;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
+use hbar_topo::profile::TopologyProfile;
 use std::hint::black_box;
 
 /// Steady-state interpreter throughput: a many-round dissemination barrier
@@ -39,6 +41,46 @@ fn bench_engine_throughput(c: &mut Criterion) {
             &programs,
             |b, programs| b.iter(|| black_box(world.run(black_box(programs)).expect("runs"))),
         );
+    }
+    group.finish();
+}
+
+/// What an episode of the pipeline benchmark pays to execute its barriers:
+/// building the world, and one 20-repetition run of each schedule on it
+/// (channel resolution in `reset` included).
+fn bench_barrier_execution(c: &mut Criterion) {
+    let mut group = c.benchmark_group("barrier_execution");
+    group.sample_size(10);
+    let mapping = RankMapping::Block;
+    for p in [1024usize, 4096] {
+        let machine = MachineSpec::new(p / 8, 2, 4);
+        let config = SimConfig {
+            machine: machine.clone(),
+            mapping: mapping.clone(),
+            noise: NoiseModel::realistic(42),
+        };
+        group.bench_function(BenchmarkId::new("world_build", p), |b| {
+            b.iter(|| black_box(SimWorld::new(config.clone(), p)))
+        });
+        let members: Vec<usize> = (0..p).collect();
+        let profile = TopologyProfile::from_ground_truth_for(&machine, &mapping, p);
+        let mut world = SimWorld::new(config.clone(), p);
+        for (name, sched) in [
+            ("tree-20r", Algorithm::Tree.full_schedule(p, &members)),
+            (
+                "dissemination-20r",
+                Algorithm::Dissemination.full_schedule(p, &members),
+            ),
+            (
+                "hybrid-20r",
+                tune_hybrid(&profile, &TunerConfig::default()).schedule,
+            ),
+        ] {
+            let programs = schedule_programs(&sched, 20);
+            group.bench_with_input(BenchmarkId::new(name, p), &programs, |b, programs| {
+                b.iter(|| black_box(world.run(black_box(programs)).expect("runs")))
+            });
+        }
     }
     group.finish();
 }
@@ -137,6 +179,7 @@ fn bench_profile_bookkeeping(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine_throughput,
+    bench_barrier_execution,
     bench_profile_sweep,
     bench_profile_bookkeeping
 );

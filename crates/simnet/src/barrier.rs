@@ -6,7 +6,7 @@
 //! according to the dependencies of the stage (with `MPI_Issend`), and
 //! awaiting completion of all issued requests."
 
-use crate::program::Program;
+use crate::program::{Instr, Program};
 use crate::world::SimWorld;
 use crate::{ns_to_sec, Time};
 use hbar_core::codegen::{compile_schedule, RankProgram};
@@ -21,16 +21,21 @@ pub fn sim_program(program: &RankProgram) -> Program {
 /// Like [`sim_program`] but executing the barrier `reps` times
 /// back-to-back, the way the measurement loops run it.
 pub fn sim_program_repeated(program: &RankProgram, reps: usize) -> Program {
-    let mut p = Program::new();
+    let per_rep: usize = program
+        .steps
+        .iter()
+        .map(|step| step.recvs.len() + step.sends.len() + 1)
+        .sum();
+    let mut p = Program::with_capacity(reps * per_rep);
     for _ in 0..reps {
         for step in &program.steps {
             for &src in &step.recvs {
-                p = p.irecv(src);
+                p.push_irecv(src);
             }
             for &dst in &step.sends {
-                p = p.issend(dst);
+                p.push_issend(dst);
             }
-            p = p.wait_all();
+            p.push_wait_all();
         }
     }
     p
@@ -98,28 +103,19 @@ pub fn staggered_delay_check(
         world.p(),
         "schedule/world rank count mismatch"
     );
-    let base = schedule_programs(schedule, 1);
+    let mut programs = schedule_programs(schedule, 1);
     let mut runs = Vec::with_capacity(world.p());
     let mut all_ok = true;
     for delayed in 0..world.p() {
-        let programs: Vec<Program> = base
-            .iter()
-            .enumerate()
-            .map(|(r, p)| {
-                if r == delayed {
-                    let mut d = Program::with_capacity(p.len() + 1);
-                    d.push_delay(delay_ns);
-                    d.instrs.extend_from_slice(&p.instrs);
-                    d.labels = p.labels.clone();
-                    d
-                } else {
-                    p.clone()
-                }
-            })
-            .collect();
+        // Only the delayed rank's program differs from run to run: put
+        // the delay in front of it for this run and take it out again.
+        programs[delayed]
+            .instrs
+            .insert(0, Instr::Delay { ns: delay_ns });
         let result = world
             .run(&programs)
             .expect("verified barrier cannot deadlock");
+        programs[delayed].instrs.remove(0);
         all_ok &= result.finish.iter().all(|&f| f >= delay_ns);
         runs.push(DelayCheckRun {
             delayed_rank: delayed,

@@ -34,15 +34,41 @@
 //! core list and ground truth) and then runs arbitrarily many program
 //! sets: [`run`](Engine::run) borrows a program slice, [`reset`]s the
 //! per-run state, and interprets instructions **by value** (`Instr` is
-//! `Copy`; mark labels are interned ids). All per-run state lives in
-//! arenas sized at construction — the event queue, per-process interpreter
-//! states, per-resource clocks, and a flat `p × p` pool of head-indexed
-//! FIFO queues for posted/ready message matching — and is cleared in
-//! O(touched) between runs, so the hot loop performs no heap allocation
-//! after warm-up. Results are bit-identical to a freshly constructed
-//! engine: event ordering depends only on `(time, seq)` and `seq` restarts
-//! at zero each run, so the deterministic noise stream is consumed in the
-//! same order.
+//! `Copy`; mark labels are interned ids). Results are bit-identical to a
+//! freshly constructed engine: event ordering depends only on `(time, seq)`
+//! and `seq` restarts at zero each run, so the deterministic noise stream
+//! is consumed in the same order.
+//!
+//! ## Channels and memory bound
+//!
+//! Nothing in the engine is sized by the number of rank *pairs*. Link
+//! charges take one value per [`LinkClass`], so they live in a three-entry
+//! table; the class of a pair comes from the per-rank core list. Matching
+//! state exists only for the `(dst, src)` **channels** the programs name:
+//! [`reset`], which walks every instruction to validate it anyway, gives
+//! each distinct channel a dense id (hashing happens there, once per
+//! channel and naming rank, never in the event loop), writes the id of
+//! every instruction into a side table parallel to the programs, and
+//! counts the channel's receives and sends. In the event loop an `Irecv` or
+//! `Issend` reads its channel id from the side table, and an arrival event
+//! carries the id in its payload, so reaching a channel is an array load.
+//!
+//! A channel is one head-indexed FIFO over its own region of a shared slot
+//! arena. Synchronous FIFO matching never has posted receives and arrived
+//! messages pending on one channel at once (whichever comes second matches
+//! the first instead of queueing), so one queue with a flag for what it
+//! holds suffices. Head and tail only advance; a match is one push and one
+//! pop and an entry left unmatched is one push, so over a whole run a
+//! channel with `r` receives and `s` sends pushes at most `max(r, s)`
+//! entries, which is the size of its region.
+//!
+//! Memory is therefore `O(P)` at construction (interpreter states, resource
+//! clocks, core list) plus, per run, a 32-byte record and a hash-table
+//! entry per channel, 8 bytes per message and 4 bytes per instruction — at
+//! P = 16384 a dissemination barrier (229 k channels) needs about 20 MB
+//! where one 128-byte entry per ordered pair would need 34 GB. All of it is
+//! retained between runs, so the hot loop performs no heap allocation after
+//! warm-up.
 //!
 //! [`reset`]: Engine::reset
 
@@ -51,6 +77,8 @@ use crate::program::{Instr, LabelId, Program};
 use crate::trace::{Trace, TraceEvent};
 use crate::Time;
 use hbar_topo::machine::{CoreId, GroundTruth, LinkClass};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A serial resource reserved in event-time order.
 #[derive(Clone, Copy, Debug, Default)]
@@ -74,19 +102,20 @@ const TAG_ARRIVE: u32 = 1;
 const TAG_RECV_DONE: u32 = 2;
 const TAG_SEND_DONE: u32 = 3;
 
-/// Rank-field width in a packed event payload (two ranks + a 2-bit tag
-/// must fit in 32 bits).
-const RANK_BITS: u32 = 15;
-const RANK_MASK: u32 = (1 << RANK_BITS) - 1;
+/// Width of the argument field of a packed event payload: a rank, or for
+/// an arrival a channel id (a 2-bit tag shares the 32-bit word).
+const ARG_BITS: u32 = 30;
+const ARG_MASK: u32 = (1 << ARG_BITS) - 1;
 
-/// Packs `(tag, dst, src)` into an event payload word.
+/// Packs `(tag, arg)` into an event payload word.
 #[inline]
-fn payload(tag: u32, dst: usize, src: usize) -> u32 {
-    (tag << (2 * RANK_BITS)) | ((dst as u32) << RANK_BITS) | src as u32
+fn payload(tag: u32, arg: usize) -> u32 {
+    debug_assert!(arg <= ARG_MASK as usize);
+    (tag << ARG_BITS) | arg as u32
 }
 
 /// A popped queue entry. `key` carries the tie-breaking sequence number
-/// in its high half and the packed `(tag, dst, src)` payload in its low
+/// in its high half and the packed `(tag, arg)` payload in its low
 /// half; in the queue both words live in one `u128` (`time` on top) whose
 /// integer order is exactly the engine's `(time, seq)` event order, since
 /// sequence numbers are unique.
@@ -99,17 +128,12 @@ struct Event {
 impl Event {
     #[inline]
     fn tag(&self) -> u32 {
-        self.key as u32 >> (2 * RANK_BITS)
+        self.key as u32 >> ARG_BITS
     }
 
     #[inline]
-    fn src(&self) -> usize {
-        (self.key as u32 & RANK_MASK) as usize
-    }
-
-    #[inline]
-    fn dst(&self) -> usize {
-        ((self.key as u32 >> RANK_BITS) & RANK_MASK) as usize
+    fn arg(&self) -> usize {
+        (self.key as u32 & ARG_MASK) as usize
     }
 }
 
@@ -213,11 +237,10 @@ impl EventQueue {
     }
 }
 
-/// Precomputed per-(src,dst) link charges: one cache line resolves what
-/// previously took a `CoreId` comparison plus a `GroundTruth` match per
-/// instruction.
+/// Precomputed charges of one link class: one small copy resolves what
+/// would otherwise take a `GroundTruth` match per instruction.
 #[derive(Clone, Copy, Debug)]
-struct PairCost {
+struct ClassCost {
     inter_node: bool,
     /// `call_overhead + cpu_send` — the sender CPU injection occupancy.
     inject_ns: Time,
@@ -232,6 +255,9 @@ struct PairCost {
 #[derive(Clone, Debug, Default)]
 struct ProcState {
     pc: usize,
+    /// Index of this program's first instruction in the engine's
+    /// instruction → channel side table.
+    chan_base: usize,
     /// Requests issued and not yet completed.
     outstanding: usize,
     /// Blocked in `WaitAll` (or at end of program awaiting completions).
@@ -244,8 +270,9 @@ struct ProcState {
 }
 
 impl ProcState {
-    fn reset(&mut self) {
+    fn reset(&mut self, chan_base: usize) {
         self.pc = 0;
+        self.chan_base = chan_base;
         self.outstanding = 0;
         self.waiting = false;
         self.done = false;
@@ -254,44 +281,66 @@ impl ProcState {
     }
 }
 
-/// Head-indexed FIFO queues for one `(dst, src)` pair: posted, unmatched
-/// receives (post times) and arrived, unmatched messages (availability
-/// times; the link class is implied by the pair). Pops advance a head
-/// index instead of shifting, so entries stay in place and the backing
-/// storage is reused run after run.
-#[derive(Clone, Debug, Default)]
-struct PairQueue {
-    posted: Vec<Time>,
-    posted_head: usize,
-    ready: Vec<Time>,
-    ready_head: usize,
-    /// Set on first use in a run; indexes the engine's touched list.
-    touched: bool,
+/// What a channel's queue currently holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pending {
+    /// Post times of receives no message has matched yet.
+    Posted,
+    /// Availability times of messages no receive has matched yet.
+    Arrived,
 }
 
-impl PairQueue {
-    #[inline]
-    fn pop_posted(&mut self) -> Option<Time> {
-        let v = self.posted.get(self.posted_head).copied()?;
-        self.posted_head += 1;
-        Some(v)
+/// Matching state of one `(dst, src)` channel: a head-indexed FIFO over
+/// `slots[base + head .. base + tail]` of the engine's slot arena. Pops
+/// advance `head` instead of shifting; see the module header for why one
+/// queue serves both kinds of entry and why the region cannot overflow.
+#[derive(Clone, Copy, Debug)]
+struct Channel {
+    src: u32,
+    dst: u32,
+    /// The pair's `LinkClass as u8`: index into the engine's charge table.
+    class: u8,
+    /// Meaningful while the queue is non-empty.
+    holds: Pending,
+    base: u32,
+    head: u32,
+    tail: u32,
+    /// `Irecv`s and `Issend`s naming this channel, counted by `reset` to
+    /// size the region.
+    recvs: u32,
+    sends: u32,
+}
+
+/// Hasher for channel keys. A key is one `u64` made of two validated rank
+/// numbers — not outside input — so the table needs mixing, not SipHash's
+/// resistance to crafted collisions. The rotation moves the product's
+/// well-mixed high bits into the low bits the table indexes by: `dst * p`
+/// alone leaves those zero for every channel into rank 0.
+#[derive(Default)]
+struct ChannelKeyHasher(u64);
+
+impl Hasher for ChannelKeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("channel keys are hashed through write_u64");
     }
 
     #[inline]
-    fn pop_ready(&mut self) -> Option<Time> {
-        let v = self.ready.get(self.ready_head).copied()?;
-        self.ready_head += 1;
-        Some(v)
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
     }
 
-    fn clear(&mut self) {
-        self.posted.clear();
-        self.posted_head = 0;
-        self.ready.clear();
-        self.ready_head = 0;
-        self.touched = false;
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
+
+/// Directions of `Engine::peer_memo`.
+const SEND: usize = 0;
+const RECV: usize = 1;
+
+/// Side-table entry of an instruction that names no channel.
+const NO_CHANNEL: u32 = u32::MAX;
 
 /// Error returned when the simulation cannot complete.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -326,8 +375,9 @@ pub struct EngineResult {
     pub trace: Option<Trace>,
 }
 
-/// The reusable event-driven interpreter: arenas sized once for a
-/// placement, then [`run`](Engine::run) borrows program slices.
+/// The reusable event-driven interpreter: per-rank state sized once for a
+/// placement, per-channel state sized by each program set;
+/// [`run`](Engine::run) borrows program slices.
 pub struct Engine {
     cores: Vec<CoreId>,
     gt: GroundTruth,
@@ -336,17 +386,26 @@ pub struct Engine {
     nic_tx: Vec<Resource>,
     nic_rx: Vec<Resource>,
     queue: EventQueue,
-    /// Flat `p × p` matching pools, indexed `dst * p + src`.
-    pairs: Vec<PairQueue>,
-    /// Flat `p × p` link charges, indexed `dst * p + src` (symmetric, so
-    /// the same index convention as `pairs` serves both directions).
-    costs: Vec<PairCost>,
+    /// Link charges, indexed by `LinkClass as usize`.
+    charges: [ClassCost; 3],
+    /// The channels the current program set names, in order of first
+    /// mention.
+    channels: Vec<Channel>,
+    /// `(dst, src)` → index into `channels`; consulted by `reset` only.
+    channel_ids: HashMap<u64, u32, BuildHasherDefault<ChannelKeyHasher>>,
+    /// `[2 * peer + dir]` → `(rank + 1, id)`: the channel `rank` last
+    /// resolved for that peer and direction during `reset` (0 = none).
+    peer_memo: Vec<(u32, u32)>,
+    /// Channel of every instruction of every program, programs
+    /// concatenated in rank order ([`NO_CHANNEL`] for non-message
+    /// instructions).
+    instr_channel: Vec<u32>,
+    /// Backing storage of every channel's queue.
+    slots: Vec<Time>,
     /// Node of each rank's core (for the shared NIC resources).
     node: Vec<u32>,
     /// Cached `GroundTruth::call_overhead_ns`.
     overhead_ns: Time,
-    /// Pair indices dirtied during the current run (cleared on reset).
-    touched: Vec<usize>,
     seq: u32,
     noise: NoiseState,
     events: u64,
@@ -354,48 +413,54 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine for processes pinned to `cores`, sizing every
-    /// arena for `cores.len()` ranks. The engine holds no programs;
-    /// [`run`](Self::run) borrows them per run.
+    /// Builds an engine for processes pinned to `cores`, sizing the
+    /// per-rank state for `cores.len()` ranks. The engine holds no
+    /// programs; [`run`](Self::run) borrows them per run.
     ///
     /// # Panics
-    /// Panics if the rank count exceeds the packed-event rank field
-    /// (32768 ranks — far beyond the paper's scale).
+    /// Panics if the rank count exceeds the packed-event argument field
+    /// (2^30 ranks — far beyond the paper's scale).
     pub fn new(cores: Vec<CoreId>, gt: GroundTruth) -> Self {
         let p = cores.len();
         assert!(
-            p <= RANK_MASK as usize + 1,
+            p <= ARG_MASK as usize + 1,
             "engine supports at most {} ranks",
-            RANK_MASK as usize + 1
+            ARG_MASK as usize + 1
         );
         let max_node = cores.iter().map(|c| c.node).max().unwrap_or(0);
-        let mut costs = Vec::with_capacity(p * p);
-        for dst in 0..p {
-            for src in 0..p {
-                let class = cores[dst].link_class(&cores[src]);
-                let lc = gt.link(class);
-                costs.push(PairCost {
-                    inter_node: class == LinkClass::InterNode,
-                    inject_ns: gt.call_overhead_ns + lc.cpu_send_ns,
-                    cpu_recv_ns: lc.cpu_recv_ns,
-                    nic_tx_ns: lc.nic_tx_ns,
-                    nic_rx_ns: lc.nic_rx_ns,
-                    wire_ns: lc.wire_ns,
-                    ns_per_byte: lc.ns_per_byte,
-                });
+        assert!(
+            LinkClass::ALL
+                .iter()
+                .enumerate()
+                .all(|(i, &c)| c as usize == i),
+            "channels index the charge table by class discriminant"
+        );
+        let charges = LinkClass::ALL.map(|class| {
+            let lc = gt.link(class);
+            ClassCost {
+                inter_node: class == LinkClass::InterNode,
+                inject_ns: gt.call_overhead_ns + lc.cpu_send_ns,
+                cpu_recv_ns: lc.cpu_recv_ns,
+                nic_tx_ns: lc.nic_tx_ns,
+                nic_rx_ns: lc.nic_rx_ns,
+                wire_ns: lc.wire_ns,
+                ns_per_byte: lc.ns_per_byte,
             }
-        }
+        });
         Engine {
             procs: vec![ProcState::default(); p],
             cpu: vec![Resource::default(); p],
             nic_tx: vec![Resource::default(); max_node + 1],
             nic_rx: vec![Resource::default(); max_node + 1],
             queue: EventQueue::default(),
-            pairs: vec![PairQueue::default(); p * p],
-            costs,
+            charges,
+            channels: Vec::new(),
+            channel_ids: HashMap::default(),
+            peer_memo: vec![(0, 0); 2 * p],
+            instr_channel: Vec::new(),
+            slots: Vec::new(),
             node: cores.iter().map(|c| c.node as u32).collect(),
             overhead_ns: gt.call_overhead_ns,
-            touched: Vec::new(),
             seq: 0,
             noise: NoiseState::new(NoiseModel::none(), 0),
             events: 0,
@@ -427,10 +492,13 @@ impl Engine {
     }
 
     /// Clears all per-run state — event queue, interpreter states,
-    /// resource clocks, and every matching pool dirtied by the previous
-    /// run (O(touched), not O(p²)) — and validates `programs` against the
-    /// placement. Arenas retain their capacity, so a reset-and-run cycle
-    /// allocates nothing once warm.
+    /// resource clocks — validates `programs` against the placement, and
+    /// rebuilds the channel table for them: every `(dst, src)` an
+    /// instruction names gets a dense id, recorded per instruction, and a
+    /// queue region large enough for the whole run. Whatever the previous
+    /// program set left in a channel is dropped with the old table. All
+    /// storage retains its capacity, so a reset-and-run cycle allocates
+    /// nothing once warm.
     ///
     /// # Panics
     /// Panics if the program count differs from the rank count, if any
@@ -439,24 +507,42 @@ impl Engine {
     pub fn reset(&mut self, programs: &[Program]) {
         let p = self.p();
         assert_eq!(programs.len(), p, "one program per rank required");
+        self.channels.clear();
+        self.channel_ids.clear();
+        self.peer_memo.fill((0, 0));
+        self.instr_channel.clear();
         for (r, prog) in programs.iter().enumerate() {
+            self.procs[r].reset(self.instr_channel.len());
             for ins in &prog.instrs {
-                match ins {
+                let id = match *ins {
                     Instr::Issend { dst, .. } => {
-                        assert!(*dst < p, "rank {r} sends to out-of-range {dst}");
-                        assert_ne!(*dst, r, "rank {r} sends to itself");
+                        assert!(dst < p, "rank {r} sends to out-of-range {dst}");
+                        assert_ne!(dst, r, "rank {r} sends to itself");
+                        let id = self.channel_id(r, dst, SEND);
+                        self.channels[id as usize].sends += 1;
+                        id
                     }
                     Instr::Irecv { src } => {
-                        assert!(*src < p, "rank {r} receives from out-of-range {src}");
-                        assert_ne!(*src, r, "rank {r} receives from itself");
+                        assert!(src < p, "rank {r} receives from out-of-range {src}");
+                        assert_ne!(src, r, "rank {r} receives from itself");
+                        let id = self.channel_id(r, src, RECV);
+                        self.channels[id as usize].recvs += 1;
+                        id
                     }
-                    _ => {}
-                }
+                    _ => NO_CHANNEL,
+                };
+                self.instr_channel.push(id);
             }
         }
-        for pr in &mut self.procs {
-            pr.reset();
+        let mut slots = 0u32;
+        for ch in &mut self.channels {
+            ch.base = slots;
+            slots = slots
+                .checked_add(ch.recvs.max(ch.sends))
+                .expect("message count fits the slot arena");
         }
+        // Entries are written before they are read, so stale ones may stay.
+        self.slots.resize(slots as usize, 0);
         for r in self
             .cpu
             .iter_mut()
@@ -466,15 +552,71 @@ impl Engine {
             r.free_at = 0;
         }
         self.queue.clear();
-        for &idx in &self.touched {
-            self.pairs[idx].clear();
-        }
-        self.touched.clear();
         self.seq = 0;
         self.events = 0;
         if let Some(t) = &mut self.trace {
             t.events.clear();
         }
+    }
+
+    /// The id of the channel `rank` names by sending to (`dir` =
+    /// [`SEND`]) or receiving from ([`RECV`]) `peer`, created empty on
+    /// first mention. Repetitions and bursts make a rank name the same
+    /// channel many times over; `peer_memo` answers those without hashing.
+    #[inline]
+    fn channel_id(&mut self, rank: usize, peer: usize, dir: usize) -> u32 {
+        let stamp = rank as u32 + 1;
+        let memo = self.peer_memo[2 * peer + dir];
+        if memo.0 == stamp {
+            return memo.1;
+        }
+        let (dst, src) = if dir == RECV {
+            (rank, peer)
+        } else {
+            (peer, rank)
+        };
+        let key = (dst * self.procs.len() + src) as u64;
+        let next = self.channels.len();
+        let id = *self.channel_ids.entry(key).or_insert(next as u32);
+        if id as usize == next {
+            assert!(next <= ARG_MASK as usize, "too many channels");
+            self.channels.push(Channel {
+                src: src as u32,
+                dst: dst as u32,
+                class: self.cores[dst].link_class(&self.cores[src]) as u8,
+                holds: Pending::Posted,
+                base: 0,
+                head: 0,
+                tail: 0,
+                recvs: 0,
+                sends: 0,
+            });
+        }
+        self.peer_memo[2 * peer + dir] = (stamp, id);
+        id
+    }
+
+    /// Pops the channel's oldest entry if it holds entries of `kind`.
+    #[inline]
+    fn take(&mut self, channel: usize, kind: Pending) -> Option<Time> {
+        let ch = &mut self.channels[channel];
+        if ch.head == ch.tail || ch.holds != kind {
+            return None;
+        }
+        let t = self.slots[(ch.base + ch.head) as usize];
+        ch.head += 1;
+        Some(t)
+    }
+
+    /// Queues an entry of `kind` on a channel holding none of the other
+    /// kind.
+    #[inline]
+    fn put(&mut self, channel: usize, kind: Pending, t: Time) {
+        let ch = &mut self.channels[channel];
+        debug_assert!(ch.head == ch.tail || ch.holds == kind);
+        ch.holds = kind;
+        self.slots[(ch.base + ch.tail) as usize] = t;
+        ch.tail += 1;
     }
 
     #[inline]
@@ -489,19 +631,6 @@ impl Engine {
         self.seq = self.seq.checked_add(1).expect("event sequence overflow");
         self.queue
             .push((time as u128) << 64 | (self.seq as u128) << 32 | payload as u128);
-    }
-
-    /// The matching pool for messages `src → dst`, marked touched so the
-    /// next [`reset`](Self::reset) clears it.
-    #[inline]
-    fn pair_mut(&mut self, dst: usize, src: usize) -> &mut PairQueue {
-        let idx = dst * self.procs.len() + src;
-        let q = &mut self.pairs[idx];
-        if !q.touched {
-            q.touched = true;
-            self.touched.push(idx);
-        }
-        &mut self.pairs[idx]
     }
 
     /// Runs one program per rank to completion with the given per-run
@@ -559,9 +688,8 @@ impl Engine {
     ) -> Result<(), SimDeadlock> {
         self.reset(programs);
         self.noise = noise;
-        let p = self.p();
-        for r in 0..p {
-            self.schedule(0, payload(TAG_RESUME, 0, r));
+        for r in 0..self.p() {
+            self.schedule(0, payload(TAG_RESUME, r));
         }
         while let Some(v) = self.queue.pop() {
             let ev = Event {
@@ -570,10 +698,12 @@ impl Engine {
             };
             self.events += 1;
             match ev.tag() {
-                TAG_RESUME => self.run_program(programs, ev.src(), ev.time),
+                TAG_RESUME => self.run_program(programs, ev.arg(), ev.time),
                 TAG_ARRIVE => {
-                    let (src, dst) = (ev.src(), ev.dst());
-                    let c = self.costs[dst * p + src];
+                    let channel = ev.arg();
+                    let ch = self.channels[channel];
+                    let (src, dst) = (ch.src as usize, ch.dst as usize);
+                    let c = self.charges[ch.class as usize];
                     // NIC RX serialization for inter-node traffic.
                     let available = if c.inter_node {
                         let dur = self.noise.sample(c.nic_rx_ns);
@@ -586,14 +716,14 @@ impl Engine {
                         src,
                         dst,
                     });
-                    if let Some(post_time) = self.pair_mut(dst, src).pop_posted() {
+                    if let Some(post_time) = self.take(channel, Pending::Posted) {
                         self.complete_match(src, dst, c, available.max(post_time));
                     } else {
-                        self.pair_mut(dst, src).ready.push(available);
+                        self.put(channel, Pending::Arrived, available);
                     }
                 }
                 _ => {
-                    let proc = ev.src();
+                    let proc = ev.arg();
                     let pr = &mut self.procs[proc];
                     debug_assert!(pr.outstanding > 0, "completion without outstanding request");
                     pr.outstanding -= 1;
@@ -620,10 +750,10 @@ impl Engine {
     /// Matches a message `src → dst`: charges the receiver CPU, completes
     /// the receive, and acknowledges the synchronous sender.
     #[inline]
-    fn complete_match(&mut self, src: usize, dst: usize, c: PairCost, at: Time) {
+    fn complete_match(&mut self, src: usize, dst: usize, c: ClassCost, at: Time) {
         let dur = self.noise.sample(c.cpu_recv_ns);
         let done = self.cpu[dst].acquire(at, dur);
-        self.schedule(done, payload(TAG_RECV_DONE, 0, dst));
+        self.schedule(done, payload(TAG_RECV_DONE, dst));
         self.record(TraceEvent::RecvCompleted {
             time: done,
             src,
@@ -631,7 +761,7 @@ impl Engine {
         });
         // Acknowledgement back to the synchronous sender: one wire delay.
         let ack = self.noise.sample(c.wire_ns);
-        self.schedule(done + ack, payload(TAG_SEND_DONE, 0, src));
+        self.schedule(done + ack, payload(TAG_SEND_DONE, src));
         self.record(TraceEvent::SendCompleted {
             time: done + ack,
             src,
@@ -664,7 +794,7 @@ impl Engine {
             match instrs[pr.pc] {
                 Instr::Delay { ns } => {
                     self.procs[proc].pc += 1;
-                    self.schedule(now + ns, payload(TAG_RESUME, 0, proc));
+                    self.schedule(now + ns, payload(TAG_RESUME, proc));
                     return;
                 }
                 Instr::Mark { label } => {
@@ -686,19 +816,21 @@ impl Engine {
                     }
                 }
                 Instr::Irecv { src } => {
+                    let channel = self.instr_channel[pr.chan_base + pr.pc] as usize;
                     let dur = self.noise.sample(self.overhead_ns);
                     now = self.cpu[proc].acquire(now, dur);
                     self.procs[proc].pc += 1;
                     self.procs[proc].outstanding += 1;
-                    if let Some(available) = self.pair_mut(proc, src).pop_ready() {
-                        let c = self.costs[proc * self.procs.len() + src];
+                    if let Some(available) = self.take(channel, Pending::Arrived) {
+                        let c = self.charges[self.channels[channel].class as usize];
                         self.complete_match(src, proc, c, available.max(now));
                     } else {
-                        self.pair_mut(proc, src).posted.push(now);
+                        self.put(channel, Pending::Posted, now);
                     }
                 }
                 Instr::Issend { dst, bytes } => {
-                    let c = self.costs[dst * self.procs.len() + proc];
+                    let channel = self.instr_channel[pr.chan_base + pr.pc] as usize;
+                    let c = self.charges[self.channels[channel].class as usize];
                     let inject = self.noise.sample(c.inject_ns);
                     now = self.cpu[proc].acquire(now, inject);
                     self.record(TraceEvent::SendInjected {
@@ -720,7 +852,7 @@ impl Engine {
                         c.wire_ns + (bytes as f64 * c.ns_per_byte).round() as Time
                     };
                     let wire = self.noise.sample(wire_ns);
-                    self.schedule(after_tx + wire, payload(TAG_ARRIVE, dst, proc));
+                    self.schedule(after_tx + wire, payload(TAG_ARRIVE, channel));
                 }
             }
         }
@@ -889,6 +1021,55 @@ mod tests {
         let p1 = Program::new().irecv(0).irecv(0).wait_all();
         let res = engine_for(&m, &[0, 1]).run(&[p0, p1], exact()).unwrap();
         assert!(res.finish[0] > 0 && res.finish[1] > 0);
+    }
+
+    #[test]
+    fn two_way_traffic_on_one_pair_uses_two_channels() {
+        // 0 → 1 and 1 → 0 at once, with rank 1 late: the channel into
+        // rank 1 holds an arrived message while the channel into rank 0
+        // holds a posted receive, and neither sees the other's entry.
+        let m = MachineSpec::new(1, 1, 2);
+        let gt = m.ground_truth.clone();
+        let c = *gt.link(LinkClass::SameSocket);
+        let delay = 1_000_000;
+        let p0 = Program::new().irecv(1).issend(1).wait_all();
+        let p1 = Program::new().delay(delay).irecv(0).issend(0).wait_all();
+        let res = engine_for(&m, &[0, 1]).run(&[p0, p1], exact()).unwrap();
+        // Rank 1 posts at `delay + overhead`, consumes the waiting message,
+        // then injects its own on the CPU that consumption left busy.
+        let consumed = delay + gt.call_overhead_ns + c.cpu_recv_ns;
+        let injected = consumed + gt.call_overhead_ns + c.cpu_send_ns;
+        let recv_done_0 = injected + c.wire_ns + c.cpu_recv_ns;
+        assert_eq!(res.finish[0], recv_done_0);
+        assert_eq!(res.finish[1], recv_done_0 + c.wire_ns);
+        assert_eq!(res.events, 2 + 1 + 2 * 3, "start ×2, delay, 3 per message");
+    }
+
+    #[test]
+    fn root_with_every_other_rank_as_peer() {
+        // A linear barrier: the root's P − 1 inbound and P − 1 outbound
+        // channels are the most any rank can have.
+        let m = MachineSpec::new(4, 2, 4);
+        let p = m.total_cores();
+        let mut root = Program::new();
+        for r in 1..p {
+            root.push_irecv(r);
+        }
+        root.push_wait_all();
+        root.push_mark("gathered");
+        for r in 1..p {
+            root.push_issend(r);
+        }
+        root.push_wait_all();
+        let mut programs = vec![root];
+        programs.extend((1..p).map(|_| Program::new().issend(0).wait_all().irecv(0).wait_all()));
+        let cores: Vec<usize> = (0..p).collect();
+        let res = engine_for(&m, &cores)
+            .run(&programs, NoiseState::new(NoiseModel::realistic(7), 1))
+            .unwrap();
+        assert_eq!(res.events, (p + 3 * 2 * (p - 1)) as u64);
+        let gathered = res.marks[0][0].1;
+        assert!(res.finish[1..].iter().all(|&f| f > gathered));
     }
 
     #[test]

@@ -1,0 +1,161 @@
+//! Pins P-rank barrier execution to golden hashes captured from the engine
+//! with dense `p × p` matching pools and link-charge tables (9a71c6d), so a
+//! reordered event or a shifted noise draw at P > 32 fails `cargo test`
+//! rather than only moving the benchmark's `barrier_us`.
+//!
+//! Each golden covers one `(P, placement, schedule)`: `finish` of every rank
+//! and `events`, under `NoiseModel::realistic`, for 1 and 20 back-to-back
+//! repetitions, on a fresh world and on a world that has already run a
+//! different schedule (so state left behind by one program set cannot leak
+//! into the next).
+
+use hbar_core::algorithms::Algorithm;
+use hbar_core::compose::{tune_hybrid, TunerConfig};
+use hbar_core::schedule::BarrierSchedule;
+use hbar_simnet::barrier::schedule_programs;
+use hbar_simnet::world::{SimConfig, SimResult, SimWorld};
+use hbar_simnet::NoiseModel;
+use hbar_topo::machine::MachineSpec;
+use hbar_topo::mapping::RankMapping;
+use hbar_topo::profile::TopologyProfile;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over every rank's finish time, then the event count.
+fn eat_result(mut hash: u64, r: &SimResult) -> u64 {
+    for word in r.finish.iter().copied().chain([r.events]) {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Tree, dissemination, linear and the tuned hybrid for one placement.
+fn schedules(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+) -> [(&'static str, BarrierSchedule); 4] {
+    let members: Vec<usize> = (0..p).collect();
+    let profile = TopologyProfile::from_ground_truth_for(machine, mapping, p);
+    let hybrid = tune_hybrid(&profile, &TunerConfig::default()).schedule;
+    [
+        ("tree", Algorithm::Tree.full_schedule(p, &members)),
+        (
+            "dissemination",
+            Algorithm::Dissemination.full_schedule(p, &members),
+        ),
+        ("linear", Algorithm::Linear.full_schedule(p, &members)),
+        ("hybrid", hybrid),
+    ]
+}
+
+fn fingerprints(p: usize, mapping: &RankMapping) -> Vec<(&'static str, u64)> {
+    let machine = MachineSpec::new(p / 8, 2, 4);
+    let config = SimConfig {
+        machine: machine.clone(),
+        mapping: mapping.clone(),
+        noise: NoiseModel::realistic(42),
+    };
+    let all = schedules(&machine, mapping, p);
+    (0..all.len())
+        .map(|i| {
+            let (name, schedule) = &all[i];
+            // The schedule the used world runs first: the next one in the
+            // list, so every pairing of channel sets occurs once.
+            let other = schedule_programs(&all[(i + 1) % all.len()].1, 1);
+            let mut hash = FNV_OFFSET;
+            for reps in [1, 20] {
+                let programs = schedule_programs(schedule, reps);
+                let mut fresh = SimWorld::new(config.clone(), p);
+                hash = eat_result(hash, &fresh.run(&programs).expect("barrier completes"));
+                let mut used = SimWorld::new(config.clone(), p);
+                used.run(&other).expect("barrier completes");
+                hash = eat_result(hash, &used.run(&programs).expect("barrier completes"));
+            }
+            (*name, hash)
+        })
+        .collect()
+}
+
+fn check(p: usize, mapping: &RankMapping, golden: [u64; 4]) {
+    for ((name, got), want) in fingerprints(p, mapping).into_iter().zip(golden) {
+        assert_eq!(
+            got, want,
+            "{name} at P={p} ({mapping:?}) diverged from the dense-arena engine"
+        );
+    }
+}
+
+#[test]
+fn execution_is_bit_identical_to_dense_engine_p64() {
+    check(64, &RankMapping::Block, GOLDEN_P64_BLOCK);
+    check(64, &RankMapping::RoundRobin, GOLDEN_P64_ROUND_ROBIN);
+}
+
+#[test]
+fn execution_is_bit_identical_to_dense_engine_p256() {
+    check(256, &RankMapping::Block, GOLDEN_P256_BLOCK);
+    check(256, &RankMapping::RoundRobin, GOLDEN_P256_ROUND_ROBIN);
+}
+
+#[test]
+fn execution_is_bit_identical_to_dense_engine_p1024() {
+    check(1024, &RankMapping::Block, GOLDEN_P1024_BLOCK);
+    check(1024, &RankMapping::RoundRobin, GOLDEN_P1024_ROUND_ROBIN);
+}
+
+/// Prints the table below; run with `--ignored --nocapture` on the commit
+/// whose behaviour is to be pinned.
+#[test]
+#[ignore = "prints fingerprints instead of checking them"]
+fn print_fingerprints() {
+    for p in [64, 256, 1024] {
+        for mapping in [RankMapping::Block, RankMapping::RoundRobin] {
+            let row: Vec<u64> = fingerprints(p, &mapping).iter().map(|f| f.1).collect();
+            println!("P={p} {mapping:?}: {row:?}");
+        }
+    }
+}
+
+// Captured at 9a71c6d (dense `pairs`/`costs` arenas), in the order tree,
+// dissemination, linear, hybrid. Do not update these without showing that
+// the new engine processes the same events in the same order.
+const GOLDEN_P64_BLOCK: [u64; 4] = [
+    7292059531931740502,
+    18393979982251074234,
+    1104555497730701054,
+    13762808731330076767,
+];
+const GOLDEN_P64_ROUND_ROBIN: [u64; 4] = [
+    16400575737035290062,
+    17236126556769935964,
+    15502153038756199657,
+    11631231712679393908,
+];
+const GOLDEN_P256_BLOCK: [u64; 4] = [
+    14845246659221078123,
+    5796098991121279898,
+    12142168643344420948,
+    6699222541113417664,
+];
+const GOLDEN_P256_ROUND_ROBIN: [u64; 4] = [
+    8837483157352724996,
+    6596033503290222549,
+    8864838157627933055,
+    18302780096844313670,
+];
+const GOLDEN_P1024_BLOCK: [u64; 4] = [
+    6042610996422354365,
+    10611076657527084210,
+    16867866280190229786,
+    17521361267890484762,
+];
+const GOLDEN_P1024_ROUND_ROBIN: [u64; 4] = [
+    1201939937897117870,
+    18370236944625278892,
+    9920672592595768081,
+    9276200890704259261,
+];

@@ -128,43 +128,65 @@ proptest! {
         prop_assert!(t_noisy >= t_exact * 0.999, "{t_noisy} < {t_exact}");
     }
 
-    /// A reused engine (`reset` + `run` three times) is observationally
-    /// identical to three freshly constructed engines: same finish times
-    /// and same event counts under realistic noise, for random matched
-    /// communication patterns. This is the arena-reuse correctness
-    /// contract — no state may leak between runs.
+    /// A reused engine alternating between *different* random program
+    /// sets — matched patterns and one that deadlocks — is observationally
+    /// identical to a freshly constructed engine per run: same finish
+    /// times and event counts under realistic noise, same deadlock
+    /// report. This is the reuse contract: `reset` rebuilds the channel
+    /// table per program set, so nothing one set left queued (a deadlock
+    /// leaves a posted receive behind) may reach the next.
     #[test]
     fn reused_engine_is_indistinguishable_from_fresh(
         machine in arb_machine(),
-        pairs in prop::collection::vec((0usize..12, 0usize..12), 1..10),
+        pair_sets in prop::collection::vec(
+            prop::collection::vec((0usize..12, 0usize..12), 1..10),
+            2..4,
+        ),
         seed in 0u64..100,
     ) {
         let p = machine.total_cores();
         prop_assume!(p >= 2);
-        let mut programs: Vec<Program> = (0..p).map(|_| Program::new()).collect();
-        for &(a, b) in &pairs {
-            let (a, b) = (a % p, b % p);
-            if a == b {
-                continue;
-            }
-            programs[a].push_issend(b);
-            programs[b].push_irecv(a);
-        }
-        for pr in &mut programs {
-            pr.push_wait_all();
-        }
+        let mut sets: Vec<Vec<Program>> = pair_sets
+            .iter()
+            .map(|pairs| {
+                let mut programs: Vec<Program> = (0..p).map(|_| Program::new()).collect();
+                for &(a, b) in pairs {
+                    let (a, b) = (a % p, b % p);
+                    if a == b {
+                        continue;
+                    }
+                    programs[a].push_issend(b);
+                    programs[b].push_irecv(a);
+                }
+                for pr in &mut programs {
+                    pr.push_wait_all();
+                }
+                programs
+            })
+            .collect();
+        // The first set again, with rank 0 then awaiting a message rank 1
+        // never sends and sending one rank 1 never awaits: a posted
+        // receive stays queued on one channel, a message on the other.
+        let mut deadlocking = sets[0].clone();
+        deadlocking[0].push_irecv(1);
+        deadlocking[0].push_issend(1);
+        sets.insert(1, deadlocking);
         let model = NoiseModel::realistic(seed);
         let cores = RankMapping::RoundRobin.cores(&machine, p);
         let mut reused = Engine::new(cores.clone(), machine.ground_truth.clone());
-        for salt in 1..=3u64 {
-            let fresh_result = Engine::new(cores.clone(), machine.ground_truth.clone())
-                .run(&programs, NoiseState::new(model, salt))
-                .expect("matched pattern completes");
-            let reused_result = reused
-                .run(&programs, NoiseState::new(model, salt))
-                .expect("matched pattern completes");
-            prop_assert_eq!(fresh_result.finish, reused_result.finish);
-            prop_assert_eq!(fresh_result.events, reused_result.events);
+        let mut salt = 0;
+        for _round in 0..2 {
+            for (i, programs) in sets.iter().enumerate() {
+                salt += 1;
+                let fresh_result = Engine::new(cores.clone(), machine.ground_truth.clone())
+                    .run(programs, NoiseState::new(model, salt))
+                    .map(|r| (r.finish, r.events));
+                let reused_result = reused
+                    .run(programs, NoiseState::new(model, salt))
+                    .map(|r| (r.finish, r.events));
+                prop_assert_eq!(fresh_result.is_err(), i == 1, "only set 1 deadlocks");
+                prop_assert_eq!(fresh_result, reused_result);
+            }
         }
     }
 

@@ -1,9 +1,10 @@
-//! Algorithmic-model kernel scaling: Eq. 3 knowledge closure and SSS
-//! clustering at P = 64/256/1024.
+//! Algorithmic-model kernel scaling: Eq. 3 knowledge closure at
+//! P = 64 … 8192 and SSS clustering at P = 64/256/1024.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hbar_core::algorithms::Algorithm;
 use hbar_core::clustering::{try_sss_clusters_with, SssScratch, SSS_DEFAULT_SPARSENESS};
-use hbar_matrix::{BoolMatrix, ClosureWorkspace};
+use hbar_matrix::ClosureWorkspace;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::metric::DistanceMetric;
@@ -11,33 +12,43 @@ use hbar_topo::profile::TopologyProfile;
 use std::hint::black_box;
 
 const RANKS: [usize; 3] = [64, 256, 1024];
+/// The closure also runs at the sizes where its old arrival-major form
+/// cost more than profiling.
+const CLOSURE_RANKS: [usize; 5] = [64, 256, 1024, 4096, 8192];
 
-/// ⌈log₂ n⌉ dissemination stages; saturation only at the final stage.
-fn dissemination(n: usize) -> Vec<BoolMatrix> {
-    let mut stages = Vec::new();
-    let mut step = 1;
-    while step < n {
-        let mut s = BoolMatrix::zeros(n);
-        for i in 0..n {
-            s.set(i, (i + step) % n, true);
-        }
-        stages.push(s);
-        step *= 2;
-    }
-    stages
-}
+/// Closure shapes: sparse stages throughout (dissemination), the shape of
+/// a tuned hybrid (tree arrival, transposed departure), one dense column
+/// then one dense row (linear), and seven signals per rank per stage
+/// (8-way dissemination) — the last two are where a stage carries many
+/// signals and driving the product from the signals pays least.
+const SHAPES: [(&str, Algorithm); 4] = [
+    ("dissemination", Algorithm::Dissemination),
+    ("tree_hybrid", Algorithm::Tree),
+    ("linear", Algorithm::Linear),
+    ("dissemination8", Algorithm::NWay(8)),
+];
 
 fn bench_closure_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("closure_scaling");
     group.sample_size(10);
-    for p in RANKS {
-        let stages = dissemination(p);
-        let mut ws = ClosureWorkspace::new();
-        group.bench_with_input(BenchmarkId::from_parameter(p), &stages, |b, s| {
-            b.iter(|| {
-                black_box(ws.closure(p, black_box(s)));
-            })
-        });
+    let mut ws = ClosureWorkspace::new();
+    for p in CLOSURE_RANKS {
+        let members: Vec<usize> = (0..p).collect();
+        for (shape, algorithm) in SHAPES {
+            // One schedule alive at a time: at P = 8192 a stage matrix is
+            // 8 MiB and the tree has 26 of them.
+            let schedule = algorithm.full_schedule(p, &members);
+            let stages = schedule.matrices();
+            let id = |kernel: &str| BenchmarkId::new(format!("{shape}/{kernel}"), p);
+            group.bench_with_input(id("is_barrier"), &stages, |b, s| {
+                b.iter(|| black_box(ws.is_barrier(p, black_box(s).iter().copied())))
+            });
+            group.bench_with_input(id("closure"), &stages, |b, s| {
+                b.iter(|| {
+                    black_box(ws.closure(p, black_box(s).iter().copied()));
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -225,6 +225,20 @@ impl BoolMatrix {
     /// matrices) are skipped after the gather.
     pub fn transpose(&self) -> Self {
         let mut t = Self::zeros(self.n);
+        self.transpose_onto_zeros(&mut t);
+        t
+    }
+
+    /// [`BoolMatrix::transpose`] into a caller-provided matrix whose
+    /// storage is reused (it is resized and cleared first).
+    pub fn transpose_into(&self, out: &mut Self) {
+        out.reset_zeros(self.n);
+        self.transpose_onto_zeros(out);
+    }
+
+    /// The tile loop behind the transposes; `t` must be the `n × n` zero
+    /// matrix, because all-zero tiles and words are not written.
+    fn transpose_onto_zeros(&self, t: &mut Self) {
         let wpr = self.words_per_row;
         let word_blocks = self.n.div_ceil(64);
         let mut tile = [0u64; 64];
@@ -250,7 +264,6 @@ impl BoolMatrix {
                 }
             }
         }
-        t
     }
 
     /// Saturating (boolean OR) sum: `self | other`.
@@ -829,6 +842,9 @@ mod tests {
                 }
             }
             assert_eq!(t.transpose(), m, "involution failed for n={n}");
+            let mut reused = BoolMatrix::identity(n + 3); // stale size and bits
+            m.transpose_into(&mut reused);
+            assert_eq!(reused, t, "transpose_into diverged for n={n}");
         }
     }
 

@@ -12,6 +12,13 @@
 //! Note the orientation: entry `K[i][j]` set means *j knows that i arrived*
 //! (row i's knowledge has reached column j), because a signal `i → j`
 //! carries everything its sender knows.
+//!
+//! [`knowledge_closure`] and [`KnowledgeTrace`] evaluate the equation as
+//! written, one matrix product per stage. [`ClosureWorkspace`], which every
+//! verification path uses, evaluates the same recurrence on `Kᵀ` and drives
+//! it from the stage's signals: `K·S` is a bitset matrix times a sparse one,
+//! so the work is proportional to the non-zeros of `S`, not to the bits of
+//! `K`.
 
 use crate::BoolMatrix;
 
@@ -87,38 +94,60 @@ impl Default for KnowledgeTrace {
 
 /// Reusable scratch for allocation-free knowledge closures.
 ///
-/// Owns the evolving `K`, the per-stage snapshot of its previous value, a
-/// CSR image of the current stage, and per-row saturation flags; after the
-/// first run on a given size, closures never touch the allocator.
+/// The kernel evaluates Eq. 3 knower-major and signal-driven. It keeps
+/// `T = Kᵀ` — row `j` of `T` is the set of arrivals rank `j` knows — so a
+/// signal `k → j` is one row operation: receiver `j` learns sender `k`'s
+/// pre-stage row. Within a stage every signal ORs its sender's row of `T`
+/// into an accumulator row for its receiver, and the accumulators are
+/// folded into `T` only once all of the stage's signals are consumed; a
+/// rank that both sends and receives in a stage therefore forwards what
+/// it knew *before* the stage, which is Eq. 3's `K_{a-1}·S_a`, without a
+/// copy of the matrix.
 ///
-/// Two properties of Eq. 3 drive the fast paths:
+/// Cost per stage: one scan of the stage matrix for its senders
+/// (`n · words_per_row` words), plus per signal `min(known(sender),
+/// words_per_row)` word operations — a sender that knows fewer than
+/// `words_per_row / 2` arrivals has those few bits listed once and set in
+/// each target's accumulator instead of a whole-row OR — plus one fold
+/// per receiver. Never more than `O(signals · n / 64)`, and linear in the
+/// signal count while senders still know little (the opening stage of an
+/// all-to-all or n-way pattern).
 ///
-/// - Row `i` of `K_a` depends only on row `i` of `K_{a-1}` (a signal
-///   `k → j` forwards what its *sender* knows about arrival `i`), so a row
-///   that is already all-ones can be skipped for every remaining stage —
-///   and when every row is saturated the closure exits early.
-/// - Stage matrices are sparse (a rank signals one or two peers), so for
-///   low out-degree senders scattering the individual target bits beats
-///   OR-ing whole `words_per_row`-sized rows.
+/// A knower whose row is all ones is saturated: signals into it are
+/// dropped, and when every knower is saturated the remaining stages are
+/// not read (all-ones is a fixed point of Eq. 3).
+///
+/// Memory is two `n × n` bit matrices: `T`, and the accumulator arena
+/// (row `j` for receiver `j`), which is sized once per run, is all zero
+/// between stages, and receives `K = Tᵀ` when a caller asks for the
+/// matrix (a copy when `T` is all ones, a tile transpose otherwise).
+/// [`Self::is_barrier`] never materialises `K`. After its first run at a
+/// size the workspace does not touch the allocator.
 #[derive(Clone, Debug)]
 pub struct ClosureWorkspace {
+    /// `T = Kᵀ`: row `j` holds the arrivals rank `j` knows.
+    t: BoolMatrix,
+    /// Accumulator rows while a run consumes stages; `K` after
+    /// [`Self::closure`] / [`Self::closure_excluding`].
     k: BoolMatrix,
-    prev: BoolMatrix,
-    /// CSR of the current stage: row `r` signals
-    /// `targets[offsets[r]..offsets[r + 1]]`.
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    saturated: Vec<bool>,
+    /// What the kernel asks of row `j` of `T`: its popcount while that is
+    /// below the scatter cut, `n` once the row is all ones; in between, the
+    /// last count taken (a lower bound at or above the cut).
+    known: Vec<u32>,
+    /// Receivers whose accumulator row the current stage has written.
+    pending: Vec<bool>,
+    /// The arrivals of the sender being scattered.
+    sender_bits: Vec<usize>,
 }
 
 impl ClosureWorkspace {
     pub fn new() -> Self {
         ClosureWorkspace {
+            t: BoolMatrix::zeros(0),
             k: BoolMatrix::zeros(0),
-            prev: BoolMatrix::zeros(0),
-            offsets: Vec::new(),
-            targets: Vec::new(),
-            saturated: Vec::new(),
+            known: Vec::new(),
+            pending: Vec::new(),
+            sender_bits: Vec::new(),
         }
     }
 
@@ -128,8 +157,7 @@ impl ClosureWorkspace {
     where
         I: IntoIterator<Item = &'a BoolMatrix>,
     {
-        self.run(n, stages, None);
-        &self.k
+        self.closure_matrix(n, stages, None)
     }
 
     /// Closure delta support: runs the Eq. 3 closure as if the single
@@ -148,12 +176,11 @@ impl ClosureWorkspace {
     where
         I: IntoIterator<Item = &'a BoolMatrix>,
     {
-        self.run(n, stages, Some((skip_stage, edge.0, edge.1)));
-        &self.k
+        self.closure_matrix(n, stages, Some((skip_stage, edge)))
     }
 
-    /// Early-exit barrier test: true iff the closure saturates every row.
-    /// Stops consuming stages as soon as knowledge is complete.
+    /// Early-exit barrier test: true iff every rank ends up knowing every
+    /// arrival. Stops consuming stages as soon as knowledge is complete.
     pub fn is_barrier<'a, I>(&mut self, n: usize, stages: I) -> bool
     where
         I: IntoIterator<Item = &'a BoolMatrix>,
@@ -161,103 +188,117 @@ impl ClosureWorkspace {
         self.run(n, stages, None) == n
     }
 
-    /// Executes the closure, returning the number of saturated rows.
-    /// `skip`, if set, is `(stage_idx, src, dst)`: that one signal is
-    /// treated as absent from its stage.
-    fn run<'a, I>(&mut self, n: usize, stages: I, skip: Option<(usize, usize, usize)>) -> usize
+    /// Runs the closure and materialises `K = Tᵀ` in the arena.
+    fn closure_matrix<'a, I>(
+        &mut self,
+        n: usize,
+        stages: I,
+        skip: Option<(usize, (usize, usize))>,
+    ) -> &BoolMatrix
     where
         I: IntoIterator<Item = &'a BoolMatrix>,
     {
-        self.k.reset_identity(n);
-        self.saturated.clear();
-        self.saturated.resize(n, false);
-        let mut saturated_rows = 0;
-        for i in 0..n {
-            // Only n == 1 starts saturated, but stay generic.
-            if self.k.row_is_full(i) {
-                self.saturated[i] = true;
-                saturated_rows += 1;
-            }
+        if self.run(n, stages, skip) == n {
+            // A barrier's closure: all ones, its own transpose.
+            self.k.copy_from(&self.t);
+        } else {
+            self.t.transpose_into(&mut self.k);
         }
+        &self.k
+    }
+
+    /// Executes the closure into `T`, returning the number of saturated
+    /// knowers. `skip`, if set, is `(stage_idx, (src, dst))`: that one
+    /// signal is treated as absent from its stage.
+    fn run<'a, I>(&mut self, n: usize, stages: I, skip: Option<(usize, (usize, usize))>) -> usize
+    where
+        I: IntoIterator<Item = &'a BoolMatrix>,
+    {
+        self.t.reset_identity(n);
+        self.k.reset_zeros(n);
+        self.known.clear();
+        self.known.resize(n, 1);
+        self.pending.clear();
+        self.pending.resize(n, false);
+        self.sender_bits.clear();
+        self.sender_bits.reserve(self.t.words_per_row() / 2);
+        // Only n == 1 starts saturated.
+        let mut saturated = usize::from(n == 1);
         for (idx, s) in stages.into_iter().enumerate() {
             assert_eq!(s.n(), n, "stage dimension {} != {}", s.n(), n);
-            if saturated_rows == n {
+            if saturated == n {
                 break; // all-ones is a fixed point of Eq. 3
             }
             let stage_skip = match skip {
-                Some((si, src, dst)) if si == idx => Some((src, dst)),
+                Some((si, edge)) if si == idx => Some(edge),
                 _ => None,
             };
-            self.prev.copy_from(&self.k);
-            self.compile_stage(s, stage_skip);
-            saturated_rows += self.apply_stage(s, stage_skip);
+            self.gather_stage(s, stage_skip);
+            saturated += self.fold_stage();
         }
-        saturated_rows
+        saturated
     }
 
-    /// Snapshots stage `s` as CSR so the scatter path can walk a sender's
-    /// targets without re-scanning its words per known arrival. `skip`,
-    /// if set, is a `(src, dst)` signal to leave out of the image.
-    fn compile_stage(&mut self, s: &BoolMatrix, skip: Option<(usize, usize)>) {
+    /// Consumes the signals of stage `s`: each `k → j` ORs row `k` of `T`
+    /// into accumulator row `j`. `T` is only read, so every sender
+    /// forwards its pre-stage knowledge.
+    fn gather_stage(&mut self, s: &BoolMatrix, skip: Option<(usize, usize)>) {
         let n = s.n();
-        self.offsets.clear();
-        self.targets.clear();
-        self.offsets.reserve(n + 1);
-        self.offsets.push(0);
-        for r in 0..n {
-            for t in s.row_iter(r) {
-                if skip == Some((r, t)) {
-                    continue;
-                }
-                self.targets.push(t as u32);
-            }
-            self.offsets.push(self.targets.len() as u32);
-        }
-    }
-
-    /// One Eq. 3 update `K |= K·S`, skipping saturated rows. Scatters
-    /// single bits for sparse senders and falls back to whole-row ORs for
-    /// dense ones. Returns the number of rows newly saturated. A sender
-    /// with a masked-out signal (`skip`) always takes the scatter path,
-    /// whose CSR image already excludes the signal.
-    fn apply_stage(&mut self, s: &BoolMatrix, skip: Option<(usize, usize)>) -> usize {
-        let n = s.n();
-        let wpr = self.k.words_per_row();
-        // A row OR costs `wpr` word ops; a scatter costs ~2 per target.
-        let scatter_max = (wpr / 2) as u32;
-        let skip_src = skip.map(|(src, _)| src);
-        let mut newly = 0;
-        for i in 0..n {
-            if self.saturated[i] {
+        // Listing a sender's arrivals costs one pass over its row; setting
+        // them costs one word operation each, a row OR `words_per_row`.
+        let scatter_below = self.t.words_per_row() / 2;
+        for sender in 0..n {
+            if s.row(sender).iter().all(|&w| w == 0) {
                 continue;
             }
-            let dst = self.k.row_mut(i);
-            for (w_idx, &word) in self.prev.row(i).iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    let sender = w_idx * 64 + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    let (t0, t1) = (
-                        self.offsets[sender] as usize,
-                        self.offsets[sender + 1] as usize,
-                    );
-                    if t1 - t0 == 0 {
-                        continue;
+            let scatter = (self.known[sender] as usize) < scatter_below;
+            if scatter {
+                self.t.row_targets_into(sender, &mut self.sender_bits);
+            }
+            let knows = self.t.row(sender);
+            for receiver in s.row_iter(sender) {
+                if self.known[receiver] as usize == n || skip == Some((sender, receiver)) {
+                    continue;
+                }
+                self.pending[receiver] = true;
+                let acc = self.k.row_mut(receiver);
+                if scatter {
+                    for &i in &self.sender_bits {
+                        acc[i / 64] |= 1u64 << (i % 64);
                     }
-                    if (t1 - t0) as u32 <= scatter_max || skip_src == Some(sender) {
-                        for &t in &self.targets[t0..t1] {
-                            dst[t as usize / 64] |= 1u64 << (t % 64);
-                        }
-                    } else {
-                        for (d, sw) in dst.iter_mut().zip(s.row(sender)) {
-                            *d |= sw;
-                        }
+                } else {
+                    for (a, kw) in acc.iter_mut().zip(knows) {
+                        *a |= kw;
                     }
                 }
             }
-            if self.k.row_is_full(i) {
-                self.saturated[i] = true;
+        }
+    }
+
+    /// Ends a stage: ORs every written accumulator row into `T`, clears
+    /// it, and refreshes what `known` says of the receiver. Returns the
+    /// number of knowers newly saturated.
+    fn fold_stage(&mut self) -> usize {
+        let n = self.known.len();
+        let scatter_below = self.t.words_per_row() / 2;
+        let mut newly = 0;
+        for receiver in 0..n {
+            if !std::mem::take(&mut self.pending[receiver]) {
+                continue;
+            }
+            for (t, a) in self
+                .t
+                .row_mut(receiver)
+                .iter_mut()
+                .zip(self.k.row_mut(receiver))
+            {
+                *t |= std::mem::take(a);
+            }
+            if self.t.row_is_full(receiver) {
+                self.known[receiver] = n as u32;
                 newly += 1;
+            } else if (self.known[receiver] as usize) < scatter_below {
+                self.known[receiver] = self.t.row_popcount(receiver) as u32;
             }
         }
         newly
@@ -501,6 +542,138 @@ mod tests {
         assert_eq!(ws.closure_excluding(n, &stages, 0, (0, 3)), &expected);
         // Out-of-range stage index: nothing skipped.
         assert_eq!(ws.closure_excluding(n, &stages, 99, (0, 1)), &expected);
+    }
+
+    /// Eq. 3 by definition — `K₀ = I`, `K ← K ∨ K·S` per stage — through
+    /// `get`/`set` alone, with `skip = (stage, src, dst)` treated as unset.
+    fn eq3_oracle(
+        n: usize,
+        stages: &[BoolMatrix],
+        skip: Option<(usize, usize, usize)>,
+    ) -> BoolMatrix {
+        let mut k = BoolMatrix::identity(n);
+        for (idx, s) in stages.iter().enumerate() {
+            let prev = k.clone();
+            for (m, j) in (0..n).flat_map(|m| (0..n).map(move |j| (m, j))) {
+                if s.get(m, j) && skip != Some((idx, m, j)) {
+                    // The signal m → j carries all m knew before the stage.
+                    for i in (0..n).filter(|&i| prev.get(i, m)) {
+                        k.set(i, j, true);
+                    }
+                }
+            }
+        }
+        k
+    }
+
+    /// Sizes on both sides of the one- and two-word row boundaries.
+    const ORACLE_SIZES: [usize; 6] = [1, 2, 63, 64, 65, 130];
+
+    fn assert_matches_oracle(ws: &mut ClosureWorkspace, n: usize, stages: &[BoolMatrix]) {
+        let want = eq3_oracle(n, stages, None);
+        assert_eq!(ws.closure(n, stages), &want, "closure, n={n}");
+        assert_eq!(
+            ws.is_barrier(n, stages),
+            want.is_all_true(),
+            "verdict, n={n}"
+        );
+    }
+
+    /// Stage `i → (i + m·w^round) mod n` for `m = 1..w`.
+    fn nway_stage(n: usize, w: usize, round: u32) -> BoolMatrix {
+        let mut s = BoolMatrix::zeros(n);
+        for i in 0..n {
+            for m in 1..w {
+                s.set(i, (i + m * w.pow(round)) % n, true);
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_dense_and_nway_stages() {
+        let mut ws = ClosureWorkspace::new();
+        for n in ORACLE_SIZES {
+            let mut all_to_all = BoolMatrix::zeros(n);
+            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                all_to_all.set(i, j, i != j);
+            }
+            assert_matches_oracle(&mut ws, n, &[all_to_all]);
+            // 4-way dissemination: one stage, then as many as saturate.
+            let rounds: Vec<BoolMatrix> = (0..4).map(|r| nway_stage(n, 4, r)).collect();
+            assert_matches_oracle(&mut ws, n, &rounds[..1]);
+            assert_matches_oracle(&mut ws, n, &rounds);
+        }
+    }
+
+    #[test]
+    fn kernel_forwards_pre_stage_knowledge_only() {
+        // Every rank sends to its successor and receives from its
+        // predecessor: after one stage a rank knows two arrivals, not the
+        // chain a stage applied in place would give it.
+        let mut ws = ClosureWorkspace::new();
+        for n in ORACLE_SIZES {
+            let ring = nway_stage(n, 2, 0);
+            assert_matches_oracle(&mut ws, n, std::slice::from_ref(&ring));
+            if n > 2 {
+                let k = ws.closure(n, std::slice::from_ref(&ring));
+                assert!(k.get(0, 1) && !k.get(0, 2), "n={n}");
+            }
+            assert_matches_oracle(&mut ws, n, &[ring.clone(), ring.clone(), ring]);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_both_sides_of_the_scatter_cut() {
+        // Six-word rows: a sender knowing one or two arrivals has them
+        // scattered, one knowing three or more is OR-ed as a row.
+        let n = 330;
+        let mut ws = ClosureWorkspace::new();
+        let rounds: Vec<BoolMatrix> = (0..4).map(|r| nway_stage(n, 2, r)).collect();
+        assert_matches_oracle(&mut ws, n, &rounds);
+        // Both kinds of sender in one stage, into one receiver, next to a
+        // sender that is itself a receiver.
+        let gather = BoolMatrix::from_edges(n, &(1..10).map(|i| (i, 0)).collect::<Vec<_>>());
+        let mixed = BoolMatrix::from_edges(n, &[(0, 100), (50, 100), (0, 329), (100, 0), (64, 0)]);
+        assert_matches_oracle(&mut ws, n, &[gather, mixed.clone(), mixed]);
+    }
+
+    #[test]
+    fn one_workspace_serves_shrinking_and_growing_sizes() {
+        let mut ws = ClosureWorkspace::new();
+        for n in [130, 2, 65, 1, 64, 130, 63] {
+            assert_matches_oracle(&mut ws, n, &dissemination_stages(n));
+            assert_matches_oracle(&mut ws, n, &linear_stages(n)[..1]);
+        }
+    }
+
+    #[test]
+    fn kernel_ignores_stages_after_saturation() {
+        let mut ws = ClosureWorkspace::new();
+        for n in ORACLE_SIZES {
+            let mut stages = dissemination_stages(n);
+            stages.push(nway_stage(n, 2, 0));
+            stages.push(BoolMatrix::zeros(n));
+            stages.push(BoolMatrix::identity(n));
+            assert_matches_oracle(&mut ws, n, &stages);
+            assert!(ws.is_barrier(n, &stages), "n={n}");
+        }
+    }
+
+    #[test]
+    fn closure_excluding_a_signal_whose_sender_also_receives() {
+        let mut ws = ClosureWorkspace::new();
+        for n in ORACLE_SIZES.into_iter().filter(|&n| n > 2) {
+            // In every ring stage each sender is a receiver too.
+            let stages = dissemination_stages(n);
+            for (stage, src) in [(0, 0), (0, n - 1), (1, n / 2), (stages.len() - 1, 1)] {
+                let dst = stages[stage].row_iter(src).next().expect("ring stage");
+                let want = eq3_oracle(n, &stages, Some((stage, src, dst)));
+                let got = ws.closure_excluding(n, &stages, stage, (src, dst));
+                assert_eq!(got, &want, "n={n} stage={stage} edge=({src},{dst})");
+                assert!(!want.is_all_true(), "dissemination has no dead signal");
+            }
+        }
     }
 
     #[test]

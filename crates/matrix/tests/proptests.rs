@@ -10,7 +10,7 @@ fn arb_bool_matrix(max_n: usize) -> impl Strategy<Value = BoolMatrix> {
 }
 
 /// Eq. 3 by definition — `K₀ = I`, `K ← K ∨ K·S` per stage — through
-/// `get`/`set` alone: the oracle for the blocked/scatter closure kernels.
+/// `get`/`set` alone: the oracle for the closure kernel.
 fn eq3_closure(n: usize, stages: &[BoolMatrix]) -> BoolMatrix {
     let mut k = BoolMatrix::identity(n);
     for s in stages {
@@ -32,14 +32,16 @@ proptest! {
 
     /// `ClosureWorkspace` agrees with the definition of Eq. 3 — closure
     /// and barrier verdict — on random stage lists at sizes crossing the
-    /// 64-bit word and the block boundary. Half the cases end in a
-    /// dissemination schedule, so both verdicts and the saturation early
-    /// exit are exercised.
+    /// 64-bit word and the block boundary, sparse stages followed by dense
+    /// ones (bit density up to 0.5). Half the cases end in a dissemination
+    /// schedule, so both verdicts and the saturation early exit are
+    /// exercised.
     #[test]
     fn closure_workspace_matches_eq3_definition(
         n in 1usize..=130,
         stage_edges in prop::collection::vec(
             prop::collection::vec((0usize..130, 0usize..130), 0..300), 0..6),
+        dense in prop::collection::vec((0.0f64..0.5, any::<u64>()), 0..3),
         complete in any::<bool>(),
     ) {
         let mut stages: Vec<BoolMatrix> = stage_edges
@@ -50,6 +52,17 @@ proptest! {
                 BoolMatrix::from_edges(n, &clipped)
             })
             .collect();
+        // Dense stages: each signal present with the drawn probability, so
+        // senders have many targets and receivers many senders.
+        for &(density, seed) in &dense {
+            let mut s = BoolMatrix::zeros(n);
+            let mut x = seed;
+            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s.set(i, j, ((x >> 11) as f64) < density * (1u64 << 53) as f64);
+            }
+            stages.push(s);
+        }
         if complete {
             let mut step = 1;
             while step < n {

@@ -82,6 +82,36 @@ struct TunedArtifact {
 }
 
 impl TunedArtifact {
+    /// Everything the cache keeps of one tune: the schedule, checked
+    /// against Eq. 3 first (never cache a non-barrier), its JSON and its
+    /// generated C.
+    ///
+    /// # Panics
+    /// Panics if the schedule is not a barrier, does not compile or does
+    /// not emit — a tuner bug each time; the worker catches the panic and
+    /// answers `TUNE_ERR` with its message.
+    fn build(
+        schedule: BarrierSchedule,
+        predicted_cost: f64,
+        eval: &mut CostEvaluator,
+    ) -> TunedArtifact {
+        assert!(
+            eval.is_barrier(&schedule),
+            "tuned schedule is not a barrier: it fails the Eq. 3 knowledge closure"
+        );
+        let programs = compile_schedule(&schedule)
+            .unwrap_or_else(|e| panic!("tuned schedule does not compile: {e}"));
+        let code_c = c_source(SERVED_BARRIER_NAME, &programs)
+            .unwrap_or_else(|e| panic!("tuned schedule does not emit C: {e}"));
+        let schedule_json = serde_json::to_string(&schedule).expect("schedule serializes");
+        TunedArtifact {
+            predicted_cost,
+            schedule,
+            schedule_json,
+            code_c,
+        }
+    }
+
     /// Resident bytes, charged against the cache budget. This must
     /// follow every heap allocation the artifact keeps alive — the
     /// schedule's stage bitsets and compiled CSR vectors dwarf the
@@ -230,6 +260,23 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(cache: &CacheConfig, addr: SocketAddr) -> Shared {
+        Shared {
+            cache: ShardedCache::new(cache),
+            inflight: Mutex::new(HashMap::new()),
+            queue: Mutex::new(VecDeque::new()),
+            queue_cv: Condvar::new(),
+            stop: AtomicBool::new(false),
+            addr,
+            requests: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+            tunes: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+        }
+    }
+
     fn stats(&self) -> ServeStats {
         let c = self.cache.counters();
         ServeStats {
@@ -255,20 +302,7 @@ impl Shared {
 /// (tests, benches) use [`ServerHandle::spawn`].
 pub fn serve(listener: &TcpListener, cfg: &ServeConfig) -> io::Result<()> {
     let addr = listener.local_addr()?;
-    let shared = Arc::new(Shared {
-        cache: ShardedCache::new(&cfg.cache),
-        inflight: Mutex::new(HashMap::new()),
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
-        stop: AtomicBool::new(false),
-        addr,
-        requests: AtomicU64::new(0),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-        coalesced: AtomicU64::new(0),
-        tunes: AtomicU64::new(0),
-        errors: AtomicU64::new(0),
-    });
+    let shared = Arc::new(Shared::new(&cfg.cache, addr));
     let workers: Vec<JoinHandle<()>> = (0..cfg.workers.max(1))
         .map(|_| {
             let shared = Arc::clone(&shared);
@@ -342,65 +376,60 @@ fn worker_loop(shared: &Shared) {
                 q = shared.queue_cv.wait(q).expect("queue lock");
             }
         };
-        let members: Vec<usize> = (0..job.req.cost.p()).collect();
-        let cfg = job.req.tuner_config();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let members: Vec<usize> = (0..job.req.cost.p()).collect();
+            let cfg = job.req.tuner_config();
             let tuned = tune_hybrid_costs_with(&job.req.cost, &members, &cfg, &mut eval);
-            let programs = compile_schedule(&tuned.schedule)
-                .unwrap_or_else(|e| panic!("tuned schedule does not compile: {e}"));
-            let code_c = c_source(SERVED_BARRIER_NAME, &programs)
-                .unwrap_or_else(|e| panic!("tuned schedule does not emit C: {e}"));
-            let schedule_json =
-                serde_json::to_string(&tuned.schedule).expect("schedule serializes");
-            TunedArtifact {
-                predicted_cost: tuned.predicted_cost,
-                schedule: tuned.schedule,
-                schedule_json,
-                code_c,
-            }
+            TunedArtifact::build(tuned.schedule, tuned.predicted_cost, &mut eval)
         }));
-        match outcome {
-            Ok(artifact) => {
-                let artifact = Arc::new(artifact);
-                let weight = artifact.weight();
-                // Publish before removing the flight: a reader that
-                // finds no flight under the in-flight lock is then
-                // guaranteed to find the cache entry.
-                shared.cache.insert(job.key, Arc::clone(&artifact), weight);
-                Shared::bump(&shared.tunes);
-                let waiters = shared
-                    .inflight
-                    .lock()
-                    .expect("inflight lock")
-                    .remove(&job.key)
-                    .unwrap_or_default();
-                for w in waiters {
-                    let _ = w
-                        .conn
-                        .respond_artifact(w.id, false, &artifact, w.want_code, true);
-                    w.conn.dec_pending();
-                }
+        if outcome.is_err() {
+            // The evaluator's scratch state is suspect after a panic
+            // mid-tune; rebuild it.
+            eval = CostEvaluator::new(CostParams::default());
+        }
+        finish_flight(shared, job.key, outcome);
+    }
+}
+
+/// Ends the flight of `key`: publishes the artifact and answers every
+/// waiter with it, or — the tune panicked — caches nothing and answers
+/// every waiter `TUNE_ERR` with the panic's message.
+fn finish_flight(shared: &Shared, key: CacheKey, outcome: std::thread::Result<TunedArtifact>) {
+    let outcome = outcome.map(|artifact| {
+        let artifact = Arc::new(artifact);
+        let weight = artifact.weight();
+        // Publish before removing the flight: a reader that finds no
+        // flight under the in-flight lock is then guaranteed to find
+        // the cache entry.
+        shared.cache.insert(key, Arc::clone(&artifact), weight);
+        Shared::bump(&shared.tunes);
+        artifact
+    });
+    let waiters = shared
+        .inflight
+        .lock()
+        .expect("inflight lock")
+        .remove(&key)
+        .unwrap_or_default();
+    match outcome {
+        Ok(artifact) => {
+            for w in waiters {
+                let _ = w
+                    .conn
+                    .respond_artifact(w.id, false, &artifact, w.want_code, true);
+                w.conn.dec_pending();
             }
-            Err(panic) => {
-                // The evaluator's scratch state is suspect after a
-                // panic mid-tune; rebuild it.
-                eval = CostEvaluator::new(CostParams::default());
-                let reason = panic
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| panic.downcast_ref::<&str>().copied())
-                    .unwrap_or("tuner panicked");
-                let waiters = shared
-                    .inflight
-                    .lock()
-                    .expect("inflight lock")
-                    .remove(&job.key)
-                    .unwrap_or_default();
-                for w in waiters {
-                    Shared::bump(&shared.errors);
-                    let _ = w.conn.respond_error(w.id, reason, true);
-                    w.conn.dec_pending();
-                }
+        }
+        Err(panic) => {
+            let reason = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("tuner panicked");
+            for w in waiters {
+                Shared::bump(&shared.errors);
+                let _ = w.conn.respond_error(w.id, reason, true);
+                w.conn.dec_pending();
             }
         }
     }
@@ -516,8 +545,76 @@ fn handle_tune_request(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) -> io:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::decode_tune_error;
     use hbar_core::Stage;
     use hbar_matrix::BoolMatrix;
+
+    /// The arrival half of a linear barrier: rank 0 hears of everyone,
+    /// nobody hears back.
+    fn arrival_only(n: usize) -> BarrierSchedule {
+        let mut m = BoolMatrix::zeros(n);
+        for i in 1..n {
+            m.set(i, 0, true);
+        }
+        let mut schedule = BarrierSchedule::new(n);
+        schedule.push(Stage::arrival(m));
+        schedule
+    }
+
+    #[test]
+    fn artifact_of_a_barrier_builds() {
+        let mut schedule = arrival_only(8);
+        let departure = schedule.departure_reversed(0);
+        schedule.append(&departure);
+        let mut eval = CostEvaluator::new(CostParams::default());
+        let artifact = TunedArtifact::build(schedule, 1.0, &mut eval);
+        assert!(artifact.code_c.contains(SERVED_BARRIER_NAME));
+    }
+
+    #[test]
+    fn non_barrier_is_answered_with_tune_err_and_never_cached() {
+        let mut eval = CostEvaluator::new(CostParams::default());
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            TunedArtifact::build(arrival_only(8), 1.0, &mut eval)
+        }));
+        assert!(
+            outcome.is_err(),
+            "a non-barrier must not become an artifact"
+        );
+
+        // One waiter on a real socket pair, registered as the reader would.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = TcpStream::connect(addr).expect("connect");
+        let (server_side, _) = listener.accept().expect("accept");
+        let shared = Shared::new(&CacheConfig::default(), addr);
+        let key = CacheKey {
+            cost_fp: 1,
+            cfg_fp: 2,
+        };
+        let conn = Arc::new(Conn::new(server_side));
+        conn.inc_pending();
+        let waiter = Waiter {
+            conn: Arc::clone(&conn),
+            id: 7,
+            want_code: false,
+        };
+        (shared.inflight.lock().expect("inflight lock")).insert(key, vec![waiter]);
+
+        finish_flight(&shared, key, outcome);
+
+        let mut payload = Vec::new();
+        let tag = read_frame_into(&mut BufReader::new(client), &mut payload).expect("frame");
+        assert_eq!(tag, FRAME_TUNE_ERR);
+        let (id, reason) = decode_tune_error(&payload).expect("error payload");
+        assert_eq!(id, 7);
+        assert!(reason.contains("not a barrier"), "reason: {reason}");
+        assert!(shared.cache.peek(&key).is_none());
+        let stats = shared.stats();
+        assert_eq!((stats.tunes, stats.errors, stats.cache_entries), (0, 1, 0));
+        assert_eq!(*conn.pending.lock().expect("pending lock"), 0);
+        assert!(shared.inflight.lock().expect("inflight lock").is_empty());
+    }
 
     #[test]
     fn artifact_weight_charges_schedule_heap_not_just_strings() {

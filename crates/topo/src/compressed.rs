@@ -101,10 +101,20 @@ pub struct CompressedCostModel {
     grid: Arc<Vec<u16>>,
     table_o: Vec<f64>,
     table_l: Vec<f64>,
-    /// Per class: does it appear on the diagonal?
-    diag_class: Vec<bool>,
+    /// Per class: where in the grid it occurs (never both on and off the
+    /// diagonal).
+    placement: Vec<ClassPlacement>,
     symmetric: bool,
     fingerprint: u64,
+}
+
+/// Where a class occurs in the grid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ClassPlacement {
+    /// In the value tables only.
+    Unused,
+    Diagonal,
+    OffDiagonal,
 }
 
 impl CompressedCostModel {
@@ -162,25 +172,41 @@ impl CompressedCostModel {
                 class: class as u16,
             });
         }
-        // Compared block against mirrored block, so that the transposed
-        // reads stay in cache.
-        const BLOCK: usize = 64;
-        let symmetric = (0..p).step_by(BLOCK).all(|bi| {
-            (bi..p).step_by(BLOCK).all(|bj| {
-                (bi..p.min(bi + BLOCK)).all(|i| {
-                    (bj.max(i + 1)..p.min(bj + BLOCK)).all(|j| grid[i * p + j] == grid[j * p + i])
-                })
+        let placement = (on_diag.iter().zip(&off_diag))
+            .map(|flags| match flags {
+                (true, _) => ClassPlacement::Diagonal,
+                (_, true) => ClassPlacement::OffDiagonal,
+                _ => ClassPlacement::Unused,
             })
-        });
-        let fingerprint = Self::stream_fingerprint(p, &grid, &table_o, &table_l);
+            .collect();
+        // The two remaining passes over the grid run side by side. Only
+        // now: the fingerprint indexes the value tables by cell, so it may
+        // only read a grid whose class range has been checked.
+        let (symmetric, fingerprint) = rayon::join(
+            || Self::grid_is_symmetric(p, &grid),
+            || Self::stream_fingerprint(p, &grid, &table_o, &table_l),
+        );
         Ok(CompressedCostModel {
             p,
             grid: Arc::new(grid),
             table_o,
             table_l,
-            diag_class: on_diag,
+            placement,
             symmetric,
             fingerprint,
+        })
+    }
+
+    /// `class(i, j) == class(j, i)` everywhere, compared block against
+    /// mirrored block so that the transposed reads stay in cache.
+    fn grid_is_symmetric(p: usize, grid: &[u16]) -> bool {
+        const BLOCK: usize = 64;
+        (0..p).step_by(BLOCK).all(|bi| {
+            (bi..p).step_by(BLOCK).all(|bj| {
+                (bi..p.min(bi + BLOCK)).all(|i| {
+                    (bj.max(i + 1)..p.min(bj + BLOCK)).all(|j| grid[i * p + j] == grid[j * p + i])
+                })
+            })
         })
     }
 
@@ -261,7 +287,7 @@ impl CompressedCostModel {
     pub fn heap_bytes(&self) -> usize {
         self.grid.len() * std::mem::size_of::<u16>()
             + (self.table_o.len() + self.table_l.len()) * std::mem::size_of::<f64>()
-            + self.diag_class.len()
+            + self.placement.len()
     }
 
     /// Decompresses to dense matrices — bit-identical to the model's
@@ -301,19 +327,29 @@ impl CostProvider for CompressedCostModel {
     /// model) this shares the class grid zero-copy and only builds a
     /// per-class distance table: `(O_c + O_c) / 2` is bit-equal to what
     /// the dense path computes per cell, and diagonal classes map to
-    /// `0.0` exactly as the dense metric zeroes its diagonal. An
+    /// `0.0` exactly as the dense metric zeroes its diagonal; the classes
+    /// that occur off the diagonal go along, so the metric's diameter is a
+    /// fold over them instead of over the grid. An
     /// asymmetric grid falls back to materializing the dense metric with
     /// the identical tiled arithmetic (`O(p²)` memory — but an
     /// asymmetric model compressed poorly to begin with).
     fn distance_metric(&self) -> DistanceMetric {
         if self.symmetric {
-            let table = self
-                .table_o
-                .iter()
-                .zip(&self.diag_class)
-                .map(|(&o, &diag)| if diag { 0.0 } else { (o + o) / 2.0 })
+            let table = (self.table_o.iter().zip(&self.placement))
+                .map(|(&o, &at)| match at {
+                    ClassPlacement::Diagonal => 0.0,
+                    _ => (o + o) / 2.0,
+                })
                 .collect();
-            return DistanceMetric::from_classes(self.p, Arc::clone(&self.grid), table);
+            let off_diagonal = (self.placement.iter())
+                .map(|&at| at == ClassPlacement::OffDiagonal)
+                .collect();
+            return DistanceMetric::from_classes(
+                self.p,
+                Arc::clone(&self.grid),
+                table,
+                off_diagonal,
+            );
         }
         const TILE: usize = 64;
         let p = self.p;
@@ -447,6 +483,16 @@ mod tests {
         let metric = model.distance_metric();
         assert_eq!(metric.dist(0, 0), 0.0);
         assert_eq!(metric.dist(0, 1), 7.0);
+    }
+
+    #[test]
+    fn class_in_no_cell_does_not_enter_the_diameter() {
+        let model =
+            CompressedCostModel::from_parts(2, vec![0, 1, 1, 0], vec![0.5, 3.0, 1e9], vec![0.0; 3])
+                .expect("class 2 is merely unused");
+        let metric = model.distance_metric();
+        assert_eq!(metric.diameter(), 3.0);
+        assert_eq!(metric.diameter_of(&[0, 1]), 3.0);
     }
 
     #[test]

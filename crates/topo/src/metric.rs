@@ -34,6 +34,8 @@ enum Backing {
         p: usize,
         grid: Arc<Vec<u16>>,
         table: Vec<f64>,
+        /// Per class: does it occur in an off-diagonal cell?
+        off_diagonal: Vec<bool>,
     },
 }
 
@@ -101,14 +103,23 @@ impl DistanceMetric {
     ///
     /// The grid is shared (typically with the compressed cost model that
     /// derived this metric), so the metric itself costs only the
-    /// per-class table. Every diagonal cell's class must map to `0.0`
-    /// and the grid must be symmetric — the compressed model guarantees
-    /// both by construction.
+    /// per-class table. Every diagonal cell's class must map to `0.0`,
+    /// the grid must be symmetric, and `off_diagonal[c]` must say whether
+    /// class `c` occurs in an off-diagonal cell (the diameter of the whole
+    /// space is read off those flags, not off the grid) — the compressed
+    /// model guarantees all three by construction.
     ///
     /// # Panics
-    /// Panics if `grid.len() != p * p` or a class id is outside `table`.
-    pub fn from_classes(p: usize, grid: Arc<Vec<u16>>, table: Vec<f64>) -> Self {
+    /// Panics if `grid.len() != p * p`, `off_diagonal` and `table` differ
+    /// in length, or a class id is outside `table`.
+    pub fn from_classes(
+        p: usize,
+        grid: Arc<Vec<u16>>,
+        table: Vec<f64>,
+        off_diagonal: Vec<bool>,
+    ) -> Self {
         assert_eq!(grid.len(), p * p, "class grid must be p × p");
+        assert_eq!(off_diagonal.len(), table.len(), "one flag per class");
         debug_assert!(
             grid.iter().all(|&c| (c as usize) < table.len()),
             "class id out of table range"
@@ -117,8 +128,23 @@ impl DistanceMetric {
             (0..p).all(|i| table[grid[i * p + i] as usize] == 0.0),
             "diagonal classes must map to zero distance"
         );
+        debug_assert!(
+            {
+                let mut occurs = vec![false; table.len()];
+                for (cell, &c) in grid.iter().enumerate() {
+                    occurs[c as usize] |= cell / p != cell % p;
+                }
+                occurs == off_diagonal
+            },
+            "off-diagonal flags must match the grid"
+        );
         DistanceMetric {
-            backing: Backing::Classed { p, grid, table },
+            backing: Backing::Classed {
+                p,
+                grid,
+                table,
+                off_diagonal,
+            },
         }
     }
 
@@ -135,7 +161,7 @@ impl DistanceMetric {
     pub fn dist(&self, i: usize, j: usize) -> f64 {
         match &self.backing {
             Backing::Dense(d) => d[(i, j)],
-            Backing::Classed { p, grid, table } => {
+            Backing::Classed { p, grid, table, .. } => {
                 assert!(i < *p && j < *p, "index ({i},{j}) out of range {p}");
                 table[grid[i * p + j] as usize]
             }
@@ -165,7 +191,7 @@ impl DistanceMetric {
     pub fn row_into<'a>(&'a self, i: usize, scratch: &'a mut Vec<f64>) -> &'a [f64] {
         match &self.backing {
             Backing::Dense(d) => d.row(i),
-            Backing::Classed { p, grid, table } => {
+            Backing::Classed { p, grid, table, .. } => {
                 scratch.resize(*p, 0.0);
                 let classes = &grid[i * p..(i + 1) * p];
                 for (dst, &c) in scratch.iter_mut().zip(classes) {
@@ -180,23 +206,22 @@ impl DistanceMetric {
     pub fn diameter(&self) -> f64 {
         match &self.backing {
             Backing::Dense(d) => d.max_off_diagonal().unwrap_or(0.0),
-            Backing::Classed { p, grid, table } => {
-                let mut acc: Option<f64> = None;
-                for i in 0..*p {
-                    for (j, &c) in grid[i * p..(i + 1) * p].iter().enumerate() {
-                        let v = table[c as usize];
-                        if i != j && v.is_finite() {
-                            acc = Some(acc.map_or(v, |a| a.max(v)));
-                        }
-                    }
-                }
-                acc.unwrap_or(0.0)
-            }
+            Backing::Classed {
+                table,
+                off_diagonal,
+                ..
+            } => off_diagonal_distances(table, off_diagonal)
+                .filter(|v| v.is_finite())
+                .reduce(f64::max)
+                .unwrap_or(0.0),
         }
     }
 
     /// Diameter restricted to a subset of ranks. Scans class rows
-    /// through the table directly, so no decompression buffer is needed.
+    /// through the table directly, so no decompression buffer is needed;
+    /// for the whole space `0..p` of a classed metric (the root of a
+    /// cluster tree) it folds the same `max` over the classes present off
+    /// the diagonal instead of over the `p²/2` cells that hold them.
     pub fn diameter_of(&self, members: &[usize]) -> f64 {
         let mut max = 0.0f64;
         match &self.backing {
@@ -208,7 +233,15 @@ impl DistanceMetric {
                     }
                 }
             }
-            Backing::Classed { p, grid, table } => {
+            Backing::Classed {
+                p,
+                table,
+                off_diagonal,
+                ..
+            } if members.len() == *p && members.iter().enumerate().all(|(i, &m)| i == m) => {
+                max = off_diagonal_distances(table, off_diagonal).fold(max, f64::max);
+            }
+            Backing::Classed { p, grid, table, .. } => {
                 for (a, &i) in members.iter().enumerate() {
                     let row = &grid[i * p..(i + 1) * p];
                     for &j in &members[a + 1..] {
@@ -272,6 +305,15 @@ impl DistanceMetric {
         }
         violations
     }
+}
+
+/// The distances a classed metric holds in off-diagonal cells, one per
+/// class that occurs there.
+fn off_diagonal_distances<'a>(
+    table: &'a [f64],
+    off_diagonal: &'a [bool],
+) -> impl Iterator<Item = f64> + 'a {
+    (table.iter().zip(off_diagonal)).filter_map(|(&v, &occurs)| occurs.then_some(v))
 }
 
 #[cfg(test)]
@@ -357,7 +399,12 @@ mod tests {
             1, 0, 2,
         ]);
         let table = vec![4.0, 9.0, 0.0];
-        let classed = DistanceMetric::from_classes(p, Arc::clone(&grid), table.clone());
+        let classed = DistanceMetric::from_classes(
+            p,
+            Arc::clone(&grid),
+            table.clone(),
+            vec![true, true, false],
+        );
         let dense = DistanceMetric::from_matrix(DenseMatrix::from_fn(p, |i, j| {
             table[grid[i * p + j] as usize]
         }));
@@ -376,11 +423,48 @@ mod tests {
         assert_eq!(classed.validate(1e-9), dense.validate(1e-9));
     }
 
+    /// The whole-space diameter read off the class flags equals the scan
+    /// over cells (which a reordered member list still takes), including
+    /// for NaN and infinite distances and a class no cell uses.
+    #[test]
+    fn whole_space_diameter_matches_the_cell_scan() {
+        let p = 4;
+        let build = |table: Vec<f64>| {
+            #[rustfmt::skip]
+            let grid = Arc::new(vec![
+                3u16, 0, 1, 0,
+                0, 3, 0, 2,
+                1, 0, 3, 0,
+                0, 2, 0, 3,
+            ]);
+            DistanceMetric::from_classes(p, grid, table, vec![true, true, true, false, false])
+        };
+        let identity = [0, 1, 2, 3];
+        let reordered = [1, 0, 2, 3];
+        for (table, diameter) in [
+            (vec![4.0, 9.0, 2.0, 0.0, 99.0], 9.0),
+            (vec![4.0, f64::NAN, 2.0, 0.0, 99.0], 4.0),
+            (vec![4.0, f64::INFINITY, 2.0, 0.0, 99.0], 4.0),
+            (vec![f64::NAN, f64::NAN, f64::NAN, 0.0, 99.0], 0.0),
+        ] {
+            let m = build(table);
+            assert_eq!(
+                m.diameter_of(&identity).to_bits(),
+                m.diameter_of(&reordered).to_bits()
+            );
+            assert_eq!(m.diameter(), diameter);
+        }
+        assert_eq!(
+            build(vec![4.0, f64::INFINITY, 2.0, 0.0, 99.0]).diameter_of(&identity),
+            f64::INFINITY
+        );
+    }
+
     #[test]
     #[should_panic(expected = "use row_into")]
     fn classed_metric_has_no_borrowable_rows() {
         let grid = Arc::new(vec![0u16]);
-        let m = DistanceMetric::from_classes(1, grid, vec![0.0]);
+        let m = DistanceMetric::from_classes(1, grid, vec![0.0], vec![false]);
         let _ = m.row(0);
     }
 

@@ -9,6 +9,9 @@
 //! results are bit-identical to the sequential loop regardless of thread
 //! count or scheduling.
 //!
+//! [`join`] runs two closures side by side, the second on a scoped
+//! thread of its own.
+//!
 //! `RAYON_NUM_THREADS` is honoured (like upstream): `1` forces the
 //! sequential path.
 
@@ -27,6 +30,27 @@ pub fn current_num_threads() -> usize {
                     .map(|n| n.get())
                     .unwrap_or(1)
             })
+    })
+}
+
+/// Runs `a` on the calling thread and `b` on a scoped thread, returning
+/// both results; with one worker thread, `a` then `b` in sequence. A panic
+/// in either closure propagates to the caller.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    if current_num_threads() <= 1 {
+        return (a(), b());
+    }
+    std::thread::scope(|scope| {
+        let b = scope.spawn(b);
+        let ra = a();
+        let rb = b.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        (ra, rb)
     })
 }
 
@@ -315,6 +339,13 @@ mod tests {
     fn map_collect_preserves_order() {
         let squares: Vec<usize> = (0..1000).into_par_iter().map(|i| i * i).collect();
         assert_eq!(squares, (0..1000).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn join_returns_both_results_in_order() {
+        let words = ["a", "bb"];
+        let (a, b) = super::join(|| words[0].len(), || words[1].len());
+        assert_eq!((a, b), (1, 2));
     }
 
     #[test]

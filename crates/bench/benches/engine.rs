@@ -1,7 +1,8 @@
 //! Reworked simulation-engine microbenchmarks: raw event throughput on a
 //! reused world, P-rank barrier execution at the benchmark's scale, the
 //! amortized profiling sweep that the §IV-A cost matrices are built from,
-//! and the clustered sweep's bookkeeping around its measurements.
+//! the clustered sweep's bookkeeping around its measurements, and what a
+//! single cost lookup costs in each storage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hbar_core::algorithms::Algorithm;
@@ -12,10 +13,12 @@ use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
 use hbar_simnet::sweep::{DescriptorExecutor, PairSample, PairWorkDescriptor, SweepError};
 use hbar_simnet::world::{SimConfig, SimWorld};
 use hbar_simnet::{measure_profile_compressed, NoiseModel, SpillConfig, SweepConfig};
+use hbar_topo::cost::CostProvider;
 use hbar_topo::features::TopologyExtractor;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
+use hbar_topo::CompressedCostModel;
 use std::hint::black_box;
 
 /// Steady-state interpreter throughput: a many-round dissemination barrier
@@ -131,12 +134,14 @@ impl DescriptorExecutor for InstantExecutor {
 }
 
 /// What the clustered sweep does besides measuring: classing alone, and
-/// classing plus the tiled class-grid scatter with half the tiles spilled.
+/// classing plus the tiled class-table scatter under the pipeline
+/// benchmark's budget (`2p²/8` bytes), of which the classing's own table
+/// leaves nothing, so that every tile is spilled.
 fn bench_profile_bookkeeping(c: &mut Criterion) {
     let mut group = c.benchmark_group("profile_bookkeeping");
     group.sample_size(10);
     let mapping = RankMapping::Block;
-    for p in [1024usize, 4096] {
+    for p in [1024usize, 4096, 8192] {
         let machine = MachineSpec::new(p.div_ceil(8), 2, 4);
         let cores = mapping.place(&machine, p);
         group.bench_with_input(BenchmarkId::new("classify", p), &machine, |b, machine| {
@@ -152,7 +157,7 @@ fn bench_profile_bookkeeping(c: &mut Criterion) {
         });
         let spill = SpillConfig::budgeted(
             std::env::temp_dir().join(format!("hbar_bench_spill_{}_{p}", std::process::id())),
-            p * p,
+            2 * p * p / 8,
         );
         group.bench_with_input(
             BenchmarkId::new("compressed_sweep", p),
@@ -176,11 +181,60 @@ fn bench_profile_bookkeeping(c: &mut Criterion) {
     group.finish();
 }
 
+/// One million `o_at` lookups at pseudo-random cells, per storage: the
+/// dense matrix (one load), the class grid as a model with every rank its
+/// own kind, and the kind-space model a sweep builds. Both models pay the
+/// same loads (`kind_of` twice, table cell, override flag, value table);
+/// what differs is whether the table fits a cache.
+fn bench_cost_lookup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cost_lookup");
+    group.sample_size(10);
+    let mapping = RankMapping::Block;
+    for p in [1024usize, 4096] {
+        let machine = MachineSpec::new(p / 8, 2, 4);
+        let dense = TopologyProfile::from_ground_truth_for(&machine, &mapping, p).cost;
+        let identity_kinds = CompressedCostModel::from_dense(&dense).expect("a few classes");
+        let (kind_space, _, _) = measure_profile_compressed(
+            &machine,
+            &mapping,
+            p,
+            NoiseModel::none(),
+            &SweepConfig::default(),
+            &SpillConfig::in_memory(std::env::temp_dir().join("hbar_bench_lookup_unused")),
+            &mut InstantExecutor,
+        )
+        .expect("an in-memory scatter");
+        assert_eq!(identity_kinds.class_map().kinds(), p);
+        assert_eq!(kind_space.class_map().kinds(), p / 4);
+        let storages: [(&str, &dyn CostProvider); 3] = [
+            ("dense", &dense),
+            ("identity_kinds", &identity_kinds),
+            ("kind_space", &kind_space),
+        ];
+        for (name, cost) in storages {
+            group.bench_function(BenchmarkId::new(name, p), |b| {
+                b.iter(|| {
+                    let (mut x, mut sum) = (0x9E37_79B9_7F4A_7C15u64, 0.0);
+                    for _ in 0..1_000_000 {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        sum += cost.o_at((x >> 40) as usize % p, (x >> 20) as usize % p);
+                    }
+                    black_box(sum)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_engine_throughput,
     bench_barrier_execution,
     bench_profile_sweep,
-    bench_profile_bookkeeping
+    bench_profile_bookkeeping,
+    bench_cost_lookup
 );
 criterion_main!(benches);

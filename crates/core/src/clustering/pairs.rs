@@ -161,6 +161,28 @@ impl PairClassing {
         self.symmetric
     }
 
+    /// Number of distinct rank kinds, `K`.
+    pub fn kinds(&self) -> usize {
+        self.kinds
+    }
+
+    /// Rank → kind, kinds numbered `0..K` in first-appearance order.
+    pub fn kind_of(&self) -> &[u32] {
+        &self.kind_of
+    }
+
+    /// Index into [`Self::pair_classes`] of the class of the pairs whose
+    /// first rank has kind `a` and whose second has kind `b`, `None` when
+    /// no classed pair has them in that order. A symmetric classing
+    /// classes `(min, max)` only, so under block placement it answers
+    /// `None` for every `a` that first appears after `b`.
+    #[inline]
+    pub fn kind_pair_class(&self, a: usize, b: usize) -> Option<usize> {
+        debug_assert!(a < self.kinds && b < self.kinds, "kind out of range");
+        let c = self.pair_table[a * self.kinds + b];
+        (c != NO_CLASS).then_some(c as usize)
+    }
+
     /// Index into [`Self::pair_classes`] of the class of pair `(i, j)`,
     /// `i ≠ j`. A symmetric classing answers both orientations with the
     /// class of `(min, max)`.
@@ -173,26 +195,6 @@ impl PairClassing {
             (i, j)
         };
         self.pair_table[self.kind_of[a] as usize * self.kinds + self.kind_of[b] as usize] as usize
-    }
-
-    /// [`Self::class_of`] along row `i`: the classes of `(i, j)` for every
-    /// `j ≠ i` in ascending `j`, with the row's own kind looked up once.
-    pub fn row_classes(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let k = self.kinds;
-        let ki = self.kind_of[i] as usize;
-        let table_row = &self.pair_table[ki * k..][..k];
-        let mirrored = self.symmetric;
-        let before = self.kind_of[..i].iter().map(move |&kj| {
-            if mirrored {
-                self.pair_table[kj as usize * k + ki]
-            } else {
-                table_row[kj as usize]
-            }
-        });
-        let after = self.kind_of[i + 1..]
-            .iter()
-            .map(move |&kj| table_row[kj as usize]);
-        before.chain(after).map(|c| c as usize)
     }
 
     /// Index into [`Self::diag_classes`] of rank `i`'s diagonal class.

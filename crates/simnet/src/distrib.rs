@@ -9,9 +9,11 @@
 //! descriptors into fixed-size batches behind a shared queue; one feeder
 //! thread per worker address pulls batches, ships them, and pushes
 //! responses. A worker that dies mid-batch gets its in-flight batch
-//! requeued and the feeder reconnects with bounded retries; if every
-//! worker is exhausted the driver either falls back to local execution or
-//! reports [`SweepError::WorkersExhausted`].
+//! requeued and the feeder reconnects with bounded retries; a feeder that
+//! finds the queue empty stays for as long as a batch is in flight
+//! elsewhere, since that batch may yet come back and need a worker. If
+//! every worker is exhausted the driver either falls back to local
+//! execution or reports [`SweepError::WorkersExhausted`].
 //!
 //! Determinism: descriptors carry their own sub-seeds and results are
 //! merged by id, so the final profile is bit-identical no matter how
@@ -30,7 +32,7 @@ use crate::wire::{
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Fault injection for the worker loop (tests only in practice, but kept
@@ -243,6 +245,64 @@ impl FleetExecutor {
     }
 }
 
+type Batch = Vec<PairWorkDescriptor>;
+
+/// The round's batches: those waiting for a feeder, and how many a feeder
+/// has taken and neither finished nor given back. A batch in flight may
+/// return to the queue, so only when both are zero is the round over.
+#[derive(Default)]
+struct BatchQueue {
+    state: Mutex<QueueState>,
+    /// Signalled when a batch comes back and when the round is over.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    waiting: VecDeque<Batch>,
+    in_flight: usize,
+}
+
+impl BatchQueue {
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state.lock().expect("no feeder panics with the queue")
+    }
+
+    /// The next batch, now in flight with the caller; `None` once nothing
+    /// is waiting *and* nothing is in flight. Blocks in between: a batch
+    /// in flight with a dying worker will need someone to run it.
+    fn take(&self) -> Option<Batch> {
+        let mut state = self.lock();
+        loop {
+            if let Some(batch) = state.waiting.pop_front() {
+                state.in_flight += 1;
+                return Some(batch);
+            }
+            if state.in_flight == 0 {
+                return None;
+            }
+            state = (self.changed.wait(state)).expect("no feeder panics with the queue");
+        }
+    }
+
+    /// A batch taken earlier has been answered.
+    fn finished(&self) {
+        let mut state = self.lock();
+        state.in_flight -= 1;
+        if state.in_flight == 0 && state.waiting.is_empty() {
+            self.changed.notify_all();
+        }
+    }
+
+    /// A batch taken earlier goes back to wait for another feeder.
+    fn give_back(&self, batch: Batch) {
+        let mut state = self.lock();
+        state.in_flight -= 1;
+        state.waiting.push_back(batch);
+        self.changed.notify_one();
+    }
+}
+
 impl DescriptorExecutor for FleetExecutor {
     fn execute_batch(
         &mut self,
@@ -251,12 +311,11 @@ impl DescriptorExecutor for FleetExecutor {
         if descriptors.is_empty() {
             return Ok(Vec::new());
         }
-        let queue: Mutex<VecDeque<Vec<PairWorkDescriptor>>> = Mutex::new(
-            descriptors
-                .chunks(self.opts.batch_size.max(1))
-                .map(<[PairWorkDescriptor]>::to_vec)
-                .collect(),
-        );
+        let queue = BatchQueue::default();
+        queue.lock().waiting = descriptors
+            .chunks(self.opts.batch_size.max(1))
+            .map(<[PairWorkDescriptor]>::to_vec)
+            .collect();
         let results: Mutex<Vec<PairSample>> = Mutex::new(Vec::with_capacity(descriptors.len()));
 
         std::thread::scope(|scope| {
@@ -272,7 +331,7 @@ impl DescriptorExecutor for FleetExecutor {
                             FeederEnd::QueueDrained => break,
                             FeederEnd::Lost(batch) => {
                                 if let Some(batch) = batch {
-                                    queue.lock().expect("queue lock").push_back(batch);
+                                    queue.give_back(batch);
                                 }
                                 if attempts_left == 0 {
                                     break;
@@ -287,8 +346,7 @@ impl DescriptorExecutor for FleetExecutor {
         });
 
         // Anything still queued means the whole fleet died.
-        let leftovers: Vec<Vec<PairWorkDescriptor>> =
-            std::mem::take(&mut *queue.lock().expect("queue lock")).into();
+        let leftovers = std::mem::take(&mut queue.lock().waiting);
         let mut merged = results.into_inner().expect("results lock");
         if !leftovers.is_empty() {
             if !self.opts.local_fallback {
@@ -316,16 +374,16 @@ enum FeederEnd {
     /// No work left anywhere; connection closed cleanly.
     QueueDrained,
     /// The connection (or connect attempt) died; `Some(batch)` was
-    /// in flight and must be requeued.
-    Lost(Option<Vec<PairWorkDescriptor>>),
+    /// in flight and must be given back to the queue.
+    Lost(Option<Batch>),
 }
 
 /// One connection's worth of feeding: connect, send the job header, then
-/// pump batches until the queue drains or the connection dies.
+/// pump batches until the round is over or the connection dies.
 fn feed_worker(
     addr: &str,
     job: &JobHeader,
-    queue: &Mutex<VecDeque<Vec<PairWorkDescriptor>>>,
+    queue: &BatchQueue,
     results: &Mutex<Vec<PairSample>>,
 ) -> FeederEnd {
     let mut stream = match TcpStream::connect(addr) {
@@ -343,7 +401,7 @@ fn feed_worker(
     let mut batch_buf = Vec::new();
     let mut payload = Vec::new();
     loop {
-        let Some(batch) = queue.lock().expect("queue lock").pop_front() else {
+        let Some(batch) = queue.take() else {
             // Graceful end-of-session: tell the worker we are done and
             // wait for its ack (best effort — a vanished worker is the
             // same as a drained one from the driver's point of view), so
@@ -372,6 +430,7 @@ fn feed_worker(
             return FeederEnd::Lost(Some(batch));
         }
         results.lock().expect("results lock").extend(samples);
+        queue.finished();
     }
 }
 

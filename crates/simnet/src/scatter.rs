@@ -1,30 +1,33 @@
-//! Out-of-core class-grid scatter: the `P ≫ 4096` back end of the
+//! Out-of-core class-table scatter: the `P ≫ 4096` back end of the
 //! decomposed sweep.
 //!
 //! The dense scatter ([`crate::sweep`]) materializes two `|P|²` `f64`
 //! matrices — 4 GiB at `P = 16384` — even though a clustered sweep only
 //! ever *measured* a handful of class values. This module scatters into a
-//! [`CompressedCostModel`] instead: a `u16` pair-class grid (2 bytes per
-//! cell, 512 MiB at `P = 16384`) plus per-class value tables, never
-//! touching dense storage.
+//! [`CompressedCostModel`] instead, and stays in the space the classing
+//! worked in: the model's map is `rank → kind`, a `K × K` `u16` table of
+//! pair classes over kind pairs (`K = P/4` kinds on dual quad-core nodes:
+//! 32 MiB at `P = 16384`, where one class id per cell is 512 MiB), a
+//! diagonal class per rank, and one override per cell of an exploded
+//! class — nothing of size `P²` is written or read.
 //!
-//! The grid itself is produced **tile-at-a-time**, after measurement, in
-//! tile-id order (a tile is [`SpillConfig::tile_rows`] consecutive rows),
-//! so the scatter's working set beyond the final grid is bounded. A tile
-//! is one buffer holding its rows' cells as little-endian `u16` — the byte
-//! image of its spill run — filled in place, row-parallel, by looking each
-//! cell up in the classing's map. Finished tiles stage in memory while
-//! total staged bytes fit [`SpillConfig::mem_budget_bytes`]; a tile that
-//! would not fit is written to `tile_NNNNN.bin` in the spill directory
-//! instead. The final merge walks tile ids in ascending order and decodes
-//! each tile straight into its rows of the grid — memory-staged and
-//! spilled tiles interleave arbitrarily, but the merge order is the
-//! production order, so the resulting grid is byte-identical regardless
-//! of budget, tile size, or how many tiles spilled. A spill run is read
-//! back only if its file is exactly as long as its tile, and every spill
-//! file is removed when the scatter ends, however it ends.
+//! The table is produced **tile-at-a-time**, after measurement, in
+//! tile-id order (a tile is [`SpillConfig::tile_rows`] consecutive kind
+//! rows). A tile is one buffer holding its rows' cells as little-endian
+//! `u16` — the byte image of its spill run — filled in place,
+//! row-parallel, from the classing's own kind table. Finished tiles stage
+//! in memory while they and that table fit
+//! [`SpillConfig::mem_budget_bytes`]; a tile that would not fit is written
+//! to `tile_NNNNN.bin` in the spill directory instead. The final merge
+//! walks tile ids in ascending order and decodes each tile straight into
+//! its rows of the table — memory-staged and spilled tiles interleave
+//! arbitrarily, but the merge order is the production order, so the
+//! resulting table is byte-identical regardless of budget, tile size, or
+//! how many tiles spilled. A spill run is read back only if its file is
+//! exactly as long as its tile, and every spill file is removed when the
+//! scatter ends, however it ends.
 //!
-//! The class space of the grid extends the classing's:
+//! The class space of the model extends the classing's:
 //!
 //! * pair classes `0..n_pair` (the classing's indices, verbatim),
 //! * diag classes `n_pair..n_pair + n_diag`,
@@ -34,8 +37,8 @@
 //!
 //! Diagonal cells never share a class with off-diagonal cells (diag
 //! classes are a disjoint id range), which is precisely the invariant
-//! [`CompressedCostModel::from_parts`] enforces so its derived
-//! [`hbar_topo::DistanceMetric`] can alias the grid zero-copy.
+//! [`CompressedCostModel::from_kinds`] enforces so its derived
+//! [`hbar_topo::DistanceMetric`] can share the map zero-copy.
 //!
 //! `CompressedCostModel::to_dense()` of the result is bit-identical to
 //! the dense scatter of the same measurements — the values flowing into
@@ -47,14 +50,16 @@ use crate::sweep::{
     SweepError, SweepReport,
 };
 use hbar_core::clustering::PairClassing;
-use hbar_topo::compressed::{CompressError, CompressedCostModel, MAX_CLASSES};
+use hbar_topo::compressed::{
+    CompressError, CompressedCostModel, ModelParts, Override, MAX_CLASSES,
+};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Where and when scatter tiles spill to disk.
 #[derive(Clone, Debug)]
@@ -62,20 +67,25 @@ pub struct SpillConfig {
     /// Spill directory; created lazily on first spill, so a run whose
     /// tiles all fit the budget never touches the filesystem.
     pub dir: PathBuf,
-    /// Bytes of finished tiles allowed to stage in memory at once.
-    /// Tiles that would exceed it are written to `dir` instead. The
-    /// final grid allocation is *not* charged against this budget (it
-    /// must exist in full for the model to be usable); the budget bounds
-    /// the transient working set on top of it.
+    /// Bytes the scatter may keep alive while it produces tiles: the
+    /// classing's own `K × K` `u32` table, which it reads until the last
+    /// tile is pushed, plus the finished tiles staged in memory. A tile
+    /// that would exceed it is written to `dir` instead — every tile,
+    /// when the budget is below the classing's table. The final table is
+    /// *not* charged against this budget (it must exist in full for the
+    /// model to be usable, and the classing is dropped before it is
+    /// allocated); the budget bounds the transient working set on top of
+    /// it.
     pub mem_budget_bytes: usize,
-    /// Rows per tile. Smaller tiles spill at finer granularity; larger
-    /// tiles amortize i/o. The last tile may be shorter.
+    /// Kind rows per tile. Smaller tiles spill at finer granularity;
+    /// larger tiles amortize i/o. The last tile may be shorter.
     pub tile_rows: usize,
 }
 
 impl SpillConfig {
-    /// A configuration that stages everything in memory (no budget) —
-    /// spill still available should the budget later be lowered.
+    /// A configuration that stages everything in memory (no budget) and
+    /// so never touches the filesystem — spill still available should the
+    /// budget later be lowered.
     pub fn in_memory(dir: impl Into<PathBuf>) -> Self {
         SpillConfig {
             dir: dir.into(),
@@ -101,11 +111,12 @@ pub struct SpillReport {
     /// Tiles that overflowed the budget and went through the spill
     /// directory.
     pub spilled_tiles: usize,
-    /// High-water mark of bytes staged in memory.
+    /// High-water mark of bytes of tiles staged in memory (what else the
+    /// budget was charged for is not counted here).
     pub staged_peak_bytes: usize,
     /// Total bytes written to spill files.
     pub spill_bytes: u64,
-    /// Tile height the run used.
+    /// Tile height the run used, in kind rows.
     pub tile_rows: usize,
 }
 
@@ -113,7 +124,11 @@ pub struct SpillReport {
 /// and spilling the rest; then merges them back in tile-id order.
 struct TileSink<'a> {
     cfg: &'a SpillConfig,
-    p: usize,
+    /// Side of the table the tiles add up to.
+    kinds: usize,
+    /// Bytes the producer holds while it pushes, charged to the budget
+    /// next to the staged tiles.
+    held_bytes: usize,
     /// One entry per tile pushed, in id order: the staged bytes, or `None`
     /// for a tile that is in its spill file (or already merged).
     tiles: Vec<Option<Vec<u8>>>,
@@ -123,10 +138,11 @@ struct TileSink<'a> {
 }
 
 impl<'a> TileSink<'a> {
-    fn new(cfg: &'a SpillConfig, p: usize) -> Self {
+    fn new(cfg: &'a SpillConfig, kinds: usize, held_bytes: usize) -> Self {
         TileSink {
             cfg,
-            p,
+            kinds,
+            held_bytes,
             tiles: Vec::new(),
             spilled: Vec::new(),
             report: SpillReport {
@@ -140,11 +156,11 @@ impl<'a> TileSink<'a> {
         self.cfg.dir.join(format!("tile_{id:05}.bin"))
     }
 
-    /// Bytes of tile `id`: `tile_rows` rows of `p` cells, fewer rows in
-    /// the last tile.
+    /// Bytes of tile `id`: `tile_rows` rows of `kinds` cells, fewer rows
+    /// in the last tile.
     fn tile_bytes(&self, id: usize) -> usize {
         let rows = self.report.tile_rows;
-        rows.min(self.p - id * rows) * self.p * 2
+        rows.min(self.kinds - id * rows) * self.kinds * 2
     }
 
     fn push(&mut self, tile: Vec<u8>) -> Result<(), SweepError> {
@@ -153,8 +169,9 @@ impl<'a> TileSink<'a> {
         self.report.tiles += 1;
         // Tiles stay staged until the merge, so the staged total only grows
         // and is its own peak.
-        if self.report.staged_peak_bytes + tile.len() <= self.cfg.mem_budget_bytes {
-            self.report.staged_peak_bytes += tile.len();
+        let staged = self.report.staged_peak_bytes + tile.len();
+        if self.held_bytes.saturating_add(staged) <= self.cfg.mem_budget_bytes {
+            self.report.staged_peak_bytes = staged;
             self.tiles.push(Some(tile));
             return Ok(());
         }
@@ -168,12 +185,12 @@ impl<'a> TileSink<'a> {
         Ok(())
     }
 
-    /// Reassembles the full `p × p` grid. A spill run is read only once
-    /// its file length has matched its tile's, so a foreign or damaged
-    /// file can neither overrun the grid nor size an allocation.
+    /// Reassembles the full `kinds × kinds` table. A spill run is read
+    /// only once its file length has matched its tile's, so a foreign or
+    /// damaged file can neither overrun the table nor size an allocation.
     fn merge(mut self) -> Result<(Vec<u16>, SpillReport), SweepError> {
-        let mut grid = vec![0u16; self.p * self.p];
-        let mut rest = grid.as_mut_slice();
+        let mut table = vec![0u16; self.kinds * self.kinds];
+        let mut rest = table.as_mut_slice();
         let mut run = Vec::new();
         for id in 0..self.tiles.len() {
             let expected = self.tile_bytes(id);
@@ -199,7 +216,7 @@ impl<'a> TileSink<'a> {
             }
             rest = later;
         }
-        Ok((grid, std::mem::take(&mut self.report)))
+        Ok((table, std::mem::take(&mut self.report)))
     }
 }
 
@@ -213,12 +230,78 @@ impl Drop for TileSink<'_> {
     }
 }
 
+/// Side of the square blocks a tile is filled in. A cell may have to ask
+/// for its mirror image, and a walk down a column of a table whose side
+/// is a power of two keeps hitting the same cache set; block by block the
+/// mirrored reads run along rows too.
+const BLOCK: usize = 32;
+
+/// Fills the `kinds × kinds` table of `class(a, b)`, a tile of kind rows
+/// at a time, into `sink`. With `mirror`, a cell `class` has no answer for
+/// takes the answer for `(b, a)`; a cell nothing answers for is one no
+/// pair of ranks reads, and is 0. Bands of rows are independent, so a
+/// tile's bytes do not depend on the thread count. Stops with `false` at
+/// the first tile in which a cell and its mirror image have two different
+/// answers.
+fn push_tiles(
+    sink: &mut TileSink,
+    class: impl Fn(usize, usize) -> Option<usize> + Sync,
+    mirror: bool,
+) -> Result<bool, SweepError> {
+    let kinds = sink.kinds;
+    let tile_rows = sink.report.tile_rows;
+    let row_bytes = kinds * 2;
+    for start in (0..kinds).step_by(tile_rows) {
+        let mut tile = vec![0u8; tile_rows.min(kinds - start) * row_bytes];
+        let contested = AtomicBool::new(false);
+        let bands = tile.par_chunks_mut(BLOCK * row_bytes).enumerate();
+        bands.for_each(|(band, bytes)| {
+            let first_row = start + band * BLOCK;
+            let rows = bytes.len() / row_bytes;
+            let mut mirrored = [None; BLOCK * BLOCK];
+            for first_column in (0..kinds).step_by(BLOCK) {
+                let columns = BLOCK.min(kinds - first_column);
+                if mirror {
+                    for b in 0..columns {
+                        for a in 0..rows {
+                            mirrored[a * BLOCK + b] = class(first_column + b, first_row + a);
+                        }
+                    }
+                }
+                for (a, row) in bytes.chunks_exact_mut(row_bytes).enumerate() {
+                    let cells = row[2 * first_column..][..2 * columns].chunks_exact_mut(2);
+                    for (b, le) in cells.enumerate() {
+                        let answers = (
+                            class(first_row + a, first_column + b),
+                            mirrored[a * BLOCK + b],
+                        );
+                        let class = match answers {
+                            (Some(forward), Some(mirrored)) if forward != mirrored => {
+                                contested.store(true, Ordering::Relaxed);
+                                0
+                            }
+                            (Some(class), _) | (None, Some(class)) => class,
+                            (None, None) => 0,
+                        };
+                        le.copy_from_slice(&(class as u16).to_le_bytes());
+                    }
+                }
+            }
+        });
+        if contested.into_inner() {
+            return Ok(false);
+        }
+        sink.push(tile)?;
+    }
+    Ok(true)
+}
+
 /// Scatters class measurements into a [`CompressedCostModel`], producing
-/// the grid tile-at-a-time under `spill`'s memory budget. Tile contents
-/// are computed row-parallel; tile order (and therefore the grid, and
-/// therefore the model fingerprint) is deterministic. Consumes the
-/// classing: its map is needed to fill the tiles and is released before
-/// they are merged into the full grid.
+/// the kind table tile-at-a-time under `spill`'s memory budget. Tile
+/// order (and therefore the table, and therefore the model fingerprint)
+/// is deterministic. Consumes the classing: its kind table is needed to
+/// fill the tiles — and charged to the budget for as long — and is
+/// released before they are merged into the model's.
 pub(crate) fn scatter_compressed_tiles(
     classing: PairClassing,
     m: &ClassMeasurements,
@@ -235,7 +318,10 @@ pub(crate) fn scatter_compressed_tiles(
     }
 
     // Class space: pair classes, diag classes, then exploded members in
-    // deterministic (sorted) order.
+    // deterministic (sorted) order. A rank's diagonal cell is its diagonal
+    // class, a pair's its kind pair's class; members of exploded classes
+    // have cells of their own — overrides, for a pair in both orientations
+    // when the sweep measured it once for both.
     let mut table_o = Vec::with_capacity(needed);
     let mut table_l = Vec::with_capacity(needed);
     for &(o, l) in &m.pair_estimates {
@@ -246,84 +332,71 @@ pub(crate) fn scatter_compressed_tiles(
         table_o.push(o);
         table_l.push(0.0);
     }
-    let mut exploded_pair_ids: HashMap<(usize, usize), u16> =
-        HashMap::with_capacity(m.exploded_pairs.len());
     let mut pair_keys: Vec<(usize, usize)> = m.exploded_pairs.keys().copied().collect();
     pair_keys.sort_unstable();
-    for key in pair_keys {
+    let mut overrides: Vec<Override> = Vec::with_capacity(2 * pair_keys.len());
+    for key @ (i, j) in pair_keys {
         let (o, l) = m.exploded_pairs[&key];
-        exploded_pair_ids.insert(key, table_o.len() as u16);
+        let class = table_o.len() as u16;
+        overrides.push((i as u32, j as u32, class));
+        if classing.symmetric() {
+            overrides.push((j as u32, i as u32, class));
+        }
         table_o.push(o);
         table_l.push(l);
     }
-    let mut exploded_diag_ids: HashMap<usize, u16> = HashMap::with_capacity(m.exploded_diags.len());
+    overrides.sort_unstable();
+    let mut diag: Vec<u16> = (0..p)
+        .map(|i| (n_pair + classing.diag_class_of(i)) as u16)
+        .collect();
     let mut diag_keys: Vec<usize> = m.exploded_diags.keys().copied().collect();
     diag_keys.sort_unstable();
-    for key in diag_keys {
-        exploded_diag_ids.insert(key, table_o.len() as u16);
-        table_o.push(m.exploded_diags[&key]);
+    for i in diag_keys {
+        diag[i] = table_o.len() as u16;
+        table_o.push(m.exploded_diags[&i]);
         table_l.push(0.0);
     }
 
-    // A rank's cell is its diagonal class, a pair's its class; members of
-    // exploded classes have cells of their own, keyed in the orientation
-    // the classing scanned (and the sweep measured) them in.
-    let diag_cell = |i: usize| -> u16 {
-        let c = classing.diag_class_of(i);
-        if m.explode_diag[c] {
-            exploded_diag_ids[&i]
-        } else {
-            (n_pair + c) as u16
-        }
-    };
-    let exploded_cell = |i: usize, j: usize| -> Option<u16> {
-        m.explode_pair[classing.class_of(i, j)].then(|| {
-            if classing.symmetric() {
-                exploded_pair_ids[&(i.min(j), i.max(j))]
-            } else {
-                exploded_pair_ids[&(i, j)]
-            }
-        })
-    };
-    let mut sink = TileSink::new(spill, p);
-    let tile_rows = sink.report.tile_rows;
-    for start in (0..p).step_by(tile_rows) {
-        // Rows are independent, so the tile's bytes do not depend on the
-        // thread count.
-        let mut tile = vec![0u8; tile_rows.min(p - start) * p * 2];
-        tile.par_chunks_mut(p * 2).enumerate().for_each(|(r, row)| {
-            let i = start + r;
-            let (before, rest) = row.split_at_mut(2 * i);
-            let (diag, after) = rest.split_at_mut(2);
-            diag.copy_from_slice(&diag_cell(i).to_le_bytes());
-            let cells = before.chunks_exact_mut(2).chain(after.chunks_exact_mut(2));
-            for (cell, c) in cells.zip(classing.row_classes(i)) {
-                cell.copy_from_slice(&(c as u16).to_le_bytes());
-            }
-            if !m.exploded_pairs.is_empty() {
-                for j in (0..p).filter(|&j| j != i) {
-                    if let Some(id) = exploded_cell(i, j) {
-                        row[2 * j..][..2].copy_from_slice(&id.to_le_bytes());
-                    }
-                }
-            }
-        });
-        sink.push(tile)?;
+    // The model's table answers for both orientations of a kind pair; a
+    // symmetric classing holds only the one its classed pairs have (under
+    // block placement, none of the lower triangle).
+    let held_bytes = classing.kinds().pow(2) * std::mem::size_of::<u32>();
+    let mut kind_of = classing.kind_of().to_vec();
+    let mut sink = TileSink::new(spill, classing.kinds(), held_bytes);
+    let kind_pair = |a, b| classing.kind_pair_class(a, b);
+    if !push_tiles(&mut sink, kind_pair, classing.symmetric())? {
+        // Features that look at rank order (the `rank_kind` contract lets
+        // them) class the two orientations of some kind pair differently.
+        // Then every rank is a kind of its own.
+        kind_of = (0..p as u32).collect();
+        sink = TileSink::new(spill, p, held_bytes);
+        let pair = |i, j| (i != j).then(|| classing.class_of(i, j));
+        push_tiles(&mut sink, pair, false)?;
     }
     drop(classing);
-    let (grid, report) = sink.merge()?;
+    let kinds = sink.kinds;
+    let (table, report) = sink.merge()?;
 
-    let model =
-        CompressedCostModel::from_parts(p, grid, table_o, table_l).map_err(SweepError::Compress)?;
+    let model = CompressedCostModel::from_kinds(ModelParts {
+        p,
+        kinds,
+        kind_of,
+        table,
+        diag,
+        overrides,
+        table_o,
+        table_l,
+    })
+    .map_err(SweepError::Compress)?;
     Ok((model, report))
 }
 
 /// The decomposed sweep with a class-compressed result: same classing,
 /// measurement plan, adaptive growth, and explosion semantics as
 /// [`crate::sweep::measure_profile_decomposed`], but the scatter builds a
-/// [`CompressedCostModel`] tile-at-a-time under `spill`'s budget instead
-/// of dense `|P|²` matrices. `model.to_dense()` is bit-identical to the
-/// dense sweep's profile.
+/// [`CompressedCostModel`] in kind space, tile-at-a-time under `spill`'s
+/// budget, instead of dense `|P|²` matrices. `model.to_dense()` is
+/// bit-identical to the dense sweep's profile.
 ///
 /// # Panics
 /// Panics if `p < 2` or the mapping cannot place `p` ranks.
@@ -362,11 +435,17 @@ pub fn measure_profile_clustered_compressed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::measure_profile_clustered;
+    use crate::sweep::{
+        measure_classes, measure_profile_clustered, scatter_dense, SequentialExecutor,
+    };
     use hbar_core::clustering::{classify_pairs, ClassingConfig};
     use hbar_topo::cost::{CostMatrices, CostProvider};
-    use hbar_topo::features::ExactExtractor;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use hbar_topo::features::{
+        ExactExtractor, PairFeatureExtractor, PairFeatures, RankFeatures, TopologyExtractor,
+    };
+    use hbar_topo::machine::LinkClass;
+    use std::collections::HashMap;
+    use std::sync::atomic::AtomicU32;
 
     fn bit_equal(a: &CostMatrices, b: &CostMatrices) -> bool {
         a.o.as_slice()
@@ -404,8 +483,11 @@ mod tests {
         assert_eq!(report.measurements, dense_report.measurements);
         assert_eq!(spill_report.spilled_tiles, 0);
         assert!(!spill.dir.exists(), "no-spill run must not touch disk");
-        // The whole point: 4 pair + 2 diag classes instead of 16² values.
+        // The whole point: 4 pair + 2 diag classes over 4 kinds of rank
+        // (two nodes of two sockets) instead of 16² values.
         assert_eq!(model.classes(), 6);
+        assert_eq!(model.class_map().kinds(), 4);
+        assert!(model.class_map().overrides().is_empty());
         assert!(model.is_symmetric());
     }
 
@@ -420,28 +502,31 @@ mod tests {
             measure_profile_clustered_compressed(&machine, &mapping, 24, noise, &cfg, &unspilled)
                 .unwrap();
         assert_eq!(ra.spilled_tiles, 0);
-        // A budget below one tile (3 rows × 24 cols × 2 B = 144 B) forces
-        // every tile through the spill directory.
+        // Round-robin over the two nodes 24 ranks need: 4 kinds. A budget
+        // below the classing's own 4 × 4 table of u32 (64 B) leaves no
+        // room to stage anything next to it, so both tiles (3 kind rows
+        // and 1, of 4 columns × 2 B) go through the spill directory.
+        assert_eq!(a.class_map().kinds(), 4);
         let spilled = SpillConfig {
-            mem_budget_bytes: 100,
+            mem_budget_bytes: 63,
             tile_rows: 3,
             ..SpillConfig::in_memory(scratch_dir("allspill"))
         };
         let (b, _, rb) =
             measure_profile_clustered_compressed(&machine, &mapping, 24, noise, &cfg, &spilled)
                 .unwrap();
-        assert_eq!(rb.tiles, 8);
-        assert_eq!(rb.spilled_tiles, 8);
-        assert_eq!(rb.spill_bytes, 24 * 24 * 2);
+        assert_eq!(rb.tiles, 2);
+        assert_eq!(rb.spilled_tiles, 2);
+        assert_eq!(rb.spill_bytes, 4 * 4 * 2);
         assert_eq!(rb.staged_peak_bytes, 0);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.grid(), b.grid());
+        assert_eq!(a.class_map(), b.class_map());
         // Spill files are consumed by the merge.
         assert_eq!(fs::read_dir(&spilled.dir).unwrap().count(), 0);
         fs::remove_dir_all(&spilled.dir).unwrap();
     }
 
-    /// Spills the four 2-row tiles of an 8-rank grid, damages
+    /// Spills the four 2-row tiles of an 8-kind table, damages
     /// `tile_00002.bin`, and returns what the merge made of it. Whatever
     /// the outcome, no spill file may be left behind.
     fn merge_after(tag: &str, damage: impl Fn(&std::path::Path)) -> SweepError {
@@ -450,7 +535,7 @@ mod tests {
             tile_rows: 2,
             ..SpillConfig::in_memory(scratch_dir(tag))
         };
-        let mut sink = TileSink::new(&cfg, 8);
+        let mut sink = TileSink::new(&cfg, 8, 0);
         for id in 0..4 {
             sink.push(vec![id; 2 * 8 * 2]).unwrap();
         }
@@ -483,7 +568,7 @@ mod tests {
 
     #[test]
     fn oversized_spill_run_is_a_protocol_error() {
-        // Long enough to run past the end of the grid if it were trusted.
+        // Long enough to run past the end of the table if it were trusted.
         let err = merge_after("oversized", |path| fs::write(path, vec![0; 1024]).unwrap());
         assert!(matches!(err, SweepError::Protocol(_)), "{err}");
     }
@@ -496,7 +581,7 @@ mod tests {
             tile_rows: 2,
             ..SpillConfig::in_memory(scratch_dir("abandoned"))
         };
-        let mut sink = TileSink::new(&cfg, 8);
+        let mut sink = TileSink::new(&cfg, 8, 0);
         sink.push(vec![0; 32]).unwrap();
         sink.push(vec![1; 32]).unwrap();
         assert_eq!(fs::read_dir(&cfg.dir).unwrap().count(), 2);
@@ -514,7 +599,7 @@ mod tests {
             tile_rows: 2,
             ..SpillConfig::in_memory(blocker.join("spill"))
         };
-        let err = TileSink::new(&cfg, 8).push(vec![0; 32]).unwrap_err();
+        let err = TileSink::new(&cfg, 8, 0).push(vec![0; 32]).unwrap_err();
         assert!(matches!(err, SweepError::Io(_)), "{err}");
         fs::remove_file(&blocker).unwrap();
     }
@@ -525,24 +610,25 @@ mod tests {
         let mapping = RankMapping::Block;
         let noise = NoiseModel::realistic(2);
         let cfg = SweepConfig::fast();
-        // 32 ranks, 4-row tiles → 8 tiles of 256 B; budget holds 2.
+        // 32 ranks of 8 kinds, 2-row tiles → 4 tiles of 32 B; next to the
+        // classing's 8 × 8 table of u32 (256 B) the budget holds 2.
         let spill = SpillConfig {
-            mem_budget_bytes: 512,
-            tile_rows: 4,
+            mem_budget_bytes: 256 + 2 * 32,
+            tile_rows: 2,
             ..SpillConfig::in_memory(scratch_dir("mixed"))
         };
         let (mixed, _, report) =
             measure_profile_clustered_compressed(&machine, &mapping, 32, noise, &cfg, &spill)
                 .unwrap();
-        assert_eq!(report.tiles, 8);
-        assert_eq!(report.spilled_tiles, 6);
-        assert_eq!(report.staged_peak_bytes, 512);
+        assert_eq!(report.tiles, 4);
+        assert_eq!(report.spilled_tiles, 2);
+        assert_eq!(report.staged_peak_bytes, 64);
         let baseline = SpillConfig::in_memory(scratch_dir("mixed_base"));
         let (full, _, _) =
             measure_profile_clustered_compressed(&machine, &mapping, 32, noise, &cfg, &baseline)
                 .unwrap();
         assert_eq!(mixed.fingerprint(), full.fingerprint());
-        assert_eq!(mixed.grid(), full.grid());
+        assert_eq!(mixed.class_map(), full.class_map());
         fs::remove_dir_all(&spill.dir).unwrap();
     }
 
@@ -566,8 +652,15 @@ mod tests {
                 .unwrap();
         assert!(report.exploded_pair_classes > 0);
         assert!(bit_equal(&model.to_dense(), &dense.cost));
-        // Exploded members each occupy their own appended class.
+        // Exploded members each occupy their own appended class, which an
+        // override puts into both orientations of the pair's cell.
         assert!(model.classes() > 6, "classes = {}", model.classes());
+        assert_eq!(model.class_map().kinds(), 4);
+        assert_eq!(
+            model.class_map().overrides().len(),
+            2 * (model.classes() - 6 - 16)
+        );
+        assert!(model.is_symmetric());
     }
 
     #[test]
@@ -590,10 +683,101 @@ mod tests {
         assert!(bit_equal(&model.to_dense(), &dense.cost));
     }
 
+    /// Classes by sockets alone, and by whether the *lower* rank of the
+    /// pair sits on socket 1: within the `rank_kind` contract (a symmetric
+    /// sweep never swaps the rank order of a pair), yet the two
+    /// orientations of kind pair (socket 0, socket 1) are two classes.
+    struct LowerRankSocket;
+
+    impl PairFeatureExtractor for LowerRankSocket {
+        fn pair_features(
+            &self,
+            machine: &MachineSpec,
+            (i, j): (usize, usize),
+            (core_a, core_b): (usize, usize),
+        ) -> PairFeatures {
+            let (a, b) = (machine.core(core_a).socket, machine.core(core_b).socket);
+            let lower = if i < j { a } else { b };
+            PairFeatures {
+                link: LinkClass::SameSocket,
+                hop_signature: 0,
+                socket_relation: (a.min(b) as u16, a.max(b) as u16),
+                noise_regime: 0,
+                refinement: u64::from(lower == 1),
+            }
+        }
+
+        fn rank_features(&self, machine: &MachineSpec, rank: usize, core: usize) -> RankFeatures {
+            TopologyExtractor::default().rank_features(machine, rank, core)
+        }
+
+        fn noise_regime(&self) -> u16 {
+            0
+        }
+
+        fn rank_kind(&self, machine: &MachineSpec, _rank: usize, core: usize) -> u64 {
+            machine.core(core).socket as u64
+        }
+    }
+
+    #[test]
+    fn rank_order_dependent_classes_refine_every_rank_to_a_kind() {
+        let machine = MachineSpec::new(1, 2, 4);
+        let p = 8;
+        let noise = NoiseModel::realistic(21);
+        for (mapping, kinds) in [
+            // Sockets one after the other: socket 1 is never the lower rank
+            // of a mixed pair, so the kind table has one orientation only.
+            (RankMapping::Block, 2),
+            // Sockets alternating in rank order: both orientations occur.
+            (RankMapping::Custom(vec![0, 4, 1, 5, 2, 6, 3, 7]), p),
+        ] {
+            // Whole classes, and every class exploded into overrides.
+            for explode_rel_tol in [f64::INFINITY, -1.0] {
+                let cfg = SweepConfig {
+                    explode_rel_tol,
+                    ..SweepConfig::fast()
+                };
+                let cores = mapping.place(&machine, p);
+                let classing = classify_pairs(
+                    &machine,
+                    &cores,
+                    p,
+                    &LowerRankSocket,
+                    &ClassingConfig {
+                        symmetric: true,
+                        probes_per_class: cfg.probes_per_class,
+                        probe_seed: cfg.probe_seed,
+                    },
+                );
+                let mut executor =
+                    SequentialExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+                let (m, _) =
+                    measure_classes(&cores, &classing, noise, &cfg, &mut executor).unwrap();
+                let dense = scatter_dense(&classing, &m);
+                let spill = SpillConfig {
+                    mem_budget_bytes: 0,
+                    tile_rows: 3,
+                    ..SpillConfig::in_memory(scratch_dir("orientation"))
+                };
+                let (model, report) = scatter_compressed_tiles(classing, &m, &spill).unwrap();
+                assert_eq!(model.class_map().kinds(), kinds);
+                assert_eq!(report.tiles, kinds.div_ceil(3));
+                assert!(bit_equal(&model.to_dense(), &dense));
+                assert_eq!(
+                    model.fingerprint(),
+                    hbar_topo::cost::cost_fingerprint(&dense)
+                );
+                assert!(model.is_symmetric());
+                fs::remove_dir_all(&spill.dir).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn class_overflow_is_reported_not_truncated() {
         // ExactExtractor at p = 384 yields 384·383/2 = 73 536 singleton
-        // pair classes — past the u16 grid's 65 536. The scatter must
+        // pair classes — past the u16 class id's 65 536. The scatter must
         // refuse up front (before measuring would even be attempted —
         // we synthesize the measurement phase's output to keep the test
         // fast).

@@ -836,7 +836,7 @@ pub(crate) fn measure_classes(
 /// or its own exact measurement when the class exploded. Allocates the
 /// full `|P|²` matrices; past P ≈ 4096 prefer the tiled class-grid scatter
 /// in [`crate::scatter`].
-fn scatter_dense(classing: &PairClassing, m: &ClassMeasurements) -> CostMatrices {
+pub(crate) fn scatter_dense(classing: &PairClassing, m: &ClassMeasurements) -> CostMatrices {
     let p = classing.p();
     let mut o = DenseMatrix::new(p);
     let mut l = DenseMatrix::new(p);

@@ -221,6 +221,32 @@ impl FingerprintStream {
         self.idx += 1;
     }
 
+    /// Absorbs `len` copies of `v` — what [`absorb`](Self::absorb) called
+    /// `len` times leaves behind. A backing that knows its rows as runs of
+    /// one value feeds them here: once the stream is at lane phase 0 every
+    /// step advances all four lanes, four independent multiply chains
+    /// that load nothing, instead of one chain fed through a gather.
+    #[inline]
+    pub fn absorb_run(&mut self, v: f64, len: usize) {
+        let head = (self.idx.wrapping_neg() & 3).min(len);
+        for _ in 0..head {
+            self.absorb(v);
+        }
+        let bits = v.to_bits();
+        let steps = (len - head) / 4;
+        let mut lanes = self.lanes;
+        for _ in 0..steps {
+            for lane in &mut lanes {
+                *lane = (*lane ^ bits).wrapping_mul(FNV_PRIME);
+            }
+        }
+        self.lanes = lanes;
+        self.idx += 4 * steps;
+        for _ in 0..len - head - 4 * steps {
+            self.absorb(v);
+        }
+    }
+
     /// Restarts the lane phase between the `O` and `L` matrices.
     pub fn matrix_boundary(&mut self) {
         self.idx = 0;
@@ -425,6 +451,29 @@ mod tests {
                 s.absorb(v);
             }
             assert_eq!(s.finish(p), cost_fingerprint(&c), "p = {p}");
+        }
+        // A run is `absorb` repeated, from every lane phase.
+        for phase in 0..4 {
+            for len in 0..10 {
+                let mut by_run = FingerprintStream::new();
+                let mut one_by_one = FingerprintStream::new();
+                for k in 0..phase {
+                    by_run.absorb(k as f64);
+                    one_by_one.absorb(k as f64);
+                }
+                by_run.absorb_run(-2.5, len);
+                for _ in 0..len {
+                    one_by_one.absorb(-2.5);
+                }
+                // The phase the run leaves behind shows in what follows.
+                by_run.absorb(7.0);
+                one_by_one.absorb(7.0);
+                assert_eq!(
+                    by_run.finish(3),
+                    one_by_one.finish(3),
+                    "phase {phase}, length {len}"
+                );
+            }
         }
     }
 

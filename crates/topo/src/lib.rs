@@ -28,10 +28,10 @@
 //! classes ([`features`]) — §IV-B's "replicate component submatrices"
 //! shortcut, generalized — that the decomposed profiling sweep clusters
 //! on. For machines past P ≈ 4096,
-//! [`compressed`] stores the same model as a `u16` class grid plus
-//! per-class value tables (2 bytes per pair instead of 16), and
-//! [`cost::CostProvider`] abstracts over both storages so the tuner
-//! never needs the dense matrices.
+//! [`compressed`] stores the same model as a `u16` class table over pairs
+//! of rank *kinds* plus per-class value tables (megabytes where the
+//! matrices are gigabytes), and [`cost::CostProvider`] abstracts over both
+//! storages so the tuner never needs the dense matrices.
 
 pub mod compressed;
 pub mod cost;
@@ -44,7 +44,7 @@ pub mod metric;
 pub mod profile;
 pub mod regress;
 
-pub use compressed::{CompressError, CompressedCostModel, MAX_CLASSES};
+pub use compressed::{ClassMap, CompressError, CompressedCostModel, ModelParts, MAX_CLASSES};
 pub use cost::{
     cost_fingerprint, CostMatrices, CostProvider, FingerprintStream, SendMode,
     COST_FINGERPRINT_VERSION,
@@ -55,4 +55,4 @@ pub use features::{
 pub use machine::{CoreId, GroundTruth, LinkClass, MachineSpec};
 pub use mapping::RankMapping;
 pub use metric::DistanceMetric;
-pub use profile::TopologyProfile;
+pub use profile::{CompactProfile, StoredProfile, TopologyProfile};

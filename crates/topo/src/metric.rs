@@ -9,6 +9,7 @@
 //! between distinct ranks `i, j` is the symmetrized single-message cost
 //! `(O_ij + O_ji) / 2`, and `d(i, i) = 0`.
 
+use crate::compressed::ClassMap;
 use crate::cost::CostMatrices;
 use hbar_matrix::DenseMatrix;
 use std::sync::Arc;
@@ -16,10 +17,10 @@ use std::sync::Arc;
 /// A finite metric space over ranks `0..p`, derived from measured costs.
 ///
 /// Two backings exist: a dense `p × p` distance matrix, and a
-/// class-compressed form sharing a `u16` class grid (normally the
-/// [`crate::compressed::CompressedCostModel`]'s own grid, zero extra
-/// memory) with one distance per class. Row access for clustering scans
-/// goes through [`row_into`](Self::row_into), which decompresses a
+/// class-compressed form sharing the [`ClassMap`] of the
+/// [`crate::compressed::CompressedCostModel`] it was derived from (zero
+/// extra memory) with one distance per class. Row access for clustering
+/// scans goes through [`row_into`](Self::row_into), which decompresses a
 /// classed row into caller-owned scratch and borrows a dense row
 /// directly, so neither backing allocates per query.
 #[derive(Clone, Debug)]
@@ -31,8 +32,9 @@ pub struct DistanceMetric {
 enum Backing {
     Dense(DenseMatrix<f64>),
     Classed {
+        /// `map.p()`.
         p: usize,
-        grid: Arc<Vec<u16>>,
+        map: Arc<ClassMap>,
         table: Vec<f64>,
         /// Per class: does it occur in an off-diagonal cell?
         off_diagonal: Vec<bool>,
@@ -99,49 +101,29 @@ impl DistanceMetric {
         }
     }
 
-    /// Builds a class-compressed metric: `d(i, j) = table[grid[i·p + j]]`.
+    /// Builds a class-compressed metric: `d(i, j) = table[class(i, j)]`.
     ///
-    /// The grid is shared (typically with the compressed cost model that
-    /// derived this metric), so the metric itself costs only the
-    /// per-class table. Every diagonal cell's class must map to `0.0`,
-    /// the grid must be symmetric, and `off_diagonal[c]` must say whether
-    /// class `c` occurs in an off-diagonal cell (the diameter of the whole
-    /// space is read off those flags, not off the grid) — the compressed
-    /// model guarantees all three by construction.
-    ///
-    /// # Panics
-    /// Panics if `grid.len() != p * p`, `off_diagonal` and `table` differ
-    /// in length, or a class id is outside `table`.
-    pub fn from_classes(
-        p: usize,
-        grid: Arc<Vec<u16>>,
+    /// The map is shared with the compressed cost model that derives this
+    /// metric, so the metric itself costs only the per-class table. Every
+    /// diagonal class must map to `0.0`, the map must be symmetric, and
+    /// `off_diagonal[c]` must say whether class `c` occurs in an
+    /// off-diagonal cell (the diameter of the whole space is read off
+    /// those flags, not off the cells) — the model guarantees all three
+    /// by construction.
+    pub(crate) fn from_classes(
+        map: Arc<ClassMap>,
         table: Vec<f64>,
         off_diagonal: Vec<bool>,
     ) -> Self {
-        assert_eq!(grid.len(), p * p, "class grid must be p × p");
         assert_eq!(off_diagonal.len(), table.len(), "one flag per class");
         debug_assert!(
-            grid.iter().all(|&c| (c as usize) < table.len()),
-            "class id out of table range"
-        );
-        debug_assert!(
-            (0..p).all(|i| table[grid[i * p + i] as usize] == 0.0),
+            map.diag().iter().all(|&c| table[c as usize] == 0.0),
             "diagonal classes must map to zero distance"
-        );
-        debug_assert!(
-            {
-                let mut occurs = vec![false; table.len()];
-                for (cell, &c) in grid.iter().enumerate() {
-                    occurs[c as usize] |= cell / p != cell % p;
-                }
-                occurs == off_diagonal
-            },
-            "off-diagonal flags must match the grid"
         );
         DistanceMetric {
             backing: Backing::Classed {
-                p,
-                grid,
+                p: map.p(),
+                map,
                 table,
                 off_diagonal,
             },
@@ -161,10 +143,7 @@ impl DistanceMetric {
     pub fn dist(&self, i: usize, j: usize) -> f64 {
         match &self.backing {
             Backing::Dense(d) => d[(i, j)],
-            Backing::Classed { p, grid, table, .. } => {
-                assert!(i < *p && j < *p, "index ({i},{j}) out of range {p}");
-                table[grid[i * p + j] as usize]
-            }
+            Backing::Classed { map, table, .. } => table[map.class_at(i, j) as usize],
         }
     }
 
@@ -186,17 +165,15 @@ impl DistanceMetric {
 
     /// All distances from rank `i`: a direct borrow for a dense metric,
     /// or a decompression of the class row into `scratch` (resized as
-    /// needed, reused across calls — no steady-state allocation).
+    /// needed, reused across calls — no steady-state allocation), the
+    /// table row of `i`'s kind looked up once for the whole row.
     #[inline]
     pub fn row_into<'a>(&'a self, i: usize, scratch: &'a mut Vec<f64>) -> &'a [f64] {
         match &self.backing {
             Backing::Dense(d) => d.row(i),
-            Backing::Classed { p, grid, table, .. } => {
+            Backing::Classed { p, map, table, .. } => {
                 scratch.resize(*p, 0.0);
-                let classes = &grid[i * p..(i + 1) * p];
-                for (dst, &c) in scratch.iter_mut().zip(classes) {
-                    *dst = table[c as usize];
-                }
+                map.row(i).values_into(table, scratch);
                 &scratch[..]
             }
         }
@@ -217,11 +194,11 @@ impl DistanceMetric {
         }
     }
 
-    /// Diameter restricted to a subset of ranks. Scans class rows
-    /// through the table directly, so no decompression buffer is needed;
-    /// for the whole space `0..p` of a classed metric (the root of a
-    /// cluster tree) it folds the same `max` over the classes present off
-    /// the diagonal instead of over the `p²/2` cells that hold them.
+    /// Diameter restricted to a subset of ranks. Reads classes row by
+    /// row (the row's kind looked up once), so no decompression buffer is
+    /// needed; for the whole space `0..p` of a classed metric (the root of
+    /// a cluster tree) it folds the same `max` over the classes present
+    /// off the diagonal instead of over the `p²/2` cells that hold them.
     pub fn diameter_of(&self, members: &[usize]) -> f64 {
         let mut max = 0.0f64;
         match &self.backing {
@@ -241,11 +218,11 @@ impl DistanceMetric {
             } if members.len() == *p && members.iter().enumerate().all(|(i, &m)| i == m) => {
                 max = off_diagonal_distances(table, off_diagonal).fold(max, f64::max);
             }
-            Backing::Classed { p, grid, table, .. } => {
+            Backing::Classed { map, table, .. } => {
                 for (a, &i) in members.iter().enumerate() {
-                    let row = &grid[i * p..(i + 1) * p];
+                    let row = map.row(i);
                     for &j in &members[a + 1..] {
-                        max = max.max(table[row[j] as usize]);
+                        max = max.max(table[row.class(j) as usize]);
                     }
                 }
             }
@@ -319,6 +296,8 @@ fn off_diagonal_distances<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressed::CompressedCostModel;
+    use crate::cost::CostProvider;
     use crate::machine::MachineSpec;
     use crate::mapping::RankMapping;
     use crate::profile::TopologyProfile;
@@ -386,25 +365,29 @@ mod tests {
             .any(|x| matches!(x, MetricViolation::NonPositive { i: 0, j: 1, .. })));
     }
 
-    /// A classed metric over a shared grid must agree with the dense
+    /// The metric of a compressed model over a class grid, class `c` at
+    /// distance `distances[c]` (0 for the classes on the diagonal).
+    fn classed(p: usize, grid: &[u16], distances: &[f64]) -> DistanceMetric {
+        let l = vec![0.0; distances.len()];
+        CompressedCostModel::from_parts(p, grid.to_vec(), distances.to_vec(), l)
+            .expect("a valid grid")
+            .distance_metric()
+    }
+
+    /// A classed metric over a shared map must agree with the dense
     /// metric built from the decompressed matrix, for every accessor.
     #[test]
     fn classed_metric_matches_dense_equivalent() {
         // 3 ranks, 2 off-diagonal classes + 1 diagonal class.
         let p = 3;
         #[rustfmt::skip]
-        let grid = Arc::new(vec![
+        let grid = [
             2u16, 0, 1,
             0, 2, 0,
             1, 0, 2,
-        ]);
-        let table = vec![4.0, 9.0, 0.0];
-        let classed = DistanceMetric::from_classes(
-            p,
-            Arc::clone(&grid),
-            table.clone(),
-            vec![true, true, false],
-        );
+        ];
+        let table = [4.0, 9.0, 0.0];
+        let classed = classed(p, &grid, &table);
         let dense = DistanceMetric::from_matrix(DenseMatrix::from_fn(p, |i, j| {
             table[grid[i * p + j] as usize]
         }));
@@ -428,24 +411,23 @@ mod tests {
     /// for NaN and infinite distances and a class no cell uses.
     #[test]
     fn whole_space_diameter_matches_the_cell_scan() {
-        let p = 4;
-        let build = |table: Vec<f64>| {
+        let build = |table: [f64; 5]| {
             #[rustfmt::skip]
-            let grid = Arc::new(vec![
+            let grid = [
                 3u16, 0, 1, 0,
                 0, 3, 0, 2,
                 1, 0, 3, 0,
                 0, 2, 0, 3,
-            ]);
-            DistanceMetric::from_classes(p, grid, table, vec![true, true, true, false, false])
+            ];
+            classed(4, &grid, &table)
         };
         let identity = [0, 1, 2, 3];
         let reordered = [1, 0, 2, 3];
         for (table, diameter) in [
-            (vec![4.0, 9.0, 2.0, 0.0, 99.0], 9.0),
-            (vec![4.0, f64::NAN, 2.0, 0.0, 99.0], 4.0),
-            (vec![4.0, f64::INFINITY, 2.0, 0.0, 99.0], 4.0),
-            (vec![f64::NAN, f64::NAN, f64::NAN, 0.0, 99.0], 0.0),
+            ([4.0, 9.0, 2.0, 0.0, 99.0], 9.0),
+            ([4.0, f64::NAN, 2.0, 0.0, 99.0], 4.0),
+            ([4.0, f64::INFINITY, 2.0, 0.0, 99.0], 4.0),
+            ([f64::NAN, f64::NAN, f64::NAN, 0.0, 99.0], 0.0),
         ] {
             let m = build(table);
             assert_eq!(
@@ -455,7 +437,7 @@ mod tests {
             assert_eq!(m.diameter(), diameter);
         }
         assert_eq!(
-            build(vec![4.0, f64::INFINITY, 2.0, 0.0, 99.0]).diameter_of(&identity),
+            build([4.0, f64::INFINITY, 2.0, 0.0, 99.0]).diameter_of(&identity),
             f64::INFINITY
         );
     }
@@ -463,9 +445,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "use row_into")]
     fn classed_metric_has_no_borrowable_rows() {
-        let grid = Arc::new(vec![0u16]);
-        let m = DistanceMetric::from_classes(1, grid, vec![0.0], vec![false]);
-        let _ = m.row(0);
+        let _ = classed(1, &[0], &[0.0]).row(0);
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! can be costed off-line "without occupying the target machine". A
 //! [`TopologyProfile`] is that stored artifact: the machine identity, the
 //! placement it was measured under, and the `O`/`L` matrices.
+//! [`CompactProfile`] is the same artifact with the costs kept
+//! class-compressed — megabytes where the matrices are gigabytes — and
+//! [`StoredProfile`] reads a file of either form.
 
-use crate::cost::CostMatrices;
+use crate::compressed::CompressedCostModel;
+use crate::cost::{CostMatrices, CostProvider};
 use crate::machine::MachineSpec;
 use crate::mapping::RankMapping;
 use hbar_matrix::DenseMatrix;
@@ -126,10 +130,146 @@ impl TopologyProfile {
     }
 }
 
+/// A profile whose costs stay class-compressed (what
+/// `hbar profile --compressed` writes): the model's kind map and value
+/// tables instead of two `p × p` matrices. Reading one validates the model
+/// exactly as building it did.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct CompactProfile {
+    /// The machine the profile was collected on.
+    pub machine: MachineSpec,
+    /// The rank→core placement in effect during collection.
+    pub mapping: RankMapping,
+    /// Number of ranks profiled.
+    pub p: usize,
+    /// The cost model.
+    pub model: CompressedCostModel,
+}
+
+impl CompactProfile {
+    /// Writes the profile to `path` as JSON (one line: the kind table has
+    /// millions of entries).
+    pub fn save(&self, path: &Path) -> io::Result<()> {
+        fs::write(
+            path,
+            serde_json::to_string(self).expect("profile serialization cannot fail"),
+        )
+    }
+}
+
+/// A profile file of either form.
+#[derive(Clone, Debug, PartialEq)]
+pub enum StoredProfile {
+    Dense(TopologyProfile),
+    Compact(CompactProfile),
+}
+
+impl StoredProfile {
+    /// Deserializes either form from JSON; a compact profile is one with
+    /// a `model`. A malformed model is an error like any other.
+    pub fn from_json(json: &str) -> Result<Self, String> {
+        let document: serde::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        if document.get("model").is_none() {
+            return TopologyProfile::from_value(&document).map(StoredProfile::Dense);
+        }
+        let profile = CompactProfile::from_value(&document)?;
+        if profile.model.p() != profile.p {
+            return Err(format!(
+                "profile of {} ranks holds a model of {}",
+                profile.p,
+                profile.model.p()
+            ));
+        }
+        Ok(StoredProfile::Compact(profile))
+    }
+
+    /// Writes the profile to `path` in the form it has.
+    pub fn save(&self, path: &Path) -> io::Result<()> {
+        match self {
+            StoredProfile::Dense(profile) => profile.save(path),
+            StoredProfile::Compact(profile) => profile.save(path),
+        }
+    }
+
+    /// Reads a profile of either form from `path`.
+    pub fn load(path: &Path) -> io::Result<Self> {
+        let text = fs::read_to_string(path)?;
+        Self::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    /// The machine the profile was collected on.
+    pub fn machine(&self) -> &MachineSpec {
+        match self {
+            StoredProfile::Dense(profile) => &profile.machine,
+            StoredProfile::Compact(profile) => &profile.machine,
+        }
+    }
+
+    /// The rank→core placement in effect during collection.
+    pub fn mapping(&self) -> &RankMapping {
+        match self {
+            StoredProfile::Dense(profile) => &profile.mapping,
+            StoredProfile::Compact(profile) => &profile.mapping,
+        }
+    }
+
+    /// Number of ranks profiled.
+    pub fn p(&self) -> usize {
+        match self {
+            StoredProfile::Dense(profile) => profile.p,
+            StoredProfile::Compact(profile) => profile.p,
+        }
+    }
+
+    /// The costs, in whichever storage the file had them.
+    pub fn cost(&self) -> &dyn CostProvider {
+        match self {
+            StoredProfile::Dense(profile) => &profile.cost,
+            StoredProfile::Compact(profile) => &profile.model,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::LinkClass;
+
+    #[test]
+    fn stored_profile_reads_both_forms() {
+        let m = MachineSpec::new(2, 2, 2);
+        let dense = TopologyProfile::from_ground_truth(&m, &RankMapping::Block);
+        let compact = CompactProfile {
+            machine: m.clone(),
+            mapping: RankMapping::Block,
+            p: dense.p,
+            model: CompressedCostModel::from_dense(&dense.cost).unwrap(),
+        };
+        let dir = std::env::temp_dir().join("hbar_topo_stored_profile_test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("compact.json");
+        StoredProfile::Compact(compact.clone()).save(&path).unwrap();
+        let back = StoredProfile::load(&path).unwrap();
+        assert_eq!(back, StoredProfile::Compact(compact.clone()));
+        fs::remove_file(&path).ok();
+        let read = StoredProfile::from_json(&dense.to_json()).unwrap();
+        assert_eq!(read, StoredProfile::Dense(dense.clone()));
+        for profile in [&back, &read] {
+            assert_eq!((profile.p(), profile.machine()), (8, &m));
+            assert_eq!(profile.mapping(), &RankMapping::Block);
+            assert_eq!(profile.cost().fingerprint(), dense.cost.fingerprint());
+            assert_eq!(profile.cost().o_at(1, 6), dense.cost.o[(1, 6)]);
+        }
+        // The rank count stated twice has to agree, and what a model
+        // rejects a file cannot smuggle in.
+        let short = CompactProfile { p: 7, ..compact };
+        let json = serde_json::to_string(&short).unwrap();
+        let err = StoredProfile::from_json(&json).unwrap_err();
+        assert!(err.contains("7 ranks"), "{err}");
+        let err =
+            StoredProfile::from_json(&json.replace("\"kinds\":8", "\"kinds\":9")).unwrap_err();
+        assert!(err.contains("expected 9x9"), "{err}");
+    }
 
     #[test]
     fn ground_truth_profile_reflects_link_classes() {

@@ -19,15 +19,17 @@
 //! TCP processes, falling back to local execution if the fleet dies.
 //!
 //! `--compressed` (implies `--clustered`) runs the out-of-core scatter:
-//! class-grid tiles are staged under `--mem-budget` bytes (default
-//! unbounded) and spilled to a scratch directory beyond it, so the
-//! sweep itself runs in bounded resident memory even at P ≫ 4096. The
-//! written profile is the standard dense document (expanded from the
-//! class grid on save, bit-identical to the dense sweep).
+//! the class table's tiles are staged under `--mem-budget` bytes (default
+//! unbounded) and spilled to a scratch directory beyond it, and the
+//! profile is written *compact* — the class-compressed model itself
+//! (`{machine, mapping, p, model}`, about 10 MB at P = 8192 where the
+//! dense document holds two 67 M-entry matrices). `tune`, `predict` and
+//! `simulate` read either form and give the same answers from both;
+//! `heatmap` and `search` work on matrices and want the dense one.
 
 use hbarrier::core::codegen::{c_source, compile_schedule, rust_source};
-use hbarrier::core::compose::{tune_hybrid_for, TunerConfig};
-use hbarrier::core::cost::{predict_barrier_cost, CostParams};
+use hbarrier::core::compose::{tune_hybrid_costs, tune_hybrid_for, TunerConfig};
+use hbarrier::core::cost::{CostEvaluator, CostParams};
 use hbarrier::core::schedule::BarrierSchedule;
 use hbarrier::core::verify;
 use hbarrier::prelude::*;
@@ -39,6 +41,7 @@ use hbarrier::simnet::profiling::{measure_profile, ProfilingConfig};
 use hbarrier::simnet::sweep::{measure_profile_clustered, measure_profile_decomposed, SweepConfig};
 use hbarrier::simnet::NoiseModel;
 use hbarrier::topo::heatmap::render_labelled;
+use hbarrier::topo::profile::{CompactProfile, StoredProfile};
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -268,9 +271,21 @@ fn parse_mapping(spec: &str) -> Result<RankMapping, String> {
     }
 }
 
-fn load_profile(flags: &Flags) -> Result<TopologyProfile, String> {
+/// The profile file of either form: dense matrices or a compact model.
+fn load_profile(flags: &Flags) -> Result<StoredProfile, String> {
     let path = req(flags, "profile")?;
-    TopologyProfile::load(Path::new(path)).map_err(|e| format!("cannot load profile {path}: {e}"))
+    StoredProfile::load(Path::new(path)).map_err(|e| format!("cannot load profile {path}: {e}"))
+}
+
+/// For the commands that work on the matrices themselves.
+fn load_dense_profile(flags: &Flags, command: &str) -> Result<TopologyProfile, String> {
+    match load_profile(flags)? {
+        StoredProfile::Dense(profile) => Ok(profile),
+        StoredProfile::Compact(_) => Err(format!(
+            "`{command}` needs a dense profile; {} is a compact one (profile without --compressed)",
+            req(flags, "profile")?
+        )),
+    }
 }
 
 fn load_schedule(flags: &Flags) -> Result<BarrierSchedule, String> {
@@ -289,13 +304,15 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     let out = req(flags, "out")?;
     // --workers implies the decomposed sweep: only classed descriptor
     // batches can be shipped over the wire. --compressed implies it
-    // too: the class-grid scatter exists only for the classed sweep.
+    // too: the class-table scatter exists only for the classed sweep.
     let compressed = flags.contains_key("compressed");
     let clustered = flags.contains_key("clustered") || flags.contains_key("workers") || compressed;
     let mut summary = format!("{} pairwise estimates", p * (p - 1) / 2);
     let profile = if flags.contains_key("exact-machine") {
         // Closed-form noise-free profile (no benchmarking).
-        TopologyProfile::from_ground_truth_for(&machine, &mapping, p)
+        StoredProfile::Dense(TopologyProfile::from_ground_truth_for(
+            &machine, &mapping, p,
+        ))
     } else {
         let seed: u64 = flags
             .get("seed")
@@ -342,20 +359,21 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
                 )
                 .map_err(|e| format!("compressed sweep failed: {e}"))?;
                 println!(
-                    "scatter: {} classes in a {} B grid ({} of {} tiles spilled, {} B to disk)",
+                    "scatter: {} classes over {} kinds of rank in {} B ({} of {} tiles spilled, {} B to disk)",
                     model.classes(),
+                    model.class_map().kinds(),
                     model.heap_bytes(),
                     spilled.spilled_tiles,
                     spilled.tiles,
                     spilled.spill_bytes
                 );
-                let profile = TopologyProfile {
+                let profile = CompactProfile {
                     machine: machine.clone(),
                     mapping,
                     p,
-                    cost: model.to_dense(),
+                    model,
                 };
-                (profile, report)
+                (StoredProfile::Compact(profile), report)
             } else if let Some(list) = flags.get("workers") {
                 let addrs: Vec<String> = list
                     .split(',')
@@ -373,7 +391,7 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
                     sweep_cfg.profiling.clone(),
                     FleetOptions::default(),
                 );
-                let result = measure_profile_decomposed(
+                let (profile, report) = measure_profile_decomposed(
                     &machine, &mapping, p, noise, &sweep_cfg, &mut fleet,
                 )
                 .map_err(|e| format!("distributed sweep failed: {e}"))?;
@@ -384,9 +402,11 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
                         }
                     }
                 }
-                result
+                (StoredProfile::Dense(profile), report)
             } else {
-                measure_profile_clustered(&machine, &mapping, p, noise, &sweep_cfg)
+                let (profile, report) =
+                    measure_profile_clustered(&machine, &mapping, p, noise, &sweep_cfg);
+                (StoredProfile::Dense(profile), report)
             };
             summary = format!(
                 "{} classes, {} measurements, {:.0}x fewer than exhaustive",
@@ -396,7 +416,7 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
             );
             profile
         } else {
-            measure_profile(&machine, &mapping, p, noise, &cfg)
+            StoredProfile::Dense(measure_profile(&machine, &mapping, p, noise, &cfg))
         }
     };
     profile
@@ -566,13 +586,13 @@ fn cmd_tune(flags: &Flags) -> Result<(), String> {
     if let Some(s) = flags.get("sparseness") {
         cfg.sparseness = s.parse().map_err(|_| "bad --sparseness".to_string())?;
     }
-    let members: Vec<usize> = (0..profile.p).collect();
-    let tuned = tune_hybrid_for(&profile, &members, &cfg);
+    let members: Vec<usize> = (0..profile.p()).collect();
+    let tuned = tune_hybrid_costs(profile.cost(), &members, &cfg);
     let json = serde_json::to_string_pretty(&tuned.schedule).expect("schedule serializes");
     std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
         "tuned hybrid for {} ranks: {} stages, {} signals, root {:?}, predicted {:.1} us -> {out}",
-        profile.p,
+        profile.p(),
         tuned.schedule.len(),
         tuned.schedule.total_signals(),
         tuned.root_algorithm(),
@@ -593,14 +613,14 @@ fn cmd_tune(flags: &Flags) -> Result<(), String> {
 fn cmd_predict(flags: &Flags) -> Result<(), String> {
     let profile = load_profile(flags)?;
     let schedule = load_schedule(flags)?;
-    if schedule.n() != profile.p {
+    if schedule.n() != profile.p() {
         return Err(format!(
             "schedule covers {} ranks but profile has {}",
             schedule.n(),
-            profile.p
+            profile.p()
         ));
     }
-    let pred = predict_barrier_cost(&schedule, &profile.cost, &CostParams::default(), None);
+    let pred = CostEvaluator::new(CostParams::default()).predict(&schedule, profile.cost(), None);
     println!("predicted barrier cost: {:.3} us", pred.barrier_cost * 1e6);
     println!(
         "per-stage frontier (us): {:?}",
@@ -646,11 +666,11 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
         .transpose()?
         .unwrap_or(1);
     let cfg = SimConfig {
-        machine: profile.machine.clone(),
-        mapping: profile.mapping.clone(),
+        machine: profile.machine().clone(),
+        mapping: profile.mapping().clone(),
         noise: NoiseModel::realistic(seed),
     };
-    let mut world = SimWorld::new(cfg, profile.p);
+    let mut world = SimWorld::new(cfg, profile.p());
     let t = measure_schedule(&mut world, &schedule, reps);
     println!(
         "measured barrier cost: {:.3} us (mean of {reps} executions)",
@@ -679,7 +699,7 @@ fn cmd_codegen(flags: &Flags) -> Result<(), String> {
 
 fn cmd_search(flags: &Flags) -> Result<(), String> {
     use hbarrier::core::compose::{search_optimal_barrier, SearchConfig};
-    let profile = load_profile(flags)?;
+    let profile = load_dense_profile(flags, "search")?;
     let out = req(flags, "out")?;
     if profile.p > 6 {
         eprintln!(
@@ -716,7 +736,7 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_heatmap(flags: &Flags) -> Result<(), String> {
-    let profile = load_profile(flags)?;
+    let profile = load_dense_profile(flags, "heatmap")?;
     let which = flags.get("matrix").map(String::as_str).unwrap_or("l");
     let (matrix, label) = match which {
         "l" => (&profile.cost.l, "L matrix (per-message latency)"),

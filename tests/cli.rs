@@ -285,3 +285,118 @@ fn preset_machines_parse() {
     assert_eq!(prof.machine.cores_per_node(), 8);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn compact_profile_tunes_like_the_dense_one() {
+    use hbarrier::topo::profile::StoredProfile;
+
+    let dir = workdir("compact");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (dense, compact) = (path("dense.json"), path("compact.json"));
+    let sweep = [
+        "profile",
+        "--machine",
+        "8x2x4",
+        "--mapping",
+        "block",
+        "--fast",
+        "--seed",
+        "5",
+    ];
+    // The same sweep, scattered into matrices and into a compressed model
+    // whose every tile went through the spill directory.
+    let o = hbar(&[&sweep[..], &["--clustered", "--out", &dense]].concat());
+    assert!(o.status.success(), "{}", stderr(&o));
+    let o = hbar(
+        &[
+            &sweep[..],
+            &["--compressed", "--mem-budget", "1", "--out", &compact],
+        ]
+        .concat(),
+    );
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(stdout(&o).contains("16 kinds of rank"), "{}", stdout(&o));
+    assert!(
+        stdout(&o).contains("(1 of 1 tiles spilled"),
+        "{}",
+        stdout(&o)
+    );
+    let kilobytes = |file: &str| std::fs::metadata(file).unwrap().len() / 1024;
+    assert!(kilobytes(&compact) * 20 < kilobytes(&dense));
+    let StoredProfile::Compact(stored) = StoredProfile::load(compact.as_ref()).unwrap() else {
+        panic!("--compressed writes the compact form");
+    };
+    assert_eq!((stored.p, stored.model.class_map().kinds()), (64, 16));
+
+    // tune, predict and simulate read either file and say the same.
+    let (from_dense, from_compact) = (path("dense.sched.json"), path("compact.sched.json"));
+    for (profile, schedule) in [(&dense, &from_dense), (&compact, &from_compact)] {
+        let o = hbar(&["tune", "--profile", profile, "--out", schedule]);
+        assert!(o.status.success(), "{}", stderr(&o));
+        assert!(stdout(&o).contains("tuned hybrid for 64 ranks"));
+    }
+    let schedule = std::fs::read(&from_dense).unwrap();
+    assert!(schedule == std::fs::read(&from_compact).unwrap());
+    let answers = |command: &str| {
+        [&dense, &compact].map(|profile| {
+            let o = hbar(&[command, "--profile", profile, "--schedule", &from_dense]);
+            assert!(o.status.success(), "{}", stderr(&o));
+            stdout(&o)
+        })
+    };
+    let [by_dense, by_compact] = answers("predict");
+    assert!(by_dense.contains("predicted barrier cost") && by_dense == by_compact);
+    let [by_dense, by_compact] = answers("simulate");
+    assert!(by_dense.contains("measured barrier cost") && by_dense == by_compact);
+
+    // What works on matrices says so.
+    for command in [
+        vec!["heatmap", "--profile", &compact],
+        vec!["search", "--profile", &compact, "--out", &from_compact],
+    ] {
+        let o = hbar(&command);
+        assert_eq!(o.status.code(), Some(1));
+        assert!(
+            stderr(&o).contains("needs a dense profile"),
+            "{}",
+            stderr(&o)
+        );
+    }
+
+    // A compact file that breaks the model's contract is an error message.
+    let document = |parts: &hbarrier::topo::ModelParts| {
+        format!(
+            r#"{{"machine":{},"mapping":{},"p":64,"model":{}}}"#,
+            serde_json::to_string(&stored.machine).unwrap(),
+            serde_json::to_string(&stored.mapping).unwrap(),
+            serde_json::to_string(parts).unwrap()
+        )
+    };
+    let sound = stored.model.to_parts();
+    let broken = path("broken.json");
+    std::fs::write(&broken, document(&sound)).unwrap();
+    let o = hbar(&["tune", "--profile", &broken, "--out", &from_compact]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let mut out_of_range = sound.clone();
+    out_of_range.table[16 + 3] = 6;
+    let mut short_table = sound.clone();
+    short_table.table.pop();
+    let mut unsorted = sound;
+    unsorted.overrides = vec![(5, 9, 0), (5, 8, 0)];
+    for (parts, complaint) in [
+        (out_of_range, "references class 6, but only 6 classes exist"),
+        (short_table, "class table has 255 cells, expected 16x16"),
+        (unsorted, "override 1 is not after its predecessor"),
+    ] {
+        std::fs::write(&broken, document(&parts)).unwrap();
+        let o = hbar(&["tune", "--profile", &broken, "--out", &from_compact]);
+        assert_eq!(o.status.code(), Some(1), "{}", stderr(&o));
+        assert!(
+            stderr(&o).contains("error: cannot load profile"),
+            "{}",
+            stderr(&o)
+        );
+        assert!(stderr(&o).contains(complaint), "{}", stderr(&o));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

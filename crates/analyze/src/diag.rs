@@ -45,11 +45,11 @@ impl Serialize for Severity {
 }
 
 /// Stable diagnostic codes. The numeric part never changes meaning; new
-/// checks get new codes.
+/// checks get new codes. A001 (self-signal) and A007 (stage dimension) are
+/// retired, not reused: a `BarrierSchedule` can no longer hold either, its
+/// `push` and its JSON reader reject them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Code {
-    /// A001: a rank signals itself in some stage.
-    SelfSignal,
     /// A002: a stage carries no signals at all.
     EmptyStage,
     /// A003: a signal whose removal leaves the final Eq. 3 knowledge
@@ -63,8 +63,6 @@ pub enum Code {
     /// A006 (opt-in via strict modes): a `General` (Eq. 1) stage whose
     /// receivers all provably await — Eq. 2 would model it more tightly.
     PessimisticMode,
-    /// A007: a stage matrix dimension differs from the schedule's.
-    StageDimension,
     /// A010: total sends from `i` to `j` differ from total receives.
     UnmatchedSignal,
     /// A011: abstract execution of the rank programs cannot complete.
@@ -85,13 +83,11 @@ impl Code {
     /// The stable code string, e.g. `"A003"`.
     pub fn as_str(self) -> &'static str {
         match self {
-            Code::SelfSignal => "A001",
             Code::EmptyStage => "A002",
             Code::DeadSignal => "A003",
             Code::ModeUnsound => "A004",
             Code::NonBarrier => "A005",
             Code::PessimisticMode => "A006",
-            Code::StageDimension => "A007",
             Code::UnmatchedSignal => "A010",
             Code::Deadlock => "A011",
             Code::InvalidProgram => "A012",

@@ -3,9 +3,10 @@
 //! Everything else in this workspace establishes correctness dynamically:
 //! the Eq. 3 closure *runs* over a schedule, generated code is trusted,
 //! and the threadrun primitives are only exercised by tests. This crate
-//! adds the static layer: a schedule (from the tuner, or from untrusted
-//! JSON) is checked for structural defects, non-synchronization, dead
-//! signals, unsound Eq. 2 cost modes, deadlocks in its compiled rank
+//! adds the static layer: a schedule (from the tuner, or read from JSON,
+//! which rejects malformed stages at the door) is checked for empty
+//! stages, non-synchronization, dead signals, unsound Eq. 2 cost modes,
+//! deadlocks in its compiled rank
 //! programs, and drift between those programs and the emitted C/Rust
 //! sources — all before anything executes.
 //!
@@ -74,25 +75,21 @@ impl AnalyzeConfig {
 /// Runs every configured pass over `schedule`.
 pub fn analyze_schedule(schedule: &BarrierSchedule, cfg: &AnalyzeConfig) -> AnalysisReport {
     let mut diagnostics = Vec::new();
-    let well_formed = lints::lint_schedule(schedule, cfg, &mut diagnostics);
-    if well_formed {
-        // Structural lints mirror compile_schedule's own validation, so
-        // compilation cannot fail here; keep the error path anyway.
-        match compile_schedule(schedule) {
-            Ok(programs) => {
-                if cfg.progress {
-                    progress::check_programs(schedule.n(), &programs, &mut diagnostics);
-                }
-                if cfg.roundtrip {
-                    roundtrip::check_roundtrip(&programs, &cfg.codegen_name, &mut diagnostics);
-                }
+    lints::lint_schedule(schedule, cfg, &mut diagnostics);
+    match compile_schedule(schedule) {
+        Ok(programs) => {
+            if cfg.progress {
+                progress::check_programs(schedule.n(), &programs, &mut diagnostics);
             }
-            Err(e) => diagnostics.push(Diagnostic::new(
-                Code::InvalidProgram,
-                Severity::Error,
-                format!("schedule does not compile: {e}"),
-            )),
+            if cfg.roundtrip {
+                roundtrip::check_roundtrip(&programs, &cfg.codegen_name, &mut diagnostics);
+            }
         }
+        Err(e) => diagnostics.push(Diagnostic::new(
+            Code::InvalidProgram,
+            Severity::Error,
+            format!("schedule does not compile: {e}"),
+        )),
     }
     AnalysisReport {
         n: schedule.n(),

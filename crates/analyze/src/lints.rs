@@ -1,4 +1,4 @@
-//! Schedule-level lints: structural checks, barrier verification, mode
+//! Schedule-level lints: empty stages, barrier verification, mode
 //! soundness (Eq. 1 vs Eq. 2), and dead-signal detection via closure
 //! deltas.
 
@@ -9,51 +9,17 @@ use hbar_core::verify;
 use hbar_matrix::ClosureWorkspace;
 use hbar_topo::cost::SendMode;
 
-/// Runs all schedule lints, appending findings to `out`. Returns `false`
-/// when the schedule is structurally malformed (dimension mismatch /
-/// self-signals), in which case closure-based passes were skipped and the
-/// caller should not attempt compilation either.
+/// Runs all schedule lints, appending findings to `out`. (That every
+/// stage has the schedule's dimension and no rank signals itself is an
+/// invariant of [`BarrierSchedule`], enforced where stages enter it.)
 pub(crate) fn lint_schedule(
     schedule: &BarrierSchedule,
     cfg: &AnalyzeConfig,
     out: &mut Vec<Diagnostic>,
-) -> bool {
+) {
     let n = schedule.n();
-    let mut well_formed = true;
     for (si, stage) in schedule.stages().iter().enumerate() {
-        if stage.matrix.n() != n {
-            out.push(
-                Diagnostic::new(
-                    Code::StageDimension,
-                    Severity::Error,
-                    format!(
-                        "stage matrix is {}x{} but the schedule covers {n} ranks",
-                        stage.matrix.n(),
-                        stage.matrix.n()
-                    ),
-                )
-                .with_stage(si),
-            );
-            well_formed = false;
-            continue;
-        }
-        let mut signals = 0usize;
-        for (i, j) in stage.matrix.edges() {
-            signals += 1;
-            if i == j {
-                out.push(
-                    Diagnostic::new(
-                        Code::SelfSignal,
-                        Severity::Error,
-                        format!("rank {i} signals itself"),
-                    )
-                    .with_stage(si)
-                    .with_rank(i),
-                );
-                well_formed = false;
-            }
-        }
-        if signals == 0 {
+        if stage.matrix.is_zero() {
             out.push(
                 Diagnostic::new(
                     Code::EmptyStage,
@@ -63,9 +29,6 @@ pub(crate) fn lint_schedule(
                 .with_stage(si),
             );
         }
-    }
-    if !well_formed {
-        return false;
     }
 
     // Knowledge trace: states[s] is the knowledge matrix *before* stage s
@@ -183,7 +146,6 @@ pub(crate) fn lint_schedule(
             }
         }
     }
-    true
 }
 
 #[cfg(test)]
@@ -191,23 +153,12 @@ mod tests {
     use super::*;
     use hbar_core::algorithms::Algorithm;
     use hbar_core::schedule::Stage;
-    use hbar_matrix::BoolMatrix;
+    use hbar_matrix::SparseBoolMatrix;
 
     fn run(schedule: &BarrierSchedule, cfg: &AnalyzeConfig) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         lint_schedule(schedule, cfg, &mut out);
         out
-    }
-
-    /// Builds a schedule through the serde data model, the way `hbar
-    /// codegen --schedule` receives them — bypassing `push` validation.
-    fn unchecked_schedule(n: usize, stages: &[Stage]) -> BarrierSchedule {
-        use serde::{Deserialize, Serialize, Value};
-        let v = Value::Object(vec![
-            ("n".to_string(), Value::UInt(n as u64)),
-            ("stages".to_string(), stages.to_value()),
-        ]);
-        BarrierSchedule::from_value(&v).expect("layout matches")
     }
 
     fn codes(diags: &[Diagnostic]) -> Vec<Code> {
@@ -222,29 +173,17 @@ mod tests {
     }
 
     #[test]
-    fn self_signal_and_empty_stage_are_flagged() {
-        let mut m = BoolMatrix::zeros(3);
-        m.set(1, 1, true);
-        let sched = unchecked_schedule(
-            3,
-            &[Stage::arrival(m), Stage::arrival(BoolMatrix::zeros(3))],
-        );
+    fn empty_stage_is_flagged() {
+        let mut sched = Algorithm::Linear.full_schedule(3, &[0, 1, 2]);
+        sched.push(Stage::arrival(SparseBoolMatrix::zeros(3)));
         let diags = run(&sched, &AnalyzeConfig::default());
-        assert_eq!(codes(&diags), vec![Code::SelfSignal, Code::EmptyStage]);
-        assert_eq!(diags[0].stage, Some(0));
-        assert_eq!(diags[0].rank, Some(1));
-    }
-
-    #[test]
-    fn dimension_mismatch_stops_closure_passes() {
-        let sched = unchecked_schedule(3, &[Stage::arrival(BoolMatrix::from_edges(2, &[(0, 1)]))]);
-        let diags = run(&sched, &AnalyzeConfig::default());
-        assert_eq!(codes(&diags), vec![Code::StageDimension]);
+        assert_eq!(codes(&diags), vec![Code::EmptyStage]);
+        assert_eq!(diags[0].stage, Some(2));
     }
 
     #[test]
     fn non_barrier_reports_witnesses() {
-        let stages = vec![BoolMatrix::from_edges(3, &[(0, 1)])];
+        let stages = vec![SparseBoolMatrix::from_edges(3, [(0, 1)])];
         let sched = BarrierSchedule::from_arrival_matrices(3, stages);
         let diags = run(&sched, &AnalyzeConfig::default());
         assert!(codes(&diags).contains(&Code::NonBarrier));
@@ -261,8 +200,8 @@ mod tests {
         // Stage 0 as departure: nobody's arrival is known yet, so every
         // Eq. 2 signal is unsound.
         let mut sched = BarrierSchedule::new(2);
-        sched.push(Stage::departure(BoolMatrix::from_edges(2, &[(0, 1)])));
-        sched.push(Stage::arrival(BoolMatrix::from_edges(2, &[(1, 0)])));
+        sched.push(Stage::departure(SparseBoolMatrix::from_edges(2, [(0, 1)])));
+        sched.push(Stage::arrival(SparseBoolMatrix::from_edges(2, [(1, 0)])));
         let diags = run(&sched, &AnalyzeConfig::default());
         assert_eq!(codes(&diags), vec![Code::ModeUnsound]);
         assert_eq!(diags[0].stage, Some(0));
@@ -309,7 +248,7 @@ mod tests {
         let base = Algorithm::Dissemination.full_schedule(4, &members);
         assert!(run(&base, &AnalyzeConfig::default()).is_empty(), "minimal");
         let mut sched = base;
-        sched.push(Stage::arrival(BoolMatrix::from_edges(4, &[(0, 1)])));
+        sched.push(Stage::arrival(SparseBoolMatrix::from_edges(4, [(0, 1)])));
         let diags = run(&sched, &AnalyzeConfig::default());
         assert_eq!(codes(&diags), vec![Code::DeadSignal, Code::DeadSignal]);
         assert_eq!(diags[0].stage, Some(1));

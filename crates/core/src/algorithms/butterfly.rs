@@ -7,7 +7,7 @@
 //! keeps exchanges symmetric, which some fabrics reward; the cost model
 //! decides whether that is ever profitable here.
 
-use hbar_matrix::BoolMatrix;
+use hbar_matrix::SparseBoolMatrix;
 
 /// All stages of the butterfly barrier over local ranks `0..p`.
 /// Returns no stages when `p < 2`.
@@ -15,7 +15,7 @@ use hbar_matrix::BoolMatrix;
 /// # Panics
 /// Panics if `p` is not a power of two (use
 /// [`Algorithm::applicable`](crate::Algorithm::applicable) to pre-check).
-pub fn butterfly_full(p: usize) -> Vec<BoolMatrix> {
+pub fn butterfly_full(p: usize) -> Vec<SparseBoolMatrix> {
     if p < 2 {
         return Vec::new();
     }
@@ -26,7 +26,23 @@ pub fn butterfly_full(p: usize) -> Vec<BoolMatrix> {
     let mut stages = Vec::new();
     let mut bit = 1usize;
     while bit < p {
-        let mut m = BoolMatrix::zeros(p);
+        stages.push(SparseBoolMatrix::from_edges(
+            p,
+            (0..p).map(|i| (i, i ^ bit)),
+        ));
+        bit <<= 1;
+    }
+    stages
+}
+
+/// The generator as it filled bitset matrices: the oracle of
+/// `sparse_generators_match_the_dense_ones`.
+#[cfg(test)]
+pub(super) fn butterfly_dense(p: usize) -> Vec<hbar_matrix::BoolMatrix> {
+    let mut stages = Vec::new();
+    let mut bit = 1usize;
+    while bit < p {
+        let mut m = hbar_matrix::BoolMatrix::zeros(p);
         for i in 0..p {
             m.set(i, i ^ bit, true);
         }
@@ -46,7 +62,7 @@ mod tests {
         for stage in butterfly_full(8) {
             assert_eq!(stage, stage.transpose());
             for i in 0..8 {
-                assert_eq!(stage.row_popcount(i), 1);
+                assert_eq!(stage.row(i).len(), 1);
             }
         }
     }

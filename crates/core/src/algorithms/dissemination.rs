@@ -6,22 +6,18 @@
 //! departure phase — the property that makes it attractive at the root of
 //! a hierarchy (§VII-B).
 
-use hbar_matrix::BoolMatrix;
+use hbar_matrix::SparseBoolMatrix;
 
 /// All stages of the dissemination barrier over local ranks `0..p`.
 /// Returns no stages when `p < 2`.
-pub fn dissemination_full(p: usize) -> Vec<BoolMatrix> {
-    if p < 2 {
-        return Vec::new();
-    }
+pub fn dissemination_full(p: usize) -> Vec<SparseBoolMatrix> {
     let mut stages = Vec::new();
     let mut step = 1usize;
     while step < p {
-        let mut m = BoolMatrix::zeros(p);
-        for i in 0..p {
-            m.set(i, (i + step) % p, true);
-        }
-        stages.push(m);
+        stages.push(SparseBoolMatrix::from_edges(
+            p,
+            (0..p).map(|i| (i, (i + step) % p)),
+        ));
         step *= 2;
     }
     stages
@@ -38,8 +34,28 @@ pub fn dissemination_full(p: usize) -> Vec<BoolMatrix> {
 ///
 /// # Panics
 /// Panics if `w < 2`.
-pub fn nway_dissemination_full(p: usize, w: usize) -> Vec<hbar_matrix::BoolMatrix> {
+pub fn nway_dissemination_full(p: usize, w: usize) -> Vec<SparseBoolMatrix> {
     assert!(w >= 2, "fan-out must be at least 2, got {w}");
+    let mut stages = Vec::new();
+    let mut step = 1usize;
+    while step < p {
+        // Offsets `j · step < p` are distinct and non-zero modulo `p`, so
+        // no rank signals itself or one target twice.
+        let offsets = (1..w).map(|j| j * step).take_while(|&o| o < p);
+        stages.push(SparseBoolMatrix::from_edges(
+            p,
+            (0..p).flat_map(|i| offsets.clone().map(move |o| (i, (i + o) % p))),
+        ));
+        step *= w;
+    }
+    stages
+}
+
+/// The generator as it filled bitset matrices (`w = 2` is the
+/// dissemination barrier): the oracle of
+/// `sparse_generators_match_the_dense_ones`.
+#[cfg(test)]
+pub(super) fn nway_dissemination_dense(p: usize, w: usize) -> Vec<hbar_matrix::BoolMatrix> {
     if p < 2 {
         return Vec::new();
     }
@@ -67,7 +83,7 @@ pub fn nway_dissemination_full(p: usize, w: usize) -> Vec<hbar_matrix::BoolMatri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbar_matrix::knowledge_closure;
+    use hbar_matrix::{knowledge_closure, BoolMatrix};
 
     #[test]
     fn matches_paper_fig3() {
@@ -86,8 +102,8 @@ mod tests {
             vec![true, false, false, false],
             vec![false, true, false, false],
         ]);
-        assert_eq!(stages[0], s0);
-        assert_eq!(stages[1], s1);
+        assert_eq!(stages[0].to_dense(), s0);
+        assert_eq!(stages[1].to_dense(), s1);
     }
 
     #[test]
@@ -118,7 +134,7 @@ mod tests {
     fn every_rank_sends_exactly_once_per_stage() {
         for stage in dissemination_full(11) {
             for i in 0..11 {
-                assert_eq!(stage.row_popcount(i), 1);
+                assert_eq!(stage.row(i).len(), 1);
             }
         }
     }
@@ -160,7 +176,7 @@ mod tests {
     fn nway_sends_at_most_w_minus_1_per_stage() {
         for stage in nway_dissemination_full(20, 4) {
             for i in 0..20 {
-                assert!(stage.row_popcount(i) <= 3);
+                assert!(stage.row(i).len() <= 3);
             }
         }
     }

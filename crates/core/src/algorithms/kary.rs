@@ -8,14 +8,14 @@
 //! count against per-parent fan-in — exactly the kind of trade-off the
 //! cost model can arbitrate per cluster.
 
-use hbar_matrix::BoolMatrix;
+use hbar_matrix::SparseBoolMatrix;
 
 /// Arrival phases of the k-ary heap tree over local ranks `0..p`, root 0.
 /// Returns no stages when `p < 2`.
 ///
 /// # Panics
 /// Panics if `k < 2`.
-pub fn kary_arrival(p: usize, k: usize) -> Vec<BoolMatrix> {
+pub fn kary_arrival(p: usize, k: usize) -> Vec<SparseBoolMatrix> {
     assert!(k >= 2, "arity must be at least 2, got {k}");
     if p < 2 {
         return Vec::new();
@@ -26,9 +26,30 @@ pub fn kary_arrival(p: usize, k: usize) -> Vec<BoolMatrix> {
         depth[i] = depth[(i - 1) / k] + 1;
     }
     let max_depth = *depth.iter().max().expect("p >= 2");
+    (1..=max_depth)
+        .rev()
+        .map(|d| {
+            let level = (1..p).filter(|&i| depth[i] == d);
+            SparseBoolMatrix::from_edges(p, level.map(|i| (i, (i - 1) / k)))
+        })
+        .collect()
+}
+
+/// The generator as it filled bitset matrices: the oracle of
+/// `sparse_generators_match_the_dense_ones`.
+#[cfg(test)]
+pub(super) fn kary_arrival_dense(p: usize, k: usize) -> Vec<hbar_matrix::BoolMatrix> {
+    if p < 2 {
+        return Vec::new();
+    }
+    let mut depth = vec![0usize; p];
+    for i in 1..p {
+        depth[i] = depth[(i - 1) / k] + 1;
+    }
+    let max_depth = *depth.iter().max().expect("p >= 2");
     let mut stages = Vec::with_capacity(max_depth);
     for d in (1..=max_depth).rev() {
-        let mut m = BoolMatrix::zeros(p);
+        let mut m = hbar_matrix::BoolMatrix::zeros(p);
         for (i, &di) in depth.iter().enumerate().skip(1) {
             if di == d {
                 m.set(i, (i - 1) / k, true);

@@ -4,15 +4,25 @@
 //! departure to every rank when the count is complete." Its arrival phase
 //! is a single stage in which every non-master signals the master.
 
-use hbar_matrix::BoolMatrix;
+use hbar_matrix::SparseBoolMatrix;
 
 /// Arrival phase of the linear barrier over local ranks `0..p`, master 0:
 /// one stage, or none when `p < 2`.
-pub fn linear_arrival(p: usize) -> Vec<BoolMatrix> {
+pub fn linear_arrival(p: usize) -> Vec<SparseBoolMatrix> {
     if p < 2 {
         return Vec::new();
     }
-    let mut s0 = BoolMatrix::zeros(p);
+    vec![SparseBoolMatrix::from_edges(p, (1..p).map(|i| (i, 0)))]
+}
+
+/// The generator as it filled bitset matrices: the oracle of
+/// `sparse_generators_match_the_dense_ones`.
+#[cfg(test)]
+pub(super) fn linear_arrival_dense(p: usize) -> Vec<hbar_matrix::BoolMatrix> {
+    if p < 2 {
+        return Vec::new();
+    }
+    let mut s0 = hbar_matrix::BoolMatrix::zeros(p);
     for i in 1..p {
         s0.set(i, 0, true);
     }
@@ -22,6 +32,7 @@ pub fn linear_arrival(p: usize) -> Vec<BoolMatrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbar_matrix::BoolMatrix;
 
     #[test]
     fn matches_paper_fig2() {
@@ -34,7 +45,7 @@ mod tests {
             vec![true, false, false, false],
             vec![true, false, false, false],
         ]);
-        assert_eq!(stages[0], expected);
+        assert_eq!(stages[0].to_dense(), expected);
     }
 
     #[test]

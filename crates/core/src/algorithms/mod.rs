@@ -1,4 +1,4 @@
-//! Component barrier algorithms in incidence-matrix form.
+//! Component barrier algorithms as stages of signal lists.
 //!
 //! §V-B of the paper selects three building blocks spanning the design
 //! space: the *linear* barrier (simplicity), the *binary tree* barrier
@@ -29,7 +29,7 @@ pub use linear::linear_arrival;
 pub use tree::tree_arrival;
 
 use crate::schedule::{BarrierSchedule, Stage};
-use hbar_matrix::BoolMatrix;
+use hbar_matrix::SparseBoolMatrix;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -116,7 +116,7 @@ impl Algorithm {
     ///
     /// # Panics
     /// Panics if the algorithm is not applicable to `p` participants.
-    pub fn arrival_local(&self, p: usize) -> Vec<BoolMatrix> {
+    pub fn arrival_local(&self, p: usize) -> Vec<SparseBoolMatrix> {
         assert!(self.applicable(p), "{self:?} not applicable to p={p}");
         match self {
             Algorithm::Linear => linear_arrival(p),
@@ -130,10 +130,14 @@ impl Algorithm {
 
     /// Arrival-phase matrices over global ranks, for the participant set
     /// `members` embedded in an `n`-rank system (root = `members[0]`).
-    pub fn arrival_embedded(&self, n: usize, members: &[usize]) -> Vec<BoolMatrix> {
+    pub fn arrival_embedded(&self, n: usize, members: &[usize]) -> Vec<SparseBoolMatrix> {
         self.arrival_local(members.len())
-            .into_iter()
-            .map(|m| m.embed(n, members))
+            .iter()
+            .map(|local| {
+                let mut pairs = Vec::new();
+                local.embed_into(members, &mut pairs);
+                SparseBoolMatrix::from_pairs(n, pairs)
+            })
             .collect()
     }
 
@@ -146,8 +150,7 @@ impl Algorithm {
             sched.push(Stage::arrival(m));
         }
         if self.needs_departure() {
-            let dep = sched.departure_reversed(0);
-            sched.append(&dep);
+            sched.append(sched.departure_reversed(0));
         }
         sched
     }
@@ -170,6 +173,29 @@ impl fmt::Display for Algorithm {
 mod tests {
     use super::*;
     use crate::verify;
+
+    /// Every generator writes the signals its bitset-filling predecessor
+    /// did, kept in the algorithm files as the oracle.
+    #[test]
+    fn sparse_generators_match_the_dense_ones() {
+        for p in 1..=40 {
+            for alg in Algorithm::extended_set() {
+                if !alg.applicable(p) {
+                    continue;
+                }
+                let dense = match alg {
+                    Algorithm::Linear => linear::linear_arrival_dense(p),
+                    Algorithm::Tree => tree::tree_arrival_dense(p),
+                    Algorithm::Dissemination => dissemination::nway_dissemination_dense(p, 2),
+                    Algorithm::KAry(k) => kary::kary_arrival_dense(p, k),
+                    Algorithm::Butterfly => butterfly::butterfly_dense(p),
+                    Algorithm::NWay(w) => dissemination::nway_dissemination_dense(p, w),
+                };
+                let sparse: Vec<_> = alg.arrival_local(p).iter().map(|m| m.to_dense()).collect();
+                assert_eq!(sparse, dense, "{alg} p={p}");
+            }
+        }
+    }
 
     #[test]
     fn all_algorithms_yield_valid_barriers() {

@@ -7,18 +7,35 @@
 //! `i − 2^s` (a binomial-tree reduction towards rank 0). The departure
 //! phases are the transposed arrival stages in reverse order.
 
-use hbar_matrix::BoolMatrix;
+use hbar_matrix::SparseBoolMatrix;
 
 /// Arrival phases (⌈log₂ p⌉ stages) of the binary tree barrier over local
 /// ranks `0..p`, root 0. Returns no stages when `p < 2`.
-pub fn tree_arrival(p: usize) -> Vec<BoolMatrix> {
+pub fn tree_arrival(p: usize) -> Vec<SparseBoolMatrix> {
+    let mut stages = Vec::new();
+    let mut half = 1usize;
+    while half < p {
+        let senders = (half..p).step_by(half * 2);
+        stages.push(SparseBoolMatrix::from_edges(
+            p,
+            senders.map(|i| (i, i - half)),
+        ));
+        half *= 2;
+    }
+    stages
+}
+
+/// The generator as it filled bitset matrices: the oracle of
+/// `sparse_generators_match_the_dense_ones`.
+#[cfg(test)]
+pub(super) fn tree_arrival_dense(p: usize) -> Vec<hbar_matrix::BoolMatrix> {
     if p < 2 {
         return Vec::new();
     }
     let mut stages = Vec::new();
     let mut half = 1usize;
     while half < p {
-        let mut m = BoolMatrix::zeros(p);
+        let mut m = hbar_matrix::BoolMatrix::zeros(p);
         let mut i = half;
         while i < p {
             if i % (half * 2) == half {
@@ -35,7 +52,7 @@ pub fn tree_arrival(p: usize) -> Vec<BoolMatrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbar_matrix::knowledge_closure;
+    use hbar_matrix::{knowledge_closure, BoolMatrix};
 
     #[test]
     fn matches_paper_fig4() {
@@ -54,8 +71,8 @@ mod tests {
             vec![true, false, false, false],
             vec![false, false, false, false],
         ]);
-        assert_eq!(stages[0], s0);
-        assert_eq!(stages[1], s1);
+        assert_eq!(stages[0].to_dense(), s0);
+        assert_eq!(stages[1].to_dense(), s1);
     }
 
     #[test]

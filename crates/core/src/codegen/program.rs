@@ -4,22 +4,11 @@ use crate::schedule::BarrierSchedule;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Why a schedule (or an emitter request) cannot be compiled.
-///
-/// [`BarrierSchedule::push`] upholds these invariants for schedules built
-/// through the API, but schedules can also arrive from deserialized JSON
-/// (`hbar tune --out` / `hbar codegen --schedule`), which bypasses the
-/// constructor checks — codegen re-validates instead of trusting blindly.
+/// Why an emitter request cannot be honoured. (A [`BarrierSchedule`]
+/// cannot hold a stage of another size or a self-signal — `push` and the
+/// JSON reader both reject them — so compiling one has nothing to refuse.)
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodegenError {
-    /// A stage matrix has a different dimension than the schedule.
-    StageDimension {
-        stage: usize,
-        expected: usize,
-        got: usize,
-    },
-    /// A rank signals itself in some stage.
-    SelfSignal { stage: usize, rank: usize },
     /// The requested function name is not a valid C/Rust identifier.
     InvalidName { name: String },
 }
@@ -27,17 +16,6 @@ pub enum CodegenError {
 impl fmt::Display for CodegenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodegenError::StageDimension {
-                stage,
-                expected,
-                got,
-            } => write!(
-                f,
-                "stage {stage} is {got}x{got} but the schedule covers {expected} ranks"
-            ),
-            CodegenError::SelfSignal { stage, rank } => {
-                write!(f, "rank {rank} signals itself in stage {stage}")
-            }
             CodegenError::InvalidName { name } => {
                 write!(f, "`{name}` is not a valid C/Rust identifier")
             }
@@ -116,9 +94,8 @@ impl RankProgram {
 /// general model, eliminate no-op transmission steps, etc.").
 ///
 /// # Errors
-/// Rejects schedules that violate the stage invariants (dimension
-/// mismatch, self-signals) — possible when a schedule was deserialized
-/// rather than built through [`BarrierSchedule::push`].
+/// None: the schedule's type upholds everything compilation needs. The
+/// `Result` is what callers were written against.
 pub fn compile_schedule(schedule: &BarrierSchedule) -> Result<Vec<RankProgram>, CodegenError> {
     let n = schedule.n();
     let mut programs: Vec<RankProgram> = (0..n)
@@ -127,30 +104,21 @@ pub fn compile_schedule(schedule: &BarrierSchedule) -> Result<Vec<RankProgram>, 
             steps: Vec::new(),
         })
         .collect();
+    fn open_step(program: &mut RankProgram) -> &mut RankStep {
+        program.steps.last_mut().expect("opened for this stage")
+    }
+    // The stage each rank last opened a step in, so that a stage touches
+    // only the ranks that signal in it.
+    let mut open_in = vec![usize::MAX; n];
     for (stage_idx, stage) in schedule.stages().iter().enumerate() {
-        if stage.matrix.n() != n {
-            return Err(CodegenError::StageDimension {
-                stage: stage_idx,
-                expected: n,
-                got: stage.matrix.n(),
-            });
-        }
-        if let Some(rank) = stage.matrix.first_self_loop() {
-            return Err(CodegenError::SelfSignal {
-                stage: stage_idx,
-                rank,
-            });
-        }
-        // Gather per-rank sends and receives for this stage.
-        let mut steps: Vec<RankStep> = vec![RankStep::default(); n];
         for (i, j) in stage.matrix.edges() {
-            steps[i].sends.push(j);
-            steps[j].recvs.push(i);
-        }
-        for (rank, step) in steps.into_iter().enumerate() {
-            if !step.is_empty() {
-                programs[rank].steps.push(step);
+            for rank in [i, j] {
+                if std::mem::replace(&mut open_in[rank], stage_idx) != stage_idx {
+                    programs[rank].steps.push(RankStep::default());
+                }
             }
+            open_step(&mut programs[i]).sends.push(j);
+            open_step(&mut programs[j]).recvs.push(i);
         }
     }
     Ok(programs)
@@ -161,7 +129,7 @@ mod tests {
     use super::*;
     use crate::algorithms::Algorithm;
     use crate::schedule::Stage;
-    use hbar_matrix::BoolMatrix;
+    use hbar_matrix::SparseBoolMatrix;
 
     #[test]
     fn linear_barrier_programs() {
@@ -185,8 +153,8 @@ mod tests {
     fn noop_stages_are_skipped_per_rank() {
         // Rank 3 is idle in stage 0, active in stage 1.
         let mut sched = BarrierSchedule::new(4);
-        sched.push(Stage::arrival(BoolMatrix::from_edges(4, &[(1, 0)])));
-        sched.push(Stage::arrival(BoolMatrix::from_edges(4, &[(3, 0)])));
+        sched.push(Stage::arrival(SparseBoolMatrix::from_edges(4, [(1, 0)])));
+        sched.push(Stage::arrival(SparseBoolMatrix::from_edges(4, [(3, 0)])));
         let progs = compile_schedule(&sched).unwrap();
         assert_eq!(progs[3].steps.len(), 1, "idle stage removed");
         assert_eq!(progs[3].steps[0].sends, vec![0]);

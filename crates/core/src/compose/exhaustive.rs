@@ -35,8 +35,8 @@
 //!   deduplicated by canonical form.
 
 use crate::cost::CostParams;
-use crate::schedule::{BarrierSchedule, Stage};
-use hbar_matrix::BoolMatrix;
+use crate::schedule::BarrierSchedule;
+use hbar_matrix::{BoolMatrix, SparseBoolMatrix};
 use hbar_topo::cost::{CostMatrices, SendMode};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -137,7 +137,7 @@ pub fn search_optimal_barrier(
     let ready0 = vec![0.0; p];
     let mut expansions = 0usize;
     let mut truncated = false;
-    let mut found: Option<(f64, Vec<BoolMatrix>)> = None;
+    let mut found: Option<(f64, Vec<SparseBoolMatrix>)> = None;
 
     if cfg.max_stages > 0 {
         // Partition the space by first stage and process the branches in
@@ -162,7 +162,7 @@ pub fn search_optimal_barrier(
             start += wave.len();
             let bound = best_cost;
             let budget = cfg.max_expansions - expansions;
-            let run_branch = |stage: &BoolMatrix| {
+            let run_branch = |stage: &SparseBoolMatrix| {
                 let mut searcher = Searcher {
                     p,
                     cost,
@@ -174,7 +174,6 @@ pub fn search_optimal_barrier(
                     expansions: 0,
                     dominance: HashMap::new(),
                     truncated: false,
-                    targets: Vec::new(),
                 };
                 searcher.try_stage(&k0, &ready0, &mut Vec::new(), stage.clone());
                 BranchOutcome {
@@ -202,11 +201,10 @@ pub fn search_optimal_barrier(
     }
 
     let (schedule, cost_value) = if let Some((found_cost, stages)) = found {
-        let mut sched = BarrierSchedule::new(p);
-        for m in &stages {
-            sched.push(Stage::arrival(m.clone()));
-        }
-        (sched, found_cost)
+        (
+            BarrierSchedule::from_arrival_matrices(p, stages),
+            found_cost,
+        )
     } else {
         let sched = best_schedule.expect("either a seed or a found solution must exist");
         (sched, best_cost)
@@ -223,7 +221,7 @@ pub fn search_optimal_barrier(
 /// Outcome of searching one first-stage branch.
 struct BranchOutcome {
     cost: f64,
-    stages: Vec<BoolMatrix>,
+    stages: Vec<SparseBoolMatrix>,
     found: bool,
     expansions: usize,
     truncated: bool,
@@ -232,7 +230,7 @@ struct BranchOutcome {
 /// All admissible one-signal-per-rank stages under knowledge `k`, in
 /// mixed-radix enumeration order (rank 0's choice varies fastest). Ranks
 /// only send to targets that would gain knowledge from them.
-fn stage_candidates(k: &BoolMatrix, p: usize) -> Vec<BoolMatrix> {
+fn stage_candidates(k: &BoolMatrix, p: usize) -> Vec<SparseBoolMatrix> {
     let mut choices: Vec<Vec<Option<usize>>> = Vec::with_capacity(p);
     for i in 0..p {
         let mut c: Vec<Option<usize>> = vec![None];
@@ -252,15 +250,12 @@ fn stage_candidates(k: &BoolMatrix, p: usize) -> Vec<BoolMatrix> {
     let mut out = Vec::new();
     let mut pick = vec![0usize; p];
     loop {
-        let mut stage = BoolMatrix::zeros(p);
-        let mut any = false;
-        for (i, &ci) in pick.iter().enumerate() {
-            if let Some(j) = choices[i][ci] {
-                stage.set(i, j, true);
-                any = true;
-            }
-        }
-        if any {
+        let signals = pick
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &ci)| choices[i][ci].map(|j| (i, j)));
+        let stage = SparseBoolMatrix::from_edges(p, signals);
+        if !stage.is_zero() {
             out.push(stage);
         }
         // Advance the mixed-radix counter.
@@ -287,15 +282,12 @@ struct Searcher<'a> {
     /// the wave boundary this branch was launched from.
     budget: usize,
     best_cost: f64,
-    best_stages: Vec<BoolMatrix>,
+    best_stages: Vec<SparseBoolMatrix>,
     best_from_search: bool,
     expansions: usize,
     /// Per knowledge-state: the cheapest ready-vectors seen (pareto set).
     dominance: HashMap<Vec<u64>, Vec<Vec<f64>>>,
     truncated: bool,
-    /// Scratch for per-sender target lists; reused across every candidate
-    /// stage instead of collecting a fresh `Vec` per row per stage.
-    targets: Vec<usize>,
 }
 
 impl Searcher<'_> {
@@ -324,7 +316,7 @@ impl Searcher<'_> {
         false
     }
 
-    fn expand(&mut self, k: &BoolMatrix, ready: &[f64], stages: &mut Vec<BoolMatrix>) {
+    fn expand(&mut self, k: &BoolMatrix, ready: &[f64], stages: &mut Vec<SparseBoolMatrix>) {
         if self.expansions >= self.budget {
             self.truncated = true;
             return;
@@ -361,28 +353,18 @@ impl Searcher<'_> {
         &mut self,
         k: &BoolMatrix,
         ready: &[f64],
-        stages: &mut Vec<BoolMatrix>,
-        stage: BoolMatrix,
+        stages: &mut Vec<SparseBoolMatrix>,
+        stage: SparseBoolMatrix,
     ) {
-        // Apply the cost recurrence for this single stage. `next_ready` and
-        // `inbound` stay live across the recursive `expand` below, so they
-        // cannot share one scratch; the target list can, taken for the
-        // duration of the non-recursive part.
+        // Apply the cost recurrence for this single stage, in which every
+        // sender has exactly one target.
         let mut next_ready = ready.to_vec();
         let mut inbound: Vec<Vec<(f64, usize)>> = vec![Vec::new(); self.p];
-        let mut targets = std::mem::take(&mut self.targets);
-        for i in 0..self.p {
-            stage.row_targets_into(i, &mut targets);
-            if targets.is_empty() {
-                continue;
-            }
-            next_ready[i] = ready[i] + self.cost.send_set_cost(i, &targets, SendMode::General);
-            for (kk, &j) in targets.iter().enumerate() {
-                let at = ready[i] + self.cost.arrival_offset(i, &targets, kk, SendMode::General);
-                inbound[j].push((at, i));
-            }
+        for (i, j) in stage.edges() {
+            next_ready[i] = ready[i] + self.cost.send_set_cost(i, &[j], SendMode::General);
+            let at = ready[i] + self.cost.arrival_offset(i, &[j], 0, SendMode::General);
+            inbound[j].push((at, i));
         }
-        self.targets = targets;
         for (j, mut msgs) in inbound.into_iter().enumerate() {
             if msgs.is_empty() {
                 continue;
@@ -406,7 +388,7 @@ impl Searcher<'_> {
         // Knowledge update (Eq. 3): clone K and accumulate the flow on
         // top, instead of materializing the product separately.
         let mut next_k = k.clone();
-        k.and_or_accumulate_into(&stage, &mut next_k);
+        k.accumulate_sparse_product(&stage, &mut next_k);
         if next_k == *k {
             return; // useless stage (shouldn't happen given choice pruning)
         }
@@ -426,6 +408,7 @@ mod tests {
     use crate::algorithms::Algorithm;
     use crate::compose::{tune_hybrid_costs, TunerConfig};
     use crate::cost::predict_barrier_cost;
+    use crate::schedule::Stage;
     use crate::verify;
     use hbar_matrix::DenseMatrix;
     use hbar_topo::machine::MachineSpec;
@@ -564,9 +547,18 @@ mod tests {
         assert!(result.schedule.is_barrier());
         // It must beat the textbook hierarchical structure...
         let mut textbook = BarrierSchedule::new(p);
-        textbook.push(Stage::arrival(BoolMatrix::from_edges(p, &[(1, 0), (3, 2)])));
-        textbook.push(Stage::arrival(BoolMatrix::from_edges(p, &[(0, 2), (2, 0)])));
-        textbook.push(Stage::arrival(BoolMatrix::from_edges(p, &[(0, 1), (2, 3)])));
+        textbook.push(Stage::arrival(SparseBoolMatrix::from_edges(
+            p,
+            [(1, 0), (3, 2)],
+        )));
+        textbook.push(Stage::arrival(SparseBoolMatrix::from_edges(
+            p,
+            [(0, 2), (2, 0)],
+        )));
+        textbook.push(Stage::arrival(SparseBoolMatrix::from_edges(
+            p,
+            [(0, 1), (2, 3)],
+        )));
         assert!(verify::is_barrier(&textbook));
         let textbook_cost =
             predict_barrier_cost(&textbook, &cost, &CostParams::default(), None).barrier_cost;

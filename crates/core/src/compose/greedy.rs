@@ -3,8 +3,8 @@
 use crate::algorithms::Algorithm;
 use crate::clustering::{ClusterNode, SSS_DEFAULT_SPARSENESS};
 use crate::cost::{member_set_hash, CostEvaluator, CostParams, ScoreKey};
-use crate::schedule::BarrierSchedule;
-use hbar_matrix::BoolMatrix;
+use crate::schedule::{BarrierSchedule, Stage};
+use hbar_matrix::SparseBoolMatrix;
 use hbar_topo::cost::{CostMatrices, CostProvider};
 use hbar_topo::profile::TopologyProfile;
 use rayon::prelude::*;
@@ -184,8 +184,12 @@ pub fn tune_hybrid_costs_with<C: CostProvider + ?Sized>(
         algorithm,
         stage_count: plan.local_stages.len(),
     });
-    let mut arrival = BarrierSchedule::new(n);
-    emit(&plan, &mut arrival, 0, cfg.merge_late);
+    let mut signals = vec![Vec::new(); plan.len];
+    emit(&plan, &mut signals, 0, cfg.merge_late);
+    let mut schedule = BarrierSchedule::new(n);
+    for pairs in signals {
+        schedule.push(Stage::arrival(SparseBoolMatrix::from_pairs(n, pairs)));
+    }
     let mut choices = Vec::new();
     collect_choices(plan, 0, &mut choices);
 
@@ -193,9 +197,7 @@ pub fn tune_hybrid_costs_with<C: CostProvider + ?Sized>(
         Some(level) if !level.algorithm.needs_departure() => level.stage_count,
         _ => 0,
     };
-    let departure = arrival.departure_reversed(skip);
-    let mut schedule = arrival;
-    schedule.append_owned(departure);
+    schedule.append(schedule.departure_reversed(skip));
     schedule.strip_noop_stages();
 
     debug_assert!(
@@ -224,13 +226,10 @@ struct RootLevel {
 const PARALLEL_MEMBER_THRESHOLD: usize = 256;
 
 /// One planned cluster level: the algorithm is selected and its local
-/// stage matrices generated, but nothing is embedded into the global
-/// rank space yet. Splitting planning from emission keeps the entire
-/// selection pass in cluster-local index spaces; full-width `n × n`
-/// matrices exist only in the single shared schedule that [`emit`]
-/// writes, never per node. (The previous composer built an embedded
-/// schedule per tree node and OR-merged children upward — at P = 1024
-/// that allocated and scanned hundreds of 128 KiB stage matrices.)
+/// stages generated, but nothing is mapped into the global rank space
+/// yet. Splitting planning from emission keeps the entire selection pass
+/// in cluster-local index spaces; [`emit`] then maps every level's
+/// signals onto global ranks in one pass over the plan.
 struct PlanNode {
     /// Level participants (leaf members or child representatives), in
     /// the tree's discovery order; empty for singleton levels, which
@@ -239,7 +238,7 @@ struct PlanNode {
     /// The greedy selection and its score; `None` for singleton levels.
     choice: Option<(Algorithm, f64)>,
     /// The selection's arrival stages over local ranks `0..m`.
-    local_stages: Vec<BoolMatrix>,
+    local_stages: Vec<SparseBoolMatrix>,
     /// Child plans, in cluster order.
     children: Vec<PlanNode>,
     /// Arrival stages this subtree spans: the deepest child span plus
@@ -315,12 +314,14 @@ fn plan_node<C: CostProvider + ?Sized>(
     }
 }
 
-/// Writes a plan's arrival stages into `sched` starting at `offset`:
-/// children merge concurrently — aligned at their first stage, or at
-/// their last for the merge-late ablation — and the node's own level
-/// follows the deepest child (§VII-B's "merge shorter sequences with
-/// longer ones as early as possible").
-fn emit(plan: &PlanNode, sched: &mut BarrierSchedule, offset: usize, merge_late: bool) {
+/// Collects a plan's arrival signals, as global `(sender, target)` pairs
+/// per stage, starting at stage `offset`: children merge concurrently —
+/// aligned at their first stage, or at their last for the merge-late
+/// ablation — and the node's own level follows the deepest child
+/// (§VII-B's "merge shorter sequences with longer ones as early as
+/// possible"). Clusters arrive in tree order, not rank order; the caller
+/// canonicalises each stage's pairs once.
+fn emit(plan: &PlanNode, stages: &mut [Vec<(u32, u32)>], offset: usize, merge_late: bool) {
     let child_span = plan.children.iter().map(|c| c.len).max().unwrap_or(0);
     for c in &plan.children {
         let off = if merge_late {
@@ -328,10 +329,10 @@ fn emit(plan: &PlanNode, sched: &mut BarrierSchedule, offset: usize, merge_late:
         } else {
             offset
         };
-        emit(c, sched, off, merge_late);
+        emit(c, stages, off, merge_late);
     }
     for (k, local) in plan.local_stages.iter().enumerate() {
-        sched.or_embed_arrival(offset + child_span + k, local, &plan.participants);
+        local.embed_into(&plan.participants, &mut stages[offset + child_span + k]);
     }
 }
 
@@ -460,7 +461,7 @@ fn score_candidate<C: CostProvider + ?Sized>(
 fn score_schedule<C: CostProvider + ?Sized>(
     alg: Algorithm,
     w: usize,
-    arrival: Vec<BoolMatrix>,
+    arrival: Vec<SparseBoolMatrix>,
     is_root: bool,
     cmat: &C,
     cfg: &TunerConfig,
@@ -475,8 +476,7 @@ fn score_schedule<C: CostProvider + ?Sized>(
         // composed hierarchy — even dissemination (paper §VII-B).
         let skip_departure = is_root && !alg.needs_departure();
         if !skip_departure {
-            let dep = sched.departure_reversed(0);
-            sched.append(&dep);
+            sched.append(sched.departure_reversed(0));
         }
         eval.barrier_cost(&sched, cmat, None)
     } else {

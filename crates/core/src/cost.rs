@@ -101,11 +101,8 @@ pub fn predict_barrier_cost(
         let mut send_done = ready.clone();
         // (arrival_time, src) per receiver.
         let mut inbound: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n];
-        for i in 0..n {
-            let targets: Vec<usize> = stage.matrix.row_iter(i).collect();
-            if targets.is_empty() {
-                continue;
-            }
+        for (i, targets) in stage.matrix.sends() {
+            let targets: Vec<usize> = targets.iter().map(|&j| j as usize).collect();
             send_done[i] = ready[i] + cost.send_set_cost(i, &targets, stage.mode);
             for (k, &j) in targets.iter().enumerate() {
                 let at = ready[i] + cost.arrival_offset(i, &targets, k, stage.mode);
@@ -149,7 +146,7 @@ pub fn predict_barrier_cost(
 /// per cluster, §VII-B).
 pub fn predict_arrival_cost(
     n: usize,
-    arrival: &[hbar_matrix::BoolMatrix],
+    arrival: &[hbar_matrix::SparseBoolMatrix],
     cost: &CostMatrices,
     params: &CostParams,
 ) -> f64 {
@@ -406,7 +403,7 @@ impl CostEvaluator {
             .fold(f64::INFINITY, f64::min)
             .min(0.0);
 
-        for stage in schedule.compiled() {
+        for stage in schedule.stages() {
             // next starts as "no progress", i.e. a copy of ready.
             self.next.clear();
             self.next.extend_from_slice(&self.ready);
@@ -414,9 +411,9 @@ impl CostEvaluator {
             // preserving ascending sender order within each bucket.
             self.counts.clear();
             self.counts.resize(n, 0);
-            for (_, targets) in stage.sends() {
+            for (_, targets) in stage.matrix.sends() {
                 for &j in targets {
-                    self.counts[j] += 1;
+                    self.counts[j as usize] += 1;
                 }
             }
             self.starts.clear();
@@ -430,7 +427,7 @@ impl CostEvaluator {
             self.entries.clear();
             self.entries.resize(acc, (0.0, 0));
 
-            for (i, targets) in stage.sends() {
+            for (i, targets) in stage.matrix.sends() {
                 let base = self.ready[i];
                 let oii = cost.o_at(i, i);
                 // Running prefix latency / startup max reproduce the
@@ -438,7 +435,7 @@ impl CostEvaluator {
                 // accumulate left to right over the same target order.
                 let mut lat = 0.0f64;
                 let mut run_max = f64::NEG_INFINITY;
-                for &j in targets {
+                for j in targets.iter().map(|&j| j as usize) {
                     debug_assert_ne!(j, i, "rank {i} cannot signal itself");
                     lat += cost.l_at(i, j);
                     run_max = run_max.max(cost.o_at(i, j));
@@ -498,7 +495,7 @@ mod tests {
     use super::*;
     use crate::algorithms::Algorithm;
     use crate::schedule::Stage;
-    use hbar_matrix::{BoolMatrix, DenseMatrix};
+    use hbar_matrix::{DenseMatrix, SparseBoolMatrix};
     use hbar_topo::machine::MachineSpec;
     use hbar_topo::mapping::RankMapping;
     use hbar_topo::profile::TopologyProfile;
@@ -515,7 +512,7 @@ mod tests {
     fn single_signal_costs_o_plus_l_plus_processing() {
         let c = uniform(2);
         let mut sched = BarrierSchedule::new(2);
-        sched.push(Stage::arrival(BoolMatrix::from_edges(2, &[(1, 0)])));
+        sched.push(Stage::arrival(SparseBoolMatrix::from_edges(2, [(1, 0)])));
         let p = predict_barrier_cost(&sched, &c, &CostParams::default(), None);
         // Sender: max O + L = 12; receiver processes at +L = 14.
         assert_eq!(p.barrier_cost, 14.0);
@@ -527,7 +524,7 @@ mod tests {
     fn receiver_processing_can_be_disabled() {
         let c = uniform(2);
         let mut sched = BarrierSchedule::new(2);
-        sched.push(Stage::arrival(BoolMatrix::from_edges(2, &[(1, 0)])));
+        sched.push(Stage::arrival(SparseBoolMatrix::from_edges(2, [(1, 0)])));
         let params = CostParams {
             receiver_processing: false,
         };
@@ -539,9 +536,9 @@ mod tests {
     fn departure_mode_uses_oii() {
         let c = uniform(3);
         let mut sched = BarrierSchedule::new(3);
-        sched.push(Stage::departure(BoolMatrix::from_edges(
+        sched.push(Stage::departure(SparseBoolMatrix::from_edges(
             3,
-            &[(0, 1), (0, 2)],
+            [(0, 1), (0, 2)],
         )));
         let params = CostParams {
             receiver_processing: false,
@@ -599,7 +596,7 @@ mod tests {
     fn skews_shift_the_critical_path() {
         let c = uniform(2);
         let mut sched = BarrierSchedule::new(2);
-        sched.push(Stage::arrival(BoolMatrix::from_edges(2, &[(1, 0)])));
+        sched.push(Stage::arrival(SparseBoolMatrix::from_edges(2, [(1, 0)])));
         // Rank 1 arrives 100s late: everything shifts behind it.
         let p = predict_barrier_cost(&sched, &c, &CostParams::default(), Some(&[0.0, 100.0]));
         assert_eq!(p.barrier_cost, 114.0);

@@ -5,8 +5,6 @@
 //! `K_a = K_{a-1} + K_{a-1} · S_a` starting from the identity.
 
 use crate::schedule::BarrierSchedule;
-#[cfg(test)]
-use hbar_matrix::BoolMatrix;
 use hbar_matrix::{ClosureWorkspace, KnowledgeTrace};
 
 /// True iff `schedule` synchronizes all of its processes.
@@ -72,26 +70,17 @@ pub fn synchronizes_subset_with(
         .all(|&i| members.iter().all(|&j| last.get(i, j)))
 }
 
-/// Counts the stages a rank actively participates in (sends or receives),
-/// which is its number of communication rounds after no-op elimination.
-pub fn active_stage_count(schedule: &BarrierSchedule, rank: usize) -> usize {
-    schedule
-        .stages()
-        .iter()
-        .filter(|s| s.matrix.row_popcount(rank) > 0 || s.matrix.col_any(rank))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::Stage;
+    use hbar_matrix::SparseBoolMatrix;
 
     fn dissemination(n: usize) -> BarrierSchedule {
         let mut sched = BarrierSchedule::new(n);
         let mut step = 1;
         while step < n {
-            let mut m = BoolMatrix::zeros(n);
+            let mut m = SparseBoolMatrix::zeros(n);
             for i in 0..n {
                 m.set(i, (i + step) % n, true);
             }
@@ -130,7 +119,7 @@ mod tests {
         // A local linear barrier over ranks {2, 5, 7} of a 9-rank system.
         let n = 9;
         let members = [2, 5, 7];
-        let mut s0 = BoolMatrix::zeros(n);
+        let mut s0 = SparseBoolMatrix::zeros(n);
         s0.set(5, 2, true);
         s0.set(7, 2, true);
         let s1 = s0.transpose();
@@ -140,19 +129,6 @@ mod tests {
         assert!(synchronizes_subset(&sched, &members));
         assert!(!is_barrier(&sched), "non-members are not synchronized");
         assert!(!synchronizes_subset(&sched, &[2, 5, 7, 8]));
-    }
-
-    #[test]
-    fn active_stage_count_ignores_idle_stages() {
-        let n = 4;
-        let mut sched = BarrierSchedule::new(n);
-        sched.push(Stage::arrival(BoolMatrix::from_edges(n, &[(1, 0)])));
-        sched.push(Stage::arrival(BoolMatrix::from_edges(n, &[(2, 0)])));
-        sched.push(Stage::arrival(BoolMatrix::from_edges(n, &[(3, 2)])));
-        assert_eq!(active_stage_count(&sched, 0), 2);
-        assert_eq!(active_stage_count(&sched, 1), 1);
-        assert_eq!(active_stage_count(&sched, 2), 2);
-        assert_eq!(active_stage_count(&sched, 3), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use hbar_core::clustering::{try_sss_clusters_with, SssScratch, SSS_DEFAULT_SPARS
 use hbar_core::compose::{
     search_optimal_barrier, tune_hybrid_costs, SearchConfig, TunedBarrier, TunerConfig,
 };
-use hbar_matrix::{BoolMatrix, ClosureWorkspace, DenseMatrix};
+use hbar_matrix::{BoolMatrix, ClosureWorkspace, DenseMatrix, SparseBoolMatrix};
 use hbar_topo::cost::{CostMatrices, SendMode};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
@@ -164,10 +164,10 @@ impl Fingerprint {
         }
     }
 
-    /// The matrix's set entries, row-major.
-    fn eat_matrix(&mut self, m: &BoolMatrix) {
-        self.eat(m.n() as u64);
-        for (i, j) in m.edges() {
+    /// An `n × n` matrix's set entries, row-major.
+    fn eat_matrix(&mut self, n: usize, edges: impl Iterator<Item = (usize, usize)>) {
+        self.eat(n as u64);
+        for (i, j) in edges {
             self.eat(i as u64);
             self.eat(j as u64);
         }
@@ -181,7 +181,7 @@ fn tune_fingerprint(tuned: &TunedBarrier) -> u64 {
     fp.eat(tuned.schedule.len() as u64);
     for stage in tuned.schedule.stages() {
         fp.eat(u64::from(stage.mode == SendMode::ReceiversAwaiting));
-        fp.eat_matrix(&stage.matrix);
+        fp.eat_matrix(stage.matrix.n(), stage.matrix.edges());
     }
     fp.eat(tuned.choices.len() as u64);
     for choice in &tuned.choices {
@@ -202,11 +202,12 @@ fn tune_fingerprint(tuned: &TunedBarrier) -> u64 {
 /// Eq. 3 knowledge after every stage prefix of `stages`, folded into one
 /// hash: a barrier's final closure is all ones at any size, the
 /// intermediate closures are what tell two kernels apart.
-fn closure_fingerprint(n: usize, stages: &[&BoolMatrix]) -> u64 {
+fn closure_fingerprint(n: usize, stages: &[&SparseBoolMatrix]) -> u64 {
     let mut ws = ClosureWorkspace::new();
     let mut fp = Fingerprint::new();
     for upto in 1..=stages.len() {
-        fp.eat_matrix(ws.closure(n, stages[..upto].iter().copied()));
+        let k: &BoolMatrix = ws.closure(n, stages[..upto].iter().copied());
+        fp.eat_matrix(n, k.edges());
     }
     fp.0
 }
@@ -281,13 +282,10 @@ fn sss_clusters_match_seed_era_goldens() {
 #[test]
 fn closure_at_p1024_matches_seed_era_goldens() {
     let p = 1024;
-    let dissemination: Vec<BoolMatrix> = (0..10)
-        .map(|s| {
-            let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
-            BoolMatrix::from_edges(p, &edges)
-        })
+    let dissemination: Vec<SparseBoolMatrix> = (0..10)
+        .map(|s| SparseBoolMatrix::from_edges(p, (0..p).map(|i| (i, (i + (1 << s)) % p))))
         .collect();
-    let stages: Vec<&BoolMatrix> = dissemination.iter().collect();
+    let stages: Vec<&SparseBoolMatrix> = dissemination.iter().collect();
     assert_eq!(
         closure_fingerprint(p, &stages),
         GOLDEN_CLOSURE_DISSEMINATION_P1024
@@ -299,10 +297,9 @@ fn closure_at_p1024_matches_seed_era_goldens() {
         &members,
         &TunerConfig::default(),
     );
-    assert_eq!(
-        closure_fingerprint(p, &tuned.schedule.matrices()),
-        GOLDEN_CLOSURE_HYBRID_P1024
-    );
+    let stages: Vec<&SparseBoolMatrix> =
+        tuned.schedule.stages().iter().map(|s| &s.matrix).collect();
+    assert_eq!(closure_fingerprint(p, &stages), GOLDEN_CLOSURE_HYBRID_P1024);
 }
 
 /// Captured at 267efdb, the last commit to carry the seed-era reference

@@ -7,24 +7,29 @@
 //! in the paper a row is one or two words, making verification effectively
 //! linear in the number of signals.
 
-use serde::{Deserialize, Serialize};
+use crate::SparseBoolMatrix;
 use std::fmt;
 
 /// A square boolean matrix stored as packed 64-bit words per row.
 ///
 /// The entry `(row, col)` is interpreted throughout this workspace as
 /// "`row` signals `col`" (an edge of a barrier dependency graph layer).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BoolMatrix {
     n: usize,
     words_per_row: usize,
     bits: Vec<u64>,
 }
 
+/// Words per row of an `n × n` matrix (at least one, also for `n = 0`).
+pub(crate) fn words_per_row_of(n: usize) -> usize {
+    n.div_ceil(64).max(1)
+}
+
 impl BoolMatrix {
     /// Creates the `n × n` zero matrix.
     pub fn zeros(n: usize) -> Self {
-        let words_per_row = n.div_ceil(64).max(1);
+        let words_per_row = words_per_row_of(n);
         BoolMatrix {
             n,
             words_per_row,
@@ -74,14 +79,6 @@ impl BoolMatrix {
     #[inline]
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Bytes of heap the packed bit storage occupies. Capacity, not
-    /// length: this feeds cache budgets, which must account for what the
-    /// allocator actually holds.
-    #[inline]
-    pub fn heap_bytes(&self) -> usize {
-        self.bits.capacity() * std::mem::size_of::<u64>()
     }
 
     #[inline]
@@ -185,30 +182,6 @@ impl BoolMatrix {
                 }
             }
         }
-    }
-
-    /// Iterator over set rows of column `j` (in-neighbours of `j`),
-    /// ascending. Strides directly over the column's word in each row, so
-    /// advancing costs one shift-and-test per row instead of a bounds-checked
-    /// `get`.
-    pub fn col_iter(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
-        assert!(j < self.n, "column {j} out of range {}", self.n);
-        let jb = (j % 64) as u32;
-        self.bits[j / 64..]
-            .iter()
-            .step_by(self.words_per_row)
-            .enumerate()
-            .filter_map(move |(i, &w)| (w >> jb & 1 == 1).then_some(i))
-    }
-
-    /// True if column `j` has any set bit (any in-neighbour).
-    pub fn col_any(&self, j: usize) -> bool {
-        assert!(j < self.n, "column {j} out of range {}", self.n);
-        let jb = (j % 64) as u32;
-        self.bits[j / 64..]
-            .iter()
-            .step_by(self.words_per_row)
-            .any(|&w| w >> jb & 1 == 1)
     }
 
     /// Iterator over all set `(row, col)` pairs in row-major order.
@@ -343,19 +316,37 @@ impl BoolMatrix {
         self.accumulate_product(other, out);
     }
 
-    /// Accumulating product: `out |= self · other` without clearing `out`.
+    /// Accumulating product with a sparse right operand:
+    /// `out |= self · stage`, driven from the stage's signal list.
     ///
-    /// The Eq. 3 update `K_a = K_{a-1} + K_{a-1}·S_a` becomes a single
-    /// allocation-free call with `out` holding a copy of `K_{a-1}` and
-    /// `self` the snapshot it was copied from.
-    pub fn and_or_accumulate_into(&self, other: &Self, out: &mut Self) {
+    /// The Eq. 3 update `K_a = K_{a-1} + K_{a-1}·S_a` is one call with
+    /// `out` holding a copy of `K_{a-1}` and `self` the snapshot it was
+    /// copied from. Row `a` of `K` stays in cache while every sender of
+    /// the stage is tested against it: `n · senders` bit tests plus one
+    /// bit set per signal that carries something, and no scan of `n²`
+    /// stage bits.
+    pub fn accumulate_sparse_product(&self, stage: &SparseBoolMatrix, out: &mut Self) {
         assert_eq!(
-            self.n, other.n,
+            self.n,
+            stage.n(),
             "dimension mismatch {} vs {}",
-            self.n, other.n
+            self.n,
+            stage.n()
         );
         assert_eq!(self.n, out.n, "dimension mismatch {} vs {}", self.n, out.n);
-        self.accumulate_product(other, out);
+        for (known, acc) in self
+            .bits
+            .chunks_exact(self.words_per_row)
+            .zip(out.bits.chunks_exact_mut(self.words_per_row))
+        {
+            for (i, targets) in stage.sends() {
+                if known[i / 64] >> (i % 64) & 1 == 1 {
+                    for &j in targets {
+                        acc[j as usize / 64] |= 1 << (j % 64);
+                    }
+                }
+            }
+        }
     }
 
     /// Cache-blocked kernel behind the product entry points.
@@ -396,29 +387,6 @@ impl BoolMatrix {
         }
     }
 
-    /// Returns the set of rows with at least one set entry (active senders).
-    pub fn active_rows(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.active_rows_into(&mut out);
-        out
-    }
-
-    /// Allocation-free [`BoolMatrix::active_rows`]: fills `out` (cleared
-    /// first) with every row that has a set entry, scanning whole words.
-    pub fn active_rows_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        for i in 0..self.n {
-            if self.row(i).iter().any(|&w| w != 0) {
-                out.push(i);
-            }
-        }
-    }
-
-    /// First row whose diagonal entry is set, touching one word per row.
-    pub fn first_self_loop(&self) -> Option<usize> {
-        (0..self.n).find(|&i| self.bits[i * self.words_per_row + i / 64] >> (i % 64) & 1 == 1)
-    }
-
     /// Overwrites `self` with a copy of `src`, reusing the allocation.
     pub fn copy_from(&mut self, src: &Self) {
         self.n = src.n;
@@ -430,7 +398,7 @@ impl BoolMatrix {
     /// Resets to the `n × n` zero matrix, reusing the allocation.
     pub fn reset_zeros(&mut self, n: usize) {
         self.n = n;
-        self.words_per_row = n.div_ceil(64).max(1);
+        self.words_per_row = words_per_row_of(n);
         self.bits.clear();
         self.bits.resize(self.words_per_row * n, 0);
     }
@@ -455,65 +423,6 @@ impl BoolMatrix {
         let r = self.row_range(i);
         &mut self.bits[r]
     }
-
-    /// Embeds this matrix into a larger `m × m` matrix, mapping local index
-    /// `k` to global index `index_map[k]`.
-    ///
-    /// Used when a local barrier over a rank cluster is lifted into the
-    /// full-system signal pattern (paper §VII-B).
-    ///
-    /// # Panics
-    /// Panics if `index_map.len() != self.n`, if `m` is too small, or if the
-    /// map contains duplicate targets.
-    pub fn embed(&self, m: usize, index_map: &[usize]) -> Self {
-        assert_eq!(index_map.len(), self.n, "index map length mismatch");
-        let mut seen = vec![false; m];
-        for &g in index_map {
-            assert!(g < m, "mapped index {g} out of range {m}");
-            assert!(!seen[g], "duplicate mapped index {g}");
-            seen[g] = true;
-        }
-        let mut out = Self::zeros(m);
-        // Maximal runs of consecutive locals mapping to consecutive globals
-        // move as funnel-shifted word copies instead of one set() per bit.
-        let runs = ascending_runs(index_map);
-        for (li, &gi) in index_map.iter().enumerate() {
-            let src = self.row(li);
-            if src.iter().all(|&w| w == 0) {
-                continue;
-            }
-            let dst_start = gi * out.words_per_row;
-            let dst = &mut out.bits[dst_start..dst_start + out.words_per_row];
-            for &(start, len) in &runs {
-                or_bit_run(src, start, dst, index_map[start], len);
-            }
-        }
-        out
-    }
-
-    /// Extracts the submatrix over `indices` (in the given order).
-    ///
-    /// # Panics
-    /// Panics if any index is out of range.
-    pub fn submatrix(&self, indices: &[usize]) -> Self {
-        for &g in indices {
-            assert!(g < self.n, "index {g} out of range {}", self.n);
-        }
-        let mut out = Self::zeros(indices.len());
-        let runs = ascending_runs(indices);
-        for (li, &gi) in indices.iter().enumerate() {
-            let src = self.row(gi);
-            if src.iter().all(|&w| w == 0) {
-                continue;
-            }
-            let dst_start = li * out.words_per_row;
-            let dst = &mut out.bits[dst_start..dst_start + out.words_per_row];
-            for &(start, len) in &runs {
-                or_bit_run(src, indices[start], dst, start, len);
-            }
-        }
-        out
-    }
 }
 
 /// In-place transpose of a 64×64 bit tile stored as 64 words, bit `c` of
@@ -534,36 +443,6 @@ fn transpose64(a: &mut [u64; 64]) {
         }
         j >>= 1;
         m ^= m << j;
-    }
-}
-
-/// Decomposes `map` into maximal runs of consecutive ascending values,
-/// as `(start_position, length)` pairs covering `map` left to right.
-fn ascending_runs(map: &[usize]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut s = 0;
-    while s < map.len() {
-        let mut e = s + 1;
-        while e < map.len() && map[e] == map[e - 1] + 1 {
-            e += 1;
-        }
-        runs.push((s, e - s));
-        s = e;
-    }
-    runs
-}
-
-/// ORs the bit range `src_off..src_off + len` of `src` into `dst` starting
-/// at bit `dst_off`, moving up to a whole word per step via funnel shifts.
-fn or_bit_run(src: &[u64], src_off: usize, dst: &mut [u64], dst_off: usize, len: usize) {
-    let mut done = 0;
-    while done < len {
-        let (sw, sb) = ((src_off + done) / 64, (src_off + done) % 64);
-        let (dw, db) = ((dst_off + done) / 64, (dst_off + done) % 64);
-        let take = (64 - sb).min(64 - db).min(len - done);
-        let mask = if take == 64 { !0 } else { (1u64 << take) - 1 };
-        dst[dw] |= ((src[sw] >> sb) & mask) << db;
-        done += take;
     }
 }
 
@@ -691,16 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn col_iter_matches_transpose_row() {
-        let m = BoolMatrix::from_edges(6, &[(0, 3), (2, 3), (5, 3), (3, 1)]);
-        let t = m.transpose();
-        let via_col: Vec<usize> = m.col_iter(3).collect();
-        let via_row: Vec<usize> = t.row_iter(3).collect();
-        assert_eq!(via_col, via_row);
-        assert_eq!(via_col, vec![0, 2, 5]);
-    }
-
-    #[test]
     fn transpose_involution() {
         let m = BoolMatrix::from_edges(9, &[(0, 1), (1, 2), (8, 0), (4, 4)]);
         assert_eq!(m.transpose().transpose(), m);
@@ -760,36 +629,6 @@ mod tests {
             assert!(s1.get(0, j));
         }
         assert_eq!(s1.row_popcount(0), 3);
-    }
-
-    #[test]
-    fn embed_maps_edges() {
-        let local = BoolMatrix::from_edges(3, &[(0, 1), (1, 2)]);
-        let global = local.embed(10, &[7, 2, 5]);
-        assert!(global.get(7, 2));
-        assert!(global.get(2, 5));
-        assert_eq!(global.popcount(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate mapped index")]
-    fn embed_rejects_duplicates() {
-        let local = BoolMatrix::zeros(2);
-        local.embed(5, &[1, 1]);
-    }
-
-    #[test]
-    fn submatrix_inverse_of_embed() {
-        let local = BoolMatrix::from_edges(4, &[(0, 3), (3, 1), (2, 2)]);
-        let map = [9, 0, 4, 6];
-        let global = local.embed(12, &map);
-        assert_eq!(global.submatrix(&map), local);
-    }
-
-    #[test]
-    fn active_rows_reports_senders() {
-        let m = BoolMatrix::from_edges(5, &[(1, 0), (3, 0), (3, 2)]);
-        assert_eq!(m.active_rows(), vec![1, 3]);
     }
 
     #[test]
@@ -862,31 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_into_is_eq3_update() {
-        let k = scrambled(97, 3);
-        let s = scrambled(97, 5);
-        let mut acc = k.clone();
-        k.and_or_accumulate_into(&s, &mut acc);
-        assert_eq!(acc, k.or(&k.and_or_product(&s)));
-    }
-
-    #[test]
-    fn embed_scattered_map_crosses_words() {
-        let local = scrambled(70, 13);
-        // Mix of runs and jumps, straddling the 64-bit boundary of the host.
-        let map: Vec<usize> = (0..70)
-            .map(|k| if k < 35 { k * 2 } else { 29 + k * 2 })
-            .collect();
-        let global = local.embed(200, &map);
-        let mut expected = BoolMatrix::zeros(200);
-        for (i, j) in local.edges() {
-            expected.set(map[i], map[j], true);
-        }
-        assert_eq!(global, expected);
-        assert_eq!(global.submatrix(&map), local);
-    }
-
-    #[test]
     fn row_is_full_checks_tail_word() {
         for n in [1, 64, 65, 130] {
             let mut m = BoolMatrix::zeros(n);
@@ -897,27 +711,6 @@ mod tests {
             m.set(0, n - 1, false);
             assert!(!m.row_is_full(0), "n={n}");
         }
-    }
-
-    #[test]
-    fn col_any_and_active_rows_into() {
-        let m = BoolMatrix::from_edges(130, &[(1, 0), (3, 0), (3, 128)]);
-        assert!(m.col_any(0));
-        assert!(m.col_any(128));
-        assert!(!m.col_any(64));
-        let mut rows = vec![42]; // stale contents must be discarded
-        m.active_rows_into(&mut rows);
-        assert_eq!(rows, m.active_rows());
-        assert_eq!(rows, vec![1, 3]);
-    }
-
-    #[test]
-    fn first_self_loop_finds_diagonal() {
-        let mut m = BoolMatrix::zeros(100);
-        assert_eq!(m.first_self_loop(), None);
-        m.set(70, 70, true);
-        m.set(90, 90, true);
-        assert_eq!(m.first_self_loop(), Some(70));
     }
 
     #[test]

@@ -7,21 +7,25 @@
 //! fixed-point computation over boolean matrix products (the paper's Eq. 3),
 //! and costing it couples the boolean structure to `f64` cost matrices.
 //!
-//! This crate provides the two matrix types those computations need:
+//! This crate provides the matrix types those computations need:
 //!
+//! * [`SparseBoolMatrix`] — a stage's incidence matrix as what it is: the
+//!   sorted list of its signals in compressed-row form, `O(signals)` to
+//!   build, transpose, embed and walk at any `P`.
 //! * [`BoolMatrix`] — a bitset-backed square boolean matrix with the
-//!   and/or (boolean semiring) product, saturating addition, and transpose.
+//!   and/or (boolean semiring) product, saturating addition, and transpose:
+//!   the knowledge matrices of Eq. 3, and the dense view of a stage for
+//!   printing and small-size tests.
 //! * [`DenseMatrix`] — a row-major generic dense matrix, used with `f64`
 //!   entries for the topological cost matrices `O` and `L`.
 //!
-//! Matrices here are small (`P ≤ a few hundred` for realistic clusters), so
-//! the implementations favour clarity and cache-friendly row-major layouts
-//! over asymptotic tricks.
 
 pub mod boolmat;
 pub mod dense;
 pub mod reach;
+pub mod sparse;
 
 pub use boolmat::BoolMatrix;
 pub use dense::DenseMatrix;
 pub use reach::{knowledge_closure, knowledge_steps, ClosureWorkspace, KnowledgeTrace};
+pub use sparse::SparseBoolMatrix;

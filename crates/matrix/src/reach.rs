@@ -13,27 +13,37 @@
 //! (row i's knowledge has reached column j), because a signal `i → j`
 //! carries everything its sender knows.
 //!
-//! [`knowledge_closure`] and [`KnowledgeTrace`] evaluate the equation as
-//! written, one matrix product per stage. [`ClosureWorkspace`], which every
-//! verification path uses, evaluates the same recurrence on `Kᵀ` and drives
-//! it from the stage's signals: `K·S` is a bitset matrix times a sparse one,
-//! so the work is proportional to the non-zeros of `S`, not to the bits of
-//! `K`.
+//! The stages are [`SparseBoolMatrix`] operands: `K·S` is a bitset matrix
+//! times a sparse one, and every kernel here iterates the stage's senders
+//! and targets and never scans `n²` stage bits. [`knowledge_closure`]
+//! evaluates the equation as written, one product per stage.
+//! [`KnowledgeTrace`] and [`ClosureWorkspace`], which every verification
+//! path uses, evaluate the same recurrence on `Kᵀ`, so that a signal is a
+//! row operation and the work is proportional to the non-zeros of `S`, not
+//! to the bits of `K`.
 
-use crate::BoolMatrix;
+use crate::{BoolMatrix, SparseBoolMatrix};
 
 /// The per-stage knowledge matrices of a stage sequence, starting with the
 /// identity (before any stage) and ending with the final knowledge state.
 pub struct KnowledgeTrace {
     /// `states[a]` is `K_{a-1}` in the paper's numbering; `states[0] = I`.
     pub states: Vec<BoolMatrix>,
+    /// `Kᵀ` before and after the stage being traced (row `j`: the arrivals
+    /// rank `j` knows), where a signal is one row OR.
+    before: BoolMatrix,
+    after: BoolMatrix,
 }
 
 impl KnowledgeTrace {
     /// Creates an empty trace; populate it with
     /// [`KnowledgeTrace::recompute`].
     pub fn new() -> Self {
-        KnowledgeTrace { states: Vec::new() }
+        KnowledgeTrace {
+            states: Vec::new(),
+            before: BoolMatrix::zeros(0),
+            after: BoolMatrix::zeros(0),
+        }
     }
 
     /// Final knowledge matrix after all stages.
@@ -58,21 +68,32 @@ impl KnowledgeTrace {
     /// mode. Every state matrix recorded by a previous call is reused, so a
     /// tuner tracing many candidate schedules of similar depth allocates
     /// only on its first trace.
+    ///
+    /// A plain evaluation, kept apart from [`ClosureWorkspace`]'s kernel so
+    /// that the analyzer's verdict is an independent one: per stage, every
+    /// signal `i → j` ORs what `i` knew before the stage into what `j`
+    /// knows after it, and the result is transposed into the recorded `K`.
     pub fn recompute<'a, I>(&mut self, n: usize, stages: I)
     where
-        I: IntoIterator<Item = &'a BoolMatrix>,
+        I: IntoIterator<Item = &'a SparseBoolMatrix>,
     {
         let mut len = 1;
         self.slot(0).reset_identity(n);
+        self.before.reset_identity(n);
         for s in stages {
             assert_eq!(s.n(), n, "stage dimension {} != {}", s.n(), n);
+            self.after.copy_from(&self.before);
+            for (i, receivers) in s.sends() {
+                let knows = self.before.row(i);
+                for &j in receivers {
+                    for (a, k) in self.after.row_mut(j as usize).iter_mut().zip(knows) {
+                        *a |= k;
+                    }
+                }
+            }
             self.slot(len);
-            // The previous state doubles as the Eq. 3 snapshot: copy it
-            // into the next slot and accumulate the flow on top.
-            let (prev, next) = self.states.split_at_mut(len);
-            let (k, out) = (&prev[len - 1], &mut next[0]);
-            out.copy_from(k);
-            k.and_or_accumulate_into(s, out);
+            self.after.transpose_into(&mut self.states[len]);
+            std::mem::swap(&mut self.before, &mut self.after);
             len += 1;
         }
         self.states.truncate(len);
@@ -104,14 +125,13 @@ impl Default for KnowledgeTrace {
 /// it knew *before* the stage, which is Eq. 3's `K_{a-1}·S_a`, without a
 /// copy of the matrix.
 ///
-/// Cost per stage: one scan of the stage matrix for its senders
-/// (`n · words_per_row` words), plus per signal `min(known(sender),
-/// words_per_row)` word operations — a sender that knows fewer than
-/// `words_per_row / 2` arrivals has those few bits listed once and set in
-/// each target's accumulator instead of a whole-row OR — plus one fold
-/// per receiver. Never more than `O(signals · n / 64)`, and linear in the
-/// signal count while senders still know little (the opening stage of an
-/// all-to-all or n-way pattern).
+/// Cost per stage: per signal `min(known(sender), words_per_row)` word
+/// operations — a sender that knows fewer than `words_per_row / 2`
+/// arrivals has those few bits listed once and set in each target's
+/// accumulator instead of a whole-row OR — plus one fold per receiver.
+/// Never more than `O(signals · n / 64)`, and linear in the signal count
+/// while senders still know little (the opening stage of an all-to-all or
+/// n-way pattern).
 ///
 /// A knower whose row is all ones is saturated: signals into it are
 /// dropped, and when every knower is saturated the remaining stages are
@@ -155,7 +175,7 @@ impl ClosureWorkspace {
     /// the workspace's internal `K` buffer.
     pub fn closure<'a, I>(&mut self, n: usize, stages: I) -> &BoolMatrix
     where
-        I: IntoIterator<Item = &'a BoolMatrix>,
+        I: IntoIterator<Item = &'a SparseBoolMatrix>,
     {
         self.closure_matrix(n, stages, None)
     }
@@ -174,7 +194,7 @@ impl ClosureWorkspace {
         edge: (usize, usize),
     ) -> &BoolMatrix
     where
-        I: IntoIterator<Item = &'a BoolMatrix>,
+        I: IntoIterator<Item = &'a SparseBoolMatrix>,
     {
         self.closure_matrix(n, stages, Some((skip_stage, edge)))
     }
@@ -183,7 +203,7 @@ impl ClosureWorkspace {
     /// arrival. Stops consuming stages as soon as knowledge is complete.
     pub fn is_barrier<'a, I>(&mut self, n: usize, stages: I) -> bool
     where
-        I: IntoIterator<Item = &'a BoolMatrix>,
+        I: IntoIterator<Item = &'a SparseBoolMatrix>,
     {
         self.run(n, stages, None) == n
     }
@@ -196,7 +216,7 @@ impl ClosureWorkspace {
         skip: Option<(usize, (usize, usize))>,
     ) -> &BoolMatrix
     where
-        I: IntoIterator<Item = &'a BoolMatrix>,
+        I: IntoIterator<Item = &'a SparseBoolMatrix>,
     {
         if self.run(n, stages, skip) == n {
             // A barrier's closure: all ones, its own transpose.
@@ -212,7 +232,7 @@ impl ClosureWorkspace {
     /// signal is treated as absent from its stage.
     fn run<'a, I>(&mut self, n: usize, stages: I, skip: Option<(usize, (usize, usize))>) -> usize
     where
-        I: IntoIterator<Item = &'a BoolMatrix>,
+        I: IntoIterator<Item = &'a SparseBoolMatrix>,
     {
         self.t.reset_identity(n);
         self.k.reset_zeros(n);
@@ -242,21 +262,18 @@ impl ClosureWorkspace {
     /// Consumes the signals of stage `s`: each `k → j` ORs row `k` of `T`
     /// into accumulator row `j`. `T` is only read, so every sender
     /// forwards its pre-stage knowledge.
-    fn gather_stage(&mut self, s: &BoolMatrix, skip: Option<(usize, usize)>) {
+    fn gather_stage(&mut self, s: &SparseBoolMatrix, skip: Option<(usize, usize)>) {
         let n = s.n();
         // Listing a sender's arrivals costs one pass over its row; setting
         // them costs one word operation each, a row OR `words_per_row`.
         let scatter_below = self.t.words_per_row() / 2;
-        for sender in 0..n {
-            if s.row(sender).iter().all(|&w| w == 0) {
-                continue;
-            }
+        for (sender, receivers) in s.sends() {
             let scatter = (self.known[sender] as usize) < scatter_below;
             if scatter {
                 self.t.row_targets_into(sender, &mut self.sender_bits);
             }
             let knows = self.t.row(sender);
-            for receiver in s.row_iter(sender) {
+            for receiver in receivers.iter().map(|&r| r as usize) {
                 if self.known[receiver] as usize == n || skip == Some((sender, receiver)) {
                     continue;
                 }
@@ -311,17 +328,18 @@ impl Default for ClosureWorkspace {
     }
 }
 
-/// Runs Eq. 3 over `stages` and returns only the final knowledge matrix.
+/// Runs Eq. 3 over `stages` as written — `K ← K + K·S`, one product per
+/// stage — and returns only the final knowledge matrix.
 pub fn knowledge_closure<'a, I>(n: usize, stages: I) -> BoolMatrix
 where
-    I: IntoIterator<Item = &'a BoolMatrix>,
+    I: IntoIterator<Item = &'a SparseBoolMatrix>,
 {
     let mut k = BoolMatrix::identity(n);
     let mut prev = BoolMatrix::zeros(n);
     for s in stages {
         assert_eq!(s.n(), n, "stage dimension {} != {}", s.n(), n);
         prev.copy_from(&k);
-        prev.and_or_accumulate_into(s, &mut k);
+        prev.accumulate_sparse_product(s, &mut k);
     }
     k
 }
@@ -330,7 +348,7 @@ where
 /// stage (plus the initial identity).
 pub fn knowledge_steps<'a, I>(n: usize, stages: I) -> KnowledgeTrace
 where
-    I: IntoIterator<Item = &'a BoolMatrix>,
+    I: IntoIterator<Item = &'a SparseBoolMatrix>,
 {
     let mut trace = KnowledgeTrace::new();
     trace.recompute(n, stages);
@@ -341,9 +359,15 @@ where
 mod tests {
     use super::*;
 
-    fn linear_stages(n: usize) -> Vec<BoolMatrix> {
+    /// A stage in which every rank signals itself: never a barrier stage,
+    /// but a legal operand of the closure.
+    fn identity_stage(n: usize) -> SparseBoolMatrix {
+        SparseBoolMatrix::from_edges(n, (0..n).map(|i| (i, i)))
+    }
+
+    fn linear_stages(n: usize) -> Vec<SparseBoolMatrix> {
         // All non-zero ranks signal rank 0, then rank 0 signals everyone.
-        let mut s0 = BoolMatrix::zeros(n);
+        let mut s0 = SparseBoolMatrix::zeros(n);
         for i in 1..n {
             s0.set(i, 0, true);
         }
@@ -406,7 +430,7 @@ mod tests {
         let mut stages = Vec::new();
         let mut step = 1;
         while step < n {
-            let mut s = BoolMatrix::zeros(n);
+            let mut s = SparseBoolMatrix::zeros(n);
             for i in 0..n {
                 s.set(i, (i + step) % n, true);
             }
@@ -428,14 +452,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "stage dimension")]
     fn dimension_mismatch_panics() {
-        knowledge_closure(3, &[BoolMatrix::zeros(4)]);
+        knowledge_closure(3, &[SparseBoolMatrix::zeros(4)]);
     }
 
-    fn dissemination_stages(n: usize) -> Vec<BoolMatrix> {
+    fn dissemination_stages(n: usize) -> Vec<SparseBoolMatrix> {
         let mut stages = Vec::new();
         let mut step = 1;
         while step < n {
-            let mut s = BoolMatrix::zeros(n);
+            let mut s = SparseBoolMatrix::zeros(n);
             for i in 0..n {
                 s.set(i, (i + step) % n, true);
             }
@@ -492,8 +516,8 @@ mod tests {
         let mut stages = dissemination_stages(n);
         // Append a stage of the wrong flavour after saturation: the early
         // exit must not change the outcome.
-        stages.push(BoolMatrix::identity(n));
-        stages.push(BoolMatrix::zeros(n));
+        stages.push(identity_stage(n));
+        stages.push(SparseBoolMatrix::zeros(n));
         let mut ws = ClosureWorkspace::new();
         assert!(ws.is_barrier(n, &stages));
         assert!(ws.closure(n, &stages).is_all_true());
@@ -507,7 +531,7 @@ mod tests {
             for (si, s) in stages.iter().enumerate() {
                 for (src, dst) in s.edges().take(6) {
                     // Reference: clone the stage matrix and clear the bit.
-                    let mut modified: Vec<BoolMatrix> = stages.clone();
+                    let mut modified: Vec<SparseBoolMatrix> = stages.clone();
                     modified[si].set(src, dst, false);
                     let expected = knowledge_closure(n, &modified);
                     let got = ws.closure_excluding(n, &stages, si, (src, dst));
@@ -548,12 +572,14 @@ mod tests {
     /// `get`/`set` alone, with `skip = (stage, src, dst)` treated as unset.
     fn eq3_oracle(
         n: usize,
-        stages: &[BoolMatrix],
+        stages: &[SparseBoolMatrix],
         skip: Option<(usize, usize, usize)>,
     ) -> BoolMatrix {
         let mut k = BoolMatrix::identity(n);
         for (idx, s) in stages.iter().enumerate() {
-            let prev = k.clone();
+            // The dense view: one bit test per cell, as before stages
+            // were lists (this is what CI's Miri step pays for).
+            let (s, prev) = (s.to_dense(), k.clone());
             for (m, j) in (0..n).flat_map(|m| (0..n).map(move |j| (m, j))) {
                 if s.get(m, j) && skip != Some((idx, m, j)) {
                     // The signal m → j carries all m knew before the stage.
@@ -569,7 +595,7 @@ mod tests {
     /// Sizes on both sides of the one- and two-word row boundaries.
     const ORACLE_SIZES: [usize; 6] = [1, 2, 63, 64, 65, 130];
 
-    fn assert_matches_oracle(ws: &mut ClosureWorkspace, n: usize, stages: &[BoolMatrix]) {
+    fn assert_matches_oracle(ws: &mut ClosureWorkspace, n: usize, stages: &[SparseBoolMatrix]) {
         let want = eq3_oracle(n, stages, None);
         assert_eq!(ws.closure(n, stages), &want, "closure, n={n}");
         assert_eq!(
@@ -580,8 +606,8 @@ mod tests {
     }
 
     /// Stage `i → (i + m·w^round) mod n` for `m = 1..w`.
-    fn nway_stage(n: usize, w: usize, round: u32) -> BoolMatrix {
-        let mut s = BoolMatrix::zeros(n);
+    fn nway_stage(n: usize, w: usize, round: u32) -> SparseBoolMatrix {
+        let mut s = SparseBoolMatrix::zeros(n);
         for i in 0..n {
             for m in 1..w {
                 s.set(i, (i + m * w.pow(round)) % n, true);
@@ -594,13 +620,13 @@ mod tests {
     fn kernel_matches_oracle_on_dense_and_nway_stages() {
         let mut ws = ClosureWorkspace::new();
         for n in ORACLE_SIZES {
-            let mut all_to_all = BoolMatrix::zeros(n);
-            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
-                all_to_all.set(i, j, i != j);
-            }
+            let all_to_all = SparseBoolMatrix::from_edges(
+                n,
+                (0..n).flat_map(|i| (0..n).filter(move |&j| i != j).map(move |j| (i, j))),
+            );
             assert_matches_oracle(&mut ws, n, &[all_to_all]);
             // 4-way dissemination: one stage, then as many as saturate.
-            let rounds: Vec<BoolMatrix> = (0..4).map(|r| nway_stage(n, 4, r)).collect();
+            let rounds: Vec<SparseBoolMatrix> = (0..4).map(|r| nway_stage(n, 4, r)).collect();
             assert_matches_oracle(&mut ws, n, &rounds[..1]);
             assert_matches_oracle(&mut ws, n, &rounds);
         }
@@ -629,12 +655,13 @@ mod tests {
         // scattered, one knowing three or more is OR-ed as a row.
         let n = 330;
         let mut ws = ClosureWorkspace::new();
-        let rounds: Vec<BoolMatrix> = (0..4).map(|r| nway_stage(n, 2, r)).collect();
+        let rounds: Vec<SparseBoolMatrix> = (0..4).map(|r| nway_stage(n, 2, r)).collect();
         assert_matches_oracle(&mut ws, n, &rounds);
         // Both kinds of sender in one stage, into one receiver, next to a
         // sender that is itself a receiver.
-        let gather = BoolMatrix::from_edges(n, &(1..10).map(|i| (i, 0)).collect::<Vec<_>>());
-        let mixed = BoolMatrix::from_edges(n, &[(0, 100), (50, 100), (0, 329), (100, 0), (64, 0)]);
+        let gather = SparseBoolMatrix::from_edges(n, (1..10).map(|i| (i, 0)));
+        let mixed =
+            SparseBoolMatrix::from_edges(n, [(0, 100), (50, 100), (0, 329), (100, 0), (64, 0)]);
         assert_matches_oracle(&mut ws, n, &[gather, mixed.clone(), mixed]);
     }
 
@@ -653,8 +680,8 @@ mod tests {
         for n in ORACLE_SIZES {
             let mut stages = dissemination_stages(n);
             stages.push(nway_stage(n, 2, 0));
-            stages.push(BoolMatrix::zeros(n));
-            stages.push(BoolMatrix::identity(n));
+            stages.push(SparseBoolMatrix::zeros(n));
+            stages.push(identity_stage(n));
             assert_matches_oracle(&mut ws, n, &stages);
             assert!(ws.is_barrier(n, &stages), "n={n}");
         }
@@ -667,11 +694,24 @@ mod tests {
             // In every ring stage each sender is a receiver too.
             let stages = dissemination_stages(n);
             for (stage, src) in [(0, 0), (0, n - 1), (1, n / 2), (stages.len() - 1, 1)] {
-                let dst = stages[stage].row_iter(src).next().expect("ring stage");
+                let dst = stages[stage].row(src)[0] as usize;
                 let want = eq3_oracle(n, &stages, Some((stage, src, dst)));
                 let got = ws.closure_excluding(n, &stages, stage, (src, dst));
                 assert_eq!(got, &want, "n={n} stage={stage} edge=({src},{dst})");
                 assert!(!want.is_all_true(), "dissemination has no dead signal");
+            }
+        }
+    }
+
+    #[test]
+    fn trace_states_are_the_closures_of_the_prefixes() {
+        for n in [1, 2, 6, 64, 65, 130] {
+            for stages in [linear_stages(n), dissemination_stages(n)] {
+                let trace = knowledge_steps(n, &stages);
+                assert_eq!(trace.states.len(), stages.len() + 1);
+                for (upto, state) in trace.states.iter().enumerate() {
+                    assert_eq!(state, &knowledge_closure(n, &stages[..upto]), "n={n}");
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Property-based tests for the matrix substrate.
 
-use hbar_matrix::{knowledge_closure, BoolMatrix, ClosureWorkspace, DenseMatrix};
+use hbar_matrix::{knowledge_closure, BoolMatrix, ClosureWorkspace, DenseMatrix, SparseBoolMatrix};
 use proptest::prelude::*;
 
 fn arb_bool_matrix(max_n: usize) -> impl Strategy<Value = BoolMatrix> {
@@ -11,10 +11,10 @@ fn arb_bool_matrix(max_n: usize) -> impl Strategy<Value = BoolMatrix> {
 
 /// Eq. 3 by definition — `K₀ = I`, `K ← K ∨ K·S` per stage — through
 /// `get`/`set` alone: the oracle for the closure kernel.
-fn eq3_closure(n: usize, stages: &[BoolMatrix]) -> BoolMatrix {
+fn eq3_closure(n: usize, stages: &[SparseBoolMatrix]) -> BoolMatrix {
     let mut k = BoolMatrix::identity(n);
     for s in stages {
-        let prev = k.clone();
+        let (s, prev) = (s.to_dense(), k.clone());
         for (m, j) in (0..n).flat_map(|m| (0..n).map(move |j| (m, j))) {
             if s.get(m, j) {
                 // The signal m → j carries all m knew before the stage.
@@ -44,30 +44,26 @@ proptest! {
         dense in prop::collection::vec((0.0f64..0.5, any::<u64>()), 0..3),
         complete in any::<bool>(),
     ) {
-        let mut stages: Vec<BoolMatrix> = stage_edges
+        let mut stages: Vec<SparseBoolMatrix> = stage_edges
             .iter()
             .map(|edges| {
-                let clipped: Vec<(usize, usize)> =
-                    edges.iter().map(|&(i, j)| (i % n, j % n)).collect();
-                BoolMatrix::from_edges(n, &clipped)
+                SparseBoolMatrix::from_edges(n, edges.iter().map(|&(i, j)| (i % n, j % n)))
             })
             .collect();
         // Dense stages: each signal present with the drawn probability, so
         // senders have many targets and receivers many senders.
         for &(density, seed) in &dense {
-            let mut s = BoolMatrix::zeros(n);
             let mut x = seed;
-            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+            let drawn = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).filter(|_| {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                s.set(i, j, ((x >> 11) as f64) < density * (1u64 << 53) as f64);
-            }
-            stages.push(s);
+                ((x >> 11) as f64) < density * (1u64 << 53) as f64
+            });
+            stages.push(SparseBoolMatrix::from_edges(n, drawn));
         }
         if complete {
             let mut step = 1;
             while step < n {
-                let ring: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + step) % n)).collect();
-                stages.push(BoolMatrix::from_edges(n, &ring));
+                stages.push(SparseBoolMatrix::from_edges(n, (0..n).map(|i| (i, (i + step) % n))));
                 step *= 2;
             }
         }
@@ -141,10 +137,11 @@ proptest! {
     #[test]
     fn closure_idempotent_on_repeated_stage(m in arb_bool_matrix(20), reps in 1usize..5) {
         let n = m.n();
-        let stages: Vec<BoolMatrix> = std::iter::repeat_n(m.clone(), reps + n).collect();
+        let m = SparseBoolMatrix::from(&m);
+        let stages: Vec<SparseBoolMatrix> = std::iter::repeat_n(m.clone(), reps + n).collect();
         let k1 = knowledge_closure(n, &stages);
         // More repetitions beyond n cannot add knowledge (fixed point).
-        let more: Vec<BoolMatrix> = std::iter::repeat_n(m, 2 * (reps + n)).collect();
+        let more: Vec<SparseBoolMatrix> = std::iter::repeat_n(m, 2 * (reps + n)).collect();
         let k2 = knowledge_closure(n, &more);
         prop_assert_eq!(k1, k2);
     }
@@ -167,34 +164,6 @@ proptest! {
                 prop_assert_eq!(m.get(i, j), t.get(j, i), "at ({}, {})", i, j);
             }
         }
-    }
-
-    /// Embedding a submatrix back through its index map preserves every
-    /// edge: `embed` then `submatrix` is the identity for random masks.
-    #[test]
-    fn embed_submatrix_roundtrip(n in 1usize..=130,
-                                 host_pad in 0usize..40,
-                                 mask_bits in prop::collection::vec(any::<bool>(), 130),
-                                 edges in prop::collection::vec((0usize..130, 0usize..130), 0..300)) {
-        // Random mask over a host of n + pad ranks, guaranteed non-empty.
-        let host_n = n + host_pad;
-        let mut map: Vec<usize> = (0..n).filter(|&k| mask_bits[k]).collect();
-        if map.is_empty() {
-            map.push(n - 1);
-        }
-        let local_n = map.len();
-        let edges: Vec<(usize, usize)> = edges
-            .into_iter()
-            .map(|(i, j)| (i % local_n, j % local_n))
-            .collect();
-        let local = BoolMatrix::from_edges(local_n, &edges);
-        let global = local.embed(host_n, &map);
-        // Every local edge lands exactly where the map says, and nothing else.
-        prop_assert_eq!(global.popcount(), local.popcount());
-        for &(i, j) in &edges {
-            prop_assert!(global.get(map[i], map[j]));
-        }
-        prop_assert_eq!(global.submatrix(&map), local);
     }
 
     /// Dense symmetrize is idempotent and commutes with transpose.

@@ -72,8 +72,8 @@ impl Default for ServeConfig {
 
 /// A cached tune result: everything needed to answer any request with
 /// the same cache key, including clients that want generated code. The
-/// tuned schedule itself is retained (compiled CSR cache and all) so
-/// repeat structural queries never re-parse the JSON.
+/// tuned schedule itself is retained — as signal lists it is a small
+/// fraction of its own JSON — so structural queries never re-parse that.
 struct TunedArtifact {
     predicted_cost: f64,
     schedule: BarrierSchedule,
@@ -113,11 +113,11 @@ impl TunedArtifact {
     }
 
     /// Resident bytes, charged against the cache budget. This must
-    /// follow every heap allocation the artifact keeps alive — the
-    /// schedule's stage bitsets and compiled CSR vectors dwarf the
-    /// strings at large P, and a budget that only counted
-    /// `schedule_json.len() + code_c.len()` would admit far more
-    /// resident memory than configured.
+    /// follow every heap allocation the artifact keeps alive: the two
+    /// strings, which dominate (the JSON is the schedule's dense image,
+    /// `stages · P²/64` numbers), and the schedule's stage vector and
+    /// per-stage sender, offset and target vectors (4 bytes a signal, 8 a
+    /// sending rank).
     fn weight(&self) -> usize {
         self.schedule.heap_bytes()
             + self.schedule_json.capacity()
@@ -547,25 +547,19 @@ mod tests {
     use super::*;
     use crate::proto::decode_tune_error;
     use hbar_core::Stage;
-    use hbar_matrix::BoolMatrix;
+    use hbar_matrix::SparseBoolMatrix;
 
     /// The arrival half of a linear barrier: rank 0 hears of everyone,
     /// nobody hears back.
     fn arrival_only(n: usize) -> BarrierSchedule {
-        let mut m = BoolMatrix::zeros(n);
-        for i in 1..n {
-            m.set(i, 0, true);
-        }
-        let mut schedule = BarrierSchedule::new(n);
-        schedule.push(Stage::arrival(m));
-        schedule
+        let m = SparseBoolMatrix::from_edges(n, (1..n).map(|i| (i, 0)));
+        BarrierSchedule::from_arrival_matrices(n, vec![m])
     }
 
     #[test]
     fn artifact_of_a_barrier_builds() {
         let mut schedule = arrival_only(8);
-        let departure = schedule.departure_reversed(0);
-        schedule.append(&departure);
+        schedule.append(schedule.departure_reversed(0));
         let mut eval = CostEvaluator::new(CostParams::default());
         let artifact = TunedArtifact::build(schedule, 1.0, &mut eval);
         assert!(artifact.code_c.contains(SERVED_BARRIER_NAME));
@@ -617,37 +611,21 @@ mod tests {
     }
 
     #[test]
-    fn artifact_weight_charges_schedule_heap_not_just_strings() {
-        // A P = 512 flat stage holds 512 rows × 8 words × 8 B = 32 KiB
-        // of bitset, while the strings here total 2 bytes. The cache
-        // budget must see the bitset, or a budget of N bytes would admit
-        // hundreds of times N resident.
-        let n = 512;
-        let mut m = BoolMatrix::zeros(n);
-        for i in 1..n {
-            m.set(i, 0, true);
-        }
-        let mut schedule = BarrierSchedule::new(n);
-        schedule.push(Stage::arrival(m));
-        let _ = schedule.compiled();
+    fn artifact_weight_charges_strings_and_signal_lists() {
+        // A P = 512 flat stage: 511 senders with one signal each, 12 bytes
+        // apiece (its dense image was 512 rows × 8 words × 8 B = 32 KiB).
+        let schedule = arrival_only(512);
+        let lists = 511 * 12 + std::mem::size_of::<Stage>();
+        assert_eq!(schedule.heap_bytes(), lists);
         let artifact = TunedArtifact {
             predicted_cost: 1.0,
             schedule,
             schedule_json: String::from("{}"),
-            code_c: String::new(),
+            code_c: String::with_capacity(100),
         };
-        assert!(
-            artifact.weight() >= 512 * 8 * 8,
-            "schedule heap uncharged: weight {}",
-            artifact.weight()
-        );
         assert_eq!(
             artifact.weight(),
-            artifact.schedule.heap_bytes()
-                + artifact.schedule_json.capacity()
-                + artifact.code_c.capacity()
-                + std::mem::size_of::<TunedArtifact>()
-                + 64
+            lists + 2 + 100 + std::mem::size_of::<TunedArtifact>() + 64
         );
     }
 }

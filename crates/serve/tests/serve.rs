@@ -276,3 +276,30 @@ fn drain_waits_for_pipelined_work_then_acknowledges() {
     client.drain().expect("drain ack");
     server.shutdown().expect("server exits")
 }
+
+/// The served JSON is the dense image of the stages, byte for byte what
+/// the bitset stages serialised to: length and FNV-1a of one P = 16
+/// answer, captured at d084464 (the last commit whose stages were
+/// bitsets).
+#[test]
+fn served_schedule_json_keeps_the_bitset_era_bytes() {
+    let server = default_server();
+    let mut client = TuneClient::connect(server.addr()).expect("connect");
+    let cost = synthetic_topologies(3, 21).pop().expect("third shape");
+    assert_eq!(cost.p(), 16);
+    let resp = client.request(&TuneRequest::new(9, cost)).expect("tune");
+    let fnv1a = resp
+        .schedule_json
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        (resp.schedule_json.len(), fnv1a),
+        (555, 8248802691339815755),
+        "{}",
+        resp.schedule_json
+    );
+    client.drain().expect("drain");
+    server.shutdown().expect("shutdown");
+}

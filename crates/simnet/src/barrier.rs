@@ -132,7 +132,7 @@ mod tests {
     use crate::world::SimConfig;
     use hbar_core::algorithms::Algorithm;
     use hbar_core::schedule::Stage;
-    use hbar_matrix::BoolMatrix;
+    use hbar_matrix::SparseBoolMatrix;
     use hbar_topo::machine::MachineSpec;
     use hbar_topo::mapping::RankMapping;
 
@@ -179,7 +179,7 @@ mod tests {
         // *different* rank is delayed.
         let p = 4;
         let mut sched = BarrierSchedule::new(p);
-        let mut s0 = BoolMatrix::zeros(p);
+        let mut s0 = SparseBoolMatrix::zeros(p);
         for i in 1..p {
             s0.set(i, 0, true);
         }
@@ -237,8 +237,8 @@ mod tests {
     fn empty_rank_program_is_passive() {
         // A schedule over 3 ranks where rank 2 never participates.
         let mut sched = BarrierSchedule::new(3);
-        sched.push(Stage::arrival(BoolMatrix::from_edges(3, &[(1, 0)])));
-        sched.push(Stage::departure(BoolMatrix::from_edges(3, &[(0, 1)])));
+        sched.push(Stage::arrival(SparseBoolMatrix::from_edges(3, [(1, 0)])));
+        sched.push(Stage::departure(SparseBoolMatrix::from_edges(3, [(0, 1)])));
         let mut w = world(MachineSpec::dual_quad_cluster(1), 3);
         let programs = schedule_programs(&sched, 1);
         assert!(programs[2].is_empty());

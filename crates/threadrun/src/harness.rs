@@ -56,7 +56,7 @@ mod tests {
     use super::*;
     use hbar_core::algorithms::Algorithm;
     use hbar_core::schedule::Stage;
-    use hbar_matrix::BoolMatrix;
+    use hbar_matrix::SparseBoolMatrix;
 
     #[test]
     fn paper_algorithms_pass_delay_check_on_threads() {
@@ -73,7 +73,7 @@ mod tests {
     fn arrival_only_fails_delay_check_on_threads() {
         let p = 3;
         let mut sched = BarrierSchedule::new(p);
-        let mut s0 = BoolMatrix::zeros(p);
+        let mut s0 = SparseBoolMatrix::zeros(p);
         for i in 1..p {
             s0.set(i, 0, true);
         }

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use hbar_core::compose::{tune_hybrid, TunedBarrier, TunerConfig};
     pub use hbar_core::cost::{predict_barrier_cost, CostParams};
     pub use hbar_core::schedule::BarrierSchedule;
-    pub use hbar_matrix::{BoolMatrix, DenseMatrix};
+    pub use hbar_matrix::{BoolMatrix, DenseMatrix, SparseBoolMatrix};
     pub use hbar_simnet::world::{SimConfig, SimWorld};
     pub use hbar_topo::machine::MachineSpec;
     pub use hbar_topo::mapping::RankMapping;

@@ -135,9 +135,12 @@ fn verify_rejects_broken_schedule() {
     let schedule = dir.join("bad.json");
     // An arrival-only linear pattern (not a barrier).
     use hbarrier::core::schedule::{BarrierSchedule, Stage};
-    use hbarrier::matrix::BoolMatrix;
+    use hbarrier::matrix::SparseBoolMatrix;
     let mut sched = BarrierSchedule::new(3);
-    sched.push(Stage::arrival(BoolMatrix::from_edges(3, &[(1, 0), (2, 0)])));
+    sched.push(Stage::arrival(SparseBoolMatrix::from_edges(
+        3,
+        [(1, 0), (2, 0)],
+    )));
     std::fs::write(&schedule, serde_json::to_string(&sched).unwrap()).unwrap();
     let o = hbar(&["verify", "--schedule", schedule.to_str().unwrap()]);
     assert!(!o.status.success());
@@ -397,6 +400,177 @@ fn compact_profile_tunes_like_the_dense_one() {
             stderr(&o)
         );
         assert!(stderr(&o).contains(complaint), "{}", stderr(&o));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `hbar tune --out` for the four ranks of `1x2x2`, block placement, as
+/// written at d084464, when a stage still was a bitset matrix: two linear
+/// pairs, a dissemination exchange between their roots, and the pairs'
+/// departure.
+const SCHEDULE_P4_JSON: &str = r#"{
+  "n": 4,
+  "stages": [
+    {
+      "matrix": {
+        "n": 4,
+        "words_per_row": 1,
+        "bits": [
+          0,
+          1,
+          0,
+          4
+        ]
+      },
+      "mode": "General"
+    },
+    {
+      "matrix": {
+        "n": 4,
+        "words_per_row": 1,
+        "bits": [
+          4,
+          0,
+          1,
+          0
+        ]
+      },
+      "mode": "General"
+    },
+    {
+      "matrix": {
+        "n": 4,
+        "words_per_row": 1,
+        "bits": [
+          2,
+          0,
+          8,
+          0
+        ]
+      },
+      "mode": "ReceiversAwaiting"
+    }
+  ]
+}
+"#;
+
+#[test]
+fn schedule_json_of_the_bitset_era_reads_and_rewrites_byte_for_byte() {
+    use hbarrier::core::schedule::BarrierSchedule;
+    use hbarrier::topo::cost::SendMode;
+    let sched: BarrierSchedule = serde_json::from_str(SCHEDULE_P4_JSON).unwrap();
+    let signals: Vec<Vec<(usize, usize)>> = sched
+        .stages()
+        .iter()
+        .map(|s| s.matrix.edges().collect())
+        .collect();
+    assert_eq!(
+        signals,
+        vec![
+            vec![(1, 0), (3, 2)],
+            vec![(0, 2), (2, 0)],
+            vec![(0, 1), (2, 3)]
+        ]
+    );
+    let modes: Vec<SendMode> = sched.stages().iter().map(|s| s.mode).collect();
+    assert_eq!(
+        modes,
+        [
+            SendMode::General,
+            SendMode::General,
+            SendMode::ReceiversAwaiting
+        ]
+    );
+    assert_eq!(
+        serde_json::to_string_pretty(&sched).unwrap(),
+        SCHEDULE_P4_JSON
+    );
+}
+
+#[test]
+fn malformed_schedule_files_are_error_messages() {
+    let dir = workdir("hostile");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (profile, schedule) = (path("p4.json"), path("bad.json"));
+    let o = hbar(&[
+        "profile",
+        "--machine",
+        "1x2x2",
+        "--mapping",
+        "block",
+        "--ranks",
+        "4",
+        "--exact-machine",
+        "--out",
+        &profile,
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let commands = [
+        vec!["verify", "--schedule", &schedule],
+        vec!["predict", "--profile", &profile, "--schedule", &schedule],
+        vec!["simulate", "--profile", &profile, "--schedule", &schedule],
+        vec!["codegen", "--lang", "c", "--schedule", &schedule],
+    ];
+    // The file as written is fine.
+    std::fs::write(&schedule, SCHEDULE_P4_JSON).unwrap();
+    for command in &commands {
+        let o = hbar(command);
+        assert!(o.status.success(), "{command:?}: {}", stderr(&o));
+    }
+
+    let stage0_bits = "0,\n          1,\n          0,\n          4";
+    let stage0 = "\"matrix\": {\n        \"n\": 4,";
+    for (what, from, to, complaint) in [
+        (
+            "bits two words short",
+            stage0_bits,
+            "0,\n          1",
+            "bits holds 2 words, but n = 4 rows of 1 need 4",
+        ),
+        (
+            "a zero stride",
+            "\"words_per_row\": 1",
+            "\"words_per_row\": 0",
+            "words_per_row is 0, but n = 4 needs 1",
+        ),
+        (
+            "a bit beyond the last column",
+            stage0_bits,
+            "1099511627776,\n          1,\n          0,\n          4",
+            "row 0 has a bit at column 40, but n = 4",
+        ),
+        (
+            "a stage size no file could back",
+            stage0,
+            "\"matrix\": {\n        \"n\": 1099511627776,",
+            "words_per_row is 1, but n = 1099511627776 needs 17179869184",
+        ),
+        (
+            "a stage of another size than the schedule",
+            "{\n  \"n\": 4,",
+            "{\n  \"n\": 5,",
+            "stage 0: stage is 4x4 but the schedule covers 5 ranks",
+        ),
+        (
+            "a self-signal",
+            stage0_bits,
+            "1,\n          1,\n          0,\n          4",
+            "stage 0: rank 0 signals itself",
+        ),
+    ] {
+        assert!(SCHEDULE_P4_JSON.contains(from), "{what}");
+        std::fs::write(&schedule, SCHEDULE_P4_JSON.replacen(from, to, 1)).unwrap();
+        for command in &commands {
+            let o = hbar(command);
+            let err = stderr(&o);
+            assert_eq!(o.status.code(), Some(1), "{what}, {command:?}: {err}");
+            assert!(
+                err.contains("error: cannot parse schedule"),
+                "{what}: {err}"
+            );
+            assert!(err.contains(complaint), "{what}, {command:?}: {err}");
+            assert!(!err.contains("panicked"), "{what}, {command:?}: {err}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -28,8 +28,8 @@ fn figure2_linear_barrier_matrices() {
     let sched = Algorithm::Linear.full_schedule(4, &members);
     assert_eq!(sched.len(), 2);
     let s0 = rows(&[[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]);
-    assert_eq!(sched.stages()[0].matrix, s0);
-    assert_eq!(sched.stages()[1].matrix, s0.transpose());
+    assert_eq!(sched.stages()[0].matrix.to_dense(), s0);
+    assert_eq!(sched.stages()[1].matrix.to_dense(), s0.transpose());
 }
 
 /// Figure 3: the dissemination barrier for |P| = 4.
@@ -40,8 +40,8 @@ fn figure3_dissemination_barrier_matrices() {
     assert_eq!(sched.len(), 2, "no departure phase");
     let s0 = rows(&[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]);
     let s1 = rows(&[[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]);
-    assert_eq!(sched.stages()[0].matrix, s0);
-    assert_eq!(sched.stages()[1].matrix, s1);
+    assert_eq!(sched.stages()[0].matrix.to_dense(), s0);
+    assert_eq!(sched.stages()[1].matrix.to_dense(), s1);
 }
 
 /// Figure 4: the tree barrier for |P| = 4: S0, S1, S2 = S1ᵀ, S3 = S0ᵀ.
@@ -52,10 +52,10 @@ fn figure4_tree_barrier_matrices() {
     assert_eq!(sched.len(), 4);
     let s0 = rows(&[[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]);
     let s1 = rows(&[[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]);
-    assert_eq!(sched.stages()[0].matrix, s0);
-    assert_eq!(sched.stages()[1].matrix, s1);
-    assert_eq!(sched.stages()[2].matrix, s1.transpose());
-    assert_eq!(sched.stages()[3].matrix, s0.transpose());
+    assert_eq!(sched.stages()[0].matrix.to_dense(), s0);
+    assert_eq!(sched.stages()[1].matrix.to_dense(), s1);
+    assert_eq!(sched.stages()[2].matrix.to_dense(), s1.transpose());
+    assert_eq!(sched.stages()[3].matrix.to_dense(), s0.transpose());
 }
 
 /// §V-B stage counts: linear 2 stages, tree 2·⌈log₂P⌉, dissemination

@@ -1,19 +1,20 @@
-//! Barrier verification and execution at a size only a signal-driven
-//! closure and a sparse engine reach.
+//! Barrier verification and execution at sizes only a schedule of signal
+//! lists, a signal-driven closure and a sparse engine reach.
 //!
 //! With one matching pool and one charge record per *ordered rank pair*
 //! (128 bytes together, the engine's layout up to PR 13) a P = 16384 world
-//! would need 34 GB before running anything. The engine now keeps state per
-//! rank and per channel the programs name, so this test passing inside
-//! `cargo test` is the proof that nothing in `hbar_simnet::engine` or
-//! `::world` is sized by P². The Eq. 3 closure used to walk every set bit
-//! of the P × P knowledge matrix per stage (some 10⁹ bit visits for the
-//! last stages here); driven from the stage's signals it runs in the same
-//! test.
+//! would need 34 GB before running anything, and with one `P × P` bitset
+//! per stage (the schedule's layout up to PR 19) the tree's 28 stages
+//! spanned 896 MiB for 32 766 signals. The engine keeps state per rank and
+//! per channel the programs name, a stage keeps its signals, and the Eq. 3
+//! closure iterates them, so what is left at P = 32768 is the closure's two
+//! 128 MiB knowledge arenas. These tests passing inside `cargo test` is the
+//! proof that nothing else on the way from an algorithm to an executed
+//! barrier is sized by P².
 
 use hbar_core::algorithms::Algorithm;
-use hbar_core::schedule::BarrierSchedule;
-use hbar_matrix::ClosureWorkspace;
+use hbar_core::schedule::{BarrierSchedule, Stage};
+use hbar_matrix::{ClosureWorkspace, SparseBoolMatrix};
 use hbar_simnet::barrier::schedule_programs;
 use hbar_simnet::world::{SimConfig, SimWorld};
 use hbar_simnet::NoiseModel;
@@ -21,15 +22,16 @@ use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 
 /// Eq. 3 at this size: the schedule is a barrier, and stops being one
-/// when any single signal of its first, middle or last stage is cleared.
-/// The closure costs the signals' row operations plus one scan of each
-/// stage matrix, so a debug build gets through all eight runs.
-fn assert_barrier_and_no_spare_signal(schedule: &BarrierSchedule, ws: &mut ClosureWorkspace) {
+/// when the first signal of any of the stages `without` is cleared.
+fn assert_barrier_and_no_spare_signal(
+    schedule: &BarrierSchedule,
+    without: &[usize],
+    ws: &mut ClosureWorkspace,
+) {
     let p = schedule.n();
-    let stages = schedule.matrices();
+    let stages: Vec<&SparseBoolMatrix> = schedule.stages().iter().map(|s| &s.matrix).collect();
     assert!(ws.is_barrier(p, stages.iter().copied()));
-    for at in [0, stages.len() / 2, stages.len() - 1] {
-        // One modified copy alive at a time (32 MiB).
+    for &at in without {
         let mut cleared = stages[at].clone();
         let (src, dst) = cleared.edges().next().expect("no stage is empty");
         cleared.set(src, dst, false);
@@ -42,10 +44,11 @@ fn assert_barrier_and_no_spare_signal(schedule: &BarrierSchedule, ws: &mut Closu
     }
 }
 
-#[test]
-fn tree_and_dissemination_execute_at_p16384() {
-    let p = 16384;
-    let machine = MachineSpec::new(2048, 2, 4);
+/// Builds, verifies and executes the tree and the dissemination barrier
+/// over `p` ranks of dual quad-core nodes. `refute_at` picks, from the
+/// stage count, the stages to clear a signal of.
+fn tree_and_dissemination_execute(p: usize, refute_at: fn(usize) -> Vec<usize>) {
+    let machine = MachineSpec::new(p / 8, 2, 4);
     assert_eq!(machine.total_cores(), p);
     let mut world = SimWorld::new(
         SimConfig {
@@ -58,11 +61,19 @@ fn tree_and_dissemination_execute_at_p16384() {
     let members: Vec<usize> = (0..p).collect();
     let mut ws = ClosureWorkspace::new();
     for alg in [Algorithm::Tree, Algorithm::Dissemination] {
-        // One schedule at a time: its dense stage matrices (32 MiB each)
-        // are this test's real memory cost.
         let schedule = alg.full_schedule(p, &members);
-        let signals = schedule.total_signals();
-        assert_barrier_and_no_spare_signal(&schedule, &mut ws);
+        let (signals, stages) = (schedule.total_signals(), schedule.len());
+        // Four bytes a signal and eight a sending rank per stage (at most
+        // twelve a signal), plus the stage vector, which growing by
+        // doubling may leave up to twice as long as it is full. The dense
+        // stages of this schedule were `stages · p² / 8` bytes.
+        let bound = 12 * signals + 2 * stages * std::mem::size_of::<Stage>();
+        assert!(
+            schedule.heap_bytes() <= bound,
+            "{alg}: {} bytes for {signals} signals in {stages} stages",
+            schedule.heap_bytes()
+        );
+        assert_barrier_and_no_spare_signal(&schedule, &refute_at(stages), &mut ws);
         let programs = schedule_programs(&schedule, 1);
         drop(schedule);
         let result = world
@@ -73,4 +84,16 @@ fn tree_and_dissemination_execute_at_p16384() {
         assert_eq!(result.events, (p + 3 * signals) as u64, "{alg}");
         assert!(result.makespan() > 0);
     }
+}
+
+#[test]
+fn tree_and_dissemination_execute_at_p16384() {
+    tree_and_dissemination_execute(16384, |stages| vec![0, stages / 2, stages - 1]);
+}
+
+/// Twice the largest size any other test reaches (the engine's own limit
+/// is 2³⁰ ranks since PR 14).
+#[test]
+fn tree_and_dissemination_execute_at_p32768() {
+    tree_and_dissemination_execute(32768, |stages| vec![stages / 2]);
 }

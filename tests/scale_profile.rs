@@ -7,9 +7,18 @@
 //! the classing's `K × K` table over rank kinds (K = P/4 on these dual
 //! quad-core nodes), so this test passing — with the bound on
 //! `heap_bytes()` it asserts — is the proof that nothing between the
-//! measurements and a tunable model allocates `P²` cells.
+//! measurements and a tunable model allocates `P²` cells. The same model
+//! is then tuned, and the hybrid verified, compiled, emitted and executed:
+//! with stages held as signal lists, the only `P²` bits on that way are the
+//! Eq. 3 closure's knowledge matrices.
 
+use hbar_core::codegen::{c_source, compile_schedule};
+use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
+use hbar_core::schedule::{BarrierSchedule, Stage};
+use hbar_core::verify::is_barrier;
+use hbar_simnet::barrier::schedule_programs;
 use hbar_simnet::sweep::{DescriptorExecutor, PairSample, PairWorkDescriptor, SweepError};
+use hbar_simnet::world::{SimConfig, SimWorld};
 use hbar_simnet::{measure_profile_compressed, NoiseModel, SpillConfig, SweepConfig, WorkKind};
 use hbar_topo::cost::CostProvider;
 use hbar_topo::machine::{LinkClass, MachineSpec};
@@ -130,6 +139,54 @@ fn compressed_profile_at_p16384_weighs_megabytes() {
         metric.dist(9, 14),
         truth.effective_o(LinkClass::CrossSocket)
     );
+
+    tuned_hybrid_verifies_and_executes(&machine, &model);
+}
+
+/// Tunes a hybrid on `model`, and takes it the rest of the way: Eq. 3,
+/// refutation with one signal removed, rank programs, C, one execution.
+fn tuned_hybrid_verifies_and_executes(machine: &MachineSpec, model: &CompressedCostModel) {
+    let p = model.p();
+    let members: Vec<usize> = (0..p).collect();
+    let tuned = tune_hybrid_costs(model, &members, &TunerConfig::default());
+    let schedule = &tuned.schedule;
+    let signals = schedule.total_signals();
+    // Nodes of two sockets of four cores under one root.
+    assert_eq!(tuned.tree.cluster_count(), 1 + p / 8 + p / 4);
+    assert!(schedule.heap_bytes() <= 12 * signals + 2 * schedule.len() * size_of::<Stage>());
+    assert!(is_barrier(schedule));
+
+    let middle = schedule.len() / 2;
+    let mut with_gap = BarrierSchedule::new(p);
+    for (k, stage) in schedule.stages().iter().enumerate() {
+        let mut matrix = stage.matrix.clone();
+        if k == middle {
+            let (src, dst) = matrix.edges().next().expect("no stage is empty");
+            matrix.set(src, dst, false);
+        }
+        with_gap.push(Stage {
+            matrix,
+            mode: stage.mode,
+        });
+    }
+    assert!(!is_barrier(&with_gap));
+
+    let programs = compile_schedule(schedule).expect("a tuned schedule compiles");
+    let source = c_source("hbar_barrier", &programs).expect("a valid name");
+    assert!(source.len() > 600 * p, "{} bytes of C", source.len());
+    let mut world = SimWorld::new(
+        SimConfig {
+            machine: machine.clone(),
+            mapping: RankMapping::Block,
+            noise: NoiseModel::realistic(1),
+        },
+        p,
+    );
+    let result = world
+        .run(&schedule_programs(schedule, 1))
+        .unwrap_or_else(|e| panic!("the hybrid deadlocked at P = {p}: {e}"));
+    assert_eq!(result.events, (p + 3 * signals) as u64);
+    assert!(result.makespan() > 0);
 }
 
 #[test]

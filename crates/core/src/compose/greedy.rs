@@ -7,7 +7,6 @@ use crate::schedule::{BarrierSchedule, Stage};
 use hbar_matrix::SparseBoolMatrix;
 use hbar_topo::cost::{CostMatrices, CostProvider};
 use hbar_topo::profile::TopologyProfile;
-use rayon::prelude::*;
 
 /// Configuration of the adaptive tuner.
 #[derive(Clone, Debug)]
@@ -33,14 +32,6 @@ pub struct TunerConfig {
     /// cost overestimates the cheaper Eq. 2 departure); this is one of
     /// the paper's future-work generalizations.
     pub score_exact: bool,
-    /// Plan the root's child clusters on worker threads (only kicks in
-    /// past an internal cluster-size threshold and when a thread pool
-    /// with more than one worker exists, where the scoring work
-    /// amortizes thread startup). The parallel reduction preserves child
-    /// index order and candidate order, so the tuned schedule, choices
-    /// and prediction are bit-identical to a sequential run (see
-    /// `tests/determinism.rs`).
-    pub parallel: bool,
 }
 
 impl Default for TunerConfig {
@@ -52,7 +43,6 @@ impl Default for TunerConfig {
             max_depth: 8,
             merge_late: false,
             score_exact: false,
-            parallel: true,
         }
     }
 }
@@ -220,11 +210,6 @@ struct RootLevel {
     stage_count: usize,
 }
 
-/// Minimum cluster size before root-sibling planning forks to worker
-/// threads. Below this the whole tune runs in well under a millisecond
-/// and thread startup costs more than it saves.
-const PARALLEL_MEMBER_THRESHOLD: usize = 256;
-
 /// One planned cluster level: the algorithm is selected and its local
 /// stages generated, but nothing is mapped into the global rank space
 /// yet. Splitting planning from emission keeps the entire selection pass
@@ -254,35 +239,9 @@ fn plan_node<C: CostProvider + ?Sized>(
     cfg: &TunerConfig,
     eval: &mut CostEvaluator,
 ) -> PlanNode {
-    let children: Vec<PlanNode> = if node.is_leaf() {
-        Vec::new()
-    } else {
-        // Forking only pays when worker threads exist and the subtree
-        // carries enough scoring work to amortize thread startup; the
-        // outputs are bit-identical either way (scores are pure
-        // functions of (cost, members, algorithm), so private memos
-        // change nothing and results return in child index order), so
-        // the cutoff is purely a latency heuristic.
-        let fork = cfg.parallel
-            && depth == 0
-            && node.children.len() > 1
-            && node.members.len() >= PARALLEL_MEMBER_THRESHOLD
-            && rayon::current_num_threads() > 1;
-        if fork {
-            node.children
-                .par_iter()
-                .map(|c| {
-                    let mut child_eval = CostEvaluator::new(cfg.cost_params);
-                    plan_node(c, depth + 1, cost, cfg, &mut child_eval)
-                })
-                .collect()
-        } else {
-            node.children
-                .iter()
-                .map(|c| plan_node(c, depth + 1, cost, cfg, eval))
-                .collect()
-        }
-    };
+    let children: Vec<PlanNode> = (node.children.iter())
+        .map(|c| plan_node(c, depth + 1, cost, cfg, eval))
+        .collect();
     let participants: Vec<usize> = if node.is_leaf() {
         node.members.clone()
     } else {

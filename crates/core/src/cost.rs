@@ -34,9 +34,9 @@ use hbar_topo::cost::{CostMatrices, CostProvider, SendMode};
 use hbar_topo::metric::DistanceMetric;
 use std::collections::HashMap;
 
-// The fingerprint moved to `hbar-topo::cost` so the compressed model can
-// stream it without depending on this crate; re-exported here because
-// `hbar serve` and external cache keys were documented against this path.
+// The dense fingerprint lives in `hbar-topo::cost`, beside the matrices it
+// hashes; re-exported here because `hbar serve` and external cache keys
+// were documented against this path.
 pub use hbar_topo::cost::{cost_fingerprint, COST_FINGERPRINT_VERSION};
 
 /// Options for the prediction model.
@@ -279,10 +279,12 @@ impl CostEvaluator {
         &self.params
     }
 
-    /// Binds the score memo to `cost`: a no-op when the model is
-    /// unchanged (so successive tunes on the same profile share hits),
-    /// a cache clear when it differs. Backing-agnostic: a compressed
-    /// model with the same dense image keeps the memo warm.
+    /// Binds the score memo to `cost`: a no-op when its
+    /// [`CostProvider::fingerprint`] is the bound one (so successive tunes
+    /// on the same profile share hits), a cache clear otherwise. Equal
+    /// fingerprints mean bit-equal entries, so a kept memo is never stale;
+    /// the same entries in another storage or encoding fingerprint
+    /// differently and merely start the memo cold.
     pub fn rebind<C: CostProvider + ?Sized>(&mut self, cost: &C) {
         let fp = cost.fingerprint();
         if self.bound_fingerprint != Some(fp) {

@@ -1,11 +1,11 @@
-//! Parallel/sequential bit-parity of the tuning pipeline, and golden
-//! fingerprints of what it emits.
+//! Parallel/sequential bit-parity of the exhaustive search, and golden
+//! fingerprints of what the tuning pipeline emits.
 //!
-//! The rayon-parallel paths (root-sibling composition in the greedy
-//! tuner, first-stage waves in the exhaustive search) promise output
-//! bit-identical to a forced single-thread run. These tests hold them to
-//! it across seeded random hierarchical profiles: identical schedules,
-//! identical choice lists, and bit-identical (`to_bits`) predictions.
+//! The search's rayon-parallel first-stage waves promise output
+//! bit-identical to a forced single-thread run; the proptest holds them
+//! to it across seeded random hierarchical profiles. The greedy tuner has
+//! no parallel path: its output is pinned by the goldens alone, at
+//! whatever thread count the process runs with.
 //!
 //! The golden fingerprints pin the tuner, the SSS clustering and the
 //! Eq. 3 closure to the output of the seed-era reference
@@ -13,8 +13,10 @@
 
 use hbar_core::clustering::{try_sss_clusters_with, SssScratch, SSS_DEFAULT_SPARSENESS};
 use hbar_core::compose::{
-    search_optimal_barrier, tune_hybrid_costs, SearchConfig, TunedBarrier, TunerConfig,
+    search_optimal_barrier, tune_hybrid_costs, tune_hybrid_costs_with, SearchConfig, TunedBarrier,
+    TunerConfig,
 };
+use hbar_core::cost::CostEvaluator;
 use hbar_matrix::{BoolMatrix, ClosureWorkspace, DenseMatrix, SparseBoolMatrix};
 use hbar_topo::cost::{CostMatrices, SendMode};
 use hbar_topo::machine::MachineSpec;
@@ -51,50 +53,8 @@ fn hierarchical_costs(nodes: usize, per_node: usize, jitter: &[f64]) -> CostMatr
     CostMatrices { o, l }
 }
 
-/// Asserts the full tuner output matches bit-for-bit across modes.
-fn assert_tuner_parity(cost: &CostMatrices, base: &TunerConfig) {
-    let members: Vec<usize> = (0..cost.p()).collect();
-    let par = TunerConfig {
-        parallel: true,
-        ..base.clone()
-    };
-    let seq = TunerConfig {
-        parallel: false,
-        ..base.clone()
-    };
-    let a = tune_hybrid_costs(cost, &members, &par);
-    let b = tune_hybrid_costs(cost, &members, &seq);
-    assert_eq!(a.schedule, b.schedule, "schedules diverged");
-    assert_eq!(a.choices.len(), b.choices.len(), "choice counts diverged");
-    for (ca, cb) in a.choices.iter().zip(&b.choices) {
-        assert_eq!(ca.participants, cb.participants);
-        assert_eq!(ca.depth, cb.depth);
-        assert_eq!(ca.algorithm, cb.algorithm);
-        assert_eq!(ca.score.to_bits(), cb.score.to_bits(), "scores diverged");
-    }
-    assert_eq!(
-        a.predicted_cost.to_bits(),
-        b.predicted_cost.to_bits(),
-        "predictions diverged"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Greedy tuner: parallel == sequential on random small hierarchies,
-    /// under both the paper scoring rule and the exact-scoring extension.
-    #[test]
-    fn tuner_parity_on_random_hierarchies(
-        nodes in 2usize..7,
-        per_node in 2usize..7,
-        jitter in prop::collection::vec(0.0f64..0.5, 16),
-        score_exact in any::<bool>(),
-    ) {
-        let cost = hierarchical_costs(nodes, per_node, &jitter);
-        let cfg = TunerConfig { score_exact, ..TunerConfig::default() };
-        assert_tuner_parity(&cost, &cfg);
-    }
 
     /// Exhaustive search: parallel == sequential on random profiles —
     /// same winning schedule, bit-identical cost, same expansion count
@@ -123,29 +83,6 @@ proptest! {
         prop_assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         prop_assert_eq!(a.expansions, b.expansions);
         prop_assert_eq!(a.complete, b.complete);
-    }
-}
-
-/// Above the fork threshold the parallel tuner really does run the root
-/// siblings on worker threads — parity there is the load-bearing case
-/// (the proptest sizes stay below the threshold and share one code
-/// path).
-#[test]
-fn tuner_parity_when_fork_engages() {
-    for (nodes, per_node, seed) in [(36usize, 8usize, 3u64), (48, 6, 17)] {
-        // Cheap deterministic jitter stream (splitmix-style).
-        let mut state = seed;
-        let jitter: Vec<f64> = (0..32)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as f64) / (u32::MAX as f64) * 0.5
-            })
-            .collect();
-        let cost = hierarchical_costs(nodes, per_node, &jitter);
-        assert!(cost.p() >= 256, "case must cross the fork threshold");
-        assert_tuner_parity(&cost, &TunerConfig::default());
     }
 }
 
@@ -239,6 +176,28 @@ fn tuner_output_matches_seed_era_goldens() {
         );
         assert_eq!(tune_fingerprint(&tuned), golden, "tune diverged at P={p}");
     }
+}
+
+/// One tune leaves the caller's evaluator a score for every applicable
+/// candidate of every multi-member level, and a second tune on the same
+/// costs scores nothing and emits the same bits.
+#[test]
+fn tune_fills_the_callers_memo_once() {
+    let p = 1024;
+    let cost = dual_quad_profile(p).cost;
+    let members: Vec<usize> = (0..p).collect();
+    let cfg = TunerConfig::default();
+    let mut eval = CostEvaluator::new(cfg.cost_params);
+    let first = tune_hybrid_costs_with(&cost, &members, &cfg, &mut eval);
+    let applicable = |m: usize| cfg.candidates.iter().filter(|a| a.applicable(m)).count();
+    let scored: usize = (first.choices.iter())
+        .map(|c| applicable(c.participants.len()))
+        .sum();
+    assert_eq!(scored, first.choices.len() * 3, "the paper set");
+    assert_eq!(eval.cached_scores(), scored);
+    let second = tune_hybrid_costs_with(&cost, &members, &cfg, &mut eval);
+    assert_eq!(eval.cached_scores(), scored);
+    assert_eq!(tune_fingerprint(&first), tune_fingerprint(&second));
 }
 
 /// SSS clustering (maintained nearest-center arrays) emits the cluster

@@ -496,6 +496,39 @@ pub(crate) struct ClassMeasurements {
     pub(crate) exploded_diags: HashMap<usize, f64>,
 }
 
+/// Executes one batch whose ids are `0..descriptors.len()` and returns
+/// its `(o, l)` samples indexed by id, having checked that the executor
+/// answered every id exactly once. `what` names the batch in the error.
+fn run_batch(
+    executor: &mut dyn DescriptorExecutor,
+    descriptors: &[PairWorkDescriptor],
+    what: &str,
+) -> Result<Vec<(f64, f64)>, SweepError> {
+    let samples = executor.execute_batch(descriptors)?;
+    if samples.len() != descriptors.len() {
+        return Err(SweepError::Protocol(format!(
+            "executor returned {} samples for {} {what}",
+            samples.len(),
+            descriptors.len()
+        )));
+    }
+    let mut by_id = vec![None; descriptors.len()];
+    for s in samples {
+        let Some(slot) = by_id.get_mut(s.id as usize) else {
+            return Err(SweepError::Protocol(format!("unknown sample id {}", s.id)));
+        };
+        if slot.replace((s.o, s.l)).is_some() {
+            return Err(SweepError::Protocol(format!(
+                "duplicate sample id {}",
+                s.id
+            )));
+        }
+    }
+    (by_id.into_iter().enumerate())
+        .map(|(id, s)| s.ok_or_else(|| SweepError::Protocol(format!("missing sample id {id}"))))
+        .collect()
+}
+
 /// The measurement phase: representatives + probes, adaptive growth, and
 /// the explosion safety valve. Returns class-space results only — matrix
 /// materialization is the scatter phase's job, so this function's memory
@@ -624,33 +657,13 @@ pub(crate) fn measure_classes(
             }
         }
         measurements += descriptors.len();
-        let samples = executor.execute_batch(&descriptors)?;
-        if samples.len() != descriptors.len() {
-            return Err(SweepError::Protocol(format!(
-                "executor returned {} samples for {} descriptors",
-                samples.len(),
-                descriptors.len()
-            )));
-        }
-        let mut seen = vec![false; descriptors.len()];
-        for s in samples {
-            let Some(&(is_diag, c, m)) = slots.get(s.id as usize) else {
-                return Err(SweepError::Protocol(format!("unknown sample id {}", s.id)));
-            };
-            if std::mem::replace(&mut seen[s.id as usize], true) {
-                return Err(SweepError::Protocol(format!(
-                    "duplicate sample id {}",
-                    s.id
-                )));
-            }
+        let samples = run_batch(executor, &descriptors, "descriptors")?;
+        for (&(is_diag, c, m), value) in slots.iter().zip(samples) {
             if is_diag {
-                diag_samples[c].values[m] = (s.o, s.l);
+                diag_samples[c].values[m] = value;
             } else {
-                pair_samples[c].values[m] = (s.o, s.l);
+                pair_samples[c].values[m] = value;
             }
-        }
-        if let Some(hole) = seen.iter().position(|&s| !s) {
-            return Err(SweepError::Protocol(format!("missing sample id {hole}")));
         }
 
         // Decide who grows. Only classes with ≥ 2 samples have a scatter
@@ -739,33 +752,13 @@ pub(crate) fn measure_classes(
             }
         }
         measurements += descriptors.len();
-        let samples = executor.execute_batch(&descriptors)?;
-        if samples.len() != descriptors.len() {
-            return Err(SweepError::Protocol(format!(
-                "executor returned {} samples for {} exploded descriptors",
-                samples.len(),
-                descriptors.len()
-            )));
-        }
-        let mut seen = vec![false; descriptors.len()];
-        for s in samples {
-            let Some(&(is_diag, i, j)) = keys.get(s.id as usize) else {
-                return Err(SweepError::Protocol(format!("unknown sample id {}", s.id)));
-            };
-            if std::mem::replace(&mut seen[s.id as usize], true) {
-                return Err(SweepError::Protocol(format!(
-                    "duplicate sample id {}",
-                    s.id
-                )));
-            }
+        let samples = run_batch(executor, &descriptors, "exploded descriptors")?;
+        for (&(is_diag, i, j), (o, l)) in keys.iter().zip(samples) {
             if is_diag {
-                exploded_diags.insert(i, s.o);
+                exploded_diags.insert(i, o);
             } else {
-                exploded_pairs.insert((i, j), (s.o, s.l));
+                exploded_pairs.insert((i, j), (o, l));
             }
-        }
-        if let Some(hole) = seen.iter().position(|&s| !s) {
-            return Err(SweepError::Protocol(format!("missing sample id {hole}")));
         }
     }
 

@@ -16,7 +16,7 @@ use hbar_simnet::sweep::{
 };
 use hbar_simnet::wire::JobHeader;
 use hbar_simnet::{measure_profile_clustered_compressed, NoiseModel, SpillConfig};
-use hbar_topo::cost::{cost_fingerprint, CostMatrices, CostProvider};
+use hbar_topo::cost::{CostMatrices, CostProvider};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::metric::DistanceMetric;
@@ -151,15 +151,17 @@ proptest! {
         prop_assert_eq!(report.measurements, dense_report.measurements);
         let image = in_memory.to_dense();
         prop_assert!(costs_bits_equal(&image, &dense.cost));
-        prop_assert_eq!(in_memory.fingerprint(), cost_fingerprint(&image));
         prop_assert_eq!(in_memory.class_map().overrides().is_empty(), !explode);
         if symmetric {
             prop_assert!(in_memory.is_symmetric());
             let (metric, by_cells) = (in_memory.distance_metric(), DistanceMetric::from_costs(&image));
             let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            let mut scratch = Vec::new();
+            let (mut scratch, mut unused) = (Vec::new(), Vec::new());
             for i in 0..p {
-                prop_assert_eq!(bits(metric.row_into(i, &mut scratch)), bits(by_cells.row(i)));
+                prop_assert_eq!(
+                    bits(metric.row_into(i, &mut scratch)),
+                    bits(by_cells.row_into(i, &mut unused))
+                );
                 for j in 0..p {
                     prop_assert_eq!(metric.dist(i, j).to_bits(), by_cells.dist(i, j).to_bits());
                 }

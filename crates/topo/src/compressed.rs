@@ -30,8 +30,8 @@
 //! [`CompressedCostModel::from_dense`]); there is no second storage.
 //!
 //! Every accessor returns the same `f64` bits the dense image holds, so
-//! the fingerprint, the evaluator's scores, and full tunes are equal
-//! across backings, which the parity proptests assert at P ≤ 256.
+//! the evaluator's scores and full tunes are equal across backings, which
+//! the parity proptests assert at P ≤ 256.
 //!
 //! Diagonal cells get class ids disjoint from off-diagonal cells even
 //! when their values collide. That invariant is what lets the derived
@@ -39,7 +39,7 @@
 //! table maps diagonal classes to `0.0` and off-diagonal classes to the
 //! symmetrized `(O_c + O_c) / 2` without consulting positions.
 
-use crate::cost::{CostMatrices, CostProvider, FingerprintStream};
+use crate::cost::{CostMatrices, CostProvider, FNV_OFFSET, FNV_PRIME};
 use crate::metric::DistanceMetric;
 use hbar_matrix::DenseMatrix;
 use serde::{Deserialize, Serialize};
@@ -179,6 +179,26 @@ pub struct ModelParts {
     pub table_l: Vec<f64>,
 }
 
+/// FNV-1a over 64-bit words: the hash behind a model's fingerprint.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(FNV_PRIME);
+    }
+
+    /// Class ids, four to a word; their number is hashed separately.
+    fn classes(&mut self, ids: &[u16]) {
+        for four in ids.chunks(4) {
+            self.word(four.iter().fold(0, |w, &id| w << 16 | u64::from(id)));
+        }
+    }
+}
+
+/// First word of every kind-space fingerprint, so that a model never
+/// fingerprints like the dense matrices of its image.
+const STORAGE_TAG: u64 = u64::from_le_bytes(*b"kindspac");
+
 /// Which class every cell of a `P × P` model belongs to, stored in kind
 /// space (see the module docs). Shared through one `Arc` by a
 /// [`CompressedCostModel`] and the [`DistanceMetric`] derived from it;
@@ -197,9 +217,54 @@ pub struct ClassMap {
     /// The rank order as runs of one kind, `(kind, ranks in a row)`: a
     /// row is decompressed run by run, not cell by cell.
     kind_runs: Vec<(u32, usize)>,
+    /// Hash of `kinds`, `kind_of`, `table`, `diag` and `overrides`, taken
+    /// at construction: the map's share of a model's fingerprint, which
+    /// leaves a model that shares the map only its value tables to hash.
+    hash: u64,
 }
 
 impl ClassMap {
+    /// Assembles a map from validated parts: derives the kind runs and
+    /// takes the hash, in `O(K² + P + overrides)`.
+    fn new(
+        kinds: usize,
+        kind_of: Vec<u32>,
+        table: Vec<u16>,
+        diag: Vec<u16>,
+        overrides: Vec<Override>,
+        overridden: Vec<bool>,
+    ) -> Self {
+        let mut kind_runs: Vec<(u32, usize)> = Vec::new();
+        let mut h = Fnv(FNV_OFFSET);
+        h.word(STORAGE_TAG);
+        h.word(kind_of.len() as u64);
+        h.word(kinds as u64);
+        for &kind in &kind_of {
+            h.word(u64::from(kind));
+            match kind_runs.last_mut() {
+                Some((last, len)) if *last == kind => *len += 1,
+                _ => kind_runs.push((kind, 1)),
+            }
+        }
+        h.classes(&table);
+        h.classes(&diag);
+        h.word(overrides.len() as u64);
+        for &(i, j, class) in &overrides {
+            h.word(u64::from(i) << 32 | u64::from(j));
+            h.word(u64::from(class));
+        }
+        ClassMap {
+            kinds,
+            kind_of,
+            table,
+            diag,
+            overrides,
+            overridden,
+            kind_runs,
+            hash: h.0,
+        }
+    }
+
     /// Number of ranks.
     #[inline]
     pub fn p(&self) -> usize {
@@ -376,11 +441,11 @@ impl ClassRow<'_> {
 /// A `P × P` cost model stored as a [`ClassMap`] plus per-class `(O, L)`
 /// value tables.
 ///
-/// See the module docs for the representation contract. Construction
-/// computes the versioned cost fingerprint of the dense image once (the
-/// one pass over `P²` cells a kind-space model makes), so
-/// [`CostProvider::fingerprint`] and every warm-tune rebind afterwards
-/// are O(1).
+/// See the module docs for the representation contract. Its
+/// [`CostProvider::fingerprint`] is a hash of the parts it stores — the
+/// map's hash, then the two value tables — computed once at construction
+/// in `O(K² + P + overrides + classes)`; nothing a model does is
+/// proportional to `P²` unless a caller asks for the dense image.
 ///
 /// Serializes as its [`ModelParts`] and deserializes only through
 /// [`Self::from_kinds`], so a model read from a file has passed the same
@@ -557,33 +622,20 @@ impl CompressedCostModel {
         for a in (0..kinds).filter(|&a| ranks[a] == 1) {
             table[a * kinds + a] = diag[first[a]];
         }
-        let mut kind_runs: Vec<(u32, usize)> = Vec::new();
-        for &kind in &kind_of {
-            match kind_runs.last_mut() {
-                Some((last, len)) if *last == kind => *len += 1,
-                _ => kind_runs.push((kind, 1)),
-            }
-        }
-        let map = ClassMap {
-            kinds,
-            kind_of,
-            table,
-            diag,
-            overrides,
-            overridden,
-            kind_runs,
-        };
+        let map = ClassMap::new(kinds, kind_of, table, diag, overrides, overridden);
         let symmetric = map.is_symmetric(&ranks);
-        // Only now: the fingerprint indexes the value tables by class, so
-        // it may only read a map whose class range has been checked.
-        let fingerprint = Self::stream_fingerprint(&map, &table_o, &table_l);
+        let mut h = Fnv(map.hash);
+        h.word(classes as u64);
+        for value in table_o.iter().chain(&table_l) {
+            h.word(value.to_bits());
+        }
         Ok(CompressedCostModel {
             map: Arc::new(map),
             table_o,
             table_l,
             placement,
             symmetric,
-            fingerprint,
+            fingerprint: h.0,
         })
     }
 
@@ -647,46 +699,6 @@ impl CompressedCostModel {
             });
         }
         Self::from_parts(p, grid, table_o, table_l)
-    }
-
-    /// The fingerprint of the dense image, bit-equal to
-    /// [`crate::cost::cost_fingerprint`] of [`Self::to_dense`], without
-    /// the image: a row is the rank order's kind runs read through the
-    /// table row of its kind — coalesced into runs of one class, rebuilt
-    /// only when the next rank's kind differs — with the diagonal cell
-    /// and the row's overrides cut in, and each run goes to the stream as
-    /// `(value, length)`. The four hash lanes are serial chains, so the
-    /// `2P²` absorbs remain; what is gone is the per-cell gather. (The
-    /// lane phase restarts after each matrix; after `L` that is a no-op.)
-    fn stream_fingerprint(map: &ClassMap, table_o: &[f64], table_l: &[f64]) -> u64 {
-        let mut class_runs: Vec<(u16, usize)> = Vec::new();
-        let mut s = FingerprintStream::new();
-        for values in [table_o, table_l] {
-            let mut built_for = None;
-            for (i, &kind) in map.kind_of.iter().enumerate() {
-                let row = map.row(i);
-                if built_for != Some(kind) {
-                    built_for = Some(kind);
-                    class_runs.clear();
-                    row.for_each_class_run(|class, len| class_runs.push((class, len)));
-                }
-                let mut patches = row.patches().peekable();
-                let mut at = 0;
-                for &(class, len) in &class_runs {
-                    let value = values[class as usize];
-                    let end = at + len;
-                    while let Some((j, own)) = patches.next_if(|&(j, _)| j < end) {
-                        s.absorb_run(value, j - at);
-                        s.absorb(values[own as usize]);
-                        at = j + 1;
-                    }
-                    s.absorb_run(value, end - at);
-                    at = end;
-                }
-            }
-            s.matrix_boundary();
-        }
-        s.finish(map.p())
     }
 
     /// Number of processes.
@@ -832,7 +844,6 @@ impl CostProvider for CompressedCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::cost_fingerprint;
     use crate::machine::MachineSpec;
     use crate::mapping::RankMapping;
     use crate::profile::TopologyProfile;
@@ -892,8 +903,6 @@ mod tests {
         let dense = model.to_dense();
         let grid = grid_model(model);
         assert_bits_equal(&grid.to_dense(), &dense);
-        assert_eq!(model.fingerprint(), cost_fingerprint(&dense));
-        assert_eq!(model.fingerprint(), grid.fingerprint());
         assert_eq!(model.is_symmetric(), grid.is_symmetric());
         assert_eq!(model.classes(), grid.classes());
         for i in 0..p {
@@ -914,7 +923,7 @@ mod tests {
         for i in 0..p {
             let row = bits(metric.row_into(i, &mut scratch));
             assert_eq!(row, bits(by_grid.row_into(i, &mut other)));
-            assert_eq!(row, bits(by_cells.row(i)));
+            assert_eq!(row, bits(by_cells.row_into(i, &mut other)));
             for j in 0..p {
                 assert_eq!(metric.dist(i, j).to_bits(), by_cells.dist(i, j).to_bits());
             }
@@ -947,12 +956,40 @@ mod tests {
         }
     }
 
+    /// Equal parts hash equally; every stored part some pair reads, and
+    /// every bit of the value tables, reaches the fingerprint.
     #[test]
-    fn fingerprint_matches_dense() {
-        let cost = ground_truth_costs(3);
-        let model = CompressedCostModel::from_dense(&cost).expect("compresses");
-        assert_eq!(model.fingerprint(), cost_fingerprint(&cost));
-        assert_eq!(CostProvider::fingerprint(&cost), model.fingerprint());
+    fn fingerprint_is_a_hash_of_the_stored_parts() {
+        let mut base = three_kinds();
+        base.table_o.push(9.0);
+        base.table_l.push(0.9);
+        base.overrides = vec![(0, 4, 2)];
+        let fp = |parts: &ModelParts| {
+            let model = CompressedCostModel::from_kinds(parts.clone()).expect("valid");
+            model.fingerprint()
+        };
+        let want = fp(&base);
+        assert_eq!(fp(&base), want);
+        let changed = |edit: &dyn Fn(&mut ModelParts)| {
+            let mut parts = base.clone();
+            edit(&mut parts);
+            fp(&parts)
+        };
+        assert_ne!(changed(&|p| p.kind_of[4] = 1), want, "kind_of");
+        assert_ne!(changed(&|p| p.table[5] = 3), want, "a table cell in use");
+        assert_ne!(changed(&|p| p.diag[2] = 6), want, "diag");
+        assert_ne!(changed(&|p| p.overrides[0].2 = 1), want, "an override");
+        let flip = |v: &mut f64| *v = f64::from_bits(v.to_bits() ^ 1);
+        assert_ne!(changed(&|p| flip(&mut p.table_o[3])), want, "one bit of O");
+        assert_ne!(changed(&|p| flip(&mut p.table_l[6])), want, "one bit of L");
+
+        // A file holds `to_parts`; reading it back is the same model.
+        let model = CompressedCostModel::from_kinds(base).expect("valid");
+        let json = serde_json::to_string(&model).unwrap();
+        let back: CompressedCostModel = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.fingerprint(), want);
+        // The storage tag: same image, other storage, other hash.
+        assert_ne!(model.to_dense().fingerprint(), want);
     }
 
     #[test]
@@ -1225,10 +1262,9 @@ mod tests {
     }
 
     #[test]
-    fn shuffled_kinds_fingerprint_like_the_dense_image() {
+    fn shuffled_kinds_decompress_like_their_cells() {
         // Kind runs of every length, rows whose kind changes and repeats,
-        // overrides before and after the diagonal, at sizes around the
-        // four-lane width.
+        // overrides before and after the diagonal.
         for p in [1usize, 2, 3, 4, 5, 7, 8, 9, 13, 16, 21] {
             let kinds = 4;
             let kind_of: Vec<u32> = (0..p).map(|i| ((i * i + i / 3) % kinds) as u32).collect();

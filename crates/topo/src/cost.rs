@@ -1,6 +1,6 @@
 //! The `O`/`L` cost matrices, the paper's Eq. 1 / Eq. 2 send-set costs,
 //! the [`CostProvider`] abstraction over dense and class-compressed
-//! backings, and the versioned cost fingerprint both backings share.
+//! backings, and the versioned fingerprint of the dense matrices.
 
 use crate::metric::DistanceMetric;
 use hbar_matrix::DenseMatrix;
@@ -129,8 +129,8 @@ impl CostMatrices {
 /// silent change.
 pub const COST_FINGERPRINT_VERSION: u32 = 1;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
 /// FNV-1a over the raw bits of both cost matrices: the memo guard used
 /// by `CostEvaluator::rebind` and the schedule-cache key of
@@ -179,96 +179,6 @@ pub fn cost_fingerprint(cost: &CostMatrices) -> u64 {
     h
 }
 
-/// Streaming form of [`cost_fingerprint`] for backings that never hold a
-/// dense matrix: absorb all of `O` in row-major order, call
-/// [`matrix_boundary`](Self::matrix_boundary), absorb all of `L`, then
-/// [`finish`](Self::finish). Produces the identical value because the
-/// dense absorber assigns element `e` of each matrix to lane `e mod 4`
-/// (the chunked loop and its remainder both preserve that phase) and the
-/// phase restarts at every matrix boundary.
-#[derive(Clone, Debug)]
-pub struct FingerprintStream {
-    lanes: [u64; 4],
-    idx: usize,
-}
-
-impl Default for FingerprintStream {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FingerprintStream {
-    /// A fresh stream at the start of the `O` matrix.
-    pub fn new() -> Self {
-        FingerprintStream {
-            lanes: [
-                FNV_OFFSET ^ 1,
-                FNV_OFFSET ^ 2,
-                FNV_OFFSET ^ 3,
-                FNV_OFFSET ^ 4,
-            ],
-            idx: 0,
-        }
-    }
-
-    /// Absorbs one value in stream order.
-    #[inline]
-    pub fn absorb(&mut self, v: f64) {
-        let lane = &mut self.lanes[self.idx & 3];
-        *lane ^= v.to_bits();
-        *lane = lane.wrapping_mul(FNV_PRIME);
-        self.idx += 1;
-    }
-
-    /// Absorbs `len` copies of `v` — what [`absorb`](Self::absorb) called
-    /// `len` times leaves behind. A backing that knows its rows as runs of
-    /// one value feeds them here: once the stream is at lane phase 0 every
-    /// step advances all four lanes, four independent multiply chains
-    /// that load nothing, instead of one chain fed through a gather.
-    #[inline]
-    pub fn absorb_run(&mut self, v: f64, len: usize) {
-        let head = (self.idx.wrapping_neg() & 3).min(len);
-        for _ in 0..head {
-            self.absorb(v);
-        }
-        let bits = v.to_bits();
-        let steps = (len - head) / 4;
-        let mut lanes = self.lanes;
-        for _ in 0..steps {
-            for lane in &mut lanes {
-                *lane = (*lane ^ bits).wrapping_mul(FNV_PRIME);
-            }
-        }
-        self.lanes = lanes;
-        self.idx += 4 * steps;
-        for _ in 0..len - head - 4 * steps {
-            self.absorb(v);
-        }
-    }
-
-    /// Restarts the lane phase between the `O` and `L` matrices.
-    pub fn matrix_boundary(&mut self) {
-        self.idx = 0;
-    }
-
-    /// Folds the lanes exactly as [`cost_fingerprint`] does.
-    pub fn finish(self, p: usize) -> u64 {
-        let mut h = FNV_OFFSET;
-        for v in [
-            p as u64,
-            self.lanes[0],
-            self.lanes[1],
-            self.lanes[2],
-            self.lanes[3],
-        ] {
-            h ^= v;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
-}
-
 /// Read access to a `P × P` topological cost model, independent of how
 /// the entries are stored.
 ///
@@ -279,9 +189,8 @@ impl FingerprintStream {
 /// composer are generic over this trait, so a tune monomorphizes to the
 /// exact same index loads it performed before the abstraction existed
 /// when handed dense matrices, and to two loads (class id, table entry)
-/// when handed the compressed model. `Sync` is required so the greedy
-/// composer's rayon fork can share the provider across worker threads.
-pub trait CostProvider: Sync {
+/// when handed the compressed model.
+pub trait CostProvider {
     /// Number of processes.
     fn p(&self) -> usize;
 
@@ -291,10 +200,13 @@ pub trait CostProvider: Sync {
     /// `L_ij`, the marginal cost of one more simultaneous message.
     fn l_at(&self, i: usize, j: usize) -> f64;
 
-    /// The versioned fingerprint of the dense image of this model —
-    /// equal across backings whenever the decompressed entries are
-    /// bit-equal, so memo guards and the serve cache key are
-    /// backing-agnostic.
+    /// A hash of what this storage holds. Equal fingerprints mean
+    /// bit-equal entries (up to a 64-bit collision), which is all a memo
+    /// guard needs. The converse holds only within one storage and one
+    /// encoding: the dense matrices and a compressed model of the same
+    /// image fingerprint differently, as do two compressed models that
+    /// number their kinds differently or differ in a table cell no pair
+    /// reads — a harmless memo miss, never a wrong hit.
     fn fingerprint(&self) -> u64;
 
     /// The symmetrized SSS clustering metric over this model.
@@ -430,51 +342,6 @@ mod tests {
         assert_eq!(s.o[(0, 1)], 50.0);
         assert_eq!(s.l[(0, 1)], 2.0);
         assert_eq!(s.o[(0, 0)], 0.5);
-    }
-
-    /// The streaming absorber must reproduce the chunked dense
-    /// fingerprint for every lane phase, including sizes whose `p²` is
-    /// not a multiple of the 4-lane width.
-    #[test]
-    fn fingerprint_stream_matches_dense() {
-        for p in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 16] {
-            let c = CostMatrices {
-                o: DenseMatrix::from_fn(p, |i, j| (i * 31 + j) as f64 * 0.5 - 3.0),
-                l: DenseMatrix::from_fn(p, |i, j| (i * 7 + j * 13) as f64 * 0.25),
-            };
-            let mut s = FingerprintStream::new();
-            for &v in c.o.as_slice() {
-                s.absorb(v);
-            }
-            s.matrix_boundary();
-            for &v in c.l.as_slice() {
-                s.absorb(v);
-            }
-            assert_eq!(s.finish(p), cost_fingerprint(&c), "p = {p}");
-        }
-        // A run is `absorb` repeated, from every lane phase.
-        for phase in 0..4 {
-            for len in 0..10 {
-                let mut by_run = FingerprintStream::new();
-                let mut one_by_one = FingerprintStream::new();
-                for k in 0..phase {
-                    by_run.absorb(k as f64);
-                    one_by_one.absorb(k as f64);
-                }
-                by_run.absorb_run(-2.5, len);
-                for _ in 0..len {
-                    one_by_one.absorb(-2.5);
-                }
-                // The phase the run leaves behind shows in what follows.
-                by_run.absorb(7.0);
-                one_by_one.absorb(7.0);
-                assert_eq!(
-                    by_run.finish(3),
-                    one_by_one.finish(3),
-                    "phase {phase}, length {len}"
-                );
-            }
-        }
     }
 
     #[test]

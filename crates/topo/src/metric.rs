@@ -147,22 +147,6 @@ impl DistanceMetric {
         }
     }
 
-    /// All distances from rank `i`, as one contiguous row — the cache-
-    /// friendly access pattern for clustering scans over a fixed center.
-    ///
-    /// # Panics
-    /// Panics on a class-compressed metric, which has no dense rows to
-    /// borrow; use [`row_into`](Self::row_into) there.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
-        match &self.backing {
-            Backing::Dense(d) => d.row(i),
-            Backing::Classed { .. } => {
-                panic!("class-compressed metric has no dense rows; use row_into")
-            }
-        }
-    }
-
     /// All distances from rank `i`: a direct borrow for a dense metric,
     /// or a decompression of the class row into `scratch` (resized as
     /// needed, reused across calls — no steady-state allocation), the
@@ -393,9 +377,12 @@ mod tests {
         }));
         assert_eq!(classed.p(), dense.p());
         assert_eq!(classed.diameter(), dense.diameter());
-        let mut scratch = Vec::new();
+        let (mut scratch, mut unused) = (Vec::new(), Vec::new());
         for i in 0..p {
-            assert_eq!(classed.row_into(i, &mut scratch), dense.row(i));
+            assert_eq!(
+                classed.row_into(i, &mut scratch),
+                dense.row_into(i, &mut unused)
+            );
             for j in 0..p {
                 assert_eq!(classed.dist(i, j), dense.dist(i, j));
             }
@@ -443,16 +430,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "use row_into")]
-    fn classed_metric_has_no_borrowable_rows() {
-        let _ = classed(1, &[0], &[0.0]).row(0);
-    }
-
-    #[test]
     fn row_into_borrows_dense_rows_without_copying() {
         let m = metric_for(&MachineSpec::dual_quad_cluster(2));
         let mut scratch = Vec::new();
-        assert_eq!(m.row_into(3, &mut scratch), m.row(3));
+        let row = m.row_into(3, &mut scratch).to_vec();
+        assert_eq!(row, (0..m.p()).map(|j| m.dist(3, j)).collect::<Vec<_>>());
         assert!(scratch.is_empty(), "dense backing must not touch scratch");
     }
 

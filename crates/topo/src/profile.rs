@@ -254,11 +254,11 @@ mod tests {
         fs::remove_file(&path).ok();
         let read = StoredProfile::from_json(&dense.to_json()).unwrap();
         assert_eq!(read, StoredProfile::Dense(dense.clone()));
+        let everyone: Vec<usize> = (0..8).collect();
         for profile in [&back, &read] {
             assert_eq!((profile.p(), profile.machine()), (8, &m));
             assert_eq!(profile.mapping(), &RankMapping::Block);
-            assert_eq!(profile.cost().fingerprint(), dense.cost.fingerprint());
-            assert_eq!(profile.cost().o_at(1, 6), dense.cost.o[(1, 6)]);
+            assert_eq!(profile.cost().local_costs(&everyone), dense.cost);
         }
         // The rank count stated twice has to agree, and what a model
         // rejects a file cannot smuggle in.

@@ -66,16 +66,6 @@ pub fn mean(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
-/// Sample standard deviation (n−1 denominator); zero for a single sample.
-pub fn stddev(samples: &[f64]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(samples);
-    let var = samples.iter().map(|&s| (s - m) * (s - m)).sum::<f64>() / (samples.len() - 1) as f64;
-    var.sqrt()
-}
-
 /// Median (of a copy; input order preserved).
 ///
 /// # Panics
@@ -95,11 +85,6 @@ pub fn median(samples: &[f64]) -> f64 {
 /// The benchmark message sizes of §IV-A: powers of two from 1 to 2^20 bytes.
 pub fn hockney_message_sizes() -> Vec<usize> {
     (0..=20).map(|e| 1usize << e).collect()
-}
-
-/// The multi-message counts of §IV-A: 1 through `max_messages` (paper: 32).
-pub fn multi_message_counts(max_messages: usize) -> Vec<usize> {
-    (1..=max_messages).collect()
 }
 
 /// Extracts the Hockney startup estimate (`O_ij`) from
@@ -169,10 +154,8 @@ mod tests {
     fn statistics_basics() {
         let s = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&s), 2.5);
-        assert!((stddev(&s) - 1.2909944487).abs() < 1e-9);
         assert_eq!(median(&s), 2.5);
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
     }
 
     #[test]
@@ -181,9 +164,6 @@ mod tests {
         assert_eq!(sizes.first(), Some(&1));
         assert_eq!(sizes.last(), Some(&(1 << 20)));
         assert_eq!(sizes.len(), 21);
-        let counts = multi_message_counts(32);
-        assert_eq!(counts.first(), Some(&1));
-        assert_eq!(counts.last(), Some(&32));
     }
 
     #[test]

@@ -191,10 +191,8 @@ fn tuned_hybrid_verifies_and_executes(machine: &MachineSpec, model: &CompressedC
 
 #[test]
 fn exploded_socket_classes_stay_in_kind_space() {
-    // A quarter of the ranks: the fingerprint's P² absorbs in a debug
-    // build are this test's cost, not the overrides.
-    let p = 4096;
-    let machine = MachineSpec::new(512, 2, 4);
+    let p = 16384;
+    let machine = MachineSpec::new(2048, 2, 4);
     let model = profile(&machine, p, true);
     let map = model.class_map();
     assert_eq!(map.kinds(), p / 4);
@@ -232,7 +230,10 @@ fn exploded_socket_classes_stay_in_kind_space() {
     }
     let truth = &machine.ground_truth;
     assert_eq!(model.o_at(1, 6), truth.effective_o(LinkClass::CrossSocket));
-    assert_eq!(model.o_at(4095, 9), truth.effective_o(LinkClass::InterNode));
+    assert_eq!(
+        model.o_at(16383, 9),
+        truth.effective_o(LinkClass::InterNode)
+    );
     // The exploded classes' own estimates sit in no cell any more, and
     // the largest same-socket sample is still below the network's.
     assert_eq!(

@@ -1,11 +1,11 @@
 //! Algorithmic-model kernel scaling: Eq. 3 knowledge closure at
-//! P = 64 … 8192, SSS clustering at P = 64/256/1024, and what a tuned
-//! schedule goes through between the composer and the wire at
-//! P = 1024/8192.
+//! P = 64 … 8192, the clustering a changed-cost step pays for (metric
+//! view plus cluster tree) at P = 1024, and what a tuned schedule goes
+//! through between the composer and the wire at P = 1024/8192.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hbar_core::algorithms::Algorithm;
-use hbar_core::clustering::{try_sss_clusters_with, SssScratch, SSS_DEFAULT_SPARSENESS};
+use hbar_core::clustering::build_cluster_tree;
 use hbar_core::codegen::compile_schedule;
 use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 use hbar_core::cost::CostEvaluator;
@@ -14,13 +14,12 @@ use hbar_matrix::{ClosureWorkspace, SparseBoolMatrix};
 use hbar_simnet::{
     measure_profile_compressed, LocalExecutor, NoiseModel, SpillConfig, SweepConfig,
 };
+use hbar_topo::cost::CostProvider;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
-use hbar_topo::metric::DistanceMetric;
 use hbar_topo::profile::TopologyProfile;
 use std::hint::black_box;
 
-const RANKS: [usize; 3] = [64, 256, 1024];
 /// The closure also runs at the sizes where its old arrival-major form
 /// cost more than profiling.
 const CLOSURE_RANKS: [usize; 5] = [64, 256, 1024, 4096, 8192];
@@ -60,28 +59,29 @@ fn bench_closure_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a changed-cost step pays for clustering: the metric view and the
+/// whole cluster tree under it, both placements.
 fn bench_cluster_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("cluster_scaling");
     group.sample_size(10);
-    for p in RANKS {
-        let machine = MachineSpec::new(p.div_ceil(8), 2, 4);
-        let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
-        let metric = DistanceMetric::from_costs(&profile.cost);
-        let members: Vec<usize> = (0..p).collect();
-        let dia = metric.diameter();
-        let mut scratch = SssScratch::default();
-        group.bench_with_input(BenchmarkId::from_parameter(p), &metric, |b, m| {
+    let p = 1024;
+    let machine = MachineSpec::new(p / 8, 2, 4);
+    let members: Vec<usize> = (0..p).collect();
+    let tuner = TunerConfig::default();
+    for (placement, mapping) in [
+        ("block", RankMapping::Block),
+        ("round_robin", RankMapping::RoundRobin),
+    ] {
+        let cost = TopologyProfile::from_ground_truth_for(&machine, &mapping, p).cost;
+        group.bench_function(BenchmarkId::new(placement, p), |b| {
             b.iter(|| {
-                black_box(
-                    try_sss_clusters_with(
-                        black_box(m),
-                        &members,
-                        SSS_DEFAULT_SPARSENESS,
-                        dia,
-                        &mut scratch,
-                    )
-                    .expect("ground-truth metric is finite"),
-                )
+                let metric = black_box(&cost).distance_metric();
+                black_box(build_cluster_tree(
+                    &metric,
+                    &members,
+                    tuner.sparseness,
+                    tuner.max_depth,
+                ))
             })
         });
     }

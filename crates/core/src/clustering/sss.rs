@@ -48,10 +48,11 @@ pub struct SssScratch {
     /// so the absorb scan updates both arrays with uniform-width selects
     /// (the index is always an exactly representable small integer).
     nearest: Vec<f64>,
-    /// Decompression buffer for class-compressed metrics (see
-    /// [`DistanceMetric::row_into`]); untouched for dense metrics, and
-    /// reused across every center of every tree level once grown.
-    row_buf: Vec<f64>,
+    /// The admitted center's distances to the points after it (see
+    /// [`DistanceMetric::distances_from`]): as long as that tail, not as
+    /// the metric's row, and reused across every center of every tree
+    /// level once grown.
+    dist_buf: Vec<f64>,
 }
 
 /// Clusters `members` (global ranks) by SSS over `metric`.
@@ -70,7 +71,7 @@ pub struct SssScratch {
 /// the metric yields a non-finite distance (use [`try_sss_clusters`] for a
 /// typed error instead).
 pub fn sss_clusters(
-    metric: &DistanceMetric,
+    metric: &DistanceMetric<'_>,
     members: &[usize],
     sparseness: f64,
     diameter: f64,
@@ -81,7 +82,7 @@ pub fn sss_clusters(
 /// [`sss_clusters`] with metric validation: non-finite distances surface
 /// as a [`ClusterError`] instead of a panic.
 pub fn try_sss_clusters(
-    metric: &DistanceMetric,
+    metric: &DistanceMetric<'_>,
     members: &[usize],
     sparseness: f64,
     diameter: f64,
@@ -100,10 +101,10 @@ pub fn try_sss_clusters(
 /// The classic SSS scan recomputes the distance from each point to every
 /// existing center — O(P·k) *distance evaluations per point*. Maintaining
 /// each point's nearest admitted center instead makes admission a single
-/// array lookup, and each admitted center costs one contiguous metric-row
-/// scan over the points after it: O(P·k) work overall for k centers.
+/// array lookup, and each admitted center costs one scan over the points
+/// after it: O(P·k) work overall for k centers.
 pub fn try_sss_clusters_with(
-    metric: &DistanceMetric,
+    metric: &DistanceMetric<'_>,
     members: &[usize],
     sparseness: f64,
     diameter: f64,
@@ -120,22 +121,12 @@ pub fn try_sss_clusters_with(
     scratch.min_dist.resize(m, f64::INFINITY);
     scratch.nearest.clear();
     scratch.nearest.resize(m, 0.0);
-    // Consecutive-rank member sets (the whole machine, block clusters) let
-    // the absorb scan walk the metric row as a plain slice.
-    let consecutive = members.windows(2).all(|w| w[1] == w[0] + 1);
     let mut clusters: Vec<Vec<usize>> = vec![vec![members[0]]];
-    absorb_center(metric, members, consecutive, 0, 0, scratch)?;
+    absorb_center(metric, members, 0, 0, scratch)?;
     for idx in 1..m {
         if scratch.min_dist[idx] > threshold {
             clusters.push(vec![members[idx]]);
-            absorb_center(
-                metric,
-                members,
-                consecutive,
-                idx,
-                clusters.len() - 1,
-                scratch,
-            )?;
+            absorb_center(metric, members, idx, clusters.len() - 1, scratch)?;
         } else {
             clusters[scratch.nearest[idx] as usize].push(members[idx]);
         }
@@ -143,8 +134,8 @@ pub fn try_sss_clusters_with(
     Ok(clusters)
 }
 
-/// Folds a newly admitted center into the nearest-center arrays: one
-/// contiguous metric-row scan over the points after it.
+/// Folds a newly admitted center into the nearest-center arrays: its
+/// distances to the points after it, then one scan over those.
 ///
 /// The update is branchless (compare + two same-width selects) so the
 /// compiler can vectorize it; non-finite distances are detected by OR-ing
@@ -153,58 +144,36 @@ pub fn try_sss_clusters_with(
 /// center on ties, matching `Iterator::min_by` (which keeps the last
 /// minimal element) in the reference scan.
 fn absorb_center(
-    metric: &DistanceMetric,
+    metric: &DistanceMetric<'_>,
     members: &[usize],
-    consecutive: bool,
     center_pos: usize,
     cluster_idx: usize,
     scratch: &mut SssScratch,
 ) -> Result<(), ClusterError> {
     let center = members[center_pos];
-    // Destructure so the decompression borrow (`row_buf`) and the update
-    // borrows (`min_dist`/`nearest`) split disjointly.
-    let SssScratch {
-        min_dist,
-        nearest,
-        row_buf,
-    } = scratch;
-    let row = metric.row_into(center, row_buf);
     let tail = &members[center_pos + 1..];
-    let min_dist = &mut min_dist[center_pos + 1..];
-    let nearest = &mut nearest[center_pos + 1..];
+    metric.distances_from(center, tail, &mut scratch.dist_buf);
+    let min_dist = &mut scratch.min_dist[center_pos + 1..];
+    let nearest = &mut scratch.nearest[center_pos + 1..];
     let ci = cluster_idx as f64;
     // NaN/±inf carry an all-ones exponent; OR-ing the raw bits keeps the
     // check off the critical path (a false positive — finite distances
     // whose exponents only OR to all-ones — merely triggers the re-scan).
     let mut bits_or = 0u64;
-    if consecutive && !tail.is_empty() {
-        let r = &row[tail[0]..tail[0] + tail.len()];
-        for ((&d, md), ne) in r.iter().zip(min_dist.iter_mut()).zip(nearest.iter_mut()) {
-            bits_or |= d.to_bits();
-            let closer = d <= *md;
-            *md = if closer { d } else { *md };
-            *ne = if closer { ci } else { *ne };
-        }
-    } else {
-        for ((&p, md), ne) in tail.iter().zip(min_dist.iter_mut()).zip(nearest.iter_mut()) {
-            let d = row[p];
-            bits_or |= d.to_bits();
-            let closer = d <= *md;
-            *md = if closer { d } else { *md };
-            *ne = if closer { ci } else { *ne };
-        }
+    for ((&d, md), ne) in (scratch.dist_buf.iter()).zip(min_dist).zip(nearest) {
+        bits_or |= d.to_bits();
+        let closer = d <= *md;
+        *md = if closer { d } else { *md };
+        *ne = if closer { ci } else { *ne };
     }
     if bits_or >> 52 & 0x7ff == 0x7ff {
         // Cold path: locate the first offending pair in scan order.
-        for &p in tail {
-            let d = row[p];
-            if !d.is_finite() {
-                return Err(ClusterError::NonFiniteDistance {
-                    from: center,
-                    to: p,
-                    value: d,
-                });
-            }
+        if let Some(at) = scratch.dist_buf.iter().position(|d| !d.is_finite()) {
+            return Err(ClusterError::NonFiniteDistance {
+                from: center,
+                to: tail[at],
+                value: scratch.dist_buf[at],
+            });
         }
     }
     Ok(())

@@ -100,7 +100,7 @@ impl ClusterNode {
 /// Panics if `members` is empty or the metric yields a non-finite
 /// distance (use [`try_build_cluster_tree`] for a typed error).
 pub fn build_cluster_tree(
-    metric: &DistanceMetric,
+    metric: &DistanceMetric<'_>,
     members: &[usize],
     sparseness: f64,
     max_depth: usize,
@@ -112,7 +112,7 @@ pub fn build_cluster_tree(
 /// threaded through the whole recursion, so the tree build allocates the
 /// nearest-center arrays once regardless of depth.
 pub fn try_build_cluster_tree(
-    metric: &DistanceMetric,
+    metric: &DistanceMetric<'_>,
     members: &[usize],
     sparseness: f64,
     max_depth: usize,
@@ -122,7 +122,7 @@ pub fn try_build_cluster_tree(
 }
 
 fn build_level(
-    metric: &DistanceMetric,
+    metric: &DistanceMetric<'_>,
     members: &[usize],
     sparseness: f64,
     max_depth: usize,
@@ -157,13 +157,13 @@ fn build_level(
 mod tests {
     use super::*;
     use crate::clustering::SSS_DEFAULT_SPARSENESS;
+    use hbar_topo::cost::CostMatrices;
     use hbar_topo::machine::MachineSpec;
     use hbar_topo::mapping::RankMapping;
     use hbar_topo::profile::TopologyProfile;
 
-    fn metric_for(machine: &MachineSpec, mapping: &RankMapping, p: usize) -> DistanceMetric {
-        let prof = TopologyProfile::from_ground_truth_for(machine, mapping, p);
-        DistanceMetric::from_costs(&prof.cost)
+    fn costs_for(machine: &MachineSpec, mapping: &RankMapping, p: usize) -> CostMatrices {
+        TopologyProfile::from_ground_truth_for(machine, mapping, p).cost
     }
 
     #[test]
@@ -171,7 +171,8 @@ mod tests {
         // With per-level diameters, 35% splits nodes at the top level and
         // sockets inside each node; socket members are then uniform.
         let machine = MachineSpec::dual_quad_cluster(4);
-        let metric = metric_for(&machine, &RankMapping::Block, 32);
+        let cost = costs_for(&machine, &RankMapping::Block, 32);
+        let metric = DistanceMetric::from_costs(&cost);
         let tree = build_cluster_tree(
             &metric,
             &(0..32).collect::<Vec<_>>(),
@@ -195,7 +196,8 @@ mod tests {
     #[test]
     fn representative_is_first_member_everywhere() {
         let machine = MachineSpec::dual_quad_cluster(3);
-        let metric = metric_for(&machine, &RankMapping::RoundRobin, 22);
+        let cost = costs_for(&machine, &RankMapping::RoundRobin, 22);
+        let metric = DistanceMetric::from_costs(&cost);
         let tree = build_cluster_tree(
             &metric,
             &(0..22).collect::<Vec<_>>(),
@@ -214,7 +216,8 @@ mod tests {
     #[test]
     fn children_partition_parent_members() {
         let machine = MachineSpec::dual_hex_cluster(5);
-        let metric = metric_for(&machine, &RankMapping::RoundRobin, 60);
+        let cost = costs_for(&machine, &RankMapping::RoundRobin, 60);
+        let metric = DistanceMetric::from_costs(&cost);
         let tree = build_cluster_tree(
             &metric,
             &(0..60).collect::<Vec<_>>(),
@@ -239,7 +242,8 @@ mod tests {
     #[test]
     fn single_rank_tree_is_leaf() {
         let machine = MachineSpec::new(1, 1, 2);
-        let metric = metric_for(&machine, &RankMapping::Block, 2);
+        let cost = costs_for(&machine, &RankMapping::Block, 2);
+        let metric = DistanceMetric::from_costs(&cost);
         let tree = build_cluster_tree(&metric, &[1], 0.35, 8);
         assert!(tree.is_leaf());
         assert_eq!(tree.cluster_count(), 1);
@@ -248,7 +252,8 @@ mod tests {
     #[test]
     fn max_depth_zero_prevents_subdivision() {
         let machine = MachineSpec::dual_quad_cluster(2);
-        let metric = metric_for(&machine, &RankMapping::Block, 16);
+        let cost = costs_for(&machine, &RankMapping::Block, 16);
+        let metric = DistanceMetric::from_costs(&cost);
         let tree = build_cluster_tree(&metric, &(0..16).collect::<Vec<_>>(), 0.35, 0);
         assert!(tree.is_leaf());
     }
@@ -256,7 +261,8 @@ mod tests {
     #[test]
     fn render_mentions_representatives() {
         let machine = MachineSpec::dual_quad_cluster(2);
-        let metric = metric_for(&machine, &RankMapping::Block, 16);
+        let cost = costs_for(&machine, &RankMapping::Block, 16);
+        let metric = DistanceMetric::from_costs(&cost);
         let tree = build_cluster_tree(&metric, &(0..16).collect::<Vec<_>>(), 0.35, 8);
         let text = tree.render();
         assert!(text.contains("rep=0"));

@@ -31,7 +31,6 @@ use crate::clustering::{build_cluster_tree, ClusterNode};
 use crate::schedule::BarrierSchedule;
 use hbar_matrix::ClosureWorkspace;
 use hbar_topo::cost::{CostMatrices, CostProvider, SendMode};
-use hbar_topo::metric::DistanceMetric;
 use std::collections::HashMap;
 
 // The dense fingerprint lives in `hbar-topo::cost`, beside the matrices it
@@ -215,26 +214,20 @@ pub struct CostEvaluator {
     // Memoized greedy scores, valid for `bound_fingerprint`.
     memo: HashMap<ScoreKey, f64>,
     bound_fingerprint: Option<u64>,
-    // Memoized derived topology (metric + cluster trees), same validity.
-    derived: Option<DerivedTopology>,
+    // Memoized cluster trees, same validity.
+    trees: HashMap<TreeKey, ClusterNode>,
     // Knowledge-closure scratch for allocation-free verification.
     closure: ClosureWorkspace,
 }
 
-/// Structures the tuner derives deterministically from the bound cost
-/// matrices, cached across tunes while [`CostEvaluator::rebind`] keeps
-/// seeing the same fingerprint. The adaptive re-tuning loop re-tunes on
-/// a fixed cadence but its measured costs usually haven't drifted; at
-/// P ≥ 1024 the O(P²) metric symmetrization and the cluster tree are the
-/// bulk of such a no-change tune.
-#[derive(Clone, Debug)]
-struct DerivedTopology {
-    metric: DistanceMetric,
-    trees: HashMap<TreeKey, ClusterNode>,
-}
-
 /// Key of one cached cluster tree: the member set (hashed as in
 /// [`member_set_hash`]) plus the clustering knobs that shape the tree.
+/// Trees are derived deterministically from the bound costs and kept
+/// while [`CostEvaluator::rebind`] keeps seeing the same fingerprint: the
+/// adaptive re-tuning loop re-tunes on a fixed cadence but its measured
+/// costs usually haven't drifted, and a tune that finds its tree and its
+/// scores skips clustering's pass over the P² costs. (The metric is not
+/// kept: it is a view of the costs and free to build.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct TreeKey {
     members_hash: u64,
@@ -256,7 +249,7 @@ impl CostEvaluator {
             entries: Vec::new(),
             memo: HashMap::new(),
             bound_fingerprint: None,
-            derived: None,
+            trees: HashMap::new(),
             closure: ClosureWorkspace::new(),
         }
     }
@@ -289,17 +282,16 @@ impl CostEvaluator {
         let fp = cost.fingerprint();
         if self.bound_fingerprint != Some(fp) {
             self.memo.clear();
-            self.derived = None;
+            self.trees.clear();
             self.bound_fingerprint = Some(fp);
         }
     }
 
     /// The SSS cluster tree for `members` under the bound cost matrices,
-    /// served from the evaluator's derived-topology cache when the same
-    /// clustering was already built since the last fingerprint change.
-    /// Both the metric and the tree are deterministic functions of
-    /// `(cost, members, sparseness, max_depth)`, so a hit returns the
-    /// identical tree a fresh build would.
+    /// served from the evaluator's tree cache when the same clustering
+    /// was already built since the last fingerprint change. The tree is a
+    /// deterministic function of `(cost, members, sparseness, max_depth)`,
+    /// so a hit returns the identical tree a fresh build would.
     ///
     /// As with [`Self::cached_score`], callers must have
     /// [`Self::rebind`]-ed to `cost` first.
@@ -310,20 +302,16 @@ impl CostEvaluator {
         sparseness: f64,
         max_depth: usize,
     ) -> ClusterNode {
-        let derived = self.derived.get_or_insert_with(|| DerivedTopology {
-            metric: cost.distance_metric(),
-            trees: HashMap::new(),
-        });
         let key = TreeKey {
             members_hash: member_set_hash(members),
             members_len: members.len(),
             sparseness_bits: sparseness.to_bits(),
             max_depth,
         };
-        derived
-            .trees
-            .entry(key)
-            .or_insert_with(|| build_cluster_tree(&derived.metric, members, sparseness, max_depth))
+        (self.trees.entry(key))
+            .or_insert_with(|| {
+                build_cluster_tree(&cost.distance_metric(), members, sparseness, max_depth)
+            })
             .clone()
     }
 
@@ -500,6 +488,7 @@ mod tests {
     use hbar_matrix::{DenseMatrix, SparseBoolMatrix};
     use hbar_topo::machine::MachineSpec;
     use hbar_topo::mapping::RankMapping;
+    use hbar_topo::metric::DistanceMetric;
     use hbar_topo::profile::TopologyProfile;
 
     /// Uniform costs: O = 10 off-diagonal, O_ii = 1, L = 2.

@@ -210,7 +210,8 @@ fn sss_clusters_match_seed_era_goldens() {
         (256, GOLDEN_SSS_P256),
         (1024, GOLDEN_SSS_P1024),
     ] {
-        let metric = DistanceMetric::from_costs(&dual_quad_profile(p).cost);
+        let profile = dual_quad_profile(p);
+        let metric = DistanceMetric::from_costs(&profile.cost);
         let members: Vec<usize> = (0..p).collect();
         let clusters = try_sss_clusters_with(
             &metric,

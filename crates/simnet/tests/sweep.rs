@@ -156,17 +156,16 @@ proptest! {
             prop_assert!(in_memory.is_symmetric());
             let (metric, by_cells) = (in_memory.distance_metric(), DistanceMetric::from_costs(&image));
             let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            let (mut scratch, mut unused) = (Vec::new(), Vec::new());
+            let everyone: Vec<usize> = (0..p).collect();
+            let (mut by_class, mut by_cell) = (Vec::new(), Vec::new());
             for i in 0..p {
-                prop_assert_eq!(
-                    bits(metric.row_into(i, &mut scratch)),
-                    bits(by_cells.row_into(i, &mut unused))
-                );
+                metric.distances_from(i, &everyone, &mut by_class);
+                by_cells.distances_from(i, &everyone, &mut by_cell);
+                prop_assert_eq!(bits(&by_class), bits(&by_cell));
                 for j in 0..p {
                     prop_assert_eq!(metric.dist(i, j).to_bits(), by_cells.dist(i, j).to_bits());
                 }
             }
-            let everyone: Vec<usize> = (0..p).collect();
             prop_assert_eq!(metric.diameter().to_bits(), by_cells.diameter().to_bits());
             prop_assert_eq!(
                 metric.diameter_of(&everyone).to_bits(),

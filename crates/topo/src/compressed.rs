@@ -750,18 +750,20 @@ impl CompressedCostModel {
     /// image, used by parity assertions and by consumers that genuinely
     /// need dense storage (e.g. wire serialization of small models).
     pub fn to_dense(&self) -> CostMatrices {
-        let p = self.p();
-        let image = |values: &[f64]| {
-            let mut data = vec![0.0; p * p];
-            for (i, cells) in data.chunks_exact_mut(p.max(1)).enumerate() {
-                self.map.row(i).values_into(values, cells);
-            }
-            DenseMatrix::from_vec(p, data)
-        };
         CostMatrices {
-            o: image(&self.table_o),
-            l: image(&self.table_l),
+            o: self.image(&self.table_o),
+            l: self.image(&self.table_l),
         }
+    }
+
+    /// The dense image of one per-class value table.
+    fn image(&self, values: &[f64]) -> DenseMatrix<f64> {
+        let p = self.p();
+        let mut data = vec![0.0; p * p];
+        for (i, cells) in data.chunks_exact_mut(p.max(1)).enumerate() {
+            self.map.row(i).values_into(values, cells);
+        }
+        DenseMatrix::from_vec(p, data)
     }
 }
 
@@ -801,43 +803,27 @@ impl CostProvider for CompressedCostModel {
     /// The clustering metric. For a symmetric map (every symmetric
     /// sweep's) this shares the map zero-copy and only builds a
     /// per-class distance table: `(O_c + O_c) / 2` is bit-equal to what
-    /// the dense path computes per cell, and diagonal classes map to
-    /// `0.0` exactly as the dense metric zeroes its diagonal; the classes
+    /// the dense view computes per cell, and diagonal classes map to
+    /// `0.0` exactly as the dense view zeroes its diagonal; the classes
     /// that occur off the diagonal go along, so the metric's diameter is a
-    /// fold over them instead of over the cells. An
-    /// asymmetric map falls back to materializing the dense metric with
-    /// the identical tiled arithmetic (`O(p²)` memory — but an
-    /// asymmetric model compressed poorly to begin with).
-    fn distance_metric(&self) -> DistanceMetric {
-        if self.symmetric {
-            let table = (self.table_o.iter().zip(&self.placement))
-                .map(|(&o, &at)| match at {
-                    ClassPlacement::Diagonal => 0.0,
-                    _ => (o + o) / 2.0,
-                })
-                .collect();
-            let off_diagonal = (self.placement.iter())
-                .map(|&at| at == ClassPlacement::OffDiagonal)
-                .collect();
-            return DistanceMetric::from_classes(Arc::clone(&self.map), table, off_diagonal);
+    /// fold over them instead of over the cells. An asymmetric map falls
+    /// back to the dense view over a decompressed `O` that the metric
+    /// owns (`O(p²)` memory — but an asymmetric model compressed poorly
+    /// to begin with).
+    fn distance_metric(&self) -> DistanceMetric<'_> {
+        if !self.symmetric {
+            return DistanceMetric::from_matrix(self.image(&self.table_o));
         }
-        const TILE: usize = 64;
-        let p = self.p();
-        let mut data = vec![0.0f64; p * p];
-        for bi in (0..p).step_by(TILE) {
-            for bj in (bi..p).step_by(TILE) {
-                let ei = (bi + TILE).min(p);
-                let ej = (bj + TILE).min(p);
-                for i in bi..ei {
-                    for j in bj.max(i + 1)..ej {
-                        let v = (self.o_at(i, j) + self.o_at(j, i)) / 2.0;
-                        data[i * p + j] = v;
-                        data[j * p + i] = v;
-                    }
-                }
-            }
-        }
-        DistanceMetric::from_dense_unchecked(DenseMatrix::from_vec(p, data))
+        let table = (self.table_o.iter().zip(&self.placement))
+            .map(|(&o, &at)| match at {
+                ClassPlacement::Diagonal => 0.0,
+                _ => (o + o) / 2.0,
+            })
+            .collect();
+        let off_diagonal = (self.placement.iter())
+            .map(|&at| at == ClassPlacement::OffDiagonal)
+            .collect();
+        DistanceMetric::from_classes(Arc::clone(&self.map), table, off_diagonal)
     }
 }
 
@@ -846,6 +832,7 @@ mod tests {
     use super::*;
     use crate::machine::MachineSpec;
     use crate::mapping::RankMapping;
+    use crate::metric::oracle_distances;
     use crate::profile::TopologyProfile;
 
     fn ground_truth_costs(nodes: usize) -> CostMatrices {
@@ -916,14 +903,16 @@ mod tests {
             }
         }
         let (metric, by_grid) = (model.distance_metric(), grid.distance_metric());
-        let by_cells = DistanceMetric::from_costs(&dense);
+        let by_cells = DistanceMetric::from_matrix(oracle_distances(&dense));
         let everyone: Vec<usize> = (0..p).collect();
         let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-        let (mut scratch, mut other) = (Vec::new(), Vec::new());
+        let (mut row, mut other) = (Vec::new(), Vec::new());
         for i in 0..p {
-            let row = bits(metric.row_into(i, &mut scratch));
-            assert_eq!(row, bits(by_grid.row_into(i, &mut other)));
-            assert_eq!(row, bits(by_cells.row_into(i, &mut other)));
+            metric.distances_from(i, &everyone, &mut row);
+            by_grid.distances_from(i, &everyone, &mut other);
+            assert_eq!(bits(&row), bits(&other));
+            by_cells.distances_from(i, &everyone, &mut other);
+            assert_eq!(bits(&row), bits(&other));
             for j in 0..p {
                 assert_eq!(metric.dist(i, j).to_bits(), by_cells.dist(i, j).to_bits());
             }
@@ -992,28 +981,46 @@ mod tests {
         assert_ne!(model.to_dense().fingerprint(), want);
     }
 
-    #[test]
-    fn distance_metric_matches_dense_bitwise() {
-        let cost = ground_truth_costs(2);
-        let model = CompressedCostModel::from_dense(&cost).expect("compresses");
-        let dense = DistanceMetric::from_costs(&cost);
-        let compressed = model.distance_metric();
+    /// Every distance of `model`'s metric against the oracle matrix of
+    /// `cost`, and the diameters the oracle gives.
+    fn assert_metric_matches_oracle(model: &CompressedCostModel, cost: &CostMatrices) {
+        let oracle = oracle_distances(cost);
+        let metric = model.distance_metric();
         let p = cost.p();
         for i in 0..p {
             for j in 0..p {
                 assert_eq!(
-                    compressed.dist(i, j).to_bits(),
-                    dense.dist(i, j).to_bits(),
+                    metric.dist(i, j).to_bits(),
+                    oracle[(i, j)].to_bits(),
                     "({i},{j})"
                 );
             }
         }
-        assert_eq!(compressed.diameter().to_bits(), dense.diameter().to_bits());
+        let max_over = |members: &[usize]| {
+            let pairs = members
+                .iter()
+                .flat_map(|&i| members.iter().map(move |&j| (i, j)));
+            pairs.fold(0.0f64, |max, at| max.max(oracle[at]))
+        };
+        let everyone: Vec<usize> = (0..p).collect();
         let members: Vec<usize> = (0..p).step_by(3).collect();
+        assert_eq!(metric.diameter().to_bits(), max_over(&everyone).to_bits());
         assert_eq!(
-            compressed.diameter_of(&members).to_bits(),
-            dense.diameter_of(&members).to_bits()
+            metric.diameter_of(&everyone).to_bits(),
+            max_over(&everyone).to_bits()
         );
+        assert_eq!(
+            metric.diameter_of(&members).to_bits(),
+            max_over(&members).to_bits()
+        );
+    }
+
+    #[test]
+    fn distance_metric_matches_dense_bitwise() {
+        let cost = ground_truth_costs(2);
+        let model = CompressedCostModel::from_dense(&cost).expect("compresses");
+        assert!(model.is_symmetric());
+        assert_metric_matches_oracle(&model, &cost);
     }
 
     #[test]
@@ -1022,13 +1029,7 @@ mod tests {
         cost.o[(0, 5)] *= 1.5; // break symmetry
         let model = CompressedCostModel::from_dense(&cost).expect("compresses");
         assert!(!model.is_symmetric());
-        let dense = DistanceMetric::from_costs(&cost);
-        let compressed = model.distance_metric();
-        for i in 0..cost.p() {
-            for j in 0..cost.p() {
-                assert_eq!(compressed.dist(i, j).to_bits(), dense.dist(i, j).to_bits());
-            }
-        }
+        assert_metric_matches_oracle(&model, &cost);
     }
 
     #[test]

@@ -209,8 +209,13 @@ pub trait CostProvider {
     /// reads — a harmless memo miss, never a wrong hit.
     fn fingerprint(&self) -> u64;
 
-    /// The symmetrized SSS clustering metric over this model.
-    fn distance_metric(&self) -> DistanceMetric;
+    /// The symmetrized SSS clustering metric over this model: a view, not
+    /// a copy. Over dense matrices it borrows `O` and symmetrizes on read
+    /// (O(1) to build); over a compressed model it shares the class map
+    /// and holds one distance per class (O(classes) to build). Only a
+    /// compressed model whose map is asymmetric pays for a decompressed
+    /// `O`, which the view then owns.
+    fn distance_metric(&self) -> DistanceMetric<'_>;
 
     /// Dense restriction of both matrices to `participants` (in the
     /// given order) — the participants-only subspace the composer
@@ -245,7 +250,7 @@ impl CostProvider for CostMatrices {
         cost_fingerprint(self)
     }
 
-    fn distance_metric(&self) -> DistanceMetric {
+    fn distance_metric(&self) -> DistanceMetric<'_> {
         DistanceMetric::from_costs(self)
     }
 }

@@ -5,35 +5,37 @@
 //! pairs symmetrically, and the triangle inequality holds. The use of this
 //! method is our reason for requiring symmetry of the topological profile."
 //!
-//! [`DistanceMetric`] wraps a profile's `O` matrix as that metric: distance
+//! [`DistanceMetric`] reads a profile's `O` matrix as that metric: distance
 //! between distinct ranks `i, j` is the symmetrized single-message cost
-//! `(O_ij + O_ji) / 2`, and `d(i, i) = 0`.
+//! `(O_ij + O_ji) / 2`, and `d(i, i) = 0`. It is a view: nothing is
+//! computed until a distance is asked for, and clustering asks for few —
+//! one maximum over the pairs of each set it splits, and the distances
+//! from each centre it admits to the members of that centre's own set.
 
 use crate::compressed::ClassMap;
 use crate::cost::CostMatrices;
 use hbar_matrix::DenseMatrix;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A finite metric space over ranks `0..p`, derived from measured costs.
 ///
-/// Two backings exist: a dense `p × p` distance matrix, and a
+/// Two backings exist, and neither holds a distance per pair: a square
+/// matrix read symmetrized — the `O` matrix of the [`CostMatrices`] the
+/// view borrows, or a matrix it owns ([`Self::from_matrix`]) — and a
 /// class-compressed form sharing the [`ClassMap`] of the
-/// [`crate::compressed::CompressedCostModel`] it was derived from (zero
-/// extra memory) with one distance per class. Row access for clustering
-/// scans goes through [`row_into`](Self::row_into), which decompresses a
-/// classed row into caller-owned scratch and borrows a dense row
-/// directly, so neither backing allocates per query.
+/// [`crate::compressed::CompressedCostModel`] it was derived from, with
+/// one distance per class.
 #[derive(Clone, Debug)]
-pub struct DistanceMetric {
-    backing: Backing,
+pub struct DistanceMetric<'a> {
+    backing: Backing<'a>,
 }
 
 #[derive(Clone, Debug)]
-enum Backing {
-    Dense(DenseMatrix<f64>),
+enum Backing<'a> {
+    /// `d(i, j) = (m_ij + m_ji) / 2` off the diagonal, `0` on it.
+    Dense(Cow<'a, DenseMatrix<f64>>),
     Classed {
-        /// `map.p()`.
-        p: usize,
         map: Arc<ClassMap>,
         table: Vec<f64>,
         /// Per class: does it occur in an off-diagonal cell?
@@ -56,48 +58,21 @@ pub enum MetricViolation {
     },
 }
 
-impl DistanceMetric {
-    /// Builds the metric from cost matrices, symmetrizing `O` off-diagonals.
-    ///
-    /// Processed in square tiles so both the `O_ij` read and the
-    /// transposed `O_ji` read stay cache-resident; the naive row-major
-    /// `from_fn` pairs every row element with a full-column stride and
-    /// was the single largest cost of tuning at P ≥ 1024. Each distance
-    /// is written to `(i, j)` and `(j, i)` at once — IEEE addition is
-    /// commutative, so the result is bit-identical to evaluating the
-    /// two symmetric entries independently.
-    pub fn from_costs(cost: &CostMatrices) -> Self {
-        const TILE: usize = 64;
-        let p = cost.p();
-        let o = cost.o.as_slice();
-        let mut data = vec![0.0f64; p * p];
-        for bi in (0..p).step_by(TILE) {
-            for bj in (bi..p).step_by(TILE) {
-                let ei = (bi + TILE).min(p);
-                let ej = (bj + TILE).min(p);
-                for i in bi..ei {
-                    for j in bj.max(i + 1)..ej {
-                        let v = (o[i * p + j] + o[j * p + i]) / 2.0;
-                        data[i * p + j] = v;
-                        data[j * p + i] = v;
-                    }
-                }
-            }
-        }
+impl<'a> DistanceMetric<'a> {
+    /// The metric of `cost`: a borrow of its `O` matrix, symmetrized on
+    /// read. Free to build; `cost` is not copied.
+    pub fn from_costs(cost: &'a CostMatrices) -> Self {
         DistanceMetric {
-            backing: Backing::Dense(DenseMatrix::from_vec(p, data)),
+            backing: Backing::Dense(Cow::Borrowed(&cost.o)),
         }
     }
 
-    /// Builds directly from a symmetric distance matrix (diagonal forced
-    /// to zero).
-    pub fn from_matrix(mut d: DenseMatrix<f64>) -> Self {
-        d.symmetrize();
-        for i in 0..d.n() {
-            d[(i, i)] = 0.0;
-        }
+    /// Builds directly from a distance matrix, read symmetrized and with
+    /// a zero diagonal like any other (`(d + d) / 2 == d` bit for bit, so
+    /// a symmetric matrix is read as it stands).
+    pub fn from_matrix(d: DenseMatrix<f64>) -> Self {
         DistanceMetric {
-            backing: Backing::Dense(d),
+            backing: Backing::Dense(Cow::Owned(d)),
         }
     }
 
@@ -122,7 +97,6 @@ impl DistanceMetric {
         );
         DistanceMetric {
             backing: Backing::Classed {
-                p: map.p(),
                 map,
                 table,
                 off_diagonal,
@@ -133,8 +107,8 @@ impl DistanceMetric {
     /// Number of points.
     pub fn p(&self) -> usize {
         match &self.backing {
-            Backing::Dense(d) => d.n(),
-            Backing::Classed { p, .. } => *p,
+            Backing::Dense(m) => m.n(),
+            Backing::Classed { map, .. } => map.p(),
         }
     }
 
@@ -142,85 +116,76 @@ impl DistanceMetric {
     #[inline]
     pub fn dist(&self, i: usize, j: usize) -> f64 {
         match &self.backing {
-            Backing::Dense(d) => d[(i, j)],
+            Backing::Dense(m) => symmetrized(m.as_slice(), m.n(), i, j),
             Backing::Classed { map, table, .. } => table[map.class_at(i, j) as usize],
         }
     }
 
-    /// All distances from rank `i`: a direct borrow for a dense metric,
-    /// or a decompression of the class row into `scratch` (resized as
-    /// needed, reused across calls — no steady-state allocation), the
-    /// table row of `i`'s kind looked up once for the whole row.
-    #[inline]
-    pub fn row_into<'a>(&'a self, i: usize, scratch: &'a mut Vec<f64>) -> &'a [f64] {
+    /// The distances from `centre` to each of `members`, in their order,
+    /// into `out` (cleared first; no allocation once it has grown). What
+    /// depends on `centre` alone — its matrix row, the table row of its
+    /// kind — is looked up once, and no rank outside `members` is read.
+    pub fn distances_from(&self, centre: usize, members: &[usize], out: &mut Vec<f64>) {
+        out.clear();
         match &self.backing {
-            Backing::Dense(d) => d.row(i),
-            Backing::Classed { p, map, table, .. } => {
-                scratch.resize(*p, 0.0);
-                map.row(i).values_into(table, scratch);
-                &scratch[..]
-            }
-        }
-    }
-
-    /// The diameter: maximum pairwise distance (0 for fewer than 2 points).
-    pub fn diameter(&self) -> f64 {
-        match &self.backing {
-            Backing::Dense(d) => d.max_off_diagonal().unwrap_or(0.0),
-            Backing::Classed {
-                table,
-                off_diagonal,
-                ..
-            } => off_diagonal_distances(table, off_diagonal)
-                .filter(|v| v.is_finite())
-                .reduce(f64::max)
-                .unwrap_or(0.0),
-        }
-    }
-
-    /// Diameter restricted to a subset of ranks. Reads classes row by
-    /// row (the row's kind looked up once), so no decompression buffer is
-    /// needed; for the whole space `0..p` of a classed metric (the root of
-    /// a cluster tree) it folds the same `max` over the classes present
-    /// off the diagonal instead of over the `p²/2` cells that hold them.
-    pub fn diameter_of(&self, members: &[usize]) -> f64 {
-        let mut max = 0.0f64;
-        match &self.backing {
-            Backing::Dense(d) => {
-                for (a, &i) in members.iter().enumerate() {
-                    let row = d.row(i);
-                    for &j in &members[a + 1..] {
-                        max = max.max(row[j]);
-                    }
-                }
-            }
-            Backing::Classed {
-                p,
-                table,
-                off_diagonal,
-                ..
-            } if members.len() == *p && members.iter().enumerate().all(|(i, &m)| i == m) => {
-                max = off_diagonal_distances(table, off_diagonal).fold(max, f64::max);
+            Backing::Dense(m) => {
+                let (o, p) = (m.as_slice(), m.n());
+                out.extend(members.iter().map(|&j| symmetrized(o, p, centre, j)));
             }
             Backing::Classed { map, table, .. } => {
+                let row = map.row(centre);
+                out.extend(members.iter().map(|&j| table[row.class(j) as usize]));
+            }
+        }
+    }
+
+    /// The diameter: maximum finite pairwise distance (0 when there is
+    /// none). A fold over the classes of a classed metric, over every
+    /// pair of a dense one.
+    pub fn diameter(&self) -> f64 {
+        match &self.backing {
+            Backing::Dense(m) => {
+                let (o, p) = (m.as_slice(), m.n());
+                finite_max((0..p).flat_map(|i| (i + 1..p).map(move |j| symmetrized(o, p, i, j))))
+            }
+            Backing::Classed {
+                table,
+                off_diagonal,
+                ..
+            } => finite_max(off_diagonal_distances(table, off_diagonal)),
+        }
+    }
+
+    /// Diameter restricted to a subset of ranks: the maximum over its
+    /// pairs, NaN distances skipped, never below zero. `f64::max` over a
+    /// set does not depend on the order it is taken in, so a dense metric
+    /// walks the pairs tile by tile (both `m_ij` and the transposed `m_ji`
+    /// stay cache-resident) into independent maxima — for the whole space
+    /// at the root of a cluster tree this is the one pass over `p²/2`
+    /// cells clustering makes. A classed metric reads classes row by row
+    /// (the row's kind looked up once), and for the whole space `0..p`
+    /// folds the same `max` over the classes present off the diagonal
+    /// instead of over the cells that hold them.
+    pub fn diameter_of(&self, members: &[usize]) -> f64 {
+        match &self.backing {
+            Backing::Dense(m) => dense_diameter_of(m.as_slice(), m.n(), members),
+            Backing::Classed {
+                map,
+                table,
+                off_diagonal,
+            } if members.len() == map.p() && members.iter().enumerate().all(|(i, &m)| i == m) => {
+                off_diagonal_distances(table, off_diagonal).fold(0.0, f64::max)
+            }
+            Backing::Classed { map, table, .. } => {
+                let mut max = 0.0f64;
                 for (a, &i) in members.iter().enumerate() {
                     let row = map.row(i);
                     for &j in &members[a + 1..] {
                         max = max.max(table[row.class(j) as usize]);
                     }
                 }
+                max
             }
-        }
-        max
-    }
-
-    /// Adopts an already-symmetrized, zero-diagonal distance matrix
-    /// verbatim (no re-symmetrization pass) — the asymmetric-model
-    /// fallback of the compressed backend, which computes entries with
-    /// the exact `from_costs` arithmetic itself.
-    pub(crate) fn from_dense_unchecked(d: DenseMatrix<f64>) -> Self {
-        DistanceMetric {
-            backing: Backing::Dense(d),
         }
     }
 
@@ -268,6 +233,61 @@ impl DistanceMetric {
     }
 }
 
+/// `d(i, j)` over the square matrix `o` of side `p`: the arithmetic every
+/// dense read goes through, operands in `(low, high)` rank order.
+#[inline]
+fn symmetrized(o: &[f64], p: usize, i: usize, j: usize) -> f64 {
+    if i == j {
+        return 0.0;
+    }
+    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+    (o[lo * p + hi] + o[hi * p + lo]) / 2.0
+}
+
+/// [`DistanceMetric::diameter_of`] over a square matrix: pairs of member
+/// positions `a < b`, tile by tile, four maxima side by side (one `max`
+/// chain is bound by its latency, not by the reads). `v > max` is false
+/// for a NaN `v`, which skips it as `f64::max` does; which operand the sum
+/// takes first cannot change a maximum, so the pairs are read as they
+/// come.
+fn dense_diameter_of(o: &[f64], p: usize, members: &[usize]) -> f64 {
+    const TILE: usize = 64;
+    let mut lanes = [0.0f64; 4];
+    let mut raise = |lane: usize, i: usize, j: usize, row: &[f64]| {
+        let v = if i == j {
+            0.0
+        } else {
+            (row[j] + o[j * p + i]) / 2.0
+        };
+        if v > lanes[lane] {
+            lanes[lane] = v;
+        }
+    };
+    for (ta, rows) in members.chunks(TILE).enumerate() {
+        for (tb, cols) in members.chunks(TILE).enumerate().skip(ta) {
+            for (a, &i) in rows.iter().enumerate() {
+                let row = &o[i * p..][..p];
+                let after = if tb == ta { &cols[a + 1..] } else { cols };
+                let (fours, rest) = after.as_chunks::<4>();
+                for js in fours {
+                    for (lane, &j) in js.iter().enumerate() {
+                        raise(lane, i, j, row);
+                    }
+                }
+                for &j in rest {
+                    raise(0, i, j, row);
+                }
+            }
+        }
+    }
+    lanes.into_iter().fold(0.0, f64::max)
+}
+
+/// The largest finite distance, or 0 when there is none.
+fn finite_max(distances: impl Iterator<Item = f64>) -> f64 {
+    (distances.filter(|v| v.is_finite()).reduce(f64::max)).unwrap_or(0.0)
+}
+
 /// The distances a classed metric holds in off-diagonal cells, one per
 /// class that occurs there.
 fn off_diagonal_distances<'a>(
@@ -275,6 +295,23 @@ fn off_diagonal_distances<'a>(
     off_diagonal: &'a [bool],
 ) -> impl Iterator<Item = f64> + 'a {
     (table.iter().zip(off_diagonal)).filter_map(|(&v, &occurs)| occurs.then_some(v))
+}
+
+/// The frozen arithmetic of the materializing `from_costs` this view
+/// replaced — every `(O_ij + O_ji) / 2` written out, zero diagonal — as
+/// the reference the view's answers are compared with.
+#[cfg(test)]
+pub(crate) fn oracle_distances(cost: &CostMatrices) -> DenseMatrix<f64> {
+    let p = cost.p();
+    let mut d = DenseMatrix::new(p);
+    for i in 0..p {
+        for j in i + 1..p {
+            let v = (cost.o[(i, j)] + cost.o[(j, i)]) / 2.0;
+            d[(i, j)] = v;
+            d[(j, i)] = v;
+        }
+    }
+    d
 }
 
 #[cfg(test)]
@@ -286,24 +323,23 @@ mod tests {
     use crate::mapping::RankMapping;
     use crate::profile::TopologyProfile;
 
-    fn metric_for(machine: &MachineSpec) -> DistanceMetric {
-        let prof = TopologyProfile::from_ground_truth(machine, &RankMapping::Block);
-        DistanceMetric::from_costs(&prof.cost)
+    fn costs_for(machine: &MachineSpec) -> CostMatrices {
+        TopologyProfile::from_ground_truth(machine, &RankMapping::Block).cost
     }
 
     #[test]
     fn ground_truth_metric_is_valid() {
-        let m = metric_for(&MachineSpec::dual_quad_cluster(3));
-        assert!(m.validate(1e-9).is_empty());
+        let cost = costs_for(&MachineSpec::dual_quad_cluster(3));
+        assert!(DistanceMetric::from_costs(&cost).validate(1e-9).is_empty());
     }
 
     #[test]
     fn diameter_is_internode_cost() {
         let machine = MachineSpec::dual_quad_cluster(2);
         let gt = machine.ground_truth.clone();
-        let m = metric_for(&machine);
+        let cost = costs_for(&machine);
         assert_eq!(
-            m.diameter(),
+            DistanceMetric::from_costs(&cost).diameter(),
             gt.effective_o(crate::machine::LinkClass::InterNode)
         );
     }
@@ -312,7 +348,8 @@ mod tests {
     fn diameter_of_subset() {
         let machine = MachineSpec::dual_quad_cluster(2);
         let gt = machine.ground_truth.clone();
-        let m = metric_for(&machine);
+        let cost = costs_for(&machine);
+        let m = DistanceMetric::from_costs(&cost);
         // Ranks 0..8 are one node under block mapping: diameter = cross-socket.
         let node0: Vec<usize> = (0..8).collect();
         assert_eq!(
@@ -334,6 +371,51 @@ mod tests {
         assert_eq!(m.dist(0, 0), 0.0);
     }
 
+    /// Every answer of the view over an asymmetric `O` with NaN and
+    /// infinite cells, against the oracle matrix — and past one tile of
+    /// the diameter pass, with a member list that is neither sorted nor
+    /// consecutive.
+    #[test]
+    fn dense_view_matches_the_oracle_matrix() {
+        let p = 150;
+        let mut cost = CostMatrices::zeros(p);
+        for i in 0..p {
+            for j in 0..p {
+                cost.o[(i, j)] = ((i * 37 + j * 101) % 997) as f64 + 0.5;
+            }
+        }
+        cost.o[(3, 140)] = f64::NAN;
+        cost.o[(77, 5)] = f64::INFINITY;
+        cost.o[(9, 8)] = f64::NEG_INFINITY;
+        let oracle = oracle_distances(&cost);
+        let view = DistanceMetric::from_costs(&cost);
+        let owned = DistanceMetric::from_matrix(oracle.clone());
+        let shuffled: Vec<usize> = (0..p).map(|k| (k * 67 + 11) % p).collect();
+        let sparse: Vec<usize> = (0..p).rev().step_by(3).collect();
+        let everyone: Vec<usize> = (0..p).collect();
+        let mut out = Vec::new();
+        for m in [&view, &owned] {
+            for i in 0..p {
+                m.distances_from(i, &shuffled, &mut out);
+                for (&j, d) in shuffled.iter().zip(&out) {
+                    assert_eq!(d.to_bits(), oracle[(i, j)].to_bits(), "({i},{j})");
+                    assert_eq!(m.dist(i, j).to_bits(), oracle[(i, j)].to_bits());
+                }
+            }
+            for members in [&everyone, &shuffled, &sparse] {
+                let mut max = 0.0f64;
+                for (a, &i) in members.iter().enumerate() {
+                    for &j in &members[a + 1..] {
+                        max = max.max(oracle[(i, j)]);
+                    }
+                }
+                assert_eq!(m.diameter_of(members).to_bits(), max.to_bits());
+            }
+            assert_eq!(m.diameter_of(&everyone), f64::INFINITY);
+            assert_eq!(m.diameter(), oracle.max_off_diagonal().unwrap());
+        }
+    }
+
     #[test]
     fn validate_flags_nonpositive() {
         let mut cost = CostMatrices::zeros(3);
@@ -349,13 +431,12 @@ mod tests {
             .any(|x| matches!(x, MetricViolation::NonPositive { i: 0, j: 1, .. })));
     }
 
-    /// The metric of a compressed model over a class grid, class `c` at
-    /// distance `distances[c]` (0 for the classes on the diagonal).
-    fn classed(p: usize, grid: &[u16], distances: &[f64]) -> DistanceMetric {
+    /// A compressed model over a class grid, class `c` at distance
+    /// `distances[c]` (0 for the classes on the diagonal).
+    fn classed(p: usize, grid: &[u16], distances: &[f64]) -> CompressedCostModel {
         let l = vec![0.0; distances.len()];
         CompressedCostModel::from_parts(p, grid.to_vec(), distances.to_vec(), l)
             .expect("a valid grid")
-            .distance_metric()
     }
 
     /// A classed metric over a shared map must agree with the dense
@@ -371,18 +452,20 @@ mod tests {
             1, 0, 2,
         ];
         let table = [4.0, 9.0, 0.0];
-        let classed = classed(p, &grid, &table);
+        let model = classed(p, &grid, &table);
+        let classed = model.distance_metric();
         let dense = DistanceMetric::from_matrix(DenseMatrix::from_fn(p, |i, j| {
             table[grid[i * p + j] as usize]
         }));
         assert_eq!(classed.p(), dense.p());
         assert_eq!(classed.diameter(), dense.diameter());
-        let (mut scratch, mut unused) = (Vec::new(), Vec::new());
+        let (mut by_class, mut by_cell) = (Vec::new(), Vec::new());
         for i in 0..p {
-            assert_eq!(
-                classed.row_into(i, &mut scratch),
-                dense.row_into(i, &mut unused)
-            );
+            for members in [vec![0, 1, 2], vec![2, 0], vec![i]] {
+                classed.distances_from(i, &members, &mut by_class);
+                dense.distances_from(i, &members, &mut by_cell);
+                assert_eq!(by_class, by_cell);
+            }
             for j in 0..p {
                 assert_eq!(classed.dist(i, j), dense.dist(i, j));
             }
@@ -416,7 +499,8 @@ mod tests {
             ([4.0, f64::INFINITY, 2.0, 0.0, 99.0], 4.0),
             ([f64::NAN, f64::NAN, f64::NAN, 0.0, 99.0], 0.0),
         ] {
-            let m = build(table);
+            let model = build(table);
+            let m = model.distance_metric();
             assert_eq!(
                 m.diameter_of(&identity).to_bits(),
                 m.diameter_of(&reordered).to_bits()
@@ -424,18 +508,11 @@ mod tests {
             assert_eq!(m.diameter(), diameter);
         }
         assert_eq!(
-            build([4.0, f64::INFINITY, 2.0, 0.0, 99.0]).diameter_of(&identity),
+            build([4.0, f64::INFINITY, 2.0, 0.0, 99.0])
+                .distance_metric()
+                .diameter_of(&identity),
             f64::INFINITY
         );
-    }
-
-    #[test]
-    fn row_into_borrows_dense_rows_without_copying() {
-        let m = metric_for(&MachineSpec::dual_quad_cluster(2));
-        let mut scratch = Vec::new();
-        let row = m.row_into(3, &mut scratch).to_vec();
-        assert_eq!(row, (0..m.p()).map(|j| m.dist(3, j)).collect::<Vec<_>>());
-        assert!(scratch.is_empty(), "dense backing must not touch scratch");
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //! conditions.
 
 use hbarrier::core::adaptive::{AdaptiveBarrier, AdaptiveConfig};
+use hbarrier::core::compose::{tune_hybrid_costs, tune_hybrid_costs_with};
+use hbarrier::core::cost::CostEvaluator;
 use hbarrier::prelude::*;
 use hbarrier::simnet::barrier::schedule_programs;
 use hbarrier::simnet::ns_to_sec;
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
 
 /// A machine whose inter-node fabric is congested by `factor`.
 fn congested(base: &MachineSpec, factor: f64) -> MachineSpec {
@@ -112,4 +116,69 @@ fn trace_driven_retuning_loop() {
         m_new <= m_old * 1.10,
         "re-tuned barrier slower under congestion: {m_new} vs {m_old}"
     );
+}
+
+/// The §VIII loop on one long-lived evaluator: every step's answer is the
+/// answer of a cold tune on the same matrix. Costs drift as a power cap
+/// or a busy switch moves them — one node in eight congested by a factor
+/// in [1, 4], links between two nodes scaled by the larger factor, which
+/// keeps `O` symmetric and reshapes the cluster tree from step to step —
+/// and every fourth step re-tunes on the matrix of the step before, which
+/// the evaluator must answer from what it kept.
+#[test]
+fn warm_retunes_equal_cold_tunes_on_drifting_costs() {
+    let p = 256;
+    let machine = MachineSpec::new(p / 8, 2, 4);
+    let mapping = RankMapping::RoundRobin;
+    let base = TopologyProfile::from_ground_truth_for(&machine, &mapping, p).cost;
+    let node_of: Vec<usize> = (mapping.cores(&machine, p).iter())
+        .map(|c| c.node)
+        .collect();
+    let members: Vec<usize> = (0..p).collect();
+    let cfg = TunerConfig::default();
+    let mut eval = CostEvaluator::new(cfg.cost_params);
+    let mut rng = SmallRng::seed_from_u64(23);
+    let mut cost = base.clone();
+    let mut trees = Vec::new();
+    for step in 0..16 {
+        let repeated = step % 4 == 3;
+        if !repeated {
+            let mut factor = vec![1.0f64; machine.nodes];
+            for _ in 0..machine.nodes / 8 {
+                let node = rng.random::<usize>() % machine.nodes;
+                factor[node] = 1.0 + 3.0 * rng.random::<f64>();
+            }
+            cost = base.clone();
+            for m in [&mut cost.o, &mut cost.l] {
+                for i in 0..p {
+                    for j in 0..p {
+                        if node_of[i] != node_of[j] {
+                            m[(i, j)] *= factor[node_of[i]].max(factor[node_of[j]]);
+                        }
+                    }
+                }
+            }
+        }
+        let kept = eval.cached_scores();
+        let warm = tune_hybrid_costs_with(&cost, &members, &cfg, &mut eval);
+        if repeated {
+            assert_eq!(eval.cached_scores(), kept, "step {step} scored again");
+        }
+        let cold = tune_hybrid_costs(&cost, &members, &cfg);
+        assert_eq!(warm.tree, cold.tree, "step {step}");
+        assert_eq!(warm.choices, cold.choices, "step {step}");
+        assert_eq!(
+            warm.schedule.stages(),
+            cold.schedule.stages(),
+            "step {step}"
+        );
+        assert_eq!(
+            warm.predicted_cost.to_bits(),
+            cold.predicted_cost.to_bits(),
+            "step {step}"
+        );
+        trees.push(warm.tree);
+    }
+    trees.dedup();
+    assert!(trees.len() > 4, "the drift must move the cluster tree");
 }

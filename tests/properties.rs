@@ -1,6 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
 use hbarrier::core::algorithms::Algorithm;
+use hbarrier::core::clustering::{try_build_cluster_tree, ClusterError, SSS_DEFAULT_SPARSENESS};
 use hbarrier::core::codegen::compile_schedule;
 use hbarrier::core::cost::{predict_barrier_cost, CostParams};
 use hbarrier::core::schedule::{BarrierSchedule, Stage};
@@ -39,8 +40,92 @@ fn arb_costs(n: usize) -> impl Strategy<Value = CostMatrices> {
     })
 }
 
+/// The frozen arithmetic of the materializing `DistanceMetric::from_costs`
+/// the view replaced: every `(O_ij + O_ji) / 2` written out, zero diagonal.
+fn oracle_distances(o: &DenseMatrix<f64>) -> DenseMatrix<f64> {
+    let mut d = DenseMatrix::new(o.n());
+    for i in 0..o.n() {
+        for j in i + 1..o.n() {
+            let v = (o[(i, j)] + o[(j, i)]) / 2.0;
+            d[(i, j)] = v;
+            d[(j, i)] = v;
+        }
+    }
+    d
+}
+
+/// Rank counts for the view-parity property: the small primes, and sizes
+/// on both sides of the diameter pass's 4-pair and 64-rank steps.
+const VIEW_PARITY_RANKS: [usize; 12] = [1, 2, 3, 5, 7, 13, 4, 9, 16, 31, 47, 48];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The metric view over a dense `O` — asymmetric or not, NaN and
+    /// infinite cells or not — answers bit for bit what the materialized
+    /// matrix holds, for any member list, and clusters to the same tree or
+    /// the same typed error.
+    #[test]
+    fn dense_view_matches_the_materialized_metric(
+        size in 0usize..VIEW_PARITY_RANKS.len(),
+        cells in prop::collection::vec(1.0f64..100.0, 48 * 48),
+        symmetric in any::<bool>(),
+        bad in prop::collection::vec((0usize..48 * 48, 0usize..3), 0..5),
+        picks in prop::collection::vec(0usize..48, 1..64),
+    ) {
+        let p = VIEW_PARITY_RANKS[size];
+        let mut o = DenseMatrix::from_vec(p, cells[..p * p].to_vec());
+        if symmetric {
+            o.symmetrize();
+        }
+        for &(cell, kind) in &bad {
+            let (i, j) = (cell / 48 % p, cell % p);
+            o[(i, j)] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind];
+        }
+        let cost = CostMatrices { o, l: DenseMatrix::new(p) };
+        let oracle = oracle_distances(&cost.o);
+        let view = DistanceMetric::from_costs(&cost);
+        let materialized = DistanceMetric::from_matrix(oracle.clone());
+
+        // Unsorted, non-consecutive, possibly a single rank.
+        let mut members: Vec<usize> = Vec::new();
+        for rank in picks.iter().map(|k| k % p) {
+            if !members.contains(&rank) {
+                members.push(rank);
+            }
+        }
+        let everyone: Vec<usize> = (0..p).collect();
+        let mut distances = Vec::new();
+        for members in [&members, &everyone] {
+            for i in 0..p {
+                view.distances_from(i, members, &mut distances);
+                prop_assert_eq!(distances.len(), members.len());
+                for (&j, d) in members.iter().zip(&distances) {
+                    prop_assert_eq!(d.to_bits(), oracle[(i, j)].to_bits(), "d({}, {})", i, j);
+                    prop_assert_eq!(view.dist(i, j).to_bits(), oracle[(i, j)].to_bits());
+                }
+            }
+            let mut diameter = 0.0f64;
+            for (a, &i) in members.iter().enumerate() {
+                for &j in &members[a + 1..] {
+                    diameter = diameter.max(oracle[(i, j)]);
+                }
+            }
+            prop_assert_eq!(view.diameter_of(members).to_bits(), diameter.to_bits());
+
+            let by_view = try_build_cluster_tree(&view, members, SSS_DEFAULT_SPARSENESS, 8);
+            let by_matrix =
+                try_build_cluster_tree(&materialized, members, SSS_DEFAULT_SPARSENESS, 8);
+            match (by_view, by_matrix) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                (
+                    Err(ClusterError::NonFiniteDistance { from, to, .. }),
+                    Err(ClusterError::NonFiniteDistance { from: f, to: t, .. }),
+                ) => prop_assert_eq!((from, to), (f, t)),
+                (a, b) => panic!("view {a:?}, materialized {b:?}"),
+            }
+        }
+    }
 
     /// Transposition is an involution and preserves signal counts.
     #[test]

@@ -1,21 +1,24 @@
 //! Reworked simulation-engine microbenchmarks: raw event throughput on a
-//! reused world, P-rank barrier execution at the benchmark's scale, the
-//! amortized profiling sweep that the §IV-A cost matrices are built from,
-//! the clustered sweep's bookkeeping around its measurements, and what a
-//! single cost lookup costs in each storage.
+//! reused world, P-rank barrier execution at the benchmark's scale, one
+//! pair descriptor per link class (the unit a sweep's measuring time is
+//! made of), the amortized profiling sweep that the §IV-A cost matrices
+//! are built from, the clustered sweep's bookkeeping around its
+//! measurements, and what a single cost lookup costs in each storage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hbar_core::algorithms::Algorithm;
 use hbar_core::clustering::{classify_pairs, ClassingConfig};
 use hbar_core::compose::{tune_hybrid, TunerConfig};
 use hbar_simnet::barrier::schedule_programs;
-use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
-use hbar_simnet::sweep::{DescriptorExecutor, PairSample, PairWorkDescriptor, SweepError};
+use hbar_simnet::profiling::{measure_profile, pair_sub_seed, ProfilingConfig};
+use hbar_simnet::sweep::{
+    execute_descriptor, DescriptorExecutor, PairSample, PairWorkDescriptor, SweepError, WorkKind,
+};
 use hbar_simnet::world::{SimConfig, SimWorld};
 use hbar_simnet::{measure_profile_compressed, NoiseModel, SpillConfig, SweepConfig};
 use hbar_topo::cost::CostProvider;
 use hbar_topo::features::TopologyExtractor;
-use hbar_topo::machine::MachineSpec;
+use hbar_topo::machine::{LinkClass, MachineSpec};
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
 use hbar_topo::CompressedCostModel;
@@ -50,7 +53,8 @@ fn bench_engine_throughput(c: &mut Criterion) {
 
 /// What an episode of the pipeline benchmark pays to execute its barriers:
 /// building the world, and one 20-repetition run of each schedule on it
-/// (channel resolution in `reset` included).
+/// (channel resolution in `bind` included). The P = 8192 row is the size
+/// the event queue is deepest at among those the benchmark reaches.
 fn bench_barrier_execution(c: &mut Criterion) {
     let mut group = c.benchmark_group("barrier_execution");
     group.sample_size(10);
@@ -82,6 +86,59 @@ fn bench_barrier_execution(c: &mut Criterion) {
             let programs = schedule_programs(&sched, 20);
             group.bench_with_input(BenchmarkId::new(name, p), &programs, |b, programs| {
                 b.iter(|| black_box(world.run(black_box(programs)).expect("runs")))
+            });
+        }
+    }
+    let p = 8192usize;
+    let members: Vec<usize> = (0..p).collect();
+    let programs = schedule_programs(&Algorithm::Dissemination.full_schedule(p, &members), 4);
+    let mut world = SimWorld::new(
+        SimConfig {
+            machine: MachineSpec::new(p / 8, 2, 4),
+            mapping,
+            noise: NoiseModel::realistic(42),
+        },
+        p,
+    );
+    group.bench_with_input(
+        BenchmarkId::new("dissemination-4r", p),
+        &programs,
+        |b, programs| b.iter(|| black_box(world.run(black_box(programs)).expect("runs"))),
+    );
+    group.finish();
+}
+
+/// One pair descriptor on the default schedule — 1 325 two-rank runs at
+/// `rep_scale` 1 — per link class, at the base repetition count and at the
+/// 4× a grown class asks for. `simnet.sweep.measure_s` is a sum of these.
+fn bench_pair_descriptor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pair_descriptor");
+    group.sample_size(10);
+    let machine = MachineSpec::new(2, 2, 4);
+    let cfg = ProfilingConfig::default();
+    let noise = NoiseModel::realistic(42);
+    for (name, class, core_b) in [
+        ("same_socket", LinkClass::SameSocket, 1u32),
+        ("cross_socket", LinkClass::CrossSocket, 4),
+        ("inter_node", LinkClass::InterNode, 8),
+    ] {
+        assert_eq!(
+            machine.core(0).link_class(&machine.core(core_b as usize)),
+            class
+        );
+        for rep_scale in [1u32, 4] {
+            let d = PairWorkDescriptor {
+                id: 0,
+                kind: WorkKind::Pair,
+                i: 0,
+                j: 1,
+                core_a: 0,
+                core_b,
+                sub_seed: pair_sub_seed(0, 1, noise.seed),
+                rep_scale,
+            };
+            group.bench_with_input(BenchmarkId::new(name, rep_scale), &d, |b, d| {
+                b.iter(|| black_box(execute_descriptor(&machine, noise, &cfg, black_box(d))))
             });
         }
     }
@@ -233,6 +290,7 @@ criterion_group!(
     benches,
     bench_engine_throughput,
     bench_barrier_execution,
+    bench_pair_descriptor,
     bench_profile_sweep,
     bench_profile_bookkeeping,
     bench_cost_lookup

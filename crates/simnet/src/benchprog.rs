@@ -30,9 +30,9 @@
 //! schedule so no construction cost repeats per sample point — and with
 //! `reps` runs per point, none repeats per run either.
 
+use crate::ns_to_sec;
 use crate::program::Program;
-use crate::world::{SimResult, SimWorld};
-use crate::{ns_to_sec, Time};
+use crate::world::SimWorld;
 
 /// Label of the timing mark the burst benchmark places after its
 /// readiness handshake.
@@ -122,25 +122,6 @@ pub fn noop_calls(k: usize) -> Program {
     p
 }
 
-/// Mean per-call overhead (seconds).
-pub fn noop_call_mean(result: &SimResult, k: usize) -> f64 {
-    ns_to_sec(result.finish[0]) / k as f64
-}
-
-/// Convenience: run a two-rank benchmark pair in `world` (which must have
-/// exactly 2 ranks) and return the result.
-///
-/// # Panics
-/// Panics if the world does not have 2 ranks or the run deadlocks (the
-/// benchmark programs cannot deadlock by construction).
-pub fn run_pair(world: &mut SimWorld, pair: (Program, Program)) -> SimResult {
-    assert_eq!(world.p(), 2, "benchmark worlds have exactly two ranks");
-    let progs = [pair.0, pair.1];
-    world
-        .run(&progs)
-        .expect("benchmark programs cannot deadlock")
-}
-
 /// Median of `values`, sorting them in place; even counts average the two
 /// middle elements.
 ///
@@ -157,55 +138,15 @@ pub fn median(values: &mut [f64]) -> f64 {
     }
 }
 
-/// Measured one-way time of a size-`bytes` ping-pong between the two
-/// ranks of `world`: the median of `reps` independent single-round runs.
-pub fn measure_one_way(world: &mut SimWorld, bytes: usize, reps: usize) -> f64 {
-    assert_eq!(world.p(), 2, "benchmark worlds have exactly two ranks");
-    assert!(reps > 0, "need at least one repetition");
-    let (a, b) = ping_pong(bytes);
-    let progs = [a, b];
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let f = world
-                .run_finish0(&progs)
-                .expect("benchmark programs cannot deadlock");
-            ns_to_sec(f) / 2.0
-        })
-        .collect();
-    median(&mut times)
-}
-
-/// Measured `k`-message burst span (readiness mark → sender completion):
-/// the median of `reps` independent single-burst runs.
-pub fn measure_burst(world: &mut SimWorld, k: usize, reps: usize) -> f64 {
-    assert_eq!(world.p(), 2, "benchmark worlds have exactly two ranks");
-    assert!(reps > 0, "need at least one repetition");
-    let (a, b) = multi_message(k);
-    let progs = [a, b];
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let f = world
-                .run_span0(&progs)
-                .expect("benchmark programs cannot deadlock");
-            ns_to_sec(f)
-        })
-        .collect();
-    median(&mut times)
-}
-
-/// Measured mean transmission-free call cost over `k` calls at rank 0.
-pub fn measure_noop(world: &mut SimWorld, k: usize) -> f64 {
-    let progs = [noop_calls(k), Program::new()];
-    let res = world
-        .run(&progs)
-        .expect("no communication, cannot deadlock");
-    noop_call_mean(&res, k)
-}
-
 /// Amortized two-rank benchmark scratch: one reused world/engine, one
 /// pair of program buffers refilled in place per sample point, and one
 /// measurement buffer reused across the per-point repetition loop. After
 /// the first (largest) build, no measurement allocates.
+///
+/// Each sample point binds its programs to the engine once and then only
+/// rewinds between repetitions. The world and the buffers are both
+/// private to this type and every method rebuilds before it binds, so no
+/// run can see a binding older than its programs.
 pub struct PairBench {
     world: SimWorld,
     progs: [Program; 2],
@@ -232,6 +173,7 @@ impl PairBench {
         assert!(reps > 0, "need at least one repetition");
         let [a, b] = &mut self.progs;
         build_ping_pong(a, b, bytes);
+        self.world.bind(&self.progs);
         self.times.clear();
         for _ in 0..reps {
             let f = self
@@ -249,6 +191,7 @@ impl PairBench {
         assert!(reps > 0, "need at least one repetition");
         let [a, b] = &mut self.progs;
         build_multi_message(a, b, k);
+        self.world.bind(&self.progs);
         self.times.clear();
         for _ in 0..reps {
             let f = self
@@ -264,6 +207,7 @@ impl PairBench {
     pub fn noop(&mut self, k: usize) -> f64 {
         let [a, b] = &mut self.progs;
         build_noop_calls(a, b, k);
+        self.world.bind(&self.progs);
         let f = self
             .world
             .run_finish0(&self.progs)
@@ -272,29 +216,34 @@ impl PairBench {
     }
 }
 
-/// Virtual duration helper for tests.
-pub fn makespan_sec(result: &SimResult) -> f64 {
-    ns_to_sec(result.finish.iter().copied().max().unwrap_or(0) as Time)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::NoiseModel;
     use crate::world::SimConfig;
+    use crate::Time;
     use hbar_topo::machine::{LinkClass, MachineSpec};
     use hbar_topo::mapping::RankMapping;
 
-    fn pair_world(machine: MachineSpec, core_a: usize, core_b: usize) -> SimWorld {
+    fn pair_bench(machine: MachineSpec, core_a: usize, core_b: usize) -> PairBench {
         let cfg = SimConfig::exact(machine, RankMapping::Custom(vec![core_a, core_b]));
-        SimWorld::new(cfg, 2)
+        PairBench::new(SimWorld::new(cfg, 2))
+    }
+
+    /// One machine and core pair per link class.
+    fn pair_per_class() -> [(MachineSpec, usize, usize, LinkClass); 3] {
+        [
+            (MachineSpec::new(1, 1, 2), 0, 1, LinkClass::SameSocket),
+            (MachineSpec::new(1, 2, 1), 0, 1, LinkClass::CrossSocket),
+            (MachineSpec::new(2, 1, 1), 0, 1, LinkClass::InterNode),
+        ]
     }
 
     #[test]
     fn ping_pong_recovers_effective_o_inter_node() {
         let machine = MachineSpec::new(2, 1, 1);
         let gt = machine.ground_truth.clone();
-        let mut world = pair_world(machine, 0, 1);
-        let one_way = measure_one_way(&mut world, 0, 10);
+        let one_way = pair_bench(machine, 0, 1).one_way(0, 10);
         let expect = gt.effective_o(LinkClass::InterNode);
         let rel = (one_way - expect).abs() / expect;
         assert!(rel < 0.02, "one-way {one_way} vs effective O {expect}");
@@ -304,9 +253,9 @@ mod tests {
     fn ping_pong_scales_with_payload() {
         let machine = MachineSpec::new(2, 1, 1);
         let gt = machine.ground_truth.clone();
-        let mut world = pair_world(machine, 0, 1);
-        let small = measure_one_way(&mut world, 1, 5);
-        let big = measure_one_way(&mut world, 1 << 20, 5);
+        let mut bench = pair_bench(machine, 0, 1);
+        let small = bench.one_way(1, 5);
+        let big = bench.one_way(1 << 20, 5);
         let per_byte = (big - small) / ((1 << 20) - 1) as f64;
         let expect = gt.link(LinkClass::InterNode).ns_per_byte * 1e-9;
         assert!(
@@ -319,20 +268,11 @@ mod tests {
     fn burst_gradient_recovers_effective_l() {
         // The marginal cost of messages 8→16 approximates L (pipelined
         // spacing), for both a local and a remote pair.
-        for (machine, a, b, class) in [
-            (
-                MachineSpec::new(1, 1, 2),
-                0usize,
-                1usize,
-                LinkClass::SameSocket,
-            ),
-            (MachineSpec::new(1, 2, 1), 0, 1, LinkClass::CrossSocket),
-            (MachineSpec::new(2, 1, 1), 0, 1, LinkClass::InterNode),
-        ] {
+        for (machine, a, b, class) in pair_per_class() {
             let gt = machine.ground_truth.clone();
-            let mut world = pair_world(machine, a, b);
-            let t8 = measure_burst(&mut world, 8, 5);
-            let t16 = measure_burst(&mut world, 16, 5);
+            let mut bench = pair_bench(machine, a, b);
+            let t8 = bench.burst(8, 5);
+            let t16 = bench.burst(16, 5);
             let marginal = (t16 - t8) / 8.0;
             let expect = gt.effective_l(class);
             let rel = (marginal - expect).abs() / expect;
@@ -344,45 +284,80 @@ mod tests {
     fn noop_mean_recovers_call_overhead() {
         let machine = MachineSpec::new(1, 1, 2);
         let gt = machine.ground_truth.clone();
-        let mut world = pair_world(machine, 0, 1);
-        let mean = measure_noop(&mut world, 64);
+        let mean = pair_bench(machine, 0, 1).noop(64);
         assert!((mean - gt.effective_oii()).abs() < 1e-12, "{mean}");
     }
 
     #[test]
     fn burst_time_grows_monotonically_in_k() {
-        let machine = MachineSpec::new(2, 1, 1);
-        let mut world = pair_world(machine, 0, 1);
+        let mut bench = pair_bench(MachineSpec::new(2, 1, 1), 0, 1);
         let mut prev = 0.0;
         for k in [1, 2, 4, 8, 16, 32] {
-            let t = measure_burst(&mut world, k, 3);
+            let t = bench.burst(k, 3);
             assert!(t > prev, "k={k}: {t} <= {prev}");
             prev = t;
         }
     }
 
     #[test]
-    fn pair_bench_matches_one_shot_measurements() {
-        // The amortized scratch must reproduce the one-shot helpers
-        // bit-for-bit: same run order ⇒ same run counter ⇒ same noise.
-        let machine = MachineSpec::new(2, 1, 1);
-        let mut world = pair_world(machine.clone(), 0, 1);
-        let o1 = measure_one_way(&mut world, 1 << 10, 4);
-        let b1 = measure_burst(&mut world, 8, 3);
-        let n1 = measure_noop(&mut world, 16);
-        let mut bench = PairBench::new(pair_world(machine, 0, 1));
-        let o2 = bench.one_way(1 << 10, 4);
-        let b2 = bench.burst(8, 3);
-        let n2 = bench.noop(16);
-        assert_eq!(o1.to_bits(), o2.to_bits());
-        assert_eq!(b1.to_bits(), b2.to_bits());
-        assert_eq!(n1.to_bits(), n2.to_bits());
+    fn pair_bench_matches_a_loop_of_world_runs() {
+        // Bind-once parity: a sample point that binds its programs once
+        // and rewinds between repetitions must equal, bit for bit, a loop
+        // of `SimWorld::run` (which binds every call) over freshly built
+        // programs — same run order ⇒ same run counter ⇒ same noise.
+        fn median_of_runs(
+            world: &mut SimWorld,
+            progs: &[Program],
+            reps: usize,
+            sample: impl Fn(Time, Option<Time>) -> f64,
+        ) -> f64 {
+            let mut times: Vec<f64> = (0..reps)
+                .map(|_| {
+                    let res = world.run(progs).expect("benchmark programs complete");
+                    sample(res.finish[0], res.marks[0].first().map(|m| m.1))
+                })
+                .collect();
+            median(&mut times)
+        }
+        for (machine, a, b, class) in pair_per_class() {
+            let cfg = SimConfig {
+                machine,
+                mapping: RankMapping::Custom(vec![a, b]),
+                noise: NoiseModel::realistic(23),
+            };
+            let mut world = SimWorld::new(cfg.clone(), 2);
+            let mut bench = PairBench::new(SimWorld::new(cfg, 2));
+            // The profiling order: sizes, then bursts, then no-op calls,
+            // each point re-binding over the previous one's programs.
+            for bytes in [0, 1 << 10] {
+                let (pa, pb) = ping_pong(bytes);
+                let expect = median_of_runs(&mut world, &[pa, pb], 5, |finish, _| {
+                    ns_to_sec(finish) / 2.0
+                });
+                let got = bench.one_way(bytes, 5);
+                assert_eq!(got.to_bits(), expect.to_bits(), "{class:?} {bytes} B");
+            }
+            for k in [1, 8, 3] {
+                let (pa, pb) = multi_message(k);
+                let expect = median_of_runs(&mut world, &[pa, pb], 4, |finish, mark| {
+                    ns_to_sec(finish - mark.expect("burst mark"))
+                });
+                let got = bench.burst(k, 4);
+                assert_eq!(got.to_bits(), expect.to_bits(), "{class:?} burst {k}");
+            }
+            let expect = median_of_runs(
+                &mut world,
+                &[noop_calls(16), Program::new()],
+                1,
+                |finish, _| ns_to_sec(finish) / 16.0,
+            );
+            assert_eq!(bench.noop(16).to_bits(), expect.to_bits(), "{class:?}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "at least one repetition")]
     fn zero_reps_panics() {
-        let mut world = pair_world(MachineSpec::new(2, 1, 1), 0, 1);
-        measure_one_way(&mut world, 0, 0);
+        pair_bench(MachineSpec::new(2, 1, 1), 0, 1).one_way(0, 0);
     }
 }

@@ -106,13 +106,19 @@ impl SimWorld {
             .map(|(result, trace)| (result, trace.expect("trace was enabled")))
     }
 
-    /// Lean run for benchmark loops: advances the run counter and executes
-    /// like [`run`](Self::run), but returns only rank 0's finish time so
-    /// the per-run path performs no result-vector allocation.
+    /// Binds `programs` for the lean benchmark runs below, which re-run
+    /// the bound set without validating or interning it again. The caller
+    /// passes those runs the same, unmodified slice.
+    pub(crate) fn bind(&mut self, programs: &[Program]) {
+        self.engine.bind(programs);
+    }
+
+    /// Lean run for benchmark loops over the [bound](Self::bind) set:
+    /// advances the run counter and executes like [`run`](Self::run), but
+    /// returns only rank 0's finish time so the per-run path performs no
+    /// result-vector allocation.
     pub(crate) fn run_finish0(&mut self, programs: &[Program]) -> Result<Time, SimDeadlock> {
-        assert_eq!(programs.len(), self.p(), "one program per rank required");
-        self.run_counter += 1;
-        let noise = NoiseState::new(self.config.noise, self.run_counter);
+        let noise = self.next_noise();
         self.engine.execute(programs, noise)?;
         Ok(self.engine.finish_of(0))
     }
@@ -122,11 +128,15 @@ impl SimWorld {
     /// analogue of reading `MPI_Wtime` after a synchronizing handshake,
     /// so program setup stays out of the measured interval.
     pub(crate) fn run_span0(&mut self, programs: &[Program]) -> Result<Time, SimDeadlock> {
-        assert_eq!(programs.len(), self.p(), "one program per rank required");
-        self.run_counter += 1;
-        let noise = NoiseState::new(self.config.noise, self.run_counter);
+        let noise = self.next_noise();
         self.engine.execute(programs, noise)?;
         Ok(self.engine.finish_of(0) - self.engine.first_mark_of(0))
+    }
+
+    /// The next run's noise state: runs are decorrelated by their index.
+    fn next_noise(&mut self) -> NoiseState {
+        self.run_counter += 1;
+        NoiseState::new(self.config.noise, self.run_counter)
     }
 
     fn run_inner(
@@ -134,9 +144,7 @@ impl SimWorld {
         programs: &[Program],
         traced: bool,
     ) -> Result<(SimResult, Option<crate::trace::Trace>), SimDeadlock> {
-        assert_eq!(programs.len(), self.p(), "one program per rank required");
-        self.run_counter += 1;
-        let noise = NoiseState::new(self.config.noise, self.run_counter);
+        let noise = self.next_noise();
         if traced {
             self.engine.enable_trace();
         }

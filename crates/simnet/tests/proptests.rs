@@ -132,9 +132,11 @@ proptest! {
     /// sets — matched patterns and one that deadlocks — is observationally
     /// identical to a freshly constructed engine per run: same finish
     /// times and event counts under realistic noise, same deadlock
-    /// report. This is the reuse contract: `reset` rebuilds the channel
-    /// table per program set, so nothing one set left queued (a deadlock
-    /// leaves a posted receive behind) may reach the next.
+    /// report. This is the reuse contract: `bind` rebuilds the channel
+    /// table per program set and `rewind` empties it per run, so nothing
+    /// one run left queued (a deadlock leaves a posted receive behind) may
+    /// reach the next — whether that is the same set again, bound once and
+    /// only rewound, or a different set bound over it.
     #[test]
     fn reused_engine_is_indistinguishable_from_fresh(
         machine in arb_machine(),
@@ -177,15 +179,18 @@ proptest! {
         let mut salt = 0;
         for _round in 0..2 {
             for (i, programs) in sets.iter().enumerate() {
-                salt += 1;
-                let fresh_result = Engine::new(cores.clone(), machine.ground_truth.clone())
-                    .run(programs, NoiseState::new(model, salt))
-                    .map(|r| (r.finish, r.events));
-                let reused_result = reused
-                    .run(programs, NoiseState::new(model, salt))
-                    .map(|r| (r.finish, r.events));
-                prop_assert_eq!(fresh_result.is_err(), i == 1, "only set 1 deadlocks");
-                prop_assert_eq!(fresh_result, reused_result);
+                reused.bind(programs);
+                for _rerun in 0..3 {
+                    salt += 1;
+                    let fresh_result = Engine::new(cores.clone(), machine.ground_truth.clone())
+                        .run(programs, NoiseState::new(model, salt))
+                        .map(|r| (r.finish, r.events));
+                    let reused_result = reused
+                        .run_bound(programs, NoiseState::new(model, salt))
+                        .map(|r| (r.finish, r.events));
+                    prop_assert_eq!(fresh_result.is_err(), i == 1, "only set 1 deadlocks");
+                    prop_assert_eq!(fresh_result, reused_result);
+                }
             }
         }
     }

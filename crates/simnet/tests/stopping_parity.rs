@@ -90,12 +90,12 @@ fn adaptive_repetition_is_bit_identical_to_pre_refactor_behavior_p16() {
     );
 }
 
-/// The reusable engine (arenas reset between runs, radix-heap event
-/// queue, flat matching pools, in-place program rebuilds) measures, bit
-/// for bit, the profiles of the engine it replaced (fresh engine per
-/// run, binary-heap queue, `VecDeque` pools, cloned programs) fed the
-/// same noise draws: the fast schedule at P = 8 and 16, the paper's
-/// full schedule at P = 8.
+/// The reusable engine (programs bound once per sample point, arenas
+/// rewound between runs, packed-key event heap, flat matching pools,
+/// in-place program rebuilds) measures, bit for bit, the profiles of the
+/// engine it replaced (fresh engine per run, heap of event structs,
+/// `VecDeque` pools, cloned programs) fed the same noise draws: the fast
+/// schedule at P = 8 and 16, the paper's full schedule at P = 8.
 #[test]
 fn exhaustive_profile_is_bit_identical_to_pre_rework_engine() {
     for (schedule, p, cfg, golden) in [

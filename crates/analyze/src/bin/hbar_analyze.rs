@@ -14,7 +14,7 @@
 
 use hbar_analyze::{analyze_schedule, AnalysisReport, AnalyzeConfig};
 use hbar_core::algorithms::Algorithm;
-use hbar_core::compose::{tune_hybrid_for, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 use hbar_core::schedule::BarrierSchedule;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
@@ -177,7 +177,7 @@ fn library_reports(max_p: usize, cfg: &AnalyzeConfig, out: &mut Vec<(String, Ana
         let p = p.min(max_p.max(2));
         let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
         let members: Vec<usize> = (0..p).collect();
-        let tuned = tune_hybrid_for(&profile, &members, &TunerConfig::default());
+        let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
         out.push((
             format!("tuned {label} p={p}"),
             analyze_schedule(&tuned.schedule, cfg),

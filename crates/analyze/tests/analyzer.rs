@@ -11,7 +11,7 @@
 
 use hbar_analyze::{analyze_schedule, AnalyzeConfig, Code};
 use hbar_core::algorithms::Algorithm;
-use hbar_core::compose::{tune_hybrid_for, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 use hbar_core::schedule::{BarrierSchedule, Stage};
 use hbar_core::verify;
 use hbar_topo::cost::SendMode;
@@ -58,7 +58,7 @@ fn tuned_paper_topologies_analyze_clean() {
     ] {
         let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
         let members: Vec<usize> = (0..p).collect();
-        let tuned = tune_hybrid_for(&profile, &members, &TunerConfig::default());
+        let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
         let report = analyze_schedule(&tuned.schedule, &AnalyzeConfig::default());
         assert!(report.is_clean(), "p={p}:\n{report}");
     }
@@ -249,7 +249,7 @@ fn tuned_hybrid_mutant_is_flagged() {
     let p = 32;
     let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
     let members: Vec<usize> = (0..p).collect();
-    let tuned = tune_hybrid_for(&profile, &members, &TunerConfig::default());
+    let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
     let schedule = tuned.schedule;
     let (si, edge) = schedule
         .stages()

@@ -1,21 +1,24 @@
 //! Reworked simulation-engine microbenchmarks: raw event throughput on a
 //! reused world, P-rank barrier execution at the benchmark's scale, one
 //! pair descriptor per link class (the unit a sweep's measuring time is
-//! made of), the amortized profiling sweep that the §IV-A cost matrices
-//! are built from, the clustered sweep's bookkeeping around its
+//! made of), the exhaustive §IV-A profile (`SweepConfig::exact` through
+//! the one sweep, executed locally), the clustered sweep's bookkeeping around its
 //! measurements, and what a single cost lookup costs in each storage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hbar_core::algorithms::Algorithm;
 use hbar_core::clustering::{classify_pairs, ClassingConfig};
-use hbar_core::compose::{tune_hybrid, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 use hbar_simnet::barrier::schedule_programs;
-use hbar_simnet::profiling::{measure_profile, pair_sub_seed, ProfilingConfig};
+use hbar_simnet::profiling::{pair_sub_seed, ProfilingConfig};
 use hbar_simnet::sweep::{
     execute_descriptor, DescriptorExecutor, PairSample, PairWorkDescriptor, SweepError, WorkKind,
 };
 use hbar_simnet::world::{SimConfig, SimWorld};
-use hbar_simnet::{measure_profile_compressed, NoiseModel, SpillConfig, SweepConfig};
+use hbar_simnet::{
+    measure_profile_compressed, measure_profile_decomposed, LocalExecutor, NoiseModel, SpillConfig,
+    SweepConfig,
+};
 use hbar_topo::cost::CostProvider;
 use hbar_topo::features::TopologyExtractor;
 use hbar_topo::machine::{LinkClass, MachineSpec};
@@ -80,7 +83,7 @@ fn bench_barrier_execution(c: &mut Criterion) {
             ),
             (
                 "hybrid-20r",
-                tune_hybrid(&profile, &TunerConfig::default()).schedule,
+                tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default()).schedule,
             ),
         ] {
             let programs = schedule_programs(&sched, 20);
@@ -145,25 +148,31 @@ fn bench_pair_descriptor(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full profiling sweep on the reduced schedule: the end-to-end path
-/// the BENCH_simnet harness measures, at criterion-friendly size.
+/// The exhaustive §IV-A profile on the reduced schedule — every pair
+/// measured, through the same sweep and local executor the pipeline
+/// benchmark runs — at criterion-friendly size.
 fn bench_profile_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("profile_sweep");
     group.sample_size(10);
-    let cfg = ProfilingConfig::fast();
+    let exact = SweepConfig::exact(ProfilingConfig::fast());
     let noise = NoiseModel::realistic(42);
     let mapping = RankMapping::RoundRobin;
     for p in [8usize, 16] {
         let machine = MachineSpec::new(p.div_ceil(8), 2, 4);
         group.bench_with_input(BenchmarkId::new("fast", p), &machine, |b, machine| {
             b.iter(|| {
-                black_box(measure_profile(
-                    black_box(machine),
-                    &mapping,
-                    p,
-                    noise,
-                    &cfg,
-                ))
+                let mut local = LocalExecutor::new(machine.clone(), noise, exact.profiling.clone());
+                black_box(
+                    measure_profile_decomposed(
+                        black_box(machine),
+                        &mapping,
+                        p,
+                        noise,
+                        &exact,
+                        &mut local,
+                    )
+                    .expect("local execution is infallible"),
+                )
             })
         });
     }

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hbar_core::algorithms::Algorithm;
 use hbar_core::codegen::compile_schedule;
-use hbar_core::compose::{tune_hybrid, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 use hbar_threadrun::baselines::{time_thread_barrier, CentralCounterBarrier, StdSyncBarrier};
 use hbar_threadrun::executor::ThreadExecutor;
 use hbar_topo::machine::MachineSpec;
@@ -41,7 +41,7 @@ fn bench_thread_barriers(c: &mut Criterion) {
     // A tuned hybrid for a small machine whose shape matches p.
     let machine = MachineSpec::new(1, 1, p);
     let profile = TopologyProfile::from_ground_truth(&machine, &RankMapping::Block);
-    let tuned = tune_hybrid(&profile, &TunerConfig::default());
+    let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
     group.bench_function("schedule/hybrid", |b| {
         let mut ex = ThreadExecutor::new(compile_schedule(&tuned.schedule).unwrap());
         b.iter(|| black_box(ex.time_barrier(ITERS_PER_SAMPLE)));

@@ -6,7 +6,7 @@
 //! bench reports our equivalent number.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hbar_core::compose::{tune_hybrid, tune_hybrid_costs_with, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, tune_hybrid_costs_with, TunerConfig};
 use hbar_core::cost::CostEvaluator;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
@@ -22,6 +22,7 @@ fn bench_tune(c: &mut Criterion) {
         ("clusterB-120", MachineSpec::dual_hex_cluster(10), 120),
     ] {
         let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
+        let members: Vec<usize> = (0..p).collect();
         for (cfg_label, cfg) in [
             ("paper-set", TunerConfig::default()),
             ("extended", TunerConfig::extended()),
@@ -29,7 +30,11 @@ fn bench_tune(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(label, cfg_label),
                 &profile,
-                |b, profile| b.iter(|| black_box(tune_hybrid(black_box(profile), &cfg))),
+                |b, profile| {
+                    b.iter(|| {
+                        black_box(tune_hybrid_costs(black_box(&profile.cost), &members, &cfg))
+                    })
+                },
             );
         }
     }
@@ -72,7 +77,8 @@ fn bench_exhaustive(c: &mut Criterion) {
     // p = 4 is the largest size where the complete search is interactive.
     let machine = MachineSpec::new(2, 1, 2);
     let profile = TopologyProfile::from_ground_truth(&machine, &RankMapping::Block);
-    let greedy = tune_hybrid(&profile, &TunerConfig::default());
+    let members: Vec<usize> = (0..profile.p).collect();
+    let greedy = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
     group.bench_function("p4-seeded", |b| {
         b.iter(|| {
             black_box(search_optimal_barrier(

@@ -6,14 +6,12 @@
 //! * the paper's greedy hybrid (baseline configuration);
 //! * the extended-candidate hybrid (k-ary, butterfly added);
 //! * forced single-algorithm hierarchies (greedy choice disabled);
-//! * late merging of concurrent local barriers (the "as early as
-//!   possible" rule disabled);
 //! * a sweep of the SSS sparseness parameter;
 //! * the topology-neutral tree (no tuning at all).
 
 use crate::context::ExperimentContext;
 use hbar_core::algorithms::Algorithm;
-use hbar_core::compose::{tune_hybrid, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 
 /// One ablation row.
 #[derive(Clone, Debug)]
@@ -28,9 +26,10 @@ pub struct AblationRow {
 /// Runs the ablation suite at `p` ranks on the context's platform.
 pub fn run_ablation(ctx: &mut ExperimentContext, p: usize) -> Vec<AblationRow> {
     let profile = ctx.profile_for(p);
+    let members: Vec<usize> = (0..p).collect();
     let mut rows = Vec::new();
     let mut push_tuned = |ctx: &ExperimentContext, label: &str, cfg: &TunerConfig| {
-        let tuned = tune_hybrid(&profile, cfg);
+        let tuned = tune_hybrid_costs(&profile.cost, &members, cfg);
         rows.push(AblationRow {
             label: label.to_string(),
             predicted: tuned.predicted_cost,
@@ -53,14 +52,6 @@ pub fn run_ablation(ctx: &mut ExperimentContext, p: usize) -> Vec<AblationRow> {
     for alg in Algorithm::PAPER_SET {
         push_tuned(ctx, &format!("forced {alg}"), &TunerConfig::forced(alg));
     }
-    push_tuned(
-        ctx,
-        "merge late",
-        &TunerConfig {
-            merge_late: true,
-            ..TunerConfig::default()
-        },
-    );
     for sparseness in [0.15, 0.35, 0.60] {
         push_tuned(
             ctx,
@@ -73,7 +64,6 @@ pub fn run_ablation(ctx: &mut ExperimentContext, p: usize) -> Vec<AblationRow> {
     }
 
     // The untuned baseline.
-    let members: Vec<usize> = (0..p).collect();
     let neutral = Algorithm::Tree.full_schedule(p, &members);
     rows.push(AblationRow {
         label: "neutral tree (untuned)".into(),
@@ -120,7 +110,7 @@ mod tests {
     fn ablation_rows_cover_all_configurations() {
         let mut ctx = ExperimentContext::exact(MachineSpec::dual_quad_cluster(2));
         let rows = run_ablation(&mut ctx, 16);
-        assert_eq!(rows.len(), 11);
+        assert_eq!(rows.len(), 10);
         for r in &rows {
             assert!(r.measured > 0.0 && r.predicted > 0.0, "{}", r.label);
             assert!(r.stages > 0 && r.signals > 0);

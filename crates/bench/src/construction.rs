@@ -2,7 +2,7 @@
 //! barrier for the paper's 3-node / 22-process round-robin case.
 
 use crate::context::ExperimentContext;
-use hbar_core::compose::{tune_hybrid, TunedBarrier, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunedBarrier, TunerConfig};
 use hbar_topo::machine::MachineSpec;
 use std::fmt::Write as _;
 
@@ -23,7 +23,8 @@ pub fn run_construction(quick: bool) -> ConstructionFigure {
         ExperimentContext::new(MachineSpec::dual_quad_cluster(3), false, 0xF16)
     };
     let profile = ctx.profile_for(22);
-    let tuned = tune_hybrid(&profile, &TunerConfig::default());
+    let members: Vec<usize> = (0..22).collect();
+    let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
     let walkthrough = render_walkthrough(&tuned);
     ConstructionFigure { tuned, walkthrough }
 }

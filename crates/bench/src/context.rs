@@ -2,9 +2,9 @@
 
 use hbar_core::schedule::BarrierSchedule;
 use hbar_simnet::barrier::measure_schedule;
-use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
+use hbar_simnet::profiling::ProfilingConfig;
 use hbar_simnet::world::{SimConfig, SimWorld};
-use hbar_simnet::NoiseModel;
+use hbar_simnet::{measure_profile_decomposed, LocalExecutor, NoiseModel, SweepConfig};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
@@ -92,13 +92,16 @@ impl ExperimentContext {
         let bucket = self.bucket(p);
         let bucket_max = (bucket * self.cores_per_node()).min(self.max_p());
         if !self.profile_cache.contains_key(&bucket) {
-            let prof = measure_profile(
-                &self.machine,
+            let (machine, noise) = (&self.machine, self.noise);
+            let (prof, _) = measure_profile_decomposed(
+                machine,
                 &self.mapping,
                 bucket_max,
-                self.noise,
-                &self.profiling,
-            );
+                noise,
+                &SweepConfig::exact(self.profiling.clone()),
+                &mut LocalExecutor::new(machine.clone(), noise, self.profiling.clone()),
+            )
+            .expect("local execution is infallible");
             self.profile_cache.insert(bucket, prof);
         }
         let prof = &self.profile_cache[&bucket];

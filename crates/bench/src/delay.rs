@@ -2,7 +2,7 @@
 //! algorithms and platforms (the paper ran it for every tested size).
 
 use hbar_core::algorithms::Algorithm;
-use hbar_core::compose::{tune_hybrid, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 use hbar_simnet::barrier::staggered_delay_check;
 use hbar_simnet::world::{SimConfig, SimWorld};
 use hbar_simnet::NoiseModel;
@@ -39,7 +39,7 @@ pub fn run_delay_checks(
             });
         }
         let profile = TopologyProfile::from_ground_truth_for(machine, &RankMapping::RoundRobin, p);
-        let tuned = tune_hybrid(&profile, &TunerConfig::default());
+        let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
         let mut world = world_for(machine, p);
         let (ok, _) = staggered_delay_check(&mut world, &tuned.schedule, delay_ns);
         verdicts.push(DelayVerdict {

@@ -1,7 +1,7 @@
 //! Figure 9: `L`-matrix structure of one dual quad-core node.
 
-use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
-use hbar_simnet::NoiseModel;
+use hbar_simnet::profiling::ProfilingConfig;
+use hbar_simnet::{measure_profile_decomposed, LocalExecutor, NoiseModel, SweepConfig};
 use hbar_topo::heatmap::{block_means, render_labelled, BlockMeans};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
@@ -23,7 +23,15 @@ pub struct HeatmapFigure {
 /// its `L` matrix.
 pub fn run_heatmap(noise: NoiseModel, cfg: &ProfilingConfig) -> HeatmapFigure {
     let machine = MachineSpec::dual_quad_cluster(1);
-    let profile = measure_profile(&machine, &RankMapping::Block, 8, noise, cfg);
+    let (profile, _) = measure_profile_decomposed(
+        &machine,
+        &RankMapping::Block,
+        8,
+        noise,
+        &SweepConfig::exact(cfg.clone()),
+        &mut LocalExecutor::new(machine.clone(), noise, cfg.clone()),
+    )
+    .expect("local execution is infallible");
     let rendering = render_labelled(&profile.cost.l, "L Matrix Heat Map, 2x4 cores");
     let l_blocks = block_means(&profile.cost.l, 4);
     HeatmapFigure {

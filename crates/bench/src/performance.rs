@@ -9,7 +9,7 @@
 use crate::context::ExperimentContext;
 use crate::data::{Series, SeriesGroup};
 use hbar_core::algorithms::Algorithm;
-use hbar_core::compose::{tune_hybrid, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 
 /// The data behind one panel of Fig. 11, plus tuning provenance.
 #[derive(Clone, Debug)]
@@ -36,7 +36,7 @@ pub fn run_performance(
         let members: Vec<usize> = (0..p).collect();
         let neutral = Algorithm::Tree.full_schedule(p, &members);
         mpi.push(p as f64, ctx.measure_barrier(&neutral, p));
-        let tuned = tune_hybrid(&profile, tuner);
+        let tuned = tune_hybrid_costs(&profile.cost, &members, tuner);
         hybrid.push(p as f64, ctx.measure_barrier(&tuned.schedule, p));
         root_choice.push((
             p,

@@ -5,8 +5,7 @@ use crate::clustering::{ClusterNode, SSS_DEFAULT_SPARSENESS};
 use crate::cost::{member_set_hash, CostEvaluator, CostParams, ScoreKey};
 use crate::schedule::{BarrierSchedule, Stage};
 use hbar_matrix::SparseBoolMatrix;
-use hbar_topo::cost::{CostMatrices, CostProvider};
-use hbar_topo::profile::TopologyProfile;
+use hbar_topo::cost::CostProvider;
 
 /// Configuration of the adaptive tuner.
 #[derive(Clone, Debug)]
@@ -21,10 +20,6 @@ pub struct TunerConfig {
     pub cost_params: CostParams,
     /// Maximum cluster-tree depth.
     pub max_depth: usize,
-    /// Disable the "as early as possible" merge: align concurrent local
-    /// barriers at their *last* stage instead. Only used by the ablation
-    /// benchmarks; the paper's construction merges early.
-    pub merge_late: bool,
     /// Score candidates by the predicted cost of their full local
     /// schedule (arrival + actual transposed departure) instead of the
     /// paper's "arrival × 2" approximation. The ablation study shows the
@@ -41,7 +36,6 @@ impl Default for TunerConfig {
             candidates: Algorithm::PAPER_SET.to_vec(),
             cost_params: CostParams::default(),
             max_depth: 8,
-            merge_late: false,
             score_exact: false,
         }
     }
@@ -104,34 +98,22 @@ impl TunedBarrier {
     }
 }
 
-/// Tunes a hybrid barrier for all ranks of a profile.
-pub fn tune_hybrid(profile: &TopologyProfile, cfg: &TunerConfig) -> TunedBarrier {
-    let members: Vec<usize> = (0..profile.p).collect();
-    tune_hybrid_for(profile, &members, cfg)
-}
-
-/// Tunes a hybrid barrier for a subset of a profile's ranks.
-pub fn tune_hybrid_for(
-    profile: &TopologyProfile,
-    members: &[usize],
-    cfg: &TunerConfig,
-) -> TunedBarrier {
-    tune_hybrid_costs(&profile.cost, members, cfg)
-}
-
-/// Tunes a hybrid barrier directly from a cost model, with no machine
-/// metadata required. This is the entry point for platforms beyond the
-/// hierarchical clusters the paper evaluates (its §VIII generalization):
-/// any cost model whose symmetrization is a metric drives the SSS
-/// clustering and the greedy composition identically. Generic over the
-/// [`CostProvider`] backing — dense [`CostMatrices`] and the
-/// class-compressed model tune bit-identically when their entries are
-/// bit-equal.
+/// Tunes a hybrid barrier for the ranks `members` of a cost model — all
+/// of a profile's ranks are `(0..profile.p).collect()` over
+/// `&profile.cost`. No machine metadata is required, so this is also the
+/// entry point for platforms beyond the hierarchical clusters the paper
+/// evaluates (its §VIII generalization): any cost model whose
+/// symmetrization is a metric drives the SSS clustering and the greedy
+/// composition identically. Generic over the [`CostProvider`] backing —
+/// dense matrices and the class-compressed model tune bit-identically
+/// when their entries are bit-equal.
 ///
 /// # Panics
-/// Panics if `members` is empty, if no candidate algorithm is applicable
-/// to some cluster size, or if composition produces an invalid barrier
-/// (which would be a bug — the construction is verified with Eq. 3).
+/// Panics if `members` is empty, not strictly ascending, or names a rank
+/// `≥ cost.p()` (the message names the first offending position); if no
+/// candidate algorithm is applicable to some cluster size; or if
+/// composition produces an invalid barrier (which would be a bug — the
+/// construction is verified with Eq. 3).
 pub fn tune_hybrid_costs<C: CostProvider + ?Sized>(
     cost: &C,
     members: &[usize],
@@ -157,6 +139,25 @@ pub fn tune_hybrid_costs_with<C: CostProvider + ?Sized>(
     eval: &mut CostEvaluator,
 ) -> TunedBarrier {
     assert!(!members.is_empty(), "cannot tune a barrier for zero ranks");
+    // Ascending members make every level's participants ascending (SSS
+    // keeps scan order, and a level's representatives are its children's
+    // first members), which is what lets a candidate be priced in its
+    // participants' own index space.
+    if let Some(k) = members.windows(2).position(|w| w[0] >= w[1]) {
+        panic!(
+            "members must be strictly ascending: position {} holds {} after {}",
+            k + 1,
+            members[k + 1],
+            members[k]
+        );
+    }
+    if let Some(k) = members.iter().position(|&r| r >= cost.p()) {
+        panic!(
+            "member {} at position {k} is out of range for {} ranks",
+            members[k],
+            cost.p()
+        );
+    }
     assert!(
         !cfg.candidates.is_empty(),
         "need at least one candidate algorithm"
@@ -170,23 +171,19 @@ pub fn tune_hybrid_costs_with<C: CostProvider + ?Sized>(
     let tree = eval.cluster_tree(cost, members, cfg.sparseness, cfg.max_depth);
     let n = cost.p();
     let plan = plan_node(&tree, 0, cost, cfg, eval);
-    let root_level = plan.choice.map(|(algorithm, _)| RootLevel {
-        algorithm,
-        stage_count: plan.local_stages.len(),
-    });
+    // A fully synchronizing root's own stages need no departure.
+    let skip = match plan.choice {
+        Some((algorithm, _)) if !algorithm.needs_departure() => plan.local_stages.len(),
+        _ => 0,
+    };
     let mut signals = vec![Vec::new(); plan.len];
-    emit(&plan, &mut signals, 0, cfg.merge_late);
+    emit(&plan, &mut signals, 0);
     let mut schedule = BarrierSchedule::new(n);
     for pairs in signals {
         schedule.push(Stage::arrival(SparseBoolMatrix::from_pairs(n, pairs)));
     }
     let mut choices = Vec::new();
     collect_choices(plan, 0, &mut choices);
-
-    let skip = match &root_level {
-        Some(level) if !level.algorithm.needs_departure() => level.stage_count,
-        _ => 0,
-    };
     schedule.append(schedule.departure_reversed(skip));
     schedule.strip_noop_stages();
 
@@ -202,12 +199,6 @@ pub fn tune_hybrid_costs_with<C: CostProvider + ?Sized>(
         choices,
         predicted_cost,
     }
-}
-
-/// What the root level of the recursion contributed.
-struct RootLevel {
-    algorithm: Algorithm,
-    stage_count: usize,
 }
 
 /// One planned cluster level: the algorithm is selected and its local
@@ -274,21 +265,15 @@ fn plan_node<C: CostProvider + ?Sized>(
 }
 
 /// Collects a plan's arrival signals, as global `(sender, target)` pairs
-/// per stage, starting at stage `offset`: children merge concurrently —
-/// aligned at their first stage, or at their last for the merge-late
-/// ablation — and the node's own level follows the deepest child
-/// (§VII-B's "merge shorter sequences with longer ones as early as
-/// possible"). Clusters arrive in tree order, not rank order; the caller
-/// canonicalises each stage's pairs once.
-fn emit(plan: &PlanNode, stages: &mut [Vec<(u32, u32)>], offset: usize, merge_late: bool) {
+/// per stage, starting at stage `offset`: children merge concurrently,
+/// aligned at their first stage, and the node's own level follows the
+/// deepest child (§VII-B's "merge shorter sequences with longer ones as
+/// early as possible"). Clusters arrive in tree order, not rank order;
+/// the caller canonicalises each stage's pairs once.
+fn emit(plan: &PlanNode, stages: &mut [Vec<(u32, u32)>], offset: usize) {
     let child_span = plan.children.iter().map(|c| c.len).max().unwrap_or(0);
     for c in &plan.children {
-        let off = if merge_late {
-            offset + (child_span - c.len)
-        } else {
-            offset
-        };
-        emit(c, stages, off, merge_late);
+        emit(c, stages, offset);
     }
     for (k, local) in plan.local_stages.iter().enumerate() {
         local.embed_into(&plan.participants, &mut stages[offset + child_span + k]);
@@ -321,10 +306,11 @@ fn select_algorithm<C: CostProvider + ?Sized>(
     cfg: &TunerConfig,
     eval: &mut CostEvaluator,
 ) -> (Algorithm, f64) {
+    debug_assert!(
+        participants.windows(2).all(|w| w[0] < w[1]),
+        "level participants {participants:?} are not ascending"
+    );
     let members_hash = member_set_hash(participants);
-    // Extracted lazily on the first memo miss, shared by all candidates.
-    let subspace_ok = is_ascending(participants);
-    let mut local: Option<CostMatrices> = None;
     let mut best: Option<(Algorithm, f64)> = None;
     for &alg in &cfg.candidates {
         if !alg.applicable(participants.len()) {
@@ -340,11 +326,7 @@ fn select_algorithm<C: CostProvider + ?Sized>(
         let score = match eval.cached_score(&key) {
             Some(hit) => hit,
             None => {
-                if subspace_ok && local.is_none() {
-                    local = Some(local_costs(cost, participants));
-                }
-                let fresh =
-                    score_candidate(alg, participants, is_root, cost, local.as_ref(), cfg, eval);
+                let fresh = score_candidate(alg, participants, is_root, cost, cfg, eval);
                 eval.store_score(key, fresh);
                 fresh
             }
@@ -361,94 +343,46 @@ fn select_algorithm<C: CostProvider + ?Sized>(
     })
 }
 
-/// True when `ranks` is strictly ascending — the order the composer
-/// always produces (clusters keep the input scan order, and the tuner's
-/// public entry points receive ascending member lists).
-fn is_ascending(ranks: &[usize]) -> bool {
-    ranks.windows(2).all(|w| w[0] < w[1])
-}
-
-/// The participants' pairwise costs re-indexed into the local `0..m`
-/// space that `Algorithm::arrival_local` generates over. Delegates to
-/// the provider (same `from_fn` fill order as the pre-provider code, so
-/// dense extraction is bit-identical).
-fn local_costs<C: CostProvider + ?Sized>(cost: &C, participants: &[usize]) -> CostMatrices {
-    cost.local_costs(participants)
-}
-
-/// Prices one candidate algorithm for one cluster level.
+/// Prices one candidate algorithm for one cluster level, in the
+/// participants' own index space: the candidate's `m`-rank local stages
+/// (`Algorithm::arrival_local`) are priced through the participant view,
+/// local rank `a` reading `cost`'s rank `participants[a]`.
 ///
-/// When `local` is given (the [`local_costs`] submatrix, available
-/// whenever the participants are in ascending rank order), the candidate
-/// is predicted in the participants-only subspace: an `m`-rank schedule
-/// against the `m × m` cost slice. Ranks outside the cluster neither
-/// send nor receive in a candidate's stages — their `ready` stays at the
-/// zero time origin, which positive signal costs can never undercut —
-/// so they only pad the embedded prediction's max/fold with zeros.
-/// Ascending participants make local index order coincide with global
-/// rank order, hence every sum, max and tie-break runs over the same
-/// values in the same sequence and the local score is *bit-identical*
-/// to the embedded one. It is also what makes tuning at P ≥ 1024
-/// tractable: scoring drops from O(levels · candidates · n²) to
-/// O(levels · candidates · m²) with m = cluster size.
+/// Ranks outside the cluster neither send nor receive in a candidate's
+/// stages — their `ready` stays at the zero time origin, which positive
+/// signal costs can never undercut — so embedding the candidate over all
+/// `n` ranks would only pad the prediction's max/fold with zeros. The
+/// participants are ascending, so local index order is global rank
+/// order: every sum, max and tie-break runs over the same values in the
+/// same sequence, and the score is *bit-identical* to the embedded
+/// prediction (`view_scores_match_embedded_predictions`) at O(m) per
+/// stage instead of O(n), and without copying the participants' costs.
 fn score_candidate<C: CostProvider + ?Sized>(
     alg: Algorithm,
     participants: &[usize],
     is_root: bool,
     cost: &C,
-    local: Option<&CostMatrices>,
     cfg: &TunerConfig,
     eval: &mut CostEvaluator,
 ) -> f64 {
-    // The two arms price against differently typed backings (the dense
-    // submatrix vs whatever `cost` is), so the shared scoring logic is
-    // the generic helper below rather than one tuple match.
-    match local {
-        Some(sub) => {
-            let w = participants.len();
-            score_schedule(alg, w, alg.arrival_local(w), is_root, sub, cfg, eval)
-        }
-        None => {
-            let w = cost.p();
-            let arrival = alg.arrival_embedded(w, participants);
-            score_schedule(alg, w, arrival, is_root, cost, cfg, eval)
-        }
-    }
-}
-
-/// Prices one candidate's arrival stages against one cost backing.
-fn score_schedule<C: CostProvider + ?Sized>(
-    alg: Algorithm,
-    w: usize,
-    arrival: Vec<SparseBoolMatrix>,
-    is_root: bool,
-    cmat: &C,
-    cfg: &TunerConfig,
-    eval: &mut CostEvaluator,
-) -> f64 {
+    let m = participants.len();
+    let mut sched = BarrierSchedule::from_arrival_matrices(m, alg.arrival_local(m));
+    // Fully synchronizing algorithms at the root need no departure; every
+    // other level pays the transposed one in the composed hierarchy — even
+    // dissemination (paper §VII-B).
+    let skip_departure = is_root && !alg.needs_departure();
     if cfg.score_exact {
         // Extension: predict the full local schedule, with the real
-        // Eq. 2 departure (omitted entirely for fully synchronizing
-        // algorithms at the root).
-        let mut sched = BarrierSchedule::from_arrival_matrices(w, arrival);
-        // Non-root levels always pay the transposed departure in the
-        // composed hierarchy — even dissemination (paper §VII-B).
-        let skip_departure = is_root && !alg.needs_departure();
+        // Eq. 2 departure.
         if !skip_departure {
             sched.append(sched.departure_reversed(0));
         }
-        eval.barrier_cost(&sched, cmat, None)
+        eval.participant_cost(&sched, cost, participants)
     } else {
-        // The paper's rule: arrival critical path × 2, except ×1 for
+        // The paper's rule: arrival critical path × 2, except × 1 for
         // dissemination-class algorithms at the root.
-        let sched = BarrierSchedule::from_arrival_matrices(w, arrival);
-        let base = eval.barrier_cost(&sched, cmat, None);
-        let multiplier = if is_root && !alg.needs_departure() {
-            1.0
-        } else {
-            2.0
-        };
-        base * multiplier
+        let multiplier = if skip_departure { 1.0 } else { 2.0 };
+        eval.participant_cost(&sched, cost, participants) * multiplier
     }
 }
 
@@ -458,11 +392,20 @@ mod tests {
     use crate::cost::predict_barrier_cost;
     use crate::verify;
     use hbar_matrix::DenseMatrix;
+    use hbar_topo::cost::CostMatrices;
     use hbar_topo::machine::MachineSpec;
     use hbar_topo::mapping::RankMapping;
+    use hbar_topo::profile::TopologyProfile;
+    use proptest::prelude::*;
 
     fn profile(machine: &MachineSpec, mapping: &RankMapping, p: usize) -> TopologyProfile {
         TopologyProfile::from_ground_truth_for(machine, mapping, p)
+    }
+
+    /// Tunes over every rank of `prof`.
+    fn tune_hybrid(prof: &TopologyProfile, cfg: &TunerConfig) -> TunedBarrier {
+        let members: Vec<usize> = (0..prof.p).collect();
+        tune_hybrid_costs(&prof.cost, &members, cfg)
     }
 
     #[test]
@@ -508,7 +451,7 @@ mod tests {
     fn single_rank_tunes_to_empty_schedule() {
         let machine = MachineSpec::new(1, 1, 2);
         let prof = profile(&machine, &RankMapping::Block, 2);
-        let tuned = tune_hybrid_for(&prof, &[1], &TunerConfig::default());
+        let tuned = tune_hybrid_costs(&prof.cost, &[1], &TunerConfig::default());
         assert_eq!(tuned.schedule.total_signals(), 0);
         assert_eq!(tuned.predicted_cost, 0.0);
         assert!(tuned.choices.is_empty());
@@ -572,22 +515,6 @@ mod tests {
                 b.score
             );
         }
-    }
-
-    #[test]
-    fn merge_late_ablation_still_valid_but_not_better() {
-        let machine = MachineSpec::dual_quad_cluster(3);
-        let prof = profile(&machine, &RankMapping::RoundRobin, 22);
-        let early = tune_hybrid(&prof, &TunerConfig::default());
-        let late = tune_hybrid(
-            &prof,
-            &TunerConfig {
-                merge_late: true,
-                ..TunerConfig::default()
-            },
-        );
-        assert!(verify::is_barrier(&late.schedule));
-        assert!(early.predicted_cost <= late.predicted_cost * 1.0001);
     }
 
     #[test]
@@ -699,78 +626,94 @@ mod tests {
         let machine = MachineSpec::dual_quad_cluster(2);
         let prof = profile(&machine, &RankMapping::Block, 16);
         let members = vec![0, 2, 8, 10, 12];
-        let tuned = tune_hybrid_for(&prof, &members, &TunerConfig::default());
+        let tuned = tune_hybrid_costs(&prof.cost, &members, &TunerConfig::default());
         assert!(verify::synchronizes_subset(&tuned.schedule, &members));
         assert!(!verify::is_barrier(&tuned.schedule));
     }
 
-    #[test]
-    fn local_subspace_scores_match_embedded_scores() {
-        // The guard behind the P >= 1024 scoring fast path: pricing a
-        // candidate in the participants-only subspace must be
-        // bit-identical to pricing it embedded in the full rank space.
-        let machine = MachineSpec::dual_quad_cluster(2);
-        let prof = profile(&machine, &RankMapping::Block, 16);
-        let participants = vec![1, 3, 5, 9, 11, 13];
-        assert!(is_ascending(&participants));
-        let local = local_costs(&prof.cost, &participants);
-        for exact in [false, true] {
-            let cfg = TunerConfig {
-                score_exact: exact,
-                ..TunerConfig::default()
-            };
-            let mut eval = CostEvaluator::new(cfg.cost_params);
-            eval.rebind(&prof.cost);
-            for &alg in &cfg.candidates {
-                if !alg.applicable(participants.len()) {
-                    continue;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// What keeps the participant view honest: for any ascending
+        /// participant set — non-consecutive, singleton, root or not, under
+        /// both scorers — pricing a candidate through the view is
+        /// bit-equal to predicting the same candidate embedded over all `n`
+        /// ranks with the reference `predict_barrier_cost`. The costs are
+        /// skewed per ordered pair, so a read through the wrong rank or the
+        /// wrong orientation shows.
+        #[test]
+        fn view_scores_match_embedded_predictions(
+            p in 2usize..=48,
+            keep in prop::collection::vec(any::<bool>(), 48),
+            round_robin in any::<bool>(),
+            skew in any::<u64>(),
+        ) {
+            let machine = MachineSpec::dual_hex_cluster(p.div_ceil(12));
+            let mapping = if round_robin { RankMapping::RoundRobin } else { RankMapping::Block };
+            let mut cost = profile(&machine, &mapping, p).cost;
+            for i in 0..p {
+                for j in 0..p {
+                    let f = 1.0 + crate::clustering::splitmix64(skew ^ (i * 64 + j) as u64) as f64
+                        / u64::MAX as f64;
+                    cost.o[(i, j)] *= f;
+                    cost.l[(i, j)] *= f;
                 }
-                for is_root in [false, true] {
-                    let fast = score_candidate(
-                        alg,
-                        &participants,
-                        is_root,
-                        &prof.cost,
-                        Some(&local),
-                        &cfg,
-                        &mut eval,
-                    );
-                    let slow = score_candidate(
-                        alg,
-                        &participants,
-                        is_root,
-                        &prof.cost,
-                        None,
-                        &cfg,
-                        &mut eval,
-                    );
-                    assert_eq!(
-                        fast.to_bits(),
-                        slow.to_bits(),
-                        "{alg:?} is_root={is_root} exact={exact}: local {fast} vs embedded {slow}"
-                    );
+            }
+            let mut participants: Vec<usize> = (0..p).filter(|&r| keep[r]).collect();
+            if participants.is_empty() {
+                participants.push(skew as usize % p);
+            }
+            let m = participants.len();
+            for score_exact in [false, true] {
+                let cfg = TunerConfig { score_exact, ..TunerConfig::extended() };
+                let mut eval = CostEvaluator::new(cfg.cost_params);
+                for &alg in cfg.candidates.iter().filter(|a| a.applicable(m)) {
+                    for is_root in [false, true] {
+                        let view = score_candidate(alg, &participants, is_root, &cost, &cfg, &mut eval);
+                        let arrival = alg.arrival_embedded(p, &participants);
+                        let mut sched = BarrierSchedule::from_arrival_matrices(p, arrival);
+                        let skip = is_root && !alg.needs_departure();
+                        if score_exact && !skip {
+                            sched.append(sched.departure_reversed(0));
+                        }
+                        let embedded =
+                            predict_barrier_cost(&sched, &cost, &cfg.cost_params, None).barrier_cost;
+                        let embedded = if !score_exact && !skip { embedded * 2.0 } else { embedded };
+                        prop_assert_eq!(
+                            view.to_bits(),
+                            embedded.to_bits(),
+                            "{:?} over {:?} root={} exact={}: view {} vs embedded {}",
+                            alg, &participants, is_root, score_exact, view, embedded
+                        );
+                    }
                 }
             }
         }
     }
 
-    #[test]
-    fn unsorted_members_use_fallback_and_stay_deterministic() {
-        // A non-ascending member list disables the subspace fast path;
-        // the embedded fallback must still tune a valid subset barrier,
-        // and reusing a warm evaluator must not change the result.
+    /// Tunes `members` over a 16-rank profile.
+    fn tune_members(members: &[usize]) -> TunedBarrier {
         let machine = MachineSpec::dual_quad_cluster(2);
         let prof = profile(&machine, &RankMapping::Block, 16);
-        let shuffled = vec![13, 1, 9, 5, 3, 11];
-        let cfg = TunerConfig::default();
-        let cold = tune_hybrid_costs(&prof.cost, &shuffled, &cfg);
-        assert!(verify::synchronizes_subset(&cold.schedule, &shuffled));
-        let mut eval = CostEvaluator::new(cfg.cost_params);
-        let first = tune_hybrid_costs_with(&prof.cost, &shuffled, &cfg, &mut eval);
-        let warm = tune_hybrid_costs_with(&prof.cost, &shuffled, &cfg, &mut eval);
-        assert_eq!(cold.schedule.stages(), first.schedule.stages());
-        assert_eq!(first.schedule.stages(), warm.schedule.stages());
-        assert_eq!(cold.predicted_cost.to_bits(), warm.predicted_cost.to_bits());
+        tune_hybrid_costs(&prof.cost, members, &TunerConfig::default())
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending: position 2 holds 1 after 1")]
+    fn duplicate_member_panics_at_the_entry() {
+        tune_members(&[0, 1, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending: position 1 holds 2 after 5")]
+    fn unsorted_members_panic_at_the_entry() {
+        tune_members(&[5, 2, 9, 2, 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "member 16 at position 3 is out of range for 16 ranks")]
+    fn out_of_range_member_panics_at_the_entry() {
+        tune_members(&[0, 4, 15, 16, 17]);
     }
 
     #[test]
@@ -778,6 +721,6 @@ mod tests {
     fn empty_members_panics() {
         let machine = MachineSpec::new(1, 1, 2);
         let prof = profile(&machine, &RankMapping::Block, 2);
-        tune_hybrid_for(&prof, &[], &TunerConfig::default());
+        tune_hybrid_costs(&prof.cost, &[], &TunerConfig::default());
     }
 }

@@ -24,6 +24,5 @@ mod greedy;
 
 pub use exhaustive::{search_optimal_barrier, SearchConfig, SearchResult};
 pub use greedy::{
-    tune_hybrid, tune_hybrid_costs, tune_hybrid_costs_with, tune_hybrid_for, LevelChoice,
-    TunedBarrier, TunerConfig,
+    tune_hybrid_costs, tune_hybrid_costs_with, LevelChoice, TunedBarrier, TunerConfig,
 };

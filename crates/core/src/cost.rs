@@ -140,22 +140,6 @@ pub fn predict_barrier_cost(
     }
 }
 
-/// Cost of only the given arrival-phase matrices (used by the greedy
-/// composer, which compares "the cost of each algorithm's arrival phases"
-/// per cluster, §VII-B).
-pub fn predict_arrival_cost(
-    n: usize,
-    arrival: &[hbar_matrix::SparseBoolMatrix],
-    cost: &CostMatrices,
-    params: &CostParams,
-) -> f64 {
-    let mut sched = BarrierSchedule::new(n);
-    for m in arrival {
-        sched.push(crate::schedule::Stage::arrival(m.clone()));
-    }
-    predict_barrier_cost(&sched, cost, params, None).barrier_cost
-}
-
 /// FNV-1a hash of a member set (order-sensitive; the composer always
 /// passes members in ascending rank order, so equal sets hash equally).
 pub fn member_set_hash(members: &[usize]) -> u64 {
@@ -338,7 +322,24 @@ impl CostEvaluator {
         cost: &C,
         skews: Option<&[f64]>,
     ) -> f64 {
-        let origin = self.advance(schedule, cost, skews, None);
+        assert_covers(cost, schedule.n());
+        let origin = self.advance(schedule, cost, |r| r, skews, None);
+        self.ready.iter().copied().fold(f64::NEG_INFINITY, f64::max) - origin
+    }
+
+    /// Critical-path cost of a schedule over `ranks.len()` local ranks
+    /// whose local rank `a` is rank `ranks[a]` of `cost` — how the
+    /// composer prices a candidate's local stages. Every entry is read in
+    /// place through the participant list: the values, in the order, that
+    /// a dense copy of the participants' `m × m` costs would hold.
+    pub(crate) fn participant_cost<C: CostProvider + ?Sized>(
+        &mut self,
+        schedule: &BarrierSchedule,
+        cost: &C,
+        ranks: &[usize],
+    ) -> f64 {
+        assert_eq!(ranks.len(), schedule.n(), "one participant per local rank");
+        let origin = self.advance(schedule, cost, |a| ranks[a], None, None);
         self.ready.iter().copied().fold(f64::NEG_INFINITY, f64::max) - origin
     }
 
@@ -349,8 +350,9 @@ impl CostEvaluator {
         cost: &C,
         skews: Option<&[f64]>,
     ) -> Prediction {
+        assert_covers(cost, schedule.n());
         let mut stage_frontier = Vec::with_capacity(schedule.len());
-        let origin = self.advance(schedule, cost, skews, Some(&mut stage_frontier));
+        let origin = self.advance(schedule, cost, |r| r, skews, Some(&mut stage_frontier));
         let latest = self.ready.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         Prediction {
             rank_exit: self.ready.clone(),
@@ -360,24 +362,20 @@ impl CostEvaluator {
     }
 
     /// Runs the stage recurrence, leaving final per-rank exit times in
-    /// `self.ready`, and returns the time origin. Generic over the cost
-    /// backing: with dense matrices every `*_at` inlines to the index
-    /// load the pre-provider code performed; with the compressed model
-    /// it is a `u16` class load plus a table load.
+    /// `self.ready`, and returns the time origin. Schedule rank `r` reads
+    /// `cost`'s rank `rank(r)`. Generic over the cost backing and the
+    /// rank map: with dense matrices and the identity every `*_at`
+    /// inlines to the index load the pre-provider code performed; with
+    /// the compressed model it is a `u16` class load plus a table load.
     fn advance<C: CostProvider + ?Sized>(
         &mut self,
         schedule: &BarrierSchedule,
         cost: &C,
+        rank: impl Fn(usize) -> usize,
         skews: Option<&[f64]>,
         mut frontier: Option<&mut Vec<f64>>,
     ) -> f64 {
         let n = schedule.n();
-        assert_eq!(
-            cost.p(),
-            n,
-            "cost matrices cover {} ranks, schedule has {n}",
-            cost.p()
-        );
         self.ready.clear();
         match skews {
             Some(s) => {
@@ -419,7 +417,8 @@ impl CostEvaluator {
 
             for (i, targets) in stage.matrix.sends() {
                 let base = self.ready[i];
-                let oii = cost.o_at(i, i);
+                let ri = rank(i);
+                let oii = cost.o_at(ri, ri);
                 // Running prefix latency / startup max reproduce the
                 // reference's per-target `arrival_offset` exactly: both
                 // accumulate left to right over the same target order.
@@ -427,8 +426,9 @@ impl CostEvaluator {
                 let mut run_max = f64::NEG_INFINITY;
                 for j in targets.iter().map(|&j| j as usize) {
                     debug_assert_ne!(j, i, "rank {i} cannot signal itself");
-                    lat += cost.l_at(i, j);
-                    run_max = run_max.max(cost.o_at(i, j));
+                    let rj = rank(j);
+                    lat += cost.l_at(ri, rj);
+                    run_max = run_max.max(cost.o_at(ri, rj));
                     let startup = match stage.mode {
                         SendMode::General => run_max,
                         SendMode::ReceiversAwaiting => oii,
@@ -458,10 +458,11 @@ impl CostEvaluator {
                         .expect("finite times")
                         .then_with(|| a.1.cmp(&b.1))
                 });
+                let rj = rank(j);
                 let mut t = f64::NEG_INFINITY;
                 for &(at, src) in seg.iter() {
                     t = if self.params.receiver_processing {
-                        t.max(at) + cost.l_at(src, j)
+                        t.max(at) + cost.l_at(rank(src), rj)
                     } else {
                         t.max(at)
                     };
@@ -478,6 +479,16 @@ impl CostEvaluator {
         }
         origin
     }
+}
+
+/// A schedule over all of `cost`'s ranks must cover exactly that many.
+fn assert_covers<C: CostProvider + ?Sized>(cost: &C, n: usize) {
+    assert_eq!(
+        cost.p(),
+        n,
+        "cost matrices cover {} ranks, schedule has {n}",
+        cost.p()
+    );
 }
 
 #[cfg(test)]
@@ -653,23 +664,6 @@ mod tests {
                 "barrier cost {v} outside plausible range"
             );
         }
-    }
-
-    #[test]
-    fn arrival_cost_helper_matches_manual_schedule() {
-        let pcount = 8;
-        let machine = MachineSpec::new(2, 1, 4);
-        let prof = TopologyProfile::from_ground_truth(&machine, &RankMapping::Block);
-        let members: Vec<usize> = (0..pcount).collect();
-        let arrival = Algorithm::Tree.arrival_embedded(pcount, &members);
-        let params = CostParams::default();
-        let via_helper = predict_arrival_cost(pcount, &arrival, &prof.cost, &params);
-        let mut sched = BarrierSchedule::new(pcount);
-        for m in &arrival {
-            sched.push(Stage::arrival(m.clone()));
-        }
-        let direct = predict_barrier_cost(&sched, &prof.cost, &params, None).barrier_cost;
-        assert_eq!(via_helper, direct);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod schedule;
 pub mod verify;
 
 pub use algorithms::Algorithm;
-pub use compose::{tune_hybrid, TunedBarrier, TunerConfig};
+pub use compose::{tune_hybrid_costs, TunedBarrier, TunerConfig};
 pub use cost::{
     cost_fingerprint, predict_barrier_cost, CostParams, Prediction, COST_FINGERPRINT_VERSION,
 };

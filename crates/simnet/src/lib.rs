@@ -18,10 +18,13 @@
 //! * [`noise`] — multiplicative jitter plus rare preemption spikes;
 //! * [`benchprog`] — the §IV-A profiling workloads (ping-pong size sweep,
 //!   multi-message bursts, transmission-free calls);
-//! * [`profiling`] — the full `|P|²` pairwise benchmark driver that
-//!   produces a [`hbar_topo::profile::TopologyProfile`] by regression;
-//! * [`sweep`] — the decomposed (pair-clustered, representative +
-//!   validation-probe) profiling sweep with work-stealing local fan-out;
+//! * [`profiling`] — the §IV-A pair benchmark schedule, its noise
+//!   sub-seeds and the regression of one pair's `(O_ij, L_ij)`;
+//! * [`sweep`] — the one profiling sweep, exhaustive
+//!   ([`SweepConfig::exact`]: every pair, as the paper measures) or
+//!   pair-clustered (representatives + validation probes), over any
+//!   [`DescriptorExecutor`]: the work-stealing [`LocalExecutor`] or a
+//!   worker fleet;
 //! * [`scatter`] — the out-of-core class-grid scatter that writes the
 //!   sweep's results into a [`hbar_topo::CompressedCostModel`]
 //!   tile-at-a-time under a memory budget, for `P ≫ 4096`;
@@ -47,13 +50,10 @@ pub mod world;
 
 pub use noise::{NoiseModel, NoiseState};
 pub use program::{Instr, Program};
-pub use scatter::{
-    measure_profile_clustered_compressed, measure_profile_compressed, SpillConfig, SpillReport,
-};
+pub use scatter::{measure_profile_compressed, SpillConfig, SpillReport};
 pub use sweep::{
-    measure_profile_clustered, measure_profile_decomposed, DescriptorExecutor, LocalExecutor,
-    PairSample, PairWorkDescriptor, SequentialExecutor, SweepConfig, SweepError, SweepReport,
-    WorkKind,
+    measure_profile_decomposed, DescriptorExecutor, LocalExecutor, PairSample, PairWorkDescriptor,
+    SequentialExecutor, SweepConfig, SweepError, SweepReport, WorkKind,
 };
 pub use world::{SimConfig, SimResult, SimWorld};
 

@@ -1,4 +1,5 @@
-//! The `|P|²` pairwise profiling driver (§IV-A).
+//! The §IV-A pair benchmark: its schedule, its noise sub-seeds, and the
+//! regression that turns one pair's measurements into `(O_ij, L_ij)`.
 //!
 //! "Benchmarking to find these values proceeds by a sequence of
 //! |P|(|P|−1)/2 pairwise round-trip tests to establish O_ij, L_ij | i ≠ j,
@@ -7,20 +8,21 @@
 //! Each pair is measured in its own two-rank world pinned to the pair's
 //! cores (the simulator's equivalent of `sched_setaffinity`), with a
 //! per-pair noise sub-seed so interference is independent across pairs.
-//! Pairs are measured in parallel with rayon — sound because the paper's
-//! pairwise tests are themselves independent experiments.
+//! The sweep over pairs is [`crate::sweep`]'s: the paper's exhaustive
+//! sweep is [`crate::sweep::SweepConfig::exact`] — every pair its own
+//! class, measured once under its own sub-seed — through the same
+//! [`crate::sweep::measure_profile_decomposed`] (or
+//! [`crate::scatter::measure_profile_compressed`]) that runs the
+//! clustered one. Pairs are independent experiments, so any executor may
+//! run them in any order.
 
 use crate::benchprog::PairBench;
 use crate::noise::NoiseModel;
 use crate::world::{SimConfig, SimWorld};
 use hbar_core::clustering::splitmix64;
-use hbar_matrix::DenseMatrix;
-use hbar_topo::cost::CostMatrices;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
-use hbar_topo::profile::TopologyProfile;
 use hbar_topo::regress::{hockney_intercept, hockney_message_sizes, latency_gradient};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Benchmark schedule parameters.
@@ -96,88 +98,11 @@ pub fn diag_sub_seed(i: usize, seed: u64) -> u64 {
     splitmix64(splitmix64(seed ^ 0x000D_D1A6_u64) ^ i as u64)
 }
 
-/// Runs the full §IV-A benchmark suite on the simulated machine and
-/// extracts a topology profile by least-squares regression.
-///
-/// # Panics
-/// Panics if `p < 2` or `p` exceeds the machine capacity (via the mapping).
-pub fn measure_profile(
-    machine: &MachineSpec,
-    mapping: &RankMapping,
-    p: usize,
-    noise: NoiseModel,
-    cfg: &ProfilingConfig,
-) -> TopologyProfile {
-    assert!(p >= 2, "profiling needs at least two ranks, got {p}");
-    let cores = mapping.place(machine, p);
-    let directed_pairs: Vec<(usize, usize)> = if cfg.symmetric {
-        (0..p)
-            .flat_map(|i| ((i + 1)..p).map(move |j| (i, j)))
-            .collect()
-    } else {
-        (0..p)
-            .flat_map(|i| (0..p).filter(move |&j| j != i).map(move |j| (i, j)))
-            .collect()
-    };
-
-    let measured: Vec<(usize, usize, f64, f64)> = directed_pairs
-        .par_iter()
-        .map(|&(i, j)| {
-            let mut bench = pair_bench(
-                machine,
-                cores[i],
-                cores[j],
-                noise,
-                pair_sub_seed(i, j, noise.seed),
-            );
-            let (o, l) = measure_pair(&mut bench, cfg);
-            (i, j, o, l)
-        })
-        .collect();
-
-    let diag: Vec<f64> = (0..p)
-        .into_par_iter()
-        .map(|i| {
-            let partner = cores[(i + 1) % p];
-            let mut bench = pair_bench(
-                machine,
-                cores[i],
-                partner,
-                noise,
-                diag_sub_seed(i, noise.seed),
-            );
-            bench.noop(cfg.noop_calls)
-        })
-        .collect();
-
-    let mut o = DenseMatrix::new(p);
-    let mut l = DenseMatrix::new(p);
-    for (i, j, oij, lij) in measured {
-        o[(i, j)] = oij;
-        l[(i, j)] = lij;
-        if cfg.symmetric {
-            o[(j, i)] = oij;
-            l[(j, i)] = lij;
-        }
-    }
-    for (i, &oii) in diag.iter().enumerate() {
-        o[(i, i)] = oii;
-        l[(i, i)] = 0.0;
-    }
-
-    TopologyProfile {
-        machine: machine.clone(),
-        mapping: mapping.clone(),
-        p,
-        cost: CostMatrices { o, l },
-    }
-}
-
 /// Runs one pair's full §IV-A measurement schedule — the ping-pong size
-/// sweep then the burst-count sweep, in the fixed order both drivers
-/// promise — and regresses out `(O_ij, L_ij)`. Shared by
-/// [`measure_profile`] and the decomposed sweep's executors, amortizing one
-/// engine and one pair of program buffers across every sample point.
+/// sweep then the burst-count sweep, in a fixed order — and regresses
+/// out `(O_ij, L_ij)`. The leaf of every pair descriptor
+/// ([`crate::sweep::execute_descriptor`]), amortizing one engine and one
+/// pair of program buffers across every sample point.
 pub(crate) fn measure_pair(bench: &mut PairBench, cfg: &ProfilingConfig) -> (f64, f64) {
     let o_points: Vec<(f64, f64)> = cfg
         .sizes
@@ -215,7 +140,22 @@ pub(crate) fn pair_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{measure_profile_decomposed, LocalExecutor, SweepConfig};
     use hbar_topo::machine::LinkClass;
+    use hbar_topo::profile::TopologyProfile;
+
+    /// The exhaustive §IV-A profile: the exact sweep, executed locally.
+    fn exact_profile(
+        machine: &MachineSpec,
+        mapping: &RankMapping,
+        p: usize,
+        noise: NoiseModel,
+        cfg: &ProfilingConfig,
+    ) -> TopologyProfile {
+        let mut local = LocalExecutor::new(machine.clone(), noise, cfg.clone());
+        let exact = SweepConfig::exact(cfg.clone());
+        (measure_profile_decomposed(machine, mapping, p, noise, &exact, &mut local).unwrap()).0
+    }
 
     /// Relative error of every off-diagonal profile entry against the
     /// ideal ground-truth profile.
@@ -239,7 +179,7 @@ mod tests {
     fn noise_free_profile_matches_ground_truth_closely() {
         let machine = MachineSpec::new(2, 2, 2);
         let mapping = RankMapping::Block;
-        let measured = measure_profile(
+        let measured = exact_profile(
             &machine,
             &mapping,
             8,
@@ -254,7 +194,7 @@ mod tests {
     #[test]
     fn profile_reflects_hierarchy_ordering() {
         let machine = MachineSpec::new(2, 2, 2);
-        let measured = measure_profile(
+        let measured = exact_profile(
             &machine,
             &RankMapping::Block,
             8,
@@ -279,7 +219,7 @@ mod tests {
     fn noisy_profile_remains_usable() {
         let machine = MachineSpec::new(2, 1, 2);
         let mapping = RankMapping::Block;
-        let measured = measure_profile(
+        let measured = exact_profile(
             &machine,
             &mapping,
             4,
@@ -298,7 +238,7 @@ mod tests {
     #[test]
     fn symmetric_profile_is_symmetric() {
         let machine = MachineSpec::new(2, 1, 2);
-        let measured = measure_profile(
+        let measured = exact_profile(
             &machine,
             &RankMapping::Block,
             4,
@@ -316,7 +256,7 @@ mod tests {
             symmetric: false,
             ..ProfilingConfig::fast()
         };
-        let measured = measure_profile(
+        let measured = exact_profile(
             &machine,
             &RankMapping::Block,
             4,
@@ -352,7 +292,7 @@ mod tests {
     #[test]
     fn diagonal_holds_call_overhead_estimate() {
         let machine = MachineSpec::new(1, 1, 2);
-        let measured = measure_profile(
+        let measured = exact_profile(
             &machine,
             &RankMapping::Block,
             2,

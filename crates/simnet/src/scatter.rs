@@ -46,8 +46,7 @@
 
 use crate::noise::NoiseModel;
 use crate::sweep::{
-    measure_placement, ClassMeasurements, DescriptorExecutor, LocalExecutor, SweepConfig,
-    SweepError, SweepReport,
+    measure_placement, ClassMeasurements, DescriptorExecutor, SweepConfig, SweepError, SweepReport,
 };
 use hbar_core::clustering::PairClassing;
 use hbar_topo::compressed::{
@@ -396,7 +395,10 @@ pub(crate) fn scatter_compressed_tiles(
 /// [`crate::sweep::measure_profile_decomposed`], but the scatter builds a
 /// [`CompressedCostModel`] in kind space, tile-at-a-time under `spill`'s
 /// budget, instead of dense `|P|²` matrices. `model.to_dense()` is
-/// bit-identical to the dense sweep's profile.
+/// bit-identical to the dense sweep's profile. The exhaustive sweep
+/// ([`SweepConfig::exact`]) has a class per pair, which the model's `u16`
+/// class ids hold up to P ≈ 361; beyond that it is a
+/// [`SweepError::Compress`], returned before anything is measured.
 ///
 /// # Panics
 /// Panics if `p < 2` or the mapping cannot place `p` ranks.
@@ -409,34 +411,18 @@ pub fn measure_profile_compressed(
     spill: &SpillConfig,
     executor: &mut dyn DescriptorExecutor,
 ) -> Result<(CompressedCostModel, SweepReport, SpillReport), SweepError> {
-    let (classing, m, report) = measure_placement(machine, mapping, p, noise, cfg, executor)?;
+    let (classing, m, report) =
+        measure_placement(machine, mapping, p, noise, cfg, executor, MAX_CLASSES)?;
     let (model, spill_report) = scatter_compressed_tiles(classing, &m, spill)?;
     Ok((model, report, spill_report))
-}
-
-/// [`measure_profile_compressed`] with local work-stealing execution —
-/// the compressed sibling of
-/// [`crate::sweep::measure_profile_clustered`].
-///
-/// # Panics
-/// As [`measure_profile_compressed`].
-pub fn measure_profile_clustered_compressed(
-    machine: &MachineSpec,
-    mapping: &RankMapping,
-    p: usize,
-    noise: NoiseModel,
-    cfg: &SweepConfig,
-    spill: &SpillConfig,
-) -> Result<(CompressedCostModel, SweepReport, SpillReport), SweepError> {
-    let mut executor = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
-    measure_profile_compressed(machine, mapping, p, noise, cfg, spill, &mut executor)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sweep::{
-        measure_classes, measure_profile_clustered, scatter_dense, SequentialExecutor,
+        measure_classes, measure_profile_decomposed, scatter_dense, LocalExecutor,
+        SequentialExecutor,
     };
     use hbar_core::clustering::{classify_pairs, ClassingConfig};
     use hbar_topo::cost::{CostMatrices, CostProvider};
@@ -444,6 +430,7 @@ mod tests {
         ExactExtractor, PairFeatureExtractor, PairFeatures, RankFeatures, TopologyExtractor,
     };
     use hbar_topo::machine::LinkClass;
+    use hbar_topo::profile::TopologyProfile;
     use std::collections::HashMap;
     use std::sync::atomic::AtomicU32;
 
@@ -457,6 +444,31 @@ mod tests {
                 .iter()
                 .zip(b.l.as_slice())
                 .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// The dense sweep under `cfg`, executed on the local thread pool.
+    fn local_sweep(
+        machine: &MachineSpec,
+        mapping: &RankMapping,
+        p: usize,
+        noise: NoiseModel,
+        cfg: &SweepConfig,
+    ) -> (TopologyProfile, SweepReport) {
+        let mut local = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+        measure_profile_decomposed(machine, mapping, p, noise, cfg, &mut local).unwrap()
+    }
+
+    /// The compressed sweep under `cfg`, executed on the local thread pool.
+    fn local_compressed(
+        machine: &MachineSpec,
+        mapping: &RankMapping,
+        p: usize,
+        noise: NoiseModel,
+        cfg: &SweepConfig,
+        spill: &SpillConfig,
+    ) -> (CompressedCostModel, SweepReport, SpillReport) {
+        let mut local = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+        measure_profile_compressed(machine, mapping, p, noise, cfg, spill, &mut local).unwrap()
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -474,11 +486,10 @@ mod tests {
         let mapping = RankMapping::Block;
         let noise = NoiseModel::realistic(5);
         let cfg = SweepConfig::fast();
-        let (dense, dense_report) = measure_profile_clustered(&machine, &mapping, 16, noise, &cfg);
+        let (dense, dense_report) = local_sweep(&machine, &mapping, 16, noise, &cfg);
         let spill = SpillConfig::in_memory(scratch_dir("parity"));
         let (model, report, spill_report) =
-            measure_profile_clustered_compressed(&machine, &mapping, 16, noise, &cfg, &spill)
-                .unwrap();
+            local_compressed(&machine, &mapping, 16, noise, &cfg, &spill);
         assert!(bit_equal(&model.to_dense(), &dense.cost));
         assert_eq!(report.measurements, dense_report.measurements);
         assert_eq!(spill_report.spilled_tiles, 0);
@@ -498,9 +509,7 @@ mod tests {
         let noise = NoiseModel::realistic(9);
         let cfg = SweepConfig::fast();
         let unspilled = SpillConfig::in_memory(scratch_dir("nospill"));
-        let (a, _, ra) =
-            measure_profile_clustered_compressed(&machine, &mapping, 24, noise, &cfg, &unspilled)
-                .unwrap();
+        let (a, _, ra) = local_compressed(&machine, &mapping, 24, noise, &cfg, &unspilled);
         assert_eq!(ra.spilled_tiles, 0);
         // Round-robin over the two nodes 24 ranks need: 4 kinds. A budget
         // below the classing's own 4 × 4 table of u32 (64 B) leaves no
@@ -512,9 +521,7 @@ mod tests {
             tile_rows: 3,
             ..SpillConfig::in_memory(scratch_dir("allspill"))
         };
-        let (b, _, rb) =
-            measure_profile_clustered_compressed(&machine, &mapping, 24, noise, &cfg, &spilled)
-                .unwrap();
+        let (b, _, rb) = local_compressed(&machine, &mapping, 24, noise, &cfg, &spilled);
         assert_eq!(rb.tiles, 2);
         assert_eq!(rb.spilled_tiles, 2);
         assert_eq!(rb.spill_bytes, 4 * 4 * 2);
@@ -617,16 +624,12 @@ mod tests {
             tile_rows: 2,
             ..SpillConfig::in_memory(scratch_dir("mixed"))
         };
-        let (mixed, _, report) =
-            measure_profile_clustered_compressed(&machine, &mapping, 32, noise, &cfg, &spill)
-                .unwrap();
+        let (mixed, _, report) = local_compressed(&machine, &mapping, 32, noise, &cfg, &spill);
         assert_eq!(report.tiles, 4);
         assert_eq!(report.spilled_tiles, 2);
         assert_eq!(report.staged_peak_bytes, 64);
         let baseline = SpillConfig::in_memory(scratch_dir("mixed_base"));
-        let (full, _, _) =
-            measure_profile_clustered_compressed(&machine, &mapping, 32, noise, &cfg, &baseline)
-                .unwrap();
+        let (full, _, _) = local_compressed(&machine, &mapping, 32, noise, &cfg, &baseline);
         assert_eq!(mixed.fingerprint(), full.fingerprint());
         assert_eq!(mixed.class_map(), full.class_map());
         fs::remove_dir_all(&spill.dir).unwrap();
@@ -645,11 +648,9 @@ mod tests {
             explode_rel_tol: 0.0,
             ..SweepConfig::fast()
         };
-        let (dense, _) = measure_profile_clustered(&machine, &mapping, 16, noise, &cfg);
+        let (dense, _) = local_sweep(&machine, &mapping, 16, noise, &cfg);
         let spill = SpillConfig::in_memory(scratch_dir("exploded"));
-        let (model, report, _) =
-            measure_profile_clustered_compressed(&machine, &mapping, 16, noise, &cfg, &spill)
-                .unwrap();
+        let (model, report, _) = local_compressed(&machine, &mapping, 16, noise, &cfg, &spill);
         assert!(report.exploded_pair_classes > 0);
         assert!(bit_equal(&model.to_dense(), &dense.cost));
         // Exploded members each occupy their own appended class, which an
@@ -675,11 +676,9 @@ mod tests {
             },
             ..SweepConfig::fast()
         };
-        let (dense, _) = measure_profile_clustered(&machine, &mapping, 8, noise, &cfg);
+        let (dense, _) = local_sweep(&machine, &mapping, 8, noise, &cfg);
         let spill = SpillConfig::in_memory(scratch_dir("asym"));
-        let (model, _, _) =
-            measure_profile_clustered_compressed(&machine, &mapping, 8, noise, &cfg, &spill)
-                .unwrap();
+        let (model, _, _) = local_compressed(&machine, &mapping, 8, noise, &cfg, &spill);
         assert!(bit_equal(&model.to_dense(), &dense.cost));
     }
 
@@ -768,6 +767,45 @@ mod tests {
                 fs::remove_dir_all(&spill.dir).unwrap();
             }
         }
+    }
+
+    /// An executor no sweep may reach.
+    struct Unreachable;
+
+    impl DescriptorExecutor for Unreachable {
+        fn execute_batch(
+            &mut self,
+            _: &[crate::sweep::PairWorkDescriptor],
+        ) -> Result<Vec<crate::sweep::PairSample>, SweepError> {
+            panic!("measured a sweep whose classes the model cannot hold")
+        }
+    }
+
+    #[test]
+    fn class_overflow_is_refused_before_measuring() {
+        // The exhaustive sweep at p = 384: 73 536 pair classes and 384
+        // diagonal ones, past the u16 class id, and known from the classing.
+        let machine = MachineSpec::new(48, 2, 4);
+        let exact = SweepConfig::exact(crate::profiling::ProfilingConfig::fast());
+        let spill = SpillConfig::in_memory(scratch_dir("early_overflow"));
+        let (mapping, noise) = (RankMapping::Block, NoiseModel::none());
+        let err = measure_profile_compressed(
+            &machine,
+            &mapping,
+            384,
+            noise,
+            &exact,
+            &spill,
+            &mut Unreachable,
+        )
+        .expect_err("must overflow");
+        assert!(
+            matches!(
+                err,
+                SweepError::Compress(CompressError::ClassOverflow { needed: 73_920 })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

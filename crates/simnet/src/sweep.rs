@@ -1,10 +1,10 @@
-//! The decomposed profiling sweep: classing → representatives → scatter.
+//! The profiling sweep: classing → representatives → scatter.
 //!
-//! The exhaustive §IV-A driver ([`crate::profiling::measure_profile`])
-//! runs `|P|(|P|−1)/2` pairwise benchmarks; at `P = 4096` that is 8.4
-//! million measurement schedules — hours of wall clock for matrices whose
-//! entries repeat a handful of values. This module is the Parsimon-style
-//! decomposition of that sweep into three independent layers:
+//! The paper's §IV-A sweep runs `|P|(|P|−1)/2` pairwise benchmarks; at
+//! `P = 4096` that is 8.4 million measurement schedules — hours of wall
+//! clock for matrices whose entries repeat a handful of values. This
+//! module is the one sweep driver, exhaustive or not: the Parsimon-style
+//! decomposition of the sweep into three independent layers:
 //!
 //! 1. **classing** — pairs are grouped into equivalence classes by
 //!    feature vector ([`hbar_topo::features`]; exact hashing in
@@ -33,11 +33,12 @@
 //! runs produce bit-identical profiles.
 //!
 //! In the **singleton regime** — every class has exactly one member, as
-//! forced by [`SweepConfig::exact_classes`] or produced naturally by a
-//! fully heterogeneous machine — the clustered sweep performs exactly the
-//! exhaustive sweep's measurements under the same sub-seeds and must
-//! reproduce [`crate::profiling::measure_profile`] bit-for-bit
-//! (`tests/sweep.rs` gates on this).
+//! forced by [`SweepConfig::exact`] or produced naturally by a fully
+//! heterogeneous machine — the sweep performs exactly the exhaustive
+//! sweep's measurements under the same sub-seeds: it *is* the paper's
+//! exhaustive profile, the one `hbar profile` and the paper figures run
+//! by default (`tests/sweep.rs` holds it bit for bit to an oracle that
+//! measures every pair by hand).
 
 use crate::noise::NoiseModel;
 use crate::profiling::{diag_sub_seed, measure_pair, pair_bench, pair_sub_seed, ProfilingConfig};
@@ -305,9 +306,9 @@ impl SweepConfig {
         }
     }
 
-    /// The singleton-class configuration used by the parity gates:
-    /// exact classes, no probes, no growth — measurement-for-measurement
-    /// identical to the exhaustive sweep.
+    /// The paper's exhaustive sweep: exact classes, no probes, no growth
+    /// — every pair (and every diagonal) measured once, at the base
+    /// schedule, under its own sub-seed.
     pub fn exact(profiling: ProfilingConfig) -> Self {
         SweepConfig {
             profiling,
@@ -372,24 +373,6 @@ impl SweepReport {
     }
 }
 
-/// Clustered profiling with local work-stealing execution — the
-/// drop-in accelerated replacement for
-/// [`crate::profiling::measure_profile`].
-///
-/// # Panics
-/// Panics if `p < 2` or the mapping cannot place `p` ranks.
-pub fn measure_profile_clustered(
-    machine: &MachineSpec,
-    mapping: &RankMapping,
-    p: usize,
-    noise: NoiseModel,
-    cfg: &SweepConfig,
-) -> (TopologyProfile, SweepReport) {
-    let mut executor = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
-    measure_profile_decomposed(machine, mapping, p, noise, cfg, &mut executor)
-        .expect("local execution is infallible")
-}
-
 /// Quantizes a noise model into the feature-vector regime code: pairs
 /// measured under different regimes never share a representative.
 pub fn noise_regime_of(noise: &NoiseModel) -> u16 {
@@ -408,7 +391,8 @@ pub fn noise_regime_of(noise: &NoiseModel) -> u16 {
     1 + ((jitter << 4) | spike)
 }
 
-/// The full decomposed sweep over an arbitrary executor. Classing,
+/// The sweep over an arbitrary executor, scattered into dense matrices.
+/// [`SweepConfig::exact`] makes it the exhaustive §IV-A profile. Classing,
 /// descriptor construction, adaptive growth, and scatter all happen here
 /// on the driver; only descriptor execution crosses the executor
 /// boundary. Results are merged by descriptor id, so the profile is
@@ -424,7 +408,8 @@ pub fn measure_profile_decomposed(
     cfg: &SweepConfig,
     executor: &mut dyn DescriptorExecutor,
 ) -> Result<(TopologyProfile, SweepReport), SweepError> {
-    let (classing, m, report) = measure_placement(machine, mapping, p, noise, cfg, executor)?;
+    let (classing, m, report) =
+        measure_placement(machine, mapping, p, noise, cfg, executor, usize::MAX)?;
     Ok((
         TopologyProfile {
             machine: machine.clone(),
@@ -437,7 +422,9 @@ pub fn measure_profile_decomposed(
 }
 
 /// Places, classes and measures — everything up to the scatter, which is
-/// where the dense and the compressed sweep part ways.
+/// where the dense and the compressed sweep part ways. A classing with
+/// more than `max_classes` classes, more than the scatter can hold, is
+/// refused before anything is measured.
 pub(crate) fn measure_placement(
     machine: &MachineSpec,
     mapping: &RankMapping,
@@ -445,6 +432,7 @@ pub(crate) fn measure_placement(
     noise: NoiseModel,
     cfg: &SweepConfig,
     executor: &mut dyn DescriptorExecutor,
+    max_classes: usize,
 ) -> Result<(PairClassing, ClassMeasurements, SweepReport), SweepError> {
     assert!(p >= 2, "profiling needs at least two ranks, got {p}");
     let cores = mapping.place(machine, p);
@@ -465,6 +453,12 @@ pub(crate) fn measure_placement(
             probe_seed: cfg.probe_seed,
         },
     );
+    let needed = classing.pair_classes.len() + classing.diag_classes.len();
+    if needed > max_classes {
+        return Err(SweepError::Compress(CompressError::ClassOverflow {
+            needed,
+        }));
+    }
     let (m, report) = measure_classes(&cores, &classing, noise, cfg, executor)?;
     Ok((classing, m, report))
 }
@@ -956,8 +950,19 @@ impl DescriptorExecutor for SequentialExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiling::measure_profile;
     use proptest::prelude::*;
+
+    /// The sweep under `cfg`, executed on the local thread pool.
+    fn local_sweep(
+        machine: &MachineSpec,
+        mapping: &RankMapping,
+        p: usize,
+        noise: NoiseModel,
+        cfg: &SweepConfig,
+    ) -> (TopologyProfile, SweepReport) {
+        let mut local = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+        measure_profile_decomposed(machine, mapping, p, noise, cfg, &mut local).unwrap()
+    }
 
     fn bit_equal(a: &CostMatrices, b: &CostMatrices) -> bool {
         a.o.as_slice()
@@ -1020,17 +1025,16 @@ mod tests {
     }
 
     #[test]
-    fn exact_classes_reproduce_exhaustive_sweep_bit_for_bit() {
+    fn exact_sweep_measures_every_pair_once() {
         let machine = MachineSpec::new(2, 2, 2);
         let mapping = RankMapping::RoundRobin;
         let noise = NoiseModel::realistic(11);
-        let cfg = ProfilingConfig::fast();
-        let full = measure_profile(&machine, &mapping, 8, noise, &cfg);
-        let (clustered, report) =
-            measure_profile_clustered(&machine, &mapping, 8, noise, &SweepConfig::exact(cfg));
-        assert!(bit_equal(&full.cost, &clustered.cost));
+        let exact = SweepConfig::exact(ProfilingConfig::fast());
+        let (_, report) = local_sweep(&machine, &mapping, 8, noise, &exact);
+        assert_eq!((report.pair_classes, report.diag_classes), (8 * 7 / 2, 8));
         assert_eq!(report.measurements, 8 * 7 / 2 + 8);
         assert_eq!(report.growth_rounds, 0);
+        assert!(report.pair_stats.iter().all(|s| s.samples == 1));
     }
 
     #[test]
@@ -1043,14 +1047,13 @@ mod tests {
         let machine = MachineSpec::dual_quad_cluster(2);
         let mapping = RankMapping::Block;
         let noise = NoiseModel::realistic(13);
-        let cfg = ProfilingConfig::fast();
-        let full = measure_profile(&machine, &mapping, 16, noise, &cfg);
+        let exact = SweepConfig::exact(ProfilingConfig::fast());
+        let (full, _) = local_sweep(&machine, &mapping, 16, noise, &exact);
         let sweep_cfg = SweepConfig {
             explode_rel_tol: 0.0,
             ..SweepConfig::fast()
         };
-        let (clustered, report) =
-            measure_profile_clustered(&machine, &mapping, 16, noise, &sweep_cfg);
+        let (clustered, report) = local_sweep(&machine, &mapping, 16, noise, &sweep_cfg);
         assert_eq!(report.exploded_pair_classes, 4);
         assert_eq!(report.exploded_diag_classes, 2);
         assert!(bit_equal(&full.cost, &clustered.cost));
@@ -1086,7 +1089,7 @@ mod tests {
     #[test]
     fn tight_classes_never_explode() {
         let machine = MachineSpec::dual_quad_cluster(2);
-        let (_, report) = measure_profile_clustered(
+        let (_, report) = local_sweep(
             &machine,
             &RankMapping::Block,
             16,
@@ -1105,10 +1108,9 @@ mod tests {
         let machine = MachineSpec::dual_quad_cluster(2);
         let mapping = RankMapping::Block;
         let noise = NoiseModel::realistic(5);
-        let cfg = ProfilingConfig::fast();
-        let full = measure_profile(&machine, &mapping, 16, noise, &cfg);
-        let (clustered, report) =
-            measure_profile_clustered(&machine, &mapping, 16, noise, &SweepConfig::fast());
+        let exact = SweepConfig::exact(ProfilingConfig::fast());
+        let (full, _) = local_sweep(&machine, &mapping, 16, noise, &exact);
+        let (clustered, report) = local_sweep(&machine, &mapping, 16, noise, &SweepConfig::fast());
         assert_eq!(report.pair_classes, 4);
         // Round 0 measures ≤ 18 descriptors (4 pair + 2 diag classes, ≤ 3
         // samples each); even with both growth rounds firing that is ≤ 54 —
@@ -1132,7 +1134,7 @@ mod tests {
     #[test]
     fn clustered_profile_is_symmetric_and_complete() {
         let machine = MachineSpec::dual_hex_cluster(2);
-        let (prof, _) = measure_profile_clustered(
+        let (prof, _) = local_sweep(
             &machine,
             &RankMapping::RoundRobin,
             20,
@@ -1158,7 +1160,7 @@ mod tests {
         let machine = MachineSpec::new(2, 1, 2);
         let noise = NoiseModel::realistic(7);
         let cfg = SweepConfig::fast();
-        let (a, _) = measure_profile_clustered(&machine, &RankMapping::Block, 4, noise, &cfg);
+        let (a, _) = local_sweep(&machine, &RankMapping::Block, 4, noise, &cfg);
         let mut seq = SequentialExecutor::new(machine.clone(), noise, cfg.profiling.clone());
         let (b, _) =
             measure_profile_decomposed(&machine, &RankMapping::Block, 4, noise, &cfg, &mut seq)
@@ -1176,7 +1178,7 @@ mod tests {
             max_growth_rounds: 2,
             ..SweepConfig::fast()
         };
-        let (_, report) = measure_profile_clustered(
+        let (_, report) = local_sweep(
             &machine,
             &RankMapping::Block,
             16,
@@ -1190,7 +1192,7 @@ mod tests {
             ci_rel_tol: f64::INFINITY,
             ..SweepConfig::fast()
         };
-        let (_, report) = measure_profile_clustered(
+        let (_, report) = local_sweep(
             &machine,
             &RankMapping::Block,
             16,
@@ -1203,7 +1205,7 @@ mod tests {
     #[test]
     fn report_reduction_factor_reflects_classing() {
         let machine = MachineSpec::dual_quad_cluster(4);
-        let (_, report) = measure_profile_clustered(
+        let (_, report) = local_sweep(
             &machine,
             &RankMapping::Block,
             32,

@@ -10,7 +10,7 @@
 //! into the next).
 
 use hbar_core::algorithms::Algorithm;
-use hbar_core::compose::{tune_hybrid, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 use hbar_core::schedule::BarrierSchedule;
 use hbar_simnet::barrier::schedule_programs;
 use hbar_simnet::world::{SimConfig, SimResult, SimWorld};
@@ -40,7 +40,7 @@ fn schedules(
 ) -> [(&'static str, BarrierSchedule); 4] {
     let members: Vec<usize> = (0..p).collect();
     let profile = TopologyProfile::from_ground_truth_for(machine, mapping, p);
-    let hybrid = tune_hybrid(&profile, &TunerConfig::default()).schedule;
+    let hybrid = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default()).schedule;
     [
         ("tree", Algorithm::Tree.full_schedule(p, &members)),
         (

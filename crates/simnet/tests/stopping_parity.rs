@@ -7,12 +7,12 @@
 //! (median, relative spread, grow/stop decision) changes the scattered
 //! matrices and flips the hash.
 //!
-//! Also pins the exhaustive sweep — and through it the simulation
-//! engine, the pair benchmarks and the noise stream — to the profiles
-//! of the pre-rework engine.
+//! Also pins the exhaustive sweep (`SweepConfig::exact`) — and through
+//! it the simulation engine, the pair benchmarks and the noise stream —
+//! to the profiles of the pre-rework engine.
 
-use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
-use hbar_simnet::sweep::{measure_profile_clustered, SweepConfig};
+use hbar_simnet::profiling::ProfilingConfig;
+use hbar_simnet::sweep::{measure_profile_decomposed, LocalExecutor, SweepConfig, SweepReport};
 use hbar_simnet::NoiseModel;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
@@ -51,15 +51,22 @@ fn pinned_config() -> SweepConfig {
     }
 }
 
-fn pinned_profile(p: usize) -> (TopologyProfile, hbar_simnet::sweep::SweepReport) {
+/// The sweep under `cfg`, executed on the local thread pool.
+fn local_sweep(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+    noise: NoiseModel,
+    cfg: &SweepConfig,
+) -> (TopologyProfile, SweepReport) {
+    let mut local = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+    measure_profile_decomposed(machine, mapping, p, noise, cfg, &mut local).unwrap()
+}
+
+fn pinned_profile(p: usize) -> (TopologyProfile, SweepReport) {
     let machine = MachineSpec::dual_quad_cluster(p.div_ceil(8));
-    measure_profile_clustered(
-        &machine,
-        &RankMapping::Block,
-        p,
-        NoiseModel::realistic(42),
-        &pinned_config(),
-    )
+    let noise = NoiseModel::realistic(42);
+    local_sweep(&machine, &RankMapping::Block, p, noise, &pinned_config())
 }
 
 #[test]
@@ -109,13 +116,9 @@ fn exhaustive_profile_is_bit_identical_to_pre_rework_engine() {
         ("full", 8, ProfilingConfig::default(), GOLDEN_ENGINE_FULL_P8),
     ] {
         let machine = MachineSpec::new(p.div_ceil(8), 2, 4);
-        let profile = measure_profile(
-            &machine,
-            &RankMapping::RoundRobin,
-            p,
-            NoiseModel::realistic(42),
-            &cfg,
-        );
+        let noise = NoiseModel::realistic(42);
+        let exact = SweepConfig::exact(cfg);
+        let (profile, _) = local_sweep(&machine, &RankMapping::RoundRobin, p, noise, &exact);
         assert_eq!(
             profile_fingerprint(&profile),
             golden,

@@ -1,21 +1,22 @@
-//! Integration tests of the decomposed profiling sweep: singleton-regime
-//! bit-parity, clustered-vs-exhaustive error bounds on the paper
-//! clusters, wire-format round trips, and the loopback driver↔worker
-//! fleet with a mid-sweep crash.
+//! Integration tests of the profiling sweep: singleton-regime bit-parity
+//! with a hand-measured exhaustive oracle, clustered-vs-exhaustive error
+//! bounds on the paper clusters, wire-format round trips, and the
+//! loopback driver↔worker fleet with a mid-sweep crash.
 
 use hbar_core::clustering::splitmix64;
-use hbar_core::compose::{tune_hybrid, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 use hbar_core::verify::is_barrier;
 use hbar_simnet::distrib::{
     serve_worker, shutdown_worker, FleetExecutor, FleetOptions, WorkerFault,
 };
-use hbar_simnet::profiling::{measure_profile, ProfilingConfig};
+use hbar_simnet::profiling::{diag_sub_seed, pair_sub_seed, ProfilingConfig};
 use hbar_simnet::sweep::{
-    measure_profile_clustered, measure_profile_decomposed, PairSample, PairWorkDescriptor,
-    SweepConfig, WorkKind,
+    execute_descriptor, measure_profile_decomposed, LocalExecutor, PairSample, PairWorkDescriptor,
+    SweepConfig, SweepReport, WorkKind,
 };
 use hbar_simnet::wire::JobHeader;
-use hbar_simnet::{measure_profile_clustered_compressed, NoiseModel, SpillConfig};
+use hbar_simnet::{measure_profile_compressed, NoiseModel, SpillConfig, SpillReport};
+use hbar_topo::compressed::CompressedCostModel;
 use hbar_topo::cost::{CostMatrices, CostProvider};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
@@ -36,6 +37,77 @@ fn costs_bits_equal(a: &CostMatrices, b: &CostMatrices) -> bool {
         values.map(|v| v.to_bits()).collect()
     };
     bits(a) == bits(b)
+}
+
+/// The exhaustive §IV-A profile measured by hand — the reference the
+/// sweep is held to, sharing nothing with it but the leaf: every pair
+/// (both orientations unless `cfg.symmetric`) and every diagonal through
+/// the public [`execute_descriptor`] at `rep_scale` 1 under its own
+/// [`pair_sub_seed`] / [`diag_sub_seed`], scattered into fresh matrices.
+fn exhaustive_oracle(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+    noise: NoiseModel,
+    cfg: &ProfilingConfig,
+) -> TopologyProfile {
+    let cores = mapping.place(machine, p);
+    let measure = |kind, i: usize, j: usize, sub_seed| {
+        let d = PairWorkDescriptor {
+            id: 0,
+            kind,
+            i: i as u32,
+            j: j as u32,
+            core_a: cores[i] as u32,
+            core_b: cores[j] as u32,
+            sub_seed,
+            rep_scale: 1,
+        };
+        execute_descriptor(machine, noise, cfg, &d)
+    };
+    let mut cost = CostMatrices::zeros(p);
+    for i in 0..p {
+        for j in (0..p).filter(|&j| j != i && !(cfg.symmetric && j < i)) {
+            let s = measure(WorkKind::Pair, i, j, pair_sub_seed(i, j, noise.seed));
+            (cost.o[(i, j)], cost.l[(i, j)]) = (s.o, s.l);
+            if cfg.symmetric {
+                (cost.o[(j, i)], cost.l[(j, i)]) = (s.o, s.l);
+            }
+        }
+        let diag = measure(WorkKind::Diag, i, (i + 1) % p, diag_sub_seed(i, noise.seed));
+        cost.o[(i, i)] = diag.o;
+    }
+    TopologyProfile {
+        machine: machine.clone(),
+        mapping: mapping.clone(),
+        p,
+        cost,
+    }
+}
+
+/// The dense sweep under `cfg`, executed on the local thread pool.
+fn local_sweep(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+    noise: NoiseModel,
+    cfg: &SweepConfig,
+) -> (TopologyProfile, SweepReport) {
+    let mut local = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+    measure_profile_decomposed(machine, mapping, p, noise, cfg, &mut local).unwrap()
+}
+
+/// The compressed sweep under `cfg`, executed on the local thread pool.
+fn local_compressed(
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+    noise: NoiseModel,
+    cfg: &SweepConfig,
+    spill: &SpillConfig,
+) -> (CompressedCostModel, SweepReport, SpillReport) {
+    let mut local = LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+    measure_profile_compressed(machine, mapping, p, noise, cfg, spill, &mut local).unwrap()
 }
 
 /// Worst relative off-diagonal error of `a` against reference `b`.
@@ -59,30 +131,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Singleton-class property: when every pair is its own class, the
-    /// clustered sweep IS the exhaustive sweep — bit for bit, for any
-    /// machine shape, mapping, and noise seed.
+    /// sweep IS the exhaustive sweep — bit for bit against the oracle, for
+    /// any machine shape, mapping, noise seed and sweep orientation.
     #[test]
     fn singleton_regime_is_bit_identical_to_exhaustive(
         (nodes, sockets, cores) in (1usize..=2, 1usize..=2, 1usize..=3),
         p in 2usize..=8,
         seed in 0u64..1000,
         round_robin in any::<bool>(),
+        symmetric in any::<bool>(),
     ) {
         let machine = MachineSpec::new(nodes, sockets, cores);
         prop_assume!(p <= machine.total_cores());
         let mapping = if round_robin { RankMapping::RoundRobin } else { RankMapping::Block };
         let noise = NoiseModel::realistic(seed);
-        let cfg = ProfilingConfig::fast();
-        let exhaustive = measure_profile(&machine, &mapping, p, noise, &cfg);
-        let (clustered, report) = measure_profile_clustered(
-            &machine,
-            &mapping,
-            p,
-            noise,
-            &SweepConfig::exact(cfg),
-        );
-        prop_assert!(bits_equal(&exhaustive, &clustered));
-        prop_assert_eq!(report.measurements, p * (p - 1) / 2 + p);
+        let cfg = ProfilingConfig { symmetric, ..ProfilingConfig::fast() };
+        let exhaustive = exhaustive_oracle(&machine, &mapping, p, noise, &cfg);
+        let (exact, report) = local_sweep(&machine, &mapping, p, noise, &SweepConfig::exact(cfg));
+        prop_assert!(bits_equal(&exhaustive, &exact));
+        let pairs = if symmetric { p * (p - 1) / 2 } else { p * (p - 1) };
+        prop_assert_eq!(report.measurements, pairs + p);
     }
 }
 
@@ -134,9 +202,9 @@ proptest! {
             explode_rel_tol: if explode { -1.0 } else { f64::INFINITY },
             ..SweepConfig::fast()
         };
-        let (dense, dense_report) = measure_profile_clustered(&machine, &mapping, p, noise, &cfg);
+        let (dense, dense_report) = local_sweep(&machine, &mapping, p, noise, &cfg);
         if explode {
-            let exhaustive = measure_profile(&machine, &mapping, p, noise, &profiling);
+            let exhaustive = exhaustive_oracle(&machine, &mapping, p, noise, &profiling);
             prop_assert!(bits_equal(&exhaustive, &dense));
         }
 
@@ -146,8 +214,7 @@ proptest! {
         ));
         let staged = SpillConfig { tile_rows: 3, ..SpillConfig::in_memory(&dir) };
         let (in_memory, report, _) =
-            measure_profile_clustered_compressed(&machine, &mapping, p, noise, &cfg, &staged)
-                .unwrap();
+            local_compressed(&machine, &mapping, p, noise, &cfg, &staged);
         prop_assert_eq!(report.measurements, dense_report.measurements);
         let image = in_memory.to_dense();
         prop_assert!(costs_bits_equal(&image, &dense.cost));
@@ -180,8 +247,7 @@ proptest! {
         // Tiles are kind rows: with no budget at all each goes to disk.
         let all_spilled = SpillConfig { mem_budget_bytes: 0, ..staged };
         let (spilled, _, spill_report) =
-            measure_profile_clustered_compressed(&machine, &mapping, p, noise, &cfg, &all_spilled)
-                .unwrap();
+            local_compressed(&machine, &mapping, p, noise, &cfg, &all_spilled);
         let kinds = in_memory.class_map().kinds();
         prop_assert!(kinds <= p);
         prop_assert_eq!(spill_report.spilled_tiles, kinds.div_ceil(3));
@@ -220,8 +286,8 @@ fn clustered_error_bounded_on_paper_clusters() {
                  cfg: &SweepConfig,
                  bound: f64| {
         let name = format!("{name} P={p} jitter={}", noise.jitter_sigma);
-        let exhaustive = measure_profile(machine, mapping, p, noise, &cfg.profiling);
-        let (clustered, report) = measure_profile_clustered(machine, mapping, p, noise, cfg);
+        let exhaustive = exhaustive_oracle(machine, mapping, p, noise, &cfg.profiling);
+        let (clustered, report) = local_sweep(machine, mapping, p, noise, cfg);
         let err = worst_rel_error(&clustered, &exhaustive);
         assert!(err < bound, "{name}: clustered error {err} out of bound");
         assert!(
@@ -237,7 +303,8 @@ fn clustered_error_bounded_on_paper_clusters() {
                 }
             }
         }
-        let tuned = tune_hybrid(&clustered, &TunerConfig::default());
+        let members: Vec<usize> = (0..p).collect();
+        let tuned = tune_hybrid_costs(&clustered.cost, &members, &TunerConfig::default());
         assert!(is_barrier(&tuned.schedule), "{name}: not a barrier");
     };
 
@@ -350,8 +417,7 @@ fn loopback_fleet_survives_mid_sweep_crash_and_matches_local() {
     let sweep_cfg = SweepConfig::exact(ProfilingConfig::fast());
     let p = 16;
 
-    let (local_profile, local_report) =
-        measure_profile_clustered(&machine, &mapping, p, noise, &sweep_cfg);
+    let (local_profile, local_report) = local_sweep(&machine, &mapping, p, noise, &sweep_cfg);
 
     let (addr_a, handle_a) = spawn_worker(WorkerFault::DropConnectionOnce { after: 1 });
     let (addr_b, handle_b) = spawn_worker(WorkerFault::None);
@@ -438,7 +504,7 @@ fn fleet_outlives_a_dying_worker(runs: usize) {
     let sweep_cfg = SweepConfig::exact(ProfilingConfig::fast());
     let p = 8;
 
-    let (local_profile, _) = measure_profile_clustered(&machine, &mapping, p, noise, &sweep_cfg);
+    let (local_profile, _) = local_sweep(&machine, &mapping, p, noise, &sweep_cfg);
 
     for _ in 0..runs {
         let (addr_a, handle_a) = spawn_worker(WorkerFault::DieAfter { after: 1 });
@@ -494,7 +560,6 @@ fn loopback_fleet_tolerates_permanent_worker_death_200_times() {
 /// worker: not an error, and not the driver's local fallback either.
 #[test]
 fn healthy_feeder_waits_for_a_batch_in_flight_elsewhere() {
-    use hbar_simnet::sweep::execute_descriptor;
     use hbar_simnet::wire::{
         decode_batch, decode_job, encode_results, read_frame, write_frame, FRAME_BATCH,
         FRAME_DRAIN, FRAME_JOB, FRAME_RESULT, FRAME_SHUTDOWN,
@@ -506,7 +571,7 @@ fn healthy_feeder_waits_for_a_batch_in_flight_elsewhere() {
     let noise = NoiseModel::realistic(3);
     // One pair and two diagonals: two batches of at most two descriptors.
     let sweep_cfg = SweepConfig::exact(ProfilingConfig::fast());
-    let (local_profile, _) = measure_profile_clustered(&machine, &mapping, 2, noise, &sweep_cfg);
+    let (local_profile, _) = local_sweep(&machine, &mapping, 2, noise, &sweep_cfg);
 
     for local_fallback in [false, true] {
         let (a_holds, a_held) = mpsc::channel::<()>();

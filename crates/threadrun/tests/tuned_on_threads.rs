@@ -1,7 +1,7 @@
 //! Tuned hybrid barriers executed on real threads.
 
 use hbar_core::codegen::compile_schedule;
-use hbar_core::compose::{tune_hybrid, TunerConfig};
+use hbar_core::compose::{tune_hybrid_costs, TunedBarrier, TunerConfig};
 use hbar_threadrun::executor::ThreadExecutor;
 use hbar_threadrun::harness;
 use hbar_topo::machine::MachineSpec;
@@ -9,10 +9,16 @@ use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
 use std::time::Duration;
 
-fn tuned_for(p: usize) -> hbar_core::compose::TunedBarrier {
+/// Tunes over every rank of a `p`-rank block-placed single node.
+fn tuned_with(p: usize, cfg: &TunerConfig) -> TunedBarrier {
     let machine = MachineSpec::new(1, 2, p.div_ceil(2));
     let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::Block, p);
-    tune_hybrid(&profile, &TunerConfig::default())
+    let members: Vec<usize> = (0..p).collect();
+    tune_hybrid_costs(&profile.cost, &members, cfg)
+}
+
+fn tuned_for(p: usize) -> TunedBarrier {
+    tuned_with(p, &TunerConfig::default())
 }
 
 #[test]
@@ -35,19 +41,15 @@ fn tuned_hybrid_timing_is_sane() {
 
 #[test]
 fn extended_tuner_schedules_also_run_on_threads() {
-    let machine = MachineSpec::new(1, 2, 2);
-    let profile = TopologyProfile::from_ground_truth(&machine, &RankMapping::Block);
-    let tuned = tune_hybrid(&profile, &TunerConfig::extended());
+    let tuned = tuned_with(4, &TunerConfig::extended());
     let (ok, _) = harness::staggered_delay_check(&tuned.schedule, Duration::from_millis(10));
     assert!(ok);
 }
 
 #[test]
 fn exact_scoring_schedules_also_run_on_threads() {
-    let machine = MachineSpec::new(1, 2, 2);
-    let profile = TopologyProfile::from_ground_truth(&machine, &RankMapping::Block);
-    let tuned = tune_hybrid(
-        &profile,
+    let tuned = tuned_with(
+        4,
         &TunerConfig {
             score_exact: true,
             ..TunerConfig::default()

@@ -216,18 +216,6 @@ pub trait CostProvider {
     /// compressed model whose map is asymmetric pays for a decompressed
     /// `O`, which the view then owns.
     fn distance_metric(&self) -> DistanceMetric<'_>;
-
-    /// Dense restriction of both matrices to `participants` (in the
-    /// given order) — the participants-only subspace the composer
-    /// scores candidates in. Subspaces are small (one cluster), so they
-    /// are always materialized densely.
-    fn local_costs(&self, participants: &[usize]) -> CostMatrices {
-        let m = participants.len();
-        CostMatrices {
-            o: DenseMatrix::from_fn(m, |a, b| self.o_at(participants[a], participants[b])),
-            l: DenseMatrix::from_fn(m, |a, b| self.l_at(participants[a], participants[b])),
-        }
-    }
 }
 
 impl CostProvider for CostMatrices {
@@ -360,7 +348,5 @@ mod tests {
             }
         }
         assert_eq!(c.fingerprint(), cost_fingerprint(&c));
-        let local = c.local_costs(&[2, 0]);
-        assert_eq!(local, c.submatrices(&[2, 0]));
     }
 }

@@ -41,9 +41,10 @@ impl TopologyProfile {
     /// Builds a noise-free profile directly from the machine's ground
     /// truth. This is what an ideal, infinitely repeated benchmark run
     /// would converge to; tests and examples use it when measurement noise
-    /// is irrelevant. The full system uses
-    /// `hbar_simnet::profiling::measure_profile`, which actually runs the
-    /// paper's benchmark procedure on the simulator.
+    /// is irrelevant. The full system measures its profile with
+    /// `hbar_simnet::measure_profile_decomposed`, which runs the paper's
+    /// benchmark procedure on the simulator (`SweepConfig::exact`: every
+    /// pair, as §IV-A prescribes).
     pub fn from_ground_truth(machine: &MachineSpec, mapping: &RankMapping) -> Self {
         Self::from_ground_truth_for(machine, mapping, machine.total_cores())
     }
@@ -254,11 +255,19 @@ mod tests {
         fs::remove_file(&path).ok();
         let read = StoredProfile::from_json(&dense.to_json()).unwrap();
         assert_eq!(read, StoredProfile::Dense(dense.clone()));
-        let everyone: Vec<usize> = (0..8).collect();
         for profile in [&back, &read] {
             assert_eq!((profile.p(), profile.machine()), (8, &m));
             assert_eq!(profile.mapping(), &RankMapping::Block);
-            assert_eq!(profile.cost().local_costs(&everyone), dense.cost);
+            for (i, j) in (0..8).flat_map(|i| (0..8).map(move |j| (i, j))) {
+                assert_eq!(
+                    profile.cost().o_at(i, j).to_bits(),
+                    dense.cost.o[(i, j)].to_bits()
+                );
+                assert_eq!(
+                    profile.cost().l_at(i, j).to_bits(),
+                    dense.cost.l[(i, j)].to_bits()
+                );
+            }
         }
         // The rank count stated twice has to agree, and what a model
         // rejects a file cannot smuggle in.

@@ -22,7 +22,8 @@ fn main() {
     println!("platform: {} ({p} ranks)", machine.name);
 
     // Greedy hybrid (the paper's construction).
-    let greedy = tune_hybrid(&profile, &TunerConfig::default());
+    let members: Vec<usize> = (0..p).collect();
+    let greedy = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
     println!(
         "greedy hybrid:    {} stages, {} signals, predicted {:.2} us",
         greedy.schedule.len(),

@@ -8,8 +8,8 @@
 //! ```
 
 use hbarrier::prelude::*;
-use hbarrier::simnet::profiling::{measure_profile, ProfilingConfig};
-use hbarrier::simnet::NoiseModel;
+use hbarrier::simnet::profiling::ProfilingConfig;
+use hbarrier::simnet::{measure_profile_decomposed, LocalExecutor, NoiseModel, SweepConfig};
 use hbarrier::topo::heatmap::{block_means, render_labelled};
 use hbarrier::topo::machine::LinkClass;
 use hbarrier::topo::metric::DistanceMetric;
@@ -22,15 +22,19 @@ fn main() {
 
     // Run the paper's benchmark schedule: 21 payload sizes × 25 reps for
     // each O_ij, 32 burst lengths × 25 reps for each L_ij, plus the
-    // transmission-free O_ii calls. The noise model injects the jitter
-    // and preemption spikes real profiling runs suffer.
-    let profile = measure_profile(
+    // transmission-free O_ii calls — the exact sweep measures every pair.
+    // The noise model injects the jitter and preemption spikes real
+    // profiling runs suffer.
+    let (noise, cfg) = (NoiseModel::realistic(7), ProfilingConfig::default());
+    let (profile, _) = measure_profile_decomposed(
         &machine,
         &mapping,
         8,
-        NoiseModel::realistic(7),
-        &ProfilingConfig::default(),
-    );
+        noise,
+        &SweepConfig::exact(cfg.clone()),
+        &mut LocalExecutor::new(machine.clone(), noise, cfg),
+    )
+    .expect("local execution is infallible");
 
     // Store and reload — the paper's decoupling of profiling from tuning.
     let dir = std::env::temp_dir().join("hbarrier_example");

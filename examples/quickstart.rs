@@ -26,7 +26,8 @@ fn main() {
 
     // 2. Tune a hybrid barrier with the paper's configuration
     //    (SSS sparseness 35 %, candidates {linear, dissemination, tree}).
-    let tuned = tune_hybrid(&profile, &TunerConfig::default());
+    let members: Vec<usize> = (0..p).collect();
+    let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
     assert!(
         tuned.schedule.is_barrier(),
         "composition is always verified"
@@ -41,7 +42,6 @@ fn main() {
     );
 
     // 3. Predict both the hybrid and the neutral tree baseline.
-    let members: Vec<usize> = (0..p).collect();
     let neutral = Algorithm::Tree.full_schedule(p, &members);
     let params = CostParams::default();
     let pred_hybrid = predict_barrier_cost(&tuned.schedule, &profile.cost, &params, None);

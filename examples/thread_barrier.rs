@@ -28,7 +28,8 @@ fn main() {
     // socket level — the tuner degenerates gracefully).
     let machine = MachineSpec::new(1, 1, p);
     let profile = TopologyProfile::from_ground_truth(&machine, &RankMapping::Block);
-    let tuned = tune_hybrid(&profile, &TunerConfig::default());
+    let members: Vec<usize> = (0..p).collect();
+    let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
     println!(
         "tuned schedule: {} stages, root algorithm {:?}",
         tuned.schedule.len(),
@@ -46,7 +47,6 @@ fn main() {
 
     // Time the generated schedules against the baselines.
     let iters = 200;
-    let members: Vec<usize> = (0..p).collect();
     println!("\nmean per-barrier time over {iters} iterations:");
     for alg in Algorithm::PAPER_SET {
         let sched = alg.full_schedule(p, &members);

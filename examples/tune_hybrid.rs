@@ -15,8 +15,9 @@ fn main() {
     let machine = MachineSpec::dual_quad_cluster(3);
     let mapping = RankMapping::RoundRobin;
     let profile = TopologyProfile::from_ground_truth_for(&machine, &mapping, 22);
+    let members: Vec<usize> = (0..22).collect();
 
-    let tuned = tune_hybrid(&profile, &TunerConfig::default());
+    let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
 
     println!("=== cluster tree (SSS, sparseness 35% of diameter) ===");
     print!("{}", tuned.tree.render());
@@ -52,7 +53,7 @@ fn main() {
     // hierarchy (the ablation the DESIGN.md calls out).
     println!("\n=== ablation: forced single-algorithm hierarchies ===");
     for alg in hbarrier::core::algorithms::Algorithm::PAPER_SET {
-        let forced = tune_hybrid(&profile, &TunerConfig::forced(alg));
+        let forced = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::forced(alg));
         println!(
             "forced {:>14}: predicted {:.1} us",
             alg.to_string(),

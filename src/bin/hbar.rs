@@ -12,23 +12,26 @@
 //! Machines are `NODESxSOCKETSxCORES` (e.g. `8x2x4`) or the presets
 //! `cluster-a` / `cluster-b`; mappings are `rr` (round-robin) or `block`.
 //!
-//! `--clustered` switches profiling to the decomposed sweep (one
-//! representative benchmark per pair-feature equivalence class plus
-//! validation probes, scattered into the full matrices); `--workers`
-//! additionally shards the measurements across `hbar profile-worker`
-//! TCP processes, falling back to local execution if the fleet dies.
-//!
-//! `--compressed` (implies `--clustered`) runs the out-of-core scatter:
-//! the class table's tiles are staged under `--mem-budget` bytes (default
+//! `hbar profile` makes three independent choices, all feeding the one
+//! profiling sweep. The **sweep** measures every pair, as the paper's
+//! §IV-A does, unless `--clustered` switches it to one representative
+//! benchmark per pair-feature equivalence class plus validation probes.
+//! The **executor** runs the measurements on local threads, or shards
+//! them across `hbar profile-worker` TCP processes with `--workers`
+//! (falling back to local execution if the fleet dies). The **scatter**
+//! writes dense matrices, or with `--compressed` runs the out-of-core
+//! class-table scatter: tiles staged under `--mem-budget` bytes (default
 //! unbounded) and spilled to a scratch directory beyond it, and the
-//! profile is written *compact* — the class-compressed model itself
+//! profile written *compact* — the class-compressed model itself
 //! (`{machine, mapping, p, model}`, about 10 MB at P = 8192 where the
-//! dense document holds two 67 M-entry matrices). `tune`, `predict` and
-//! `simulate` read either form and give the same answers from both;
-//! `heatmap` and `search` work on matrices and want the dense one.
+//! dense document holds two 67 M-entry matrices). An exhaustive sweep
+//! has a class per pair, which the model holds up to P ≈ 361: larger
+//! compact profiles want `--clustered`. `tune`, `predict` and `simulate`
+//! read either form and give the same answers from both; `heatmap` and
+//! `search` work on matrices and want the dense one.
 
 use hbarrier::core::codegen::{c_source, compile_schedule, rust_source};
-use hbarrier::core::compose::{tune_hybrid_costs, tune_hybrid_for, TunerConfig};
+use hbarrier::core::compose::{tune_hybrid_costs, TunerConfig};
 use hbarrier::core::cost::{CostEvaluator, CostParams};
 use hbarrier::core::schedule::BarrierSchedule;
 use hbarrier::core::verify;
@@ -37,9 +40,11 @@ use hbarrier::simnet::barrier::measure_schedule;
 use hbarrier::simnet::distrib::{
     serve_worker, shutdown_worker, FleetExecutor, FleetOptions, WorkerFault,
 };
-use hbarrier::simnet::profiling::{measure_profile, ProfilingConfig};
-use hbarrier::simnet::sweep::{measure_profile_clustered, measure_profile_decomposed, SweepConfig};
-use hbarrier::simnet::NoiseModel;
+use hbarrier::simnet::profiling::ProfilingConfig;
+use hbarrier::simnet::{
+    measure_profile_compressed, measure_profile_decomposed, DescriptorExecutor, LocalExecutor,
+    NoiseModel, SpillConfig, SweepConfig, SweepReport,
+};
 use hbarrier::topo::heatmap::render_labelled;
 use hbarrier::topo::profile::{CompactProfile, StoredProfile};
 use std::collections::HashMap;
@@ -302,122 +307,20 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         None => machine.total_cores(),
     };
     let out = req(flags, "out")?;
-    // --workers implies the decomposed sweep: only classed descriptor
-    // batches can be shipped over the wire. --compressed implies it
-    // too: the class-table scatter exists only for the classed sweep.
-    let compressed = flags.contains_key("compressed");
-    let clustered = flags.contains_key("clustered") || flags.contains_key("workers") || compressed;
-    let mut summary = format!("{} pairwise estimates", p * (p - 1) / 2);
-    let profile = if flags.contains_key("exact-machine") {
+    let (profile, summary) = if flags.contains_key("exact-machine") {
         // Closed-form noise-free profile (no benchmarking).
-        StoredProfile::Dense(TopologyProfile::from_ground_truth_for(
-            &machine, &mapping, p,
-        ))
+        let profile = TopologyProfile::from_ground_truth_for(&machine, &mapping, p);
+        let summary = format!("{} pairwise estimates", p * (p - 1) / 2);
+        (StoredProfile::Dense(profile), summary)
     } else {
-        let seed: u64 = flags
-            .get("seed")
-            .map(|v| v.parse().map_err(|_| "bad --seed".to_string()))
-            .transpose()?
-            .unwrap_or(1);
-        let cfg = if flags.contains_key("fast") {
-            ProfilingConfig::fast()
-        } else {
-            ProfilingConfig::default()
-        };
-        let noise = NoiseModel::realistic(seed);
-        if clustered {
-            let mut sweep_cfg = SweepConfig {
-                profiling: cfg,
-                ..SweepConfig::default()
-            };
-            if let Some(v) = flags.get("probes") {
-                sweep_cfg.probes_per_class = v.parse().map_err(|_| "bad --probes".to_string())?;
-            }
-            let (profile, report) = if compressed {
-                use hbarrier::simnet::{measure_profile_clustered_compressed, SpillConfig};
-                if flags.contains_key("workers") {
-                    return Err(
-                        "--compressed runs locally; it cannot be combined with --workers"
-                            .to_string(),
-                    );
-                }
-                let dir =
-                    std::env::temp_dir().join(format!("hbar-profile-spill-{}", std::process::id()));
-                let spill = match flags.get("mem-budget") {
-                    Some(v) => {
-                        let bytes: usize = v
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| n > 0)
-                            .ok_or_else(|| "bad --mem-budget".to_string())?;
-                        SpillConfig::budgeted(dir, bytes)
-                    }
-                    None => SpillConfig::in_memory(dir),
-                };
-                let (model, report, spilled) = measure_profile_clustered_compressed(
-                    &machine, &mapping, p, noise, &sweep_cfg, &spill,
-                )
-                .map_err(|e| format!("compressed sweep failed: {e}"))?;
-                println!(
-                    "scatter: {} classes over {} kinds of rank in {} B ({} of {} tiles spilled, {} B to disk)",
-                    model.classes(),
-                    model.class_map().kinds(),
-                    model.heap_bytes(),
-                    spilled.spilled_tiles,
-                    spilled.tiles,
-                    spilled.spill_bytes
-                );
-                let profile = CompactProfile {
-                    machine: machine.clone(),
-                    mapping,
-                    p,
-                    model,
-                };
-                (StoredProfile::Compact(profile), report)
-            } else if let Some(list) = flags.get("workers") {
-                let addrs: Vec<String> = list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
-                    .collect();
-                if addrs.is_empty() {
-                    return Err("--workers needs at least one HOST:PORT".to_string());
-                }
-                let mut fleet = FleetExecutor::for_sweep(
-                    addrs.clone(),
-                    machine.clone(),
-                    noise,
-                    sweep_cfg.profiling.clone(),
-                    FleetOptions::default(),
-                );
-                let (profile, report) = measure_profile_decomposed(
-                    &machine, &mapping, p, noise, &sweep_cfg, &mut fleet,
-                )
-                .map_err(|e| format!("distributed sweep failed: {e}"))?;
-                if flags.contains_key("stop-workers") {
-                    for a in &addrs {
-                        if let Err(e) = shutdown_worker(a.as_str()) {
-                            eprintln!("warning: cannot stop worker {a}: {e}");
-                        }
-                    }
-                }
-                (StoredProfile::Dense(profile), report)
-            } else {
-                let (profile, report) =
-                    measure_profile_clustered(&machine, &mapping, p, noise, &sweep_cfg);
-                (StoredProfile::Dense(profile), report)
-            };
-            summary = format!(
-                "{} classes, {} measurements, {:.0}x fewer than exhaustive",
-                report.pair_classes + report.diag_classes,
-                report.measurements,
-                report.reduction_factor(p)
-            );
-            profile
-        } else {
-            StoredProfile::Dense(measure_profile(&machine, &mapping, p, noise, &cfg))
-        }
+        let (profile, report) = sweep_profile(flags, &machine, &mapping, p)?;
+        let summary = format!(
+            "{} classes, {} measurements, {:.0}x fewer than exhaustive",
+            report.pair_classes + report.diag_classes,
+            report.measurements,
+            report.reduction_factor(p)
+        );
+        (profile, summary)
     };
     profile
         .save(Path::new(out))
@@ -427,6 +330,99 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         p, machine.name
     );
     Ok(())
+}
+
+/// The measured profile, from three independent choices: the sweep (the
+/// exhaustive `SweepConfig::exact` unless `--clustered`), the executor
+/// (local threads, or the `--workers` fleet) and the scatter (dense
+/// matrices, or the `--compressed` model).
+fn sweep_profile(
+    flags: &Flags,
+    machine: &MachineSpec,
+    mapping: &RankMapping,
+    p: usize,
+) -> Result<(StoredProfile, SweepReport), String> {
+    let seed: u64 = flags
+        .get("seed")
+        .map(|v| v.parse().map_err(|_| "bad --seed".to_string()))
+        .transpose()?
+        .unwrap_or(1);
+    let noise = NoiseModel::realistic(seed);
+    let profiling = if flags.contains_key("fast") {
+        ProfilingConfig::fast()
+    } else {
+        ProfilingConfig::default()
+    };
+    let mut sweep_cfg = if flags.contains_key("clustered") {
+        SweepConfig {
+            profiling,
+            ..SweepConfig::default()
+        }
+    } else {
+        SweepConfig::exact(profiling)
+    };
+    if let Some(v) = flags.get("probes") {
+        sweep_cfg.probes_per_class = v.parse().map_err(|_| "bad --probes".to_string())?;
+    }
+
+    let addrs: Vec<String> = (flags.get("workers").into_iter())
+        .flat_map(|list| list.split(','))
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(String::from)
+        .collect();
+    if flags.contains_key("workers") && addrs.is_empty() {
+        return Err("--workers needs at least one HOST:PORT".to_string());
+    }
+    let schedule = sweep_cfg.profiling.clone();
+    let mut executor: Box<dyn DescriptorExecutor> = if addrs.is_empty() {
+        Box::new(LocalExecutor::new(machine.clone(), noise, schedule))
+    } else {
+        let opts = FleetOptions::default();
+        let fleet = FleetExecutor::for_sweep(addrs.clone(), machine.clone(), noise, schedule, opts);
+        Box::new(fleet)
+    };
+
+    let measured = if flags.contains_key("compressed") {
+        let dir = std::env::temp_dir().join(format!("hbar-profile-spill-{}", std::process::id()));
+        let spill = match flags.get("mem-budget") {
+            Some(v) => {
+                let bytes: usize = v
+                    .parse()
+                    .ok()
+                    .filter(|&n: &usize| n > 0)
+                    .ok_or_else(|| "bad --mem-budget".to_string())?;
+                SpillConfig::budgeted(dir, bytes)
+            }
+            None => SpillConfig::in_memory(dir),
+        };
+        measure_profile_compressed(machine, mapping, p, noise, &sweep_cfg, &spill, &mut *executor)
+            .map(|(model, report, spilled)| {
+                println!(
+                    "scatter: {} classes over {} kinds of rank in {} B ({} of {} tiles spilled, {} B to disk)",
+                    model.classes(),
+                    model.class_map().kinds(),
+                    model.heap_bytes(),
+                    spilled.spilled_tiles,
+                    spilled.tiles,
+                    spilled.spill_bytes
+                );
+                let (machine, mapping) = (machine.clone(), mapping.clone());
+                let compact = CompactProfile { machine, mapping, p, model };
+                (StoredProfile::Compact(compact), report)
+            })
+    } else {
+        measure_profile_decomposed(machine, mapping, p, noise, &sweep_cfg, &mut *executor)
+            .map(|(profile, report)| (StoredProfile::Dense(profile), report))
+    };
+    if flags.contains_key("stop-workers") {
+        for a in &addrs {
+            if let Err(e) = shutdown_worker(a.as_str()) {
+                eprintln!("warning: cannot stop worker {a}: {e}");
+            }
+        }
+    }
+    measured.map_err(|e| format!("profiling sweep failed: {e}"))
 }
 
 fn cmd_profile_worker(flags: &Flags) -> Result<(), String> {
@@ -716,7 +712,7 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
     }
     // Seed with the greedy hybrid so the search can only improve on it.
     let members: Vec<usize> = (0..profile.p).collect();
-    let greedy = tune_hybrid_for(&profile, &members, &TunerConfig::default());
+    let greedy = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
     let result = search_optimal_barrier(&profile.cost, &cfg, Some(&greedy.schedule));
     let json = serde_json::to_string_pretty(&result.schedule).expect("schedule serializes");
     std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;

@@ -29,7 +29,8 @@
 //! let profile = TopologyProfile::from_ground_truth(&machine, &RankMapping::RoundRobin);
 //!
 //! // Tune a hybrid barrier for all 8 ranks and check it synchronizes.
-//! let tuned = tune_hybrid(&profile, &TunerConfig::default());
+//! let members: Vec<usize> = (0..profile.p).collect();
+//! let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
 //! assert!(tuned.schedule.is_barrier());
 //! ```
 
@@ -46,7 +47,7 @@ pub mod prelude {
     pub use hbar_analyze::{analyze_schedule, AnalysisReport, AnalyzeConfig};
     pub use hbar_core::algorithms::{Algorithm, RankSet};
     pub use hbar_core::codegen::{compile_schedule, CodegenError, RankProgram};
-    pub use hbar_core::compose::{tune_hybrid, TunedBarrier, TunerConfig};
+    pub use hbar_core::compose::{tune_hybrid_costs, TunedBarrier, TunerConfig};
     pub use hbar_core::cost::{predict_barrier_cost, CostParams};
     pub use hbar_core::schedule::BarrierSchedule;
     pub use hbar_matrix::{BoolMatrix, DenseMatrix, SparseBoolMatrix};

@@ -2,6 +2,8 @@
 //! profile → tune → verify → predict → simulate → codegen workflow, as a
 //! downstream user would drive it.
 
+use hbarrier::topo::machine::MachineSpec;
+use hbarrier::topo::mapping::RankMapping;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -126,6 +128,50 @@ fn measured_profile_via_cli_fast_mode() {
     let prof = hbarrier::topo::profile::TopologyProfile::load(&profile).unwrap();
     assert_eq!(prof.p, 4);
     assert!(prof.cost.o[(0, 1)] > 0.0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The exhaustive §IV-A sweep is the default: `hbar profile` writes the
+/// bytes of the in-process exact sweep's profile, and reports the sweep
+/// as it reports a clustered one.
+#[test]
+fn default_profile_is_the_exact_sweep() {
+    use hbarrier::simnet::profiling::ProfilingConfig;
+    use hbarrier::simnet::{measure_profile_decomposed, LocalExecutor, NoiseModel, SweepConfig};
+    let dir = workdir("exact");
+    let profile = dir.join("prof.json");
+    let o = hbar(&[
+        "profile",
+        "--machine",
+        "1x2x4",
+        "--fast",
+        "--seed",
+        "3",
+        "--out",
+        profile.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    // 28 pairs and 8 diagonals, each its own class, each measured once.
+    let summary = "(36 classes, 36 measurements, 1x fewer than exhaustive)";
+    assert!(stdout(&o).contains(summary), "{}", stdout(&o));
+    let (machine, noise, fast) = (
+        MachineSpec::new(1, 2, 4),
+        NoiseModel::realistic(3),
+        ProfilingConfig::fast(),
+    );
+    let (expected, _) = measure_profile_decomposed(
+        &machine,
+        &RankMapping::RoundRobin,
+        8,
+        noise,
+        &SweepConfig::exact(fast.clone()),
+        &mut LocalExecutor::new(machine.clone(), noise, fast),
+    )
+    .unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&profile).unwrap(),
+        expected.to_json()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -305,10 +351,11 @@ fn compact_profile_tunes_like_the_dense_one() {
         "--fast",
         "--seed",
         "5",
+        "--clustered",
     ];
     // The same sweep, scattered into matrices and into a compressed model
     // whose every tile went through the spill directory.
-    let o = hbar(&[&sweep[..], &["--clustered", "--out", &dense]].concat());
+    let o = hbar(&[&sweep[..], &["--out", &dense]].concat());
     assert!(o.status.success(), "{}", stderr(&o));
     let o = hbar(
         &[

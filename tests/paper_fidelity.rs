@@ -6,7 +6,7 @@
 //! These tests pin our implementation to those artifacts.
 
 use hbarrier::core::algorithms::Algorithm;
-use hbarrier::core::compose::{tune_hybrid, TunerConfig};
+use hbarrier::core::compose::{tune_hybrid_costs, TunerConfig};
 use hbarrier::core::verify;
 use hbarrier::matrix::BoolMatrix;
 use hbarrier::prelude::*;
@@ -121,7 +121,8 @@ fn section7_clustering_matches_paper() {
 fn section7_root_dissemination_rule() {
     let machine = MachineSpec::dual_quad_cluster(8);
     let prof = TopologyProfile::from_ground_truth(&machine, &RankMapping::RoundRobin);
-    let tuned = tune_hybrid(&prof, &TunerConfig::default());
+    let members: Vec<usize> = (0..prof.p).collect();
+    let tuned = tune_hybrid_costs(&prof.cost, &members, &TunerConfig::default());
     assert_eq!(tuned.root_algorithm(), Some(Algorithm::Dissemination));
     // No departure stages transpose the root dissemination: the final
     // schedule has fewer than 2x the arrival stage count.
@@ -140,10 +141,10 @@ fn section7_root_dissemination_rule() {
 /// candidates, and the ×1 rule makes dissemination beat the tree there.
 #[test]
 fn section7_root_choice_is_greedy_optimal_on_cluster_b() {
-    use hbarrier::core::cost::predict_arrival_cost;
     let machine = MachineSpec::dual_hex_cluster(10);
     let prof = TopologyProfile::from_ground_truth(&machine, &RankMapping::RoundRobin);
-    let tuned = tune_hybrid(&prof, &TunerConfig::default());
+    let members: Vec<usize> = (0..prof.p).collect();
+    let tuned = tune_hybrid_costs(&prof.cost, &members, &TunerConfig::default());
     let root = tuned
         .choices
         .iter()
@@ -152,7 +153,8 @@ fn section7_root_choice_is_greedy_optimal_on_cluster_b() {
     let params = hbarrier::core::cost::CostParams::default();
     let score_of = |alg: Algorithm| {
         let arrival = alg.arrival_embedded(prof.p, &root.participants);
-        let base = predict_arrival_cost(prof.p, &arrival, &prof.cost, &params);
+        let sched = BarrierSchedule::from_arrival_matrices(prof.p, arrival);
+        let base = predict_barrier_cost(&sched, &prof.cost, &params, None).barrier_cost;
         if alg.needs_departure() {
             base * 2.0
         } else {
@@ -176,7 +178,8 @@ fn section7_root_choice_is_greedy_optimal_on_cluster_b() {
 fn figure10_round_robin_member_sets() {
     let machine = MachineSpec::dual_quad_cluster(3);
     let prof = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, 22);
-    let tuned = tune_hybrid(&prof, &TunerConfig::default());
+    let members: Vec<usize> = (0..22).collect();
+    let tuned = tune_hybrid_costs(&prof.cost, &members, &TunerConfig::default());
     assert_eq!(tuned.tree.children.len(), 3);
     let node2: Vec<usize> = tuned.tree.children[2].members.clone();
     assert_eq!(node2, vec![2, 5, 8, 11, 14, 17, 20]);

@@ -9,8 +9,8 @@ use hbarrier::core::cost::{predict_barrier_cost, CostParams};
 use hbarrier::core::verify;
 use hbarrier::prelude::*;
 use hbarrier::simnet::barrier::{measure_schedule, staggered_delay_check};
-use hbarrier::simnet::profiling::{measure_profile, ProfilingConfig};
-use hbarrier::simnet::NoiseModel;
+use hbarrier::simnet::profiling::ProfilingConfig;
+use hbarrier::simnet::{measure_profile_decomposed, LocalExecutor, NoiseModel, SweepConfig};
 use hbarrier::threadrun::harness;
 
 /// The complete workflow of Fig. 1 on a 2-node machine, with a *measured*
@@ -21,18 +21,22 @@ fn measured_profile_to_tuned_barrier_end_to_end() {
     let mapping = RankMapping::RoundRobin;
     let p = 12;
 
-    // Part 1 of the method: collect the topology map.
-    let profile = measure_profile(
+    // Part 1 of the method: collect the topology map, every pair measured.
+    let (noise, fast) = (NoiseModel::realistic(41), ProfilingConfig::fast());
+    let (profile, _) = measure_profile_decomposed(
         &machine,
         &mapping,
         p,
-        NoiseModel::realistic(41),
-        &ProfilingConfig::fast(),
-    );
+        noise,
+        &SweepConfig::exact(fast.clone()),
+        &mut LocalExecutor::new(machine.clone(), noise, fast),
+    )
+    .expect("local execution is infallible");
     assert_eq!(profile.p, p);
 
     // Part 2: tune, verify, predict.
-    let tuned = tune_hybrid(&profile, &TunerConfig::default());
+    let members: Vec<usize> = (0..p).collect();
+    let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
     assert!(verify::is_barrier(&tuned.schedule));
     assert!(tuned.predicted_cost > 0.0);
 
@@ -56,7 +60,6 @@ fn measured_profile_to_tuned_barrier_end_to_end() {
     );
 
     // The tuned barrier must also beat (or match) the neutral tree here.
-    let members: Vec<usize> = (0..p).collect();
     let neutral = Algorithm::Tree.full_schedule(p, &members);
     let neutral_time = measure_schedule(&mut world, &neutral, 10);
     assert!(
@@ -71,7 +74,8 @@ fn measured_profile_to_tuned_barrier_end_to_end() {
 fn both_backends_agree_on_synchronization() {
     let machine = MachineSpec::dual_quad_cluster(1);
     let profile = TopologyProfile::from_ground_truth(&machine, &RankMapping::Block);
-    let tuned = tune_hybrid(&profile, &TunerConfig::default());
+    let members: Vec<usize> = (0..profile.p).collect();
+    let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
 
     // Simulator backend.
     let mut world = SimWorld::new(SimConfig::exact(machine, RankMapping::Block), profile.p);
@@ -125,8 +129,9 @@ fn stored_profile_reproduces_tuning() {
     let path = dir.join("profile.json");
     profile.save(&path).unwrap();
     let reloaded = TopologyProfile::load(&path).unwrap();
-    let a = tune_hybrid(&profile, &TunerConfig::default());
-    let b = tune_hybrid(&reloaded, &TunerConfig::default());
+    let members: Vec<usize> = (0..profile.p).collect();
+    let a = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
+    let b = tune_hybrid_costs(&reloaded.cost, &members, &TunerConfig::default());
     assert_eq!(a.schedule, b.schedule);
     assert_eq!(a.predicted_cost, b.predicted_cost);
     std::fs::remove_file(&path).ok();
@@ -138,7 +143,8 @@ fn stored_profile_reproduces_tuning() {
 fn compiled_programs_conserve_signals() {
     let machine = MachineSpec::dual_quad_cluster(3);
     let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, 22);
-    let tuned = tune_hybrid(&profile, &TunerConfig::default());
+    let members: Vec<usize> = (0..22).collect();
+    let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
     let programs = compile_schedule(&tuned.schedule).expect("tuned schedule compiles");
     let sends: usize = programs.iter().map(|p| p.send_count()).sum();
     let recvs: usize = programs.iter().map(|p| p.recv_count()).sum();

@@ -207,7 +207,8 @@ proptest! {
             }
         }
         profile.cost.symmetrize();
-        let tuned = tune_hybrid(&profile, &TunerConfig::default());
+        let members: Vec<usize> = (0..p).collect();
+        let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
         prop_assert!(verify::is_barrier(&tuned.schedule));
         prop_assert!(tuned.predicted_cost > 0.0);
         // Compiled programs conserve signals.

@@ -3,42 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hbar_core::algorithms::Algorithm;
-use hbar_core::cost::{predict_barrier_cost, CostEvaluator, CostParams};
+use hbar_core::cost::{CostEvaluator, CostParams};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
 use std::hint::black_box;
 
-fn bench_predict(c: &mut Criterion) {
-    let mut group = c.benchmark_group("predict");
-    group.sample_size(20);
-    for (label, machine, p) in [
-        ("clusterA-64", MachineSpec::dual_quad_cluster(8), 64usize),
-        ("clusterB-120", MachineSpec::dual_hex_cluster(10), 120),
-    ] {
-        let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
-        let members: Vec<usize> = (0..p).collect();
-        let params = CostParams::default();
-        for alg in Algorithm::PAPER_SET {
-            let sched = alg.full_schedule(p, &members);
-            group.bench_with_input(BenchmarkId::new(label, alg.tag()), &sched, |b, sched| {
-                b.iter(|| {
-                    black_box(predict_barrier_cost(
-                        black_box(sched),
-                        &profile.cost,
-                        &params,
-                        None,
-                    ))
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-/// The zero-allocation evaluator against the reference predictor on the
-/// same schedules: the steady-state cost of one prediction once the
-/// scratch arenas and the compiled-stage cache are warm.
+/// The steady-state cost of one prediction once the evaluator's scratch
+/// arenas are warm.
 fn bench_predict_evaluator(c: &mut Criterion) {
     let mut group = c.benchmark_group("predict_evaluator");
     group.sample_size(20);
@@ -48,8 +20,7 @@ fn bench_predict_evaluator(c: &mut Criterion) {
     ] {
         let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
         let members: Vec<usize> = (0..p).collect();
-        let params = CostParams::default();
-        let mut eval = CostEvaluator::new(params);
+        let mut eval = CostEvaluator::new(CostParams::default());
         for alg in Algorithm::PAPER_SET {
             let sched = alg.full_schedule(p, &members);
             group.bench_with_input(BenchmarkId::new(label, alg.tag()), &sched, |b, sched| {
@@ -60,5 +31,5 @@ fn bench_predict_evaluator(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_predict, bench_predict_evaluator);
+criterion_group!(benches, bench_predict_evaluator);
 criterion_main!(benches);

@@ -12,6 +12,7 @@
 use crate::context::ExperimentContext;
 use hbar_core::algorithms::Algorithm;
 use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
+use hbar_core::cost::{CostEvaluator, CostParams};
 
 /// One ablation row.
 #[derive(Clone, Debug)]
@@ -67,10 +68,11 @@ pub fn run_ablation(ctx: &mut ExperimentContext, p: usize) -> Vec<AblationRow> {
     let neutral = Algorithm::Tree.full_schedule(p, &members);
     rows.push(AblationRow {
         label: "neutral tree (untuned)".into(),
-        predicted: {
-            use hbar_core::cost::{predict_barrier_cost, CostParams};
-            predict_barrier_cost(&neutral, &profile.cost, &CostParams::default(), None).barrier_cost
-        },
+        predicted: CostEvaluator::new(CostParams::default()).barrier_cost(
+            &neutral,
+            &profile.cost,
+            None,
+        ),
         measured: ctx.measure_barrier(&neutral, p),
         stages: neutral.len(),
         signals: neutral.total_signals(),

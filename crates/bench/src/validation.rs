@@ -4,7 +4,7 @@
 use crate::context::ExperimentContext;
 use crate::data::{Series, SeriesGroup};
 use hbar_core::algorithms::Algorithm;
-use hbar_core::cost::{predict_barrier_cost, CostParams};
+use hbar_core::cost::{CostEvaluator, CostParams};
 
 /// The data behind one validation figure (Fig. 5 or Fig. 6): a predicted
 /// panel and a measured panel, each holding the three algorithm curves.
@@ -43,7 +43,7 @@ pub fn run_validation(
     sweep: &[usize],
     title: &str,
 ) -> ValidationFigure {
-    let params = CostParams::default();
+    let mut eval = CostEvaluator::new(CostParams::default());
     let mut predicted = SeriesGroup::new(format!("{title} — predicted"));
     let mut measured = SeriesGroup::new(format!("{title} — measured"));
     for alg in Algorithm::PAPER_SET {
@@ -55,7 +55,7 @@ pub fn run_validation(
         let members: Vec<usize> = (0..p).collect();
         for (idx, alg) in Algorithm::PAPER_SET.iter().enumerate() {
             let schedule = alg.full_schedule(p, &members);
-            let pred = predict_barrier_cost(&schedule, &profile.cost, &params, None).barrier_cost;
+            let pred = eval.barrier_cost(&schedule, &profile.cost, None);
             let meas = ctx.measure_barrier(&schedule, p);
             predicted.series[idx].push(p as f64, pred);
             measured.series[idx].push(p as f64, meas);

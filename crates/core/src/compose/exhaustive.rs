@@ -34,7 +34,7 @@
 //! * stages are enumerated per rank as "send to j or stay idle",
 //!   deduplicated by canonical form.
 
-use crate::cost::CostParams;
+use crate::cost::{CostEvaluator, CostParams};
 use crate::schedule::BarrierSchedule;
 use hbar_matrix::{BoolMatrix, SparseBoolMatrix};
 use hbar_topo::cost::{CostMatrices, SendMode};
@@ -44,34 +44,24 @@ use std::collections::HashMap;
 /// Limits for the exhaustive search.
 #[derive(Clone, Debug)]
 pub struct SearchConfig {
-    /// Hard cap on schedule length (stages). The greedy seed usually
-    /// tightens this immediately.
+    /// Hard cap on schedule length (stages): neither the result nor the
+    /// incumbent bounding the search is ever longer. The greedy seed
+    /// usually tightens the search well below it.
     pub max_stages: usize,
-    /// Cost-model options (must match the greedy's for fair comparison).
-    pub cost_params: CostParams,
     /// Upper bound on total states expanded. The budget is checkpointed
-    /// at wave boundaries (see `parallel`): every branch in a wave may
-    /// spend up to the budget remaining when its wave began, so the
-    /// total can overshoot by at most a factor of the fixed wave width —
-    /// but the accounting is deterministic and thread-independent.
+    /// at wave boundaries (see [`search_optimal_barrier`]): every branch
+    /// in a wave may spend up to the budget remaining when its wave
+    /// began, so the total can overshoot by at most a factor of the fixed
+    /// wave width — but the accounting is deterministic and
+    /// thread-independent.
     pub max_expansions: usize,
-    /// Search the first-stage branches on worker threads. Branches are
-    /// processed in fixed-width waves; each branch starts from the
-    /// incumbent bound and budget recorded at its wave boundary and owns
-    /// its dominance table, so outcomes are pure functions of the wave
-    /// inputs. Waves are reduced in branch order with strict-`<`
-    /// improvement, so the winning schedule is bit-identical to a
-    /// sequential run.
-    pub parallel: bool,
 }
 
 impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig {
             max_stages: 6,
-            cost_params: CostParams::default(),
             max_expansions: 2_000_000,
-            parallel: true,
         }
     }
 }
@@ -81,7 +71,8 @@ impl Default for SearchConfig {
 pub struct SearchResult {
     /// The best barrier found (verified).
     pub schedule: BarrierSchedule,
-    /// Its predicted cost.
+    /// Its predicted cost: exactly what [`CostEvaluator::barrier_cost`]
+    /// says of `schedule`.
     pub cost: f64,
     /// States expanded during the search.
     pub expansions: usize,
@@ -91,10 +82,20 @@ pub struct SearchResult {
 }
 
 /// Searches for a minimum-predicted-cost barrier over all ranks of
-/// `cost`, within the one-signal-per-rank-per-stage space.
+/// `cost`, within the one-signal-per-rank-per-stage space and at most
+/// `cfg.max_stages` stages. `None` when no barrier fits the cap: below
+/// ⌈log₂ P⌉ stages no one-signal-per-rank barrier exists, and a seed
+/// longer than the cap is not a candidate.
 ///
 /// `seed` optionally provides an initial incumbent (e.g. the greedy
 /// hybrid); its cost prunes the search from the start.
+///
+/// The first-stage branches run on rayon's worker threads in
+/// fixed-width waves. Each branch starts from the incumbent bound and
+/// budget recorded at its wave boundary and owns its dominance table, so
+/// outcomes are pure functions of the wave inputs; waves are reduced in
+/// branch order with strict-`<` improvement, so the result is
+/// bit-identical at any thread count.
 ///
 /// # Panics
 /// Panics if `cost` covers fewer than 2 ranks.
@@ -102,34 +103,34 @@ pub fn search_optimal_barrier(
     cost: &CostMatrices,
     cfg: &SearchConfig,
     seed: Option<&BarrierSchedule>,
-) -> SearchResult {
+) -> Option<SearchResult> {
     let p = cost.p();
     assert!(p >= 2, "need at least two ranks, got {p}");
 
+    let mut eval = CostEvaluator::new(CostParams::default());
     let mut best_cost = f64::INFINITY;
     let mut best_schedule: Option<BarrierSchedule> = None;
-    if let Some(s) = seed {
-        assert_eq!(s.n(), p, "seed schedule rank count mismatch");
-        let pred = crate::cost::predict_barrier_cost(s, cost, &cfg.cost_params, None);
-        best_cost = pred.barrier_cost;
-        best_schedule = Some(s.clone());
-    }
     // Internal incumbent: the dissemination pattern lies inside the
     // restricted space (arrival stages, one signal per rank per stage),
     // so its cost is a sound upper bound that gives every branch strong
-    // pruning even without a caller seed. Skipped when it would break
-    // the stage cap.
+    // pruning even without a caller seed. Incumbents longer than the
+    // stage cap are skipped.
     let members: Vec<usize> = (0..p).collect();
     let diss = BarrierSchedule::from_arrival_matrices(
         p,
         crate::algorithms::Algorithm::Dissemination.arrival_embedded(p, &members),
     );
-    if diss.len() <= cfg.max_stages {
-        let diss_cost =
-            crate::cost::predict_barrier_cost(&diss, cost, &cfg.cost_params, None).barrier_cost;
-        if diss_cost < best_cost {
-            best_cost = diss_cost;
-            best_schedule = Some(diss);
+    if let Some(s) = seed {
+        assert_eq!(s.n(), p, "seed schedule rank count mismatch");
+    }
+    for incumbent in seed.into_iter().chain([&diss]) {
+        if incumbent.len() > cfg.max_stages {
+            continue;
+        }
+        let c = eval.barrier_cost(incumbent, cost, None);
+        if c < best_cost {
+            best_cost = c;
+            best_schedule = Some(incumbent.clone());
         }
     }
 
@@ -137,7 +138,6 @@ pub fn search_optimal_barrier(
     let ready0 = vec![0.0; p];
     let mut expansions = 0usize;
     let mut truncated = false;
-    let mut found: Option<(f64, Vec<SparseBoolMatrix>)> = None;
 
     if cfg.max_stages > 0 {
         // Partition the space by first stage and process the branches in
@@ -162,60 +162,50 @@ pub fn search_optimal_barrier(
             start += wave.len();
             let bound = best_cost;
             let budget = cfg.max_expansions - expansions;
-            let run_branch = |stage: &SparseBoolMatrix| {
-                let mut searcher = Searcher {
-                    p,
-                    cost,
-                    cfg,
-                    budget,
-                    best_cost: bound,
-                    best_stages: Vec::new(),
-                    best_from_search: false,
-                    expansions: 0,
-                    dominance: HashMap::new(),
-                    truncated: false,
-                };
-                searcher.try_stage(&k0, &ready0, &mut Vec::new(), stage.clone());
-                BranchOutcome {
-                    cost: searcher.best_cost,
-                    stages: searcher.best_stages,
-                    found: searcher.best_from_search,
-                    expansions: searcher.expansions,
-                    truncated: searcher.truncated,
-                }
-            };
-            let outcomes: Vec<BranchOutcome> = if cfg.parallel && wave.len() > 1 {
-                wave.par_iter().map(run_branch).collect()
-            } else {
-                wave.iter().map(run_branch).collect()
-            };
+            let outcomes: Vec<BranchOutcome> = (wave.par_iter())
+                .map(|stage| {
+                    let mut searcher = Searcher {
+                        p,
+                        cost,
+                        cfg,
+                        eval: CostEvaluator::new(CostParams::default()),
+                        budget,
+                        best_cost: bound,
+                        best_stages: Vec::new(),
+                        best_from_search: false,
+                        expansions: 0,
+                        dominance: HashMap::new(),
+                        truncated: false,
+                    };
+                    searcher.try_stage(&k0, &ready0, &mut Vec::new(), stage.clone());
+                    BranchOutcome {
+                        cost: searcher.best_cost,
+                        stages: searcher.best_stages,
+                        found: searcher.best_from_search,
+                        expansions: searcher.expansions,
+                        truncated: searcher.truncated,
+                    }
+                })
+                .collect();
             for o in outcomes {
                 expansions = expansions.saturating_add(o.expansions);
                 truncated |= o.truncated;
                 if o.found && o.cost < best_cost {
                     best_cost = o.cost;
-                    found = Some((o.cost, o.stages));
+                    best_schedule = Some(BarrierSchedule::from_arrival_matrices(p, o.stages));
                 }
             }
         }
     }
 
-    let (schedule, cost_value) = if let Some((found_cost, stages)) = found {
-        (
-            BarrierSchedule::from_arrival_matrices(p, stages),
-            found_cost,
-        )
-    } else {
-        let sched = best_schedule.expect("either a seed or a found solution must exist");
-        (sched, best_cost)
-    };
+    let schedule = best_schedule?;
     debug_assert!(schedule.is_barrier(), "search produced a non-barrier");
-    SearchResult {
+    Some(SearchResult {
         schedule,
-        cost: cost_value,
+        cost: best_cost,
         expansions,
         complete: !truncated,
-    }
+    })
 }
 
 /// Outcome of searching one first-stage branch.
@@ -278,6 +268,8 @@ struct Searcher<'a> {
     p: usize,
     cost: &'a CostMatrices,
     cfg: &'a SearchConfig,
+    /// Prices each candidate stage (its scratch is all that is used).
+    eval: CostEvaluator,
     /// Expansion budget for this branch: the global budget remaining at
     /// the wave boundary this branch was launched from.
     budget: usize,
@@ -356,30 +348,17 @@ impl Searcher<'_> {
         stages: &mut Vec<SparseBoolMatrix>,
         stage: SparseBoolMatrix,
     ) {
-        // Apply the cost recurrence for this single stage, in which every
-        // sender has exactly one target.
-        let mut next_ready = ready.to_vec();
-        let mut inbound: Vec<Vec<(f64, usize)>> = vec![Vec::new(); self.p];
-        for (i, j) in stage.edges() {
-            next_ready[i] = ready[i] + self.cost.send_set_cost(i, &[j], SendMode::General);
-            let at = ready[i] + self.cost.arrival_offset(i, &[j], 0, SendMode::General);
-            inbound[j].push((at, i));
-        }
-        for (j, mut msgs) in inbound.into_iter().enumerate() {
-            if msgs.is_empty() {
-                continue;
-            }
-            msgs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-            let mut t = f64::NEG_INFINITY;
-            for (at, src) in msgs {
-                t = if self.cfg.cost_params.receiver_processing {
-                    t.max(at) + self.cost.l[(src, j)]
-                } else {
-                    t.max(at)
-                };
-            }
-            next_ready[j] = next_ready[j].max(t);
-        }
+        // The model's own step: every sender has exactly one target and
+        // every stage is an Eq. 1 arrival stage.
+        let mut next_ready = Vec::with_capacity(self.p);
+        self.eval.step(
+            &stage,
+            SendMode::General,
+            self.cost,
+            |r| r,
+            ready,
+            &mut next_ready,
+        );
         // Bound.
         let frontier = next_ready.iter().copied().fold(0.0f64, f64::max);
         if frontier >= self.best_cost {
@@ -407,13 +386,16 @@ mod tests {
     use super::*;
     use crate::algorithms::Algorithm;
     use crate::compose::{tune_hybrid_costs, TunerConfig};
-    use crate::cost::predict_barrier_cost;
     use crate::schedule::Stage;
     use crate::verify;
     use hbar_matrix::DenseMatrix;
     use hbar_topo::machine::MachineSpec;
     use hbar_topo::mapping::RankMapping;
     use hbar_topo::profile::TopologyProfile;
+
+    fn barrier_cost(schedule: &BarrierSchedule, cost: &CostMatrices) -> f64 {
+        CostEvaluator::new(CostParams::default()).barrier_cost(schedule, cost, None)
+    }
 
     fn uniform(p: usize) -> CostMatrices {
         CostMatrices {
@@ -425,7 +407,7 @@ mod tests {
     #[test]
     fn two_ranks_optimum_is_single_exchange() {
         let cost = uniform(2);
-        let result = search_optimal_barrier(&cost, &SearchConfig::default(), None);
+        let result = search_optimal_barrier(&cost, &SearchConfig::default(), None).unwrap();
         assert!(result.complete);
         assert!(result.schedule.is_barrier());
         // One stage, both directions: the dissemination pattern.
@@ -443,9 +425,8 @@ mod tests {
         // and is not compared.
         for p in [3usize, 4] {
             let cost = uniform(p);
-            let result = search_optimal_barrier(&cost, &SearchConfig::default(), None);
+            let result = search_optimal_barrier(&cost, &SearchConfig::default(), None).unwrap();
             assert!(result.complete, "p={p}");
-            let params = CostParams::default();
             let members: Vec<usize> = (0..p).collect();
             for alg in [Algorithm::Dissemination, Algorithm::Tree] {
                 // Re-price every stage as a General-mode arrival stage.
@@ -457,7 +438,7 @@ mod tests {
                         .map(|s| s.matrix.clone())
                         .collect(),
                 );
-                let known = predict_barrier_cost(&general, &cost, &params, None).barrier_cost;
+                let known = barrier_cost(&general, &cost);
                 assert!(
                     result.cost <= known + 1e-12,
                     "p={p} {alg}: search {} > known {known}",
@@ -474,7 +455,8 @@ mod tests {
         let members: Vec<usize> = (0..4).collect();
         let greedy = tune_hybrid_costs(&prof.cost, &members, &TunerConfig::default());
         let result =
-            search_optimal_barrier(&prof.cost, &SearchConfig::default(), Some(&greedy.schedule));
+            search_optimal_barrier(&prof.cost, &SearchConfig::default(), Some(&greedy.schedule))
+                .unwrap();
         assert!(result.schedule.is_barrier());
         assert!(
             result.cost <= greedy.predicted_cost + 1e-15,
@@ -491,9 +473,86 @@ mod tests {
             max_stages: 3,
             ..SearchConfig::default()
         };
-        let result = search_optimal_barrier(&cost, &cfg, None);
+        let result = search_optimal_barrier(&cost, &cfg, None).unwrap();
         assert!(result.schedule.is_barrier());
         assert!(result.schedule.len() <= 3);
+    }
+
+    #[test]
+    fn no_barrier_within_the_cap_is_none() {
+        // Below ⌈log₂ P⌉ stages no one-signal-per-rank barrier exists, and
+        // the dissemination incumbent is over the cap too.
+        let prof =
+            TopologyProfile::from_ground_truth(&MachineSpec::new(1, 1, 3), &RankMapping::Block);
+        for max_stages in [0, 1] {
+            let cfg = SearchConfig {
+                max_stages,
+                ..SearchConfig::default()
+            };
+            assert!(search_optimal_barrier(&prof.cost, &cfg, None).is_none());
+        }
+        // A seed over the cap is no candidate either: the linear barrier
+        // takes 2 stages, the cap allows 1.
+        let seed = Algorithm::Linear.full_schedule(3, &[0, 1, 2]);
+        assert_eq!(seed.len(), 2);
+        let cfg = SearchConfig {
+            max_stages: 1,
+            ..SearchConfig::default()
+        };
+        assert!(search_optimal_barrier(&prof.cost, &cfg, Some(&seed)).is_none());
+    }
+
+    #[test]
+    fn seed_over_the_cap_neither_returns_nor_bounds() {
+        // P = 4 fits in 2 stages; a 4-stage seed (the linear barrier
+        // twice) may neither come back nor prune under a 2-stage cap.
+        let cost = uniform(4);
+        let members: Vec<usize> = (0..4).collect();
+        let mut seed = Algorithm::Linear.full_schedule(4, &members);
+        seed.append(seed.clone());
+        let cfg = SearchConfig {
+            max_stages: 2,
+            ..SearchConfig::default()
+        };
+        let seeded = search_optimal_barrier(&cost, &cfg, Some(&seed)).unwrap();
+        let unseeded = search_optimal_barrier(&cost, &cfg, None).unwrap();
+        assert!(seeded.schedule.len() <= 2);
+        assert_eq!(seeded.schedule, unseeded.schedule);
+        assert_eq!(seeded.cost.to_bits(), unseeded.cost.to_bits());
+        assert_eq!(seeded.expansions, unseeded.expansions);
+    }
+
+    #[test]
+    fn reported_cost_is_the_models_cost() {
+        // The search prices partial schedules stage by stage; the model
+        // prices the returned schedule whole. On random 4-rank profiles
+        // the two agree bit for bit — including where the search beat its
+        // dissemination incumbent, so the schedule is its own.
+        let cfg = SearchConfig {
+            max_stages: 3,
+            max_expansions: 2_000,
+        };
+        let members: Vec<usize> = (0..4).collect();
+        let diss = Algorithm::Dissemination.full_schedule(4, &members);
+        let mut improved = 0;
+        for seed in 0..8u64 {
+            let jitter = |i: usize, j: usize| {
+                let h = crate::clustering::splitmix64(seed * 64 + (i * 4 + j) as u64);
+                1.0 + (h >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let cost = CostMatrices {
+                o: DenseMatrix::from_fn(4, |i, j| if i == j { 0.1 } else { 10.0 * jitter(i, j) }),
+                l: DenseMatrix::from_fn(4, |i, j| if i == j { 0.0 } else { jitter(j, i) }),
+            };
+            let result = search_optimal_barrier(&cost, &cfg, None).unwrap();
+            assert_eq!(
+                result.cost.to_bits(),
+                barrier_cost(&result.schedule, &cost).to_bits(),
+                "seed {seed}"
+            );
+            improved += usize::from(result.cost < barrier_cost(&diss, &cost));
+        }
+        assert!(improved > 0, "every result was the incumbent");
     }
 
     #[test]
@@ -506,7 +565,7 @@ mod tests {
         // Seed so a valid incumbent exists even when truncated.
         let members: Vec<usize> = (0..5).collect();
         let seed = Algorithm::Dissemination.full_schedule(5, &members);
-        let result = search_optimal_barrier(&cost, &cfg, Some(&seed));
+        let result = search_optimal_barrier(&cost, &cfg, Some(&seed)).unwrap();
         assert!(!result.complete);
         assert!(result.schedule.is_barrier());
     }
@@ -542,7 +601,7 @@ mod tests {
                 }
             }),
         };
-        let result = search_optimal_barrier(&cost, &SearchConfig::default(), None);
+        let result = search_optimal_barrier(&cost, &SearchConfig::default(), None).unwrap();
         assert!(result.complete);
         assert!(result.schedule.is_barrier());
         // It must beat the textbook hierarchical structure...
@@ -560,8 +619,7 @@ mod tests {
             [(0, 1), (2, 3)],
         )));
         assert!(verify::is_barrier(&textbook));
-        let textbook_cost =
-            predict_barrier_cost(&textbook, &cost, &CostParams::default(), None).barrier_cost;
+        let textbook_cost = barrier_cost(&textbook, &cost);
         assert!(
             result.cost <= textbook_cost + 1e-12,
             "search {} > textbook {textbook_cost}",

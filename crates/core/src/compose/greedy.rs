@@ -15,8 +15,8 @@ pub struct TunerConfig {
     pub sparseness: f64,
     /// Candidate component algorithms (paper: linear, dissemination, tree).
     pub candidates: Vec<Algorithm>,
-    /// Cost-model options used for candidate selection and the final
-    /// prediction.
+    /// Field-less: the cost model has no options (see [`CostParams`]);
+    /// kept because the pipeline benchmark names it.
     pub cost_params: CostParams,
     /// Maximum cluster-tree depth.
     pub max_depth: usize,
@@ -70,8 +70,11 @@ pub struct LevelChoice {
     pub depth: usize,
     /// The greedily selected algorithm.
     pub algorithm: Algorithm,
-    /// The score it was selected on: arrival-phase critical path × 2
-    /// (× 1 for dissemination/butterfly at the root).
+    /// The score it was selected on. Under the paper's rule, the
+    /// arrival-phase critical path × 2 (× 1 for fully synchronizing
+    /// algorithms at the root); with [`TunerConfig::score_exact`], the
+    /// critical path of the full local schedule, departure included
+    /// unless skipped at the root.
     pub score: f64,
 }
 
@@ -126,12 +129,10 @@ pub fn tune_hybrid_costs<C: CostProvider + ?Sized>(
 /// [`tune_hybrid_costs`] with a caller-owned [`CostEvaluator`], so
 /// repeated tunes (e.g. the adaptive re-tuning loop) reuse its scratch
 /// buffers and — when the cost matrices are unchanged — its memoized
-/// per-cluster scores. The evaluator's [`CostParams`] must match
-/// `cfg.cost_params`; the memo would otherwise mix models.
+/// per-cluster scores.
 ///
 /// # Panics
-/// As [`tune_hybrid_costs`], plus if the evaluator's params differ from
-/// the configuration's.
+/// As [`tune_hybrid_costs`].
 pub fn tune_hybrid_costs_with<C: CostProvider + ?Sized>(
     cost: &C,
     members: &[usize],
@@ -161,11 +162,6 @@ pub fn tune_hybrid_costs_with<C: CostProvider + ?Sized>(
     assert!(
         !cfg.candidates.is_empty(),
         "need at least one candidate algorithm"
-    );
-    assert_eq!(
-        *eval.params(),
-        cfg.cost_params,
-        "evaluator and tuner disagree on cost-model params"
     );
     eval.rebind(cost);
     let tree = eval.cluster_tree(cost, members, cfg.sparseness, cfg.max_depth);
@@ -389,7 +385,6 @@ fn score_candidate<C: CostProvider + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::predict_barrier_cost;
     use crate::verify;
     use hbar_matrix::DenseMatrix;
     use hbar_topo::cost::CostMatrices;
@@ -400,6 +395,10 @@ mod tests {
 
     fn profile(machine: &MachineSpec, mapping: &RankMapping, p: usize) -> TopologyProfile {
         TopologyProfile::from_ground_truth_for(machine, mapping, p)
+    }
+
+    fn barrier_cost(schedule: &BarrierSchedule, cost: &CostMatrices) -> f64 {
+        CostEvaluator::new(CostParams::default()).barrier_cost(schedule, cost, None)
     }
 
     /// Tunes over every rank of `prof`.
@@ -437,8 +436,7 @@ mod tests {
         let tuned = tune_hybrid(&prof, &cfg);
         let members: Vec<usize> = (0..64).collect();
         let neutral = Algorithm::Tree.full_schedule(64, &members);
-        let neutral_cost =
-            predict_barrier_cost(&neutral, &prof.cost, &cfg.cost_params, None).barrier_cost;
+        let neutral_cost = barrier_cost(&neutral, &prof.cost);
         assert!(
             tuned.predicted_cost < neutral_cost,
             "hybrid {} !< neutral tree {}",
@@ -586,9 +584,9 @@ mod tests {
             }
         }
         let tuned_flipped = tune_hybrid(&flipped, &TunerConfig::default());
-        let a = predict_barrier_cost(&tuned.schedule, &prof.cost, &CostParams::default(), None);
-        let b = predict_barrier_cost(&tuned.schedule, &flipped.cost, &CostParams::default(), None);
-        assert_ne!(a.barrier_cost, b.barrier_cost, "asymmetry must matter");
+        let a = barrier_cost(&tuned.schedule, &prof.cost);
+        let b = barrier_cost(&tuned.schedule, &flipped.cost);
+        assert_ne!(a, b, "asymmetry must matter");
         assert!(verify::is_barrier(&tuned_flipped.schedule));
     }
 
@@ -638,7 +636,7 @@ mod tests {
         /// participant set — non-consecutive, singleton, root or not, under
         /// both scorers — pricing a candidate through the view is
         /// bit-equal to predicting the same candidate embedded over all `n`
-        /// ranks with the reference `predict_barrier_cost`. The costs are
+        /// ranks with `CostEvaluator::predict`. The costs are
         /// skewed per ordered pair, so a read through the wrong rank or the
         /// wrong orientation shows.
         #[test]
@@ -676,8 +674,9 @@ mod tests {
                         if score_exact && !skip {
                             sched.append(sched.departure_reversed(0));
                         }
-                        let embedded =
-                            predict_barrier_cost(&sched, &cost, &cfg.cost_params, None).barrier_cost;
+                        let embedded = CostEvaluator::new(cfg.cost_params)
+                            .predict(&sched, &cost, None)
+                            .barrier_cost;
                         let embedded = if !score_exact && !skip { embedded * 2.0 } else { embedded };
                         prop_assert_eq!(
                             view.to_bits(),

@@ -20,17 +20,22 @@
 //! * A receiver handles inbound signals serially, paying `L_{src,r}` per
 //!   message after its arrival (synchronized sends make the receiver an
 //!   active party to each signal; this is what lets the model reproduce
-//!   the master-rank bottleneck of the linear barrier). Disable with
-//!   [`CostParams::receiver_processing`] to see the pure-Eq.-1 model.
+//!   the master-rank bottleneck of the linear barrier).
 //! * `ready_r(s+1)` is the max of `ready_r(s)`, `r`'s send completion and
 //!   `r`'s receive completion; the barrier cost is the largest final
 //!   `ready` value.
+//!
+//! The recurrence has one implementation, [`CostEvaluator`]'s per-stage
+//! step: predictions, the greedy composer's candidate scores and the
+//! exhaustive search's partial schedules all run through it. The
+//! allocating Eq. 1 / Eq. 2 form it was derived from survives only in
+//! this module's tests, as the oracle the evaluator is held to.
 
 use crate::algorithms::Algorithm;
 use crate::clustering::{build_cluster_tree, ClusterNode};
 use crate::schedule::BarrierSchedule;
-use hbar_matrix::ClosureWorkspace;
-use hbar_topo::cost::{CostMatrices, CostProvider, SendMode};
+use hbar_matrix::{ClosureWorkspace, SparseBoolMatrix};
+use hbar_topo::cost::{CostProvider, SendMode};
 use std::collections::HashMap;
 
 // The dense fingerprint lives in `hbar-topo::cost`, beside the matrices it
@@ -38,20 +43,13 @@ use std::collections::HashMap;
 // were documented against this path.
 pub use hbar_topo::cost::{cost_fingerprint, COST_FINGERPRINT_VERSION};
 
-/// Options for the prediction model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostParams {
-    /// Model serial receive handling at `L_{src,dst}` per inbound message.
-    pub receiver_processing: bool,
-}
-
-impl Default for CostParams {
-    fn default() -> Self {
-        CostParams {
-            receiver_processing: true,
-        }
-    }
-}
+/// Options for the prediction model — there are none: the §VI model
+/// above is the only one, serial receive handling included. The type
+/// stays, field-less, only because the pipeline benchmark (`benchmark/`)
+/// names it (`TunerConfig::cost_params`, `CostParams::default()`);
+/// deleting it waits for a change to that benchmark.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct CostParams {}
 
 /// Full result of a prediction.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,81 +61,6 @@ pub struct Prediction {
     pub barrier_cost: f64,
     /// Per-stage completion time of the slowest rank, cumulative.
     pub stage_frontier: Vec<f64>,
-}
-
-/// Predicts the execution cost of `schedule` against measured costs.
-///
-/// `skews` optionally gives per-rank arrival times (seconds); `None`
-/// means simultaneous arrival at time 0.
-///
-/// # Panics
-/// Panics if the schedule and cost matrices disagree on rank count, or if
-/// `skews` has the wrong length.
-pub fn predict_barrier_cost(
-    schedule: &BarrierSchedule,
-    cost: &CostMatrices,
-    params: &CostParams,
-    skews: Option<&[f64]>,
-) -> Prediction {
-    let n = schedule.n();
-    assert_eq!(
-        cost.p(),
-        n,
-        "cost matrices cover {} ranks, schedule has {n}",
-        cost.p()
-    );
-    let mut ready: Vec<f64> = match skews {
-        Some(s) => {
-            assert_eq!(s.len(), n, "skew vector length mismatch");
-            s.to_vec()
-        }
-        None => vec![0.0; n],
-    };
-    let origin = ready.iter().copied().fold(f64::INFINITY, f64::min).min(0.0);
-    let mut stage_frontier = Vec::with_capacity(schedule.len());
-
-    for stage in schedule.stages() {
-        let mut send_done = ready.clone();
-        // (arrival_time, src) per receiver.
-        let mut inbound: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n];
-        for (i, targets) in stage.matrix.sends() {
-            let targets: Vec<usize> = targets.iter().map(|&j| j as usize).collect();
-            send_done[i] = ready[i] + cost.send_set_cost(i, &targets, stage.mode);
-            for (k, &j) in targets.iter().enumerate() {
-                let at = ready[i] + cost.arrival_offset(i, &targets, k, stage.mode);
-                inbound[j].push((at, i));
-            }
-        }
-        let mut next = send_done;
-        for (j, mut msgs) in inbound.into_iter().enumerate() {
-            if msgs.is_empty() {
-                continue;
-            }
-            msgs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-            let mut t = f64::NEG_INFINITY;
-            for (at, src) in msgs {
-                t = if params.receiver_processing {
-                    t.max(at) + cost.l[(src, j)]
-                } else {
-                    t.max(at)
-                };
-            }
-            next[j] = next[j].max(t);
-        }
-        // A rank never regresses in time.
-        for r in 0..n {
-            next[r] = next[r].max(ready[r]);
-        }
-        ready = next;
-        stage_frontier.push(ready.iter().copied().fold(f64::NEG_INFINITY, f64::max) - origin);
-    }
-
-    let latest = ready.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    Prediction {
-        barrier_cost: latest - origin,
-        rank_exit: ready,
-        stage_frontier,
-    }
 }
 
 /// FNV-1a hash of a member set (order-sensitive; the composer always
@@ -166,28 +89,27 @@ pub struct ScoreKey {
     pub exact: bool,
 }
 
-/// Reusable prediction engine: the same recurrence as
-/// [`predict_barrier_cost`], bit-for-bit, but with all per-call scratch
-/// (ready/next vectors, the per-receiver inbound arena and its
-/// counting-sort staging) owned by the evaluator, so repeated
-/// predictions over the same rank count perform zero heap allocation.
+/// The §VI prediction engine — the one implementation of the stage
+/// recurrence. All per-call scratch (ready/next vectors, the
+/// per-receiver inbound arena and its counting-sort staging) is owned by
+/// the evaluator, so repeated predictions over the same rank count
+/// perform zero heap allocation.
 ///
 /// It additionally memoizes per-cluster algorithm scores for the greedy
 /// composer ([`Self::cached_score`]/[`Self::store_score`]); the cache is
 /// keyed by [`ScoreKey`] and guarded by a fingerprint of the bound cost
 /// matrices — [`Self::rebind`] clears it whenever the matrices change.
 ///
-/// Numeric contract: every floating-point operation is performed with
-/// the same values in the same association order as the reference free
-/// function, so `barrier_cost`/`predict` are exactly equal (not merely
-/// close) to `predict_barrier_cost`. Receiver inbound messages are
-/// staged per receiver in ascending sender order and sorted by
-/// `(arrival, sender)` with an unstable sort; since each sender signals
-/// a receiver at most once per stage this reproduces the reference's
+/// Numeric contract: every prediction equals, bit for bit, the paper's
+/// allocating Eq. 1 / Eq. 2 form (per-sender send-set costs, per-target
+/// arrival offsets, a stable sort of each receiver's inbound signals by
+/// arrival), which this module's tests keep as the oracle. Receiver
+/// inbound messages are staged per receiver in ascending sender order
+/// and sorted by `(arrival, sender)` with an unstable sort; since each
+/// sender signals a receiver at most once per stage this reproduces the
 /// stable sort by arrival time alone.
 #[derive(Clone, Debug)]
 pub struct CostEvaluator {
-    params: CostParams,
     // Scratch, sized to the rank count on first use.
     ready: Vec<f64>,
     next: Vec<f64>,
@@ -222,9 +144,8 @@ struct TreeKey {
 
 impl CostEvaluator {
     /// A fresh evaluator; scratch grows on first prediction.
-    pub fn new(params: CostParams) -> Self {
+    pub fn new(_params: CostParams) -> Self {
         CostEvaluator {
-            params,
             ready: Vec::new(),
             next: Vec::new(),
             counts: Vec::new(),
@@ -249,11 +170,6 @@ impl CostEvaluator {
     /// scratch (see [`crate::verify::synchronizes_subset`]).
     pub fn synchronizes_subset(&mut self, schedule: &BarrierSchedule, members: &[usize]) -> bool {
         crate::verify::synchronizes_subset_with(schedule, members, &mut self.closure)
-    }
-
-    /// The model options this evaluator applies.
-    pub fn params(&self) -> &CostParams {
-        &self.params
     }
 
     /// Binds the score memo to `cost`: a no-op when its
@@ -376,108 +292,126 @@ impl CostEvaluator {
         mut frontier: Option<&mut Vec<f64>>,
     ) -> f64 {
         let n = schedule.n();
-        self.ready.clear();
+        // Taken out of `self` for the loop so `step` can borrow the rest.
+        let mut ready = std::mem::take(&mut self.ready);
+        let mut next = std::mem::take(&mut self.next);
+        ready.clear();
         match skews {
             Some(s) => {
                 assert_eq!(s.len(), n, "skew vector length mismatch");
-                self.ready.extend_from_slice(s);
+                ready.extend_from_slice(s);
             }
-            None => self.ready.resize(n, 0.0),
+            None => ready.resize(n, 0.0),
         }
-        let origin = self
-            .ready
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-            .min(0.0);
-
+        let origin = ready.iter().copied().fold(f64::INFINITY, f64::min).min(0.0);
         for stage in schedule.stages() {
-            // next starts as "no progress", i.e. a copy of ready.
-            self.next.clear();
-            self.next.extend_from_slice(&self.ready);
-            // Counting-sort staging: bucket inbound signals by receiver,
-            // preserving ascending sender order within each bucket.
-            self.counts.clear();
-            self.counts.resize(n, 0);
-            for (_, targets) in stage.matrix.sends() {
-                for &j in targets {
-                    self.counts[j as usize] += 1;
-                }
+            self.step(&stage.matrix, stage.mode, cost, &rank, &ready, &mut next);
+            std::mem::swap(&mut ready, &mut next);
+            if let Some(fr) = frontier.as_deref_mut() {
+                fr.push(ready.iter().copied().fold(f64::NEG_INFINITY, f64::max) - origin);
             }
-            self.starts.clear();
-            let mut acc = 0usize;
-            for &c in &self.counts {
-                self.starts.push(acc);
-                acc += c;
-            }
-            self.cursor.clear();
-            self.cursor.extend_from_slice(&self.starts);
-            self.entries.clear();
-            self.entries.resize(acc, (0.0, 0));
+        }
+        self.ready = ready;
+        self.next = next;
+        origin
+    }
 
-            for (i, targets) in stage.matrix.sends() {
-                let base = self.ready[i];
-                let ri = rank(i);
-                let oii = cost.o_at(ri, ri);
-                // Running prefix latency / startup max reproduce the
-                // reference's per-target `arrival_offset` exactly: both
-                // accumulate left to right over the same target order.
-                let mut lat = 0.0f64;
-                let mut run_max = f64::NEG_INFINITY;
-                for j in targets.iter().map(|&j| j as usize) {
-                    debug_assert_ne!(j, i, "rank {i} cannot signal itself");
-                    let rj = rank(j);
-                    lat += cost.l_at(ri, rj);
-                    run_max = run_max.max(cost.o_at(ri, rj));
-                    let startup = match stage.mode {
-                        SendMode::General => run_max,
-                        SendMode::ReceiversAwaiting => oii,
-                    };
-                    let slot = self.cursor[j];
-                    self.entries[slot] = (base + (startup + lat), i);
-                    self.cursor[j] = slot + 1;
-                }
-                let startup = match stage.mode {
+    /// One stage of the recurrence: `next` becomes the per-rank ready
+    /// times after `matrix`'s signals, sent under `mode`, from the ready
+    /// times `ready` before them. Schedule rank `r` reads `cost`'s rank
+    /// `rank(r)`. Every caller of the model — [`Self::predict`], the
+    /// composer's participant view and the exhaustive search's partial
+    /// schedules — prices a stage here and nowhere else.
+    #[inline]
+    pub(crate) fn step<C: CostProvider + ?Sized>(
+        &mut self,
+        matrix: &SparseBoolMatrix,
+        mode: SendMode,
+        cost: &C,
+        rank: impl Fn(usize) -> usize,
+        ready: &[f64],
+        next: &mut Vec<f64>,
+    ) {
+        let n = ready.len();
+        // next starts as "no progress", i.e. a copy of ready.
+        next.clear();
+        next.extend_from_slice(ready);
+        // Counting-sort staging: bucket inbound signals by receiver,
+        // preserving ascending sender order within each bucket.
+        self.counts.clear();
+        self.counts.resize(n, 0);
+        for (_, targets) in matrix.sends() {
+            for &j in targets {
+                self.counts[j as usize] += 1;
+            }
+        }
+        self.starts.clear();
+        let mut acc = 0usize;
+        for &c in &self.counts {
+            self.starts.push(acc);
+            acc += c;
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.starts);
+        self.entries.clear();
+        self.entries.resize(acc, (0.0, 0));
+
+        for (i, targets) in matrix.sends() {
+            let base = ready[i];
+            let ri = rank(i);
+            let oii = cost.o_at(ri, ri);
+            // Eq. 1 / Eq. 2 accumulated left to right over the target
+            // order: the k-th target lands at the running startup (max O,
+            // or O_ii) plus the running latency sum, and the sender is
+            // done when the last one lands.
+            let mut lat = 0.0f64;
+            let mut run_max = f64::NEG_INFINITY;
+            for j in targets.iter().map(|&j| j as usize) {
+                debug_assert_ne!(j, i, "rank {i} cannot signal itself");
+                let rj = rank(j);
+                lat += cost.l_at(ri, rj);
+                run_max = run_max.max(cost.o_at(ri, rj));
+                let startup = match mode {
                     SendMode::General => run_max,
                     SendMode::ReceiversAwaiting => oii,
                 };
-                self.next[i] = base + (startup + lat);
+                let slot = self.cursor[j];
+                self.entries[slot] = (base + (startup + lat), i);
+                self.cursor[j] = slot + 1;
             }
-
-            for j in 0..n {
-                let cnt = self.counts[j];
-                if cnt == 0 {
-                    continue;
-                }
-                let seg = &mut self.entries[self.starts[j]..self.starts[j] + cnt];
-                // Senders are unique per (receiver, stage), so ordering by
-                // (arrival, sender) equals the reference's stable sort by
-                // arrival over ascending-sender insertion order.
-                seg.sort_unstable_by(|a, b| {
-                    a.0.partial_cmp(&b.0)
-                        .expect("finite times")
-                        .then_with(|| a.1.cmp(&b.1))
-                });
-                let rj = rank(j);
-                let mut t = f64::NEG_INFINITY;
-                for &(at, src) in seg.iter() {
-                    t = if self.params.receiver_processing {
-                        t.max(at) + cost.l_at(rank(src), rj)
-                    } else {
-                        t.max(at)
-                    };
-                }
-                self.next[j] = self.next[j].max(t);
-            }
-            for r in 0..n {
-                self.next[r] = self.next[r].max(self.ready[r]);
-            }
-            std::mem::swap(&mut self.ready, &mut self.next);
-            if let Some(fr) = frontier.as_deref_mut() {
-                fr.push(self.ready.iter().copied().fold(f64::NEG_INFINITY, f64::max) - origin);
-            }
+            let startup = match mode {
+                SendMode::General => run_max,
+                SendMode::ReceiversAwaiting => oii,
+            };
+            next[i] = base + (startup + lat);
         }
-        origin
+
+        for (j, nj) in next.iter_mut().enumerate() {
+            let cnt = self.counts[j];
+            if cnt == 0 {
+                continue;
+            }
+            let seg = &mut self.entries[self.starts[j]..self.starts[j] + cnt];
+            // Senders are unique per (receiver, stage), so ordering by
+            // (arrival, sender) equals a stable sort by arrival over
+            // ascending-sender insertion order.
+            seg.sort_unstable_by(|a, b| {
+                a.0.partial_cmp(&b.0)
+                    .expect("finite times")
+                    .then_with(|| a.1.cmp(&b.1))
+            });
+            // Serial receive handling: L_{src,j} per inbound signal.
+            let rj = rank(j);
+            let mut t = f64::NEG_INFINITY;
+            for &(at, src) in seg.iter() {
+                t = t.max(at) + cost.l_at(rank(src), rj);
+            }
+            *nj = nj.max(t);
+        }
+        // A rank never regresses in time.
+        for (nx, &r) in next.iter_mut().zip(ready) {
+            *nx = nx.max(r);
+        }
     }
 }
 
@@ -496,11 +430,94 @@ mod tests {
     use super::*;
     use crate::algorithms::Algorithm;
     use crate::schedule::Stage;
-    use hbar_matrix::{DenseMatrix, SparseBoolMatrix};
+    use hbar_matrix::DenseMatrix;
+    use hbar_topo::cost::CostMatrices;
     use hbar_topo::machine::MachineSpec;
     use hbar_topo::mapping::RankMapping;
     use hbar_topo::metric::DistanceMetric;
     use hbar_topo::profile::TopologyProfile;
+
+    /// Eq. 1 (`General`) or Eq. 2 (`ReceiversAwaiting`): the cost of
+    /// `sender` signalling every rank of `targets`, in order. An empty
+    /// set is free.
+    fn send_set_cost(c: &CostMatrices, sender: usize, targets: &[usize], mode: SendMode) -> f64 {
+        if targets.is_empty() {
+            return 0.0;
+        }
+        let latency: f64 = targets.iter().map(|&j| c.l[(sender, j)]).sum();
+        let startup = match mode {
+            SendMode::General => (targets.iter())
+                .map(|&j| c.o[(sender, j)])
+                .fold(f64::NEG_INFINITY, f64::max),
+            SendMode::ReceiversAwaiting => c.o[(sender, sender)],
+        };
+        startup + latency
+    }
+
+    /// When `targets[k]`'s signal lands, relative to the sender starting
+    /// the set: the send-set cost of the targets up to and including it.
+    fn arrival_offset(
+        c: &CostMatrices,
+        sender: usize,
+        targets: &[usize],
+        k: usize,
+        mode: SendMode,
+    ) -> f64 {
+        send_set_cost(c, sender, &targets[..=k], mode)
+    }
+
+    /// The oracle: the recurrence in the paper's Eq. 1 / Eq. 2 form,
+    /// allocating per stage and per sender, with a stable sort of each
+    /// receiver's inbound signals by arrival time.
+    fn predict_barrier_cost(
+        schedule: &BarrierSchedule,
+        cost: &CostMatrices,
+        skews: Option<&[f64]>,
+    ) -> Prediction {
+        let n = schedule.n();
+        let mut ready: Vec<f64> = skews.map_or_else(|| vec![0.0; n], <[f64]>::to_vec);
+        let origin = ready.iter().copied().fold(f64::INFINITY, f64::min).min(0.0);
+        let mut stage_frontier = Vec::with_capacity(schedule.len());
+        for stage in schedule.stages() {
+            let mut next = ready.clone();
+            // (arrival_time, src) per receiver.
+            let mut inbound: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n];
+            for (i, targets) in stage.matrix.sends() {
+                let targets: Vec<usize> = targets.iter().map(|&j| j as usize).collect();
+                next[i] = ready[i] + send_set_cost(cost, i, &targets, stage.mode);
+                for (k, &j) in targets.iter().enumerate() {
+                    let at = ready[i] + arrival_offset(cost, i, &targets, k, stage.mode);
+                    inbound[j].push((at, i));
+                }
+            }
+            for (j, mut msgs) in inbound.into_iter().enumerate() {
+                if msgs.is_empty() {
+                    continue;
+                }
+                msgs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+                let mut t = f64::NEG_INFINITY;
+                for (at, src) in msgs {
+                    t = t.max(at) + cost.l[(src, j)];
+                }
+                next[j] = next[j].max(t);
+            }
+            for r in 0..n {
+                next[r] = next[r].max(ready[r]);
+            }
+            ready = next;
+            stage_frontier.push(ready.iter().copied().fold(f64::NEG_INFINITY, f64::max) - origin);
+        }
+        let latest = ready.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        Prediction {
+            barrier_cost: latest - origin,
+            rank_exit: ready,
+            stage_frontier,
+        }
+    }
+
+    fn predict(sched: &BarrierSchedule, c: &CostMatrices, skews: Option<&[f64]>) -> Prediction {
+        CostEvaluator::new(CostParams::default()).predict(sched, c, skews)
+    }
 
     /// Uniform costs: O = 10 off-diagonal, O_ii = 1, L = 2.
     fn uniform(n: usize) -> CostMatrices {
@@ -510,28 +527,85 @@ mod tests {
         }
     }
 
+    /// 3 ranks: O row 0 = [0.5, 10, 50], L row 0 = [0, 1, 2].
+    fn sample() -> CostMatrices {
+        let o = DenseMatrix::from_vec(3, vec![0.5, 10.0, 50.0, 10.0, 0.5, 30.0, 50.0, 30.0, 0.5]);
+        let l = DenseMatrix::from_vec(3, vec![0.0, 1.0, 2.0, 1.0, 0.0, 3.0, 2.0, 3.0, 0.0]);
+        CostMatrices { o, l }
+    }
+
+    /// Per-rank exits of one stage in which rank 0 signals `targets`
+    /// (ascending) under `mode`: rank 0's exit is its Eq. 1 / Eq. 2
+    /// send-set cost, a target's is its landing time plus `L_{0,j}`.
+    fn one_stage(c: &CostMatrices, targets: &[usize], mode: SendMode) -> Vec<f64> {
+        let matrix = SparseBoolMatrix::from_edges(c.p(), targets.iter().map(|&j| (0, j)));
+        let mut sched = BarrierSchedule::new(c.p());
+        sched.push(Stage { matrix, mode });
+        predict(&sched, c, None).rank_exit
+    }
+
+    #[test]
+    fn eq1_takes_max_overhead_plus_sum_latency() {
+        let c = sample();
+        // t(0, [1,2]) = max(10, 50) + (1 + 2) = 53
+        assert_eq!(one_stage(&c, &[1, 2], SendMode::General)[0], 53.0);
+        // Single target: max over one element.
+        assert_eq!(one_stage(&c, &[1], SendMode::General)[0], 11.0);
+    }
+
+    #[test]
+    fn eq2_uses_local_call_overhead() {
+        // t(0, [1,2]) = O_00 + (1 + 2) = 3.5
+        assert_eq!(
+            one_stage(&sample(), &[1, 2], SendMode::ReceiversAwaiting)[0],
+            3.5
+        );
+    }
+
+    #[test]
+    fn empty_send_set_is_free() {
+        for mode in [SendMode::General, SendMode::ReceiversAwaiting] {
+            assert_eq!(one_stage(&sample(), &[], mode), [0.0; 3]);
+        }
+    }
+
+    #[test]
+    fn arrival_offsets_are_cumulative_and_end_at_total() {
+        let c = sample();
+        let exit = one_stage(&c, &[1, 2], SendMode::General);
+        // First target: max O over the first message only (10) + L_01 = 11,
+        // handled for L_01 = 1.
+        assert_eq!(exit[1], 12.0);
+        // The last target lands with the Eq. 1 total, handled for L_02 = 2.
+        assert_eq!(exit[2], exit[0] + 2.0);
+        // Order matters: relabel so the slow target comes first.
+        let rev = c.submatrices(&[0, 2, 1]);
+        let exit = one_stage(&rev, &[1, 2], SendMode::General);
+        assert_eq!(exit[1], 52.0 + 2.0);
+        assert_eq!(exit[2], exit[0] + 1.0);
+    }
+
+    #[test]
+    fn arrival_offsets_monotone_in_k() {
+        let c = sample().submatrices(&[0, 2, 1]);
+        for mode in [SendMode::General, SendMode::ReceiversAwaiting] {
+            let exit = one_stage(&c, &[1, 2], mode);
+            let a0 = exit[1] - c.l[(0, 1)];
+            let a1 = exit[2] - c.l[(0, 2)];
+            assert!(a1 >= a0, "{mode:?}: {a1} < {a0}");
+        }
+    }
+
     #[test]
     fn single_signal_costs_o_plus_l_plus_processing() {
         let c = uniform(2);
         let mut sched = BarrierSchedule::new(2);
         sched.push(Stage::arrival(SparseBoolMatrix::from_edges(2, [(1, 0)])));
-        let p = predict_barrier_cost(&sched, &c, &CostParams::default(), None);
+        let p = predict(&sched, &c, None);
         // Sender: max O + L = 12; receiver processes at +L = 14.
         assert_eq!(p.barrier_cost, 14.0);
         assert_eq!(p.rank_exit[1], 12.0);
         assert_eq!(p.rank_exit[0], 14.0);
-    }
-
-    #[test]
-    fn receiver_processing_can_be_disabled() {
-        let c = uniform(2);
-        let mut sched = BarrierSchedule::new(2);
-        sched.push(Stage::arrival(SparseBoolMatrix::from_edges(2, [(1, 0)])));
-        let params = CostParams {
-            receiver_processing: false,
-        };
-        let p = predict_barrier_cost(&sched, &c, &params, None);
-        assert_eq!(p.barrier_cost, 12.0);
     }
 
     #[test]
@@ -542,24 +616,22 @@ mod tests {
             3,
             [(0, 1), (0, 2)],
         )));
-        let params = CostParams {
-            receiver_processing: false,
-        };
-        let p = predict_barrier_cost(&sched, &c, &params, None);
-        // Eq. 2: O_00 + L + L = 1 + 4 = 5 at the last receiver.
-        assert_eq!(p.barrier_cost, 5.0);
+        let p = predict(&sched, &c, None);
+        // Eq. 2: O_00 + L + L = 1 + 4 = 5 at the sender; the last
+        // receiver lands then and handles the signal for L = 2.
+        assert_eq!(p.rank_exit[0], 5.0);
+        assert_eq!(p.barrier_cost, 7.0);
     }
 
     #[test]
     fn master_bottleneck_grows_linearly() {
         // The linear barrier's arrival stage: the master's serial receive
         // handling makes cost grow with P (the paper's measured behaviour).
-        let params = CostParams::default();
         let cost_at = |p: usize| {
             let c = uniform(p);
             let members: Vec<usize> = (0..p).collect();
             let sched = Algorithm::Linear.full_schedule(p, &members);
-            predict_barrier_cost(&sched, &c, &params, None).barrier_cost
+            predict(&sched, &c, None).barrier_cost
         };
         let c8 = cost_at(8);
         let c16 = cost_at(16);
@@ -575,22 +647,11 @@ mod tests {
 
     #[test]
     fn tree_beats_linear_at_scale_on_uniform_costs() {
-        let params = CostParams::default();
         let p = 64;
         let c = uniform(p);
         let members: Vec<usize> = (0..p).collect();
-        let lin = predict_barrier_cost(
-            &Algorithm::Linear.full_schedule(p, &members),
-            &c,
-            &params,
-            None,
-        );
-        let tree = predict_barrier_cost(
-            &Algorithm::Tree.full_schedule(p, &members),
-            &c,
-            &params,
-            None,
-        );
+        let lin = predict(&Algorithm::Linear.full_schedule(p, &members), &c, None);
+        let tree = predict(&Algorithm::Tree.full_schedule(p, &members), &c, None);
         assert!(tree.barrier_cost < lin.barrier_cost);
     }
 
@@ -600,11 +661,11 @@ mod tests {
         let mut sched = BarrierSchedule::new(2);
         sched.push(Stage::arrival(SparseBoolMatrix::from_edges(2, [(1, 0)])));
         // Rank 1 arrives 100s late: everything shifts behind it.
-        let p = predict_barrier_cost(&sched, &c, &CostParams::default(), Some(&[0.0, 100.0]));
+        let p = predict(&sched, &c, Some(&[0.0, 100.0]));
         assert_eq!(p.barrier_cost, 114.0);
         // Rank 0 arriving late doesn't delay rank 1's send, but delays
         // nothing else either (rank 0 only receives).
-        let p2 = predict_barrier_cost(&sched, &c, &CostParams::default(), Some(&[5.0, 0.0]));
+        let p2 = predict(&sched, &c, Some(&[5.0, 0.0]));
         assert_eq!(p2.rank_exit[1], 12.0);
         assert_eq!(p2.barrier_cost, 14.0);
     }
@@ -615,7 +676,7 @@ mod tests {
         let c = uniform(p);
         let members: Vec<usize> = (0..p).collect();
         let sched = Algorithm::Dissemination.full_schedule(p, &members);
-        let pred = predict_barrier_cost(&sched, &c, &CostParams::default(), None);
+        let pred = predict(&sched, &c, None);
         for w in pred.stage_frontier.windows(2) {
             assert!(w[1] >= w[0]);
         }
@@ -632,33 +693,13 @@ mod tests {
         let prof = TopologyProfile::from_ground_truth(&machine, &RankMapping::RoundRobin);
         let p = prof.p;
         let members: Vec<usize> = (0..p).collect();
-        let params = CostParams::default();
-        let lin = predict_barrier_cost(
-            &Algorithm::Linear.full_schedule(p, &members),
-            &prof.cost,
-            &params,
-            None,
-        );
-        let tree = predict_barrier_cost(
-            &Algorithm::Tree.full_schedule(p, &members),
-            &prof.cost,
-            &params,
-            None,
-        );
-        let diss = predict_barrier_cost(
-            &Algorithm::Dissemination.full_schedule(p, &members),
-            &prof.cost,
-            &params,
-            None,
-        );
-        assert!(
-            tree.barrier_cost < lin.barrier_cost,
-            "tree {} < linear {}",
-            tree.barrier_cost,
-            lin.barrier_cost
-        );
-        assert!(diss.barrier_cost < lin.barrier_cost);
-        for v in [lin.barrier_cost, tree.barrier_cost, diss.barrier_cost] {
+        let cost_of = |alg: Algorithm| predict(&alg.full_schedule(p, &members), &prof.cost, None);
+        let lin = cost_of(Algorithm::Linear).barrier_cost;
+        let tree = cost_of(Algorithm::Tree).barrier_cost;
+        let diss = cost_of(Algorithm::Dissemination).barrier_cost;
+        assert!(tree < lin, "tree {tree} < linear {lin}");
+        assert!(diss < lin);
+        for v in [lin, tree, diss] {
             assert!(
                 (1e-5..5e-3).contains(&v),
                 "barrier cost {v} outside plausible range"
@@ -675,24 +716,17 @@ mod tests {
         let p = prof.p;
         let members: Vec<usize> = (0..p).collect();
         let skews: Vec<f64> = (0..p).map(|r| (r % 5) as f64 * 1e-6).collect();
-        for params in [
-            CostParams::default(),
-            CostParams {
-                receiver_processing: false,
-            },
-        ] {
-            let mut eval = CostEvaluator::new(params);
-            for alg in [Algorithm::Linear, Algorithm::Tree, Algorithm::Dissemination] {
-                let sched = alg.full_schedule(p, &members);
-                for skew in [None, Some(skews.as_slice())] {
-                    let reference = predict_barrier_cost(&sched, &prof.cost, &params, skew);
-                    let fast = eval.predict(&sched, &prof.cost, skew);
-                    assert_eq!(fast, reference, "{alg:?} params {params:?}");
-                    assert_eq!(
-                        eval.barrier_cost(&sched, &prof.cost, skew),
-                        reference.barrier_cost
-                    );
-                }
+        let mut eval = CostEvaluator::new(CostParams::default());
+        for alg in [Algorithm::Linear, Algorithm::Tree, Algorithm::Dissemination] {
+            let sched = alg.full_schedule(p, &members);
+            for skew in [None, Some(skews.as_slice())] {
+                let reference = predict_barrier_cost(&sched, &prof.cost, skew);
+                let fast = eval.predict(&sched, &prof.cost, skew);
+                assert_eq!(fast, reference, "{alg:?}");
+                assert_eq!(
+                    eval.barrier_cost(&sched, &prof.cost, skew),
+                    reference.barrier_cost
+                );
             }
         }
     }
@@ -704,24 +738,22 @@ mod tests {
         let p = 16;
         let c = uniform(p);
         let members: Vec<usize> = (0..p).collect();
-        let params = CostParams::default();
-        let mut eval = CostEvaluator::new(params);
+        let mut eval = CostEvaluator::new(CostParams::default());
         for alg in [Algorithm::Linear, Algorithm::Tree, Algorithm::Dissemination] {
             let sched = alg.full_schedule(p, &members);
-            let reference = predict_barrier_cost(&sched, &c, &params, None);
+            let reference = predict_barrier_cost(&sched, &c, None);
             assert_eq!(eval.predict(&sched, &c, None), reference);
         }
     }
 
     #[test]
     fn evaluator_scratch_survives_rank_count_changes() {
-        let params = CostParams::default();
-        let mut eval = CostEvaluator::new(params);
+        let mut eval = CostEvaluator::new(CostParams::default());
         for p in [8, 32, 4, 16] {
             let c = uniform(p);
             let members: Vec<usize> = (0..p).collect();
             let sched = Algorithm::Dissemination.full_schedule(p, &members);
-            let reference = predict_barrier_cost(&sched, &c, &params, None);
+            let reference = predict_barrier_cost(&sched, &c, None);
             assert_eq!(eval.barrier_cost(&sched, &c, None), reference.barrier_cost);
         }
     }
@@ -842,13 +874,5 @@ mod tests {
         let c = uniform(3);
         let sched = BarrierSchedule::new(4);
         CostEvaluator::new(CostParams::default()).barrier_cost(&sched, &c, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "cost matrices cover")]
-    fn size_mismatch_panics() {
-        let c = uniform(3);
-        let sched = BarrierSchedule::new(4);
-        predict_barrier_cost(&sched, &c, &CostParams::default(), None);
     }
 }

@@ -34,7 +34,5 @@ pub mod verify;
 
 pub use algorithms::Algorithm;
 pub use compose::{tune_hybrid_costs, TunedBarrier, TunerConfig};
-pub use cost::{
-    cost_fingerprint, predict_barrier_cost, CostParams, Prediction, COST_FINGERPRINT_VERSION,
-};
+pub use cost::{cost_fingerprint, CostEvaluator, CostParams, Prediction, COST_FINGERPRINT_VERSION};
 pub use schedule::{BarrierSchedule, Stage};

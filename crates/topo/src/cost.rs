@@ -1,6 +1,8 @@
-//! The `O`/`L` cost matrices, the paper's Eq. 1 / Eq. 2 send-set costs,
-//! the [`CostProvider`] abstraction over dense and class-compressed
-//! backings, and the versioned fingerprint of the dense matrices.
+//! The `O`/`L` cost matrices, the [`SendMode`] naming which of the
+//! paper's Eq. 1 / Eq. 2 prices a send set (the equations themselves are
+//! applied by `hbar-core`'s cost evaluator), the [`CostProvider`]
+//! abstraction over dense and class-compressed backings, and the
+//! versioned fingerprint of the dense matrices.
 
 use crate::metric::DistanceMetric;
 use hbar_matrix::DenseMatrix;
@@ -41,59 +43,6 @@ impl CostMatrices {
     /// Number of processes.
     pub fn p(&self) -> usize {
         self.o.n()
-    }
-
-    /// Cost of sending one message to each rank in `targets` from `sender`
-    /// (Eq. 1 or Eq. 2 depending on `mode`). An empty target set costs zero.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range or a target equals the sender.
-    pub fn send_set_cost(&self, sender: usize, targets: &[usize], mode: SendMode) -> f64 {
-        if targets.is_empty() {
-            return 0.0;
-        }
-        let latency: f64 = targets
-            .iter()
-            .map(|&j| {
-                assert_ne!(j, sender, "rank {sender} cannot signal itself");
-                self.l[(sender, j)]
-            })
-            .sum();
-        let startup = match mode {
-            SendMode::General => targets
-                .iter()
-                .map(|&j| self.o[(sender, j)])
-                .fold(f64::NEG_INFINITY, f64::max),
-            SendMode::ReceiversAwaiting => self.o[(sender, sender)],
-        };
-        startup + latency
-    }
-
-    /// Arrival time (relative to the sender starting the send set) of the
-    /// `k`-th target in `targets` (0-based), consistent with
-    /// [`send_set_cost`](Self::send_set_cost): running `max O` (or `O_ii`)
-    /// plus the cumulative `L` of messages injected so far.
-    pub fn arrival_offset(
-        &self,
-        sender: usize,
-        targets: &[usize],
-        k: usize,
-        mode: SendMode,
-    ) -> f64 {
-        assert!(
-            k < targets.len(),
-            "target index {k} out of range {}",
-            targets.len()
-        );
-        let latency: f64 = targets[..=k].iter().map(|&j| self.l[(sender, j)]).sum();
-        let startup = match mode {
-            SendMode::General => targets[..=k]
-                .iter()
-                .map(|&j| self.o[(sender, j)])
-                .fold(f64::NEG_INFINITY, f64::max),
-            SendMode::ReceiversAwaiting => self.o[(sender, sender)],
-        };
-        startup + latency
     }
 
     /// Restriction of both matrices to `indices` (in the given order).
@@ -252,69 +201,6 @@ mod tests {
         let o = DenseMatrix::from_vec(3, vec![0.5, 10.0, 50.0, 10.0, 0.5, 30.0, 50.0, 30.0, 0.5]);
         let l = DenseMatrix::from_vec(3, vec![0.0, 1.0, 2.0, 1.0, 0.0, 3.0, 2.0, 3.0, 0.0]);
         CostMatrices { o, l }
-    }
-
-    #[test]
-    fn eq1_takes_max_overhead_plus_sum_latency() {
-        let c = sample();
-        // t(0, [1,2]) = max(10, 50) + (1 + 2) = 53
-        assert_eq!(c.send_set_cost(0, &[1, 2], SendMode::General), 53.0);
-        // Single target: max over one element.
-        assert_eq!(c.send_set_cost(0, &[1], SendMode::General), 11.0);
-    }
-
-    #[test]
-    fn eq2_uses_local_call_overhead() {
-        let c = sample();
-        // t(0, [1,2]) = O_00 + (1 + 2) = 3.5
-        assert_eq!(
-            c.send_set_cost(0, &[1, 2], SendMode::ReceiversAwaiting),
-            3.5
-        );
-    }
-
-    #[test]
-    fn empty_send_set_is_free() {
-        let c = sample();
-        assert_eq!(c.send_set_cost(0, &[], SendMode::General), 0.0);
-        assert_eq!(c.send_set_cost(0, &[], SendMode::ReceiversAwaiting), 0.0);
-    }
-
-    #[test]
-    fn arrival_offsets_are_cumulative_and_end_at_total() {
-        let c = sample();
-        let targets = [1, 2];
-        // First target: max O over first message only (10) + L(0,1)=1.
-        assert_eq!(c.arrival_offset(0, &targets, 0, SendMode::General), 11.0);
-        // Last target's arrival equals the Eq. 1 total.
-        assert_eq!(
-            c.arrival_offset(0, &targets, 1, SendMode::General),
-            c.send_set_cost(0, &targets, SendMode::General)
-        );
-        // Order matters: sending to the slow target first changes offsets.
-        let rev = [2, 1];
-        assert_eq!(c.arrival_offset(0, &rev, 0, SendMode::General), 52.0);
-        assert_eq!(
-            c.arrival_offset(0, &rev, 1, SendMode::General),
-            c.send_set_cost(0, &rev, SendMode::General)
-        );
-    }
-
-    #[test]
-    fn arrival_offsets_monotone_in_k() {
-        let c = sample();
-        let targets = [2, 1];
-        for mode in [SendMode::General, SendMode::ReceiversAwaiting] {
-            let a0 = c.arrival_offset(0, &targets, 0, mode);
-            let a1 = c.arrival_offset(0, &targets, 1, mode);
-            assert!(a1 >= a0, "{mode:?}: {a1} < {a0}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot signal itself")]
-    fn self_signal_panics() {
-        sample().send_set_cost(1, &[1], SendMode::General);
     }
 
     #[test]

@@ -41,7 +41,8 @@ fn main() {
             ..SearchConfig::default()
         },
         Some(&greedy.schedule),
-    );
+    )
+    .expect("the greedy seed fits in 5 stages");
     println!(
         "exhaustive search: {} stages, {} signals, predicted {:.2} us \
          ({} states in {:.2?}, {})",

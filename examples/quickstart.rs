@@ -7,7 +7,6 @@
 
 use hbarrier::core::algorithms::Algorithm;
 use hbarrier::core::codegen::{c_source, compile_schedule};
-use hbarrier::core::cost::{predict_barrier_cost, CostParams};
 use hbarrier::prelude::*;
 use hbarrier::simnet::barrier::measure_schedule;
 use hbarrier::simnet::NoiseModel;
@@ -43,9 +42,9 @@ fn main() {
 
     // 3. Predict both the hybrid and the neutral tree baseline.
     let neutral = Algorithm::Tree.full_schedule(p, &members);
-    let params = CostParams::default();
-    let pred_hybrid = predict_barrier_cost(&tuned.schedule, &profile.cost, &params, None);
-    let pred_neutral = predict_barrier_cost(&neutral, &profile.cost, &params, None);
+    let mut eval = CostEvaluator::new(CostParams::default());
+    let pred_hybrid = eval.predict(&tuned.schedule, &profile.cost, None);
+    let pred_neutral = eval.predict(&neutral, &profile.cost, None);
     println!(
         "predicted: hybrid {:.1} us vs neutral tree {:.1} us",
         pred_hybrid.barrier_cost * 1e6,

@@ -713,7 +713,8 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
     // Seed with the greedy hybrid so the search can only improve on it.
     let members: Vec<usize> = (0..profile.p).collect();
     let greedy = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
-    let result = search_optimal_barrier(&profile.cost, &cfg, Some(&greedy.schedule));
+    let result = search_optimal_barrier(&profile.cost, &cfg, Some(&greedy.schedule))
+        .ok_or_else(|| format!("no barrier within --max-stages {}", cfg.max_stages))?;
     let json = serde_json::to_string_pretty(&result.schedule).expect("schedule serializes");
     std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(

@@ -48,7 +48,7 @@ pub mod prelude {
     pub use hbar_core::algorithms::{Algorithm, RankSet};
     pub use hbar_core::codegen::{compile_schedule, CodegenError, RankProgram};
     pub use hbar_core::compose::{tune_hybrid_costs, TunedBarrier, TunerConfig};
-    pub use hbar_core::cost::{predict_barrier_cost, CostParams};
+    pub use hbar_core::cost::{CostEvaluator, CostParams};
     pub use hbar_core::schedule::BarrierSchedule;
     pub use hbar_matrix::{BoolMatrix, DenseMatrix, SparseBoolMatrix};
     pub use hbar_simnet::world::{SimConfig, SimWorld};

@@ -271,6 +271,44 @@ fn search_subcommand_finds_a_barrier() {
 }
 
 #[test]
+fn search_below_the_minimum_stage_count_is_an_error() {
+    // Three ranks need two one-signal-per-rank stages; a cap of one
+    // admits no barrier, and the greedy seed is over it too.
+    let dir = workdir("search_cap");
+    let profile = dir.join("prof.json");
+    let schedule = dir.join("opt.json");
+    let o = hbar(&[
+        "profile",
+        "--machine",
+        "1x1x3",
+        "--mapping",
+        "block",
+        "--out",
+        profile.to_str().unwrap(),
+        "--exact-machine",
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let o = hbar(&[
+        "search",
+        "--profile",
+        profile.to_str().unwrap(),
+        "--out",
+        schedule.to_str().unwrap(),
+        "--max-stages",
+        "1",
+    ]);
+    assert!(!o.status.success());
+    assert!(
+        stderr(&o).contains("no barrier within --max-stages 1"),
+        "{}",
+        stderr(&o)
+    );
+    assert!(!stderr(&o).contains("panicked"), "{}", stderr(&o));
+    assert!(!schedule.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_and_tune_client_round_trip() {
     use std::io::BufRead;
 

@@ -10,7 +10,6 @@
 //! *rankings* wherever the gap between algorithms is meaningful.
 
 use hbarrier::core::algorithms::Algorithm;
-use hbarrier::core::cost::{predict_barrier_cost, CostParams};
 use hbarrier::prelude::*;
 use hbarrier::simnet::barrier::measure_schedule;
 use proptest::prelude::*;
@@ -19,10 +18,10 @@ fn ratio_bounds_hold(machine: &MachineSpec, p: usize) {
     let mapping = RankMapping::RoundRobin;
     let profile = TopologyProfile::from_ground_truth_for(machine, &mapping, p);
     let members: Vec<usize> = (0..p).collect();
-    let params = CostParams::default();
+    let mut eval = CostEvaluator::new(CostParams::default());
     for alg in Algorithm::PAPER_SET {
         let sched = alg.full_schedule(p, &members);
-        let predicted = predict_barrier_cost(&sched, &profile.cost, &params, None).barrier_cost;
+        let predicted = eval.barrier_cost(&sched, &profile.cost, None);
         let mut world = SimWorld::new(SimConfig::exact(machine.clone(), mapping.clone()), p);
         let measured = measure_schedule(&mut world, &sched, 3);
         let ratio = measured / predicted;
@@ -56,11 +55,11 @@ fn model_and_simulator_agree_on_large_gaps() {
     for p in [16usize, 32, 48, 64] {
         let profile = TopologyProfile::from_ground_truth_for(&machine, &mapping, p);
         let members: Vec<usize> = (0..p).collect();
-        let params = CostParams::default();
+        let mut eval = CostEvaluator::new(CostParams::default());
         let mut results = Vec::new();
         for alg in Algorithm::PAPER_SET {
             let sched = alg.full_schedule(p, &members);
-            let predicted = predict_barrier_cost(&sched, &profile.cost, &params, None).barrier_cost;
+            let predicted = eval.barrier_cost(&sched, &profile.cost, None);
             let mut world = SimWorld::new(SimConfig::exact(machine.clone(), mapping.clone()), p);
             let measured = measure_schedule(&mut world, &sched, 3);
             results.push((alg, predicted, measured));
@@ -100,7 +99,7 @@ proptest! {
         let alg = Algorithm::PAPER_SET[alg_idx];
         let sched = alg.full_schedule(p, &members);
         let predicted =
-            predict_barrier_cost(&sched, &profile.cost, &CostParams::default(), None).barrier_cost;
+            CostEvaluator::new(CostParams::default()).barrier_cost(&sched, &profile.cost, None);
         let mut world = SimWorld::new(SimConfig::exact(machine, mapping), p);
         let measured = measure_schedule(&mut world, &sched, 2);
         let ratio = measured / predicted;

@@ -150,11 +150,11 @@ fn section7_root_choice_is_greedy_optimal_on_cluster_b() {
         .iter()
         .find(|c| c.depth == 0)
         .expect("root choice");
-    let params = hbarrier::core::cost::CostParams::default();
-    let score_of = |alg: Algorithm| {
+    let mut eval = CostEvaluator::new(CostParams::default());
+    let mut score_of = |alg: Algorithm| {
         let arrival = alg.arrival_embedded(prof.p, &root.participants);
         let sched = BarrierSchedule::from_arrival_matrices(prof.p, arrival);
-        let base = predict_barrier_cost(&sched, &prof.cost, &params, None).barrier_cost;
+        let base = eval.barrier_cost(&sched, &prof.cost, None);
         if alg.needs_departure() {
             base * 2.0
         } else {

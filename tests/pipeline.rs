@@ -5,7 +5,6 @@
 
 use hbarrier::core::algorithms::Algorithm;
 use hbarrier::core::codegen::compile_schedule;
-use hbarrier::core::cost::{predict_barrier_cost, CostParams};
 use hbarrier::core::verify;
 use hbarrier::prelude::*;
 use hbarrier::simnet::barrier::{measure_schedule, staggered_delay_check};
@@ -98,16 +97,13 @@ fn prediction_orders_algorithms_like_measurement() {
     let p = 32;
     let profile = TopologyProfile::from_ground_truth_for(&machine, &mapping, p);
     let members: Vec<usize> = (0..p).collect();
-    let params = CostParams::default();
+    let mut eval = CostEvaluator::new(CostParams::default());
 
     let mut predicted = Vec::new();
     let mut measured = Vec::new();
     for alg in Algorithm::PAPER_SET {
         let sched = alg.full_schedule(p, &members);
-        predicted.push((
-            alg.tag(),
-            predict_barrier_cost(&sched, &profile.cost, &params, None).barrier_cost,
-        ));
+        predicted.push((alg.tag(), eval.barrier_cost(&sched, &profile.cost, None)));
         let mut world = SimWorld::new(SimConfig::exact(machine.clone(), mapping.clone()), p);
         measured.push((alg.tag(), measure_schedule(&mut world, &sched, 5)));
     }

@@ -3,7 +3,6 @@
 use hbarrier::core::algorithms::Algorithm;
 use hbarrier::core::clustering::{try_build_cluster_tree, ClusterError, SSS_DEFAULT_SPARSENESS};
 use hbarrier::core::codegen::compile_schedule;
-use hbarrier::core::cost::{predict_barrier_cost, CostParams};
 use hbarrier::core::schedule::{BarrierSchedule, Stage};
 use hbarrier::core::verify;
 use hbarrier::matrix::{knowledge_closure, BoolMatrix, DenseMatrix, SparseBoolMatrix};
@@ -227,11 +226,11 @@ proptest! {
     ) {
         let members: Vec<usize> = (0..6).collect();
         let sched = Algorithm::Tree.full_schedule(6, &members);
-        let params = CostParams::default();
-        let base = predict_barrier_cost(&sched, &costs, &params, None);
+        let mut eval = CostEvaluator::new(CostParams::default());
+        let base = eval.predict(&sched, &costs, None);
         let mut skews = vec![0.0; 6];
         skews[skew_rank] = skew;
-        let delayed = predict_barrier_cost(&sched, &costs, &params, Some(&skews));
+        let delayed = eval.predict(&sched, &costs, Some(&skews));
         prop_assert!(delayed.barrier_cost >= base.barrier_cost - 1e-12);
     }
 
@@ -242,7 +241,7 @@ proptest! {
         prop_assume!(!stage.is_zero());
         let mut sched = BarrierSchedule::new(8);
         sched.push(Stage::arrival(stage));
-        let pred = predict_barrier_cost(&sched, &costs, &CostParams::default(), None);
+        let pred = CostEvaluator::new(CostParams::default()).predict(&sched, &costs, None);
         let max_exit = pred.rank_exit.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!((pred.barrier_cost - max_exit).abs() < 1e-12);
         prop_assert!(pred.barrier_cost >= 0.0);

@@ -16,7 +16,7 @@ mod pairs;
 mod sss;
 mod tree;
 
-pub use pairs::{classify_pairs, splitmix64, ClassingConfig, DiagClass, PairClass, PairClassing};
+pub use pairs::{classify_pairs, splitmix64, ClassingConfig, PairClass, PairClassing};
 pub use sss::{
     sss_clusters, try_sss_clusters, try_sss_clusters_with, ClusterError, SssScratch,
     SSS_DEFAULT_SPARSENESS,

@@ -15,11 +15,15 @@
 //! approximation error is within-class measurement scatter, which the
 //! sweep estimates from the probes and bounds in its report.
 //!
+//! The diagonal `O_ii` measurements are classed too, and a diagonal class
+//! is a class like any other: one list holds the off-diagonal classes,
+//! then the diagonal ones, and a diagonal member is the cell `(i, i)`.
+//!
 //! It is also cheap: features depend on a rank only through its *kind*
 //! ([`PairFeatureExtractor::rank_kind`]), so the extractor and the hash
-//! run once per pair of kinds, and "which class is pair `(i, j)`?" is two
-//! array loads ([`PairClassing::class_of`]) for every later stage of the
-//! sweep. Member counts and probes come from the same map by counting
+//! run once per pair of kinds, and "which class is cell `(i, j)`?" is a
+//! few array loads ([`PairClassing::class_of`]) for every later stage of
+//! the sweep. Member counts and probes come from the same map by counting
 //! each row's partners per kind, without visiting the pairs.
 
 use hbar_topo::features::{PairFeatureExtractor, PairFeatures, RankFeatures};
@@ -38,16 +42,16 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One equivalence class of off-diagonal pairs.
+/// One equivalence class of profiling work. Its members are rank pairs:
+/// `(i, j)`, `i ≠ j`, for an off-diagonal class, and `(i, i)` for a
+/// diagonal (`O_ii`) class.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PairClass {
-    /// The shared feature vector.
-    pub features: PairFeatures,
-    /// Rank pair measured on the class's behalf: the first member in scan
-    /// order, which makes the choice deterministic and, for singleton
-    /// classes, the pair itself.
+    /// Member measured on the class's behalf: the first in scan order,
+    /// which makes the choice deterministic and, for singleton classes,
+    /// the member itself.
     pub representative: (u32, u32),
-    /// Number of member pairs (including the representative).
+    /// Number of members (including the representative).
     pub members: usize,
     /// Deterministically reservoir-sampled members (excluding the
     /// representative) whose independent measurements estimate the
@@ -55,30 +59,20 @@ pub struct PairClass {
     pub probes: Vec<(u32, u32)>,
 }
 
-/// One equivalence class of diagonal (`O_ii`) measurements.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DiagClass {
-    /// The shared feature vector.
-    pub features: RankFeatures,
-    /// Rank measured on the class's behalf.
-    pub representative: u32,
-    /// Number of member ranks.
-    pub members: usize,
-    /// Reservoir-sampled validation ranks (excluding the representative).
-    pub probes: Vec<u32>,
-}
-
 /// Table entry of a kind pair that no classed pair has.
 const NO_CLASS: u32 = u32::MAX;
 
 /// The complete classing of a `P`-rank placement's profiling work: the
-/// classes, and the map from every pair and every rank to its class.
+/// classes, and the map from every cell `(i, j)` to its class.
 #[derive(Clone, Debug)]
 pub struct PairClassing {
-    /// Off-diagonal classes, in first-appearance (scan) order.
-    pub pair_classes: Vec<PairClass>,
-    /// Diagonal classes, in first-appearance order.
-    pub diag_classes: Vec<DiagClass>,
+    /// Every class: the off-diagonal ones in first-appearance (scan)
+    /// order, then the diagonal ones in first-appearance order — the
+    /// numbering the compressed cost model keeps.
+    pub classes: Vec<PairClass>,
+    /// Number of off-diagonal classes; `classes[pair_classes..]` are the
+    /// diagonal ones.
+    pub pair_classes: usize,
     /// Total off-diagonal pairs classed.
     pub total_pairs: usize,
     p: usize,
@@ -87,7 +81,7 @@ pub struct PairClassing {
     kind_of: Vec<u32>,
     kinds: usize,
     /// `kinds × kinds`, row-major: (kind of the pair's first rank, kind of
-    /// its second) → pair class.
+    /// its second) → off-diagonal class.
     pair_table: Vec<u32>,
     /// Kind → diagonal class.
     diag_table: Vec<u32>,
@@ -171,11 +165,11 @@ impl PairClassing {
         &self.kind_of
     }
 
-    /// Index into [`Self::pair_classes`] of the class of the pairs whose
-    /// first rank has kind `a` and whose second has kind `b`, `None` when
-    /// no classed pair has them in that order. A symmetric classing
-    /// classes `(min, max)` only, so under block placement it answers
-    /// `None` for every `a` that first appears after `b`.
+    /// Index into [`Self::classes`] of the class of the pairs of distinct
+    /// ranks whose first has kind `a` and whose second has kind `b`,
+    /// `None` when no classed pair has them in that order. A symmetric
+    /// classing classes `(min, max)` only, so under block placement it
+    /// answers `None` for every `a` that first appears after `b`.
     #[inline]
     pub fn kind_pair_class(&self, a: usize, b: usize) -> Option<usize> {
         debug_assert!(a < self.kinds && b < self.kinds, "kind out of range");
@@ -183,45 +177,20 @@ impl PairClassing {
         (c != NO_CLASS).then_some(c as usize)
     }
 
-    /// Index into [`Self::pair_classes`] of the class of pair `(i, j)`,
-    /// `i ≠ j`. A symmetric classing answers both orientations with the
-    /// class of `(min, max)`.
+    /// Index into [`Self::classes`] of the class of cell `(i, j)`: rank
+    /// `i`'s diagonal class when `i == j`. A symmetric classing answers
+    /// both orientations of a pair with the class of `(min, max)`.
     #[inline]
     pub fn class_of(&self, i: usize, j: usize) -> usize {
-        debug_assert_ne!(i, j, "the diagonal has its own classes");
+        if i == j {
+            return self.diag_table[self.kind_of[i] as usize] as usize;
+        }
         let (a, b) = if self.symmetric && j < i {
             (j, i)
         } else {
             (i, j)
         };
         self.pair_table[self.kind_of[a] as usize * self.kinds + self.kind_of[b] as usize] as usize
-    }
-
-    /// Index into [`Self::diag_classes`] of rank `i`'s diagonal class.
-    #[inline]
-    pub fn diag_class_of(&self, i: usize) -> usize {
-        self.diag_table[self.kind_of[i] as usize] as usize
-    }
-
-    /// Total measurements the clustered sweep will run (representatives
-    /// plus probes, pairs plus diagonals), before any adaptive growth.
-    pub fn measurement_count(&self) -> usize {
-        self.pair_classes
-            .iter()
-            .map(|c| 1 + c.probes.len())
-            .sum::<usize>()
-            + self
-                .diag_classes
-                .iter()
-                .map(|c| 1 + c.probes.len())
-                .sum::<usize>()
-    }
-
-    /// `true` when every class has exactly one member — the regime in
-    /// which the clustered sweep is the exhaustive sweep.
-    pub fn is_singleton(&self) -> bool {
-        self.pair_classes.iter().all(|c| c.members == 1)
-            && self.diag_classes.iter().all(|c| c.members == 1)
     }
 
     /// The classed partners of rank `i` in scan order: the later ranks
@@ -233,12 +202,12 @@ impl PairClassing {
 
     /// Walks the classed pairs in scan order without visiting them: row
     /// `i` has a known number of partners of each kind, so a class's
-    /// members in the row are a sum over kinds. Returns every class's
-    /// member count and, for each `(class, n)` of `wanted` (sorted), the
-    /// class's `n`-th member, the representative being member 0; only
-    /// rows that hold a wanted member are searched.
+    /// members in the row are a sum over kinds. Returns every pair
+    /// class's member count and, for each `(class, n)` of `wanted`
+    /// (sorted), the class's `n`-th member, the representative being
+    /// member 0; only rows that hold a wanted member are searched.
     fn scan(&self, wanted: &[(u32, u64)]) -> (Vec<u64>, Vec<(u32, u32)>) {
-        let classes = self.pair_classes.len();
+        let classes = self.pair_classes;
         let mut head = vec![wanted.len(); classes];
         for (q, &(c, _)) in wanted.iter().enumerate().rev() {
             head[c as usize] = q;
@@ -337,46 +306,9 @@ pub fn classify_pairs(
         .collect();
     let kinds = first.len();
 
-    // Kind → diagonal class. Kinds are numbered by first rank, so the
-    // classes come out in first-appearance order.
-    let mut diag_ids: HashMap<RankFeatures, u32> = HashMap::new();
-    let mut diag_features = Vec::new();
-    let diag_table: Vec<u32> = first
-        .iter()
-        .map(|&i| {
-            let f = extractor.rank_features(machine, i, cores[i]);
-            *diag_ids.entry(f).or_insert_with(|| {
-                diag_features.push(f);
-                diag_features.len() as u32 - 1
-            })
-        })
-        .collect();
-    let mut diag_ranks = vec![Vec::new(); diag_features.len()];
-    for (i, &k) in kind_of.iter().enumerate() {
-        diag_ranks[diag_table[k as usize] as usize].push(i as u32);
-    }
-    let diag_classes = diag_features
-        .into_iter()
-        .zip(diag_ranks)
-        .enumerate()
-        .map(|(c, (features, ranks))| {
-            let seed = splitmix64(cfg.probe_seed ^ 0xD1A6_0000 ^ c as u64);
-            DiagClass {
-                features,
-                representative: ranks[0],
-                members: ranks.len(),
-                probes: reservoir_picks(cfg.probes_per_class, seed, ranks.len() as u64 - 1)
-                    .into_iter()
-                    .map(|n| ranks[n as usize])
-                    .collect(),
-            }
-        })
-        .collect();
-
     // Kind pair → pair class, numbered as the features turn up. A kind
     // pair has a classed member exactly when `(first, last)` is one.
     let mut pair_ids: HashMap<PairFeatures, u32> = HashMap::new();
-    let mut pair_features = Vec::new();
     let mut pair_table = vec![NO_CLASS; kinds * kinds];
     // Neighbouring kinds mostly share features: skip the hash then.
     let mut previous = None;
@@ -386,18 +318,34 @@ pub fn classify_pairs(
                 let f = extractor.pair_features(machine, (i, j), (cores[i], cores[j]));
                 *cell = match previous {
                     Some((seen, id)) if seen == f => id,
-                    _ => *pair_ids.entry(f).or_insert_with(|| {
-                        pair_features.push(f);
-                        pair_features.len() as u32 - 1
-                    }),
+                    _ => {
+                        let next = pair_ids.len() as u32;
+                        *pair_ids.entry(f).or_insert(next)
+                    }
                 };
                 previous = Some((f, *cell));
             }
         }
     }
+    let pair_classes = pair_ids.len();
+
+    // Kind → diagonal class, numbered after the pair classes. Kinds are
+    // numbered by first rank, so the classes come out in first-appearance
+    // order.
+    let mut diag_ids: HashMap<RankFeatures, u32> = HashMap::new();
+    let diag_table: Vec<u32> = first
+        .iter()
+        .map(|&i| {
+            let next = (pair_classes + diag_ids.len()) as u32;
+            *diag_ids
+                .entry(extractor.rank_features(machine, i, cores[i]))
+                .or_insert(next)
+        })
+        .collect();
+
     let mut classing = PairClassing {
-        pair_classes: Vec::new(),
-        diag_classes,
+        classes: Vec::new(),
+        pair_classes,
         total_pairs: if cfg.symmetric {
             p * (p - 1) / 2
         } else {
@@ -411,21 +359,20 @@ pub fn classify_pairs(
         diag_table,
     };
 
-    // Renumber by first member in scan order, which is also the
-    // representative. A class's first member lies in the first row of one
-    // of its kinds.
-    let mut renumbered = vec![NO_CLASS; pair_features.len()];
-    let mut pair_classes = Vec::with_capacity(pair_features.len());
+    // Renumber the pair classes by first member in scan order, which is
+    // also the representative. A class's first member lies in the first
+    // row of one of its kinds.
+    let mut renumbered = vec![NO_CLASS; pair_classes];
+    let mut classes = Vec::with_capacity(pair_classes + diag_ids.len());
     for &i in &first {
-        if pair_classes.len() == pair_features.len() {
+        if classes.len() == pair_classes {
             break;
         }
         for j in classing.partners(i) {
             let c = classing.class_of(i, j);
             if renumbered[c] == NO_CLASS {
-                renumbered[c] = pair_classes.len() as u32;
-                pair_classes.push(PairClass {
-                    features: pair_features[c],
+                renumbered[c] = classes.len() as u32;
+                classes.push(PairClass {
                     representative: (i as u32, j as u32),
                     members: 0,
                     probes: Vec::new(),
@@ -433,7 +380,7 @@ pub fn classify_pairs(
             }
         }
     }
-    classing.pair_classes = pair_classes;
+    classing.classes = classes;
     for cell in &mut classing.pair_table {
         if *cell != NO_CLASS {
             *cell = renumbered[*cell as usize];
@@ -460,7 +407,7 @@ pub fn classify_pairs(
     } else {
         classing.scan(&wanted).1
     };
-    for (c, (class, ns)) in classing.pair_classes.iter_mut().zip(&picks).enumerate() {
+    for (c, (class, ns)) in classing.classes.iter_mut().zip(&picks).enumerate() {
         class.members = members[c] as usize;
         class.probes = ns
             .iter()
@@ -471,6 +418,23 @@ pub fn classify_pairs(
                 found[q]
             })
             .collect();
+    }
+
+    // The diagonal classes' members are few enough to list.
+    let mut diag_ranks = vec![Vec::new(); diag_ids.len()];
+    for i in 0..p {
+        diag_ranks[classing.class_of(i, i) - pair_classes].push(i as u32);
+    }
+    for (c, ranks) in diag_ranks.into_iter().enumerate() {
+        let seed = splitmix64(cfg.probe_seed ^ 0xD1A6_0000 ^ c as u64);
+        classing.classes.push(PairClass {
+            representative: (ranks[0], ranks[0]),
+            members: ranks.len(),
+            probes: reservoir_picks(cfg.probes_per_class, seed, ranks.len() as u64 - 1)
+                .into_iter()
+                .map(|n| (ranks[n as usize], ranks[n as usize]))
+                .collect(),
+        });
     }
     classing
 }
@@ -501,13 +465,19 @@ mod tests {
             &ClassingConfig::default(),
         );
         // Two same-socket classes (socket identity is kept for
-        // asymmetric-NUMA future-proofing) + cross-socket + inter-node.
-        assert_eq!(classing.pair_classes.len(), 4);
-        assert_eq!(classing.diag_classes.len(), 2, "one class per socket");
+        // asymmetric-NUMA future-proofing) + cross-socket + inter-node,
+        // then one diagonal class per socket.
+        assert_eq!(classing.classes.len(), 6);
+        assert_eq!(classing.pair_classes, 4);
         assert_eq!(classing.total_pairs, 32 * 31 / 2);
-        let members: usize = classing.pair_classes.iter().map(|c| c.members).sum();
-        assert_eq!(members, classing.total_pairs, "partition covers all pairs");
-        assert!(!classing.is_singleton());
+        let (pairs, diags) = classing.classes.split_at(classing.pair_classes);
+        let members = |classes: &[PairClass]| classes.iter().map(|c| c.members).sum::<usize>();
+        assert_eq!(
+            members(pairs),
+            classing.total_pairs,
+            "partition covers all pairs"
+        );
+        assert_eq!(members(diags), 32, "and all ranks");
     }
 
     #[test]
@@ -519,11 +489,12 @@ mod tests {
             &ExactExtractor::default(),
             &ClassingConfig::default(),
         );
-        assert_eq!(classing.pair_classes.len(), 6);
-        assert!(classing.is_singleton());
-        assert!(classing.pair_classes.iter().all(|c| c.probes.is_empty()));
-        // Measurement count equals the exhaustive sweep's workload.
-        assert_eq!(classing.measurement_count(), 6 + 4);
+        // The exhaustive sweep's workload: 6 pairs and 4 diagonals.
+        assert_eq!((classing.classes.len(), classing.pair_classes), (6 + 4, 6));
+        assert!(classing
+            .classes
+            .iter()
+            .all(|c| c.members == 1 && c.probes.is_empty()));
     }
 
     #[test]
@@ -535,19 +506,12 @@ mod tests {
             &TopologyExtractor::default(),
             &ClassingConfig::default(),
         );
-        let same_socket = classing
-            .pair_classes
-            .iter()
-            .find(|c| c.features.hop_signature == 0)
-            .unwrap();
-        assert_eq!(same_socket.representative, (0, 1));
         // Block placement on a dual-quad: 0..3 socket 0, 4..7 socket 1.
-        let cross = classing
-            .pair_classes
-            .iter()
-            .find(|c| c.features.socket_relation == (0, 1))
-            .unwrap();
-        assert_eq!(cross.representative, (0, 4));
+        let representative = |i, j| classing.classes[classing.class_of(i, j)].representative;
+        assert_eq!(representative(2, 3), (0, 1), "same socket");
+        assert_eq!(representative(7, 1), (0, 4), "cross socket");
+        assert_eq!(representative(9, 9), (0, 0), "socket 0 diagonal");
+        assert_eq!(representative(13, 13), (4, 4), "socket 1 diagonal");
     }
 
     #[test]
@@ -556,17 +520,13 @@ mod tests {
         let cores = RankMapping::RoundRobin.place(&machine, 48);
         let ex = TopologyExtractor::default();
         let classing = classify_pairs(&machine, &cores, 48, &ex, &ClassingConfig::default());
-        for class in &classing.pair_classes {
+        for (c, class) in classing.classes.iter().enumerate() {
             assert!(class.probes.len() <= 4);
             assert!(class.probes.len() < class.members);
             for &(i, j) in &class.probes {
                 assert_ne!((i, j), class.representative);
-                let f = ex.pair_features(
-                    &machine,
-                    (i as usize, j as usize),
-                    (cores[i as usize], cores[j as usize]),
-                );
-                assert_eq!(f, class.features, "probe left its class");
+                let c_probe = classing.class_of(i as usize, j as usize);
+                assert_eq!(c_probe, c, "probe left its class");
             }
         }
     }
@@ -586,7 +546,7 @@ mod tests {
             &TopologyExtractor::default(),
             &ClassingConfig::default(),
         );
-        assert_eq!(a.pair_classes, b.pair_classes);
+        assert_eq!(a.classes, b.classes);
         // A different probe seed moves the probes but not the classes.
         let c = classing_for(
             &machine,
@@ -597,16 +557,16 @@ mod tests {
                 ..ClassingConfig::default()
             },
         );
-        assert_eq!(a.pair_classes.len(), c.pair_classes.len());
+        assert_eq!(a.classes.len(), c.classes.len());
         assert!(a
-            .pair_classes
+            .classes
             .iter()
-            .zip(&c.pair_classes)
+            .zip(&c.classes)
             .all(|(x, y)| x.representative == y.representative));
         assert!(a
-            .pair_classes
+            .classes
             .iter()
-            .zip(&c.pair_classes)
+            .zip(&c.classes)
             .any(|(x, y)| x.probes != y.probes));
     }
 
@@ -623,7 +583,7 @@ mod tests {
             },
         );
         assert_eq!(classing.total_pairs, 2);
-        assert_eq!(classing.pair_classes.len(), 2);
+        assert_eq!(classing.pair_classes, 2);
     }
 
     #[test]
@@ -634,13 +594,22 @@ mod tests {
         let classing = classify_pairs(&machine, &cores, 16, &ex, &ClassingConfig::default());
         for i in 0..16 {
             for j in 0..16 {
+                let c = classing.class_of(i, j);
+                let (a, b) = classing.classes[c].representative;
+                let (a, b) = (a as usize, b as usize);
                 if i == j {
-                    let f = ex.rank_features(&machine, i, cores[i]);
-                    assert_eq!(classing.diag_classes[classing.diag_class_of(i)].features, f);
+                    assert!(c >= classing.pair_classes && a == b);
+                    assert_eq!(
+                        ex.rank_features(&machine, i, cores[i]),
+                        ex.rank_features(&machine, a, cores[a])
+                    );
                 } else {
-                    let (a, b) = (i.min(j), i.max(j));
-                    let f = ex.pair_features(&machine, (a, b), (cores[a], cores[b]));
-                    assert_eq!(classing.pair_classes[classing.class_of(i, j)].features, f);
+                    assert!(c < classing.pair_classes);
+                    let (i, j) = (i.min(j), i.max(j));
+                    assert_eq!(
+                        ex.pair_features(&machine, (i, j), (cores[i], cores[j])),
+                        ex.pair_features(&machine, (a, b), (cores[a], cores[b]))
+                    );
                 }
             }
         }

@@ -3,14 +3,13 @@
 //! The classing evaluates the extractor on pairs of rank *kinds* and
 //! derives members, representatives and probes by counting. The reference
 //! below is the definition it must agree with: visit every pair in scan
-//! order, hash its features, stream the members through a reservoir. The
-//! two must produce equal classes field for field — index order,
-//! representatives, member counts, probes — and a class map that answers
-//! every pair with the class the reference put it in.
+//! order, hash its features, stream the members through a reservoir, then
+//! the same over the ranks for the diagonal classes. The two must produce
+//! equal class lists field for field — index order, representatives,
+//! member counts, probes — and a class map that answers every cell,
+//! diagonal included, with the class the reference put it in.
 
-use hbar_core::clustering::{
-    classify_pairs, splitmix64, ClassingConfig, DiagClass, PairClass, PairClassing,
-};
+use hbar_core::clustering::{classify_pairs, splitmix64, ClassingConfig, PairClass, PairClassing};
 use hbar_topo::features::{
     ExactExtractor, PairFeatureExtractor, PairFeatures, RankFeatures, TopologyExtractor,
 };
@@ -55,17 +54,42 @@ impl<T> Reservoir<T> {
     }
 }
 
-/// The per-pair classing: one extractor call and one hash per pair.
+/// The per-pair classing: one extractor call and one hash per cell.
+struct Reference {
+    /// Pair classes, then diagonal classes.
+    classes: Vec<PairClass>,
+    pair_classes: usize,
+    total_pairs: usize,
+    /// The class each feature vector went to.
+    pair_index: HashMap<PairFeatures, usize>,
+    diag_index: HashMap<RankFeatures, usize>,
+}
+
 fn classify_pairs_reference(
     machine: &MachineSpec,
     cores: &[usize],
     p: usize,
     extractor: &dyn PairFeatureExtractor,
     cfg: &ClassingConfig,
-) -> (Vec<PairClass>, Vec<DiagClass>, usize) {
-    let mut pair_classes: Vec<PairClass> = Vec::new();
-    let mut pair_index: HashMap<PairFeatures, usize> = HashMap::new();
+) -> Reference {
+    let mut classes: Vec<PairClass> = Vec::new();
     let mut reservoirs: Vec<Reservoir<(u32, u32)>> = Vec::new();
+    // Offers `cell` to the class at `idx`, opening it when `idx` is new.
+    let mut offer = |idx: usize, cell: (u32, u32), seed: u64| {
+        if idx == classes.len() {
+            classes.push(PairClass {
+                representative: cell,
+                members: 1,
+                probes: Vec::new(),
+            });
+            reservoirs.push(Reservoir::new(cfg.probes_per_class, seed));
+        } else {
+            classes[idx].members += 1;
+            reservoirs[idx].offer(cell);
+        }
+    };
+
+    let mut pair_index: HashMap<PairFeatures, usize> = HashMap::new();
     let mut total_pairs = 0;
     for i in 0..p {
         for j in 0..p {
@@ -74,62 +98,35 @@ fn classify_pairs_reference(
             }
             let f = extractor.pair_features(machine, (i, j), (cores[i], cores[j]));
             total_pairs += 1;
-            match pair_index.get(&f) {
-                Some(&idx) => {
-                    pair_classes[idx].members += 1;
-                    reservoirs[idx].offer((i as u32, j as u32));
-                }
-                None => {
-                    let idx = pair_classes.len();
-                    pair_index.insert(f, idx);
-                    pair_classes.push(PairClass {
-                        features: f,
-                        representative: (i as u32, j as u32),
-                        members: 1,
-                        probes: Vec::new(),
-                    });
-                    reservoirs.push(Reservoir::new(
-                        cfg.probes_per_class,
-                        splitmix64(cfg.probe_seed ^ (idx as u64)),
-                    ));
-                }
-            }
+            let fresh = pair_index.len();
+            let idx = *pair_index.entry(f).or_insert(fresh);
+            offer(
+                idx,
+                (i as u32, j as u32),
+                splitmix64(cfg.probe_seed ^ idx as u64),
+            );
         }
     }
-    for (class, reservoir) in pair_classes.iter_mut().zip(reservoirs) {
-        class.probes = reservoir.items;
-    }
+    let pair_classes = pair_index.len();
 
-    let mut diag_classes: Vec<DiagClass> = Vec::new();
     let mut diag_index: HashMap<RankFeatures, usize> = HashMap::new();
-    let mut diag_reservoirs: Vec<Reservoir<u32>> = Vec::new();
     for (i, &core) in cores.iter().enumerate().take(p) {
         let f = extractor.rank_features(machine, i, core);
-        match diag_index.get(&f) {
-            Some(&idx) => {
-                diag_classes[idx].members += 1;
-                diag_reservoirs[idx].offer(i as u32);
-            }
-            None => {
-                let idx = diag_classes.len();
-                diag_index.insert(f, idx);
-                diag_classes.push(DiagClass {
-                    features: f,
-                    representative: i as u32,
-                    members: 1,
-                    probes: Vec::new(),
-                });
-                diag_reservoirs.push(Reservoir::new(
-                    cfg.probes_per_class,
-                    splitmix64(cfg.probe_seed ^ 0xD1A6_0000 ^ (idx as u64)),
-                ));
-            }
-        }
+        let fresh = pair_classes + diag_index.len();
+        let idx = *diag_index.entry(f).or_insert(fresh);
+        let seed = splitmix64(cfg.probe_seed ^ 0xD1A6_0000 ^ (idx - pair_classes) as u64);
+        offer(idx, (i as u32, i as u32), seed);
     }
-    for (class, reservoir) in diag_classes.iter_mut().zip(diag_reservoirs) {
+    for (class, reservoir) in classes.iter_mut().zip(reservoirs) {
         class.probes = reservoir.items;
     }
-    (pair_classes, diag_classes, total_pairs)
+    Reference {
+        classes,
+        pair_classes,
+        total_pairs,
+        pair_index,
+        diag_index,
+    }
 }
 
 /// Topology features through the trait's default `rank_kind`: every rank
@@ -147,9 +144,6 @@ impl PairFeatureExtractor for NoKinds {
     }
     fn rank_features(&self, machine: &MachineSpec, rank: usize, core: usize) -> RankFeatures {
         self.0.rank_features(machine, rank, core)
-    }
-    fn noise_regime(&self) -> u16 {
-        0
     }
 }
 
@@ -173,9 +167,6 @@ impl PairFeatureExtractor for Directed {
     }
     fn rank_features(&self, machine: &MachineSpec, rank: usize, core: usize) -> RankFeatures {
         self.0.rank_features(machine, rank, core)
-    }
-    fn noise_regime(&self) -> u16 {
-        0
     }
     fn rank_kind(&self, machine: &MachineSpec, rank: usize, core: usize) -> u64 {
         self.0.rank_kind(machine, rank, core)
@@ -213,25 +204,27 @@ fn assert_matches_reference(
     extractor: &dyn PairFeatureExtractor,
     cfg: &ClassingConfig,
 ) -> PairClassing {
-    let (pair_classes, diag_classes, total_pairs) =
-        classify_pairs_reference(machine, cores, p, extractor, cfg);
+    let want = classify_pairs_reference(machine, cores, p, extractor, cfg);
     let got = classify_pairs(machine, cores, p, extractor, cfg);
-    assert_eq!(got.pair_classes, pair_classes);
-    assert_eq!(got.diag_classes, diag_classes);
-    assert_eq!(got.total_pairs, total_pairs);
+    assert_eq!(got.classes, want.classes);
+    assert_eq!(got.pair_classes, want.pair_classes);
+    assert_eq!(got.total_pairs, want.total_pairs);
     assert_eq!(got.p(), p);
     assert_eq!(got.symmetric(), cfg.symmetric);
     for i in 0..p {
-        let f = extractor.rank_features(machine, i, cores[i]);
-        assert_eq!(diag_classes[got.diag_class_of(i)].features, f);
-        for j in (0..p).filter(|&j| j != i) {
-            let (a, b) = if cfg.symmetric {
-                (i.min(j), i.max(j))
+        for j in 0..p {
+            let class = if i == j {
+                want.diag_index[&extractor.rank_features(machine, i, cores[i])]
             } else {
-                (i, j)
+                let (a, b) = if cfg.symmetric {
+                    (i.min(j), i.max(j))
+                } else {
+                    (i, j)
+                };
+                let f = extractor.pair_features(machine, (a, b), (cores[a], cores[b]));
+                want.pair_index[&f]
             };
-            let f = extractor.pair_features(machine, (a, b), (cores[a], cores[b]));
-            assert_eq!(pair_classes[got.class_of(i, j)].features, f, "({i}, {j})");
+            assert_eq!(got.class_of(i, j), class, "({i}, {j})");
         }
     }
     got
@@ -275,7 +268,7 @@ fn large_round_robin_classing_equals_reference() {
         };
         let got =
             assert_matches_reference(&machine, &cores, 451, &TopologyExtractor::default(), &cfg);
-        assert!(got.pair_classes.iter().any(|c| c.members > 10_000));
+        assert!(got.classes.iter().any(|c| c.members > 10_000));
     }
 }
 
@@ -297,7 +290,7 @@ fn classing_calls_the_extractor_per_kind_pair() {
         pair_calls: AtomicUsize::new(0),
     };
     let classing = classify_pairs(&machine, &cores, 512, &counting, &ClassingConfig::default());
-    assert_eq!(classing.pair_classes.len(), 4);
+    assert_eq!(classing.pair_classes, 4);
     let calls = counting.pair_calls.load(Ordering::Relaxed);
     assert!(calls <= 128 * 128, "{calls} pair_features calls");
 }
@@ -314,9 +307,6 @@ impl PairFeatureExtractor for Counting<'_> {
     }
     fn rank_features(&self, machine: &MachineSpec, rank: usize, core: usize) -> RankFeatures {
         self.inner.rank_features(machine, rank, core)
-    }
-    fn noise_regime(&self) -> u16 {
-        self.inner.noise_regime()
     }
     fn rank_kind(&self, machine: &MachineSpec, rank: usize, core: usize) -> u64 {
         self.inner.rank_kind(machine, rank, core)

@@ -29,8 +29,8 @@
 //!
 //! The class space of the model extends the classing's:
 //!
-//! * pair classes `0..n_pair` (the classing's indices, verbatim),
-//! * diag classes `n_pair..n_pair + n_diag`,
+//! * the classing's classes, verbatim — pair classes, then diagonal
+//!   classes, which is how [`PairClassing::class_of`] numbers them,
 //! * then one appended class per *exploded* member — pairs in ascending
 //!   `(i, j)` scan order, diagonals in ascending rank order — carrying
 //!   that member's exact measurement.
@@ -307,54 +307,38 @@ pub(crate) fn scatter_compressed_tiles(
     spill: &SpillConfig,
 ) -> Result<(CompressedCostModel, SpillReport), SweepError> {
     let p = classing.p();
-    let n_pair = classing.pair_classes.len();
-    let n_diag = classing.diag_classes.len();
-    let needed = n_pair + n_diag + m.exploded_pairs.len() + m.exploded_diags.len();
+    let needed = classing.classes.len() + m.exploded.len();
     if needed > MAX_CLASSES {
         return Err(SweepError::Compress(CompressError::ClassOverflow {
             needed,
         }));
     }
 
-    // Class space: pair classes, diag classes, then exploded members in
-    // deterministic (sorted) order. A rank's diagonal cell is its diagonal
-    // class, a pair's its kind pair's class; members of exploded classes
-    // have cells of their own — overrides, for a pair in both orientations
-    // when the sweep measured it once for both.
-    let mut table_o = Vec::with_capacity(needed);
-    let mut table_l = Vec::with_capacity(needed);
-    for &(o, l) in &m.pair_estimates {
-        table_o.push(o);
-        table_l.push(l);
-    }
-    for &o in &m.diag_estimates {
-        table_o.push(o);
-        table_l.push(0.0);
-    }
-    let mut pair_keys: Vec<(usize, usize)> = m.exploded_pairs.keys().copied().collect();
-    pair_keys.sort_unstable();
-    let mut overrides: Vec<Override> = Vec::with_capacity(2 * pair_keys.len());
-    for key @ (i, j) in pair_keys {
-        let (o, l) = m.exploded_pairs[&key];
+    // Class space: the classing's classes, then one per exploded member,
+    // pairs before diagonals, each in ascending order. A pair's cell is
+    // its kind pair's class and a rank's diagonal cell its diagonal class;
+    // an exploded member has a cell of its own — an override, for a pair
+    // in both orientations when the sweep measured it once for both.
+    let (mut table_o, mut table_l): (Vec<f64>, Vec<f64>) = m.estimates.iter().copied().unzip();
+    let mut diag: Vec<u16> = (0..p).map(|i| classing.class_of(i, i) as u16).collect();
+    let mut overrides: Vec<Override> = Vec::new();
+    let mut cells: Vec<(usize, usize)> = m.exploded.keys().copied().collect();
+    cells.sort_unstable_by_key(|&(i, j)| (i == j, i, j));
+    for cell @ (i, j) in cells {
         let class = table_o.len() as u16;
-        overrides.push((i as u32, j as u32, class));
-        if classing.symmetric() {
-            overrides.push((j as u32, i as u32, class));
+        if i == j {
+            diag[i] = class;
+        } else {
+            overrides.push((i as u32, j as u32, class));
+            if classing.symmetric() {
+                overrides.push((j as u32, i as u32, class));
+            }
         }
+        let (o, l) = m.exploded[&cell];
         table_o.push(o);
         table_l.push(l);
     }
     overrides.sort_unstable();
-    let mut diag: Vec<u16> = (0..p)
-        .map(|i| (n_pair + classing.diag_class_of(i)) as u16)
-        .collect();
-    let mut diag_keys: Vec<usize> = m.exploded_diags.keys().copied().collect();
-    diag_keys.sort_unstable();
-    for i in diag_keys {
-        diag[i] = table_o.len() as u16;
-        table_o.push(m.exploded_diags[&i]);
-        table_l.push(0.0);
-    }
 
     // The model's table answers for both orientations of a kind pair; a
     // symmetric classing holds only the one its classed pairs have (under
@@ -699,7 +683,6 @@ mod tests {
             let lower = if i < j { a } else { b };
             PairFeatures {
                 link: LinkClass::SameSocket,
-                hop_signature: 0,
                 socket_relation: (a.min(b) as u16, a.max(b) as u16),
                 noise_regime: 0,
                 refinement: u64::from(lower == 1),
@@ -708,10 +691,6 @@ mod tests {
 
         fn rank_features(&self, machine: &MachineSpec, rank: usize, core: usize) -> RankFeatures {
             TopologyExtractor::default().rank_features(machine, rank, core)
-        }
-
-        fn noise_regime(&self) -> u16 {
-            0
         }
 
         fn rank_kind(&self, machine: &MachineSpec, _rank: usize, core: usize) -> u64 {
@@ -830,22 +809,18 @@ mod tests {
                 probe_seed: 0,
             },
         );
-        let n_pair = classing.pair_classes.len();
-        let n_diag = classing.diag_classes.len();
-        assert!(n_pair > MAX_CLASSES);
+        let classes = classing.classes.len();
+        assert!(classing.pair_classes > MAX_CLASSES);
         let m = ClassMeasurements {
-            pair_estimates: vec![(1e-6, 1e-7); n_pair],
-            diag_estimates: vec![1e-7; n_diag],
-            explode_pair: vec![false; n_pair],
-            explode_diag: vec![false; n_diag],
-            exploded_pairs: HashMap::new(),
-            exploded_diags: HashMap::new(),
+            estimates: vec![(1e-6, 1e-7); classes],
+            explode: vec![false; classes],
+            exploded: HashMap::new(),
         };
         let spill = SpillConfig::in_memory(scratch_dir("overflow"));
         let err = scatter_compressed_tiles(classing, &m, &spill).expect_err("must overflow");
         match err {
             SweepError::Compress(CompressError::ClassOverflow { needed }) => {
-                assert_eq!(needed, n_pair + n_diag);
+                assert_eq!(needed, classes);
             }
             other => panic!("wrong error: {other}"),
         }

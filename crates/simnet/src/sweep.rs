@@ -6,11 +6,13 @@
 //! module is the one sweep driver, exhaustive or not: the Parsimon-style
 //! decomposition of the sweep into three independent layers:
 //!
-//! 1. **classing** — pairs are grouped into equivalence classes by
-//!    feature vector ([`hbar_topo::features`]; exact hashing in
-//!    [`hbar_core::clustering::classify_pairs`]), and the classing's
-//!    rank-kind map answers "which class is pair `(i, j)`?" for the two
-//!    later layers, which never see the extractor;
+//! 1. **classing** — pairs, and ranks' diagonal `O_ii` calls, are grouped
+//!    into equivalence classes by feature vector
+//!    ([`hbar_topo::features`]; exact hashing in
+//!    [`hbar_core::clustering::classify_pairs`]). One class list holds
+//!    the pair classes, then the diagonal ones, and the classing's
+//!    rank-kind map answers "which class is cell `(i, j)`?" — `(i, i)`
+//!    included — for the two later layers, which never see the extractor;
 //! 2. **execution** — one *representative* per class is measured, plus a
 //!    configurable number of *validation probes* (other members measured
 //!    under their own sub-seeds) that estimate the within-class scatter;
@@ -19,12 +21,15 @@
 //!    adaptive repetition, stop when the CI is tight). The grow/stop
 //!    decision and the median/spread arithmetic are the private
 //!    `StoppingRule`, `rel_spread` and `median` below, pinned bit for
-//!    bit by the `stopping_parity` regression test. Work items are
-//!    self-contained [`PairWorkDescriptor`]s, so execution can fan out to
-//!    a work-stealing thread pool ([`LocalExecutor`]) or a TCP worker
-//!    fleet ([`crate::distrib`]) interchangeably;
-//! 3. **scatter** — class estimates are written back (mirrored, per the
-//!    symmetric-link assumption) into the full `|P|²` matrices.
+//!    bit by the `stopping_parity` regression test, which also pins the
+//!    measurement plan. Work items are self-contained
+//!    [`PairWorkDescriptor`]s (a cell `(i, i)` is a [`WorkKind::Diag`]
+//!    one), so execution can fan out to a work-stealing thread pool
+//!    ([`LocalExecutor`]) or a TCP worker fleet ([`crate::distrib`])
+//!    interchangeably;
+//! 3. **scatter** — one estimate per class id is written back (mirrored,
+//!    per the symmetric-link assumption) into the full `|P|²` matrices,
+//!    or into the class-compressed model ([`crate::scatter`]).
 //!
 //! Everything is seed-deterministic: descriptors carry their noise
 //! sub-seed, representatives and probes are chosen by deterministic scan
@@ -331,7 +336,8 @@ pub struct ClassStats {
     pub rep_scale: u32,
     /// Relative scatter of `O` samples around their median.
     pub rel_spread_o: f64,
-    /// Relative scatter of `L` samples around their median.
+    /// Relative scatter of `L` samples around their median (0 for a
+    /// diagonal class, whose samples have no `L`).
     pub rel_spread_l: f64,
 }
 
@@ -354,15 +360,9 @@ pub struct SweepReport {
     pub exploded_pair_classes: usize,
     /// Diag classes the safety valve exploded.
     pub exploded_diag_classes: usize,
-    /// Worst within-class relative scatter observed (0 when probing is
-    /// disabled or every class is a singleton).
-    pub max_rel_spread: f64,
-    /// Mean within-class relative scatter over classes with ≥ 2 samples.
-    pub mean_rel_spread: f64,
-    /// Per-pair-class diagnostics, indexed like the classing.
-    pub pair_stats: Vec<ClassStats>,
-    /// Per-diag-class diagnostics.
-    pub diag_stats: Vec<ClassStats>,
+    /// Per-class diagnostics, in the classing's numbering: pair classes,
+    /// then diagonal classes.
+    pub class_stats: Vec<ClassStats>,
 }
 
 impl SweepReport {
@@ -453,7 +453,7 @@ pub(crate) fn measure_placement(
             probe_seed: cfg.probe_seed,
         },
     );
-    let needed = classing.pair_classes.len() + classing.diag_classes.len();
+    let needed = classing.classes.len();
     if needed > max_classes {
         return Err(SweepError::Compress(CompressError::ClassOverflow {
             needed,
@@ -476,18 +476,13 @@ struct ClassSamples {
 /// matrices here, class-grid tiles in [`crate::scatter`]) consume this —
 /// it is `O(classes + exploded members)`, never `O(P²)`.
 pub(crate) struct ClassMeasurements {
-    /// Median `(O, L)` per pair class.
-    pub(crate) pair_estimates: Vec<(f64, f64)>,
-    /// Median `O_ii` per diagonal class.
-    pub(crate) diag_estimates: Vec<f64>,
-    /// Pair classes the safety valve exploded.
-    pub(crate) explode_pair: Vec<bool>,
-    /// Diag classes the safety valve exploded.
-    pub(crate) explode_diag: Vec<bool>,
-    /// Exact per-member measurements of exploded pair classes.
-    pub(crate) exploded_pairs: HashMap<(usize, usize), (f64, f64)>,
-    /// Exact per-member measurements of exploded diag classes.
-    pub(crate) exploded_diags: HashMap<usize, f64>,
+    /// Median `(O, L)` per class, in the classing's numbering (`L` is 0
+    /// for a diagonal class).
+    pub(crate) estimates: Vec<(f64, f64)>,
+    /// Classes the safety valve exploded.
+    pub(crate) explode: Vec<bool>,
+    /// Exact measurement of every member of an exploded class, by cell.
+    pub(crate) exploded: HashMap<(usize, usize), (f64, f64)>,
 }
 
 /// Executes one batch whose ids are `0..descriptors.len()` and returns
@@ -541,21 +536,10 @@ pub(crate) fn measure_classes(
             placed: cores.len(),
         });
     }
-    let n_pair = classing.pair_classes.len();
-    let n_diag = classing.diag_classes.len();
 
     // The members each class measures: representative first, then probes.
-    let pair_members: Vec<Vec<(u32, u32)>> = classing
-        .pair_classes
-        .iter()
-        .map(|c| {
-            let mut m = vec![c.representative];
-            m.extend_from_slice(&c.probes);
-            m
-        })
-        .collect();
-    let diag_members: Vec<Vec<u32>> = classing
-        .diag_classes
+    let members: Vec<Vec<(u32, u32)>> = classing
+        .classes
         .iter()
         .map(|c| {
             let mut m = vec![c.representative];
@@ -564,45 +548,28 @@ pub(crate) fn measure_classes(
         })
         .collect();
 
-    // Descriptor builders. Ids encode (class, member) so responses merge
-    // deterministically regardless of executor scheduling: pair work
-    // first, diagonal work after.
-    let pair_desc = |class: usize, member: usize, scale: u32, id: u32| {
-        let (i, j) = pair_members[class][member];
+    // The measurement of one cell: the pair benchmark of `(i, j)`, or for
+    // `i == j` rank `i`'s transmission-free calls beside the idle partner
+    // `(i + 1) % p`.
+    let descriptor = |(i, j): (usize, usize), rep_scale: u32, id: u32| {
+        let (kind, partner, sub_seed) = if i == j {
+            (WorkKind::Diag, (i + 1) % p, diag_sub_seed(i, noise.seed))
+        } else {
+            (WorkKind::Pair, j, pair_sub_seed(i, j, noise.seed))
+        };
         PairWorkDescriptor {
             id,
-            kind: WorkKind::Pair,
-            i,
-            j,
-            core_a: cores[i as usize] as u32,
-            core_b: cores[j as usize] as u32,
-            sub_seed: pair_sub_seed(i as usize, j as usize, noise.seed),
-            rep_scale: scale,
-        }
-    };
-    let diag_desc = |class: usize, member: usize, scale: u32, id: u32| {
-        let i = diag_members[class][member] as usize;
-        let partner = cores[(i + 1) % p];
-        PairWorkDescriptor {
-            id,
-            kind: WorkKind::Diag,
+            kind,
             i: i as u32,
-            j: ((i + 1) % p) as u32,
+            j: partner as u32,
             core_a: cores[i] as u32,
-            core_b: partner as u32,
-            sub_seed: diag_sub_seed(i, noise.seed),
-            rep_scale: scale,
+            core_b: cores[partner] as u32,
+            sub_seed,
+            rep_scale,
         }
     };
 
-    let mut pair_samples: Vec<ClassSamples> = pair_members
-        .iter()
-        .map(|m| ClassSamples {
-            values: vec![(f64::NAN, f64::NAN); m.len()],
-            rep_scale: 1,
-        })
-        .collect();
-    let mut diag_samples: Vec<ClassSamples> = diag_members
+    let mut samples: Vec<ClassSamples> = members
         .iter()
         .map(|m| ClassSamples {
             values: vec![(f64::NAN, f64::NAN); m.len()],
@@ -620,11 +587,11 @@ pub(crate) fn measure_classes(
     };
 
     // Round 0 measures every class; later rounds re-measure only classes
-    // whose scatter exceeds the tolerance, at doubled repetitions.
-    let mut pending_pairs: Vec<usize> = (0..n_pair).collect();
-    let mut pending_diags: Vec<usize> = (0..n_diag).collect();
+    // whose scatter exceeds the tolerance, at doubled repetitions. Pair
+    // classes come before diagonal ones in every round's batch.
+    let mut pending: Vec<usize> = (0..members.len()).collect();
     for round in 0..=cfg.max_growth_rounds {
-        if pending_pairs.is_empty() && pending_diags.is_empty() {
+        if pending.is_empty() {
             break;
         }
         if round > 0 {
@@ -633,31 +600,19 @@ pub(crate) fn measure_classes(
         // Build the round's descriptors with a per-round id space, and a
         // side table mapping id → (class slot, member slot).
         let mut descriptors = Vec::new();
-        let mut slots: Vec<(bool, usize, usize)> = Vec::new();
-        for &c in &pending_pairs {
-            let scale = pair_samples[c].rep_scale;
-            for m in 0..pair_members[c].len() {
+        let mut slots: Vec<(usize, usize)> = Vec::new();
+        for &c in &pending {
+            let scale = samples[c].rep_scale;
+            for (m, &(i, j)) in members[c].iter().enumerate() {
                 let id = descriptors.len() as u32;
-                descriptors.push(pair_desc(c, m, scale, id));
-                slots.push((false, c, m));
-            }
-        }
-        for &c in &pending_diags {
-            let scale = diag_samples[c].rep_scale;
-            for m in 0..diag_members[c].len() {
-                let id = descriptors.len() as u32;
-                descriptors.push(diag_desc(c, m, scale, id));
-                slots.push((true, c, m));
+                descriptors.push(descriptor((i as usize, j as usize), scale, id));
+                slots.push((c, m));
             }
         }
         measurements += descriptors.len();
-        let samples = run_batch(executor, &descriptors, "descriptors")?;
-        for (&(is_diag, c, m), value) in slots.iter().zip(samples) {
-            if is_diag {
-                diag_samples[c].values[m] = value;
-            } else {
-                pair_samples[c].values[m] = value;
-            }
+        let values = run_batch(executor, &descriptors, "descriptors")?;
+        for (&(c, m), value) in slots.iter().zip(values) {
+            samples[c].values[m] = value;
         }
 
         // Decide who grows. Only classes with ≥ 2 samples have a scatter
@@ -665,155 +620,76 @@ pub(crate) fn measure_classes(
         if round == cfg.max_growth_rounds {
             break;
         }
-        pending_pairs.retain(|&c| {
-            let s = &mut pair_samples[c];
-            let (so, sl) = rel_spreads(&s.values);
-            if rule.should_grow(so.max(sl)) {
+        pending.retain(|&c| {
+            let s = &mut samples[c];
+            let grow = rule.should_grow(spread(&s.values));
+            if grow {
                 s.rep_scale *= 2;
-                true
-            } else {
-                false
             }
-        });
-        pending_diags.retain(|&c| {
-            let s = &mut diag_samples[c];
-            let (so, _) = rel_spreads(&s.values);
-            if rule.should_grow(so) {
-                s.rep_scale *= 2;
-                true
-            } else {
-                false
-            }
+            grow
         });
     }
 
     // Per-class estimates: the median over the class's samples. A
     // singleton class's estimate is exactly its (sole) measurement.
-    let pair_estimates: Vec<(f64, f64)> = pair_samples.iter().map(|s| medians(&s.values)).collect();
-    let diag_estimates: Vec<f64> = diag_samples.iter().map(|s| medians(&s.values).0).collect();
+    let estimates: Vec<(f64, f64)> = samples.iter().map(|s| medians(&s.values)).collect();
 
     // Safety valve: a class whose *validated* scatter still exceeds
     // `explode_rel_tol` after all growth rounds abandons the clustering
     // shortcut — every member is measured individually at the base
     // schedule under its own sub-seed, so those matrix entries are
     // exactly what the exhaustive sweep would have produced.
-    let explode_pair: Vec<bool> = pair_samples
+    let explode: Vec<bool> = samples
         .iter()
-        .map(|s| {
-            let (so, sl) = rel_spreads(&s.values);
-            so.max(sl) > cfg.explode_rel_tol
-        })
+        .map(|s| spread(&s.values) > cfg.explode_rel_tol)
         .collect();
-    let explode_diag: Vec<bool> = diag_samples
-        .iter()
-        .map(|s| rel_spreads(&s.values).0 > cfg.explode_rel_tol)
-        .collect();
-    let exploded_pair_classes = explode_pair.iter().filter(|&&b| b).count();
-    let exploded_diag_classes = explode_diag.iter().filter(|&&b| b).count();
-    let mut exploded_pairs: HashMap<(usize, usize), (f64, f64)> = HashMap::new();
-    let mut exploded_diags: HashMap<usize, f64> = HashMap::new();
-    if exploded_pair_classes + exploded_diag_classes > 0 {
+    let mut exploded: HashMap<(usize, usize), (f64, f64)> = HashMap::new();
+    if explode.contains(&true) {
+        // Row by row: the row's pairs, then its diagonal.
         let mut descriptors = Vec::new();
-        let mut keys: Vec<(bool, usize, usize)> = Vec::new();
+        let mut cells = Vec::new();
         for i in 0..p {
-            for j in classing.partners(i) {
-                if explode_pair[classing.class_of(i, j)] {
-                    descriptors.push(PairWorkDescriptor {
-                        id: descriptors.len() as u32,
-                        kind: WorkKind::Pair,
-                        i: i as u32,
-                        j: j as u32,
-                        core_a: cores[i] as u32,
-                        core_b: cores[j] as u32,
-                        sub_seed: pair_sub_seed(i, j, noise.seed),
-                        rep_scale: 1,
-                    });
-                    keys.push((false, i, j));
+            for j in classing.partners(i).chain([i]) {
+                if explode[classing.class_of(i, j)] {
+                    descriptors.push(descriptor((i, j), 1, descriptors.len() as u32));
+                    cells.push((i, j));
                 }
-            }
-            if explode_diag[classing.diag_class_of(i)] {
-                descriptors.push(PairWorkDescriptor {
-                    id: descriptors.len() as u32,
-                    kind: WorkKind::Diag,
-                    i: i as u32,
-                    j: ((i + 1) % p) as u32,
-                    core_a: cores[i] as u32,
-                    core_b: cores[(i + 1) % p] as u32,
-                    sub_seed: diag_sub_seed(i, noise.seed),
-                    rep_scale: 1,
-                });
-                keys.push((true, i, i));
             }
         }
         measurements += descriptors.len();
-        let samples = run_batch(executor, &descriptors, "exploded descriptors")?;
-        for (&(is_diag, i, j), (o, l)) in keys.iter().zip(samples) {
-            if is_diag {
-                exploded_diags.insert(i, o);
-            } else {
-                exploded_pairs.insert((i, j), (o, l));
-            }
-        }
+        let values = run_batch(executor, &descriptors, "exploded descriptors")?;
+        exploded.extend(cells.into_iter().zip(values));
     }
 
-    // Report.
-    let mut pair_stats = Vec::with_capacity(n_pair);
-    for s in &pair_samples {
-        let (so, sl) = rel_spreads(&s.values);
-        pair_stats.push(ClassStats {
-            samples: s.values.len(),
-            rep_scale: s.rep_scale,
-            rel_spread_o: so,
-            rel_spread_l: sl,
-        });
-    }
-    let mut diag_stats = Vec::with_capacity(n_diag);
-    for s in &diag_samples {
-        let (so, _) = rel_spreads(&s.values);
-        diag_stats.push(ClassStats {
-            samples: s.values.len(),
-            rep_scale: s.rep_scale,
-            rel_spread_o: so,
-            rel_spread_l: 0.0,
-        });
-    }
-    let spreads: Vec<f64> = pair_stats
+    let class_stats = samples
         .iter()
-        .filter(|st| st.samples >= 2)
-        .map(|st| st.rel_spread_o.max(st.rel_spread_l))
-        .chain(
-            diag_stats
-                .iter()
-                .filter(|st| st.samples >= 2)
-                .map(|st| st.rel_spread_o),
-        )
+        .map(|s| {
+            let (rel_spread_o, rel_spread_l) = rel_spreads(&s.values);
+            ClassStats {
+                samples: s.values.len(),
+                rep_scale: s.rep_scale,
+                rel_spread_o,
+                rel_spread_l,
+            }
+        })
         .collect();
+    let (pairs, diags) = explode.split_at(classing.pair_classes);
     let report = SweepReport {
         total_pairs: classing.total_pairs,
-        pair_classes: n_pair,
-        diag_classes: n_diag,
+        pair_classes: classing.pair_classes,
+        diag_classes: diags.len(),
         measurements,
         growth_rounds,
-        exploded_pair_classes,
-        exploded_diag_classes,
-        max_rel_spread: spreads.iter().copied().fold(0.0, f64::max),
-        mean_rel_spread: if spreads.is_empty() {
-            0.0
-        } else {
-            spreads.iter().sum::<f64>() / spreads.len() as f64
-        },
-        pair_stats,
-        diag_stats,
+        exploded_pair_classes: pairs.iter().filter(|&&b| b).count(),
+        exploded_diag_classes: diags.iter().filter(|&&b| b).count(),
+        class_stats,
     };
 
     Ok((
         ClassMeasurements {
-            pair_estimates,
-            diag_estimates,
-            explode_pair,
-            explode_diag,
-            exploded_pairs,
-            exploded_diags,
+            estimates,
+            explode,
+            exploded,
         },
         report,
     ))
@@ -828,12 +704,12 @@ pub(crate) fn scatter_dense(classing: &PairClassing, m: &ClassMeasurements) -> C
     let mut o = DenseMatrix::new(p);
     let mut l = DenseMatrix::new(p);
     for i in 0..p {
-        for j in classing.partners(i) {
+        for j in classing.partners(i).chain([i]) {
             let c = classing.class_of(i, j);
-            let (oij, lij) = if m.explode_pair[c] {
-                m.exploded_pairs[&(i, j)]
+            let (oij, lij) = if m.explode[c] {
+                m.exploded[&(i, j)]
             } else {
-                m.pair_estimates[c]
+                m.estimates[c]
             };
             o[(i, j)] = oij;
             l[(i, j)] = lij;
@@ -842,13 +718,6 @@ pub(crate) fn scatter_dense(classing: &PairClassing, m: &ClassMeasurements) -> C
                 l[(j, i)] = lij;
             }
         }
-        let c = classing.diag_class_of(i);
-        o[(i, i)] = if m.explode_diag[c] {
-            m.exploded_diags[&i]
-        } else {
-            m.diag_estimates[c]
-        };
-        l[(i, i)] = 0.0;
     }
     CostMatrices { o, l }
 }
@@ -907,6 +776,13 @@ fn rel_spreads(values: &[(f64, f64)]) -> (f64, f64) {
     let os: Vec<f64> = values.iter().map(|v| v.0).collect();
     let ls: Vec<f64> = values.iter().map(|v| v.1).collect();
     (rel_spread(&os), rel_spread(&ls))
+}
+
+/// The scatter the grow and explode decisions read: the larger of the
+/// two components' (a diagonal sample's `L` is 0, so its spread is 0).
+fn spread(values: &[(f64, f64)]) -> f64 {
+    let (so, sl) = rel_spreads(values);
+    so.max(sl)
 }
 
 /// Component-wise [`median`]s of the `(o, l)` samples.
@@ -1034,7 +910,7 @@ mod tests {
         assert_eq!((report.pair_classes, report.diag_classes), (8 * 7 / 2, 8));
         assert_eq!(report.measurements, 8 * 7 / 2 + 8);
         assert_eq!(report.growth_rounds, 0);
-        assert!(report.pair_stats.iter().all(|s| s.samples == 1));
+        assert!(report.class_stats.iter().all(|s| s.samples == 1));
     }
 
     #[test]
@@ -1186,7 +1062,7 @@ mod tests {
             &cfg,
         );
         assert_eq!(report.growth_rounds, 2);
-        assert!(report.pair_stats.iter().any(|s| s.rep_scale == 4));
+        assert!(report.class_stats.iter().any(|s| s.rep_scale == 4));
         // And an infinite tolerance never grows.
         let cfg = SweepConfig {
             ci_rel_tol: f64::INFINITY,

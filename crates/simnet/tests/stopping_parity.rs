@@ -10,30 +10,74 @@
 //! Also pins the exhaustive sweep (`SweepConfig::exact`) — and through
 //! it the simulation engine, the pair benchmarks and the noise stream —
 //! to the profiles of the pre-rework engine.
+//!
+//! And pins the measurement plan itself: the batches the sweep hands its
+//! executor, in order, descriptor for descriptor. A fleet's workers see
+//! that order, so a sweep that reorders or rebatches its work fails here
+//! even when every value it scatters is unchanged.
 
 use hbar_simnet::profiling::ProfilingConfig;
 use hbar_simnet::sweep::{measure_profile_decomposed, LocalExecutor, SweepConfig, SweepReport};
-use hbar_simnet::NoiseModel;
+use hbar_simnet::{
+    measure_profile_compressed, DescriptorExecutor, NoiseModel, PairSample, PairWorkDescriptor,
+    SpillConfig, SweepError, WorkKind,
+};
+use hbar_topo::cost::CostProvider;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
 
+/// FNV-1a, fed 64-bit words as little-endian bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, x: u64) {
+        for byte in x.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
 /// FNV-1a over the bit patterns of both cost matrices, row-major O then L.
 fn profile_fingerprint(p: &TopologyProfile) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: f64| {
-        for byte in x.to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv::new();
+    for v in p.cost.o.as_slice().iter().chain(p.cost.l.as_slice()) {
+        hash.eat(v.to_bits());
+    }
+    hash.0
+}
+
+/// Runs batches on the local thread pool and hashes each one as it is
+/// handed over: its length, then every descriptor's fields in order.
+struct Recording {
+    inner: LocalExecutor,
+    plan: Fnv,
+}
+
+impl DescriptorExecutor for Recording {
+    fn execute_batch(
+        &mut self,
+        descriptors: &[PairWorkDescriptor],
+    ) -> Result<Vec<PairSample>, SweepError> {
+        self.plan.eat(descriptors.len() as u64);
+        for d in descriptors {
+            let kind = match d.kind {
+                WorkKind::Pair => 0,
+                WorkKind::Diag => 1,
+            };
+            for word in [d.id, kind, d.i, d.j, d.core_a, d.core_b] {
+                self.plan.eat(u64::from(word));
+            }
+            self.plan.eat(d.sub_seed);
+            self.plan.eat(u64::from(d.rep_scale));
         }
-    };
-    for v in p.cost.o.as_slice() {
-        eat(*v);
+        self.inner.execute_batch(descriptors)
     }
-    for v in p.cost.l.as_slice() {
-        eat(*v);
-    }
-    hash
 }
 
 /// The frozen configuration: fast schedule, 2 probes per class, a 1%
@@ -126,6 +170,60 @@ fn exhaustive_profile_is_bit_identical_to_pre_rework_engine() {
         );
     }
 }
+
+/// The plan of the pinned sweep at P = 8 and 16, and of the P = 16 sweep
+/// with every class exploded, whose compressed profile also pins the
+/// numbering of the appended classes (exploded pairs, then diagonals).
+#[test]
+fn measurement_plan_is_pinned() {
+    let exploded = SweepConfig {
+        explode_rel_tol: 0.0,
+        ..pinned_config()
+    };
+    for (p, cfg, golden) in [
+        (8usize, pinned_config(), GOLDEN_PLAN_P8),
+        (16, pinned_config(), GOLDEN_PLAN_P16),
+        (16, exploded.clone(), GOLDEN_PLAN_EXPLODED_P16),
+    ] {
+        let machine = MachineSpec::dual_quad_cluster(p.div_ceil(8));
+        let noise = NoiseModel::realistic(42);
+        let mut recording = Recording {
+            inner: LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone()),
+            plan: Fnv::new(),
+        };
+        let mapping = RankMapping::Block;
+        measure_profile_decomposed(&machine, &mapping, p, noise, &cfg, &mut recording).unwrap();
+        assert_eq!(recording.plan.0, golden, "plan at P={p} diverged");
+    }
+
+    let machine = MachineSpec::dual_quad_cluster(2);
+    let noise = NoiseModel::realistic(42);
+    let mut recording = Recording {
+        inner: LocalExecutor::new(machine.clone(), noise, exploded.profiling.clone()),
+        plan: Fnv::new(),
+    };
+    let spill = SpillConfig::in_memory(std::env::temp_dir().join("hbar_plan_never_spills"));
+    let (model, report, _) = measure_profile_compressed(
+        &machine,
+        &RankMapping::Block,
+        16,
+        noise,
+        &exploded,
+        &spill,
+        &mut recording,
+    )
+    .unwrap();
+    assert!(report.exploded_pair_classes > 0 && report.exploded_diag_classes > 0);
+    assert_eq!(recording.plan.0, GOLDEN_PLAN_EXPLODED_P16);
+    assert_eq!(model.fingerprint(), GOLDEN_EXPLODED_MODEL_P16);
+}
+
+/// Captured from the sweep as it stood before the pair and diagonal
+/// classes became one class list.
+const GOLDEN_PLAN_P8: u64 = 9555430023848840514;
+const GOLDEN_PLAN_P16: u64 = 11248531008883748625;
+const GOLDEN_PLAN_EXPLODED_P16: u64 = 13853862296001480243;
+const GOLDEN_EXPLODED_MODEL_P16: u64 = 6313327164405623437;
 
 /// Golden fingerprints captured from the pre-refactor sweep (the
 /// hand-rolled `rel_spreads`/`medians` in `sweep.rs` as of PR 7) under

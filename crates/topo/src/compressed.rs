@@ -89,7 +89,7 @@ pub enum CompressError {
     },
     /// A class id appears both on and off the diagonal, so the metric
     /// could not tell `d(i, i) = 0` from a real distance.
-    DiagClassShared { class: u16 },
+    DiagonalClassShared { class: u16 },
     /// An override names a rank past `p`.
     OverrideOutOfRange { i: u32, j: u32, p: usize },
     /// An override sits on the diagonal, whose classes are `diag`'s.
@@ -128,7 +128,7 @@ impl fmt::Display for CompressError {
                 f,
                 "cell {cell} references class {class}, but only {classes} classes exist"
             ),
-            CompressError::DiagClassShared { class } => write!(
+            CompressError::DiagonalClassShared { class } => write!(
                 f,
                 "class {class} is used both on and off the diagonal; diagonal cells must \
                  have dedicated classes"
@@ -603,7 +603,7 @@ impl CompressedCostModel {
             overridden[base] = true;
         }
         if let Some(class) = (0..classes).find(|&c| on_diagonal[c] && cells[c] > 0) {
-            return Err(CompressError::DiagClassShared {
+            return Err(CompressError::DiagonalClassShared {
                 class: class as u16,
             });
         }
@@ -1128,7 +1128,7 @@ mod tests {
                 vec![1.0],
                 vec![0.0]
             )),
-            CompressError::DiagClassShared { class: 0 }
+            CompressError::DiagonalClassShared { class: 0 }
         );
         // The first bad cell in row-major order is the one reported, on
         // or off the diagonal, also right after a cell of a valid class.
@@ -1467,14 +1467,14 @@ mod tests {
         // The diagonal's class in a cell two ranks read…
         let mut parts = base();
         parts.table[1] = 5;
-        assert_eq!(err(parts), CompressError::DiagClassShared { class: 5 });
+        assert_eq!(err(parts), CompressError::DiagonalClassShared { class: 5 });
         // …or in an override; not in the cell nobody reads.
         assert_eq!(
             err(ModelParts {
                 overrides: vec![(2, 4, 5)],
                 ..base()
             }),
-            CompressError::DiagClassShared { class: 5 }
+            CompressError::DiagonalClassShared { class: 5 }
         );
         let mut parts = base();
         parts.table[8] = 5;

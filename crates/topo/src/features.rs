@@ -11,21 +11,17 @@
 //!
 //! The extraction is pluggable ([`PairFeatureExtractor`]): the default
 //! [`TopologyExtractor`] derives features from the machine description
-//! (interconnect class, hop signature, socket relation), while
-//! [`ExactExtractor`] makes every pair its own class, which degrades the
-//! clustered profiling sweep to the exhaustive one — the bit-parity
-//! regime the regression harness gates on.
+//! (interconnect class, socket relation), while [`ExactExtractor`] makes
+//! every pair its own class, which degrades the clustered profiling sweep
+//! to the exhaustive one — the bit-parity regime the regression harness
+//! gates on.
 //!
-//! Features deliberately contain no floating-point fields so they can be
-//! used as exact hash keys.
+//! Features carry only what the machine model can tell apart, and no
+//! floating-point fields: they are hash keys, and the classing keeps no
+//! copy of them — a class is known by its index.
 
 use crate::machine::{LinkClass, MachineSpec};
 use serde::{Deserialize, Serialize};
-
-/// Hop-signature bit: the message crosses a socket boundary.
-pub const HOP_SOCKET: u8 = 1 << 0;
-/// Hop-signature bit: the message crosses the inter-node network.
-pub const HOP_NODE: u8 = 1 << 1;
 
 /// Marker for "no socket relation" (the endpoints are on different nodes,
 /// so their socket indices are not comparable NUMA-wise).
@@ -41,10 +37,6 @@ pub const SOCKET_RELATION_REMOTE: u16 = u16::MAX;
 pub struct PairFeatures {
     /// Coarsest interconnect layer the pair communicates through.
     pub link: LinkClass,
-    /// Bitmask of interconnect layers crossed ([`HOP_SOCKET`],
-    /// [`HOP_NODE`]); finer than `link` on machines with deeper
-    /// hierarchies, redundant (but harmless) on the paper clusters.
-    pub hop_signature: u8,
     /// NUMA/socket relation: the unordered `(min, max)` socket indices for
     /// an intra-node pair, `(SOCKET_RELATION_REMOTE, _)` otherwise. On
     /// asymmetric NUMA boards, socket pair (0,1) and (0,2) may have
@@ -80,9 +72,11 @@ pub struct RankFeatures {
 ///
 /// Implementations must be deterministic pure functions of
 /// `(machine, ranks, cores)`. The classing calls them once per *pair of
-/// rank kinds* ([`Self::rank_kind`]), not once per pair of ranks, and
-/// every later stage of the sweep reads the classing's map instead of
-/// calling the extractor again.
+/// rank kinds* ([`Self::rank_kind`]), not once per pair of ranks:
+/// `pair_features` keys the off-diagonal cells `(i, j)`, `rank_features`
+/// the diagonal cells `(i, i)`. Every later stage of the sweep reads the
+/// classing's map, one class id per cell, instead of calling the
+/// extractor again.
 pub trait PairFeatureExtractor: Sync {
     /// Features of the ordered pair `(rank_i on core_a, rank_j on core_b)`.
     /// `ranks` are provided for extractors that refine by rank identity.
@@ -95,9 +89,6 @@ pub trait PairFeatureExtractor: Sync {
 
     /// Features of one rank's diagonal measurement.
     fn rank_features(&self, machine: &MachineSpec, rank: usize, core: usize) -> RankFeatures;
-
-    /// Quantized noise regime stamped into every produced feature vector.
-    fn noise_regime(&self) -> u16;
 
     /// The rank's *kind*: everything about `(rank, core)` that this
     /// extractor's features can depend on.
@@ -119,7 +110,7 @@ pub trait PairFeatureExtractor: Sync {
 }
 
 /// The default extractor: classes pairs by interconnect topology alone
-/// (link class, hop signature, socket relation), so a homogeneous machine
+/// (link class, socket relation), so a homogeneous machine
 /// collapses `|P|²` pairs into a handful of classes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TopologyExtractor {
@@ -145,25 +136,15 @@ impl PairFeatureExtractor for TopologyExtractor {
         let a = machine.core(core_a);
         let b = machine.core(core_b);
         let link = a.link_class(&b);
-        let mut hops = 0u8;
-        if a.node != b.node {
-            hops |= HOP_NODE | HOP_SOCKET;
-        } else if a.socket != b.socket {
-            hops |= HOP_SOCKET;
-        }
-        let socket_relation = if a.node == b.node {
-            let (lo, hi) = if a.socket <= b.socket {
-                (a.socket, b.socket)
-            } else {
-                (b.socket, a.socket)
-            };
-            (lo as u16, hi as u16)
-        } else {
-            (SOCKET_RELATION_REMOTE, SOCKET_RELATION_REMOTE)
+        // Read off the link class, so an inter-node pair (most pairs) reads
+        // no socket. As a select on node equality both arms got computed,
+        // and the classing's kind-table fill took ~20 % longer.
+        let socket_relation = match link {
+            LinkClass::InterNode => (SOCKET_RELATION_REMOTE, SOCKET_RELATION_REMOTE),
+            _ => (a.socket.min(b.socket) as u16, a.socket.max(b.socket) as u16),
         };
         PairFeatures {
             link,
-            hop_signature: hops,
             socket_relation,
             noise_regime: self.noise_regime,
             refinement: 0,
@@ -176,10 +157,6 @@ impl PairFeatureExtractor for TopologyExtractor {
             noise_regime: self.noise_regime,
             refinement: 0,
         }
-    }
-
-    fn noise_regime(&self) -> u16 {
-        self.noise_regime
     }
 
     /// `(node, socket)`: all the features above read of a core.
@@ -221,41 +198,30 @@ impl PairFeatureExtractor for ExactExtractor {
         f.refinement = rank as u64;
         f
     }
-
-    fn noise_regime(&self) -> u16 {
-        self.noise_regime
-    }
-}
-
-impl MachineSpec {
-    /// Topology-derived features of the core pair `(a, b)` under the
-    /// default extractor (noise regime 0). Convenience for callers that
-    /// want the classing key without constructing an extractor.
-    pub fn pair_features(&self, a: usize, b: usize) -> PairFeatures {
-        TopologyExtractor::default().pair_features(self, (0, 1), (a, b))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Topology features of the core pair `(a, b)`, noise regime 0.
+    fn features(m: &MachineSpec, a: usize, b: usize) -> PairFeatures {
+        TopologyExtractor::default().pair_features(m, (0, 1), (a, b))
+    }
+
     #[test]
     fn topology_features_track_link_classes() {
         let m = MachineSpec::dual_quad_cluster(2);
-        let same = m.pair_features(0, 1);
+        let same = features(&m, 0, 1);
         assert_eq!(same.link, LinkClass::SameSocket);
-        assert_eq!(same.hop_signature, 0);
         assert_eq!(same.socket_relation, (0, 0));
 
-        let cross = m.pair_features(0, 4);
+        let cross = features(&m, 0, 4);
         assert_eq!(cross.link, LinkClass::CrossSocket);
-        assert_eq!(cross.hop_signature, HOP_SOCKET);
         assert_eq!(cross.socket_relation, (0, 1));
 
-        let inter = m.pair_features(0, 8);
+        let inter = features(&m, 0, 8);
         assert_eq!(inter.link, LinkClass::InterNode);
-        assert_eq!(inter.hop_signature, HOP_SOCKET | HOP_NODE);
         assert_eq!(
             inter.socket_relation,
             (SOCKET_RELATION_REMOTE, SOCKET_RELATION_REMOTE)
@@ -266,7 +232,7 @@ mod tests {
     fn topology_features_are_direction_invariant() {
         let m = MachineSpec::dual_hex_cluster(3);
         for (a, b) in [(0usize, 7usize), (2, 13), (5, 30)] {
-            assert_eq!(m.pair_features(a, b), m.pair_features(b, a));
+            assert_eq!(features(&m, a, b), features(&m, b, a));
         }
     }
 
@@ -281,7 +247,7 @@ mod tests {
         for a in 0..total {
             for b in 0..total {
                 if a != b {
-                    distinct.insert(m.pair_features(a, b));
+                    distinct.insert(features(&m, a, b));
                 }
             }
         }
@@ -322,7 +288,7 @@ mod tests {
     #[test]
     fn features_serde_roundtrip() {
         let m = MachineSpec::dual_quad_cluster(2);
-        let f = m.pair_features(0, 9);
+        let f = features(&m, 0, 9);
         let json = serde_json::to_string(&f).unwrap();
         let back: PairFeatures = serde_json::from_str(&json).unwrap();
         assert_eq!(back, f);

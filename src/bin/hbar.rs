@@ -302,10 +302,17 @@ fn load_schedule(flags: &Flags) -> Result<BarrierSchedule, String> {
 fn cmd_profile(flags: &Flags) -> Result<(), String> {
     let machine = parse_machine(req(flags, "machine")?)?;
     let mapping = parse_mapping(flags.get("mapping").map(String::as_str).unwrap_or("rr"))?;
+    let cores = machine.total_cores();
     let p: usize = match flags.get("ranks") {
         Some(v) => v.parse().map_err(|_| "bad --ranks".to_string())?,
-        None => machine.total_cores(),
+        None => cores,
     };
+    if !(2..=cores).contains(&p) {
+        return Err(format!(
+            "cannot profile {p} ranks on {}: a profile needs at least 2 and the machine has {cores} cores",
+            machine.name
+        ));
+    }
     let out = req(flags, "out")?;
     let (profile, summary) = if flags.contains_key("exact-machine") {
         // Closed-form noise-free profile (no benchmarking).
@@ -569,8 +576,6 @@ fn cmd_tune_client(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_tune(flags: &Flags) -> Result<(), String> {
-    let profile = load_profile(flags)?;
-    let out = req(flags, "out")?;
     let mut cfg = if flags.contains_key("extended") {
         TunerConfig::extended()
     } else {
@@ -580,8 +585,14 @@ fn cmd_tune(flags: &Flags) -> Result<(), String> {
         cfg.score_exact = true;
     }
     if let Some(s) = flags.get("sparseness") {
-        cfg.sparseness = s.parse().map_err(|_| "bad --sparseness".to_string())?;
+        cfg.sparseness = s
+            .parse()
+            .ok()
+            .filter(|&f: &f64| f > 0.0 && f <= 1.0)
+            .ok_or_else(|| format!("--sparseness must be in (0, 1], got `{s}`"))?;
     }
+    let profile = load_profile(flags)?;
+    let out = req(flags, "out")?;
     let members: Vec<usize> = (0..profile.p()).collect();
     let tuned = tune_hybrid_costs(profile.cost(), &members, &cfg);
     let json = serde_json::to_string_pretty(&tuned.schedule).expect("schedule serializes");
@@ -649,13 +660,18 @@ fn cmd_verify(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
-    let profile = load_profile(flags)?;
-    let schedule = load_schedule(flags)?;
     let reps: usize = flags
         .get("reps")
-        .map(|v| v.parse().map_err(|_| "bad --reps".to_string()))
+        .map(|v| {
+            v.parse()
+                .ok()
+                .filter(|&n: &usize| n > 0)
+                .ok_or_else(|| format!("--reps must be a positive count, got `{v}`"))
+        })
         .transpose()?
         .unwrap_or(25);
+    let profile = load_profile(flags)?;
+    let schedule = load_schedule(flags)?;
     let seed: u64 = flags
         .get("seed")
         .map(|v| v.parse().map_err(|_| "bad --seed".to_string()))

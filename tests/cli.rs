@@ -231,6 +231,74 @@ fn helpful_errors() {
     let o = hbar(&["profile", "--machine", "0x1x1", "--out", "/tmp/x.json"]);
     assert!(!o.status.success());
 
+    // Numbers out of range are error lines, not library panics.
+    let out = std::env::temp_dir().join(format!("hbar_cli_range_{}.json", std::process::id()));
+    let out = out.to_str().unwrap();
+    let profile = ["profile", "--machine", "1x2x8", "--fast", "--out", out];
+    let tune = ["tune", "--profile", "/nonexistent.json", "--out", out];
+    let simulate = [
+        "simulate",
+        "--profile",
+        "/nonexistent.json",
+        "--schedule",
+        "/nonexistent.json",
+    ];
+    for (command, extra, complaint) in [
+        (
+            &profile[..],
+            &["--ranks", "1", "--clustered"][..],
+            "cannot profile 1 ranks",
+        ),
+        (&profile, &["--ranks", "0"], "cannot profile 0 ranks"),
+        (
+            &profile,
+            &["--ranks", "1", "--compressed"],
+            "cannot profile 1 ranks",
+        ),
+        (&profile, &["--ranks", "17"], "the machine has 16 cores"),
+        (
+            &profile,
+            &["--ranks", "17", "--exact-machine"],
+            "the machine has 16 cores",
+        ),
+        (
+            &tune,
+            &["--sparseness", "0"],
+            "--sparseness must be in (0, 1]",
+        ),
+        (
+            &tune,
+            &["--sparseness", "-1"],
+            "--sparseness must be in (0, 1]",
+        ),
+        (
+            &tune,
+            &["--sparseness", "nan"],
+            "--sparseness must be in (0, 1]",
+        ),
+        (
+            &tune,
+            &["--sparseness", "2"],
+            "--sparseness must be in (0, 1]",
+        ),
+        (
+            &simulate,
+            &["--reps", "0"],
+            "--reps must be a positive count",
+        ),
+    ] {
+        let args = [command, extra].concat();
+        let o = hbar(&args);
+        let err = stderr(&o);
+        assert_eq!(o.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains(complaint),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    assert!(!std::path::Path::new(out).exists());
+
     let o = hbar(&["predict", "--schedule", "/nonexistent.json"]);
     assert!(!o.status.success());
     assert!(

@@ -113,7 +113,9 @@ fn bench_barrier_execution(c: &mut Criterion) {
 
 /// One pair descriptor on the default schedule — 1 325 two-rank runs at
 /// `rep_scale` 1 — per link class, at the base repetition count and at the
-/// 4× a grown class asks for. `simnet.sweep.measure_s` is a sum of these.
+/// 4× a grown class asks for; and at 4× each half a growth round runs
+/// alone, the ping-pong size sweep (525 runs at `rep_scale` 1) and the
+/// burst sweep (800). `simnet.sweep.measure_s` is a sum of these.
 fn bench_pair_descriptor(c: &mut Criterion) {
     let mut group = c.benchmark_group("pair_descriptor");
     group.sample_size(10);
@@ -129,10 +131,15 @@ fn bench_pair_descriptor(c: &mut Criterion) {
             machine.core(0).link_class(&machine.core(core_b as usize)),
             class
         );
-        for rep_scale in [1u32, 4] {
+        for (kind, rep_scale) in [
+            (WorkKind::Pair, 1u32),
+            (WorkKind::Pair, 4),
+            (WorkKind::PingPong, 4),
+            (WorkKind::Burst, 4),
+        ] {
             let d = PairWorkDescriptor {
                 id: 0,
-                kind: WorkKind::Pair,
+                kind,
                 i: 0,
                 j: 1,
                 core_a: 0,
@@ -140,7 +147,11 @@ fn bench_pair_descriptor(c: &mut Criterion) {
                 sub_seed: pair_sub_seed(0, 1, noise.seed),
                 rep_scale,
             };
-            group.bench_with_input(BenchmarkId::new(name, rep_scale), &d, |b, d| {
+            let id = match kind {
+                WorkKind::Pair => BenchmarkId::new(name, rep_scale),
+                _ => BenchmarkId::new(format!("{name}/{kind:?}"), rep_scale),
+            };
+            group.bench_with_input(id, &d, |b, d| {
                 b.iter(|| black_box(execute_descriptor(&machine, noise, &cfg, black_box(d))))
             });
         }

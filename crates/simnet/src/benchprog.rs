@@ -203,6 +203,12 @@ impl PairBench {
         median(&mut self.times)
     }
 
+    /// Skips `runs` independent runs: the next sample point draws the
+    /// noise it would have drawn after that many runs of other points.
+    pub(crate) fn skip_runs(&mut self, runs: u64) {
+        self.world.skip_runs(runs);
+    }
+
     /// Measured mean transmission-free call cost over `k` calls.
     pub fn noop(&mut self, k: usize) -> f64 {
         let [a, b] = &mut self.progs;

@@ -29,6 +29,7 @@ use crate::wire::{
     read_frame_into, write_frame, JobHeader, FRAME_BATCH, FRAME_DRAIN, FRAME_JOB, FRAME_RESULT,
     FRAME_SHUTDOWN,
 };
+use hbar_topo::machine::MachineSpec;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -119,6 +120,7 @@ fn serve_connection(
         Ok(j) => j,
         Err(_) => return Ok(ConnectionEnd::Continue),
     };
+    let machine = job.machine.clone();
     let mut executor = LocalExecutor::new(job.machine, job.noise, job.profiling);
 
     loop {
@@ -138,9 +140,12 @@ fn serve_connection(
                 return Ok(ConnectionEnd::Continue);
             }
             FRAME_BATCH => {
+                // A batch that does not decode, or names cores the job's
+                // machine cannot place, ends the connection, not the
+                // worker.
                 let descriptors = match decode_batch(&payload) {
-                    Ok(d) => d,
-                    Err(_) => return Ok(ConnectionEnd::Continue),
+                    Ok(d) if d.iter().all(|d| runs_on(&machine, d)) => d,
+                    _ => return Ok(ConnectionEnd::Continue),
                 };
                 let samples = executor
                     .execute_batch(&descriptors)
@@ -166,6 +171,13 @@ fn serve_connection(
             _ => return Ok(ConnectionEnd::Continue),
         }
     }
+}
+
+/// Whether `d` names two distinct cores of `machine`: the placement of
+/// its two-rank bench asserts exactly that.
+fn runs_on(machine: &MachineSpec, d: &PairWorkDescriptor) -> bool {
+    let cores = machine.total_cores();
+    d.core_a != d.core_b && (d.core_a as usize) < cores && (d.core_b as usize) < cores
 }
 
 fn is_disconnect(e: &io::Error) -> bool {
@@ -228,7 +240,7 @@ impl FleetExecutor {
     /// Convenience: builds the job header from its parts.
     pub fn for_sweep(
         addrs: Vec<String>,
-        machine: hbar_topo::machine::MachineSpec,
+        machine: MachineSpec,
         noise: NoiseModel,
         profiling: ProfilingConfig,
         opts: FleetOptions,

@@ -98,21 +98,30 @@ pub fn diag_sub_seed(i: usize, seed: u64) -> u64 {
     splitmix64(splitmix64(seed ^ 0x000D_D1A6_u64) ^ i as u64)
 }
 
-/// Runs one pair's full §IV-A measurement schedule — the ping-pong size
-/// sweep then the burst-count sweep, in a fixed order — and regresses
-/// out `(O_ij, L_ij)`. The leaf of every pair descriptor
-/// ([`crate::sweep::execute_descriptor`]), amortizing one engine and one
+/// The first half of one pair's §IV-A schedule: the ping-pong size sweep,
+/// `reps` runs per size, regressed to `O_ij` (the Hockney intercept).
+/// A pair descriptor ([`crate::sweep::execute_descriptor`]) runs it and
+/// then [`measure_l`] on the same bench, amortizing one engine and one
 /// pair of program buffers across every sample point.
-pub(crate) fn measure_pair(bench: &mut PairBench, cfg: &ProfilingConfig) -> (f64, f64) {
-    let o_points: Vec<(f64, f64)> = cfg
+pub(crate) fn measure_o(bench: &mut PairBench, cfg: &ProfilingConfig) -> f64 {
+    let points: Vec<(f64, f64)> = cfg
         .sizes
         .iter()
         .map(|&s| (s as f64, bench.one_way(s, cfg.reps)))
         .collect();
-    let l_points: Vec<(f64, f64)> = (1..=cfg.max_messages)
+    hockney_intercept(&points)
+}
+
+/// The second half: the `1 ..= max_messages` burst sweep, `burst_reps`
+/// runs per count, regressed to `L_ij` (the gradient). Its noise draws
+/// follow the size sweep's `sizes.len() × reps` runs, so a bench that did
+/// not run that sweep skips as many runs first
+/// ([`PairBench::skip_runs`]).
+pub(crate) fn measure_l(bench: &mut PairBench, cfg: &ProfilingConfig) -> f64 {
+    let points: Vec<(f64, f64)> = (1..=cfg.max_messages)
         .map(|k| (k as f64, bench.burst(k, cfg.burst_reps)))
         .collect();
-    (hockney_intercept(&o_points), latency_gradient(&l_points))
+    latency_gradient(&points)
 }
 
 /// Builds an amortized two-rank benchmark scratch with local rank 0 on

@@ -18,7 +18,10 @@
 //!    under their own sub-seeds) that estimate the within-class scatter;
 //!    repetitions grow geometrically until the scatter is below the
 //!    configured tolerance (the Hunold & Carpen-Amarie prescription:
-//!    adaptive repetition, stop when the CI is tight). The grow/stop
+//!    adaptive repetition, stop when the CI is tight), per component:
+//!    `O` comes from the ping-pong size sweep and `L` from the burst
+//!    sweep, and a growth round re-runs only the family whose estimate
+//!    still misses. The grow/stop
 //!    decision and the median/spread arithmetic are the private
 //!    `StoppingRule`, `rel_spread` and `median` below, pinned bit for
 //!    bit by the `stopping_parity` regression test, which also pins the
@@ -46,7 +49,9 @@
 //! measures every pair by hand).
 
 use crate::noise::NoiseModel;
-use crate::profiling::{diag_sub_seed, measure_pair, pair_bench, pair_sub_seed, ProfilingConfig};
+use crate::profiling::{
+    diag_sub_seed, measure_l, measure_o, pair_bench, pair_sub_seed, ProfilingConfig,
+};
 use hbar_core::clustering::{classify_pairs, ClassingConfig, PairClassing};
 use hbar_matrix::DenseMatrix;
 use hbar_topo::compressed::CompressError;
@@ -59,13 +64,19 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// What a work descriptor measures.
+/// What a work descriptor measures. A pair's two halves answer, bit for
+/// bit, the same component of a [`WorkKind::Pair`] descriptor at the same
+/// `rep_scale` and sub-seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WorkKind {
-    /// Off-diagonal `(O_ij, L_ij)` pair benchmark.
+    /// Off-diagonal `(O_ij, L_ij)` pair benchmark: both families.
     Pair,
     /// Diagonal `O_ii` transmission-free call benchmark.
     Diag,
+    /// The pair's ping-pong size sweep only: answers `O_ij`, `l` is 0.
+    PingPong,
+    /// The pair's burst sweep only: answers `L_ij`, `o` is 0.
+    Burst,
 }
 
 /// One self-contained unit of profiling work: everything a worker needs
@@ -95,14 +106,15 @@ pub struct PairWorkDescriptor {
     pub rep_scale: u32,
 }
 
-/// The measured result of one descriptor. `l` is 0 for diagonal work.
+/// The measured result of one descriptor. `l` is 0 for diagonal and
+/// ping-pong work, `o` for burst work.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PairSample {
     /// Echoed descriptor identity.
     pub id: u32,
-    /// Estimated `O` (seconds).
+    /// Estimated `O` (seconds); 0 for burst work.
     pub o: f64,
-    /// Estimated `L` (seconds); 0 for diagonal work.
+    /// Estimated `L` (seconds); 0 for diagonal and ping-pong work.
     pub l: f64,
 }
 
@@ -223,34 +235,35 @@ pub fn execute_descriptor(
         noise,
         d.sub_seed,
     );
-    match d.kind {
-        WorkKind::Pair => {
-            let (o, l) = if d.rep_scale <= 1 {
-                measure_pair(&mut bench, cfg)
-            } else {
-                measure_pair(&mut bench, &scaled_config(cfg, d.rep_scale))
-            };
-            PairSample { id: d.id, o, l }
+    let scaled;
+    let cfg = if d.rep_scale <= 1 {
+        cfg
+    } else {
+        scaled = scaled_config(cfg, d.rep_scale);
+        &scaled
+    };
+    let (o, l) = match d.kind {
+        WorkKind::Pair => (measure_o(&mut bench, cfg), measure_l(&mut bench, cfg)),
+        WorkKind::PingPong => (measure_o(&mut bench, cfg), 0.0),
+        WorkKind::Burst => {
+            // Draw the noise a whole pair descriptor's bursts draw.
+            bench.skip_runs((cfg.sizes.len() * cfg.reps) as u64);
+            (0.0, measure_l(&mut bench, cfg))
         }
-        WorkKind::Diag => {
-            let calls = cfg.noop_calls * (d.rep_scale.max(1) as usize);
-            let o = bench.noop(calls);
-            PairSample {
-                id: d.id,
-                o,
-                l: 0.0,
-            }
-        }
-    }
+        WorkKind::Diag => (bench.noop(cfg.noop_calls), 0.0),
+    };
+    PairSample { id: d.id, o, l }
 }
 
-/// The base schedule with `scale`× the repetitions (sizes and burst
-/// counts unchanged — growth buys tighter medians, not new sample
-/// points).
+/// The base schedule with `scale`× the repetitions and transmission-free
+/// calls (sizes and burst counts unchanged — growth buys tighter medians,
+/// not new sample points).
 fn scaled_config(cfg: &ProfilingConfig, scale: u32) -> ProfilingConfig {
+    let scale = scale as usize;
     ProfilingConfig {
-        reps: cfg.reps * scale as usize,
-        burst_reps: cfg.burst_reps * scale as usize,
+        reps: cfg.reps * scale,
+        burst_reps: cfg.burst_reps * scale,
+        noop_calls: cfg.noop_calls * scale,
         ..cfg.clone()
     }
 }
@@ -267,8 +280,9 @@ pub struct SweepConfig {
     pub probes_per_class: usize,
     /// Seed of the deterministic probe reservoir.
     pub probe_seed: u64,
-    /// Relative within-class scatter (max |sample − median| / median)
-    /// above which a class's repetitions are grown.
+    /// Relative within-class scatter (max |sample − median| / median) of
+    /// `O` or of `L` above which the benchmark family that measures that
+    /// component is re-run at grown repetitions.
     pub ci_rel_tol: f64,
     /// Maximum geometric growth rounds (each doubles `rep_scale`); 0
     /// disables adaptive growth.
@@ -332,8 +346,12 @@ impl SweepConfig {
 pub struct ClassStats {
     /// Samples (representative + probes) the estimate was taken over.
     pub samples: usize,
-    /// Final repetition multiplier after adaptive growth.
-    pub rep_scale: u32,
+    /// Repetition multiplier the `O` samples were last measured at.
+    pub rep_scale_o: u32,
+    /// Repetition multiplier the `L` samples were last measured at. A
+    /// growth round re-runs only the family whose spread still misses, so
+    /// the two scales differ when one component stopped before the other.
+    pub rep_scale_l: u32,
     /// Relative scatter of `O` samples around their median.
     pub rel_spread_o: f64,
     /// Relative scatter of `L` samples around their median (0 for a
@@ -463,11 +481,16 @@ pub(crate) fn measure_placement(
     Ok((classing, m, report))
 }
 
-/// One class's sample set across growth rounds.
+/// One class's sample set across growth rounds. Each pair field is
+/// `(O, L)`: the components grow and stop independently.
 struct ClassSamples {
     /// `(o, l)` per sample; index 0 is the representative.
     values: Vec<(f64, f64)>,
-    rep_scale: u32,
+    /// The repetition multiplier each component was last measured at.
+    rep_scale: (u32, u32),
+    /// Which components the next round measures: a component stops once
+    /// its own spread is within the tolerance, and never re-enters.
+    growing: (bool, bool),
 }
 
 /// Everything the measurement phase learned, in class space: per-class
@@ -548,14 +571,20 @@ pub(crate) fn measure_classes(
         })
         .collect();
 
-    // The measurement of one cell: the pair benchmark of `(i, j)`, or for
-    // `i == j` rank `i`'s transmission-free calls beside the idle partner
-    // `(i + 1) % p`.
-    let descriptor = |(i, j): (usize, usize), rep_scale: u32, id: u32| {
+    // The measurement of one cell: the pair benchmark of `(i, j)` — both
+    // families, or the one of the two that `measure = (O, L)` asks for —
+    // or for `i == j` rank `i`'s transmission-free calls beside the idle
+    // partner `(i + 1) % p`.
+    let descriptor = |(i, j): (usize, usize), measure: (bool, bool), rep_scale: u32, id: u32| {
         let (kind, partner, sub_seed) = if i == j {
             (WorkKind::Diag, (i + 1) % p, diag_sub_seed(i, noise.seed))
         } else {
-            (WorkKind::Pair, j, pair_sub_seed(i, j, noise.seed))
+            let kind = match measure {
+                (true, false) => WorkKind::PingPong,
+                (false, true) => WorkKind::Burst,
+                _ => WorkKind::Pair,
+            };
+            (kind, j, pair_sub_seed(i, j, noise.seed))
         };
         PairWorkDescriptor {
             id,
@@ -573,7 +602,8 @@ pub(crate) fn measure_classes(
         .iter()
         .map(|m| ClassSamples {
             values: vec![(f64::NAN, f64::NAN); m.len()],
-            rep_scale: 1,
+            rep_scale: (1, 1),
+            growing: (true, true),
         })
         .collect();
 
@@ -586,10 +616,13 @@ pub(crate) fn measure_classes(
         rel_tol: cfg.ci_rel_tol,
     };
 
-    // Round 0 measures every class; later rounds re-measure only classes
-    // whose scatter exceeds the tolerance, at doubled repetitions. Pair
-    // classes come before diagonal ones in every round's batch.
+    // Round 0 measures every class, both components; later rounds
+    // re-measure a class only in the components whose scatter exceeds the
+    // tolerance, at doubled repetitions — so every component a round
+    // measures is at the same scale. Pair classes come before diagonal
+    // ones in every round's batch.
     let mut pending: Vec<usize> = (0..members.len()).collect();
+    let mut scale = 1u32;
     for round in 0..=cfg.max_growth_rounds {
         if pending.is_empty() {
             break;
@@ -602,32 +635,45 @@ pub(crate) fn measure_classes(
         let mut descriptors = Vec::new();
         let mut slots: Vec<(usize, usize)> = Vec::new();
         for &c in &pending {
-            let scale = samples[c].rep_scale;
+            let s = &mut samples[c];
+            if s.growing.0 {
+                s.rep_scale.0 = scale;
+            }
+            if s.growing.1 {
+                s.rep_scale.1 = scale;
+            }
             for (m, &(i, j)) in members[c].iter().enumerate() {
                 let id = descriptors.len() as u32;
-                descriptors.push(descriptor((i as usize, j as usize), scale, id));
+                descriptors.push(descriptor((i as usize, j as usize), s.growing, scale, id));
                 slots.push((c, m));
             }
         }
         measurements += descriptors.len();
         let values = run_batch(executor, &descriptors, "descriptors")?;
-        for (&(c, m), value) in slots.iter().zip(values) {
-            samples[c].values[m] = value;
+        for (&(c, m), (o, l)) in slots.iter().zip(values) {
+            let s = &mut samples[c];
+            // Only what was measured is written.
+            if s.growing.0 {
+                s.values[m].0 = o;
+            }
+            if s.growing.1 {
+                s.values[m].1 = l;
+            }
         }
 
-        // Decide who grows. Only classes with ≥ 2 samples have a scatter
+        // Decide what grows. Only classes with ≥ 2 samples have a scatter
         // estimate; singletons never grow, preserving exhaustive parity.
         if round == cfg.max_growth_rounds {
             break;
         }
         pending.retain(|&c| {
             let s = &mut samples[c];
-            let grow = rule.should_grow(spread(&s.values));
-            if grow {
-                s.rep_scale *= 2;
-            }
-            grow
+            let (so, sl) = rel_spreads(&s.values);
+            s.growing.0 &= rule.should_grow(so);
+            s.growing.1 &= rule.should_grow(sl);
+            s.growing.0 || s.growing.1
         });
+        scale *= 2;
     }
 
     // Per-class estimates: the median over the class's samples. A
@@ -651,7 +697,8 @@ pub(crate) fn measure_classes(
         for i in 0..p {
             for j in classing.partners(i).chain([i]) {
                 if explode[classing.class_of(i, j)] {
-                    descriptors.push(descriptor((i, j), 1, descriptors.len() as u32));
+                    let id = descriptors.len() as u32;
+                    descriptors.push(descriptor((i, j), (true, true), 1, id));
                     cells.push((i, j));
                 }
             }
@@ -667,7 +714,8 @@ pub(crate) fn measure_classes(
             let (rel_spread_o, rel_spread_l) = rel_spreads(&s.values);
             ClassStats {
                 samples: s.values.len(),
-                rep_scale: s.rep_scale,
+                rep_scale_o: s.rep_scale.0,
+                rep_scale_l: s.rep_scale.1,
                 rel_spread_o,
                 rel_spread_l,
             }
@@ -778,8 +826,8 @@ fn rel_spreads(values: &[(f64, f64)]) -> (f64, f64) {
     (rel_spread(&os), rel_spread(&ls))
 }
 
-/// The scatter the grow and explode decisions read: the larger of the
-/// two components' (a diagonal sample's `L` is 0, so its spread is 0).
+/// The scatter the explode decision reads: the larger of the two
+/// components' (a diagonal sample's `L` is 0, so its spread is 0).
 fn spread(values: &[(f64, f64)]) -> f64 {
     let (so, sl) = rel_spreads(values);
     so.max(sl)
@@ -1062,7 +1110,7 @@ mod tests {
             &cfg,
         );
         assert_eq!(report.growth_rounds, 2);
-        assert!(report.class_stats.iter().any(|s| s.rep_scale == 4));
+        assert!(report.class_stats.iter().any(|s| s.rep_scale_o == 4));
         // And an infinite tolerance never grows.
         let cfg = SweepConfig {
             ci_rel_tol: f64::INFINITY,
@@ -1076,6 +1124,61 @@ mod tests {
             &cfg,
         );
         assert_eq!(report.growth_rounds, 0);
+    }
+
+    /// Answers an `O` that differs from member to member and one `L` for
+    /// all, recording the kind of every descriptor of every batch.
+    struct LooseO(Vec<Vec<WorkKind>>);
+
+    impl DescriptorExecutor for LooseO {
+        fn execute_batch(
+            &mut self,
+            descriptors: &[PairWorkDescriptor],
+        ) -> Result<Vec<PairSample>, SweepError> {
+            self.0.push(descriptors.iter().map(|d| d.kind).collect());
+            Ok(descriptors
+                .iter()
+                .map(|d| PairSample {
+                    id: d.id,
+                    o: 1e-6 * f64::from(1 + d.i + d.j),
+                    l: 1e-7,
+                })
+                .collect())
+        }
+    }
+
+    #[test]
+    fn growth_rounds_rerun_only_the_component_that_missed() {
+        let machine = MachineSpec::dual_quad_cluster(2);
+        let cfg = SweepConfig::fast();
+        let mut loose = LooseO(Vec::new());
+        let (_, report) = measure_profile_decomposed(
+            &machine,
+            &RankMapping::Block,
+            16,
+            NoiseModel::none(),
+            &cfg,
+            &mut loose,
+        )
+        .unwrap();
+        assert_eq!(report.growth_rounds, 2);
+        let [round0, growth @ ..] = &loose.0[..] else {
+            panic!("no batch");
+        };
+        assert!(round0
+            .iter()
+            .all(|&k| k == WorkKind::Pair || k == WorkKind::Diag));
+        assert_eq!(growth.len(), 2);
+        for batch in growth {
+            assert!(batch.contains(&WorkKind::PingPong));
+            assert!(batch
+                .iter()
+                .all(|&k| k == WorkKind::PingPong || k == WorkKind::Diag));
+        }
+        for s in &report.class_stats[..report.pair_classes] {
+            assert_eq!((s.rep_scale_l, s.rel_spread_l), (1, 0.0));
+            assert_eq!(s.rep_scale_o, 4);
+        }
     }
 
     #[test]

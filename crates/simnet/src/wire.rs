@@ -141,7 +141,8 @@ pub fn decode_job(payload: &[u8]) -> io::Result<JobHeader> {
 
 /// Encodes a descriptor batch into the compact fixed-width layout:
 /// `id:u32 | kind:u8 | i:u32 | j:u32 | core_a:u32 | core_b:u32 |
-/// sub_seed:u64 | rep_scale:u32`, all little-endian.
+/// sub_seed:u64 | rep_scale:u32`, all little-endian. The kind byte is
+/// 0 `Pair`, 1 `Diag`, 2 `PingPong`, 3 `Burst`.
 pub fn encode_batch(descriptors: &[PairWorkDescriptor]) -> Vec<u8> {
     let mut out = Vec::with_capacity(descriptors.len() * DESCRIPTOR_WIRE_LEN);
     encode_batch_into(descriptors, &mut out);
@@ -158,6 +159,8 @@ pub fn encode_batch_into(descriptors: &[PairWorkDescriptor], out: &mut Vec<u8>) 
         out.push(match d.kind {
             WorkKind::Pair => 0,
             WorkKind::Diag => 1,
+            WorkKind::PingPong => 2,
+            WorkKind::Burst => 3,
         });
         out.extend_from_slice(&d.i.to_le_bytes());
         out.extend_from_slice(&d.j.to_le_bytes());
@@ -185,6 +188,8 @@ pub fn decode_batch(payload: &[u8]) -> io::Result<Vec<PairWorkDescriptor>> {
         let kind = match rec[4] {
             0 => WorkKind::Pair,
             1 => WorkKind::Diag,
+            2 => WorkKind::PingPong,
+            3 => WorkKind::Burst,
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -273,6 +278,26 @@ mod tests {
                 sub_seed: 0,
                 rep_scale: 16,
             },
+            PairWorkDescriptor {
+                id: 7,
+                kind: WorkKind::PingPong,
+                i: 2,
+                j: 3,
+                core_a: 2,
+                core_b: 3,
+                sub_seed: 0x5EED,
+                rep_scale: 2,
+            },
+            PairWorkDescriptor {
+                id: 8,
+                kind: WorkKind::Burst,
+                i: 3,
+                j: 2,
+                core_a: 3,
+                core_b: 2,
+                sub_seed: 0x5EED,
+                rep_scale: 4,
+            },
         ]
     }
 
@@ -280,12 +305,16 @@ mod tests {
     fn batch_binary_roundtrip() {
         let descs = sample_descriptors();
         let bytes = encode_batch(&descs);
-        assert_eq!(bytes.len(), 2 * DESCRIPTOR_WIRE_LEN);
+        assert_eq!(bytes.len(), 4 * DESCRIPTOR_WIRE_LEN);
+        let kind_bytes: Vec<u8> = bytes.chunks(DESCRIPTOR_WIRE_LEN).map(|r| r[4]).collect();
+        assert_eq!(kind_bytes, [0, 1, 2, 3]);
         assert_eq!(decode_batch(&bytes).unwrap(), descs);
         assert!(decode_batch(&bytes[..DESCRIPTOR_WIRE_LEN - 1]).is_err());
         let mut corrupt = bytes;
-        corrupt[4] = 9; // invalid kind byte
-        assert!(decode_batch(&corrupt).is_err());
+        for byte in 4..=u8::MAX {
+            corrupt[4] = byte; // invalid kind byte
+            assert!(decode_batch(&corrupt).is_err(), "kind byte {byte}");
+        }
     }
 
     #[test]

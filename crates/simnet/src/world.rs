@@ -133,6 +133,14 @@ impl SimWorld {
         Ok(self.engine.finish_of(0) - self.engine.first_mark_of(0))
     }
 
+    /// Advances the run counter by `runs` without running anything, so the
+    /// next run draws the noise it would have drawn after `runs` others:
+    /// a benchmark that leaves out part of a fixed schedule measures the
+    /// rest under the same draws as the whole schedule would.
+    pub(crate) fn skip_runs(&mut self, runs: u64) {
+        self.run_counter += runs;
+    }
+
     /// The next run's noise state: runs are decorrelated by their index.
     fn next_noise(&mut self) -> NoiseState {
         self.run_counter += 1;

@@ -1,7 +1,8 @@
 //! Integration tests of the profiling sweep: singleton-regime bit-parity
 //! with a hand-measured exhaustive oracle, clustered-vs-exhaustive error
 //! bounds on the paper clusters, wire-format round trips, and the
-//! loopback driver↔worker fleet with a mid-sweep crash.
+//! loopback driver↔worker fleet: a mid-sweep crash, a sweep that grows,
+//! and a batch the worker's machine cannot place.
 
 use hbar_core::clustering::splitmix64;
 use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
@@ -11,8 +12,8 @@ use hbar_simnet::distrib::{
 };
 use hbar_simnet::profiling::{diag_sub_seed, pair_sub_seed, ProfilingConfig};
 use hbar_simnet::sweep::{
-    execute_descriptor, measure_profile_decomposed, LocalExecutor, PairSample, PairWorkDescriptor,
-    SweepConfig, SweepReport, WorkKind,
+    execute_descriptor, measure_profile_decomposed, DescriptorExecutor, LocalExecutor, PairSample,
+    PairWorkDescriptor, SweepConfig, SweepError, SweepReport, WorkKind,
 };
 use hbar_simnet::wire::JobHeader;
 use hbar_simnet::{measure_profile_compressed, NoiseModel, SpillConfig, SpillReport};
@@ -447,6 +448,123 @@ fn loopback_fleet_survives_mid_sweep_crash_and_matches_local() {
     shutdown_worker(&addr_b).expect("shutdown worker b");
     handle_a.join().expect("join a").expect("worker a ok");
     handle_b.join().expect("join b").expect("worker b ok");
+}
+
+/// Hands batches on to a fleet, noting the kind of every descriptor.
+struct KindsSeen<'a> {
+    fleet: &'a mut FleetExecutor,
+    kinds: Vec<WorkKind>,
+}
+
+impl DescriptorExecutor for KindsSeen<'_> {
+    fn execute_batch(
+        &mut self,
+        descriptors: &[PairWorkDescriptor],
+    ) -> Result<Vec<PairSample>, SweepError> {
+        self.kinds.extend(descriptors.iter().map(|d| d.kind));
+        self.fleet.execute_batch(descriptors)
+    }
+}
+
+/// The fleet on a sweep that grows: a 1 % tolerance that round 0 misses,
+/// so growth rounds ship `PingPong` and `Burst` descriptors (wire kinds 2
+/// and 3) as well as `Pair` and `Diag` ones. The merged profile must be
+/// the local run's, bit for bit, with every measurement from the fleet.
+#[test]
+fn loopback_fleet_matches_local_on_a_growing_sweep() {
+    let machine = MachineSpec::dual_quad_cluster(2);
+    let mapping = RankMapping::Block;
+    let noise = NoiseModel::realistic(42);
+    let sweep_cfg = SweepConfig {
+        probes_per_class: 2,
+        ci_rel_tol: 0.01,
+        ..SweepConfig::fast()
+    };
+    let p = 16;
+    let (local_profile, local_report) = local_sweep(&machine, &mapping, p, noise, &sweep_cfg);
+
+    let (addr, handle) = spawn_worker(WorkerFault::None);
+    let mut fleet = FleetExecutor::for_sweep(
+        vec![addr.clone()],
+        machine.clone(),
+        noise,
+        sweep_cfg.profiling.clone(),
+        FleetOptions {
+            batch_size: 4,
+            local_fallback: false,
+            ..FleetOptions::default()
+        },
+    );
+    let mut seen = KindsSeen {
+        fleet: &mut fleet,
+        kinds: Vec::new(),
+    };
+    let (fleet_profile, fleet_report) =
+        measure_profile_decomposed(&machine, &mapping, p, noise, &sweep_cfg, &mut seen)
+            .expect("fleet sweep");
+    for kind in [WorkKind::PingPong, WorkKind::Burst] {
+        assert!(seen.kinds.contains(&kind), "no {kind:?} descriptor shipped");
+    }
+    assert!(bits_equal(&local_profile, &fleet_profile));
+    assert_eq!(local_report.measurements, fleet_report.measurements);
+
+    shutdown_worker(&addr).expect("shutdown worker");
+    handle.join().expect("join").expect("worker ok");
+}
+
+/// A batch that decodes but names cores the job's machine cannot place —
+/// out of range, or both ranks on one core — ends that connection without
+/// an answer, and the worker serves the next session as before.
+#[test]
+fn worker_drops_a_batch_its_machine_cannot_place_and_keeps_serving() {
+    use hbar_simnet::wire::{
+        encode_batch, encode_job, read_frame, write_frame, FRAME_BATCH, FRAME_JOB, FRAME_RESULT,
+    };
+    use std::io::ErrorKind;
+    use std::net::TcpStream;
+
+    let (addr, handle) = spawn_worker(WorkerFault::None);
+    let job = JobHeader {
+        machine: MachineSpec::new(1, 1, 2),
+        noise: NoiseModel::none(),
+        profiling: ProfilingConfig::fast(),
+    };
+    let pair = |core_a, core_b| PairWorkDescriptor {
+        id: 0,
+        kind: WorkKind::Pair,
+        i: 0,
+        j: 1,
+        core_a,
+        core_b,
+        sub_seed: 42,
+        rep_scale: 1,
+    };
+    let session = |batch: Vec<PairWorkDescriptor>| {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        write_frame(&mut stream, FRAME_JOB, &encode_job(&job).unwrap()).expect("send job");
+        write_frame(&mut stream, FRAME_BATCH, &encode_batch(&batch)).expect("send batch");
+        read_frame(&mut stream).map(|(tag, _)| tag)
+    };
+
+    for bad in [pair(0, 2), pair(u32::MAX, 1), pair(1, 1)] {
+        match session(vec![pair(0, 1), bad]) {
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+                ),
+                "{bad:?}: {e}"
+            ),
+            Ok(tag) => panic!("{bad:?}: answered with frame {tag}"),
+        }
+        assert_eq!(
+            session(vec![pair(0, 1)]).expect("next session"),
+            FRAME_RESULT
+        );
+    }
+
+    shutdown_worker(&addr).expect("shutdown worker");
+    handle.join().expect("join").expect("worker ok");
 }
 
 /// Drain handshake: a driver that finishes its queue sends FRAME_DRAIN

@@ -122,8 +122,10 @@ pub fn tune_hybrid_costs<C: CostProvider + ?Sized>(
     members: &[usize],
     cfg: &TunerConfig,
 ) -> TunedBarrier {
-    let mut eval = CostEvaluator::new(cfg.cost_params);
-    tune_hybrid_costs_with(cost, members, cfg, &mut eval)
+    // A fresh evaluator's memo is empty and dropped on return, so it is
+    // not bound: a fingerprint would hash every entry for a memo that no
+    // later tune looks up.
+    tune(cost, members, cfg, &mut CostEvaluator::new(cfg.cost_params))
 }
 
 /// [`tune_hybrid_costs`] with a caller-owned [`CostEvaluator`], so
@@ -134,6 +136,18 @@ pub fn tune_hybrid_costs<C: CostProvider + ?Sized>(
 /// # Panics
 /// As [`tune_hybrid_costs`].
 pub fn tune_hybrid_costs_with<C: CostProvider + ?Sized>(
+    cost: &C,
+    members: &[usize],
+    cfg: &TunerConfig,
+    eval: &mut CostEvaluator,
+) -> TunedBarrier {
+    eval.rebind(cost);
+    tune(cost, members, cfg, eval)
+}
+
+/// The tune itself, over an evaluator whose memo holds only what `cost`
+/// scored: one [`CostEvaluator::rebind`]-ed to it, or a fresh one.
+fn tune<C: CostProvider + ?Sized>(
     cost: &C,
     members: &[usize],
     cfg: &TunerConfig,
@@ -163,7 +177,6 @@ pub fn tune_hybrid_costs_with<C: CostProvider + ?Sized>(
         !cfg.candidates.is_empty(),
         "need at least one candidate algorithm"
     );
-    eval.rebind(cost);
     let tree = eval.cluster_tree(cost, members, cfg.sparseness, cfg.max_depth);
     let n = cost.p();
     let plan = plan_node(&tree, 0, cost, cfg, eval);
@@ -686,6 +699,77 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// A cost model that counts how often it is fingerprinted.
+    struct CountingFingerprints<'a> {
+        inner: &'a dyn CostProvider,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl CostProvider for CountingFingerprints<'_> {
+        fn p(&self) -> usize {
+            self.inner.p()
+        }
+
+        fn o_at(&self, i: usize, j: usize) -> f64 {
+            self.inner.o_at(i, j)
+        }
+
+        fn l_at(&self, i: usize, j: usize) -> f64 {
+            self.inner.l_at(i, j)
+        }
+
+        fn fingerprint(&self) -> u64 {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.fingerprint()
+        }
+
+        fn distance_metric(&self) -> hbar_topo::metric::DistanceMetric<'_> {
+            self.inner.distance_metric()
+        }
+    }
+
+    #[test]
+    fn one_shot_tune_is_a_fresh_evaluators_tune_without_the_fingerprint() {
+        let p = 32;
+        let machine = MachineSpec::dual_quad_cluster(4);
+        let mut dense = profile(&machine, &RankMapping::RoundRobin, p).cost;
+        for i in 0..p {
+            for j in 0..p {
+                let f =
+                    1.0 + (crate::clustering::splitmix64((i * 64 + j) as u64) % 64) as f64 / 256.0;
+                dense.o[(i, j)] *= f;
+                dense.l[(i, j)] *= f;
+            }
+        }
+        let compressed = hbar_topo::compressed::CompressedCostModel::from_dense(&dense).unwrap();
+        let full: Vec<usize> = (0..p).collect();
+        let subset: Vec<usize> = (0..p).filter(|r| r % 3 != 1).collect();
+        let cfg = TunerConfig::default();
+        for cost in [&dense as &dyn CostProvider, &compressed] {
+            for members in [&full, &subset] {
+                let counted = CountingFingerprints {
+                    inner: cost,
+                    calls: std::cell::Cell::new(0),
+                };
+                let one_shot = tune_hybrid_costs(&counted, members, &cfg);
+                assert_eq!(counted.calls.get(), 0, "the one-shot tune fingerprinted");
+                let mut eval = CostEvaluator::new(cfg.cost_params);
+                let with = tune_hybrid_costs_with(&counted, members, &cfg, &mut eval);
+                assert_eq!(
+                    counted.calls.get(),
+                    1,
+                    "a tune with an evaluator binds it once"
+                );
+                assert_eq!(one_shot.schedule, with.schedule);
+                assert_eq!(
+                    one_shot.predicted_cost.to_bits(),
+                    with.predicted_cost.to_bits()
+                );
+                assert_eq!(one_shot.choices, with.choices);
             }
         }
     }

@@ -116,9 +116,10 @@ fn serve_connection(
         // serving others.
         return Ok(ConnectionEnd::Continue);
     }
+    // A job whose schedule cannot be measured is dropped the same way.
     let job = match decode_job(&payload) {
-        Ok(j) => j,
-        Err(_) => return Ok(ConnectionEnd::Continue),
+        Ok(j) if fits(&j.profiling) => j,
+        _ => return Ok(ConnectionEnd::Continue),
     };
     let machine = job.machine.clone();
     let mut executor = LocalExecutor::new(job.machine, job.noise, job.profiling);
@@ -178,6 +179,13 @@ fn serve_connection(
 fn runs_on(machine: &MachineSpec, d: &PairWorkDescriptor) -> bool {
     let cores = machine.total_cores();
     d.core_a != d.core_b && (d.core_a as usize) < cores && (d.core_b as usize) < cores
+}
+
+/// Whether `c`'s schedule runs and regresses: each benchmark asserts a
+/// repetition or call, and each line fit two distinct points.
+fn fits(c: &ProfilingConfig) -> bool {
+    let two_sizes = c.sizes.iter().any(|&s| s as f64 != c.sizes[0] as f64);
+    two_sizes && c.reps > 0 && c.burst_reps > 0 && c.noop_calls > 0 && c.max_messages >= 2
 }
 
 fn is_disconnect(e: &io::Error) -> bool {

@@ -53,7 +53,7 @@ pub use program::{Instr, Program};
 pub use scatter::{measure_profile_compressed, SpillConfig, SpillReport};
 pub use sweep::{
     measure_profile_decomposed, DescriptorExecutor, LocalExecutor, PairSample, PairWorkDescriptor,
-    SequentialExecutor, SweepConfig, SweepError, SweepReport, WorkKind,
+    SweepConfig, SweepError, SweepReport, WorkKind,
 };
 pub use world::{SimConfig, SimResult, SimWorld};
 

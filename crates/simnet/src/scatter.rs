@@ -402,12 +402,9 @@ pub fn measure_profile_compressed(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::sweep::{
-        measure_classes, measure_profile_decomposed, scatter_dense, LocalExecutor,
-        SequentialExecutor,
-    };
+    use crate::sweep::{measure_classes, measure_profile_decomposed, scatter_dense, LocalExecutor};
     use hbar_core::clustering::{classify_pairs, ClassingConfig};
     use hbar_topo::cost::{CostMatrices, CostProvider};
     use hbar_topo::features::{
@@ -670,7 +667,7 @@ mod tests {
     /// pair sits on socket 1: within the `rank_kind` contract (a symmetric
     /// sweep never swaps the rank order of a pair), yet the two
     /// orientations of kind pair (socket 0, socket 1) are two classes.
-    struct LowerRankSocket;
+    pub(crate) struct LowerRankSocket;
 
     impl PairFeatureExtractor for LowerRankSocket {
         fn pair_features(
@@ -729,7 +726,7 @@ mod tests {
                     },
                 );
                 let mut executor =
-                    SequentialExecutor::new(machine.clone(), noise, cfg.profiling.clone());
+                    LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone());
                 let (m, _) =
                     measure_classes(&cores, &classing, noise, &cfg, &mut executor).unwrap();
                 let dense = scatter_dense(&classing, &m);

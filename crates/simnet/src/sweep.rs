@@ -30,9 +30,9 @@
 //!    one), so execution can fan out to a work-stealing thread pool
 //!    ([`LocalExecutor`]) or a TCP worker fleet ([`crate::distrib`])
 //!    interchangeably;
-//! 3. **scatter** — one estimate per class id is written back (mirrored,
-//!    per the symmetric-link assumption) into the full `|P|²` matrices,
-//!    or into the class-compressed model ([`crate::scatter`]).
+//! 3. **scatter** — one estimate per class id is written back (both
+//!    orientations, per the symmetric-link assumption) into the full
+//!    `|P|²` matrices, or into the class-compressed model ([`crate::scatter`]).
 //!
 //! Everything is seed-deterministic: descriptors carry their noise
 //! sub-seed, representatives and probes are chosen by deterministic scan
@@ -743,31 +743,33 @@ pub(crate) fn measure_classes(
     ))
 }
 
-/// The dense scatter: writes every matrix entry its class's estimate,
-/// or its own exact measurement when the class exploded. Allocates the
-/// full `|P|²` matrices; past P ≈ 4096 prefer the tiled class-grid scatter
-/// in [`crate::scatter`].
+/// The dense scatter: writes every matrix entry its class's estimate, or
+/// its own exact measurement when the class exploded (read under the
+/// orientation measured). Rows are written in storage order, each cell
+/// once: walking a column of a matrix whose side is a power of two hits
+/// one cache set over and over. Past P ≈ 4096 prefer the
+/// class-compressed model of [`crate::scatter`].
 pub(crate) fn scatter_dense(classing: &PairClassing, m: &ClassMeasurements) -> CostMatrices {
     let p = classing.p();
-    let mut o = DenseMatrix::new(p);
-    let mut l = DenseMatrix::new(p);
+    let (mut o, mut l) = (Vec::with_capacity(p * p), Vec::with_capacity(p * p));
     for i in 0..p {
-        for j in classing.partners(i).chain([i]) {
+        for j in 0..p {
             let c = classing.class_of(i, j);
-            let (oij, lij) = if m.explode[c] {
-                m.exploded[&(i, j)]
-            } else {
+            let (oij, lij) = if !m.explode[c] {
                 m.estimates[c]
+            } else if classing.symmetric() && j < i {
+                m.exploded[&(j, i)]
+            } else {
+                m.exploded[&(i, j)]
             };
-            o[(i, j)] = oij;
-            l[(i, j)] = lij;
-            if classing.symmetric() {
-                o[(j, i)] = oij;
-                l[(j, i)] = lij;
-            }
+            o.push(oij);
+            l.push(lij);
         }
     }
-    CostMatrices { o, l }
+    CostMatrices {
+        o: DenseMatrix::from_vec(p, o),
+        l: DenseMatrix::from_vec(p, l),
+    }
 }
 
 /// Grow-until-tight: repetitions grow while the relative dispersion
@@ -840,41 +842,39 @@ fn medians(values: &[(f64, f64)]) -> (f64, f64) {
     (median(&os), median(&ls))
 }
 
-/// Sequential single-descriptor executor used by the worker loop and
-/// available for debugging (no thread pool, same results).
-pub struct SequentialExecutor {
-    machine: MachineSpec,
-    noise: NoiseModel,
-    cfg: ProfilingConfig,
-}
-
-impl SequentialExecutor {
-    /// Executor measuring on `machine` under `noise` with schedule `cfg`.
-    pub fn new(machine: MachineSpec, noise: NoiseModel, cfg: ProfilingConfig) -> Self {
-        SequentialExecutor {
-            machine,
-            noise,
-            cfg,
-        }
-    }
-}
-
-impl DescriptorExecutor for SequentialExecutor {
-    fn execute_batch(
-        &mut self,
-        descriptors: &[PairWorkDescriptor],
-    ) -> Result<Vec<PairSample>, SweepError> {
-        Ok(descriptors
-            .iter()
-            .map(|d| execute_descriptor(&self.machine, self.noise, &self.cfg, d))
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Runs a batch one descriptor after another on the calling thread.
+    struct SequentialExecutor {
+        machine: MachineSpec,
+        noise: NoiseModel,
+        cfg: ProfilingConfig,
+    }
+
+    impl SequentialExecutor {
+        fn new(machine: MachineSpec, noise: NoiseModel, cfg: ProfilingConfig) -> Self {
+            SequentialExecutor {
+                machine,
+                noise,
+                cfg,
+            }
+        }
+    }
+
+    impl DescriptorExecutor for SequentialExecutor {
+        fn execute_batch(
+            &mut self,
+            descriptors: &[PairWorkDescriptor],
+        ) -> Result<Vec<PairSample>, SweepError> {
+            Ok(descriptors
+                .iter()
+                .map(|d| execute_descriptor(&self.machine, self.noise, &self.cfg, d))
+                .collect())
+        }
+    }
 
     /// The sweep under `cfg`, executed on the local thread pool.
     fn local_sweep(
@@ -1178,6 +1178,114 @@ mod tests {
         for s in &report.class_stats[..report.pair_classes] {
             assert_eq!((s.rep_scale_l, s.rel_spread_l), (1, 0.0));
             assert_eq!(s.rep_scale_o, 4);
+        }
+    }
+
+    /// The dense scatter as it was first written, kept as the oracle of
+    /// the row-order one: zero-filled matrices, every classed cell
+    /// written, and under a symmetric classing mirrored down its column.
+    fn column_mirroring_scatter(classing: &PairClassing, m: &ClassMeasurements) -> CostMatrices {
+        let p = classing.p();
+        let mut o = DenseMatrix::new(p);
+        let mut l = DenseMatrix::new(p);
+        for i in 0..p {
+            for j in classing.partners(i).chain([i]) {
+                let c = classing.class_of(i, j);
+                let (oij, lij) = if m.explode[c] {
+                    m.exploded[&(i, j)]
+                } else {
+                    m.estimates[c]
+                };
+                o[(i, j)] = oij;
+                l[(i, j)] = lij;
+                if classing.symmetric() {
+                    o[(j, i)] = oij;
+                    l[(j, i)] = lij;
+                }
+            }
+        }
+        CostMatrices { o, l }
+    }
+
+    /// Answers every descriptor with values drawn from its sub-seed: no
+    /// two cells agree, so a cell read under the wrong orientation or
+    /// from the wrong class shows.
+    struct SeededValues;
+
+    impl DescriptorExecutor for SeededValues {
+        fn execute_batch(
+            &mut self,
+            descriptors: &[PairWorkDescriptor],
+        ) -> Result<Vec<PairSample>, SweepError> {
+            let unit = |bits: u64| 1.0 + (bits & 0xFF_FFFF) as f64 / f64::from(1 << 24);
+            Ok(descriptors
+                .iter()
+                .map(|d| PairSample {
+                    id: d.id,
+                    o: 1e-6 * unit(d.sub_seed >> 24),
+                    l: 1e-7 * unit(d.sub_seed),
+                })
+                .collect())
+        }
+    }
+
+    #[test]
+    fn row_order_scatter_matches_the_column_mirroring_oracle() {
+        use crate::scatter::tests::LowerRankSocket;
+        for p in [2usize, 3, 17, 64] {
+            let machine = MachineSpec::new(p.div_ceil(8), 2, 4);
+            // Sockets alternate in rank order, so the rank-order-dependent
+            // extractor classes the two orientations of a mixed pair apart.
+            let cores: Vec<usize> = (0..p)
+                .map(|r| r / 8 * 8 + r % 8 / 2 + 4 * (r % 2))
+                .collect();
+            // Whether the two orientations of the socket-0/socket-1 kind
+            // pair fall in different classes.
+            let extractors: [(&dyn PairFeatureExtractor, bool); 2] = [
+                (&TopologyExtractor::default(), false),
+                (&LowerRankSocket, true),
+            ];
+            let cases = [true, false].into_iter().flat_map(|s| {
+                [0.0, f64::INFINITY]
+                    .into_iter()
+                    .flat_map(move |t| extractors.map(|e| (s, t, e)))
+            });
+            for (symmetric, explode_rel_tol, (extractor, apart)) in cases {
+                let cfg = SweepConfig {
+                    explode_rel_tol,
+                    ..SweepConfig::fast()
+                };
+                let classing = classify_pairs(
+                    &machine,
+                    &cores,
+                    p,
+                    extractor,
+                    &ClassingConfig {
+                        symmetric,
+                        probes_per_class: cfg.probes_per_class,
+                        probe_seed: cfg.probe_seed,
+                    },
+                );
+                let noise = NoiseModel::none();
+                let (m, _) =
+                    measure_classes(&cores, &classing, noise, &cfg, &mut SeededValues).unwrap();
+                if p > 3 {
+                    let (a, b) = (
+                        classing.kind_pair_class(0, 1),
+                        classing.kind_pair_class(1, 0),
+                    );
+                    assert_eq!(a.is_some() && b.is_some() && a != b, apart, "p = {p}");
+                    assert_eq!(m.explode.contains(&true), explode_rel_tol == 0.0);
+                }
+                let (got, want) = (
+                    scatter_dense(&classing, &m),
+                    column_mirroring_scatter(&classing, &m),
+                );
+                assert!(
+                    bit_equal(&got, &want),
+                    "p = {p}, symmetric = {symmetric}, explode_rel_tol = {explode_rel_tol}"
+                );
+            }
         }
     }
 

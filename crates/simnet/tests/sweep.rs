@@ -567,6 +567,90 @@ fn worker_drops_a_batch_its_machine_cannot_place_and_keeps_serving() {
     handle.join().expect("join").expect("worker ok");
 }
 
+/// A job header whose schedule the benchmarks cannot run (no repetitions,
+/// no calls) or the regression cannot fit (fewer than two distinct sizes
+/// or burst counts) ends that connection before its batch is measured,
+/// and the worker serves the next session as before.
+#[test]
+fn worker_drops_a_job_its_schedule_cannot_fit_and_keeps_serving() {
+    use hbar_simnet::wire::{
+        encode_batch, encode_job, read_frame, write_frame, FRAME_BATCH, FRAME_JOB, FRAME_RESULT,
+    };
+    use std::io::ErrorKind;
+    use std::net::TcpStream;
+
+    let (addr, handle) = spawn_worker(WorkerFault::None);
+    // One descriptor of each kind that reads the schedule.
+    let batch: Vec<PairWorkDescriptor> = [(0, WorkKind::Pair), (1, WorkKind::Diag)]
+        .into_iter()
+        .map(|(id, kind)| PairWorkDescriptor {
+            id,
+            kind,
+            i: 0,
+            j: 1,
+            core_a: 0,
+            core_b: 1,
+            sub_seed: 42,
+            rep_scale: 1,
+        })
+        .collect();
+    let session = |profiling: ProfilingConfig| {
+        let job = JobHeader {
+            machine: MachineSpec::new(1, 1, 2),
+            noise: NoiseModel::none(),
+            profiling,
+        };
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        write_frame(&mut stream, FRAME_JOB, &encode_job(&job).unwrap()).expect("send job");
+        // The worker may already have closed the connection.
+        let _ = write_frame(&mut stream, FRAME_BATCH, &encode_batch(&batch));
+        read_frame(&mut stream).map(|(tag, _)| tag)
+    };
+
+    let fast = ProfilingConfig::fast();
+    for bad in [
+        ProfilingConfig {
+            reps: 0,
+            ..fast.clone()
+        },
+        ProfilingConfig {
+            burst_reps: 0,
+            ..fast.clone()
+        },
+        ProfilingConfig {
+            noop_calls: 0,
+            ..fast.clone()
+        },
+        ProfilingConfig {
+            sizes: Vec::new(),
+            ..fast.clone()
+        },
+        ProfilingConfig {
+            sizes: vec![64, 64, 64],
+            ..fast.clone()
+        },
+        ProfilingConfig {
+            max_messages: 1,
+            ..fast.clone()
+        },
+    ] {
+        match session(bad.clone()) {
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+                ),
+                "{bad:?}: {e}"
+            ),
+            Ok(tag) => panic!("{bad:?}: answered with frame {tag}"),
+        }
+        assert_eq!(session(fast.clone()).expect("next session"), FRAME_RESULT);
+    }
+
+    shutdown_worker(&addr).expect("shutdown worker");
+    handle.join().expect("join").expect("worker ok");
+}
+
 /// Drain handshake: a driver that finishes its queue sends FRAME_DRAIN
 /// and gets an acknowledging FRAME_DRAIN back, and the worker stays
 /// alive for the next session instead of seeing an abrupt EOF.

@@ -42,14 +42,6 @@ pub fn run_ablation(ctx: &mut ExperimentContext, p: usize) -> Vec<AblationRow> {
 
     push_tuned(ctx, "greedy (paper set)", &TunerConfig::default());
     push_tuned(ctx, "greedy (extended set)", &TunerConfig::extended());
-    push_tuned(
-        ctx,
-        "greedy (exact scoring)",
-        &TunerConfig {
-            score_exact: true,
-            ..TunerConfig::default()
-        },
-    );
     for alg in Algorithm::PAPER_SET {
         push_tuned(ctx, &format!("forced {alg}"), &TunerConfig::forced(alg));
     }
@@ -112,7 +104,7 @@ mod tests {
     fn ablation_rows_cover_all_configurations() {
         let mut ctx = ExperimentContext::exact(MachineSpec::dual_quad_cluster(2));
         let rows = run_ablation(&mut ctx, 16);
-        assert_eq!(rows.len(), 10);
+        assert_eq!(rows.len(), 9);
         for r in &rows {
             assert!(r.measured > 0.0 && r.predicted > 0.0, "{}", r.label);
             assert!(r.stages > 0 && r.signals > 0);

@@ -34,7 +34,7 @@ pub fn render_walkthrough(tuned: &TunedBarrier) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Cluster tree:");
     out.push_str(&tuned.tree.render());
-    let _ = writeln!(out, "\nGreedy choices (arrival cost × multiplier):");
+    let _ = writeln!(out, "\nGreedy choices (full local schedule cost):");
     for c in &tuned.choices {
         let _ = writeln!(
             out,

@@ -6,8 +6,10 @@ use crate::cost::{member_set_hash, CostEvaluator, CostParams, ScoreKey};
 use crate::schedule::{BarrierSchedule, Stage};
 use hbar_matrix::SparseBoolMatrix;
 use hbar_topo::cost::CostProvider;
+use std::collections::HashMap;
 
-/// Configuration of the adaptive tuner.
+/// Configuration of the adaptive tuner. Scoring has no switch: a
+/// candidate is priced by its full local schedule ([`LevelChoice::score`]).
 #[derive(Clone, Debug)]
 pub struct TunerConfig {
     /// SSS sparseness as a fraction of the clustered set's diameter
@@ -20,13 +22,6 @@ pub struct TunerConfig {
     pub cost_params: CostParams,
     /// Maximum cluster-tree depth.
     pub max_depth: usize,
-    /// Score candidates by the predicted cost of their full local
-    /// schedule (arrival + actual transposed departure) instead of the
-    /// paper's "arrival × 2" approximation. The ablation study shows the
-    /// ×2 rule can misrank closely scored candidates (its Eq. 1 arrival
-    /// cost overestimates the cheaper Eq. 2 departure); this is one of
-    /// the paper's future-work generalizations.
-    pub score_exact: bool,
 }
 
 impl Default for TunerConfig {
@@ -36,7 +31,6 @@ impl Default for TunerConfig {
             candidates: Algorithm::PAPER_SET.to_vec(),
             cost_params: CostParams::default(),
             max_depth: 8,
-            score_exact: false,
         }
     }
 }
@@ -70,11 +64,10 @@ pub struct LevelChoice {
     pub depth: usize,
     /// The greedily selected algorithm.
     pub algorithm: Algorithm,
-    /// The score it was selected on. Under the paper's rule, the
-    /// arrival-phase critical path × 2 (× 1 for fully synchronizing
-    /// algorithms at the root); with [`TunerConfig::score_exact`], the
-    /// critical path of the full local schedule, departure included
-    /// unless skipped at the root.
+    /// The score it was selected on: the predicted critical path of the
+    /// algorithm's full local schedule over the participants — its
+    /// arrival stages, then their transposed Eq. 2 departure unless a
+    /// fully synchronizing algorithm sits at the root.
     pub score: f64,
 }
 
@@ -179,7 +172,7 @@ fn tune<C: CostProvider + ?Sized>(
     );
     let tree = eval.cluster_tree(cost, members, cfg.sparseness, cfg.max_depth);
     let n = cost.p();
-    let plan = plan_node(&tree, 0, cost, cfg, eval);
+    let plan = plan_node(&tree, 0, cost, cfg, eval, &mut LocalSchedules::new());
     // A fully synchronizing root's own stages need no departure.
     let skip = match plan.choice {
         Some((algorithm, _)) if !algorithm.needs_departure() => plan.local_stages.len(),
@@ -210,6 +203,11 @@ fn tune<C: CostProvider + ?Sized>(
     }
 }
 
+/// The candidate schedules one tune has built over local ranks `0..m`,
+/// keyed by `(algorithm, m, skip_departure)`: clusters of one size share
+/// them, so each is built once however many levels score it.
+type LocalSchedules = HashMap<(Algorithm, usize, bool), BarrierSchedule>;
+
 /// One planned cluster level: the algorithm is selected and its local
 /// stages generated, but nothing is mapped into the global rank space
 /// yet. Splitting planning from emission keeps the entire selection pass
@@ -238,9 +236,10 @@ fn plan_node<C: CostProvider + ?Sized>(
     cost: &C,
     cfg: &TunerConfig,
     eval: &mut CostEvaluator,
+    local: &mut LocalSchedules,
 ) -> PlanNode {
     let children: Vec<PlanNode> = (node.children.iter())
-        .map(|c| plan_node(c, depth + 1, cost, cfg, eval))
+        .map(|c| plan_node(c, depth + 1, cost, cfg, eval, local))
         .collect();
     let participants: Vec<usize> = if node.is_leaf() {
         node.members.clone()
@@ -261,7 +260,7 @@ fn plan_node<C: CostProvider + ?Sized>(
             len: child_span,
         };
     }
-    let (algorithm, score) = select_algorithm(&participants, depth == 0, cost, cfg, eval);
+    let (algorithm, score) = select_algorithm(&participants, depth == 0, cost, cfg, eval, local);
     let local_stages = algorithm.arrival_local(participants.len());
     let len = child_span + local_stages.len();
     PlanNode {
@@ -305,15 +304,15 @@ fn collect_choices(plan: PlanNode, depth: usize, out: &mut Vec<LevelChoice>) {
     }
 }
 
-/// Greedy candidate selection for one cluster level: lowest arrival-phase
-/// critical path, doubled to approximate the departure except for fully
-/// synchronizing algorithms at the root.
+/// Greedy candidate selection for one cluster level: the lowest
+/// predicted cost of a candidate's full local schedule.
 fn select_algorithm<C: CostProvider + ?Sized>(
     participants: &[usize],
     is_root: bool,
     cost: &C,
     cfg: &TunerConfig,
     eval: &mut CostEvaluator,
+    local: &mut LocalSchedules,
 ) -> (Algorithm, f64) {
     debug_assert!(
         participants.windows(2).all(|w| w[0] < w[1]),
@@ -330,12 +329,11 @@ fn select_algorithm<C: CostProvider + ?Sized>(
             members_len: participants.len(),
             algorithm: alg,
             is_root,
-            exact: cfg.score_exact,
         };
         let score = match eval.cached_score(&key) {
             Some(hit) => hit,
             None => {
-                let fresh = score_candidate(alg, participants, is_root, cost, cfg, eval);
+                let fresh = score_candidate(alg, participants, is_root, cost, eval, local);
                 eval.store_score(key, fresh);
                 fresh
             }
@@ -353,9 +351,10 @@ fn select_algorithm<C: CostProvider + ?Sized>(
 }
 
 /// Prices one candidate algorithm for one cluster level, in the
-/// participants' own index space: the candidate's `m`-rank local stages
-/// (`Algorithm::arrival_local`) are priced through the participant view,
-/// local rank `a` reading `cost`'s rank `participants[a]`.
+/// participants' own index space: the candidate's `m`-rank local
+/// schedule — its arrival stages, then their transposed departure — is
+/// priced through the participant view, local rank `a` reading `cost`'s
+/// rank `participants[a]`.
 ///
 /// Ranks outside the cluster neither send nor receive in a candidate's
 /// stages — their `ready` stays at the zero time origin, which positive
@@ -371,28 +370,22 @@ fn score_candidate<C: CostProvider + ?Sized>(
     participants: &[usize],
     is_root: bool,
     cost: &C,
-    cfg: &TunerConfig,
     eval: &mut CostEvaluator,
+    local: &mut LocalSchedules,
 ) -> f64 {
     let m = participants.len();
-    let mut sched = BarrierSchedule::from_arrival_matrices(m, alg.arrival_local(m));
     // Fully synchronizing algorithms at the root need no departure; every
     // other level pays the transposed one in the composed hierarchy — even
     // dissemination (paper §VII-B).
     let skip_departure = is_root && !alg.needs_departure();
-    if cfg.score_exact {
-        // Extension: predict the full local schedule, with the real
-        // Eq. 2 departure.
+    let sched = local.entry((alg, m, skip_departure)).or_insert_with(|| {
+        let mut sched = BarrierSchedule::from_arrival_matrices(m, alg.arrival_local(m));
         if !skip_departure {
             sched.append(sched.departure_reversed(0));
         }
-        eval.participant_cost(&sched, cost, participants)
-    } else {
-        // The paper's rule: arrival critical path × 2, except × 1 for
-        // dissemination-class algorithms at the root.
-        let multiplier = if skip_departure { 1.0 } else { 2.0 };
-        eval.participant_cost(&sched, cost, participants) * multiplier
-    }
+        sched
+    });
+    eval.participant_cost(sched, cost, participants)
 }
 
 #[cfg(test)]
@@ -435,10 +428,18 @@ mod tests {
     fn root_prefers_dissemination_on_uniform_top_links() {
         // "The generated hybrid algorithms favor applying the dissemination
         // barrier to top-level uniform collections of high-latency links."
-        let machine = MachineSpec::dual_quad_cluster(8);
-        let prof = profile(&machine, &RankMapping::RoundRobin, 64);
-        let tuned = tune_hybrid(&prof, &TunerConfig::default());
-        assert_eq!(tuned.root_algorithm(), Some(Algorithm::Dissemination));
+        // At 32 dual quad-core nodes the top level is wide enough for that
+        // under either placement.
+        let machine = MachineSpec::new(32, 2, 4);
+        for mapping in [RankMapping::Block, RankMapping::RoundRobin] {
+            let prof = profile(&machine, &mapping, 256);
+            let tuned = tune_hybrid(&prof, &TunerConfig::default());
+            assert_eq!(
+                tuned.root_algorithm(),
+                Some(Algorithm::Dissemination),
+                "{mapping:?}"
+            );
+        }
     }
 
     #[test]
@@ -456,6 +457,40 @@ mod tests {
             tuned.predicted_cost,
             neutral_cost
         );
+    }
+
+    /// The default tune is as good as the best paper-set algorithm forced
+    /// at every level, and better than the topology-neutral tree, on both
+    /// paper node shapes under both placements across the sizes the paper
+    /// and the benchmark tune at.
+    #[test]
+    fn default_tune_matches_best_forced_hierarchy_and_beats_neutral_tree() {
+        for per_node in [8usize, 12] {
+            for mapping in [RankMapping::Block, RankMapping::RoundRobin] {
+                for p in [16usize, 32, 48, 64, 96, 120, 128, 256] {
+                    let machine = MachineSpec::new(p.div_ceil(per_node), 2, per_node / 2);
+                    let prof = profile(&machine, &mapping, p);
+                    let tuned = tune_hybrid(&prof, &TunerConfig::default()).predicted_cost;
+                    let forced = |a| tune_hybrid(&prof, &TunerConfig::forced(a)).predicted_cost;
+                    let (best_alg, best) = (Algorithm::PAPER_SET.iter())
+                        .map(|&a| (a, forced(a)))
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .expect("the paper set");
+                    let cell = format!("{}, {mapping:?}, P = {p}", machine.name);
+                    assert!(
+                        tuned <= best * (1.0 + 1e-3),
+                        "{cell}: tuned {tuned:e} > forced {best_alg} {best:e}"
+                    );
+                    let members: Vec<usize> = (0..p).collect();
+                    let neutral =
+                        barrier_cost(&Algorithm::Tree.full_schedule(p, &members), &prof.cost);
+                    assert!(
+                        tuned < neutral,
+                        "{cell}: tuned {tuned:e} !< neutral tree {neutral:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -508,8 +543,8 @@ mod tests {
         // choose over identical participant sets per level — and a
         // minimum over a superset of candidates cannot exceed the
         // minimum over the subset. (The *full-schedule* prediction is
-        // not monotone: the greedy score is the paper's arrival-×2
-        // approximation, not the composed cost.)
+        // not monotone: the greedy score prices a level's own local
+        // schedule, not the composed hierarchy.)
         let machine = MachineSpec::dual_hex_cluster(5);
         let prof = profile(&machine, &RankMapping::RoundRobin, 60);
         let base = tune_hybrid(&prof, &TunerConfig::default());
@@ -604,35 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_scoring_never_predicts_worse_than_paper_rule() {
-        // The exact score evaluates the real composed cost of each local
-        // choice, so the final full-schedule prediction can only improve
-        // (or tie) relative to the ×2 approximation.
-        for machine in [
-            MachineSpec::dual_quad_cluster(8),
-            MachineSpec::dual_hex_cluster(10),
-        ] {
-            let prof = TopologyProfile::from_ground_truth(&machine, &RankMapping::RoundRobin);
-            let paper = tune_hybrid(&prof, &TunerConfig::default());
-            let exact = tune_hybrid(
-                &prof,
-                &TunerConfig {
-                    score_exact: true,
-                    ..TunerConfig::default()
-                },
-            );
-            assert!(verify::is_barrier(&exact.schedule));
-            assert!(
-                exact.predicted_cost <= paper.predicted_cost * 1.0001,
-                "{}: exact {} vs paper-rule {}",
-                machine.name,
-                exact.predicted_cost,
-                paper.predicted_cost
-            );
-        }
-    }
-
-    #[test]
     fn subset_tuning_synchronizes_only_members() {
         let machine = MachineSpec::dual_quad_cluster(2);
         let prof = profile(&machine, &RankMapping::Block, 16);
@@ -646,8 +652,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// What keeps the participant view honest: for any ascending
-        /// participant set — non-consecutive, singleton, root or not, under
-        /// both scorers — pricing a candidate through the view is
+        /// participant set — non-consecutive, singleton, root or not —
+        /// pricing a candidate through the view is
         /// bit-equal to predicting the same candidate embedded over all `n`
         /// ranks with `CostEvaluator::predict`. The costs are
         /// skewed per ordered pair, so a read through the wrong rank or the
@@ -675,29 +681,26 @@ mod tests {
                 participants.push(skew as usize % p);
             }
             let m = participants.len();
-            for score_exact in [false, true] {
-                let cfg = TunerConfig { score_exact, ..TunerConfig::extended() };
-                let mut eval = CostEvaluator::new(cfg.cost_params);
-                for &alg in cfg.candidates.iter().filter(|a| a.applicable(m)) {
-                    for is_root in [false, true] {
-                        let view = score_candidate(alg, &participants, is_root, &cost, &cfg, &mut eval);
-                        let arrival = alg.arrival_embedded(p, &participants);
-                        let mut sched = BarrierSchedule::from_arrival_matrices(p, arrival);
-                        let skip = is_root && !alg.needs_departure();
-                        if score_exact && !skip {
-                            sched.append(sched.departure_reversed(0));
-                        }
-                        let embedded = CostEvaluator::new(cfg.cost_params)
-                            .predict(&sched, &cost, None)
-                            .barrier_cost;
-                        let embedded = if !score_exact && !skip { embedded * 2.0 } else { embedded };
-                        prop_assert_eq!(
-                            view.to_bits(),
-                            embedded.to_bits(),
-                            "{:?} over {:?} root={} exact={}: view {} vs embedded {}",
-                            alg, &participants, is_root, score_exact, view, embedded
-                        );
+            let cfg = TunerConfig::extended();
+            let mut eval = CostEvaluator::new(cfg.cost_params);
+            let mut local = LocalSchedules::new();
+            for &alg in cfg.candidates.iter().filter(|a| a.applicable(m)) {
+                for is_root in [false, true] {
+                    let view = score_candidate(alg, &participants, is_root, &cost, &mut eval, &mut local);
+                    let arrival = alg.arrival_embedded(p, &participants);
+                    let mut sched = BarrierSchedule::from_arrival_matrices(p, arrival);
+                    if !is_root || alg.needs_departure() {
+                        sched.append(sched.departure_reversed(0));
                     }
+                    let embedded = CostEvaluator::new(cfg.cost_params)
+                        .predict(&sched, &cost, None)
+                        .barrier_cost;
+                    prop_assert_eq!(
+                        view.to_bits(),
+                        embedded.to_bits(),
+                        "{:?} over {:?} root={}: view {} vs embedded {}",
+                        alg, &participants, is_root, view, embedded
+                    );
                 }
             }
         }

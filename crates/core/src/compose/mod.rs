@@ -14,10 +14,14 @@
 //!   counts are embedded into one stage sequence aligned at their first
 //!   stage ("merging shorter sequences with longer ones as early as
 //!   possible").
-//! * **Root dissemination rule** — candidate costs are arrival cost × 2
-//!   (approximating the departure), *except* dissemination at the root,
-//!   which is × 1 and exempt from the departure transposition, because its
-//!   arrival phases leave every top-level representative fully informed.
+//! * **Root dissemination rule** — dissemination at the root is exempt
+//!   from the departure transposition, because its arrival phases leave
+//!   every top-level representative fully informed.
+//!
+//! A candidate is scored by its full local schedule: its arrival, then the
+//! transposed Eq. 2 departure unless the root rule skips it. The paper's
+//! arrival × 2 prices that cheaper departure as a second arrival and picks
+//! a costlier root on cluster A at P = 64 (EXPERIMENTS.md).
 
 mod exhaustive;
 mod greedy;

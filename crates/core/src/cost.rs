@@ -77,16 +77,16 @@ pub fn member_set_hash(members: &[usize]) -> u64 {
 }
 
 /// Key of one memoized per-cluster algorithm score: the member set
-/// (hashed — see [`member_set_hash`]), the candidate algorithm, and the
-/// two scoring-rule switches that change the number. Valid only for the
-/// cost matrices the owning [`CostEvaluator`] is bound to.
+/// (hashed — see [`member_set_hash`]), the candidate algorithm, and
+/// whether the level is the root (where a fully synchronizing algorithm
+/// skips its departure). Valid only for the cost matrices the owning
+/// [`CostEvaluator`] is bound to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ScoreKey {
     pub members_hash: u64,
     pub members_len: usize,
     pub algorithm: Algorithm,
     pub is_root: bool,
-    pub exact: bool,
 }
 
 /// The §VI prediction engine — the one implementation of the stage
@@ -768,7 +768,6 @@ mod tests {
             members_len: 3,
             algorithm: Algorithm::Tree,
             is_root: false,
-            exact: true,
         };
         assert_eq!(eval.cached_score(&key), None);
         eval.store_score(key, 42.0);

@@ -7,9 +7,10 @@
 //! `RAYON_NUM_THREADS=1`, so a parallel run and a sequential one are both
 //! held to the same bits. The greedy tuner has no parallel path.
 //!
-//! The tune, SSS and closure goldens pin the tuner, the SSS clustering
-//! and the Eq. 3 closure to the output of the seed-era reference
-//! implementations those kernels were rewritten from.
+//! The SSS and closure goldens pin the SSS clustering and the Eq. 3
+//! closure to the output of the seed-era reference implementations those
+//! kernels were rewritten from; the tune goldens pin the tuner to its
+//! output under the full-local-schedule scorer.
 
 use hbar_core::clustering::{
     splitmix64, try_sss_clusters_with, SssScratch, SSS_DEFAULT_SPARSENESS,
@@ -124,11 +125,11 @@ fn dual_quad_profile(p: usize) -> TopologyProfile {
     TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p)
 }
 
-/// The default tuner emits, bit for bit, what the seed-era sequential
-/// tuner (fresh schedule per candidate, scored by the allocating
-/// reference predictor) emitted on the same profiles.
+/// The default tuner emits, bit for bit, what 79c2117's tuner emitted on
+/// the same profiles with its exact scoring on: every candidate priced by
+/// its full local schedule, the only scorer since.
 #[test]
-fn tuner_output_matches_seed_era_goldens() {
+fn tuner_output_matches_goldens() {
     for (p, golden) in [
         (16usize, GOLDEN_TUNE_P16),
         (32, GOLDEN_TUNE_P32),
@@ -272,17 +273,22 @@ const GOLDEN_SEARCH_200: u64 = 16364250991363706745;
 const GOLDEN_SEARCH_5K: u64 = 3477119198367369912;
 const GOLDEN_SEARCH_200K: u64 = 12410305415377297393;
 
+/// Captured at 79c2117 with the tuner's exact scoring on, the
+/// full-local-schedule scorer that became the only one. Every choice
+/// score is hashed, so all five moved off the paper-rule values; the
+/// schedules moved only at P = 32, 64 and 128. Do not update a constant
+/// without showing the new value comes from an output-preserving change.
+const GOLDEN_TUNE_P16: u64 = 5040888203605845547;
+const GOLDEN_TUNE_P32: u64 = 15872287411061263630;
+const GOLDEN_TUNE_P64: u64 = 2692475093563128954;
+const GOLDEN_TUNE_P128: u64 = 7812079309315916925;
+const GOLDEN_TUNE_P256: u64 = 2166006921821327429;
 /// Captured at 267efdb, the last commit to carry the seed-era reference
 /// implementations (frozen copies in `hbar-bench`), by hashing their
 /// output on these inputs after asserting the live kernels hash the
 /// same. EXPERIMENTS.md records how to rerun them from history. Do not
 /// update a constant without showing the new value comes from an
 /// output-preserving change.
-const GOLDEN_TUNE_P16: u64 = 13349099291237756751;
-const GOLDEN_TUNE_P32: u64 = 17557652628941858158;
-const GOLDEN_TUNE_P64: u64 = 16711161890373970102;
-const GOLDEN_TUNE_P128: u64 = 12898856574905044838;
-const GOLDEN_TUNE_P256: u64 = 6803147655393493893;
 const GOLDEN_SSS_P64: u64 = 12336842089683923917;
 const GOLDEN_SSS_P256: u64 = 1357468335877294501;
 const GOLDEN_SSS_P1024: u64 = 8351884011851871045;

@@ -45,8 +45,6 @@ pub const FRAME_STATS_RESP: u8 = 0x14;
 /// Request flag: tune with the extended algorithm set
 /// (`TunerConfig::extended`).
 pub const REQ_EXTENDED: u8 = 1 << 0;
-/// Request flag: score candidates with the exact (slower) cost model.
-pub const REQ_SCORE_EXACT: u8 = 1 << 1;
 /// Request flag: include generated C source in the response. Excluded
 /// from the cache key — code is emitted at tune time and stored with the
 /// schedule, so hit/miss behaviour cannot depend on it.
@@ -111,8 +109,11 @@ impl TuneRequest {
     }
 
     /// Decodes a request payload. Total: every malformed shape (short
-    /// header, zero or oversized `p`, length mismatch, non-finite knobs
-    /// or matrix entries) is an `InvalidData` error, never a panic.
+    /// header, a flag bit other than [`REQ_EXTENDED`] and [`REQ_WANT_CODE`],
+    /// zero or oversized `p`, length mismatch, non-finite knobs or matrix
+    /// entries) is an `InvalidData` error, never a panic. An unknown bit
+    /// would otherwise split a request's cache key without changing its
+    /// tune.
     pub fn decode(payload: &[u8]) -> io::Result<TuneRequest> {
         let fail = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         if payload.len() < REQ_HEADER_LEN {
@@ -126,6 +127,9 @@ impl TuneRequest {
         let sparseness = f64::from_le_bytes(payload[12..20].try_into().expect("8 bytes"));
         let max_depth = u32::from_le_bytes(payload[20..24].try_into().expect("4 bytes"));
         let flags = payload[24];
+        if flags & !(REQ_EXTENDED | REQ_WANT_CODE) != 0 {
+            return Err(fail(format!("unknown request flag bits in {flags:#04x}")));
+        }
         if p == 0 || p > MAX_RANKS {
             return Err(fail(format!("rank count {p} outside 1..={MAX_RANKS}")));
         }
@@ -203,7 +207,6 @@ impl TuneRequest {
         };
         cfg.sparseness = self.sparseness;
         cfg.max_depth = self.max_depth as usize;
-        cfg.score_exact = self.flags & REQ_SCORE_EXACT != 0;
         cfg
     }
 }
@@ -393,9 +396,15 @@ mod tests {
         let mut nan_entry = buf.clone();
         nan_entry[REQ_HEADER_LEN..REQ_HEADER_LEN + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(TuneRequest::decode(&nan_entry).is_err());
-        let mut bad_sparseness = buf;
+        let mut bad_sparseness = buf.clone();
         bad_sparseness[12..20].copy_from_slice(&(-1.0f64).to_le_bytes());
         assert!(TuneRequest::decode(&bad_sparseness).is_err());
+        for bit in [1 << 1, 1 << 7] {
+            let mut unknown_flag = buf.clone();
+            unknown_flag[24] |= bit;
+            let err = TuneRequest::decode(&unknown_flag).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bit {bit:#x}");
+        }
     }
 
     #[test]

@@ -223,20 +223,34 @@ fn malformed_requests_get_error_replies_not_disconnects() {
     let mut client = TuneClient::connect(server.addr()).expect("connect");
     // A request whose advertised p disagrees with its payload length.
     let cost = synthetic_topologies(1, 1).pop().expect("one topology");
-    let mut buf = Vec::new();
-    TuneRequest::new(3, cost.clone()).encode_into(&mut buf);
-    buf[8..12].copy_from_slice(&64u32.to_le_bytes());
-    {
+    let mut bad_len = Vec::new();
+    TuneRequest::new(3, cost.clone()).encode_into(&mut bad_len);
+    bad_len[8..12].copy_from_slice(&64u32.to_le_bytes());
+    // A well-formed request that sets the retired flag bit 1.
+    let mut retired_bit = Vec::new();
+    TuneRequest::new(5, cost.clone()).encode_into(&mut retired_bit);
+    retired_bit[24] |= 1 << 1;
+    for (want_id, buf) in [(3, &bad_len), (5, &retired_bit)] {
         use hbar_simnet::wire::write_frame;
         // Reach under the client to send the corrupt frame verbatim.
         let mut raw = TcpStream::connect(server.addr()).expect("connect raw");
-        write_frame(&mut raw, FRAME_TUNE_REQ, &buf).expect("send corrupt");
+        write_frame(&mut raw, FRAME_TUNE_REQ, buf).expect("send corrupt");
         let (tag, payload) = hbar_simnet::wire::read_frame(&mut raw).expect("read err");
         assert_eq!(tag, hbar_serve::proto::FRAME_TUNE_ERR);
         let (id, reason) = hbar_serve::proto::decode_tune_error(&payload).expect("decode err");
-        assert_eq!(id, 3, "the salvaged id must survive the malformed body");
+        assert_eq!(
+            id, want_id,
+            "the salvaged id must survive the malformed body"
+        );
         assert!(!reason.is_empty());
     }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.errors, 2, "{stats:?}");
+    assert_eq!(
+        (stats.tunes, stats.cache_entries),
+        (0, 0),
+        "nothing cached: {stats:?}"
+    );
     // The same connection-independent server still tunes fine.
     let req = TuneRequest::new(4, cost);
     match client

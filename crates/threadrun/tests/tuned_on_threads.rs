@@ -45,16 +45,3 @@ fn extended_tuner_schedules_also_run_on_threads() {
     let (ok, _) = harness::staggered_delay_check(&tuned.schedule, Duration::from_millis(10));
     assert!(ok);
 }
-
-#[test]
-fn exact_scoring_schedules_also_run_on_threads() {
-    let tuned = tuned_with(
-        4,
-        &TunerConfig {
-            score_exact: true,
-            ..TunerConfig::default()
-        },
-    );
-    let (ok, _) = harness::staggered_delay_check(&tuned.schedule, Duration::from_millis(10));
-    assert!(ok);
-}

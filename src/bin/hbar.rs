@@ -135,7 +135,7 @@ const COMMANDS: &[Command] = &[
             ("out", "FILE", true),
             ("sparseness", "F", false),
         ],
-        switches: &["extended", "exact-scoring"],
+        switches: &["extended"],
     },
     Command {
         name: "predict",
@@ -581,9 +581,6 @@ fn cmd_tune(flags: &Flags) -> Result<(), String> {
     } else {
         TunerConfig::default()
     };
-    if flags.contains_key("exact-scoring") {
-        cfg.score_exact = true;
-    }
     if let Some(s) = flags.get("sparseness") {
         cfg.sparseness = s
             .parse()

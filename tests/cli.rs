@@ -286,6 +286,11 @@ fn helpful_errors() {
             &["--reps", "0"],
             "--reps must be a positive count",
         ),
+        (
+            &tune,
+            &["--exact-scoring"],
+            "unknown flag --exact-scoring for `tune`",
+        ),
     ] {
         let args = [command, extra].concat();
         let o = hbar(&args);

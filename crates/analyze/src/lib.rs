@@ -14,7 +14,7 @@
 //! [`BarrierSchedule`], [`analyze_programs`] for program-level checks
 //! only, and [`source_drift`] to audit an emitted source against its
 //! compiled programs. Findings carry stable codes ([`Code`]) documented
-//! in `DESIGN.md` §10.
+//! in `DESIGN.md` §11.
 
 mod diag;
 mod lints;

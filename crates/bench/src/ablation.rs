@@ -1,4 +1,4 @@
-//! Ablation study of the tuner's design choices (DESIGN.md §6).
+//! Ablation study of the tuner's design choices (DESIGN.md §5).
 //!
 //! Compares, on one platform and process count, the measured execution
 //! time of:

@@ -35,7 +35,7 @@ use crate::algorithms::Algorithm;
 use crate::clustering::{build_cluster_tree, ClusterNode};
 use crate::schedule::BarrierSchedule;
 use hbar_matrix::{ClosureWorkspace, SparseBoolMatrix};
-use hbar_topo::cost::{CostProvider, SendMode};
+use hbar_topo::cost::{CostProvider, Fnv, SendMode};
 use std::collections::HashMap;
 
 // The dense fingerprint lives in `hbar-topo::cost`, beside the matrices it
@@ -66,14 +66,12 @@ pub struct Prediction {
 /// FNV-1a hash of a member set (order-sensitive; the composer always
 /// passes members in ascending rank order, so equal sets hash equally).
 pub fn member_set_hash(members: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    h ^= members.len() as u64;
-    h = h.wrapping_mul(0x0100_0000_01b3);
+    let mut h = Fnv::default();
+    h.word(members.len() as u64);
     for &m in members {
-        h ^= m as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
+        h.word(m as u64);
     }
-    h
+    h.0
 }
 
 /// Key of one memoized per-cluster algorithm score: the member set
@@ -865,6 +863,13 @@ mod tests {
         assert_ne!(member_set_hash(&[0, 1]), member_set_hash(&[0, 2]));
         assert_ne!(member_set_hash(&[0, 1]), member_set_hash(&[0, 1, 2]));
         assert_eq!(member_set_hash(&[3, 7]), member_set_hash(&[3, 7]));
+    }
+
+    /// The value of a fixed set, pinned: the memo keys of every tune
+    /// depend on it.
+    #[test]
+    fn member_set_hash_is_pinned() {
+        assert_eq!(member_set_hash(&[0, 5, 64, 1023]), 0xccd2_db2f_3f58_7c49);
     }
 
     #[test]

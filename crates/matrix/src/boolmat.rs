@@ -1,11 +1,9 @@
 //! Bitset-backed square boolean matrices.
 //!
-//! Rows are stored as contiguous `u64` words, so the and/or product that
-//! drives barrier verification reduces to word-wise OR of whole rows: for
-//! each set bit `(i, k)` of the left operand, row `k` of the right operand
-//! is OR-ed into row `i` of the result. For the `P ≤ 128` scales evaluated
-//! in the paper a row is one or two words, making verification effectively
-//! linear in the number of signals.
+//! Rows are stored as contiguous `u64` words. A stage is a signal list
+//! ([`SparseBoolMatrix`]); the dense bitset holds the Eq. 3 knowledge
+//! matrix, which [`BoolMatrix::accumulate_sparse_product`] advances one
+//! stage at a time.
 
 use crate::SparseBoolMatrix;
 use std::fmt;
@@ -239,83 +237,6 @@ impl BoolMatrix {
         }
     }
 
-    /// Saturating (boolean OR) sum: `self | other`.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn or(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.n, other.n,
-            "dimension mismatch {} vs {}",
-            self.n, other.n
-        );
-        let mut out = self.clone();
-        out.or_assign(other);
-        out
-    }
-
-    /// In-place boolean OR.
-    pub fn or_assign(&mut self, other: &Self) {
-        assert_eq!(
-            self.n, other.n,
-            "dimension mismatch {} vs {}",
-            self.n, other.n
-        );
-        // Row-skip: stage matrices merged during hierarchical composition
-        // are zero outside one small cluster's rows, so most destination
-        // rows need neither the read-modify-write nor the dirty cache
-        // line. The source-row scan touches memory that the OR would have
-        // read anyway, so the dense case loses nothing.
-        for (dst, src) in self
-            .bits
-            .chunks_exact_mut(self.words_per_row)
-            .zip(other.bits.chunks_exact(self.words_per_row))
-        {
-            if src.iter().any(|&w| w != 0) {
-                for (a, b) in dst.iter_mut().zip(src) {
-                    *a |= b;
-                }
-            }
-        }
-    }
-
-    /// Boolean AND.
-    pub fn and(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.n, other.n,
-            "dimension mismatch {} vs {}",
-            self.n, other.n
-        );
-        let mut out = self.clone();
-        for (a, b) in out.bits.iter_mut().zip(&other.bits) {
-            *a &= b;
-        }
-        out
-    }
-
-    /// Boolean (and/or semiring) matrix product `self · other`.
-    ///
-    /// Entry `(i, j)` of the result is set iff there is some `k` with
-    /// `self[i][k] ∧ other[k][j]` — i.e. knowledge held at `i` flows to `j`
-    /// through a stage-`other` signal from `k`.
-    pub fn and_or_product(&self, other: &Self) -> Self {
-        let mut out = Self::zeros(self.n);
-        self.and_or_product_into(other, &mut out);
-        out
-    }
-
-    /// [`BoolMatrix::and_or_product`] into a caller-provided matrix whose
-    /// storage is reused (it is resized and cleared first).
-    pub fn and_or_product_into(&self, other: &Self, out: &mut Self) {
-        assert_eq!(
-            self.n, other.n,
-            "dimension mismatch {} vs {}",
-            self.n, other.n
-        );
-        out.reset_zeros(self.n);
-        self.accumulate_product(other, out);
-    }
-
     /// Accumulating product with a sparse right operand:
     /// `out |= self · stage`, driven from the stage's signal list.
     ///
@@ -346,44 +267,6 @@ impl BoolMatrix {
                     }
                 }
             }
-        }
-    }
-
-    /// Cache-blocked kernel behind the product entry points.
-    ///
-    /// The naive loop visits `other`'s rows in whatever order row `i` of
-    /// `self` selects them; at P = 1024 those rows span a 128 KiB matrix
-    /// and most ORs miss L1. Blocking over bands of 256 source rows (one
-    /// 32 KiB slab at 16 words/row) keeps a band resident while every
-    /// output row streams through it once.
-    fn accumulate_product(&self, other: &Self, out: &mut Self) {
-        const BAND_WORDS: usize = 4;
-        let n = self.n;
-        let wpr = self.words_per_row;
-        let mut band = 0;
-        while band < wpr {
-            let band_end = (band + BAND_WORDS).min(wpr);
-            for i in 0..n {
-                let row_start = i * wpr;
-                let sel = &self.bits[row_start + band..row_start + band_end];
-                if sel.iter().all(|&w| w == 0) {
-                    continue;
-                }
-                for (w_idx, &word) in sel.iter().enumerate() {
-                    let mut w = word;
-                    while w != 0 {
-                        let k = (band + w_idx) * 64 + w.trailing_zeros() as usize;
-                        w &= w - 1;
-                        debug_assert!(k < n, "padding bit set in row {i}");
-                        let src = other.row(k);
-                        let dst = &mut out.bits[row_start..row_start + wpr];
-                        for (d, s) in dst.iter_mut().zip(src) {
-                            *d |= s;
-                        }
-                    }
-                }
-            }
-            band = band_end;
         }
     }
 
@@ -576,46 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn or_and_combinations() {
-        let a = BoolMatrix::from_edges(3, &[(0, 1), (1, 2)]);
-        let b = BoolMatrix::from_edges(3, &[(1, 2), (2, 0)]);
-        let o = a.or(&b);
-        assert!(o.get(0, 1) && o.get(1, 2) && o.get(2, 0));
-        assert_eq!(o.popcount(), 3);
-        let n = a.and(&b);
-        assert!(n.get(1, 2));
-        assert_eq!(n.popcount(), 1);
-    }
-
-    #[test]
-    fn product_is_reachability_step() {
-        // 0 -> 1 -> 2: knowledge at 0 after "0 knows itself" times S(0->1)
-        let s = BoolMatrix::from_edges(3, &[(0, 1), (1, 2)]);
-        let k = BoolMatrix::identity(3);
-        let k1 = k.and_or_product(&s);
-        // I·S = S
-        assert_eq!(k1, s);
-        // Two-step: (I+S)·S includes 0->2 through 1.
-        let k_acc = k.or(&s);
-        let k2 = k_acc.and_or_product(&s);
-        assert!(k2.get(0, 2));
-    }
-
-    #[test]
-    fn product_dimension_128_boundary() {
-        // Exactly two words per row.
-        let n = 128;
-        let mut s = BoolMatrix::zeros(n);
-        for i in 0..n - 1 {
-            s.set(i, i + 1, true);
-        }
-        let p = s.and_or_product(&s);
-        assert!(p.get(0, 2));
-        assert!(!p.get(0, 1));
-        assert!(p.get(125, 127));
-    }
-
-    #[test]
     fn linear_barrier_matrices_from_paper_fig2() {
         // Figure 2: S0 has ranks 1..3 signalling rank 0; S1 = S0^T.
         let s0 = BoolMatrix::from_rows(&[
@@ -685,19 +528,6 @@ mod tests {
             m.transpose_into(&mut reused);
             assert_eq!(reused, t, "transpose_into diverged for n={n}");
         }
-    }
-
-    #[test]
-    fn product_into_matches_product_and_reuses_buffer() {
-        let a = scrambled(130, 7);
-        let b = scrambled(130, 9);
-        let mut out = BoolMatrix::zeros(3); // wrong size: must be resized
-        a.and_or_product_into(&b, &mut out);
-        assert_eq!(out, a.and_or_product(&b));
-        // A second call with a different pair reuses the storage.
-        let c = scrambled(130, 11);
-        a.and_or_product_into(&c, &mut out);
-        assert_eq!(out, a.and_or_product(&c));
     }
 
     #[test]

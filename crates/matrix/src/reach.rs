@@ -419,7 +419,7 @@ mod tests {
         for w in trace.states.windows(2) {
             let (prev, next) = (&w[0], &w[1]);
             // prev ⊆ next
-            assert_eq!(prev.and(next), *prev);
+            assert!(prev.edges().all(|(i, j)| next.get(i, j)));
         }
     }
 

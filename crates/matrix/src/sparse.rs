@@ -541,7 +541,14 @@ mod tests {
             let s = SparseBoolMatrix::from_edges(n, random_edges(n, 2 * n, 5));
             let mut acc = k.clone();
             k.accumulate_sparse_product(&s, &mut acc);
-            assert_eq!(acc, k.or(&k.and_or_product(&s.to_dense())), "n={n}");
+            // K + K·S by definition: a signal m → j carries all m knew.
+            let mut want = k.clone();
+            for (m, j) in s.edges() {
+                for i in (0..n).filter(|&i| k.get(i, m)) {
+                    want.set(i, j, true);
+                }
+            }
+            assert_eq!(acc, want, "n={n}");
         }
     }
 

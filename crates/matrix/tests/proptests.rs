@@ -82,46 +82,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// De Morgan-ish algebra: (A|B)ᵀ = Aᵀ|Bᵀ and (A·B)ᵀ = Bᵀ·Aᵀ.
-    #[test]
-    fn transpose_distributes(n in 1usize..30,
-                             e1 in prop::collection::vec((0usize..30, 0usize..30), 0..60),
-                             e2 in prop::collection::vec((0usize..30, 0usize..30), 0..60)) {
-        let clip = |edges: Vec<(usize, usize)>| -> Vec<(usize, usize)> {
-            edges.into_iter().filter(|(i, j)| *i < n && *j < n).collect()
-        };
-        let a = BoolMatrix::from_edges(n, &clip(e1));
-        let b = BoolMatrix::from_edges(n, &clip(e2));
-        prop_assert_eq!(a.or(&b).transpose(), a.transpose().or(&b.transpose()));
-        prop_assert_eq!(
-            a.and_or_product(&b).transpose(),
-            b.transpose().and_or_product(&a.transpose())
-        );
-    }
-
-    /// Identity is neutral for the boolean product.
-    #[test]
-    fn identity_is_neutral(m in arb_bool_matrix(40)) {
-        let i = BoolMatrix::identity(m.n());
-        prop_assert_eq!(i.and_or_product(&m), m.clone());
-        prop_assert_eq!(m.and_or_product(&i), m);
-    }
-
-    /// The boolean product is associative.
-    #[test]
-    fn product_is_associative(n in 1usize..16,
-                              e in prop::collection::vec((0usize..16, 0usize..16), 0..90)) {
-        let edges: Vec<(usize, usize)> = e.into_iter().filter(|(i, j)| *i < n && *j < n).collect();
-        let third = edges.len() / 3;
-        let a = BoolMatrix::from_edges(n, &edges[..third]);
-        let b = BoolMatrix::from_edges(n, &edges[third..2 * third]);
-        let c = BoolMatrix::from_edges(n, &edges[2 * third..]);
-        prop_assert_eq!(
-            a.and_or_product(&b).and_or_product(&c),
-            a.and_or_product(&b.and_or_product(&c))
-        );
-    }
-
     /// popcount is consistent with the edge iterator and row popcounts.
     #[test]
     fn popcount_consistency(m in arb_bool_matrix(50)) {

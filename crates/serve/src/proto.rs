@@ -27,7 +27,7 @@
 use hbar_core::cost::cost_fingerprint;
 use hbar_core::{TunerConfig, COST_FINGERPRINT_VERSION};
 use hbar_matrix::DenseMatrix;
-use hbar_topo::cost::CostMatrices;
+use hbar_topo::cost::{CostMatrices, Fnv};
 use serde::{Deserialize, Serialize};
 use std::io;
 
@@ -184,18 +184,12 @@ impl TuneRequest {
     /// [`COST_FINGERPRINT_VERSION`] so a fingerprint-scheme bump also
     /// invalidates configuration keys.
     fn cfg_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(&COST_FINGERPRINT_VERSION.to_le_bytes());
-        mix(&self.sparseness.to_bits().to_le_bytes());
-        mix(&self.max_depth.to_le_bytes());
-        mix(&[self.flags & !REQ_WANT_CODE]);
-        h
+        let mut h = Fnv::default();
+        h.bytes(&COST_FINGERPRINT_VERSION.to_le_bytes());
+        h.bytes(&self.sparseness.to_bits().to_le_bytes());
+        h.bytes(&self.max_depth.to_le_bytes());
+        h.bytes(&[self.flags & !REQ_WANT_CODE]);
+        h.0
     }
 
     /// The [`TunerConfig`] this request asks for.
@@ -352,6 +346,24 @@ mod tests {
     fn sample_cost(p: usize) -> CostMatrices {
         let machine = MachineSpec::new(1, 2, 4);
         TopologyProfile::from_ground_truth_for(&machine, &RankMapping::Block, p).cost
+    }
+
+    /// The cache key of a fixed request, pinned: a changed hash would
+    /// orphan every cached schedule.
+    #[test]
+    fn cache_key_is_pinned() {
+        let req = TuneRequest {
+            id: 7,
+            sparseness: 1.25,
+            max_depth: 6,
+            flags: REQ_EXTENDED | REQ_WANT_CODE,
+            cost: sample_cost(8),
+        };
+        let key = req.cache_key();
+        assert_eq!(
+            (key.cost_fp, key.cfg_fp),
+            (0x9fa9_26bd_8d4e_82cf, 0xdac7_8237_c024_7ffe)
+        );
     }
 
     #[test]

@@ -33,6 +33,7 @@
 use crate::ns_to_sec;
 use crate::program::Program;
 use crate::world::SimWorld;
+use hbar_topo::regress::median;
 
 /// Label of the timing mark the burst benchmark places after its
 /// readiness handshake.
@@ -120,22 +121,6 @@ pub fn noop_calls(k: usize) -> Program {
         p.push_noop_call();
     }
     p
-}
-
-/// Median of `values`, sorting them in place; even counts average the two
-/// middle elements.
-///
-/// # Panics
-/// Panics on an empty slice or non-finite values.
-pub fn median(values: &mut [f64]) -> f64 {
-    assert!(!values.is_empty(), "median of no measurements");
-    values.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite measurement"));
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
-    }
 }
 
 /// Amortized two-rank benchmark scratch: one reused world/engine, one

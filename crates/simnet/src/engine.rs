@@ -309,7 +309,7 @@ pub struct Engine {
     nic_rx: Vec<Resource>,
     /// Pending events as packed keys (see [`Event`]), smallest first. Any
     /// exact min-queue pops them in the same `(time, seq)` order, so the
-    /// choice of queue moves no result; DESIGN.md §8 has the measurements
+    /// choice of queue moves no result; DESIGN.md §9 has the measurements
     /// that chose this one.
     queue: BinaryHeap<Reverse<u128>>,
     /// Link charges, indexed by `LinkClass as usize`.

@@ -1,7 +1,7 @@
 //! Discrete-event simulation of heterogeneous clusters.
 //!
 //! This crate is the stand-in for the paper's physical testbeds (see
-//! DESIGN.md, substitution 1): an event-driven model of processes pinned
+//! DESIGN.md §1, substitution 1): an event-driven model of processes pinned
 //! to cores, exchanging zero- or small-payload messages through a
 //! three-level interconnect (shared socket, cross socket, inter-node) with
 //! serial per-resource occupancies (sender CPU, per-node NIC TX/RX,

@@ -21,11 +21,11 @@
 //!    adaptive repetition, stop when the CI is tight), per component:
 //!    `O` comes from the ping-pong size sweep and `L` from the burst
 //!    sweep, and a growth round re-runs only the family whose estimate
-//!    still misses. The grow/stop
-//!    decision and the median/spread arithmetic are the private
-//!    `StoppingRule`, `rel_spread` and `median` below, pinned bit for
-//!    bit by the `stopping_parity` regression test, which also pins the
-//!    measurement plan. Work items are self-contained
+//!    still misses. The grow/stop decision and the spread arithmetic are
+//!    the private `StoppingRule` and `rel_spread` below (over
+//!    `hbar_topo::regress::median`), pinned bit for bit by the
+//!    `stopping_parity` regression test, which also pins the measurement
+//!    plan. Work items are self-contained
 //!    [`PairWorkDescriptor`]s (a cell `(i, i)` is a [`WorkKind::Diag`]
 //!    one), so execution can fan out to a work-stealing thread pool
 //!    ([`LocalExecutor`]) or a TCP worker fleet ([`crate::distrib`])
@@ -60,6 +60,7 @@ use hbar_topo::features::{ExactExtractor, PairFeatureExtractor, TopologyExtracto
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
+use hbar_topo::regress::median;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -787,31 +788,15 @@ impl StoppingRule {
     }
 }
 
-/// The sample median: middle order statistic, or the mean of the two
-/// middle order statistics for even lengths (`sort_unstable_by(
-/// partial_cmp)` then `(x[n/2-1] + x[n/2]) / 2`).
-///
-/// # Panics
-/// Panics on an empty slice or NaN samples.
-fn median(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty(), "median of an empty sample");
-    let mut v = xs.to_vec();
-    v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite measurement"));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
 /// Relative dispersion of samples about their median:
 /// `max_i |x_i − median| / max(|median|, ε)`; `0` for fewer than two
 /// samples (a singleton has no scatter evidence).
 ///
+/// Sorts `xs` in place.
+///
 /// # Panics
 /// Panics on NaN samples.
-fn rel_spread(xs: &[f64]) -> f64 {
+fn rel_spread(xs: &mut [f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -823,9 +808,9 @@ fn rel_spread(xs: &[f64]) -> f64 {
 /// Relative scatter of the `(o, l)` samples around their medians,
 /// component-wise [`rel_spread`].
 fn rel_spreads(values: &[(f64, f64)]) -> (f64, f64) {
-    let os: Vec<f64> = values.iter().map(|v| v.0).collect();
-    let ls: Vec<f64> = values.iter().map(|v| v.1).collect();
-    (rel_spread(&os), rel_spread(&ls))
+    let mut os: Vec<f64> = values.iter().map(|v| v.0).collect();
+    let mut ls: Vec<f64> = values.iter().map(|v| v.1).collect();
+    (rel_spread(&mut os), rel_spread(&mut ls))
 }
 
 /// The scatter the explode decision reads: the larger of the two
@@ -837,9 +822,9 @@ fn spread(values: &[(f64, f64)]) -> f64 {
 
 /// Component-wise [`median`]s of the `(o, l)` samples.
 fn medians(values: &[(f64, f64)]) -> (f64, f64) {
-    let os: Vec<f64> = values.iter().map(|v| v.0).collect();
-    let ls: Vec<f64> = values.iter().map(|v| v.1).collect();
-    (median(&os), median(&ls))
+    let mut os: Vec<f64> = values.iter().map(|v| v.0).collect();
+    let mut ls: Vec<f64> = values.iter().map(|v| v.1).collect();
+    (median(&mut os), median(&mut ls))
 }
 
 #[cfg(test)]
@@ -901,19 +886,12 @@ mod tests {
     }
 
     #[test]
-    fn median_matches_sweep_semantics() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(median(&[7.5]), 7.5);
-    }
-
-    #[test]
     fn rel_spread_matches_sweep_arithmetic() {
-        assert_eq!(rel_spread(&[5.0]), 0.0);
+        assert_eq!(rel_spread(&mut [5.0]), 0.0);
         // median 10, worst |dev| 2 → 0.2.
-        assert_eq!(rel_spread(&[8.0, 10.0, 12.0]), 0.2);
+        assert_eq!(rel_spread(&mut [12.0, 8.0, 10.0]), 0.2);
         // Zero median is ε-guarded, not a division by zero.
-        assert!(rel_spread(&[-1.0, 0.0, 1.0]).is_finite());
+        assert!(rel_spread(&mut [-1.0, 0.0, 1.0]).is_finite());
     }
 
     #[test]
@@ -935,16 +913,16 @@ mod tests {
             if odd {
                 xs.push(c);
             }
-            prop_assert!((median(&xs) - c).abs() <= 1e-9f64.max(c.abs() * 1e-9));
+            prop_assert!((median(&mut xs) - c).abs() <= 1e-9f64.max(c.abs() * 1e-9));
         }
 
         /// Identical samples have zero spread, and the stopping rule
         /// never asks for more of them.
         #[test]
         fn constant_samples_are_converged(x in 0.1f64..1.0e6, n in 2usize..40) {
-            let xs = vec![x; n];
-            prop_assert_eq!(rel_spread(&xs), 0.0);
-            prop_assert!(!StoppingRule { rel_tol: 0.05 }.should_grow(rel_spread(&xs)));
+            let mut xs = vec![x; n];
+            prop_assert_eq!(rel_spread(&mut xs), 0.0);
+            prop_assert!(!StoppingRule { rel_tol: 0.05 }.should_grow(rel_spread(&mut xs)));
         }
     }
 

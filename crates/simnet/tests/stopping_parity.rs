@@ -17,7 +17,6 @@
 //! even when every value it scatters is unchanged.
 
 use hbar_core::clustering::{classify_pairs, ClassingConfig, PairClassing};
-use hbar_simnet::benchprog::median;
 use hbar_simnet::profiling::{diag_sub_seed, pair_sub_seed, ProfilingConfig};
 use hbar_simnet::sweep::{
     execute_descriptor, measure_profile_decomposed, noise_regime_of, LocalExecutor, SweepConfig,
@@ -32,6 +31,7 @@ use hbar_topo::features::TopologyExtractor;
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
+use hbar_topo::regress::median;
 
 /// FNV-1a, fed 64-bit words as little-endian bytes.
 struct Fnv(u64);

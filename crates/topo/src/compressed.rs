@@ -39,7 +39,7 @@
 //! table maps diagonal classes to `0.0` and off-diagonal classes to the
 //! symmetrized `(O_c + O_c) / 2` without consulting positions.
 
-use crate::cost::{CostMatrices, CostProvider, FNV_OFFSET, FNV_PRIME};
+use crate::cost::{CostMatrices, CostProvider, Fnv};
 use crate::metric::DistanceMetric;
 use hbar_matrix::DenseMatrix;
 use serde::{Deserialize, Serialize};
@@ -179,19 +179,10 @@ pub struct ModelParts {
     pub table_l: Vec<f64>,
 }
 
-/// FNV-1a over 64-bit words: the hash behind a model's fingerprint.
-struct Fnv(u64);
-
-impl Fnv {
-    fn word(&mut self, w: u64) {
-        self.0 = (self.0 ^ w).wrapping_mul(FNV_PRIME);
-    }
-
-    /// Class ids, four to a word; their number is hashed separately.
-    fn classes(&mut self, ids: &[u16]) {
-        for four in ids.chunks(4) {
-            self.word(four.iter().fold(0, |w, &id| w << 16 | u64::from(id)));
-        }
+/// Absorbs class ids four to a word; their number is hashed separately.
+fn absorb_classes(h: &mut Fnv, ids: &[u16]) {
+    for four in ids.chunks(4) {
+        h.word(four.iter().fold(0, |w, &id| w << 16 | u64::from(id)));
     }
 }
 
@@ -235,7 +226,7 @@ impl ClassMap {
         overridden: Vec<bool>,
     ) -> Self {
         let mut kind_runs: Vec<(u32, usize)> = Vec::new();
-        let mut h = Fnv(FNV_OFFSET);
+        let mut h = Fnv::default();
         h.word(STORAGE_TAG);
         h.word(kind_of.len() as u64);
         h.word(kinds as u64);
@@ -246,8 +237,8 @@ impl ClassMap {
                 _ => kind_runs.push((kind, 1)),
             }
         }
-        h.classes(&table);
-        h.classes(&diag);
+        absorb_classes(&mut h, &table);
+        absorb_classes(&mut h, &diag);
         h.word(overrides.len() as u64);
         for &(i, j, class) in &overrides {
             h.word(u64::from(i) << 32 | u64::from(j));

@@ -81,6 +81,35 @@ pub const COST_FINGERPRINT_VERSION: u32 = 1;
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
+/// FNV-1a that absorbs a 64-bit word or a byte string per step: the hash
+/// behind member-set memo keys, serve cache keys, profile file names and
+/// a class map's fingerprint ([`cost_fingerprint`] runs four lanes of
+/// it). The field is the hash so far.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv(pub u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(FNV_OFFSET)
+    }
+}
+
+impl Fnv {
+    /// Absorbs one word.
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(FNV_PRIME);
+    }
+
+    /// Absorbs `bytes` one byte at a time.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.word(u64::from(b));
+        }
+    }
+}
+
 /// FNV-1a over the raw bits of both cost matrices: the memo guard used
 /// by `CostEvaluator::rebind` and the schedule-cache key of
 /// `hbar serve` (fingerprint-equal matrices tune to bit-identical

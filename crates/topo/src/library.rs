@@ -8,6 +8,7 @@
 //! count), one JSON file each, with an in-memory index built once at
 //! open time so run-time lookups are hash-map hits.
 
+use crate::cost::Fnv;
 use crate::machine::MachineSpec;
 use crate::mapping::RankMapping;
 use crate::profile::TopologyProfile;
@@ -59,12 +60,11 @@ fn mapping_tag(mapping: &RankMapping) -> String {
         RankMapping::Custom(cores) => {
             // Content-derived tag so distinct custom placements don't
             // collide.
-            let mut h: u64 = 0xcbf29ce484222325;
+            let mut h = Fnv::default();
             for &c in cores {
-                h ^= c as u64;
-                h = h.wrapping_mul(0x100000001b3);
+                h.word(c as u64);
             }
-            format!("custom{h:016x}")
+            format!("custom{:016x}", h.0)
         }
     }
 }
@@ -149,6 +149,18 @@ mod tests {
             std::env::temp_dir().join(format!("hbar_profile_lib_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A custom placement's file name, pinned: it names files on disk.
+    #[test]
+    fn custom_mapping_file_name_is_pinned() {
+        let machine = MachineSpec::dual_quad_cluster(2);
+        let mapping = RankMapping::Custom(vec![3, 0, 9, 14]);
+        let prof = TopologyProfile::from_ground_truth_for(&machine, &mapping, 4);
+        assert_eq!(
+            ProfileKey::of(&prof).file_name(),
+            "dual-quad-2n__customed3eae87f41dbbf9__4.profile.json"
+        );
     }
 
     #[test]

@@ -57,28 +57,19 @@ pub fn least_squares(points: &[(f64, f64)]) -> LineFit {
     }
 }
 
-/// Arithmetic mean.
+/// Median of `values`, sorting them in place; even counts average the two
+/// middle elements.
 ///
 /// # Panics
-/// Panics on an empty slice.
-pub fn mean(samples: &[f64]) -> f64 {
-    assert!(!samples.is_empty(), "mean of empty sample set");
-    samples.iter().sum::<f64>() / samples.len() as f64
-}
-
-/// Median (of a copy; input order preserved).
-///
-/// # Panics
-/// Panics on an empty slice.
-pub fn median(samples: &[f64]) -> f64 {
-    assert!(!samples.is_empty(), "median of empty sample set");
-    let mut v = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
+/// Panics on an empty slice or NaN values.
+pub fn median(values: &mut [f64]) -> f64 {
+    assert!(!values.is_empty(), "median of an empty sample");
+    values.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite measurement"));
+    let n = values.len();
+    if n % 2 == 1 {
+        values[n / 2]
     } else {
-        (v[mid - 1] + v[mid]) / 2.0
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
     }
 }
 
@@ -152,10 +143,9 @@ mod tests {
 
     #[test]
     fn statistics_basics() {
-        let s = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(mean(&s), 2.5);
-        assert_eq!(median(&s), 2.5);
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [7.5]), 7.5);
     }
 
     #[test]

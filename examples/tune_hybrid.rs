@@ -50,7 +50,7 @@ fn main() {
     );
 
     // Compare against forcing each single algorithm through the same
-    // hierarchy (the ablation the DESIGN.md calls out).
+    // hierarchy (the ablation of DESIGN.md §5).
     println!("\n=== ablation: forced single-algorithm hierarchies ===");
     for alg in hbarrier::core::algorithms::Algorithm::PAPER_SET {
         let forced = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::forced(alg));

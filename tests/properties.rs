@@ -146,10 +146,15 @@ proptest! {
         }).collect();
         let mut prev = BoolMatrix::identity(n);
         for s in &stages {
+            // K + K·S by definition: a signal m → j carries all m knew.
             let mut next = prev.clone();
-            next.or_assign(&prev.and_or_product(s));
+            for (m, j) in s.edges() {
+                for i in (0..n).filter(|&i| prev.get(i, m)) {
+                    next.set(i, j, true);
+                }
+            }
             // prev ⊆ next
-            prop_assert_eq!(prev.and(&next), prev.clone());
+            prop_assert!(prev.edges().all(|(i, j)| next.get(i, j)));
             prev = next;
         }
         let stages: Vec<SparseBoolMatrix> = stages.iter().map(SparseBoolMatrix::from).collect();

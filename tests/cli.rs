@@ -194,6 +194,56 @@ fn verify_rejects_broken_schedule() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `hbar analyze` exits 0 on clean schedules and 1 on a finding, which it
+/// prints on stdout (A005 for a schedule that does not synchronize).
+#[test]
+fn analyze_gates_on_findings() {
+    let dir = workdir("analyze");
+    let clean = dir.join("clean.json");
+    let broken = dir.join("broken.json");
+    let (clean, broken) = (clean.to_str().unwrap(), broken.to_str().unwrap());
+    std::fs::write(clean, SCHEDULE_P4_JSON).unwrap();
+    // Arrival only: rank 0 learns of everyone, nobody learns of rank 0.
+    use hbarrier::core::schedule::{BarrierSchedule, Stage};
+    use hbarrier::matrix::SparseBoolMatrix;
+    let mut arrival = BarrierSchedule::new(3);
+    arrival.push(Stage::arrival(SparseBoolMatrix::from_edges(
+        3,
+        [(1, 0), (2, 0)],
+    )));
+    std::fs::write(broken, serde_json::to_string(&arrival).unwrap()).unwrap();
+
+    let o = hbar(&["analyze", "--library", "--quick", "--max-p", "8"]);
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    assert!(
+        stdout(&o).ends_with(" clean, 0 with findings\n"),
+        "{}",
+        stdout(&o)
+    );
+
+    let o = hbar(&["analyze", "--schedule", clean, "--format", "json"]);
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    assert!(stdout(&o).contains("\"failed\": 0"), "{}", stdout(&o));
+
+    let o = hbar(&["analyze", "--schedule", broken]);
+    assert_eq!(o.status.code(), Some(1));
+    let out = stdout(&o);
+    assert!(
+        out.starts_with(&format!("== {broken}\nerror[A005]: ")),
+        "{out}"
+    );
+    assert!(out.ends_with("analyzed 1 schedule(s): 0 clean, 1 with findings\n"));
+    let o = hbar(&["analyze", "--schedule", broken, "--format", "json"]);
+    assert_eq!(o.status.code(), Some(1));
+    assert!(stdout(&o).contains("\"code\": \"A005\""), "{}", stdout(&o));
+
+    let o = hbar(&["analyze", "--library", "--bogus"]);
+    assert_eq!(o.status.code(), Some(1));
+    assert!(o.stdout.is_empty());
+    assert_eq!(stderr(&o), "error: unknown flag --bogus for `analyze`\n");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn helpful_errors() {
     let o = hbar(&[]);
@@ -668,6 +718,7 @@ fn malformed_schedule_files_are_error_messages() {
         vec!["predict", "--profile", &profile, "--schedule", &schedule],
         vec!["simulate", "--profile", &profile, "--schedule", &schedule],
         vec!["codegen", "--lang", "c", "--schedule", &schedule],
+        vec!["analyze", "--schedule", &schedule],
     ];
     // The file as written is fine.
     std::fs::write(&schedule, SCHEDULE_P4_JSON).unwrap();

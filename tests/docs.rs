@@ -1,17 +1,21 @@
 //! Guards the design record against growth and rot: DESIGN.md and
 //! EXPERIMENTS.md stay within their size budgets and every CHANGES.md
 //! entry within its own, every `DESIGN.md §N` citation names a section
-//! that exists, every repo path DESIGN.md or README.md names exists, and
-//! every PR that CHANGES.md records has a row in EXPERIMENTS.md's
-//! trajectory table.
+//! that exists, every repo path and `hbar` command the design record and
+//! README.md name exists, and every PR that CHANGES.md records has a row
+//! in EXPERIMENTS.md's trajectory table.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 const DESIGN_MAX_BYTES: u64 = 40 * 1024;
 const EXPERIMENTS_MAX_BYTES: u64 = 50 * 1024;
 const CHANGES_ENTRY_MAX_BYTES: usize = 1536;
+/// The documents that describe the tree as it is (CHANGES.md and
+/// ROADMAP.md also describe what it was).
+const CURRENT_DOCS: [&str; 3] = ["DESIGN.md", "README.md", "EXPERIMENTS.md"];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -173,7 +177,7 @@ fn named_repo_paths_exist() {
         ".github/",
     ];
     let mut missing = Vec::new();
-    for doc in ["DESIGN.md", "README.md"] {
+    for doc in CURRENT_DOCS {
         for span in code_spans(&read(doc)) {
             // `path::item` and `path:line` name the file before them.
             let path = span.split("::").next().unwrap();
@@ -189,6 +193,41 @@ fn named_repo_paths_exist() {
         }
     }
     assert!(missing.is_empty(), "{}", missing.join("\n"));
+}
+
+/// Every `` `hbar NAME`` or `` …/hbar NAME`` in the docs is a command that
+/// `hbar help` lists.
+#[test]
+fn named_hbar_commands_exist() {
+    let help = Command::new(env!("CARGO_BIN_EXE_hbar"))
+        .arg("help")
+        .output()
+        .expect("hbar runs");
+    let help = String::from_utf8(help.stdout).unwrap();
+    let commands: BTreeSet<&str> = help
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("hbar ")?.split(' ').next())
+        .collect();
+    let mut missing = Vec::new();
+    for doc in CURRENT_DOCS {
+        let text = read(doc);
+        for lead in ["`hbar ", "/hbar "] {
+            for (at, _) in text.match_indices(lead) {
+                let name: String = text[at + lead.len()..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect();
+                if !commands.contains(name.as_str()) {
+                    missing.push(format!("{doc} names `hbar {name}`"));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "commands are {commands:?}:\n{}",
+        missing.join("\n")
+    );
 }
 
 #[test]

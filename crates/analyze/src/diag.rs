@@ -2,7 +2,7 @@
 //!
 //! Every analysis pass reports through [`Diagnostic`] so tooling can match
 //! on codes rather than message text, and CI can consume the JSON form
-//! (`hbar-analyze --format json`). Codes are grouped by pass: `A00x` are
+//! (`hbar analyze --format json`). Codes are grouped by pass: `A00x` are
 //! schedule lints, `A01x` come from program-level progress analysis, and
 //! `A02x` from codegen round-trip verification.
 

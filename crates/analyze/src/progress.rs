@@ -1,14 +1,16 @@
 //! Program-level progress analysis: unmatched signal counters and
 //! deadlock detection over compiled rank programs.
 //!
-//! The abstract machine mirrors the `SignalBoard` sig/ack discipline of
-//! `hbar-threadrun` (and zero-byte `MPI_Issend` semantics): a send is
-//! *posted* the moment its step begins, matches FIFO against the
-//! receiver's cumulative demand for that `(src, dst)` pair, and the step
-//! completes only when every posted receive has a matching send *and*
-//! every posted synchronous send has been consumed by its receiver. This
-//! over-approximates nothing the real backends allow: a schedule that
-//! cannot complete here blocks every backend too.
+//! The abstract machine mirrors the discipline every backend executes
+//! (the `SignalBoard` sig/ack counters of `hbar-threadrun`, the
+//! simulator's `WaitRecvs` / `WaitAll`, zero-byte `MPI_Issend`): a send is
+//! *posted* the moment its step begins and matches FIFO against the
+//! receiver's cumulative demand for that `(src, dst)` pair; a step
+//! completes when every receive it posted has a matching send, and a rank
+//! completes when, after its last step, every synchronous send it posted
+//! has been consumed by its receiver. This over-approximates nothing the
+//! real backends allow: a schedule that cannot complete here blocks every
+//! backend too.
 
 use crate::diag::{Code, Diagnostic, Severity};
 use hbar_core::codegen::RankProgram;
@@ -116,7 +118,8 @@ fn validate_shape(n: usize, programs: &[RankProgram], out: &mut Vec<Diagnostic>)
     ok
 }
 
-/// Abstract execution to a fixed point; any rank left mid-program is
+/// Abstract execution to a fixed point; any rank left mid-program, or
+/// after its last step with a send its receiver never consumed, is
 /// deadlocked (A011), and the wait-for graph names a culprit cycle.
 fn deadlock_check(programs: &[RankProgram], out: &mut Vec<Diagnostic>) {
     let mut posted: PairCounts = HashMap::new(); // sends posted, src -> dst
@@ -153,16 +156,11 @@ fn deadlock_check(programs: &[RankProgram], out: &mut Vec<Diagnostic>) {
             if at >= prog.steps.len() {
                 continue;
             }
-            let step = &prog.steps[at];
-            let recvs_done = step.recvs.iter().all(|&src| {
+            let recvs_done = prog.steps[at].recvs.iter().all(|&src| {
                 let pair = (src, prog.rank);
                 consumed.get(&pair).copied().unwrap_or(0) >= want.get(&pair).copied().unwrap_or(0)
             });
-            let sends_acked = step.sends.iter().all(|&dst| {
-                let pair = (prog.rank, dst);
-                consumed.get(&pair).copied().unwrap_or(0) >= posted.get(&pair).copied().unwrap_or(0)
-            });
-            if recvs_done && sends_acked {
+            if recvs_done {
                 ptr[prog.rank] = at + 1;
                 if at + 1 < prog.steps.len() {
                     enter(prog, at + 1, &mut posted, &mut want);
@@ -175,36 +173,39 @@ fn deadlock_check(programs: &[RankProgram], out: &mut Vec<Diagnostic>) {
         }
     }
 
-    let stuck: Vec<usize> = programs
-        .iter()
-        .filter(|p| ptr[p.rank] < p.steps.len())
-        .map(|p| p.rank)
-        .collect();
-    if stuck.is_empty() {
-        return;
-    }
-
-    // Wait-for edges: each stuck rank points at the ranks it needs.
+    // Wait-for edges: a rank mid-program points at the senders its step
+    // still needs, a rank past its last step at the receivers that have
+    // not consumed its sends. Ranks with no edge have completed.
+    let count = |counts: &PairCounts, pair: (usize, usize)| counts.get(&pair).copied().unwrap_or(0);
     let mut waits_on: HashMap<usize, Vec<usize>> = HashMap::new();
-    for &r in &stuck {
-        let step = &programs[r].steps[ptr[r]];
-        let mut blockers = Vec::new();
-        for &src in &step.recvs {
-            let pair = (src, r);
-            if posted.get(&pair).copied().unwrap_or(0) < want.get(&pair).copied().unwrap_or(0) {
-                blockers.push(src);
-            }
-        }
-        for &dst in &step.sends {
-            let pair = (r, dst);
-            if consumed.get(&pair).copied().unwrap_or(0) < posted.get(&pair).copied().unwrap_or(0) {
-                blockers.push(dst);
-            }
+    for prog in programs {
+        let r = prog.rank;
+        let mut blockers: Vec<usize> = match prog.steps.get(ptr[r]) {
+            Some(step) => step
+                .recvs
+                .iter()
+                .copied()
+                .filter(|&src| count(&posted, (src, r)) < count(&want, (src, r)))
+                .collect(),
+            None => prog
+                .steps
+                .iter()
+                .flat_map(|step| step.sends.iter().copied())
+                .filter(|&dst| count(&consumed, (r, dst)) < count(&posted, (r, dst)))
+                .collect(),
+        };
+        if blockers.is_empty() && ptr[r] == prog.steps.len() {
+            continue;
         }
         blockers.sort_unstable();
         blockers.dedup();
         waits_on.insert(r, blockers);
     }
+    if waits_on.is_empty() {
+        return;
+    }
+    let mut stuck: Vec<usize> = waits_on.keys().copied().collect();
+    stuck.sort_unstable();
 
     match find_cycle(&waits_on) {
         Some(cycle) => {
@@ -354,19 +355,35 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_send_ack_participates_in_deadlock() {
-        // All pair counters match, but 0's synchronous send to 1 is only
-        // consumed in 1's *second* step, and 1's first step transitively
-        // waits on 0's second step: 0 -> 1 -> 2 -> 0 through an ack edge.
+    fn acknowledgements_do_not_pace_steps() {
+        // 0's send to 1 is consumed only in 1's *second* step, which
+        // waits on 0's second step. A step waits for its receives alone,
+        // so 0 moves on before the ack and all three ranks complete.
         let programs = vec![
             prog(0, vec![(vec![], vec![1]), (vec![], vec![2])]),
             prog(1, vec![(vec![2], vec![]), (vec![0], vec![])]),
             prog(2, vec![(vec![0], vec![]), (vec![], vec![1])]),
         ];
+        assert!(run(3, &programs).is_empty());
+    }
+
+    #[test]
+    fn rank_waiting_only_for_its_acknowledgement_is_stuck() {
+        // 0 runs its one step and waits at exit for 1 to consume its
+        // signal; 1 never gets there, caught in a receive cycle with 2.
+        let programs = vec![
+            prog(0, vec![(vec![], vec![1])]),
+            prog(1, vec![(vec![2], vec![]), (vec![0], vec![2])]),
+            prog(2, vec![(vec![1], vec![]), (vec![], vec![1])]),
+        ];
         let diags = run(3, &programs);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::Deadlock);
-        assert!(diags[0].message.contains("3 of 3"), "{}", diags[0].message);
+        let msg = &diags[0].message;
+        assert!(
+            msg.contains("3 of 3") && msg.contains("1 -> 2 -> 1"),
+            "{msg}"
+        );
     }
 
     #[test]

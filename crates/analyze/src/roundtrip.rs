@@ -5,7 +5,8 @@
 //!
 //! The parsers are deliberately strict: they accept exactly the shape the
 //! emitters produce (receives posted before sends, request indices dense,
-//! one wait per step) and report anything else as a parse failure. A
+//! one wait on the receives per step, one wait on the sends at exit) and
+//! report anything else as a parse failure. A
 //! "cleverer" parser would hide precisely the drift this pass exists to
 //! catch.
 
@@ -67,19 +68,29 @@ pub fn source_drift(expected: &[RankProgram], source: &str, lang: Lang) -> Vec<D
                 .programs
                 .iter()
                 .flat_map(|p| p.steps.iter())
-                .map(|s| s.recvs.len() + s.sends.len())
+                .map(|s| s.recvs.len())
                 .max()
                 .unwrap_or(0)
                 .max(1);
-            if c.declared_requests != widest {
-                out.push(Diagnostic::new(
-                    Code::CDrift,
-                    Severity::Error,
-                    format!(
-                        "request array holds {} slot(s) but the widest step posts {widest}",
-                        c.declared_requests
-                    ),
-                ));
+            let most_sends = c
+                .programs
+                .iter()
+                .map(RankProgram::send_count)
+                .max()
+                .unwrap_or(0)
+                .max(1);
+            let sizes = [
+                ("rreq", c.declared_recv_requests, widest),
+                ("sreq", c.declared_send_requests, most_sends),
+            ];
+            for (array, declared, needed) in sizes {
+                if declared != needed {
+                    out.push(Diagnostic::new(
+                        Code::CDrift,
+                        Severity::Error,
+                        format!("request array {array} holds {declared} slot(s), {needed} needed"),
+                    ));
+                }
             }
             c.programs
         }),
@@ -169,10 +180,13 @@ fn diff_programs(
 }
 
 /// A parsed C source: the abstract programs plus the declared request
-/// array capacity (checked against the widest step separately).
+/// array capacities (checked against the programs separately).
 pub struct CParse {
     pub programs: Vec<RankProgram>,
-    pub declared_requests: usize,
+    /// Slots of `rreq`, which one step's receives reuse.
+    pub declared_recv_requests: usize,
+    /// Slots of `sreq`, which a rank's sends fill across its steps.
+    pub declared_send_requests: usize,
 }
 
 fn parse_num(text: &str, what: &str) -> Result<usize, String> {
@@ -185,15 +199,21 @@ fn parse_num(text: &str, what: &str) -> Result<usize, String> {
 ///
 /// # Errors
 /// Fails on any line shape the emitter cannot have produced, including
-/// receives posted after sends or requests left without a `wait_all`.
+/// receives posted after sends, requests left without a `wait_recvs`, or
+/// an arm that does not end in exactly one `wait_all`.
 pub fn parse_rust_source(src: &str) -> Result<Vec<RankProgram>, String> {
     let mut programs: Vec<RankProgram> = Vec::new();
     let mut arm: Option<RankProgram> = None;
     let mut step = RankStep::default();
+    let mut exited = false;
     for (ln, raw) in src.lines().enumerate() {
         let line = raw.trim();
         let ctx = |msg: &str| format!("line {}: {msg}", ln + 1);
         if let Some(prog) = arm.as_mut() {
+            let posting = line.starts_with("t.irecv(") || line.starts_with("t.issend(");
+            if exited && (posting || line == "t.wait_recvs();") {
+                return Err(ctx("statement after the closing wait_all"));
+            }
             if let Some(inner) = line
                 .strip_prefix("t.irecv(")
                 .and_then(|r| r.strip_suffix(");"))
@@ -207,18 +227,24 @@ pub fn parse_rust_source(src: &str) -> Result<Vec<RankProgram>, String> {
                 .and_then(|r| r.strip_suffix(");"))
             {
                 step.sends.push(parse_num(inner, "destination rank")?);
-            } else if line == "t.wait_all();" {
+            } else if line == "t.wait_recvs();" {
                 if step.is_empty() {
-                    return Err(ctx("wait_all with no posted requests"));
+                    return Err(ctx("wait_recvs with no posted requests"));
                 }
                 prog.steps.push(std::mem::take(&mut step));
-            } else if line == "}" {
+            } else if line == "t.wait_all();" {
                 if !step.is_empty() {
-                    return Err(ctx("requests posted without a closing wait_all"));
+                    return Err(ctx("requests posted without a closing wait_recvs"));
                 }
-                if prog.steps.is_empty() {
-                    return Err(ctx("empty match arm"));
+                if prog.steps.is_empty() || exited {
+                    return Err(ctx("wait_all must close an arm's steps exactly once"));
                 }
+                exited = true;
+            } else if line == "}" {
+                if !exited {
+                    return Err(ctx("rank arm ends without wait_all"));
+                }
+                exited = false;
                 programs.push(arm.take().expect("inside arm"));
             } else {
                 return Err(ctx("unrecognized statement inside a rank arm"));
@@ -241,32 +267,44 @@ pub fn parse_rust_source(src: &str) -> Result<Vec<RankProgram>, String> {
 }
 
 /// Parses the output of [`c_source`] back into rank programs plus the
-/// declared `MPI_Request` array size.
+/// declared `rreq` and `sreq` array sizes.
 ///
 /// # Errors
 /// Fails on any line shape the emitter cannot have produced, including
-/// out-of-order step comments, non-dense request indices, or a
-/// `MPI_Waitall` count that disagrees with the posted requests.
+/// out-of-order step comments, non-dense request indices, an
+/// `MPI_Waitall` count that disagrees with the posted requests, or a case
+/// that does not end in exactly one wait on its sends.
 pub fn parse_c_source(src: &str) -> Result<CParse, String> {
     let mut programs: Vec<RankProgram> = Vec::new();
-    let mut declared_requests: Option<usize> = None;
+    let mut declared: [Option<usize>; 2] = [None, None];
     let mut arm: Option<RankProgram> = None;
     let mut step = RankStep::default();
+    // The rank's sends so far (its next `sreq` index), and whether its
+    // closing wait on them has been read.
+    let mut sent = 0usize;
+    let mut exited = false;
     for (ln, raw) in src.lines().enumerate() {
         let line = raw.trim();
         let ctx = |msg: String| format!("line {}: {msg}", ln + 1);
-        if let Some(inner) = line
-            .strip_prefix("MPI_Request req[")
-            .and_then(|r| r.strip_suffix("];"))
-        {
-            if declared_requests.is_some() {
-                return Err(ctx("duplicate request array declaration".into()));
+        if let Some(decl) = line.strip_prefix("MPI_Request ") {
+            let sized = |array: &str| decl.strip_prefix(array)?.strip_suffix("];");
+            let (slot, inner) = match (sized("rreq["), sized("sreq[")) {
+                (Some(inner), _) => (&mut declared[0], inner),
+                (_, Some(inner)) => (&mut declared[1], inner),
+                _ => return Err(ctx(format!("unrecognized declaration `{line}`"))),
+            };
+            if slot
+                .replace(parse_num(inner, "request array size")?)
+                .is_some()
+            {
+                return Err(ctx(format!("duplicate declaration `{line}`")));
             }
-            declared_requests = Some(parse_num(inner, "request array size")?);
             continue;
         }
         if let Some(prog) = arm.as_mut() {
-            let posted = step.recvs.len() + step.sends.len();
+            if exited && line != "break;" {
+                return Err(ctx(format!("`{line}` after the wait on the sends")));
+            }
             if let Some(inner) = line
                 .strip_prefix("/* step ")
                 .and_then(|r| r.strip_suffix(" */"))
@@ -281,39 +319,59 @@ pub fn parse_c_source(src: &str) -> Result<CParse, String> {
                 .strip_prefix("MPI_Irecv(0, 0, MPI_BYTE, ")
                 .and_then(|r| r.strip_suffix("]);"))
             {
-                let (src_rank, req) = split_partner_req(inner)?;
+                let (src_rank, req) = split_partner_req(inner, ", 0, comm, &rreq[")?;
                 if !step.sends.is_empty() {
                     return Err(ctx("receive posted after a send in the same step".into()));
                 }
-                if req != posted {
-                    return Err(ctx(format!("request index {req}, expected {posted}")));
+                if req != step.recvs.len() {
+                    return Err(ctx(format!(
+                        "receive request index {req}, expected {}",
+                        step.recvs.len()
+                    )));
                 }
                 step.recvs.push(src_rank);
             } else if let Some(inner) = line
                 .strip_prefix("MPI_Issend(0, 0, MPI_BYTE, ")
                 .and_then(|r| r.strip_suffix("]);"))
             {
-                let (dst, req) = split_partner_req(inner)?;
-                if req != posted {
-                    return Err(ctx(format!("request index {req}, expected {posted}")));
+                let (dst, req) = split_partner_req(inner, ", 0, comm, &sreq[")?;
+                if req != sent {
+                    return Err(ctx(format!("send request index {req}, expected {sent}")));
                 }
+                sent += 1;
                 step.sends.push(dst);
             } else if let Some(inner) = line
                 .strip_prefix("MPI_Waitall(")
-                .and_then(|r| r.strip_suffix(", req, MPI_STATUSES_IGNORE);"))
+                .and_then(|r| r.strip_suffix(", rreq, MPI_STATUSES_IGNORE);"))
             {
                 let count = parse_num(inner, "waitall count")?;
-                if count != posted || posted == 0 {
-                    return Err(ctx(format!("MPI_Waitall({count}) after {posted} post(s)")));
+                if count != step.recvs.len() || step.is_empty() {
+                    return Err(ctx(format!(
+                        "MPI_Waitall({count}, rreq) after {} receive(s) and {} send(s)",
+                        step.recvs.len(),
+                        step.sends.len()
+                    )));
                 }
                 prog.steps.push(std::mem::take(&mut step));
-            } else if line == "break;" {
+            } else if let Some(inner) = line
+                .strip_prefix("MPI_Waitall(")
+                .and_then(|r| r.strip_suffix(", sreq, MPI_STATUSES_IGNORE);"))
+            {
+                let count = parse_num(inner, "waitall count")?;
                 if !step.is_empty() {
                     return Err(ctx("requests posted without a closing MPI_Waitall".into()));
                 }
-                if prog.steps.is_empty() {
-                    return Err(ctx("empty case arm".into()));
+                if count != sent || prog.steps.is_empty() {
+                    return Err(ctx(format!(
+                        "MPI_Waitall({count}, sreq) after {sent} send(s)"
+                    )));
                 }
+                exited = true;
+            } else if line == "break;" {
+                if !exited {
+                    return Err(ctx("case ends without a wait on its sends".into()));
+                }
+                (sent, exited) = (0, false);
                 programs.push(arm.take().expect("inside arm"));
             } else {
                 return Err(ctx(format!(
@@ -331,17 +389,20 @@ pub fn parse_c_source(src: &str) -> Result<CParse, String> {
     if arm.is_some() {
         return Err("source ends inside a case arm".to_string());
     }
+    let [recv, send] = declared;
     Ok(CParse {
         programs,
-        declared_requests: declared_requests.ok_or("no MPI_Request array declared")?,
+        declared_recv_requests: recv.ok_or("no rreq array declared")?,
+        declared_send_requests: send.ok_or("no sreq array declared")?,
     })
 }
 
-/// Splits `"<partner>, 0, comm, &req[<idx>"` (the middle of an Irecv or
-/// Issend argument list) into the partner rank and request index.
-fn split_partner_req(inner: &str) -> Result<(usize, usize), String> {
+/// Splits `"<partner><between><idx>"` (the middle of an Irecv or Issend
+/// argument list, `between` naming its request array) into the partner
+/// rank and request index.
+fn split_partner_req(inner: &str, between: &str) -> Result<(usize, usize), String> {
     let (partner, req) = inner
-        .split_once(", 0, comm, &req[")
+        .split_once(between)
         .ok_or_else(|| format!("malformed argument list `{inner}`"))?;
     Ok((
         parse_num(partner, "partner rank")?,
@@ -397,7 +458,8 @@ mod tests {
         let progs = programs(Algorithm::Linear, 5);
         let src = c_source("l5", &progs).unwrap();
         let parsed = parse_c_source(&src).unwrap();
-        assert_eq!(parsed.declared_requests, 4, "master gathers 4 signals");
+        assert_eq!(parsed.declared_recv_requests, 4, "master gathers 4 signals");
+        assert_eq!(parsed.declared_send_requests, 4, "and releases 4");
         assert_eq!(parsed.programs.len(), 5);
         assert_eq!(parsed.programs[0].steps[0].recvs, vec![1, 2, 3, 4]);
     }
@@ -413,30 +475,93 @@ mod tests {
         assert!(diags[0].message.contains("drift"), "{}", diags[0].message);
     }
 
-    #[test]
-    fn deleted_waitall_is_a_parse_failure() {
-        let progs = programs(Algorithm::Tree, 4);
-        let src = c_source("t4", &progs).unwrap();
-        let idx = src.find("        MPI_Waitall").unwrap();
+    /// `src` with the first line that starts with `prefix` (after
+    /// indentation) removed.
+    fn drop_line(src: &str, prefix: &str) -> String {
+        let idx = src.find(&format!("        {prefix}")).unwrap();
         let end = src[idx..].find('\n').unwrap() + idx + 1;
-        let tampered = format!("{}{}", &src[..idx], &src[end..]);
+        format!("{}{}", &src[..idx], &src[end..])
+    }
+
+    #[test]
+    fn deleted_wait_is_caught() {
+        let progs = programs(Algorithm::Tree, 4);
+        let c = c_source("t4", &progs).unwrap();
+        let rust = rust_source("t4", &progs).unwrap();
+        for (tampered, lang, code) in [
+            (
+                drop_line(&c, "MPI_Waitall(1, rreq"),
+                Lang::C,
+                Code::EmitterFailure,
+            ),
+            (
+                drop_line(&c, "MPI_Waitall(1, sreq"),
+                Lang::C,
+                Code::EmitterFailure,
+            ),
+            // Rank 0's first two steps only receive, so without the wait
+            // between them they parse as one step.
+            (
+                drop_line(&rust, "    t.wait_recvs();"),
+                Lang::Rust,
+                Code::RustDrift,
+            ),
+            (
+                drop_line(&rust, "    t.wait_all();"),
+                Lang::Rust,
+                Code::EmitterFailure,
+            ),
+        ] {
+            let diags = source_drift(&progs, &tampered, lang);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].code, code, "{diags:?}");
+        }
+    }
+
+    #[test]
+    fn per_step_wait_on_a_send_is_a_parse_failure() {
+        // The paper's shape, which waits on each step's sends too, is
+        // not what the emitter writes.
+        let progs = programs(Algorithm::Dissemination, 4);
+        let src = c_source("d4", &progs).unwrap();
+        let tampered = src.replacen(
+            "MPI_Waitall(1, rreq, MPI_STATUSES_IGNORE);",
+            "MPI_Waitall(1, rreq, MPI_STATUSES_IGNORE);\n        MPI_Waitall(1, sreq, MPI_STATUSES_IGNORE);",
+            1,
+        );
         let diags = source_drift(&progs, &tampered, Lang::C);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::EmitterFailure);
     }
 
     #[test]
+    fn one_shared_request_array_is_a_parse_failure() {
+        let progs = programs(Algorithm::Linear, 4);
+        let src = c_source("l4", &progs).unwrap();
+        let tampered = src.replace("MPI_Request rreq[3];", "MPI_Request req[3];");
+        let diags = source_drift(&progs, &tampered, Lang::C);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, Code::EmitterFailure);
+        assert!(diags[0].message.contains("declaration"), "{diags:?}");
+    }
+
+    #[test]
     fn undersized_request_array_is_drift() {
         let progs = programs(Algorithm::Linear, 4);
         let src = c_source("l4", &progs).unwrap();
-        let tampered = src.replace("MPI_Request req[3];", "MPI_Request req[2];");
-        let diags = source_drift(&progs, &tampered, Lang::C);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == Code::CDrift && d.message.contains("request array")),
-            "{diags:?}"
-        );
+        for (from, to) in [
+            ("MPI_Request rreq[3];", "MPI_Request rreq[2];"),
+            ("MPI_Request sreq[3];", "MPI_Request sreq[2];"),
+        ] {
+            let tampered = src.replace(from, to);
+            let diags = source_drift(&progs, &tampered, Lang::C);
+            assert!(
+                diags
+                    .iter()
+                    .any(|d| d.code == Code::CDrift && d.message.contains("request array")),
+                "{diags:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! This mirrors the artifact the paper's generator produced: a C function
 //! that hard-codes the discovered signal pattern as `MPI_Irecv` /
-//! `MPI_Issend` request batches with one `MPI_Waitall` per step, switched
-//! on the calling rank.
+//! `MPI_Issend` request batches, switched on the calling rank. Each step
+//! ends with an `MPI_Waitall` over its receives (`rreq`); the sends
+//! (`sreq`, numbered across the rank's steps) are waited for once, before
+//! the function returns.
 
 use super::program::{validate_name, CodegenError, RankProgram};
 use std::fmt::Write;
@@ -16,10 +18,16 @@ use std::fmt::Write;
 /// Fails if `name` is not a valid identifier.
 pub fn c_source(name: &str, programs: &[RankProgram]) -> Result<String, CodegenError> {
     validate_name(name)?;
-    let max_requests = programs
+    let max_recvs = programs
         .iter()
         .flat_map(|p| p.steps.iter())
-        .map(|s| s.sends.len() + s.recvs.len())
+        .map(|s| s.recvs.len())
+        .max()
+        .unwrap_or(0)
+        .max(1);
+    let max_sends = programs
+        .iter()
+        .map(RankProgram::send_count)
         .max()
         .unwrap_or(0)
         .max(1);
@@ -34,7 +42,8 @@ pub fn c_source(name: &str, programs: &[RankProgram]) -> Result<String, CodegenE
     let _ = writeln!(out, "void {name}(MPI_Comm comm)");
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "    int rank;");
-    let _ = writeln!(out, "    MPI_Request req[{max_requests}];");
+    let _ = writeln!(out, "    MPI_Request rreq[{max_recvs}];");
+    let _ = writeln!(out, "    MPI_Request sreq[{max_sends}];");
     let _ = writeln!(out, "    MPI_Comm_rank(comm, &rank);");
     let _ = writeln!(out, "    switch (rank) {{");
     for prog in programs {
@@ -42,25 +51,29 @@ pub fn c_source(name: &str, programs: &[RankProgram]) -> Result<String, CodegenE
             continue;
         }
         let _ = writeln!(out, "    case {}:", prog.rank);
+        let mut s = 0usize;
         for (si, step) in prog.steps.iter().enumerate() {
             let _ = writeln!(out, "        /* step {si} */");
-            let mut r = 0usize;
-            for &src in &step.recvs {
+            for (r, &src) in step.recvs.iter().enumerate() {
                 let _ = writeln!(
                     out,
-                    "        MPI_Irecv(0, 0, MPI_BYTE, {src}, 0, comm, &req[{r}]);"
+                    "        MPI_Irecv(0, 0, MPI_BYTE, {src}, 0, comm, &rreq[{r}]);"
                 );
-                r += 1;
             }
             for &dst in &step.sends {
                 let _ = writeln!(
                     out,
-                    "        MPI_Issend(0, 0, MPI_BYTE, {dst}, 0, comm, &req[{r}]);"
+                    "        MPI_Issend(0, 0, MPI_BYTE, {dst}, 0, comm, &sreq[{s}]);"
                 );
-                r += 1;
+                s += 1;
             }
-            let _ = writeln!(out, "        MPI_Waitall({r}, req, MPI_STATUSES_IGNORE);");
+            let _ = writeln!(
+                out,
+                "        MPI_Waitall({}, rreq, MPI_STATUSES_IGNORE);",
+                step.recvs.len()
+            );
         }
+        let _ = writeln!(out, "        MPI_Waitall({s}, sreq, MPI_STATUSES_IGNORE);");
         let _ = writeln!(out, "        break;");
     }
     let _ = writeln!(out, "    default:");
@@ -105,14 +118,26 @@ mod tests {
         assert!(recv_pos < send_pos, "receives posted before sends");
         assert_eq!(case0.matches("MPI_Irecv").count(), 3);
         assert_eq!(case0.matches("MPI_Issend").count(), 3);
-        assert_eq!(case0.matches("MPI_Waitall").count(), 2);
+        // One wait on the receives per step, one on the sends at exit.
+        assert_eq!(case0.matches("MPI_Waitall(3, rreq,").count(), 1);
+        assert_eq!(case0.matches("MPI_Waitall(0, rreq,").count(), 1);
+        assert!(case0.ends_with("MPI_Waitall(3, sreq, MPI_STATUSES_IGNORE);\n        "));
     }
 
     #[test]
-    fn request_array_sized_to_widest_step() {
+    fn request_arrays_sized_to_widest_step_and_largest_send_total() {
         let src = c_source("b", &linear4()).unwrap();
-        // Master posts 3 requests in one step: array of 3.
-        assert!(src.contains("MPI_Request req[3];"), "{src}");
+        // The master receives 3 signals in one step and sends 3 in all.
+        assert!(src.contains("MPI_Request rreq[3];"), "{src}");
+        assert!(src.contains("MPI_Request sreq[3];"), "{src}");
+        // A dissemination rank receives one signal per step but sends
+        // one in each of its three.
+        let members: Vec<usize> = (0..8).collect();
+        let progs = compile_schedule(&Algorithm::Dissemination.full_schedule(8, &members)).unwrap();
+        let src = c_source("d8", &progs).unwrap();
+        assert!(src.contains("MPI_Request rreq[1];"), "{src}");
+        assert!(src.contains("MPI_Request sreq[3];"), "{src}");
+        assert!(src.contains("&sreq[2]);"), "send requests run across steps");
     }
 
     #[test]
@@ -124,7 +149,8 @@ mod tests {
         let src = c_source("noop", &progs).unwrap();
         assert!(!src.contains("case 0:"));
         assert!(src.contains("default:"));
-        assert!(src.contains("MPI_Request req[1];"));
+        assert!(src.contains("MPI_Request rreq[1];"));
+        assert!(src.contains("MPI_Request sreq[1];"));
     }
 
     #[test]

@@ -42,11 +42,14 @@ pub(super) fn validate_name(name: &str) -> Result<(), CodegenError> {
 }
 
 /// One step of a rank's program: post all receives, issue all synchronous
-/// sends, then wait for everything to complete before the next step.
+/// sends, then wait for the receives to complete before the next step.
+/// The sends stay in flight: a rank waits for all of its sends once, after
+/// its last step, before it leaves the barrier. (The paper's generator
+/// waits on every request at every stage; DESIGN.md §8 says why this one
+/// does not.)
 ///
 /// Receives are posted before sends (as the paper's general simulator
-/// does with its nonblocking request arrays), so no execution backend
-/// needs an unexpected-message queue deeper than one stage.
+/// does with its nonblocking request arrays).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RankStep {
     /// Ranks to receive one signal from, in ascending order.

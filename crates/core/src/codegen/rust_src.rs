@@ -11,9 +11,10 @@ use std::fmt::Write;
 /// Emits a Rust function `name` implementing the compiled barrier.
 ///
 /// The generated code expects a transport with
-/// `fn issend(&self, dst: usize)`, `fn irecv(&self, src: usize)` and
-/// `fn wait_all(&self)` — nonblocking posts plus a completion barrier,
-/// matching the paper's execution model.
+/// `fn issend(&self, dst: usize)`, `fn irecv(&self, src: usize)`,
+/// `fn wait_recvs(&self)` and `fn wait_all(&self)` — nonblocking posts, a
+/// wait for the posted receives that closes each step, and one wait for
+/// every request before the rank leaves.
 ///
 /// # Errors
 /// Fails if `name` is not a valid identifier.
@@ -39,8 +40,9 @@ pub fn rust_source(name: &str, programs: &[RankProgram]) -> Result<String, Codeg
             for &dst in &step.sends {
                 let _ = writeln!(out, "            t.issend({dst});");
             }
-            let _ = writeln!(out, "            t.wait_all();");
+            let _ = writeln!(out, "            t.wait_recvs();");
         }
+        let _ = writeln!(out, "            t.wait_all();");
         let _ = writeln!(out, "        }}");
     }
     let _ = writeln!(out, "        _ => {{}}");
@@ -68,12 +70,13 @@ mod tests {
     }
 
     #[test]
-    fn wait_all_count_equals_total_steps() {
+    fn one_receive_wait_per_step_and_one_wait_all_per_rank() {
         let members: Vec<usize> = (0..9).collect();
         let progs = compile_schedule(&Algorithm::Dissemination.full_schedule(9, &members)).unwrap();
         let src = rust_source("d9", &progs).unwrap();
         let total_steps: usize = progs.iter().map(|p| p.steps.len()).sum();
-        assert_eq!(src.matches("t.wait_all();").count(), total_steps);
+        assert_eq!(src.matches("t.wait_recvs();").count(), total_steps);
+        assert_eq!(src.matches("t.wait_all();").count(), progs.len());
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! "Execution amounts to each participating process looping over the
 //! required number of stages, issuing nonblocking, synchronized signals
 //! according to the dependencies of the stage (with `MPI_Issend`), and
-//! awaiting completion of all issued requests."
+//! awaiting completion of all issued requests." Here a stage awaits only
+//! its receives, and a process awaits its synchronous sends once, when it
+//! leaves the barrier (DESIGN.md §9): the signals a rank receives are what
+//! the Eq. 3 closure reads, and an acknowledgement adds nothing to it.
 
 use crate::program::{Instr, Program};
 use crate::world::SimWorld;
@@ -13,20 +16,26 @@ use hbar_core::codegen::{compile_schedule, RankProgram};
 use hbar_core::schedule::BarrierSchedule;
 
 /// Converts one compiled rank program into a simulator program:
-/// per step, post receives, issue synchronous sends, wait for all.
+/// per step, post receives, issue synchronous sends, wait for the
+/// receives; then wait for the sends.
 pub fn sim_program(program: &RankProgram) -> Program {
     sim_program_repeated(program, 1)
 }
 
 /// Like [`sim_program`] but executing the barrier `reps` times
-/// back-to-back, the way the measurement loops run it.
+/// back-to-back, the way the measurement loops run it: every repetition
+/// ends with its rank's sends complete. A rank with no steps gets an
+/// empty program.
 pub fn sim_program_repeated(program: &RankProgram, reps: usize) -> Program {
+    if program.steps.is_empty() {
+        return Program::new();
+    }
     let per_rep: usize = program
         .steps
         .iter()
         .map(|step| step.recvs.len() + step.sends.len() + 1)
         .sum();
-    let mut p = Program::with_capacity(reps * per_rep);
+    let mut p = Program::with_capacity(reps * (per_rep + 1));
     for _ in 0..reps {
         for step in &program.steps {
             for &src in &step.recvs {
@@ -35,8 +44,9 @@ pub fn sim_program_repeated(program: &RankProgram, reps: usize) -> Program {
             for &dst in &step.sends {
                 p.push_issend(dst);
             }
-            p.push_wait_all();
+            p.push_wait_recvs();
         }
+        p.push_wait_all();
     }
     p
 }

@@ -23,6 +23,11 @@
 //! lean on ("making local completion an indication that both processes
 //! have been involved").
 //!
+//! `WaitAll` blocks until every request the process issued has completed;
+//! `WaitRecvs` only until its receives have, leaving synchronous sends in
+//! flight. A process that reaches the end of its program waits for all of
+//! its requests before it finishes.
+//!
 //! Receives match per `(src, dst)` pair in FIFO order. Posting any call
 //! costs `call_overhead` on the caller's CPU. `Delay` models computation
 //! without occupying the CPU resource (message progress continues, as
@@ -174,6 +179,19 @@ struct ClassCost {
     ns_per_byte: f64,
 }
 
+/// What a blocked process waits to drain.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Blocked {
+    /// Running, or finished.
+    #[default]
+    No,
+    /// In `WaitRecvs`: resumes when its last receive completes.
+    OnRecvs,
+    /// In `WaitAll`, or at the end of its program: resumes when its last
+    /// request completes.
+    OnAll,
+}
+
 /// Per-process interpreter state, reused across runs.
 #[derive(Clone, Debug, Default)]
 struct ProcState {
@@ -183,8 +201,9 @@ struct ProcState {
     chan_base: usize,
     /// Requests issued and not yet completed.
     outstanding: usize,
-    /// Blocked in `WaitAll` (or at end of program awaiting completions).
-    waiting: bool,
+    /// The receives among `outstanding`.
+    recvs_outstanding: usize,
+    waiting: Blocked,
     done: bool,
     finish: Option<Time>,
     /// Recorded `Mark` timestamps as interned label ids; resolved to
@@ -196,7 +215,8 @@ impl ProcState {
     fn rewind(&mut self) {
         self.pc = 0;
         self.outstanding = 0;
-        self.waiting = false;
+        self.recvs_outstanding = 0;
+        self.waiting = Blocked::No;
         self.done = false;
         self.finish = None;
         self.marks.clear();
@@ -695,13 +715,21 @@ impl Engine {
                         self.put(channel, Pending::Arrived, available);
                     }
                 }
-                _ => {
+                tag => {
                     let proc = ev.arg();
                     let pr = &mut self.procs[proc];
                     debug_assert!(pr.outstanding > 0, "completion without outstanding request");
                     pr.outstanding -= 1;
-                    if pr.waiting && pr.outstanding == 0 {
-                        pr.waiting = false;
+                    if tag == TAG_RECV_DONE {
+                        pr.recvs_outstanding -= 1;
+                    }
+                    let drained = match pr.waiting {
+                        Blocked::No => false,
+                        Blocked::OnRecvs => pr.recvs_outstanding == 0,
+                        Blocked::OnAll => pr.outstanding == 0,
+                    };
+                    if drained {
+                        pr.waiting = Blocked::No;
                         self.run_program(programs, proc, ev.time);
                     }
                 }
@@ -760,7 +788,7 @@ impl Engine {
                     pr.finish = Some(now);
                 } else {
                     // Implicit trailing WaitAll: finish when requests drain.
-                    pr.waiting = true;
+                    pr.waiting = Blocked::OnAll;
                 }
                 return;
             }
@@ -780,11 +808,18 @@ impl Engine {
                     self.procs[proc].pc += 1;
                 }
                 Instr::WaitAll => {
-                    if self.procs[proc].outstanding == 0 {
-                        self.procs[proc].pc += 1;
-                    } else {
-                        self.procs[proc].waiting = true;
-                        self.procs[proc].pc += 1; // resume past the wait
+                    let pr = &mut self.procs[proc];
+                    pr.pc += 1; // resume past the wait
+                    if pr.outstanding > 0 {
+                        pr.waiting = Blocked::OnAll;
+                        return;
+                    }
+                }
+                Instr::WaitRecvs => {
+                    let pr = &mut self.procs[proc];
+                    pr.pc += 1;
+                    if pr.recvs_outstanding > 0 {
+                        pr.waiting = Blocked::OnRecvs;
                         return;
                     }
                 }
@@ -792,8 +827,10 @@ impl Engine {
                     let channel = self.instr_channel[pr.chan_base + pr.pc] as usize;
                     let dur = self.noise.sample(self.overhead_ns);
                     now = self.cpu[proc].acquire(now, dur);
-                    self.procs[proc].pc += 1;
-                    self.procs[proc].outstanding += 1;
+                    let pr = &mut self.procs[proc];
+                    pr.pc += 1;
+                    pr.outstanding += 1;
+                    pr.recvs_outstanding += 1;
                     if let Some(available) = self.take(channel, Pending::Arrived) {
                         let c = self.charges[self.channels[channel].class as usize];
                         self.complete_match(src, proc, c, available.max(now));
@@ -936,6 +973,29 @@ mod tests {
         let p1 = Program::new().delay(delay).irecv(0).wait_all();
         let res = engine_for(&m, &[0, 1]).run(&[p0, p1], exact()).unwrap();
         assert!(res.finish[0] > delay);
+    }
+
+    #[test]
+    fn wait_recvs_leaves_sends_in_flight() {
+        // A same-step exchange: each rank passes `WaitRecvs` as soon as the
+        // other's signal is consumed, and finishes one ack wire later.
+        let m = MachineSpec::new(1, 1, 2);
+        let gt = m.ground_truth.clone();
+        let c = *gt.link(LinkClass::SameSocket);
+        let p0 = Program::new().irecv(1).issend(1).wait_recvs().mark("recvd");
+        let p1 = Program::new().irecv(0).issend(0).wait_recvs().mark("recvd");
+        let res = engine_for(&m, &[0, 1]).run(&[p0, p1], exact()).unwrap();
+        let recv_done = 2 * gt.call_overhead_ns + c.cpu_send_ns + c.wire_ns + c.cpu_recv_ns;
+        for r in 0..2 {
+            assert_eq!(res.marks[r][0].1, recv_done, "rank {r}");
+            assert_eq!(res.finish[r], recv_done + c.wire_ns, "rank {r}");
+        }
+        // A send-only step does not wait at all.
+        let p0 = Program::new().issend(1).wait_recvs().mark("sent");
+        let p1 = Program::new().irecv(0).wait_recvs();
+        let res = engine_for(&m, &[0, 1]).run(&[p0, p1], exact()).unwrap();
+        assert_eq!(res.marks[0][0].1, gt.call_overhead_ns + c.cpu_send_ns);
+        assert_eq!(res.finish[0], res.finish[1] + c.wire_ns);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! A simulated process executes a straight-line program of communication
 //! calls — the same execution model as the paper's general barrier
-//! simulator (nonblocking synchronized sends, nonblocking receives, and a
-//! completion wait per stage), plus the pieces its benchmarks need
-//! (payload sends, compute delays, transmission-free calls).
+//! simulator (nonblocking synchronized sends, nonblocking receives, a
+//! wait for the receives per stage and for everything at exit), plus the
+//! pieces its benchmarks need (payload sends, compute delays,
+//! transmission-free calls).
 //!
 //! `Instr` is `Copy`: mark labels are interned into a per-program label
 //! table and referenced by [`LabelId`], so the engine's interpreter loop
@@ -27,6 +28,10 @@ pub enum Instr {
     /// Block until every request issued so far has completed
     /// (`MPI_Waitall` over the process's request array).
     WaitAll,
+    /// Block until every receive posted so far has completed
+    /// (`MPI_Waitall` over the receive requests only); sends stay
+    /// outstanding.
+    WaitRecvs,
     /// Local computation for the given virtual duration (used by the
     /// staggered-delay synchronization check of §VI).
     Delay { ns: Time },
@@ -93,6 +98,11 @@ impl Program {
         self.instrs.push(Instr::WaitAll);
     }
 
+    /// Appends a wait for the receives posted so far.
+    pub fn push_wait_recvs(&mut self) {
+        self.instrs.push(Instr::WaitRecvs);
+    }
+
     /// Appends a compute delay.
     pub fn push_delay(&mut self, ns: Time) {
         self.instrs.push(Instr::Delay { ns });
@@ -148,6 +158,12 @@ impl Program {
     /// Appends a completion wait (by-value chaining).
     pub fn wait_all(mut self) -> Self {
         self.push_wait_all();
+        self
+    }
+
+    /// Appends a wait for the receives posted so far (by-value chaining).
+    pub fn wait_recvs(mut self) -> Self {
+        self.push_wait_recvs();
         self
     }
 
@@ -238,10 +254,16 @@ mod tests {
 
     #[test]
     fn mut_builders_match_chaining() {
-        let chained = Program::new().irecv(0).issend(1).wait_all().mark("x");
-        let mut pushed = Program::with_capacity(4);
+        let chained = Program::new()
+            .irecv(0)
+            .issend(1)
+            .wait_recvs()
+            .wait_all()
+            .mark("x");
+        let mut pushed = Program::with_capacity(5);
         pushed.push_irecv(0);
         pushed.push_issend(1);
+        pushed.push_wait_recvs();
         pushed.push_wait_all();
         pushed.push_mark("x");
         assert_eq!(chained, pushed);

@@ -1,7 +1,15 @@
-//! Pins P-rank barrier execution to golden hashes captured from the engine
-//! with dense `p × p` matching pools and link-charge tables (9a71c6d), so a
-//! reordered event or a shifted noise draw at P > 32 fails `cargo test`
-//! rather than only moving the benchmark's `barrier_us`.
+//! Pins P-rank barrier execution to golden hashes, so a reordered event or
+//! a shifted noise draw at P > 32 fails `cargo test` rather than only
+//! moving the benchmark's `barrier_us`. Two tables:
+//!
+//! * the engine's, captured from the engine with dense `p × p` matching
+//!   pools and link-charge tables (9a71c6d) on programs that wait for every
+//!   request at every step — rebuilt here by
+//!   [`per_step_wait_all_programs`], since the backends no longer run that
+//!   form;
+//! * the execution's, over [`schedule_programs`]' form (each step waits for
+//!   its receives, the sends once at exit), captured when that form became
+//!   the only one.
 //!
 //! Each golden covers one `(P, placement, schedule)`: `finish` of every rank
 //! and `events`, under `NoiseModel::realistic`, for 1 and 20 back-to-back
@@ -9,12 +17,15 @@
 //! different schedule (so state left behind by one program set cannot leak
 //! into the next).
 
+mod common;
+
+use common::per_step_wait_all_programs;
 use hbar_core::algorithms::Algorithm;
 use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 use hbar_core::schedule::BarrierSchedule;
 use hbar_simnet::barrier::schedule_programs;
 use hbar_simnet::world::{SimConfig, SimResult, SimWorld};
-use hbar_simnet::NoiseModel;
+use hbar_simnet::{NoiseModel, Program};
 use hbar_topo::machine::MachineSpec;
 use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
@@ -52,7 +63,10 @@ fn schedules(
     ]
 }
 
-fn fingerprints(p: usize, mapping: &RankMapping) -> Vec<(&'static str, u64)> {
+/// How a schedule becomes simulator programs for `reps` repetitions.
+type Form = fn(&BarrierSchedule, usize) -> Vec<Program>;
+
+fn fingerprints(p: usize, mapping: &RankMapping, form: Form) -> Vec<(&'static str, u64)> {
     let machine = MachineSpec::new(p / 8, 2, 4);
     let config = SimConfig {
         machine: machine.clone(),
@@ -65,10 +79,10 @@ fn fingerprints(p: usize, mapping: &RankMapping) -> Vec<(&'static str, u64)> {
             let (name, schedule) = &all[i];
             // The schedule the used world runs first: the next one in the
             // list, so every pairing of channel sets occurs once.
-            let other = schedule_programs(&all[(i + 1) % all.len()].1, 1);
+            let other = form(&all[(i + 1) % all.len()].1, 1);
             let mut hash = FNV_OFFSET;
             for reps in [1, 20] {
-                let programs = schedule_programs(schedule, reps);
+                let programs = form(schedule, reps);
                 let mut fresh = SimWorld::new(config.clone(), p);
                 hash = eat_result(hash, &fresh.run(&programs).expect("barrier completes"));
                 let mut used = SimWorld::new(config.clone(), p);
@@ -80,46 +94,76 @@ fn fingerprints(p: usize, mapping: &RankMapping) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-fn check(p: usize, mapping: &RankMapping, golden: [u64; 4]) {
-    for ((name, got), want) in fingerprints(p, mapping).into_iter().zip(golden) {
+fn check(p: usize, mapping: &RankMapping, form: Form, golden: [u64; 4], against: &str) {
+    for ((name, got), want) in fingerprints(p, mapping, form).into_iter().zip(golden) {
         assert_eq!(
             got, want,
-            "{name} at P={p} ({mapping:?}) diverged from the dense-arena engine"
+            "{name} at P={p} ({mapping:?}) diverged from {against}"
         );
+    }
+}
+
+/// Both tables at one P, both placements.
+fn check_both(p: usize, engine: [[u64; 4]; 2], execution: [[u64; 4]; 2]) {
+    let mappings = [RankMapping::Block, RankMapping::RoundRobin];
+    for ((mapping, engine), execution) in mappings.iter().zip(engine).zip(execution) {
+        let dense = "the dense-arena engine";
+        check(p, mapping, per_step_wait_all_programs, engine, dense);
+        let paced = "receive-paced execution as captured";
+        check(p, mapping, schedule_programs, execution, paced);
     }
 }
 
 #[test]
 fn execution_is_bit_identical_to_dense_engine_p64() {
-    check(64, &RankMapping::Block, GOLDEN_P64_BLOCK);
-    check(64, &RankMapping::RoundRobin, GOLDEN_P64_ROUND_ROBIN);
+    check_both(
+        64,
+        [GOLDEN_P64_BLOCK, GOLDEN_P64_ROUND_ROBIN],
+        [RECV_PACED_P64_BLOCK, RECV_PACED_P64_ROUND_ROBIN],
+    );
 }
 
 #[test]
 fn execution_is_bit_identical_to_dense_engine_p256() {
-    check(256, &RankMapping::Block, GOLDEN_P256_BLOCK);
-    check(256, &RankMapping::RoundRobin, GOLDEN_P256_ROUND_ROBIN);
+    check_both(
+        256,
+        [GOLDEN_P256_BLOCK, GOLDEN_P256_ROUND_ROBIN],
+        [RECV_PACED_P256_BLOCK, RECV_PACED_P256_ROUND_ROBIN],
+    );
 }
 
 #[test]
 fn execution_is_bit_identical_to_dense_engine_p1024() {
-    check(1024, &RankMapping::Block, GOLDEN_P1024_BLOCK);
-    check(1024, &RankMapping::RoundRobin, GOLDEN_P1024_ROUND_ROBIN);
+    check_both(
+        1024,
+        [GOLDEN_P1024_BLOCK, GOLDEN_P1024_ROUND_ROBIN],
+        [RECV_PACED_P1024_BLOCK, RECV_PACED_P1024_ROUND_ROBIN],
+    );
 }
 
-/// Prints the table below; run with `--ignored --nocapture` on the commit
+/// Prints both tables; run with `--ignored --nocapture` on the commit
 /// whose behaviour is to be pinned.
 #[test]
 #[ignore = "prints fingerprints instead of checking them"]
 fn print_fingerprints() {
-    for p in [64, 256, 1024] {
-        for mapping in [RankMapping::Block, RankMapping::RoundRobin] {
-            let row: Vec<u64> = fingerprints(p, &mapping).iter().map(|f| f.1).collect();
-            println!("P={p} {mapping:?}: {row:?}");
+    let forms: [(&str, Form); 2] = [
+        ("per-step WaitAll", per_step_wait_all_programs),
+        ("receive-paced", schedule_programs),
+    ];
+    for (label, form) in forms {
+        for p in [64, 256, 1024] {
+            for mapping in [RankMapping::Block, RankMapping::RoundRobin] {
+                let row: Vec<u64> = fingerprints(p, &mapping, form)
+                    .iter()
+                    .map(|f| f.1)
+                    .collect();
+                println!("{label} P={p} {mapping:?}: {row:?}");
+            }
         }
     }
 }
 
+// The engine's table, over `per_step_wait_all_programs`.
 // Captured at 9a71c6d (dense `pairs`/`costs` arenas), in the order tree,
 // dissemination, linear, hybrid. Do not update these without showing that
 // the new engine processes the same events in the same order. The P = 64
@@ -161,4 +205,44 @@ const GOLDEN_P1024_ROUND_ROBIN: [u64; 4] = [
     18370236944625278892,
     9920672592595768081,
     9276200890704259261,
+];
+
+// The execution's table, over `schedule_programs`: captured at the change
+// that made each step wait for its receives alone and every rank for its
+// sends once at exit, in the same order.
+const RECV_PACED_P64_BLOCK: [u64; 4] = [
+    7888198475302543346,
+    3753120097773572677,
+    7044056100169692813,
+    3996952860639215797,
+];
+const RECV_PACED_P64_ROUND_ROBIN: [u64; 4] = [
+    1779280809502436713,
+    5922186937816522147,
+    7235973888567258629,
+    1410554813858554350,
+];
+const RECV_PACED_P256_BLOCK: [u64; 4] = [
+    509539514237763563,
+    15946611614075835103,
+    8493369707679207808,
+    8715695768224595792,
+];
+const RECV_PACED_P256_ROUND_ROBIN: [u64; 4] = [
+    18203334915856168168,
+    6094109983265943264,
+    1742149021720893356,
+    10972540779770593803,
+];
+const RECV_PACED_P1024_BLOCK: [u64; 4] = [
+    4015355817750311010,
+    15289940396212348825,
+    6263829912062507475,
+    14268921449602329909,
+];
+const RECV_PACED_P1024_ROUND_ROBIN: [u64; 4] = [
+    3384968843701121555,
+    9908071349979287367,
+    6694945555873228859,
+    16587444580068494760,
 ];

@@ -114,6 +114,10 @@ impl ThreadExecutor {
                                     seen[src] += 1;
                                     board.consume(src, rank, seen[src]);
                                 }
+                            }
+                            // Leave the barrier once every synchronous
+                            // send of this iteration has been consumed.
+                            for step in &prog.steps {
                                 for &dst in &step.sends {
                                     board.await_ack(rank, dst, sent[dst]);
                                 }

@@ -11,8 +11,10 @@
 //! * the **synchronous-send** property (local completion implies receiver
 //!   participation) is an acknowledgement counter incremented by the
 //!   receiver when it consumes the signal;
-//! * a program **step** sends its signals, consumes its inbound signals,
-//!   then waits for its acknowledgements — `Issend* / Irecv* / Waitall`.
+//! * a program **step** sends its signals and consumes its inbound ones
+//!   (`Issend* / Irecv* / Waitall` over the receives); a rank waits for
+//!   the acknowledgements of all its sends once, before it leaves the
+//!   barrier.
 //!
 //! The host machine is a shared-memory box, so this backend cannot
 //! reproduce the inter-node cost cliff (that is the simulator's job); it

@@ -2,7 +2,10 @@
 //!
 //! `hbar help` prints every command with its flags. That text is
 //! generated from [`COMMANDS`], the table the parser itself works from,
-//! so there is no second list to keep in step.
+//! so there is no second list to keep in step. The table also gives each
+//! value flag its [`Form`], and the parser checks every value against it
+//! before a command runs: a bad value is one `error:` line naming the
+//! flag, and nothing has been read, written or bound.
 //!
 //! `hbar serve` is the tuning daemon (sharded schedule cache, request
 //! coalescing, bounded tuner pool); `hbar tune-client` is its load
@@ -24,21 +27,15 @@
 //! The **executor** runs the measurements on local threads, or shards
 //! them across `hbar profile-worker` TCP processes with `--workers`
 //! (falling back to local execution if the fleet dies). The **scatter**
-//! writes dense matrices, or with `--compressed` runs the out-of-core
-//! class-table scatter: tiles staged under `--mem-budget` bytes (default
-//! unbounded) and spilled to a scratch directory beyond it, and the
-//! profile written *compact* — the class-compressed model itself
+//! writes dense matrices, or with `--compressed` writes the profile
+//! *compact* — the class-compressed model itself
 //! (`{machine, mapping, p, model}`, about 10 MB at P = 8192 where the
 //! dense document holds two 67 M-entry matrices). An exhaustive sweep
 //! has a class per pair, which the model holds up to P ≈ 361: larger
-//! compact profiles want `--clustered`. `tune`, `predict` and `simulate`
-//! read either form and give the same answers from both; `heatmap` and
-//! `search` work on matrices and want the dense one.
+//! compact profiles want `--clustered`. Every command that reads a
+//! profile reads either form and gives the same answers from both.
 
-use hbarrier::core::codegen::{c_source, compile_schedule, rust_source};
-use hbarrier::core::compose::{tune_hybrid_costs, TunerConfig};
-use hbarrier::core::cost::{CostEvaluator, CostParams};
-use hbarrier::core::schedule::BarrierSchedule;
+use hbarrier::core::codegen::{c_source, rust_source};
 use hbarrier::core::verify;
 use hbarrier::prelude::*;
 use hbarrier::simnet::barrier::measure_schedule;
@@ -50,10 +47,14 @@ use hbarrier::simnet::{
     measure_profile_compressed, measure_profile_decomposed, DescriptorExecutor, LocalExecutor,
     NoiseModel, SpillConfig, SweepConfig, SweepReport,
 };
+use hbarrier::topo::cost::CostMatrices;
 use hbarrier::topo::heatmap::render_labelled;
 use hbarrier::topo::profile::{CompactProfile, StoredProfile};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
+use std::net::{SocketAddr, TcpListener};
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
+use std::ops::RangeBounds;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -70,29 +71,56 @@ fn main() -> ExitCode {
 
 /// One command: its handler and the flags it takes. This table is all
 /// the parser knows: [`parse_flags`] rejects a flag that is not listed
-/// for the command, and [`usage`] prints the ones that are.
+/// for the command or a value outside its form, and [`usage`] prints the
+/// flags that are listed.
 struct Command {
     name: &'static str,
     run: fn(&Flags) -> Result<(), String>,
-    /// Flags that take a value: `(name, placeholder, required)`.
-    values: &'static [(&'static str, &'static str, bool)],
+    /// Flags that take a value: `(name, form, required)`.
+    values: &'static [(&'static str, Form, bool)],
     /// Flags that take none.
     switches: &'static [&'static str],
 }
+
+/// What a value flag accepts. A bound on a number follows from what the
+/// number sizes (the comments in [`COMMANDS`] say what).
+enum Form {
+    /// Any non-empty text (a path, an address, a name), shown as this
+    /// placeholder.
+    Text(&'static str),
+    /// An integer in `lo..=hi`.
+    Int(usize, usize),
+    /// A finite real between these bounds.
+    Real(Bound<f64>, Bound<f64>),
+    /// One of these words.
+    Word(&'static [&'static str]),
+    /// A comma-separated list with at least one entry.
+    List(&'static str),
+    /// `NxSxC` with fewer than 2³⁰ cores (a simulated rank id is 30
+    /// bits), or a preset cluster.
+    Machine,
+}
+
+use Form::{Int, List, Machine, Real, Text, Word};
+
+/// Any count, or a seed.
+const ANY: Form = Int(0, usize::MAX);
+const FILE: Form = Text("FILE");
+const ADDR: Form = Text("HOST:PORT");
 
 const COMMANDS: &[Command] = &[
     Command {
         name: "profile",
         run: cmd_profile,
         values: &[
-            ("machine", "NxSxC|cluster-a|cluster-b", true),
-            ("out", "FILE", true),
-            ("mapping", "rr|block", false),
-            ("ranks", "N", false),
-            ("seed", "N", false),
-            ("probes", "N", false),
-            ("workers", "HOST:PORT,...", false),
-            ("mem-budget", "BYTES", false),
+            ("machine", Machine, true),
+            ("out", FILE, true),
+            ("mapping", Word(&["rr", "round-robin", "block"]), false),
+            // At most the machine's cores: checked in `cmd_profile`.
+            ("ranks", ANY, false),
+            ("seed", ANY, false),
+            ("probes", ANY, false),
+            ("workers", List("HOST:PORT,..."), false),
         ],
         switches: &[
             "fast",
@@ -105,18 +133,21 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "profile-worker",
         run: cmd_profile_worker,
-        values: &[("listen", "HOST:PORT", true)],
+        values: &[("listen", ADDR, true)],
         switches: &[],
     },
     Command {
         name: "serve",
         run: cmd_serve,
         values: &[
-            ("listen", "HOST:PORT", true),
-            ("shards", "N", false),
-            ("cache-cap", "N", false),
-            ("cache-bytes", "N", false),
-            ("workers", "N", false),
+            ("listen", ADDR, true),
+            // A locked LRU map each; at most `--cache-cap` (`cmd_serve`).
+            ("shards", Int(1, 1024), false),
+            // Sizes the hash tables made up front: ≈ 50 MB at 2²⁰.
+            ("cache-cap", Int(1, 1 << 20), false),
+            ("cache-bytes", Int(1, usize::MAX), false),
+            // One OS thread each.
+            ("workers", Int(1, 256), false),
         ],
         switches: &[],
     },
@@ -124,12 +155,13 @@ const COMMANDS: &[Command] = &[
         name: "tune-client",
         run: cmd_tune_client,
         values: &[
-            ("connect", "HOST:PORT", true),
-            ("count", "N", false),
-            ("requests", "N", false),
-            ("seed", "N", false),
-            ("zipf", "S", false),
-            ("check", "all|sample|none", false),
+            ("connect", ADDR, true),
+            // All built before the first request, ≈ 2.5 KB each.
+            ("count", Int(1, 1 << 16), false),
+            ("requests", ANY, false),
+            ("seed", ANY, false),
+            ("zipf", Real(Included(0.0), Unbounded), false),
+            ("check", Word(&["all", "sample", "none"]), false),
         ],
         switches: &["stats", "shutdown"],
     },
@@ -137,32 +169,33 @@ const COMMANDS: &[Command] = &[
         name: "tune",
         run: cmd_tune,
         values: &[
-            ("profile", "FILE", true),
-            ("out", "FILE", true),
-            ("sparseness", "F", false),
+            ("profile", FILE, true),
+            ("out", FILE, true),
+            ("sparseness", Real(Excluded(0.0), Included(1.0)), false),
         ],
         switches: &["extended"],
     },
     Command {
         name: "predict",
         run: cmd_predict,
-        values: &[("profile", "FILE", true), ("schedule", "FILE", true)],
+        values: &[("profile", FILE, true), ("schedule", FILE, true)],
         switches: &[],
     },
     Command {
         name: "verify",
         run: cmd_verify,
-        values: &[("schedule", "FILE", true)],
+        values: &[("schedule", FILE, true)],
         switches: &[],
     },
     Command {
         name: "simulate",
         run: cmd_simulate,
         values: &[
-            ("profile", "FILE", true),
-            ("schedule", "FILE", true),
-            ("reps", "N", false),
-            ("seed", "N", false),
+            ("profile", FILE, true),
+            ("schedule", FILE, true),
+            // All built up front: ≈ 0.4 GB for a P = 1024 hybrid at 1000.
+            ("reps", Int(1, 1000), false),
+            ("seed", ANY, false),
         ],
         switches: &[],
     },
@@ -170,26 +203,30 @@ const COMMANDS: &[Command] = &[
         name: "codegen",
         run: cmd_codegen,
         values: &[
-            ("schedule", "FILE", true),
-            ("lang", "c|rust", false),
-            ("name", "NAME", false),
+            ("schedule", FILE, true),
+            ("lang", Word(&["c", "rust"]), false),
+            ("name", Text("NAME"), false),
         ],
         switches: &[],
     },
     Command {
         name: "heatmap",
         run: cmd_heatmap,
-        values: &[("profile", "FILE", true), ("matrix", "l|o", false)],
+        values: &[
+            ("profile", FILE, true),
+            ("matrix", Word(&["l", "o"]), false),
+        ],
         switches: &[],
     },
     Command {
         name: "analyze",
         run: cmd_analyze,
         values: &[
-            ("schedule", "FILE", false),
-            ("max-p", "N", false),
-            ("name", "NAME", false),
-            ("format", "text|json", false),
+            ("schedule", FILE, false),
+            // Every library algorithm at every size up to it.
+            ("max-p", Int(2, 4096), false),
+            ("name", Text("NAME"), false),
+            ("format", Word(&["text", "json"]), false),
         ],
         switches: &["library", "quick", "strict-modes"],
     },
@@ -197,10 +234,10 @@ const COMMANDS: &[Command] = &[
         name: "search",
         run: cmd_search,
         values: &[
-            ("profile", "FILE", true),
-            ("out", "FILE", true),
-            ("max-stages", "N", false),
-            ("max-expansions", "N", false),
+            ("profile", FILE, true),
+            ("out", FILE, true),
+            ("max-stages", ANY, false),
+            ("max-expansions", ANY, false),
         ],
         switches: &[],
     },
@@ -224,8 +261,9 @@ fn usage() -> String {
     let mut text = "usage: hbar <command> [--flag value]...".to_string();
     for cmd in COMMANDS {
         text += &format!("\n  hbar {}", cmd.name);
-        for &(flag, placeholder, required) in cmd.values {
-            text += &if required {
+        for (flag, form, required) in cmd.values {
+            let placeholder = form.placeholder();
+            text += &if *required {
                 format!(" --{flag} {placeholder}")
             } else {
                 format!(" [--{flag} {placeholder}]")
@@ -238,106 +276,208 @@ fn usage() -> String {
     text
 }
 
-type Flags = HashMap<String, String>;
+impl Form {
+    fn placeholder(&self) -> String {
+        match self {
+            Text(shown) | List(shown) => shown.to_string(),
+            Int(..) => "N".to_string(),
+            Real(..) => "F".to_string(),
+            Word(words) => words.join("|"),
+            Machine => "NxSxC|cluster-a|cluster-b".to_string(),
+        }
+    }
 
-fn parse_flags(cmd: &Command, args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags::new();
+    /// What a value of this form must be, for the error line.
+    fn describe(&self) -> String {
+        match *self {
+            Int(lo, usize::MAX) => format!("an integer of at least {lo}"),
+            Int(lo, hi) => format!("an integer in [{lo}, {hi}]"),
+            Real(lo, hi) => {
+                let lo = match lo {
+                    Included(x) => format!("[{x}"),
+                    Excluded(x) => format!("({x}"),
+                    Unbounded => "(-inf".to_string(),
+                };
+                let hi = match hi {
+                    Included(x) => format!("{x}]"),
+                    Excluded(x) => format!("{x})"),
+                    Unbounded => "inf)".to_string(),
+                };
+                format!("in {lo}, {hi}")
+            }
+            Machine => "NxSxC with fewer than 2^30 cores, cluster-a or cluster-b".to_string(),
+            _ => self.placeholder(),
+        }
+    }
+
+    /// Parses `v` into the map of `flags` for this form's type, under
+    /// `name`; `None` if `v` is not of this form.
+    fn parse<'a>(&self, name: &'a str, v: &'a str, flags: &mut Flags<'a>) -> Option<()> {
+        match *self {
+            Text(_) => _ = flags.texts.insert(name, v),
+            Word(words) => _ = flags.texts.insert(name, words.contains(&v).then_some(v)?),
+            Int(lo, hi) => {
+                let n = v.parse().ok().filter(|n| (lo..=hi).contains(n))?;
+                flags.ints.insert(name, n);
+            }
+            Real(lo, hi) => {
+                let x: f64 = v.parse().ok()?;
+                flags
+                    .reals
+                    .insert(name, (x.is_finite() && (lo, hi).contains(&x)).then_some(x)?);
+            }
+            List(_) => {
+                let items = v.split(',').map(str::trim).filter(|s| !s.is_empty());
+                let items: Vec<String> = items.map(String::from).collect();
+                flags
+                    .lists
+                    .insert(name, (!items.is_empty()).then_some(items)?);
+            }
+            Machine => flags.machine = Some(parse_machine(v)?),
+        }
+        Some(())
+    }
+}
+
+/// The flags of one command line, each value parsed by its form.
+#[derive(Default)]
+struct Flags<'a> {
+    switches: Vec<&'a str>,
+    texts: HashMap<&'a str, &'a str>,
+    ints: HashMap<&'a str, usize>,
+    reals: HashMap<&'a str, f64>,
+    lists: HashMap<&'a str, Vec<String>>,
+    machine: Option<MachineSpec>,
+}
+
+impl Flags<'_> {
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    fn text(&self, name: &str) -> Option<&str> {
+        self.texts.get(name).copied()
+    }
+
+    fn req(&self, name: &str) -> Result<&str, String> {
+        self.text(name)
+            .ok_or_else(|| format!("missing required flag --{name}"))
+    }
+
+    fn int(&self, name: &str) -> Option<usize> {
+        self.ints.get(name).copied()
+    }
+
+    fn real(&self, name: &str) -> Option<f64> {
+        self.reals.get(name).copied()
+    }
+}
+
+fn parse_flags<'a>(cmd: &Command, args: &'a [String]) -> Result<Flags<'a>, String> {
+    let mut flags = Flags::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("expected --flag, got `{a}`"));
         };
         // Switches take no value; value flags consume the next arg.
-        let value = if cmd.switches.contains(&name) {
-            "true"
-        } else if cmd.values.iter().any(|&(flag, _, _)| flag == name) {
-            it.next()
-                .ok_or_else(|| format!("flag --{name} needs a value"))?
+        if cmd.switches.contains(&name) {
+            flags.switches.push(name);
+        } else if let Some((_, form, _)) = cmd.values.iter().find(|v| v.0 == name) {
+            let value = (it.next())
+                .filter(|v| !v.is_empty())
+                .ok_or_else(|| format!("flag --{name} needs a value"))?;
+            form.parse(name, value, &mut flags)
+                .ok_or_else(|| format!("--{name} must be {}, got `{value}`", form.describe()))?;
         } else {
             return Err(format!("unknown flag --{name} for `{}`", cmd.name));
-        };
-        flags.insert(name.to_string(), value.to_string());
+        }
     }
     Ok(flags)
 }
 
-fn req<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {
-    flags
-        .get(name)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing required flag --{name}"))
-}
-
-fn parse_machine(spec: &str) -> Result<MachineSpec, String> {
+fn parse_machine(spec: &str) -> Option<MachineSpec> {
     match spec {
-        "cluster-a" => Ok(MachineSpec::dual_quad_cluster(8)),
-        "cluster-b" => Ok(MachineSpec::dual_hex_cluster(10)),
+        "cluster-a" => Some(MachineSpec::dual_quad_cluster(8)),
+        "cluster-b" => Some(MachineSpec::dual_hex_cluster(10)),
         other => {
             let parts: Vec<usize> = other
                 .split('x')
-                .map(|v| v.parse().map_err(|_| format!("bad machine spec `{other}`")))
-                .collect::<Result<_, _>>()?;
-            if parts.len() != 3 || parts.contains(&0) {
-                return Err(format!("machine spec must be NxSxC, got `{other}`"));
-            }
-            Ok(MachineSpec::new(parts[0], parts[1], parts[2]))
+                .map(|v| v.parse().ok())
+                .collect::<Option<_>>()?;
+            let &[nodes, sockets, cores] = parts.as_slice() else {
+                return None;
+            };
+            let total = nodes.checked_mul(sockets)?.checked_mul(cores)?;
+            (1..1 << 30)
+                .contains(&total)
+                .then(|| MachineSpec::new(nodes, sockets, cores))
         }
-    }
-}
-
-fn parse_mapping(spec: &str) -> Result<RankMapping, String> {
-    match spec {
-        "rr" | "round-robin" => Ok(RankMapping::RoundRobin),
-        "block" => Ok(RankMapping::Block),
-        other => Err(format!("mapping must be rr|block, got `{other}`")),
     }
 }
 
 /// The profile file of either form: dense matrices or a compact model.
 fn load_profile(flags: &Flags) -> Result<StoredProfile, String> {
-    let path = req(flags, "profile")?;
+    let path = flags.req("profile")?;
     StoredProfile::load(Path::new(path)).map_err(|e| format!("cannot load profile {path}: {e}"))
 }
 
-/// For the commands that work on the matrices themselves.
-fn load_dense_profile(flags: &Flags, command: &str) -> Result<TopologyProfile, String> {
-    match load_profile(flags)? {
-        StoredProfile::Dense(profile) => Ok(profile),
-        StoredProfile::Compact(_) => Err(format!(
-            "`{command}` needs a dense profile; {} is a compact one (profile without --compressed)",
-            req(flags, "profile")?
-        )),
-    }
+/// The profile's two matrices, expanded from a compact model if need be.
+fn load_matrices(flags: &Flags) -> Result<CostMatrices, String> {
+    Ok(match load_profile(flags)? {
+        StoredProfile::Dense(profile) => profile.cost,
+        StoredProfile::Compact(compact) => compact.model.to_dense(),
+    })
 }
 
 fn load_schedule(flags: &Flags) -> Result<BarrierSchedule, String> {
-    let path = req(flags, "schedule")?;
+    let path = flags.req("schedule")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     serde_json::from_str(&text).map_err(|e| format!("cannot parse schedule {path}: {e}"))
 }
 
+fn write_schedule(out: &str, schedule: &BarrierSchedule) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(schedule).expect("schedule serializes");
+    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))
+}
+
+/// A profile and a schedule over the same ranks.
+fn load_profile_and_schedule(flags: &Flags) -> Result<(StoredProfile, BarrierSchedule), String> {
+    let profile = load_profile(flags)?;
+    let schedule = load_schedule(flags)?;
+    if schedule.n() != profile.p() {
+        return Err(format!(
+            "schedule covers {} ranks but profile has {}",
+            schedule.n(),
+            profile.p()
+        ));
+    }
+    Ok((profile, schedule))
+}
+
 fn cmd_profile(flags: &Flags) -> Result<(), String> {
-    let machine = parse_machine(req(flags, "machine")?)?;
-    let mapping = parse_mapping(flags.get("mapping").map(String::as_str).unwrap_or("rr"))?;
-    let cores = machine.total_cores();
-    let p: usize = match flags.get("ranks") {
-        Some(v) => v.parse().map_err(|_| "bad --ranks".to_string())?,
-        None => cores,
+    let machine = (flags.machine.as_ref()).ok_or("missing required flag --machine")?;
+    let mapping = if flags.text("mapping") == Some("block") {
+        RankMapping::Block
+    } else {
+        RankMapping::RoundRobin
     };
+    let cores = machine.total_cores();
+    let p = flags.int("ranks").unwrap_or(cores);
     if !(2..=cores).contains(&p) {
         return Err(format!(
             "cannot profile {p} ranks on {}: a profile needs at least 2 and the machine has {cores} cores",
             machine.name
         ));
     }
-    let out = req(flags, "out")?;
-    let (profile, summary) = if flags.contains_key("exact-machine") {
+    let out = flags.req("out")?;
+    let (profile, summary) = if flags.has("exact-machine") {
         // Closed-form noise-free profile (no benchmarking).
-        let profile = TopologyProfile::from_ground_truth_for(&machine, &mapping, p);
+        let profile = TopologyProfile::from_ground_truth_for(machine, &mapping, p);
         let summary = format!("{} pairwise estimates", p * (p - 1) / 2);
         (StoredProfile::Dense(profile), summary)
     } else {
-        let (profile, report) = sweep_profile(flags, &machine, &mapping, p)?;
+        let (profile, report) = sweep_profile(flags, machine, &mapping, p)?;
         let summary = format!(
             "{} classes, {} measurements, {:.0}x fewer than exhaustive",
             report.pair_classes + report.diag_classes,
@@ -366,18 +506,13 @@ fn sweep_profile(
     mapping: &RankMapping,
     p: usize,
 ) -> Result<(StoredProfile, SweepReport), String> {
-    let seed: u64 = flags
-        .get("seed")
-        .map(|v| v.parse().map_err(|_| "bad --seed".to_string()))
-        .transpose()?
-        .unwrap_or(1);
-    let noise = NoiseModel::realistic(seed);
-    let profiling = if flags.contains_key("fast") {
+    let noise = NoiseModel::realistic(flags.int("seed").map_or(1, |n| n as u64));
+    let profiling = if flags.has("fast") {
         ProfilingConfig::fast()
     } else {
         ProfilingConfig::default()
     };
-    let mut sweep_cfg = if flags.contains_key("clustered") {
+    let mut sweep = if flags.has("clustered") {
         SweepConfig {
             profiling,
             ..SweepConfig::default()
@@ -385,62 +520,46 @@ fn sweep_profile(
     } else {
         SweepConfig::exact(profiling)
     };
-    if let Some(v) = flags.get("probes") {
-        sweep_cfg.probes_per_class = v.parse().map_err(|_| "bad --probes".to_string())?;
-    }
+    sweep.probes_per_class = flags.int("probes").unwrap_or(sweep.probes_per_class);
 
-    let addrs: Vec<String> = (flags.get("workers").into_iter())
-        .flat_map(|list| list.split(','))
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(String::from)
-        .collect();
-    if flags.contains_key("workers") && addrs.is_empty() {
-        return Err("--workers needs at least one HOST:PORT".to_string());
-    }
-    let schedule = sweep_cfg.profiling.clone();
-    let mut executor: Box<dyn DescriptorExecutor> = if addrs.is_empty() {
+    let addrs = flags.lists.get("workers").map_or(&[][..], Vec::as_slice);
+    let schedule = sweep.profiling.clone();
+    let mut exec: Box<dyn DescriptorExecutor> = if addrs.is_empty() {
         Box::new(LocalExecutor::new(machine.clone(), noise, schedule))
     } else {
         let opts = FleetOptions::default();
-        let fleet = FleetExecutor::for_sweep(addrs.clone(), machine.clone(), noise, schedule, opts);
+        let fleet =
+            FleetExecutor::for_sweep(addrs.to_vec(), machine.clone(), noise, schedule, opts);
         Box::new(fleet)
     };
 
-    let measured = if flags.contains_key("compressed") {
-        let dir = std::env::temp_dir().join(format!("hbar-profile-spill-{}", std::process::id()));
-        let spill = match flags.get("mem-budget") {
-            Some(v) => {
-                let bytes: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| "bad --mem-budget".to_string())?;
-                SpillConfig::budgeted(dir, bytes)
-            }
-            None => SpillConfig::in_memory(dir),
-        };
-        measure_profile_compressed(machine, mapping, p, noise, &sweep_cfg, &spill, &mut *executor)
-            .map(|(model, report, spilled)| {
+    let measured = if flags.has("compressed") {
+        // No budget: nothing is spilled, so the directory is never made.
+        let spill = SpillConfig::in_memory(std::env::temp_dir());
+        measure_profile_compressed(machine, mapping, p, noise, &sweep, &spill, &mut *exec).map(
+            |(model, report, _)| {
                 println!(
-                    "scatter: {} classes over {} kinds of rank in {} B ({} of {} tiles spilled, {} B to disk)",
+                    "scatter: {} classes over {} kinds of rank in {} B",
                     model.classes(),
                     model.class_map().kinds(),
-                    model.heap_bytes(),
-                    spilled.spilled_tiles,
-                    spilled.tiles,
-                    spilled.spill_bytes
+                    model.heap_bytes()
                 );
                 let (machine, mapping) = (machine.clone(), mapping.clone());
-                let compact = CompactProfile { machine, mapping, p, model };
+                let compact = CompactProfile {
+                    machine,
+                    mapping,
+                    p,
+                    model,
+                };
                 (StoredProfile::Compact(compact), report)
-            })
+            },
+        )
     } else {
-        measure_profile_decomposed(machine, mapping, p, noise, &sweep_cfg, &mut *executor)
+        measure_profile_decomposed(machine, mapping, p, noise, &sweep, &mut *exec)
             .map(|(profile, report)| (StoredProfile::Dense(profile), report))
     };
-    if flags.contains_key("stop-workers") {
-        for a in &addrs {
+    if flags.has("stop-workers") {
+        for a in addrs {
             if let Err(e) = shutdown_worker(a.as_str()) {
                 eprintln!("warning: cannot stop worker {a}: {e}");
             }
@@ -449,40 +568,36 @@ fn sweep_profile(
     measured.map_err(|e| format!("profiling sweep failed: {e}"))
 }
 
+/// The `--listen` socket and the address it was bound to.
+fn bind(flags: &Flags) -> Result<(TcpListener, SocketAddr), String> {
+    let listen = flags.req("listen")?;
+    let listener = TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
+    let local =
+        (listener.local_addr()).map_err(|e| format!("cannot resolve bound address: {e}"))?;
+    Ok((listener, local))
+}
+
 fn cmd_profile_worker(flags: &Flags) -> Result<(), String> {
-    let listen = req(flags, "listen")?;
-    let listener =
-        std::net::TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("cannot resolve bound address: {e}"))?;
+    let (listener, local) = bind(flags)?;
     println!("profile worker listening on {local}");
     serve_worker(listener, WorkerFault::None).map_err(|e| format!("worker failed: {e}"))
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use hbarrier::serve::{serve, ServeConfig};
-    let listen = req(flags, "listen")?;
     let mut cfg = ServeConfig::default();
-    let parse_num = |flags: &Flags, name: &str, into: &mut usize| -> Result<(), String> {
-        if let Some(v) = flags.get(name) {
-            *into = v
-                .parse()
-                .ok()
-                .filter(|&n: &usize| n > 0)
-                .ok_or_else(|| format!("bad --{name}"))?;
-        }
-        Ok(())
-    };
-    parse_num(flags, "shards", &mut cfg.cache.shards)?;
-    parse_num(flags, "cache-cap", &mut cfg.cache.capacity)?;
-    parse_num(flags, "cache-bytes", &mut cfg.cache.bytes_budget)?;
-    parse_num(flags, "workers", &mut cfg.workers)?;
-    let listener =
-        std::net::TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("cannot resolve bound address: {e}"))?;
+    let cache = &mut cfg.cache;
+    cache.shards = flags.int("shards").unwrap_or(cache.shards);
+    cache.capacity = flags.int("cache-cap").unwrap_or(cache.capacity);
+    cache.bytes_budget = flags.int("cache-bytes").unwrap_or(cache.bytes_budget);
+    cfg.workers = flags.int("workers").unwrap_or(cfg.workers);
+    if cfg.cache.shards > cfg.cache.capacity {
+        return Err(format!(
+            "--shards {} exceeds --cache-cap {}: every shard holds at least one entry",
+            cfg.cache.shards, cfg.cache.capacity
+        ));
+    }
+    let (listener, local) = bind(flags)?;
     println!(
         "serve listening on {local} ({} shards, {} entries / {} bytes cache, {} workers)",
         cfg.cache.shards, cfg.cache.capacity, cfg.cache.bytes_budget, cfg.workers
@@ -495,37 +610,18 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_tune_client(flags: &Flags) -> Result<(), String> {
-    use hbarrier::core::compose::tune_hybrid_costs;
     use hbarrier::serve::workload::{synthetic_topologies, SplitMix64, ZipfSampler};
     use hbarrier::serve::{shutdown_server, TuneClient, TuneRequest};
 
-    let addr = req(flags, "connect")?;
-    let count: usize = flags
-        .get("count")
-        .map(|v| v.parse().map_err(|_| "bad --count".to_string()))
-        .transpose()?
-        .unwrap_or(64);
-    let requests: usize = flags
-        .get("requests")
-        .map(|v| v.parse().map_err(|_| "bad --requests".to_string()))
-        .transpose()?
-        .unwrap_or(count * 4);
-    let seed: u64 = flags
-        .get("seed")
-        .map(|v| v.parse().map_err(|_| "bad --seed".to_string()))
-        .transpose()?
-        .unwrap_or(1);
-    let zipf_s: f64 = flags
-        .get("zipf")
-        .map(|v| v.parse().map_err(|_| "bad --zipf".to_string()))
-        .transpose()?
-        .unwrap_or(1.0);
-    let check = flags.get("check").map(String::as_str).unwrap_or("sample");
-    let check_every = match check {
-        "all" => 1,
-        "sample" => 16,
-        "none" => 0,
-        other => return Err(format!("--check must be all|sample|none, got `{other}`")),
+    let addr = flags.req("connect")?;
+    let count = flags.int("count").unwrap_or(64);
+    let requests = flags.int("requests").unwrap_or(count * 4);
+    let seed = flags.int("seed").map_or(1, |n| n as u64);
+    let zipf_s = flags.real("zipf").unwrap_or(1.0);
+    let check_every = match flags.text("check") {
+        Some("all") => 1,
+        Some("none") => 0,
+        _ => 16,
     };
 
     let topologies = synthetic_topologies(count, seed);
@@ -568,7 +664,7 @@ fn cmd_tune_client(flags: &Flags) -> Result<(), String> {
         100.0 * hits as f64 / requests.max(1) as f64,
         requests as f64 / elapsed.max(1e-9),
     );
-    if flags.contains_key("stats") {
+    if flags.has("stats") {
         let stats = client.stats().map_err(|e| format!("stats failed: {e}"))?;
         println!(
             "server: {} requests, {} hits / {} misses ({} coalesced), {} tunes, \
@@ -585,7 +681,7 @@ fn cmd_tune_client(flags: &Flags) -> Result<(), String> {
         );
     }
     client.drain().map_err(|e| format!("drain failed: {e}"))?;
-    if flags.contains_key("shutdown") {
+    if flags.has("shutdown") {
         shutdown_server(addr).map_err(|e| format!("shutdown failed: {e}"))?;
         println!("server shut down");
     }
@@ -593,24 +689,17 @@ fn cmd_tune_client(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_tune(flags: &Flags) -> Result<(), String> {
-    let mut cfg = if flags.contains_key("extended") {
+    let mut cfg = if flags.has("extended") {
         TunerConfig::extended()
     } else {
         TunerConfig::default()
     };
-    if let Some(s) = flags.get("sparseness") {
-        cfg.sparseness = s
-            .parse()
-            .ok()
-            .filter(|&f: &f64| f > 0.0 && f <= 1.0)
-            .ok_or_else(|| format!("--sparseness must be in (0, 1], got `{s}`"))?;
-    }
+    cfg.sparseness = flags.real("sparseness").unwrap_or(cfg.sparseness);
     let profile = load_profile(flags)?;
-    let out = req(flags, "out")?;
+    let out = flags.req("out")?;
     let members: Vec<usize> = (0..profile.p()).collect();
     let tuned = tune_hybrid_costs(profile.cost(), &members, &cfg);
-    let json = serde_json::to_string_pretty(&tuned.schedule).expect("schedule serializes");
-    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_schedule(out, &tuned.schedule)?;
     println!(
         "tuned hybrid for {} ranks: {} stages, {} signals, root {:?}, predicted {:.1} us -> {out}",
         profile.p(),
@@ -632,15 +721,7 @@ fn cmd_tune(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_predict(flags: &Flags) -> Result<(), String> {
-    let profile = load_profile(flags)?;
-    let schedule = load_schedule(flags)?;
-    if schedule.n() != profile.p() {
-        return Err(format!(
-            "schedule covers {} ranks but profile has {}",
-            schedule.n(),
-            profile.p()
-        ));
-    }
+    let (profile, schedule) = load_profile_and_schedule(flags)?;
     let pred = CostEvaluator::new(CostParams::default()).predict(&schedule, profile.cost(), None);
     println!("predicted barrier cost: {:.3} us", pred.barrier_cost * 1e6);
     println!(
@@ -677,38 +758,28 @@ fn cmd_verify(flags: &Flags) -> Result<(), String> {
 /// library sweep (`--library`). Fails when any report has a warning or an
 /// error, so the command gates CI directly.
 fn cmd_analyze(flags: &Flags) -> Result<(), String> {
-    let mut cfg = if flags.contains_key("quick") {
+    let mut cfg = if flags.has("quick") {
         AnalyzeConfig::quick()
     } else {
         AnalyzeConfig::default()
     };
-    cfg.strict_modes = flags.contains_key("strict-modes");
-    if let Some(name) = flags.get("name") {
-        cfg.codegen_name = name.clone();
-    }
-    let format = flags.get("format").map(String::as_str).unwrap_or("text");
-    if !matches!(format, "text" | "json") {
-        return Err(format!("unknown format `{format}` (text|json)"));
+    cfg.strict_modes = flags.has("strict-modes");
+    if let Some(name) = flags.text("name") {
+        cfg.codegen_name = name.to_string();
     }
 
     let mut results: Vec<(String, AnalysisReport)> = Vec::new();
-    match (flags.get("schedule"), flags.contains_key("library")) {
+    match (flags.text("schedule"), flags.has("library")) {
         (Some(path), false) => {
-            results.push((path.clone(), analyze_schedule(&load_schedule(flags)?, &cfg)));
+            let report = analyze_schedule(&load_schedule(flags)?, &cfg);
+            results.push((path.to_string(), report));
         }
-        (None, true) => {
-            let max_p: usize = flags
-                .get("max-p")
-                .map(|v| v.parse().map_err(|_| format!("bad --max-p `{v}`")))
-                .transpose()?
-                .unwrap_or(64);
-            library_reports(max_p, &cfg, &mut results);
-        }
+        (None, true) => library_reports(flags.int("max-p").unwrap_or(64), &cfg, &mut results),
         _ => return Err("pass exactly one of --schedule or --library".to_string()),
     }
 
     let failed = results.iter().filter(|(_, r)| r.has_failures()).count();
-    if format == "json" {
+    if flags.text("format") == Some("json") {
         let items: Vec<Value> = results
             .iter()
             .map(|(target, report)| {
@@ -769,7 +840,7 @@ fn library_reports(max_p: usize, cfg: &AnalyzeConfig, out: &mut Vec<(String, Ana
         ("cluster-a", MachineSpec::dual_quad_cluster(8), 64),
         ("cluster-b", MachineSpec::dual_hex_cluster(10), 120),
     ] {
-        let p = p.min(max_p.max(2));
+        let p = p.min(max_p);
         let profile = TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p);
         let members: Vec<usize> = (0..p).collect();
         let tuned = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
@@ -781,27 +852,12 @@ fn library_reports(max_p: usize, cfg: &AnalyzeConfig, out: &mut Vec<(String, Ana
 }
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
-    let reps: usize = flags
-        .get("reps")
-        .map(|v| {
-            v.parse()
-                .ok()
-                .filter(|&n: &usize| n > 0)
-                .ok_or_else(|| format!("--reps must be a positive count, got `{v}`"))
-        })
-        .transpose()?
-        .unwrap_or(25);
-    let profile = load_profile(flags)?;
-    let schedule = load_schedule(flags)?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|v| v.parse().map_err(|_| "bad --seed".to_string()))
-        .transpose()?
-        .unwrap_or(1);
+    let reps = flags.int("reps").unwrap_or(25);
+    let (profile, schedule) = load_profile_and_schedule(flags)?;
     let cfg = SimConfig {
         machine: profile.machine().clone(),
         mapping: profile.mapping().clone(),
-        noise: NoiseModel::realistic(seed),
+        noise: NoiseModel::realistic(flags.int("seed").map_or(1, |n| n as u64)),
     };
     let mut world = SimWorld::new(cfg, profile.p());
     let t = measure_schedule(&mut world, &schedule, reps);
@@ -814,46 +870,42 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
 
 fn cmd_codegen(flags: &Flags) -> Result<(), String> {
     let schedule = load_schedule(flags)?;
-    let name = flags
-        .get("name")
-        .map(String::as_str)
-        .unwrap_or("generated_barrier");
+    let name = flags.text("name").unwrap_or("generated_barrier");
     let programs = compile_schedule(&schedule).map_err(|e| format!("cannot compile: {e}"))?;
-    let lang = flags.get("lang").map(String::as_str).unwrap_or("c");
-    let src = match lang {
-        "c" => c_source(name, &programs),
-        "rust" => rust_source(name, &programs),
-        other => return Err(format!("lang must be c|rust, got `{other}`")),
-    }
-    .map_err(|e| format!("cannot emit {lang}: {e}"))?;
+    let lang = flags.text("lang").unwrap_or("c");
+    let emit = if lang == "rust" {
+        rust_source
+    } else {
+        c_source
+    };
+    let src = emit(name, &programs).map_err(|e| format!("cannot emit {lang}: {e}"))?;
     print!("{src}");
     Ok(())
 }
 
 fn cmd_search(flags: &Flags) -> Result<(), String> {
     use hbarrier::core::compose::{search_optimal_barrier, SearchConfig};
-    let profile = load_dense_profile(flags, "search")?;
-    let out = req(flags, "out")?;
-    if profile.p > 6 {
+    let cost = load_matrices(flags)?;
+    let out = flags.req("out")?;
+    if cost.p() > 6 {
         eprintln!(
             "warning: exhaustive search over {} ranks is exponential; expect long runtimes or truncation",
-            profile.p
+            cost.p()
         );
     }
-    let mut cfg = SearchConfig::default();
-    if let Some(v) = flags.get("max-stages") {
-        cfg.max_stages = v.parse().map_err(|_| "bad --max-stages".to_string())?;
-    }
-    if let Some(v) = flags.get("max-expansions") {
-        cfg.max_expansions = v.parse().map_err(|_| "bad --max-expansions".to_string())?;
-    }
+    let default = SearchConfig::default();
+    let cfg = SearchConfig {
+        max_stages: flags.int("max-stages").unwrap_or(default.max_stages),
+        max_expansions: flags
+            .int("max-expansions")
+            .unwrap_or(default.max_expansions),
+    };
     // Seed with the greedy hybrid so the search can only improve on it.
-    let members: Vec<usize> = (0..profile.p).collect();
-    let greedy = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default());
-    let result = search_optimal_barrier(&profile.cost, &cfg, Some(&greedy.schedule))
+    let members: Vec<usize> = (0..cost.p()).collect();
+    let greedy = tune_hybrid_costs(&cost, &members, &TunerConfig::default());
+    let result = search_optimal_barrier(&cost, &cfg, Some(&greedy.schedule))
         .ok_or_else(|| format!("no barrier within --max-stages {}", cfg.max_stages))?;
-    let json = serde_json::to_string_pretty(&result.schedule).expect("schedule serializes");
-    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_schedule(out, &result.schedule)?;
     println!(
         "search {} after {} states: best {:.2} us ({} stages) vs greedy {:.2} us -> {out}",
         if result.complete {
@@ -870,12 +922,11 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_heatmap(flags: &Flags) -> Result<(), String> {
-    let profile = load_dense_profile(flags, "heatmap")?;
-    let which = flags.get("matrix").map(String::as_str).unwrap_or("l");
-    let (matrix, label) = match which {
-        "l" => (&profile.cost.l, "L matrix (per-message latency)"),
-        "o" => (&profile.cost.o, "O matrix (startup cost)"),
-        other => return Err(format!("matrix must be l|o, got `{other}`")),
+    let cost = load_matrices(flags)?;
+    let (matrix, label) = if flags.text("matrix") == Some("o") {
+        (&cost.o, "O matrix (startup cost)")
+    } else {
+        (&cost.l, "L matrix (per-message latency)")
     };
     println!("{}", render_labelled(matrix, label));
     Ok(())

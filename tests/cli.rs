@@ -281,9 +281,16 @@ fn helpful_errors() {
     let o = hbar(&["profile", "--machine", "0x1x1", "--out", "/tmp/x.json"]);
     assert!(!o.status.success());
 
-    // Numbers out of range are error lines, not library panics.
+    // Numbers out of range are error lines, not library panics or
+    // aborted allocations. Values are checked before any file is read or
+    // any socket used: `serve` listens on a port that is taken and
+    // `tune-client` connects to one that is closed.
     let out = std::env::temp_dir().join(format!("hbar_cli_range_{}.json", std::process::id()));
     let out = out.to_str().unwrap();
+    let bind = || std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let listener = bind();
+    let taken = listener.local_addr().unwrap().to_string();
+    let closed = bind().local_addr().unwrap().to_string();
     let profile = ["profile", "--machine", "1x2x8", "--fast", "--out", out];
     let tune = ["tune", "--profile", "/nonexistent.json", "--out", out];
     let simulate = [
@@ -293,6 +300,8 @@ fn helpful_errors() {
         "--schedule",
         "/nonexistent.json",
     ];
+    let serve = ["serve", "--listen", &taken];
+    let client = ["tune-client", "--connect", &closed];
     for (command, extra, complaint) in [
         (
             &profile[..],
@@ -334,8 +343,34 @@ fn helpful_errors() {
         (
             &simulate,
             &["--reps", "0"],
-            "--reps must be a positive count",
+            "--reps must be an integer in [1, 1000]",
         ),
+        (
+            &simulate,
+            &["--reps", "1000000000000"],
+            "--reps must be an integer in [1, 1000]",
+        ),
+        (
+            &serve,
+            &["--shards", "100000000"],
+            "--shards must be an integer in [1, 1024]",
+        ),
+        (
+            &serve,
+            &["--shards", "64", "--cache-cap", "16"],
+            "--shards 64 exceeds --cache-cap 16",
+        ),
+        (
+            &client,
+            &["--count", "0"],
+            "--count must be an integer in [1, 65536]",
+        ),
+        (
+            &client,
+            &["--count", "1000000000"],
+            "--count must be an integer in [1, 65536]",
+        ),
+        (&client, &["--zipf", "nan"], "--zipf must be in [0, inf)"),
         (
             &tune,
             &["--exact-scoring"],
@@ -514,24 +549,12 @@ fn compact_profile_tunes_like_the_dense_one() {
         "5",
         "--clustered",
     ];
-    // The same sweep, scattered into matrices and into a compressed model
-    // whose every tile went through the spill directory.
+    // The same sweep, scattered into matrices and into a compressed model.
     let o = hbar(&[&sweep[..], &["--out", &dense]].concat());
     assert!(o.status.success(), "{}", stderr(&o));
-    let o = hbar(
-        &[
-            &sweep[..],
-            &["--compressed", "--mem-budget", "1", "--out", &compact],
-        ]
-        .concat(),
-    );
+    let o = hbar(&[&sweep[..], &["--compressed", "--out", &compact]].concat());
     assert!(o.status.success(), "{}", stderr(&o));
     assert!(stdout(&o).contains("16 kinds of rank"), "{}", stdout(&o));
-    assert!(
-        stdout(&o).contains("(1 of 1 tiles spilled"),
-        "{}",
-        stdout(&o)
-    );
     let kilobytes = |file: &str| std::fs::metadata(file).unwrap().len() / 1024;
     assert!(kilobytes(&compact) * 20 < kilobytes(&dense));
     let StoredProfile::Compact(stored) = StoredProfile::load(compact.as_ref()).unwrap() else {
@@ -560,19 +583,41 @@ fn compact_profile_tunes_like_the_dense_one() {
     let [by_dense, by_compact] = answers("simulate");
     assert!(by_dense.contains("measured barrier cost") && by_dense == by_compact);
 
-    // What works on matrices says so.
-    for command in [
-        vec!["heatmap", "--profile", &compact],
-        vec!["search", "--profile", &compact, "--out", &from_compact],
-    ] {
-        let o = hbar(&command);
-        assert_eq!(o.status.code(), Some(1));
-        assert!(
-            stderr(&o).contains("needs a dense profile"),
-            "{}",
-            stderr(&o)
-        );
+    // heatmap and search read the compact form's matrices; search on a
+    // P = 4 sweep, bounded, since it is exponential in P.
+    let answers = |command: &[&str], profiles: [&String; 2]| {
+        profiles.map(|profile| {
+            let o = hbar(&[command, &["--profile", profile]].concat());
+            assert!(o.status.success(), "{command:?}: {}", stderr(&o));
+            stdout(&o)
+        })
+    };
+    let [by_dense, by_compact] = answers(&["heatmap", "--matrix", "o"], [&dense, &compact]);
+    assert!(by_dense.contains("O matrix") && by_dense == by_compact);
+    let (small_dense, small_compact) = (path("small.dense.json"), path("small.compact.json"));
+    let small = [&sweep[..2], &["1x2x2"], &sweep[3..]].concat();
+    for (extra, profile) in [(&[][..], &small_dense), (&["--compressed"], &small_compact)] {
+        let o = hbar(&[&small[..], extra, &["--out", profile]].concat());
+        assert!(o.status.success(), "{}", stderr(&o));
     }
+    let search = ["search", "--out", &from_compact, "--max-expansions", "200"];
+    let [by_dense, by_compact] = answers(&search, [&small_dense, &small_compact]);
+    assert!(by_dense.starts_with("search TRUNCATED") && by_dense == by_compact);
+
+    // A schedule over other ranks than the profile's is an error message.
+    let o = hbar(&[
+        "simulate",
+        "--profile",
+        &small_dense,
+        "--schedule",
+        &from_dense,
+    ]);
+    assert_eq!(o.status.code(), Some(1), "{}", stderr(&o));
+    assert!(
+        stderr(&o).contains("schedule covers 64 ranks but profile has 4"),
+        "{}",
+        stderr(&o)
+    );
 
     // A compact file that breaks the model's contract is an error message.
     let document = |parts: &hbarrier::topo::ModelParts| {

@@ -1,11 +1,11 @@
 //! Guards the design record against growth and rot: DESIGN.md and
 //! EXPERIMENTS.md stay within their size budgets and every CHANGES.md
 //! entry within its own, every `DESIGN.md §N` citation names a section
-//! that exists, every repo path and `hbar` command the design record and
-//! README.md name exists, and every PR that CHANGES.md records has a row
-//! in EXPERIMENTS.md's trajectory table.
+//! that exists, every repo path and `hbar` command (with its flags) the
+//! design record and README.md name exists, and every PR that CHANGES.md
+//! records has a row in EXPERIMENTS.md's trajectory table.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -72,15 +72,19 @@ fn design_citations(text: &str) -> Vec<u32> {
     found
 }
 
-/// First-party `*.rs` files below `dir`, build output excluded.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+/// First-party files below `dir` that `keep` accepts, build output and
+/// git's store excluded.
+fn files(dir: &Path, keep: &dyn Fn(&Path) -> bool, out: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.is_dir() {
-            if path.file_name().is_some_and(|n| n != "target") {
-                rust_files(&path, out);
+            if path
+                .file_name()
+                .is_some_and(|n| n != "target" && n != ".git")
+            {
+                files(&path, keep, out);
             }
-        } else if path.extension().is_some_and(|e| e == "rs") {
+        } else if keep(&path) {
             out.push(path);
         }
     }
@@ -98,7 +102,8 @@ fn design_section_references_name_a_heading() {
         .map(|f| root().join(f))
         .collect();
     for dir in ["crates", "src", "tests", "examples"] {
-        rust_files(&root().join(dir), &mut sources);
+        let rust = |p: &Path| p.extension().is_some_and(|e| e == "rs");
+        files(&root().join(dir), &rust, &mut sources);
     }
     let mut dangling = Vec::new();
     for path in &sources {
@@ -195,8 +200,10 @@ fn named_repo_paths_exist() {
     assert!(missing.is_empty(), "{}", missing.join("\n"));
 }
 
-/// Every `` `hbar NAME`` or `` …/hbar NAME`` in the docs is a command that
-/// `hbar help` lists.
+/// Every `` `hbar NAME``, `` …/hbar NAME`` or `$hbar NAME` in the docs
+/// and in any `SKILL.md` build recipe is a command that `hbar help`
+/// lists, and every `--flag` after it on the same line, up to the next
+/// such name, is a flag that `hbar help` lists for that command.
 #[test]
 fn named_hbar_commands_exist() {
     let help = Command::new(env!("CARGO_BIN_EXE_hbar"))
@@ -204,30 +211,56 @@ fn named_hbar_commands_exist() {
         .output()
         .expect("hbar runs");
     let help = String::from_utf8(help.stdout).unwrap();
-    let commands: BTreeSet<&str> = help
+    let flags_of: BTreeMap<&str, BTreeSet<&str>> = help
         .lines()
-        .filter_map(|l| l.trim_start().strip_prefix("hbar ")?.split(' ').next())
+        .filter_map(|l| {
+            let mut words = l.trim_start().strip_prefix("hbar ")?.split(' ');
+            let name = words.next()?;
+            let flags = words.filter_map(|w| w.trim_start_matches('[').strip_prefix("--"));
+            Some((name, flags.map(|f| f.trim_end_matches(']')).collect()))
+        })
+        .chain([("help", BTreeSet::new())])
         .collect();
     let mut missing = Vec::new();
-    for doc in CURRENT_DOCS {
-        let text = read(doc);
-        for lead in ["`hbar ", "/hbar "] {
-            for (at, _) in text.match_indices(lead) {
-                let name: String = text[at + lead.len()..]
-                    .chars()
-                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
-                    .collect();
-                if !commands.contains(name.as_str()) {
+    let mut docs: Vec<PathBuf> = CURRENT_DOCS.iter().map(|d| root().join(d)).collect();
+    files(root(), &|p| p.ends_with("SKILL.md"), &mut docs);
+    for path in &docs {
+        let doc = path.strip_prefix(root()).unwrap().display();
+        for line in fs::read_to_string(path).unwrap().lines() {
+            let mut named: Vec<(usize, usize)> = ["`hbar ", "/hbar ", "$hbar "]
+                .iter()
+                .flat_map(|lead| line.match_indices(lead).map(|(at, _)| (at, lead.len())))
+                .collect();
+            named.sort_unstable();
+            for (k, &(at, lead)) in named.iter().enumerate() {
+                let rest = &line[at + lead..named.get(k + 1).map_or(line.len(), |n| n.0)];
+                let name = word(rest);
+                let Some(flags) = flags_of.get(name) else {
                     missing.push(format!("{doc} names `hbar {name}`"));
+                    continue;
+                };
+                for (at, _) in rest.match_indices("--") {
+                    let flag = word(&rest[at + 2..]);
+                    if !flag.is_empty() && !flags.contains(flag) {
+                        missing.push(format!("{doc} names `hbar {name} --{flag}`"));
+                    }
                 }
             }
         }
     }
     assert!(
         missing.is_empty(),
-        "commands are {commands:?}:\n{}",
+        "{}\nhbar help:\n{help}",
         missing.join("\n")
     );
+}
+
+/// The leading command or flag name of `text`.
+fn word(text: &str) -> &str {
+    let end = text
+        .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+        .unwrap_or(text.len());
+    &text[..end]
 }
 
 #[test]

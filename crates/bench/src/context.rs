@@ -17,7 +17,7 @@ pub struct ExperimentContext {
     pub mapping: RankMapping,
     pub noise: NoiseModel,
     pub profiling: ProfilingConfig,
-    /// Back-to-back barrier executions averaged per measurement.
+    /// Back-to-back barrier executions per measurement.
     pub measure_reps: usize,
     /// Profiles measured so far, keyed by the number of nodes the
     /// round-robin placement occupies. Within one bucket the placement of
@@ -110,8 +110,10 @@ impl ExperimentContext {
         truncated
     }
 
-    /// Measures the mean execution time (seconds) of a schedule for `p`
-    /// ranks on the simulated platform.
+    /// Measures a schedule for `p` ranks on the simulated platform: the
+    /// makespan (seconds) of `measure_reps` back-to-back executions,
+    /// divided by `measure_reps`. Consecutive executions overlap, so this
+    /// is not the time of one isolated barrier.
     pub fn measure_barrier(&self, schedule: &BarrierSchedule, p: usize) -> f64 {
         assert_eq!(
             schedule.n(),

@@ -12,6 +12,8 @@
 //! | 10 | hybrid construction walkthrough, 3 nodes / 22 procs | [`construction`] |
 //! | 11 | hybrid vs MPI barrier on both clusters | [`performance`] |
 //!
+//! [`run_figures`] makes any subset of them in one run (`hbar figures`).
+//!
 //! Every experiment follows the paper's methodology end to end: profiles
 //! are *measured* on the noisy simulator by the §IV-A benchmarks (never
 //! read from the ground truth), predictions come from the Eq. 1–3 model,
@@ -23,6 +25,7 @@ pub mod construction;
 pub mod context;
 pub mod data;
 pub mod delay;
+pub mod figures;
 pub mod heatmap;
 pub mod performance;
 pub mod plot;
@@ -30,3 +33,4 @@ pub mod validation;
 
 pub use context::ExperimentContext;
 pub use data::{Series, SeriesGroup};
+pub use figures::{run_figures, FIGURES};

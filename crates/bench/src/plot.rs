@@ -3,7 +3,7 @@
 //! The paper's figures are gnuplot line charts (execution time in
 //! seconds vs number of processes). [`render_svg`] draws a
 //! [`SeriesGroup`] in that style — axes, tick labels, one polyline per
-//! series, legend — with no dependencies, so `experiments` can emit
+//! series, legend — with no dependencies, so `hbar figures` can emit
 //! viewable figures next to the `.dat` files.
 
 use crate::data::SeriesGroup;

@@ -160,8 +160,8 @@ mod tests {
         // The dip check is computed (last size is a power of two), but on
         // a 2-node machine every even dissemination offset is node-local,
         // so the paper's 8-node dip phenomenon is absent here — only its
-        // presence in the full cluster A run (Fig. 5) is asserted, by the
-        // experiments binary.
+        // presence in the full cluster A run (Fig. 5) is reported, in the
+        // `summary.md` that `hbar figures` writes.
         assert!(checks.dissemination_power_of_two_dip.is_some());
         // Exact context: model error stays well under a barrier time.
         let scale = fig.measured.get("L").unwrap().y_max();

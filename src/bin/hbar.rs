@@ -17,6 +17,8 @@
 //! paper clusters' tuned hybrids (`--library`), and exits 1 on any
 //! warning or error.
 //!
+//! `hbar figures` regenerates the paper's figures through `hbar-bench`.
+//!
 //! Machines are `NODESxSOCKETSxCORES` (e.g. `8x2x4`) or the presets
 //! `cluster-a` / `cluster-b`; mappings are `rr` (round-robin) or `block`.
 //!
@@ -35,6 +37,7 @@
 //! compact profiles want `--clustered`. Every command that reads a
 //! profile reads either form and gives the same answers from both.
 
+use hbar_bench::{run_figures, FIGURES};
 use hbarrier::core::codegen::{c_source, rust_source};
 use hbarrier::core::verify;
 use hbarrier::prelude::*;
@@ -94,6 +97,8 @@ enum Form {
     Real(Bound<f64>, Bound<f64>),
     /// One of these words.
     Word(&'static [&'static str]),
+    /// A comma-separated list of these words.
+    Words(&'static [&'static str]),
     /// A comma-separated list with at least one entry.
     List(&'static str),
     /// `NxSxC` with fewer than 2³⁰ cores (a simulated rank id is 30
@@ -101,7 +106,7 @@ enum Form {
     Machine,
 }
 
-use Form::{Int, List, Machine, Real, Text, Word};
+use Form::{Int, List, Machine, Real, Text, Word, Words};
 
 /// Any count, or a seed.
 const ANY: Form = Int(0, usize::MAX);
@@ -241,6 +246,17 @@ const COMMANDS: &[Command] = &[
         ],
         switches: &[],
     },
+    Command {
+        name: "figures",
+        run: cmd_figures,
+        values: &[
+            ("only", Words(&FIGURES), false),
+            // Every step-th process count of a sweep.
+            ("step", Int(1, usize::MAX), false),
+            ("out", Text("DIR"), false),
+        ],
+        switches: &["quick"],
+    },
 ];
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -283,6 +299,7 @@ impl Form {
             Int(..) => "N".to_string(),
             Real(..) => "F".to_string(),
             Word(words) => words.join("|"),
+            Words(words) => words.join("|") + ",...",
             Machine => "NxSxC|cluster-a|cluster-b".to_string(),
         }
     }
@@ -305,6 +322,7 @@ impl Form {
                 };
                 format!("in {lo}, {hi}")
             }
+            Words(words) => format!("a comma-separated list of {}", words.join(", ")),
             Machine => "NxSxC with fewer than 2^30 cores, cluster-a or cluster-b".to_string(),
             _ => self.placeholder(),
         }
@@ -326,6 +344,10 @@ impl Form {
                     .reals
                     .insert(name, (x.is_finite() && (lo, hi).contains(&x)).then_some(x)?);
             }
+            Words(words) => {
+                let known = v.split(',').all(|w| words.contains(&w));
+                _ = flags.texts.insert(name, known.then_some(v)?);
+            }
             List(_) => {
                 let items = v.split(',').map(str::trim).filter(|s| !s.is_empty());
                 let items: Vec<String> = items.map(String::from).collect();
@@ -342,7 +364,8 @@ impl Form {
 /// The flags of one command line, each value parsed by its form.
 #[derive(Default)]
 struct Flags<'a> {
-    switches: Vec<&'a str>,
+    /// Every flag given, switch or value.
+    given: Vec<&'a str>,
     texts: HashMap<&'a str, &'a str>,
     ints: HashMap<&'a str, usize>,
     reals: HashMap<&'a str, f64>,
@@ -351,8 +374,8 @@ struct Flags<'a> {
 }
 
 impl Flags<'_> {
-    fn has(&self, switch: &str) -> bool {
-        self.switches.contains(&switch)
+    fn has(&self, flag: &str) -> bool {
+        self.given.contains(&flag)
     }
 
     fn text(&self, name: &str) -> Option<&str> {
@@ -381,15 +404,14 @@ fn parse_flags<'a>(cmd: &Command, args: &'a [String]) -> Result<Flags<'a>, Strin
             return Err(format!("expected --flag, got `{a}`"));
         };
         // Switches take no value; value flags consume the next arg.
-        if cmd.switches.contains(&name) {
-            flags.switches.push(name);
-        } else if let Some((_, form, _)) = cmd.values.iter().find(|v| v.0 == name) {
+        flags.given.push(name);
+        if let Some((_, form, _)) = cmd.values.iter().find(|v| v.0 == name) {
             let value = (it.next())
                 .filter(|v| !v.is_empty())
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
             form.parse(name, value, &mut flags)
                 .ok_or_else(|| format!("--{name} must be {}, got `{value}`", form.describe()))?;
-        } else {
+        } else if !cmd.switches.contains(&name) {
             return Err(format!("unknown flag --{name} for `{}`", cmd.name));
         }
     }
@@ -470,8 +492,16 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
             machine.name
         ));
     }
+    // The closed form measures nothing, so no flag that shapes a
+    // measurement applies to it.
+    let exact = flags.has("exact-machine");
+    let shaping = "compressed clustered fast workers stop-workers probes seed";
+    if let Some(flag) = shaping.split(' ').find(|f| exact && flags.has(f)) {
+        let conflict = "cannot be used with --exact-machine, which measures nothing";
+        return Err(format!("--{flag} {conflict}"));
+    }
     let out = flags.req("out")?;
-    let (profile, summary) = if flags.has("exact-machine") {
+    let (profile, summary) = if exact {
         // Closed-form noise-free profile (no benchmarking).
         let profile = TopologyProfile::from_ground_truth_for(machine, &mapping, p);
         let summary = format!("{} pairwise estimates", p * (p - 1) / 2);
@@ -862,7 +892,8 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let mut world = SimWorld::new(cfg, profile.p());
     let t = measure_schedule(&mut world, &schedule, reps);
     println!(
-        "measured barrier cost: {:.3} us (mean of {reps} executions)",
+        "measured barrier cost: {:.3} us (makespan of {reps} back-to-back executions / {reps}; \
+         consecutive executions overlap)",
         t * 1e6
     );
     Ok(())
@@ -930,4 +961,12 @@ fn cmd_heatmap(flags: &Flags) -> Result<(), String> {
     };
     println!("{}", render_labelled(matrix, label));
     Ok(())
+}
+
+fn cmd_figures(flags: &Flags) -> Result<(), String> {
+    let quick = flags.has("quick");
+    let which = (flags.text("only")).map_or(FIGURES.to_vec(), |names| names.split(',').collect());
+    let step = flags.int("step").unwrap_or(if quick { 4 } else { 1 });
+    let out = Path::new(flags.text("out").unwrap_or("results"));
+    run_figures(&which, quick, step, out)
 }

@@ -302,6 +302,21 @@ fn helpful_errors() {
     ];
     let serve = ["serve", "--listen", &taken];
     let client = ["tune-client", "--connect", &closed];
+    let exact = [
+        "profile",
+        "--machine",
+        "1x2x8",
+        "--exact-machine",
+        "--out",
+        out,
+    ];
+    let figures = ["figures", "--out", out];
+    // `figures` makes its directory before any figure runs: one under a
+    // regular file is refused with nothing printed.
+    let file = std::env::temp_dir().join(format!("hbar_cli_file_{}", std::process::id()));
+    std::fs::write(&file, "").unwrap();
+    let under_file = file.join("figs");
+    let under_file = ["figures", "--out", under_file.to_str().unwrap()];
     for (command, extra, complaint) in [
         (
             &profile[..],
@@ -376,18 +391,83 @@ fn helpful_errors() {
             &["--exact-scoring"],
             "unknown flag --exact-scoring for `tune`",
         ),
+        // The closed-form profile measures nothing: a flag that shapes a
+        // measurement is refused, not ignored.
+        (
+            &exact,
+            &["--compressed"],
+            "--compressed cannot be used with --exact-machine",
+        ),
+        (
+            &exact,
+            &["--clustered"],
+            "--clustered cannot be used with --exact-machine",
+        ),
+        (
+            &exact,
+            &["--fast"],
+            "--fast cannot be used with --exact-machine",
+        ),
+        (
+            &exact,
+            &["--workers", "127.0.0.1:1"],
+            "--workers cannot be used with --exact-machine",
+        ),
+        (
+            &exact,
+            &["--stop-workers"],
+            "--stop-workers cannot be used with --exact-machine",
+        ),
+        (
+            &exact,
+            &["--probes", "4"],
+            "--probes cannot be used with --exact-machine",
+        ),
+        (
+            &exact,
+            &["--seed", "3"],
+            "--seed cannot be used with --exact-machine",
+        ),
+        (
+            &figures,
+            &["--only", "fig10,figX"],
+            "--only must be a comma-separated list of fig5, fig6,",
+        ),
+        (
+            &figures,
+            &["--quick", "--step", "abc", "--only", "fig10"],
+            "--step must be an integer of at least 1, got `abc`",
+        ),
+        (
+            &figures,
+            &["--quick", "--step", "0", "--only", "fig10"],
+            "--step must be an integer of at least 1, got `0`",
+        ),
+        (
+            &figures,
+            &["--quick", "--step", "-1", "--only", "fig10"],
+            "--step must be an integer of at least 1, got `-1`",
+        ),
+        (
+            &figures,
+            &["--only", "fig10", "--step"],
+            "flag --step needs a value",
+        ),
+        (&under_file, &["--only", "fig10"], "cannot create"),
     ] {
         let args = [command, extra].concat();
         let o = hbar(&args);
         let err = stderr(&o);
         assert_eq!(o.status.code(), Some(1), "{args:?}: {err}");
         assert!(
-            err.starts_with("error: ") && err.contains(complaint),
+            err.starts_with("error: ") && err.lines().count() == 1 && err.contains(complaint),
             "{args:?}: {err}"
         );
         assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(o.stdout.is_empty(), "{args:?}: {}", stdout(&o));
     }
     assert!(!std::path::Path::new(out).exists());
+    std::fs::remove_file(&file).unwrap();
 
     let o = hbar(&["predict", "--schedule", "/nonexistent.json"]);
     assert!(!o.status.success());

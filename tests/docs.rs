@@ -2,8 +2,9 @@
 //! EXPERIMENTS.md stay within their size budgets and every CHANGES.md
 //! entry within its own, every `DESIGN.md §N` citation names a section
 //! that exists, every repo path and `hbar` command (with its flags) the
-//! design record and README.md name exists, and every PR that CHANGES.md
-//! records has a row in EXPERIMENTS.md's trajectory table.
+//! design record and README.md name exists, so does every example and
+//! binary they tell `cargo` to run, and every PR that CHANGES.md records
+//! has a row in EXPERIMENTS.md's trajectory table.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -200,8 +201,16 @@ fn named_repo_paths_exist() {
     assert!(missing.is_empty(), "{}", missing.join("\n"));
 }
 
-/// Every `` `hbar NAME``, `` …/hbar NAME`` or `$hbar NAME` in the docs
-/// and in any `SKILL.md` build recipe is a command that `hbar help`
+/// The documents that name commands to run: the current docs and any
+/// `SKILL.md` build recipe.
+fn recipe_docs() -> Vec<PathBuf> {
+    let mut docs: Vec<PathBuf> = CURRENT_DOCS.iter().map(|d| root().join(d)).collect();
+    files(root(), &|p| p.ends_with("SKILL.md"), &mut docs);
+    docs
+}
+
+/// Every `` `hbar NAME``, `` …/hbar NAME`` or `$hbar NAME` in the
+/// [`recipe_docs`] is a command that `hbar help`
 /// lists, and every `--flag` after it on the same line, up to the next
 /// such name, is a flag that `hbar help` lists for that command.
 #[test]
@@ -222,9 +231,7 @@ fn named_hbar_commands_exist() {
         .chain([("help", BTreeSet::new())])
         .collect();
     let mut missing = Vec::new();
-    let mut docs: Vec<PathBuf> = CURRENT_DOCS.iter().map(|d| root().join(d)).collect();
-    files(root(), &|p| p.ends_with("SKILL.md"), &mut docs);
-    for path in &docs {
+    for path in &recipe_docs() {
         let doc = path.strip_prefix(root()).unwrap().display();
         for line in fs::read_to_string(path).unwrap().lines() {
             let mut named: Vec<(usize, usize)> = ["`hbar ", "/hbar ", "$hbar "]
@@ -251,6 +258,54 @@ fn named_hbar_commands_exist() {
     assert!(
         missing.is_empty(),
         "{}\nhbar help:\n{help}",
+        missing.join("\n")
+    );
+}
+
+/// The `name` of every `[[bin]]` that a manifest in the repo declares.
+fn declared_binaries() -> BTreeSet<String> {
+    let mut manifests = Vec::new();
+    files(root(), &|p| p.ends_with("Cargo.toml"), &mut manifests);
+    let mut names = BTreeSet::new();
+    for path in manifests {
+        for table in fs::read_to_string(path).unwrap().split("[[bin]]").skip(1) {
+            let lines = table.lines().skip(1).take_while(|l| !l.starts_with('['));
+            let mut named = lines.filter_map(|l| l.trim().strip_prefix("name = "));
+            names.extend(named.next().map(|n| n.trim_matches('"').to_string()));
+        }
+    }
+    names
+}
+
+/// Every `--example NAME` in the [`recipe_docs`] names an
+/// `examples/NAME.rs`, and every `--bin NAME` a declared binary.
+#[test]
+fn named_examples_and_binaries_exist() {
+    let binaries = declared_binaries();
+    let mut missing = Vec::new();
+    for path in &recipe_docs() {
+        let doc = path.strip_prefix(root()).unwrap().display();
+        let text = fs::read_to_string(path).unwrap();
+        for (kind, lead) in [("example", "--example "), ("binary", "--bin ")] {
+            for (at, _) in text.match_indices(lead) {
+                let rest = &text[at + lead.len()..];
+                let end = (rest.find(|c: char| !(c.is_ascii_alphanumeric() || "_-".contains(c))))
+                    .unwrap_or(rest.len());
+                let name = &rest[..end];
+                let known = match kind {
+                    "example" => root().join(format!("examples/{name}.rs")).exists(),
+                    _ => binaries.contains(name),
+                };
+                // A placeholder such as `--bin <name>` names nothing.
+                if !name.is_empty() && !known {
+                    missing.push(format!("{doc} names {kind} `{name}`"));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "binaries are {binaries:?}:\n{}",
         missing.join("\n")
     );
 }

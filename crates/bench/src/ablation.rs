@@ -3,9 +3,8 @@
 //! Compares, on one platform and process count, the measured execution
 //! time of:
 //!
-//! * the paper's greedy hybrid (baseline configuration);
-//! * the extended-candidate hybrid (k-ary, butterfly added);
-//! * forced single-algorithm hierarchies (greedy choice disabled);
+//! * the greedy hybrid, and the paper's (dissemination at radix 2 only);
+//! * the paper's algorithms forced at every level (greedy choice disabled);
 //! * a sweep of the SSS sparseness parameter;
 //! * the topology-neutral tree (no tuning at all).
 
@@ -40,9 +39,9 @@ pub fn run_ablation(ctx: &mut ExperimentContext, p: usize) -> Vec<AblationRow> {
         });
     };
 
-    push_tuned(ctx, "greedy (paper set)", &TunerConfig::default());
-    push_tuned(ctx, "greedy (extended set)", &TunerConfig::extended());
-    for alg in Algorithm::PAPER_SET {
+    push_tuned(ctx, "greedy (default)", &TunerConfig::default());
+    push_tuned(ctx, "greedy (paper's radix-2 set)", &TunerConfig::paper());
+    for alg in TunerConfig::paper().candidates {
         push_tuned(ctx, &format!("forced {alg}"), &TunerConfig::forced(alg));
     }
     for sparseness in [0.15, 0.35, 0.60] {
@@ -78,13 +77,13 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<24} {:>12} {:>12} {:>7} {:>8}",
+        "{:<28} {:>12} {:>12} {:>7} {:>8}",
         "configuration", "predicted", "measured", "stages", "signals"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<24} {:>10.1}us {:>10.1}us {:>7} {:>8}",
+            "{:<28} {:>10.1}us {:>10.1}us {:>7} {:>8}",
             r.label,
             r.predicted * 1e6,
             r.measured * 1e6,
@@ -110,7 +109,8 @@ mod tests {
             assert!(r.stages > 0 && r.signals > 0);
         }
         let table = render_ablation(&rows);
-        assert!(table.contains("greedy (paper set)"));
+        assert!(table.contains("greedy (default)"));
+        assert!(table.contains("greedy (paper's radix-2 set)"));
         assert!(table.contains("neutral tree"));
     }
 
@@ -120,10 +120,7 @@ mod tests {
         // algorithm, in predicted cost.
         let mut ctx = ExperimentContext::exact(MachineSpec::dual_quad_cluster(2));
         let rows = run_ablation(&mut ctx, 16);
-        let greedy = rows
-            .iter()
-            .find(|r| r.label == "greedy (paper set)")
-            .unwrap();
+        let greedy = rows.iter().find(|r| r.label == "greedy (default)").unwrap();
         for r in rows.iter().filter(|r| r.label.starts_with("forced")) {
             assert!(
                 greedy.predicted <= r.predicted * 1.0001,

@@ -51,6 +51,20 @@ pub fn nway_dissemination_full(p: usize, w: usize) -> Vec<SparseBoolMatrix> {
     stages
 }
 
+/// Ascending radices, one per stage count `s = ⌈log₂ m⌉ … 1`: the smallest
+/// `w` with `wˢ ≥ m` (a larger one with as many stages only adds signals).
+pub(crate) fn dissemination_radices(m: usize) -> Vec<usize> {
+    let (mut radices, mut w) = (Vec::new(), 2usize);
+    for s in (1..=m.next_power_of_two().trailing_zeros()).rev() {
+        while w.pow(s) < m {
+            w += 1;
+        }
+        radices.push(w);
+    }
+    radices.dedup();
+    radices
+}
+
 /// The generator as it filled bitset matrices (`w = 2` is the
 /// dissemination barrier): the oracle of
 /// `sparse_generators_match_the_dense_ones`.
@@ -178,6 +192,29 @@ mod tests {
             for i in 0..20 {
                 assert!(stage.row(i).len() <= 3);
             }
+        }
+    }
+
+    #[test]
+    fn radices_are_one_per_distinct_stage_count() {
+        assert!(dissemination_radices(1).is_empty());
+        assert_eq!(dissemination_radices(2), [2]);
+        assert_eq!(dissemination_radices(3), [2, 3]);
+        assert_eq!(dissemination_radices(9), [2, 3, 9]);
+        assert_eq!(dissemination_radices(128), [2, 3, 4, 6, 12, 128]);
+        for m in 2usize..=300 {
+            let radices = dissemination_radices(m);
+            let stages: Vec<usize> = (radices.iter())
+                .map(|&w| nway_dissemination_full(m, w).len())
+                .collect();
+            // Stage counts strictly fall, and one radix less would need a
+            // stage more.
+            assert!(stages.windows(2).all(|s| s[0] > s[1]), "m={m}");
+            for (&w, &s) in radices.iter().zip(&stages) {
+                assert!(w == 2 || nway_dissemination_full(m, w - 1).len() > s);
+            }
+            assert_eq!(stages[0], m.next_power_of_two().trailing_zeros() as usize);
+            assert_eq!(*stages.last().unwrap(), 1, "m={m}");
         }
     }
 

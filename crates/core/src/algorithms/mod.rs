@@ -23,6 +23,7 @@ mod linear;
 mod tree;
 
 pub use butterfly::butterfly_full;
+pub(crate) use dissemination::dissemination_radices;
 pub use dissemination::{dissemination_full, nway_dissemination_full};
 pub use kary::kary_arrival;
 pub use linear::linear_arrival;

@@ -1,6 +1,6 @@
 //! The greedy tuner implementation.
 
-use crate::algorithms::Algorithm;
+use crate::algorithms::{dissemination_radices, Algorithm};
 use crate::clustering::{ClusterNode, SSS_DEFAULT_SPARSENESS};
 use crate::cost::{member_set_hash, CostEvaluator, CostParams, ScoreKey};
 use crate::schedule::{BarrierSchedule, Stage};
@@ -15,7 +15,8 @@ pub struct TunerConfig {
     /// SSS sparseness as a fraction of the clustered set's diameter
     /// (paper: 0.35).
     pub sparseness: f64,
-    /// Candidate component algorithms (paper: linear, dissemination, tree).
+    /// Candidate component algorithms (paper: linear, dissemination,
+    /// tree), each standing for what [`level_candidates`] expands it to.
     pub candidates: Vec<Algorithm>,
     /// Field-less: the cost model has no options (see [`CostParams`]);
     /// kept because the pipeline benchmark names it.
@@ -36,11 +37,11 @@ impl Default for TunerConfig {
 }
 
 impl TunerConfig {
-    /// A configuration with the extended algorithm set (future-work
-    /// generalization).
-    pub fn extended() -> Self {
+    /// The paper's tuner: its three building blocks with dissemination
+    /// fixed at radix 2.
+    pub fn paper() -> Self {
         TunerConfig {
-            candidates: Algorithm::extended_set(),
+            candidates: vec![Algorithm::Linear, Algorithm::NWay(2), Algorithm::Tree],
             ..Self::default()
         }
     }
@@ -172,14 +173,17 @@ fn tune<C: CostProvider + ?Sized>(
     );
     let tree = eval.cluster_tree(cost, members, cfg.sparseness, cfg.max_depth);
     let n = cost.p();
-    let plan = plan_node(&tree, 0, cost, cfg, eval, &mut LocalSchedules::new());
+    let mut local = std::mem::take(&mut eval.local_schedules);
+    let plan = plan_node(&tree, 0, cost, cfg, eval, &mut local);
     // A fully synchronizing root's own stages need no departure.
     let skip = match plan.choice {
-        Some((algorithm, _)) if !algorithm.needs_departure() => plan.local_stages.len(),
+        Some((algorithm, _)) if !algorithm.needs_departure() => plan.own_stages,
         _ => 0,
     };
     let mut signals = vec![Vec::new(); plan.len];
-    emit(&plan, &mut signals, 0);
+    emit(&plan, &mut local, &mut signals, 0);
+    local.keep_used();
+    eval.local_schedules = local;
     let mut schedule = BarrierSchedule::new(n);
     for pairs in signals {
         schedule.push(Stage::arrival(SparseBoolMatrix::from_pairs(n, pairs)));
@@ -203,13 +207,36 @@ fn tune<C: CostProvider + ?Sized>(
     }
 }
 
-/// The candidate schedules one tune has built over local ranks `0..m`,
-/// keyed by `(algorithm, m, skip_departure)`: clusters of one size share
-/// them, so each is built once however many levels score it.
-type LocalSchedules = HashMap<(Algorithm, usize, bool), BarrierSchedule>;
+/// Candidate schedules over local ranks `0..m`, keyed by `(algorithm, m,
+/// skip_departure)` and built once however many levels score them. They
+/// depend on no cost, so the evaluator keeps those the last tune used: a
+/// loop over one fleet shape builds none after its first tune.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LocalSchedules(HashMap<(Algorithm, usize, bool), (BarrierSchedule, bool)>);
+
+impl LocalSchedules {
+    /// `alg`'s schedule over local ranks `0..m`: its arrival stages, then —
+    /// unless `skip_departure` — as many transposed departure stages.
+    fn get(&mut self, alg: Algorithm, m: usize, skip_departure: bool) -> &BarrierSchedule {
+        let (sched, used) = self.0.entry((alg, m, skip_departure)).or_insert_with(|| {
+            let mut sched = BarrierSchedule::from_arrival_matrices(m, alg.arrival_local(m));
+            if !skip_departure {
+                sched.append(sched.departure_reversed(0));
+            }
+            (sched, false)
+        });
+        *used = true;
+        sched
+    }
+
+    /// Ends a tune: drops the schedules it did not use.
+    fn keep_used(&mut self) {
+        self.0.retain(|_, (_, used)| std::mem::take(used));
+    }
+}
 
 /// One planned cluster level: the algorithm is selected and its local
-/// stages generated, but nothing is mapped into the global rank space
+/// schedule built, but nothing is mapped into the global rank space
 /// yet. Splitting planning from emission keeps the entire selection pass
 /// in cluster-local index spaces; [`emit`] then maps every level's
 /// signals onto global ranks in one pass over the plan.
@@ -220,8 +247,10 @@ struct PlanNode {
     participants: Vec<usize>,
     /// The greedy selection and its score; `None` for singleton levels.
     choice: Option<(Algorithm, f64)>,
-    /// The selection's arrival stages over local ranks `0..m`.
-    local_stages: Vec<SparseBoolMatrix>,
+    /// Whether the selection's [`LocalSchedules`] entry skips departure.
+    skip_departure: bool,
+    /// The selection's arrival stages: that entry's first stages.
+    own_stages: usize,
     /// Child plans, in cluster order.
     children: Vec<PlanNode>,
     /// Arrival stages this subtree spans: the deepest child span plus
@@ -255,20 +284,25 @@ fn plan_node<C: CostProvider + ?Sized>(
         return PlanNode {
             participants: Vec::new(),
             choice: None,
-            local_stages: Vec::new(),
+            skip_departure: false,
+            own_stages: 0,
             children,
             len: child_span,
         };
     }
     let (algorithm, score) = select_algorithm(&participants, depth == 0, cost, cfg, eval, local);
-    let local_stages = algorithm.arrival_local(participants.len());
-    let len = child_span + local_stages.len();
+    let skip_departure = depth == 0 && !algorithm.needs_departure();
+    let stages = local
+        .get(algorithm, participants.len(), skip_departure)
+        .len();
+    let own_stages = if skip_departure { stages } else { stages / 2 };
     PlanNode {
         participants,
         choice: Some((algorithm, score)),
-        local_stages,
+        skip_departure,
+        own_stages,
         children,
-        len,
+        len: child_span + own_stages,
     }
 }
 
@@ -278,13 +312,22 @@ fn plan_node<C: CostProvider + ?Sized>(
 /// deepest child (§VII-B's "merge shorter sequences with longer ones as
 /// early as possible"). Clusters arrive in tree order, not rank order;
 /// the caller canonicalises each stage's pairs once.
-fn emit(plan: &PlanNode, stages: &mut [Vec<(u32, u32)>], offset: usize) {
+fn emit(
+    plan: &PlanNode,
+    local: &mut LocalSchedules,
+    stages: &mut [Vec<(u32, u32)>],
+    offset: usize,
+) {
     let child_span = plan.children.iter().map(|c| c.len).max().unwrap_or(0);
     for c in &plan.children {
-        emit(c, stages, offset);
+        emit(c, local, stages, offset);
     }
-    for (k, local) in plan.local_stages.iter().enumerate() {
-        local.embed_into(&plan.participants, &mut stages[offset + child_span + k]);
+    let Some((algorithm, _)) = plan.choice else {
+        return;
+    };
+    let own = local.get(algorithm, plan.participants.len(), plan.skip_departure);
+    for (k, stage) in own.stages()[..plan.own_stages].iter().enumerate() {
+        (stage.matrix).embed_into(&plan.participants, &mut stages[offset + child_span + k]);
     }
 }
 
@@ -304,8 +347,23 @@ fn collect_choices(plan: PlanNode, depth: usize, out: &mut Vec<LevelChoice>) {
     }
 }
 
+/// What candidate `alg` stands for at a level of `m` participants, in
+/// scoring order: a `Dissemination` candidate is one `NWay` radix per stage
+/// count (`dissemination_radices`); radix 2 is recorded as `Dissemination`.
+pub fn level_candidates(alg: Algorithm, m: usize) -> Vec<Algorithm> {
+    match alg {
+        _ if !alg.applicable(m) => Vec::new(),
+        Algorithm::Dissemination => (dissemination_radices(m).into_iter())
+            .flat_map(|w| level_candidates(Algorithm::NWay(w), m))
+            .collect(),
+        Algorithm::NWay(2) => vec![Algorithm::Dissemination],
+        alg => vec![alg],
+    }
+}
+
 /// Greedy candidate selection for one cluster level: the lowest
-/// predicted cost of a candidate's full local schedule.
+/// predicted cost of a candidate's full local schedule. A candidate whose
+/// [`lower_bound`] already exceeds the best score is skipped unbuilt.
 fn select_algorithm<C: CostProvider + ?Sized>(
     participants: &[usize],
     is_root: bool,
@@ -318,21 +376,27 @@ fn select_algorithm<C: CostProvider + ?Sized>(
         participants.windows(2).all(|w| w[0] < w[1]),
         "level participants {participants:?} are not ascending"
     );
+    let m = participants.len();
     let members_hash = member_set_hash(participants);
+    let mut cheapest = None;
     let mut best: Option<(Algorithm, f64)> = None;
-    for &alg in &cfg.candidates {
-        if !alg.applicable(participants.len()) {
-            continue;
-        }
+    for alg in (cfg.candidates.iter()).flat_map(|&c| level_candidates(c, m)) {
         let key = ScoreKey {
             members_hash,
-            members_len: participants.len(),
+            members_len: m,
             algorithm: alg,
             is_root,
         };
         let score = match eval.cached_score(&key) {
             Some(hit) => hit,
             None => {
+                if let Some((_, b)) = best {
+                    let first =
+                        *cheapest.get_or_insert_with(|| cheapest_from_first(participants, cost));
+                    if lower_bound(alg, m, is_root, first) > b {
+                        continue;
+                    }
+                }
                 let fresh = score_candidate(alg, participants, is_root, cost, eval, local);
                 eval.store_score(key, fresh);
                 fresh
@@ -342,12 +406,46 @@ fn select_algorithm<C: CostProvider + ?Sized>(
             best = Some((alg, score));
         }
     }
-    best.unwrap_or_else(|| {
-        panic!(
-            "no applicable candidate for a cluster of {} participants",
-            participants.len()
-        )
-    })
+    best.unwrap_or_else(|| panic!("no applicable candidate for a cluster of {m} participants"))
+}
+
+/// The level's first participant's own `O` (its departure startup), and
+/// its smallest `O` and smallest `L` to the others: m − 1 pairs, not all
+/// m (m − 1).
+fn cheapest_from_first<C: CostProvider + ?Sized>(participants: &[usize], cost: &C) -> [f64; 3] {
+    let i = participants[0];
+    (participants[1..].iter()).fold(
+        [cost.o_at(i, i), f64::INFINITY, f64::INFINITY],
+        |[own, o, l], &j| [own, o.min(cost.o_at(i, j)), l.min(cost.l_at(i, j))],
+    )
+}
+
+/// A lower bound on a dissemination radix's score over `m` participants
+/// (zero for other algorithms), from `[own_o, o, l]` of
+/// [`cheapest_from_first`]: Σ over its arrival stages of `o + k · l`, then
+/// — below the root — Σ over the transposed departure stages, last first,
+/// of `own_o + k · l`, with `k` the targets each rank has in that stage.
+/// The first participant sends in every stage, and [`CostEvaluator`]'s
+/// step holds a sender for at least its startup (max `O` on arrival, its
+/// own `O` on departure) + Σ `L`, summed in this order, and never moves a
+/// rank back: rounding cannot lift the bound above that rank's exit, so
+/// not above the score.
+fn lower_bound(alg: Algorithm, m: usize, is_root: bool, [own_o, o, l]: [f64; 3]) -> f64 {
+    let w = match alg {
+        Algorithm::Dissemination => 2,
+        Algorithm::NWay(w) => w,
+        _ => return 0.0,
+    };
+    let steps: Vec<usize> = std::iter::successors(Some(1usize), |&s| s.checked_mul(w))
+        .take_while(|&s| s < m)
+        .collect();
+    let departure = steps.iter().rev().filter(|_| !is_root);
+    (steps.iter().map(|&step| (o, step)))
+        .chain(departure.map(|&step| (own_o, step)))
+        .fold(0.0, |bound, (startup, step)| {
+            let k = (w - 1).min((m - 1) / step);
+            bound + (startup + (0..k).fold(0.0, |lat, _| lat + l))
+        })
 }
 
 /// Prices one candidate algorithm for one cluster level, in the
@@ -378,14 +476,7 @@ fn score_candidate<C: CostProvider + ?Sized>(
     // other level pays the transposed one in the composed hierarchy — even
     // dissemination (paper §VII-B).
     let skip_departure = is_root && !alg.needs_departure();
-    let sched = local.entry((alg, m, skip_departure)).or_insert_with(|| {
-        let mut sched = BarrierSchedule::from_arrival_matrices(m, alg.arrival_local(m));
-        if !skip_departure {
-            sched.append(sched.departure_reversed(0));
-        }
-        sched
-    });
-    eval.participant_cost(sched, cost, participants)
+    eval.participant_cost(local.get(alg, m, skip_departure), cost, participants)
 }
 
 #[cfg(test)]
@@ -428,17 +519,109 @@ mod tests {
     fn root_prefers_dissemination_on_uniform_top_links() {
         // "The generated hybrid algorithms favor applying the dissemination
         // barrier to top-level uniform collections of high-latency links."
-        // At 32 dual quad-core nodes the top level is wide enough for that
-        // under either placement.
+        // At 32 dual quad-core nodes the top level is wide enough for the
+        // paper's radix-2 dissemination under either placement; the default
+        // tuner takes the 32 representatives in three 6-way stages.
         let machine = MachineSpec::new(32, 2, 4);
         for mapping in [RankMapping::Block, RankMapping::RoundRobin] {
             let prof = profile(&machine, &mapping, 256);
-            let tuned = tune_hybrid(&prof, &TunerConfig::default());
-            assert_eq!(
-                tuned.root_algorithm(),
-                Some(Algorithm::Dissemination),
-                "{mapping:?}"
-            );
+            for (cfg, root) in [
+                (TunerConfig::paper(), Algorithm::Dissemination),
+                (TunerConfig::default(), Algorithm::NWay(6)),
+            ] {
+                let tuned = tune_hybrid(&prof, &cfg);
+                assert_eq!(tuned.root_algorithm(), Some(root), "{mapping:?}");
+            }
+        }
+    }
+
+    /// A reused evaluator keeps the local schedules its last tune used,
+    /// and only those, and tunes exactly as a fresh one does.
+    #[test]
+    fn evaluator_keeps_the_last_tunes_local_schedules() {
+        let small = profile(&MachineSpec::dual_quad_cluster(2), &RankMapping::Block, 16);
+        let large = profile(
+            &MachineSpec::dual_quad_cluster(8),
+            &RankMapping::RoundRobin,
+            64,
+        );
+        let cfg = TunerConfig::default();
+        let mut eval = CostEvaluator::new(CostParams::default());
+        let mut kept = |prof: &TopologyProfile| {
+            let members: Vec<usize> = (0..prof.p).collect();
+            let warm = tune_hybrid_costs_with(&prof.cost, &members, &cfg, &mut eval);
+            assert_eq!(warm.choices, tune_hybrid(prof, &cfg).choices);
+            assert_eq!(warm.schedule, tune_hybrid(prof, &cfg).schedule);
+            let mut keys: Vec<_> = eval.local_schedules.0.keys().copied().collect();
+            keys.sort_by_key(|&(alg, m, skip)| (alg.to_string(), m, skip));
+            keys
+        };
+        let first = kept(&small);
+        assert!(first.contains(&(Algorithm::Linear, 4, false)));
+        let other = kept(&large);
+        assert!(other.iter().any(|&(_, m, _)| m == 8) && other != first);
+        assert_eq!(kept(&small), first);
+    }
+
+    #[test]
+    fn level_candidates_expand_only_dissemination() {
+        use Algorithm::*;
+        assert_eq!(
+            level_candidates(Dissemination, 128),
+            [
+                Dissemination,
+                NWay(3),
+                NWay(4),
+                NWay(6),
+                NWay(12),
+                NWay(128)
+            ]
+        );
+        assert_eq!(level_candidates(NWay(2), 128), [Dissemination]);
+        assert_eq!(level_candidates(NWay(5), 128), [NWay(5)]);
+        assert_eq!(level_candidates(Linear, 128), [Linear]);
+        assert_eq!(level_candidates(Butterfly, 6), []);
+    }
+
+    /// The bound never exceeds the score it stands in for, at any radix,
+    /// participant set or level, on costs skewed per ordered pair; other
+    /// algorithms are never bounded.
+    #[test]
+    fn lower_bound_is_below_every_radix_score() {
+        let machine = MachineSpec::dual_hex_cluster(4);
+        let mut cost = profile(&machine, &RankMapping::RoundRobin, 48).cost;
+        for i in 0..48 {
+            for j in 0..48 {
+                let f =
+                    1.0 + (crate::clustering::splitmix64((i * 64 + j) as u64) % 64) as f64 / 64.0;
+                cost.o[(i, j)] *= f;
+                cost.l[(i, j)] *= f;
+            }
+        }
+        let mut eval = CostEvaluator::new(CostParams::default());
+        let mut local = LocalSchedules::default();
+        for participants in [
+            vec![0, 1],
+            vec![3, 7, 11],
+            (0..48).step_by(5).collect(),
+            (0..48).collect(),
+        ] {
+            let m = participants.len();
+            let first = cheapest_from_first(&participants, &cost);
+            assert_eq!(lower_bound(Algorithm::Linear, m, false, first), 0.0);
+            for alg in level_candidates(Algorithm::Dissemination, m) {
+                for is_root in [false, true] {
+                    let score =
+                        score_candidate(alg, &participants, is_root, &cost, &mut eval, &mut local);
+                    let bound = lower_bound(alg, m, is_root, first);
+                    assert!(
+                        bound > 0.0 && bound <= score,
+                        "{alg} over {m}: bound {bound:e}, score {score:e}"
+                    );
+                }
+                // Below the root the departure counts too.
+                assert!(lower_bound(alg, m, false, first) > lower_bound(alg, m, true, first));
+            }
         }
     }
 
@@ -538,27 +721,28 @@ mod tests {
     }
 
     #[test]
-    fn extended_candidates_never_worse_per_level_score() {
+    fn radix_choice_never_worsens_a_level_score() {
         // Clustering does not depend on the candidate set, so both runs
         // choose over identical participant sets per level — and a
-        // minimum over a superset of candidates cannot exceed the
-        // minimum over the subset. (The *full-schedule* prediction is
-        // not monotone: the greedy score prices a level's own local
-        // schedule, not the composed hierarchy.)
+        // minimum over the dissemination family, radix 2 included, cannot
+        // exceed the minimum over the paper's radix 2 alone. (The
+        // *full-schedule* prediction is not monotone: the greedy score
+        // prices a level's own local schedule, not the composed
+        // hierarchy.)
         let machine = MachineSpec::dual_hex_cluster(5);
         let prof = profile(&machine, &RankMapping::RoundRobin, 60);
-        let base = tune_hybrid(&prof, &TunerConfig::default());
-        let ext = tune_hybrid(&prof, &TunerConfig::extended());
-        assert!(verify::is_barrier(&ext.schedule));
-        assert_eq!(base.choices.len(), ext.choices.len());
-        for (b, e) in base.choices.iter().zip(&ext.choices) {
-            assert_eq!(b.participants, e.participants);
+        let paper = tune_hybrid(&prof, &TunerConfig::paper());
+        let tuned = tune_hybrid(&prof, &TunerConfig::default());
+        assert!(verify::is_barrier(&tuned.schedule));
+        assert_eq!(paper.choices.len(), tuned.choices.len());
+        for (p, t) in paper.choices.iter().zip(&tuned.choices) {
+            assert_eq!(p.participants, t.participants);
             assert!(
-                e.score <= b.score * 1.0001,
-                "level {:?}: extended score {} > paper score {}",
-                b.participants,
-                e.score,
-                b.score
+                t.score <= p.score,
+                "level {:?}: default score {} > paper score {}",
+                p.participants,
+                t.score,
+                p.score
             );
         }
     }
@@ -681,10 +865,12 @@ mod tests {
                 participants.push(skew as usize % p);
             }
             let m = participants.len();
-            let cfg = TunerConfig::extended();
-            let mut eval = CostEvaluator::new(cfg.cost_params);
-            let mut local = LocalSchedules::new();
-            for &alg in cfg.candidates.iter().filter(|a| a.applicable(m)) {
+            // Every algorithm, and every radix the tuner can score at m.
+            let mut algs = Algorithm::extended_set();
+            algs.extend(level_candidates(Algorithm::Dissemination, m));
+            let mut eval = CostEvaluator::new(CostParams::default());
+            let mut local = LocalSchedules::default();
+            for &alg in algs.iter().filter(|a| a.applicable(m)) {
                 for is_root in [false, true] {
                     let view = score_candidate(alg, &participants, is_root, &cost, &mut eval, &mut local);
                     let arrival = alg.arrival_embedded(p, &participants);
@@ -692,7 +878,7 @@ mod tests {
                     if !is_root || alg.needs_departure() {
                         sched.append(sched.departure_reversed(0));
                     }
-                    let embedded = CostEvaluator::new(cfg.cost_params)
+                    let embedded = CostEvaluator::new(CostParams::default())
                         .predict(&sched, &cost, None)
                         .barrier_cost;
                     prop_assert_eq!(

@@ -21,12 +21,16 @@
 //! A candidate is scored by its full local schedule: its arrival, then the
 //! transposed Eq. 2 departure unless the root rule skips it. The paper's
 //! arrival × 2 prices that cheaper departure as a second arrival and picks
-//! a costlier root on cluster A at P = 64 (EXPERIMENTS.md).
+//! a costlier root on cluster A at P = 64 (EXPERIMENTS.md). Dissemination
+//! is scored at one n-way radix per stage count, so the model picks the
+//! radix; [`TunerConfig::paper`] fixes radix 2.
 
 mod exhaustive;
 mod greedy;
 
 pub use exhaustive::{search_optimal_barrier, SearchConfig, SearchResult};
+pub(crate) use greedy::LocalSchedules;
 pub use greedy::{
-    tune_hybrid_costs, tune_hybrid_costs_with, LevelChoice, TunedBarrier, TunerConfig,
+    level_candidates, tune_hybrid_costs, tune_hybrid_costs_with, LevelChoice, TunedBarrier,
+    TunerConfig,
 };

@@ -33,6 +33,7 @@
 
 use crate::algorithms::Algorithm;
 use crate::clustering::{build_cluster_tree, ClusterNode};
+use crate::compose::LocalSchedules;
 use crate::schedule::BarrierSchedule;
 use hbar_matrix::{ClosureWorkspace, SparseBoolMatrix};
 use hbar_topo::cost::{CostProvider, Fnv, SendMode};
@@ -120,6 +121,9 @@ pub struct CostEvaluator {
     bound_fingerprint: Option<u64>,
     // Memoized cluster trees, same validity.
     trees: HashMap<TreeKey, ClusterNode>,
+    // The composer's candidate schedules; cost-free, so kept across
+    // rebinds.
+    pub(crate) local_schedules: LocalSchedules,
     // Knowledge-closure scratch for allocation-free verification.
     closure: ClosureWorkspace,
 }
@@ -153,6 +157,7 @@ impl CostEvaluator {
             memo: HashMap::new(),
             bound_fingerprint: None,
             trees: HashMap::new(),
+            local_schedules: LocalSchedules::default(),
             closure: ClosureWorkspace::new(),
         }
     }

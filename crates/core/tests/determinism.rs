@@ -12,14 +12,16 @@
 //! kernels were rewritten from; the tune goldens pin the tuner to its
 //! output under the full-local-schedule scorer.
 
+use hbar_core::algorithms::Algorithm;
 use hbar_core::clustering::{
     splitmix64, try_sss_clusters_with, SssScratch, SSS_DEFAULT_SPARSENESS,
 };
 use hbar_core::compose::{
-    search_optimal_barrier, tune_hybrid_costs, tune_hybrid_costs_with, SearchConfig, TunedBarrier,
-    TunerConfig,
+    level_candidates, search_optimal_barrier, tune_hybrid_costs, tune_hybrid_costs_with,
+    SearchConfig, TunedBarrier, TunerConfig,
 };
-use hbar_core::cost::CostEvaluator;
+use hbar_core::cost::{member_set_hash, CostEvaluator, ScoreKey};
+use hbar_core::schedule::BarrierSchedule;
 use hbar_matrix::{BoolMatrix, ClosureWorkspace, DenseMatrix, SparseBoolMatrix};
 use hbar_topo::cost::{CostMatrices, SendMode};
 use hbar_topo::machine::MachineSpec;
@@ -125,25 +127,28 @@ fn dual_quad_profile(p: usize) -> TopologyProfile {
     TopologyProfile::from_ground_truth_for(&machine, &RankMapping::RoundRobin, p)
 }
 
-/// The default tuner emits, bit for bit, what 79c2117's tuner emitted on
-/// the same profiles with its exact scoring on: every candidate priced by
-/// its full local schedule, the only scorer since.
+/// The paper's tuner (dissemination fixed at radix 2) emits, bit for bit,
+/// what 79c2117's default tuner emitted on the same profiles with its
+/// exact scoring on: every candidate priced by its full local schedule,
+/// the only scorer since. The default tuner, which picks the
+/// dissemination radix per level, is pinned beside it.
 #[test]
 fn tuner_output_matches_goldens() {
-    for (p, golden) in [
-        (16usize, GOLDEN_TUNE_P16),
-        (32, GOLDEN_TUNE_P32),
-        (64, GOLDEN_TUNE_P64),
-        (128, GOLDEN_TUNE_P128),
-        (256, GOLDEN_TUNE_P256),
+    let sizes = [16usize, 32, 64, 128, 256];
+    for (cfg, goldens) in [
+        (TunerConfig::paper(), GOLDEN_TUNE),
+        (TunerConfig::default(), GOLDEN_TUNE_DEFAULT),
     ] {
-        let members: Vec<usize> = (0..p).collect();
-        let tuned = tune_hybrid_costs(
-            &dual_quad_profile(p).cost,
-            &members,
-            &TunerConfig::default(),
-        );
-        assert_eq!(tune_fingerprint(&tuned), golden, "tune diverged at P={p}");
+        for (p, golden) in sizes.into_iter().zip(goldens) {
+            let members: Vec<usize> = (0..p).collect();
+            let tuned = tune_hybrid_costs(&dual_quad_profile(p).cost, &members, &cfg);
+            assert_eq!(
+                tune_fingerprint(&tuned),
+                golden,
+                "tune diverged at P={p} ({:?})",
+                cfg.candidates
+            );
+        }
     }
 }
 
@@ -183,9 +188,11 @@ fn search_output_matches_goldens() {
     }
 }
 
-/// One tune leaves the caller's evaluator a score for every applicable
-/// candidate of every multi-member level, and a second tune on the same
-/// costs scores nothing and emits the same bits.
+/// One tune leaves the caller's evaluator a score for every candidate of
+/// every multi-member level — as `level_candidates` expands the
+/// configured ones — except the dissemination radices its lower bound
+/// skipped, each of which prices above the level's choice; a second tune
+/// on the same costs scores nothing and emits the same bits.
 #[test]
 fn tune_fills_the_callers_memo_once() {
     let p = 1024;
@@ -194,11 +201,41 @@ fn tune_fills_the_callers_memo_once() {
     let cfg = TunerConfig::default();
     let mut eval = CostEvaluator::new(cfg.cost_params);
     let first = tune_hybrid_costs_with(&cost, &members, &cfg, &mut eval);
-    let applicable = |m: usize| cfg.candidates.iter().filter(|a| a.applicable(m)).count();
-    let scored: usize = (first.choices.iter())
-        .map(|c| applicable(c.participants.len()))
-        .sum();
-    assert_eq!(scored, first.choices.len() * 3, "the paper set");
+    let (mut scored, mut skipped) = (0, 0);
+    for choice in &first.choices {
+        let m = choice.participants.len();
+        for alg in (cfg.candidates.iter()).flat_map(|&c| level_candidates(c, m)) {
+            let key = ScoreKey {
+                members_hash: member_set_hash(&choice.participants),
+                members_len: m,
+                algorithm: alg,
+                is_root: choice.depth == 0,
+            };
+            if eval.cached_score(&key).is_some() {
+                scored += 1;
+                continue;
+            }
+            skipped += 1;
+            assert!(
+                matches!(alg, Algorithm::Dissemination | Algorithm::NWay(_)),
+                "{alg} went unscored"
+            );
+            let mut sched = BarrierSchedule::from_arrival_matrices(
+                p,
+                alg.arrival_embedded(p, &choice.participants),
+            );
+            if choice.depth > 0 {
+                sched.append(sched.departure_reversed(0));
+            }
+            let price = CostEvaluator::new(cfg.cost_params).barrier_cost(&sched, &cost, None);
+            assert!(
+                price > choice.score,
+                "skipped {alg} over {m} prices {price:e}, below the choice's {:e}",
+                choice.score
+            );
+        }
+    }
+    assert!(skipped > 0, "the bound skipped nothing");
     assert_eq!(eval.cached_scores(), scored);
     let second = tune_hybrid_costs_with(&cost, &members, &cfg, &mut eval);
     assert_eq!(eval.cached_scores(), scored);
@@ -257,14 +294,20 @@ fn closure_at_p1024_matches_seed_era_goldens() {
     );
 
     let members: Vec<usize> = (0..p).collect();
-    let tuned = tune_hybrid_costs(
-        &dual_quad_profile(p).cost,
-        &members,
-        &TunerConfig::default(),
-    );
-    let stages: Vec<&SparseBoolMatrix> =
-        tuned.schedule.stages().iter().map(|s| &s.matrix).collect();
-    assert_eq!(closure_fingerprint(p, &stages), GOLDEN_CLOSURE_HYBRID_P1024);
+    for (cfg, golden) in [
+        (TunerConfig::paper(), GOLDEN_CLOSURE_HYBRID_P1024),
+        (TunerConfig::default(), GOLDEN_CLOSURE_DEFAULT_HYBRID_P1024),
+    ] {
+        let tuned = tune_hybrid_costs(&dual_quad_profile(p).cost, &members, &cfg);
+        let stages: Vec<&SparseBoolMatrix> =
+            tuned.schedule.stages().iter().map(|s| &s.matrix).collect();
+        assert_eq!(
+            closure_fingerprint(p, &stages),
+            golden,
+            "{:?}",
+            cfg.candidates
+        );
+    }
 }
 
 /// Captured from the search at 434e9b1 (before it priced stages through
@@ -283,6 +326,23 @@ const GOLDEN_TUNE_P32: u64 = 15872287411061263630;
 const GOLDEN_TUNE_P64: u64 = 2692475093563128954;
 const GOLDEN_TUNE_P128: u64 = 7812079309315916925;
 const GOLDEN_TUNE_P256: u64 = 2166006921821327429;
+const GOLDEN_TUNE: [u64; 5] = [
+    GOLDEN_TUNE_P16,
+    GOLDEN_TUNE_P32,
+    GOLDEN_TUNE_P64,
+    GOLDEN_TUNE_P128,
+    GOLDEN_TUNE_P256,
+];
+/// The default tuner at P = 16 … 256, captured at the child of fb53651,
+/// where it began to pick the dissemination radix per level. At P = 16
+/// it tunes what the paper's tuner does.
+const GOLDEN_TUNE_DEFAULT: [u64; 5] = [
+    GOLDEN_TUNE_P16,
+    62952996031982239,
+    12190676710398591160,
+    16653982330818358300,
+    915195833036574027,
+];
 /// Captured at 267efdb, the last commit to carry the seed-era reference
 /// implementations (frozen copies in `hbar-bench`), by hashing their
 /// output on these inputs after asserting the live kernels hash the
@@ -294,3 +354,5 @@ const GOLDEN_SSS_P256: u64 = 1357468335877294501;
 const GOLDEN_SSS_P1024: u64 = 8351884011851871045;
 const GOLDEN_CLOSURE_DISSEMINATION_P1024: u64 = 16290245114652746293;
 const GOLDEN_CLOSURE_HYBRID_P1024: u64 = 7398636723096387337;
+/// The default tuner's hybrid, captured with [`GOLDEN_TUNE_DEFAULT`].
+const GOLDEN_CLOSURE_DEFAULT_HYBRID_P1024: u64 = 1403828625440670873;

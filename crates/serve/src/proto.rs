@@ -42,9 +42,6 @@ pub const FRAME_STATS_REQ: u8 = 0x13;
 /// Frame tag: server counters as JSON.
 pub const FRAME_STATS_RESP: u8 = 0x14;
 
-/// Request flag: tune with the extended algorithm set
-/// (`TunerConfig::extended`).
-pub const REQ_EXTENDED: u8 = 1 << 0;
 /// Request flag: include generated C source in the response. Excluded
 /// from the cache key — code is emitted at tune time and stored with the
 /// schedule, so hit/miss behaviour cannot depend on it.
@@ -109,7 +106,7 @@ impl TuneRequest {
     }
 
     /// Decodes a request payload. Total: every malformed shape (short
-    /// header, a flag bit other than [`REQ_EXTENDED`] and [`REQ_WANT_CODE`],
+    /// header, a flag bit other than [`REQ_WANT_CODE`],
     /// zero or oversized `p`, length mismatch, non-finite knobs or matrix
     /// entries) is an `InvalidData` error, never a panic. An unknown bit
     /// would otherwise split a request's cache key without changing its
@@ -127,7 +124,7 @@ impl TuneRequest {
         let sparseness = f64::from_le_bytes(payload[12..20].try_into().expect("8 bytes"));
         let max_depth = u32::from_le_bytes(payload[20..24].try_into().expect("4 bytes"));
         let flags = payload[24];
-        if flags & !(REQ_EXTENDED | REQ_WANT_CODE) != 0 {
+        if flags & !REQ_WANT_CODE != 0 {
             return Err(fail(format!("unknown request flag bits in {flags:#04x}")));
         }
         if p == 0 || p > MAX_RANKS {
@@ -194,14 +191,11 @@ impl TuneRequest {
 
     /// The [`TunerConfig`] this request asks for.
     pub fn tuner_config(&self) -> TunerConfig {
-        let mut cfg = if self.flags & REQ_EXTENDED != 0 {
-            TunerConfig::extended()
-        } else {
-            TunerConfig::default()
-        };
-        cfg.sparseness = self.sparseness;
-        cfg.max_depth = self.max_depth as usize;
-        cfg
+        TunerConfig {
+            sparseness: self.sparseness,
+            max_depth: self.max_depth as usize,
+            ..TunerConfig::default()
+        }
     }
 }
 
@@ -356,13 +350,13 @@ mod tests {
             id: 7,
             sparseness: 1.25,
             max_depth: 6,
-            flags: REQ_EXTENDED | REQ_WANT_CODE,
+            flags: REQ_WANT_CODE,
             cost: sample_cost(8),
         };
         let key = req.cache_key();
         assert_eq!(
             (key.cost_fp, key.cfg_fp),
-            (0x9fa9_26bd_8d4e_82cf, 0xdac7_8237_c024_7ffe)
+            (0x9fa9_26bd_8d4e_82cf, 0xdac7_8337_c024_81b1)
         );
     }
 
@@ -372,7 +366,7 @@ mod tests {
             id: 0xDEAD_BEEF_CAFE,
             sparseness: 1.25,
             max_depth: 6,
-            flags: REQ_EXTENDED | REQ_WANT_CODE,
+            flags: REQ_WANT_CODE,
             cost: sample_cost(8),
         };
         let mut buf = Vec::new();
@@ -411,7 +405,9 @@ mod tests {
         let mut bad_sparseness = buf.clone();
         bad_sparseness[12..20].copy_from_slice(&(-1.0f64).to_le_bytes());
         assert!(TuneRequest::decode(&bad_sparseness).is_err());
-        for bit in [1 << 1, 1 << 7] {
+        // Bit 0 asked for the extended candidate set until the default
+        // tuner subsumed it.
+        for bit in [1 << 0, 1 << 1, 1 << 7] {
             let mut unknown_flag = buf.clone();
             unknown_flag[24] |= bit;
             let err = TuneRequest::decode(&unknown_flag).unwrap_err();
@@ -420,14 +416,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_ignores_want_code_but_not_tuning_flags() {
+    fn cache_key_ignores_want_code_but_not_tuning_knobs() {
         let base = TuneRequest::new(7, sample_cost(4));
         let mut want_code = base.clone();
         want_code.flags |= REQ_WANT_CODE;
         assert_eq!(base.cache_key(), want_code.cache_key());
-        let mut extended = base.clone();
-        extended.flags |= REQ_EXTENDED;
-        assert_ne!(base.cache_key(), extended.cache_key());
         let mut deeper = base.clone();
         deeper.max_depth += 1;
         assert_ne!(base.cache_key(), deeper.cache_key());

@@ -230,7 +230,11 @@ fn malformed_requests_get_error_replies_not_disconnects() {
     let mut retired_bit = Vec::new();
     TuneRequest::new(5, cost.clone()).encode_into(&mut retired_bit);
     retired_bit[24] |= 1 << 1;
-    for (want_id, buf) in [(3, &bad_len), (5, &retired_bit)] {
+    // Bit 0, which asked for the extended candidate set, is retired too.
+    let mut retired_extended = Vec::new();
+    TuneRequest::new(6, cost.clone()).encode_into(&mut retired_extended);
+    retired_extended[24] |= 1 << 0;
+    for (want_id, buf) in [(3, &bad_len), (5, &retired_bit), (6, &retired_extended)] {
         use hbar_simnet::wire::write_frame;
         // Reach under the client to send the corrupt frame verbatim.
         let mut raw = TcpStream::connect(server.addr()).expect("connect raw");
@@ -245,7 +249,7 @@ fn malformed_requests_get_error_replies_not_disconnects() {
         assert!(!reason.is_empty());
     }
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.errors, 2, "{stats:?}");
+    assert_eq!(stats.errors, 3, "{stats:?}");
     assert_eq!(
         (stats.tunes, stats.cache_entries),
         (0, 0),

@@ -43,15 +43,18 @@ fn eat_result(mut hash: u64, r: &SimResult) -> u64 {
     hash
 }
 
-/// Tree, dissemination, linear and the tuned hybrid for one placement.
+/// Tree, dissemination, linear, the paper's tuned hybrid (dissemination
+/// at radix 2) and the default tuner's hybrid for one placement.
 fn schedules(
     machine: &MachineSpec,
     mapping: &RankMapping,
     p: usize,
-) -> [(&'static str, BarrierSchedule); 4] {
+) -> [(&'static str, BarrierSchedule); 5] {
     let members: Vec<usize> = (0..p).collect();
     let profile = TopologyProfile::from_ground_truth_for(machine, mapping, p);
-    let hybrid = tune_hybrid_costs(&profile.cost, &members, &TunerConfig::default()).schedule;
+    let tune = |cfg| tune_hybrid_costs(&profile.cost, &members, &cfg).schedule;
+    let hybrid = tune(TunerConfig::paper());
+    let default_hybrid = tune(TunerConfig::default());
     [
         ("tree", Algorithm::Tree.full_schedule(p, &members)),
         (
@@ -60,6 +63,7 @@ fn schedules(
         ),
         ("linear", Algorithm::Linear.full_schedule(p, &members)),
         ("hybrid", hybrid),
+        ("default hybrid", default_hybrid),
     ]
 }
 
@@ -94,7 +98,7 @@ fn fingerprints(p: usize, mapping: &RankMapping, form: Form) -> Vec<(&'static st
         .collect()
 }
 
-fn check(p: usize, mapping: &RankMapping, form: Form, golden: [u64; 4], against: &str) {
+fn check(p: usize, mapping: &RankMapping, form: Form, golden: [u64; 5], against: &str) {
     for ((name, got), want) in fingerprints(p, mapping, form).into_iter().zip(golden) {
         assert_eq!(
             got, want,
@@ -103,13 +107,19 @@ fn check(p: usize, mapping: &RankMapping, form: Form, golden: [u64; 4], against:
     }
 }
 
-/// Both tables at one P, both placements.
-fn check_both(p: usize, engine: [[u64; 4]; 2], execution: [[u64; 4]; 2]) {
+/// Both tables at one P, both placements; `default` holds the default
+/// hybrid's engine then execution golden, per placement.
+fn check_both(p: usize, engine: [[u64; 4]; 2], execution: [[u64; 4]; 2], default: [[u64; 2]; 2]) {
+    let with = |[a, b, c, d]: [u64; 4], e| [a, b, c, d, e];
     let mappings = [RankMapping::Block, RankMapping::RoundRobin];
-    for ((mapping, engine), execution) in mappings.iter().zip(engine).zip(execution) {
+    for (((mapping, engine), execution), [default_engine, default_execution]) in
+        mappings.iter().zip(engine).zip(execution).zip(default)
+    {
         let dense = "the dense-arena engine";
+        let engine = with(engine, default_engine);
         check(p, mapping, per_step_wait_all_programs, engine, dense);
         let paced = "receive-paced execution as captured";
+        let execution = with(execution, default_execution);
         check(p, mapping, schedule_programs, execution, paced);
     }
 }
@@ -120,6 +130,7 @@ fn execution_is_bit_identical_to_dense_engine_p64() {
         64,
         [GOLDEN_P64_BLOCK, GOLDEN_P64_ROUND_ROBIN],
         [RECV_PACED_P64_BLOCK, RECV_PACED_P64_ROUND_ROBIN],
+        DEFAULT_HYBRID_P64,
     );
 }
 
@@ -129,6 +140,7 @@ fn execution_is_bit_identical_to_dense_engine_p256() {
         256,
         [GOLDEN_P256_BLOCK, GOLDEN_P256_ROUND_ROBIN],
         [RECV_PACED_P256_BLOCK, RECV_PACED_P256_ROUND_ROBIN],
+        DEFAULT_HYBRID_P256,
     );
 }
 
@@ -138,6 +150,7 @@ fn execution_is_bit_identical_to_dense_engine_p1024() {
         1024,
         [GOLDEN_P1024_BLOCK, GOLDEN_P1024_ROUND_ROBIN],
         [RECV_PACED_P1024_BLOCK, RECV_PACED_P1024_ROUND_ROBIN],
+        DEFAULT_HYBRID_P1024,
     );
 }
 
@@ -169,7 +182,9 @@ fn print_fingerprints() {
 // the new engine processes the same events in the same order. The P = 64
 // hybrids (index 3) were re-captured at 79c2117 with the tuner's exact
 // scoring on, the full-local-schedule scorer that became the only one: it
-// tunes a different P = 64 schedule than the paper's ×2 rule did.
+// tunes a different P = 64 schedule than the paper's ×2 rule did. Index 3
+// is the paper's tuner's hybrid (dissemination at radix 2), which was the
+// default tuner's when these were captured.
 const GOLDEN_P64_BLOCK: [u64; 4] = [
     7292059531931740502,
     18393979982251074234,
@@ -245,4 +260,21 @@ const RECV_PACED_P1024_ROUND_ROBIN: [u64; 4] = [
     9908071349979287367,
     6694945555873228859,
     16587444580068494760,
+];
+
+// The default tuner's hybrid, which picks the dissemination radix per
+// level, in both tables: `[block, round-robin]`, each `[engine,
+// execution]`. Captured at the child of fb53651, where the default tuner
+// began to pick the radix.
+const DEFAULT_HYBRID_P64: [[u64; 2]; 2] = [
+    [16471618470578372495, 15419934604895945732],
+    [7669198493139100370, 16153012522975079840],
+];
+const DEFAULT_HYBRID_P256: [[u64; 2]; 2] = [
+    [8963805201690999290, 8619609283074715174],
+    [1179822678220791905, 4300976196767465619],
+];
+const DEFAULT_HYBRID_P1024: [[u64; 2]; 2] = [
+    [10506670687061181079, 8223407253636123523],
+    [6228667239388292502, 2314810197011305789],
 ];

@@ -1,5 +1,6 @@
 //! Tuned hybrid barriers executed on real threads.
 
+use hbar_core::algorithms::Algorithm;
 use hbar_core::codegen::compile_schedule;
 use hbar_core::compose::{tune_hybrid_costs, TunedBarrier, TunerConfig};
 use hbar_threadrun::executor::ThreadExecutor;
@@ -39,9 +40,12 @@ fn tuned_hybrid_timing_is_sane() {
     assert!(t < Duration::from_millis(20), "per-barrier {t:?}");
 }
 
+/// The extension algorithms the default tuner does not consider, forced.
 #[test]
-fn extended_tuner_schedules_also_run_on_threads() {
-    let tuned = tuned_with(4, &TunerConfig::extended());
-    let (ok, _) = harness::staggered_delay_check(&tuned.schedule, Duration::from_millis(10));
-    assert!(ok);
+fn extension_algorithm_schedules_also_run_on_threads() {
+    for alg in [Algorithm::KAry(4), Algorithm::Butterfly] {
+        let tuned = tuned_with(4, &TunerConfig::forced(alg));
+        let (ok, runs) = harness::staggered_delay_check(&tuned.schedule, Duration::from_millis(10));
+        assert!(ok, "{alg}: {runs:?}");
+    }
 }

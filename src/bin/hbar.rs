@@ -178,7 +178,7 @@ const COMMANDS: &[Command] = &[
             ("out", FILE, true),
             ("sparseness", Real(Excluded(0.0), Included(1.0)), false),
         ],
-        switches: &["extended"],
+        switches: &[],
     },
     Command {
         name: "predict",
@@ -719,23 +719,23 @@ fn cmd_tune_client(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_tune(flags: &Flags) -> Result<(), String> {
-    let mut cfg = if flags.has("extended") {
-        TunerConfig::extended()
-    } else {
-        TunerConfig::default()
+    let default = TunerConfig::default();
+    let cfg = TunerConfig {
+        sparseness: flags.real("sparseness").unwrap_or(default.sparseness),
+        ..default
     };
-    cfg.sparseness = flags.real("sparseness").unwrap_or(cfg.sparseness);
     let profile = load_profile(flags)?;
     let out = flags.req("out")?;
     let members: Vec<usize> = (0..profile.p()).collect();
     let tuned = tune_hybrid_costs(profile.cost(), &members, &cfg);
     write_schedule(out, &tuned.schedule)?;
+    let (stages, root) = (tuned.schedule.len(), tuned.root_algorithm());
     println!(
-        "tuned hybrid for {} ranks: {} stages, {} signals, root {:?}, predicted {:.1} us -> {out}",
+        "tuned hybrid for {} ranks: {stages} stage{}, {} signals, root {}, predicted {:.1} us -> {out}",
         profile.p(),
-        tuned.schedule.len(),
+        if stages == 1 { "" } else { "s" },
         tuned.schedule.total_signals(),
-        tuned.root_algorithm(),
+        root.map_or("none".to_string(), |a| a.to_string()),
         tuned.predicted_cost * 1e6
     );
     for c in &tuned.choices {

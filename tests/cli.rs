@@ -508,41 +508,84 @@ fn search_subcommand_finds_a_barrier() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A one-stage cap: three ranks on one node tune to a single 3-way
+/// dissemination stage, which seeds the search and is returned. Four
+/// ranks on two nodes tune to three stages, and no one-signal-per-rank
+/// stage synchronizes four ranks, so no barrier fits.
 #[test]
 fn search_below_the_minimum_stage_count_is_an_error() {
-    // Three ranks need two one-signal-per-rank stages; a cap of one
-    // admits no barrier, and the greedy seed is over it too.
-    let dir = workdir("search_cap");
+    for (machine, fits) in [("1x1x3", true), ("2x1x2", false)] {
+        let dir = workdir(&format!("search_cap_{machine}"));
+        let profile = dir.join("prof.json");
+        let schedule = dir.join("opt.json");
+        let o = hbar(&[
+            "profile",
+            "--machine",
+            machine,
+            "--mapping",
+            "block",
+            "--out",
+            profile.to_str().unwrap(),
+            "--exact-machine",
+        ]);
+        assert!(o.status.success(), "{}", stderr(&o));
+        let o = hbar(&[
+            "search",
+            "--profile",
+            profile.to_str().unwrap(),
+            "--out",
+            schedule.to_str().unwrap(),
+            "--max-stages",
+            "1",
+        ]);
+        assert!(!stderr(&o).contains("panicked"), "{}", stderr(&o));
+        if fits {
+            assert!(o.status.success(), "{machine}: {}", stderr(&o));
+            assert!(stdout(&o).contains("search complete"), "{}", stdout(&o));
+            let o = hbar(&["verify", "--schedule", schedule.to_str().unwrap()]);
+            assert!(o.status.success(), "{}", stderr(&o));
+        } else {
+            assert!(!o.status.success(), "{machine}: {}", stdout(&o));
+            assert!(
+                stderr(&o).contains("no barrier within --max-stages 1"),
+                "{}",
+                stderr(&o)
+            );
+            assert!(!schedule.exists());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// `tune` names the root algorithm as the choice lines do, and counts
+/// one stage in the singular.
+#[test]
+fn tune_names_its_root() {
+    let dir = workdir("tune_root");
     let profile = dir.join("prof.json");
-    let schedule = dir.join("opt.json");
+    let schedule = dir.join("sched.json");
     let o = hbar(&[
         "profile",
         "--machine",
         "1x1x3",
-        "--mapping",
-        "block",
         "--out",
         profile.to_str().unwrap(),
         "--exact-machine",
     ]);
     assert!(o.status.success(), "{}", stderr(&o));
     let o = hbar(&[
-        "search",
+        "tune",
         "--profile",
         profile.to_str().unwrap(),
         "--out",
         schedule.to_str().unwrap(),
-        "--max-stages",
-        "1",
     ]);
-    assert!(!o.status.success());
+    assert!(o.status.success(), "{}", stderr(&o));
     assert!(
-        stderr(&o).contains("no barrier within --max-stages 1"),
+        stdout(&o).contains("3 ranks: 1 stage, 6 signals, root 3-way dissemination, predicted"),
         "{}",
-        stderr(&o)
+        stdout(&o)
     );
-    assert!(!stderr(&o).contains("panicked"), "{}", stderr(&o));
-    assert!(!schedule.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -18,8 +18,15 @@ pub(crate) fn lint_schedule(
     out: &mut Vec<Diagnostic>,
 ) {
     let n = schedule.n();
-    for (si, stage) in schedule.stages().iter().enumerate() {
-        if stage.matrix.is_zero() {
+    // One walk of Eq. 3. A002 goes straight to `out`; A004 / A006, which
+    // read what every rank knows before the stage (row `i`: the arrivals
+    // `i` knows), wait for A005. A departure (Eq. 2) signal `i -> j` is
+    // sound iff the sender can *know* the receiver already arrived.
+    let mut modes = Vec::new();
+    let known = verify::walk(schedule, |si, known| {
+        let stage = &schedule.stages()[si];
+        let empty = stage.matrix.is_zero();
+        if empty {
             out.push(
                 Diagnostic::new(
                     Code::EmptyStage,
@@ -29,96 +36,71 @@ pub(crate) fn lint_schedule(
                 .with_stage(si),
             );
         }
-    }
-
-    // Knowledge trace: states[s] is the knowledge matrix *before* stage s
-    // (states[0] = identity), states[len] the final knowledge.
-    let trace = verify::trace(schedule);
-
-    // A005: not a barrier.
-    let last = trace.last();
-    if !last.is_all_true() {
-        let mut witnesses = Vec::new();
-        let mut missing = 0usize;
-        for i in 0..n {
-            for j in 0..n {
-                if !last.get(i, j) {
-                    missing += 1;
-                    if witnesses.len() < 3 {
-                        witnesses.push(format!("{j} never learns of {i}'s arrival"));
-                    }
+        let awaits = |&(i, j): &(usize, usize)| known.get(i, j);
+        match stage.mode {
+            SendMode::ReceiversAwaiting => {
+                for (i, j) in stage.matrix.edges().filter(|e| !awaits(e)) {
+                    modes.push(
+                        Diagnostic::new(
+                            Code::ModeUnsound,
+                            Severity::Error,
+                            format!(
+                                "departure-mode signal but sender {i} cannot know \
+                                 receiver {j} has entered the barrier (Eq. 2 premise \
+                                 unproven; Eq. 1 applies)"
+                            ),
+                        )
+                        .with_stage(si)
+                        .with_rank(i)
+                        .with_partner(j),
+                    );
                 }
             }
+            SendMode::General
+                if cfg.strict_modes && !empty && stage.matrix.edges().all(|e| awaits(&e)) =>
+            {
+                modes.push(
+                    Diagnostic::new(
+                        Code::PessimisticMode,
+                        Severity::Info,
+                        "every receiver provably awaits its signal; \
+                         ReceiversAwaiting (Eq. 2) would model this stage more tightly",
+                    )
+                    .with_stage(si),
+                );
+            }
+            SendMode::General => {}
         }
+    });
+
+    // A005: not a barrier, read off the final state.
+    if !known.is_all_true() {
+        let mut missing = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| !known.get(j, i));
+        let witnesses: Vec<String> = (missing.by_ref().take(3))
+            .map(|(i, j)| format!("{j} never learns of {i}'s arrival"))
+            .collect();
+        let more = missing.count();
         out.push(Diagnostic::new(
             Code::NonBarrier,
             Severity::Error,
             format!(
-                "schedule does not synchronize: {missing} knowledge pair(s) missing ({}{})",
+                "schedule does not synchronize: {} knowledge pair(s) missing ({}{})",
+                witnesses.len() + more,
                 witnesses.join("; "),
-                if missing > witnesses.len() {
-                    "; ..."
-                } else {
-                    ""
-                }
+                if more > 0 { "; ..." } else { "" }
             ),
         ));
     }
-
-    // A004 / A006: mode soundness against the closure trace. A departure
-    // (Eq. 2) signal i -> j is sound iff the sender can *know* the
-    // receiver already arrived: K[j][i] before the stage — i's knowledge
-    // (column i) includes j's arrival (row j).
-    for (si, stage) in schedule.stages().iter().enumerate() {
-        let before = &trace.states[si];
-        match stage.mode {
-            SendMode::ReceiversAwaiting => {
-                for (i, j) in stage.matrix.edges() {
-                    if !before.get(j, i) {
-                        out.push(
-                            Diagnostic::new(
-                                Code::ModeUnsound,
-                                Severity::Error,
-                                format!(
-                                    "departure-mode signal but sender {i} cannot know \
-                                     receiver {j} has entered the barrier (Eq. 2 premise \
-                                     unproven; Eq. 1 applies)"
-                                ),
-                            )
-                            .with_stage(si)
-                            .with_rank(i)
-                            .with_partner(j),
-                        );
-                    }
-                }
-            }
-            SendMode::General if cfg.strict_modes => {
-                let mut any = false;
-                let all_awaiting = stage.matrix.edges().all(|(i, j)| {
-                    any = true;
-                    before.get(j, i)
-                });
-                if any && all_awaiting {
-                    out.push(
-                        Diagnostic::new(
-                            Code::PessimisticMode,
-                            Severity::Info,
-                            "every receiver provably awaits its signal; \
-                             ReceiversAwaiting (Eq. 2) would model this stage more tightly",
-                        )
-                        .with_stage(si),
-                    );
-                }
-            }
-            SendMode::General => {}
-        }
-    }
+    out.append(&mut modes);
 
     // A003: dead signals. A signal is dead when excluding it from the
     // closure leaves the final knowledge matrix unchanged — the rest of
-    // the schedule already delivers everything it carries.
+    // the schedule already delivers everything it carries. The kernel
+    // answers in the paper's orientation, the transpose of `known`.
     if cfg.dead_signals {
-        let full = trace.last();
+        let full = known.transpose();
         let mut ws = ClosureWorkspace::new();
         for (si, stage) in schedule.stages().iter().enumerate() {
             for (i, j) in stage.matrix.edges() {
@@ -128,7 +110,7 @@ pub(crate) fn lint_schedule(
                     si,
                     (i, j),
                 );
-                if reduced == full {
+                if reduced == &full {
                     out.push(
                         Diagnostic::new(
                             Code::DeadSignal,

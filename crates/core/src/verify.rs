@@ -5,7 +5,7 @@
 //! `K_a = K_{a-1} + K_{a-1} · S_a` starting from the identity.
 
 use crate::schedule::BarrierSchedule;
-use hbar_matrix::{ClosureWorkspace, KnowledgeTrace};
+use hbar_matrix::{walk_knowledge, BoolMatrix, ClosureWorkspace};
 
 /// True iff `schedule` synchronizes all of its processes.
 pub fn is_barrier(schedule: &BarrierSchedule) -> bool {
@@ -18,35 +18,28 @@ pub fn is_barrier_with(schedule: &BarrierSchedule, ws: &mut ClosureWorkspace) ->
     ws.is_barrier(schedule.n(), schedule.stages().iter().map(|s| &s.matrix))
 }
 
-/// The full per-stage knowledge trace of a schedule.
-pub fn trace(schedule: &BarrierSchedule) -> KnowledgeTrace {
-    let mut t = KnowledgeTrace::new();
-    trace_into(schedule, &mut t);
-    t
-}
-
-/// Reusable-buffer mode of [`trace`]: recomputes the trace into `t`,
-/// reusing every state matrix a previous trace left behind (and never
-/// cloning the schedule's stage matrices).
-pub fn trace_into(schedule: &BarrierSchedule, t: &mut KnowledgeTrace) {
-    t.recompute(schedule.n(), schedule.stages().iter().map(|s| &s.matrix));
+/// Walks the schedule's Eq. 3 knowledge once: `visit(a, known)` sees what
+/// every rank knows before stage `a`, and the final state is returned.
+/// Both are knower-major — row `j` holds the arrivals rank `j` knows —
+/// and are evaluated apart from the kernel [`is_barrier`] runs (see
+/// [`walk_knowledge`]).
+pub fn walk(schedule: &BarrierSchedule, visit: impl FnMut(usize, &BoolMatrix)) -> BoolMatrix {
+    walk_knowledge(
+        schedule.n(),
+        schedule.stages().iter().map(|s| &s.matrix),
+        visit,
+    )
 }
 
 /// A human-readable explanation of why a schedule fails to be a barrier:
 /// for each rank pair `(i, j)` where `j` never learns of `i`'s arrival,
 /// one entry. Empty when the schedule is a valid barrier.
 pub fn missing_knowledge(schedule: &BarrierSchedule) -> Vec<(usize, usize)> {
-    let k = trace(schedule);
-    let last = k.last();
-    let mut missing = Vec::new();
-    for i in 0..schedule.n() {
-        for j in 0..schedule.n() {
-            if !last.get(i, j) {
-                missing.push((i, j));
-            }
-        }
-    }
-    missing
+    let (known, n) = (walk(schedule, |_, _| {}), schedule.n());
+    (0..n)
+        .flat_map(|i| (0..n).map(move |j| (i, j)))
+        .filter(|&(i, j)| !known.get(j, i))
+        .collect()
 }
 
 /// Checks that a schedule is a barrier *for a subset* of ranks: all
@@ -140,7 +133,6 @@ mod tests {
     #[test]
     fn workspace_variants_match_plain_ones() {
         let mut ws = ClosureWorkspace::new();
-        let mut t = KnowledgeTrace::new();
         for n in [2, 8, 60, 120] {
             let full = dissemination(n);
             let mut truncated = BarrierSchedule::new(n);
@@ -149,8 +141,6 @@ mod tests {
             }
             for sched in [&full, &truncated] {
                 assert_eq!(is_barrier_with(sched, &mut ws), is_barrier(sched));
-                trace_into(sched, &mut t);
-                assert_eq!(t.last(), trace(sched).last());
                 let members: Vec<usize> = (0..n).step_by(3).collect();
                 assert_eq!(
                     synchronizes_subset_with(sched, &members, &mut ws),

@@ -27,5 +27,5 @@ pub mod sparse;
 
 pub use boolmat::BoolMatrix;
 pub use dense::DenseMatrix;
-pub use reach::{knowledge_closure, knowledge_steps, ClosureWorkspace, KnowledgeTrace};
+pub use reach::{knowledge_closure, walk_knowledge, ClosureWorkspace};
 pub use sparse::SparseBoolMatrix;

@@ -17,100 +17,47 @@
 //! times a sparse one, and every kernel here iterates the stage's senders
 //! and targets and never scans `n²` stage bits. [`knowledge_closure`]
 //! evaluates the equation as written, one product per stage.
-//! [`KnowledgeTrace`] and [`ClosureWorkspace`], which every verification
+//! [`walk_knowledge`] and [`ClosureWorkspace`], which every verification
 //! path uses, evaluate the same recurrence on `Kᵀ`, so that a signal is a
 //! row operation and the work is proportional to the non-zeros of `S`, not
 //! to the bits of `K`.
 
 use crate::{BoolMatrix, SparseBoolMatrix};
 
-/// The per-stage knowledge matrices of a stage sequence, starting with the
-/// identity (before any stage) and ending with the final knowledge state.
-pub struct KnowledgeTrace {
-    /// `states[a]` is `K_{a-1}` in the paper's numbering; `states[0] = I`.
-    pub states: Vec<BoolMatrix>,
-    /// `Kᵀ` before and after the stage being traced (row `j`: the arrivals
-    /// rank `j` knows), where a signal is one row OR.
-    before: BoolMatrix,
-    after: BoolMatrix,
-}
-
-impl KnowledgeTrace {
-    /// Creates an empty trace; populate it with
-    /// [`KnowledgeTrace::recompute`].
-    pub fn new() -> Self {
-        KnowledgeTrace {
-            states: Vec::new(),
-            before: BoolMatrix::zeros(0),
-            after: BoolMatrix::zeros(0),
-        }
-    }
-
-    /// Final knowledge matrix after all stages.
-    pub fn last(&self) -> &BoolMatrix {
-        self.states
-            .last()
-            .expect("trace always has the identity state")
-    }
-
-    /// True if the traced sequence synchronizes all processes.
-    pub fn is_barrier(&self) -> bool {
-        self.last().is_all_true()
-    }
-
-    /// The first stage index after which knowledge is complete, if any.
-    /// (`Some(0)` would mean complete after stage 0, i.e. `states[1]` full.)
-    pub fn first_complete_stage(&self) -> Option<usize> {
-        self.states.iter().skip(1).position(|k| k.is_all_true())
-    }
-
-    /// Recomputes the trace over `stages` in place — the reusable-buffer
-    /// mode. Every state matrix recorded by a previous call is reused, so a
-    /// tuner tracing many candidate schedules of similar depth allocates
-    /// only on its first trace.
-    ///
-    /// A plain evaluation, kept apart from [`ClosureWorkspace`]'s kernel so
-    /// that the analyzer's verdict is an independent one: per stage, every
-    /// signal `i → j` ORs what `i` knew before the stage into what `j`
-    /// knows after it, and the result is transposed into the recorded `K`.
-    pub fn recompute<'a, I>(&mut self, n: usize, stages: I)
-    where
-        I: IntoIterator<Item = &'a SparseBoolMatrix>,
-    {
-        let mut len = 1;
-        self.slot(0).reset_identity(n);
-        self.before.reset_identity(n);
-        for s in stages {
-            assert_eq!(s.n(), n, "stage dimension {} != {}", s.n(), n);
-            self.after.copy_from(&self.before);
-            for (i, receivers) in s.sends() {
-                let knows = self.before.row(i);
-                for &j in receivers {
-                    for (a, k) in self.after.row_mut(j as usize).iter_mut().zip(knows) {
-                        *a |= k;
-                    }
+/// Walks Eq. 3 over `stages` once, calling `visit(a, known)` with what
+/// every rank knows before stage `a`, and returns the final state.
+///
+/// Both are knower-major, `Kᵀ`: row `j` holds the arrivals rank `j`
+/// knows, so `known.get(j, i)` is the paper's `K[i][j]`. Per stage, every
+/// signal `i → j` ORs what `i` knew before the stage into what `j` knows
+/// after it. A plain evaluation, kept apart from [`ClosureWorkspace`]'s
+/// kernel so that the analyzer's verdict is an independent one. It holds
+/// two `n × n` bit matrices however many stages there are.
+pub fn walk_knowledge<'a, I>(
+    n: usize,
+    stages: I,
+    mut visit: impl FnMut(usize, &BoolMatrix),
+) -> BoolMatrix
+where
+    I: IntoIterator<Item = &'a SparseBoolMatrix>,
+{
+    let mut known = BoolMatrix::identity(n);
+    let mut next = BoolMatrix::zeros(0);
+    for (a, s) in stages.into_iter().enumerate() {
+        assert_eq!(s.n(), n, "stage dimension {} != {}", s.n(), n);
+        visit(a, &known);
+        next.copy_from(&known);
+        for (i, receivers) in s.sends() {
+            let knows = known.row(i);
+            for &j in receivers {
+                for (x, k) in next.row_mut(j as usize).iter_mut().zip(knows) {
+                    *x |= k;
                 }
             }
-            self.slot(len);
-            self.after.transpose_into(&mut self.states[len]);
-            std::mem::swap(&mut self.before, &mut self.after);
-            len += 1;
         }
-        self.states.truncate(len);
+        std::mem::swap(&mut known, &mut next);
     }
-
-    fn slot(&mut self, idx: usize) -> &mut BoolMatrix {
-        if self.states.len() <= idx {
-            self.states.push(BoolMatrix::zeros(0));
-        }
-        &mut self.states[idx]
-    }
-}
-
-impl Default for KnowledgeTrace {
-    fn default() -> Self {
-        Self::new()
-    }
+    known
 }
 
 /// Reusable scratch for allocation-free knowledge closures.
@@ -344,17 +291,6 @@ where
     k
 }
 
-/// Runs Eq. 3 over `stages`, recording the knowledge matrix after every
-/// stage (plus the initial identity).
-pub fn knowledge_steps<'a, I>(n: usize, stages: I) -> KnowledgeTrace
-where
-    I: IntoIterator<Item = &'a SparseBoolMatrix>,
-{
-    let mut trace = KnowledgeTrace::new();
-    trace.recompute(n, stages);
-    trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,21 +338,31 @@ mod tests {
         assert_eq!(k, BoolMatrix::identity(4));
     }
 
+    /// The walk's states in the paper's orientation: what is known before
+    /// each stage, then the final state.
+    fn walk_states(n: usize, stages: &[SparseBoolMatrix]) -> Vec<BoolMatrix> {
+        let mut states = Vec::new();
+        let last = walk_knowledge(n, stages, |a, known| {
+            assert_eq!(a, states.len());
+            states.push(known.transpose());
+        });
+        states.push(last.transpose());
+        states
+    }
+
     #[test]
-    fn trace_records_progress() {
-        let trace = knowledge_steps(4, &linear_stages(4));
-        assert_eq!(trace.states.len(), 3);
-        assert_eq!(trace.states[0], BoolMatrix::identity(4));
-        assert!(!trace.states[1].is_all_true());
-        assert!(trace.states[2].is_all_true());
-        assert!(trace.is_barrier());
-        assert_eq!(trace.first_complete_stage(), Some(1));
+    fn walk_records_progress() {
+        let states = walk_states(4, &linear_stages(4));
+        assert_eq!(states.len(), 3);
+        assert_eq!(states[0], BoolMatrix::identity(4));
+        assert!(!states[1].is_all_true());
+        assert!(states[2].is_all_true());
     }
 
     #[test]
     fn knowledge_is_monotone() {
-        let trace = knowledge_steps(6, &linear_stages(6));
-        for w in trace.states.windows(2) {
+        let states = walk_states(6, &linear_stages(6));
+        for w in states.windows(2) {
             let (prev, next) = (&w[0], &w[1]);
             // prev ⊆ next
             assert!(prev.edges().all(|(i, j)| next.get(i, j)));
@@ -425,22 +371,14 @@ mod tests {
 
     #[test]
     fn dissemination_pattern_closes_without_departure() {
-        // dlog2(n)e stages; stage s: i signals (i + 2^s) mod n.
+        // ⌈log2(n)⌉ stages; stage s: i signals (i + 2^s) mod n.
         let n = 6;
-        let mut stages = Vec::new();
-        let mut step = 1;
-        while step < n {
-            let mut s = SparseBoolMatrix::zeros(n);
-            for i in 0..n {
-                s.set(i, (i + step) % n, true);
-            }
-            stages.push(s);
-            step *= 2;
-        }
-        let trace = knowledge_steps(n, &stages);
-        assert!(trace.is_barrier());
-        // No earlier prefix closes: first completion is at the final stage.
-        assert_eq!(trace.first_complete_stage(), Some(stages.len() - 1));
+        let stages = dissemination_stages(n);
+        let states = walk_states(n, &stages);
+        // No earlier prefix closes: knowledge completes at the last stage.
+        let (last, before) = states.split_last().unwrap();
+        assert!(last.is_all_true());
+        assert!(before.iter().all(|k| !k.is_all_true()));
     }
 
     #[test]
@@ -704,31 +642,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_states_are_the_closures_of_the_prefixes() {
+    fn walk_states_are_the_closures_of_the_prefixes() {
         for n in [1, 2, 6, 64, 65, 130] {
             for stages in [linear_stages(n), dissemination_stages(n)] {
-                let trace = knowledge_steps(n, &stages);
-                assert_eq!(trace.states.len(), stages.len() + 1);
-                for (upto, state) in trace.states.iter().enumerate() {
+                let states = walk_states(n, &stages);
+                assert_eq!(states.len(), stages.len() + 1);
+                for (upto, state) in states.iter().enumerate() {
                     assert_eq!(state, &knowledge_closure(n, &stages[..upto]), "n={n}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn trace_recompute_reuses_states() {
-        let mut trace = KnowledgeTrace::new();
-        trace.recompute(6, &linear_stages(6));
-        let fresh = knowledge_steps(6, &linear_stages(6));
-        assert_eq!(trace.states.len(), fresh.states.len());
-        for (a, b) in trace.states.iter().zip(&fresh.states) {
-            assert_eq!(a, b);
-        }
-        // Recomputing a shorter sequence shrinks the trace.
-        trace.recompute(4, &linear_stages(4)[..1]);
-        assert_eq!(trace.states.len(), 2);
-        assert_eq!(trace.states[0], BoolMatrix::identity(4));
-        assert!(!trace.is_barrier());
     }
 }

@@ -71,56 +71,48 @@ impl Default for ServeConfig {
 }
 
 /// A cached tune result: everything needed to answer any request with
-/// the same cache key, including clients that want generated code. The
-/// tuned schedule itself is retained — as signal lists it is a small
-/// fraction of its own JSON — so structural queries never re-parse that.
+/// the same cache key, including clients that want generated code.
 struct TunedArtifact {
     predicted_cost: f64,
-    schedule: BarrierSchedule,
     schedule_json: String,
     code_c: String,
 }
 
 impl TunedArtifact {
-    /// Everything the cache keeps of one tune: the schedule, checked
-    /// against Eq. 3 first (never cache a non-barrier), its JSON and its
-    /// generated C.
+    /// Everything the cache keeps of one tune: the JSON and generated C
+    /// of its schedule, which is checked against Eq. 3 first (never cache
+    /// a non-barrier).
     ///
     /// # Panics
     /// Panics if the schedule is not a barrier, does not compile or does
     /// not emit — a tuner bug each time; the worker catches the panic and
     /// answers `TUNE_ERR` with its message.
     fn build(
-        schedule: BarrierSchedule,
+        schedule: &BarrierSchedule,
         predicted_cost: f64,
         eval: &mut CostEvaluator,
     ) -> TunedArtifact {
         assert!(
-            eval.is_barrier(&schedule),
+            eval.is_barrier(schedule),
             "tuned schedule is not a barrier: it fails the Eq. 3 knowledge closure"
         );
-        let programs = compile_schedule(&schedule)
+        let programs = compile_schedule(schedule)
             .unwrap_or_else(|e| panic!("tuned schedule does not compile: {e}"));
         let code_c = c_source(SERVED_BARRIER_NAME, &programs)
             .unwrap_or_else(|e| panic!("tuned schedule does not emit C: {e}"));
-        let schedule_json = serde_json::to_string(&schedule).expect("schedule serializes");
+        let schedule_json = serde_json::to_string(schedule).expect("schedule serializes");
         TunedArtifact {
             predicted_cost,
-            schedule,
             schedule_json,
             code_c,
         }
     }
 
     /// Resident bytes, charged against the cache budget. This must
-    /// follow every heap allocation the artifact keeps alive: the two
-    /// strings, which dominate (the JSON is the schedule's dense image,
-    /// `stages · P²/64` numbers), and the schedule's stage vector and
-    /// per-stage sender, offset and target vectors (4 bytes a signal, 8 a
-    /// sending rank).
+    /// follow every heap allocation the artifact keeps alive: its two
+    /// strings.
     fn weight(&self) -> usize {
-        self.schedule.heap_bytes()
-            + self.schedule_json.capacity()
+        self.schedule_json.capacity()
             + self.code_c.capacity()
             + std::mem::size_of::<TunedArtifact>()
             + 64
@@ -380,7 +372,7 @@ fn worker_loop(shared: &Shared) {
             let members: Vec<usize> = (0..job.req.cost.p()).collect();
             let cfg = job.req.tuner_config();
             let tuned = tune_hybrid_costs_with(&job.req.cost, &members, &cfg, &mut eval);
-            TunedArtifact::build(tuned.schedule, tuned.predicted_cost, &mut eval)
+            TunedArtifact::build(&tuned.schedule, tuned.predicted_cost, &mut eval)
         }));
         if outcome.is_err() {
             // The evaluator's scratch state is suspect after a panic
@@ -546,7 +538,6 @@ fn handle_tune_request(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) -> io:
 mod tests {
     use super::*;
     use crate::proto::decode_tune_error;
-    use hbar_core::Stage;
     use hbar_matrix::SparseBoolMatrix;
 
     /// The arrival half of a linear barrier: rank 0 hears of everyone,
@@ -561,7 +552,7 @@ mod tests {
         let mut schedule = arrival_only(8);
         schedule.append(schedule.departure_reversed(0));
         let mut eval = CostEvaluator::new(CostParams::default());
-        let artifact = TunedArtifact::build(schedule, 1.0, &mut eval);
+        let artifact = TunedArtifact::build(&schedule, 1.0, &mut eval);
         assert!(artifact.code_c.contains(SERVED_BARRIER_NAME));
     }
 
@@ -569,7 +560,7 @@ mod tests {
     fn non_barrier_is_answered_with_tune_err_and_never_cached() {
         let mut eval = CostEvaluator::new(CostParams::default());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            TunedArtifact::build(arrival_only(8), 1.0, &mut eval)
+            TunedArtifact::build(&arrival_only(8), 1.0, &mut eval)
         }));
         assert!(
             outcome.is_err(),
@@ -611,21 +602,15 @@ mod tests {
     }
 
     #[test]
-    fn artifact_weight_charges_strings_and_signal_lists() {
-        // A P = 512 flat stage: 511 senders with one signal each, 12 bytes
-        // apiece (its dense image was 512 rows × 8 words × 8 B = 32 KiB).
-        let schedule = arrival_only(512);
-        let lists = 511 * 12 + std::mem::size_of::<Stage>();
-        assert_eq!(schedule.heap_bytes(), lists);
+    fn artifact_weight_charges_both_strings() {
         let artifact = TunedArtifact {
             predicted_cost: 1.0,
-            schedule,
             schedule_json: String::from("{}"),
             code_c: String::with_capacity(100),
         };
         assert_eq!(
             artifact.weight(),
-            lists + 2 + 100 + std::mem::size_of::<TunedArtifact>() + 64
+            2 + 100 + std::mem::size_of::<TunedArtifact>() + 64
         );
     }
 }

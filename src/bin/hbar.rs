@@ -41,6 +41,7 @@ use hbar_bench::{run_figures, FIGURES};
 use hbarrier::core::codegen::{c_source, rust_source};
 use hbarrier::core::verify;
 use hbarrier::prelude::*;
+use hbarrier::serve::proto::MAX_RANKS;
 use hbarrier::simnet::barrier::measure_schedule;
 use hbarrier::simnet::distrib::{
     serve_worker, shutdown_worker, FleetExecutor, FleetOptions, WorkerFault,
@@ -55,11 +56,19 @@ use hbarrier::topo::heatmap::render_labelled;
 use hbarrier::topo::profile::{CompactProfile, StoredProfile};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
 use std::path::Path;
 use std::process::ExitCode;
+
+/// `println!` for every command, through [`printed`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        printed(writeln!(io::stdout(), $($arg)*))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,6 +78,19 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// What a failed write to stdout means. A reader that has gone (`hbar … |
+/// head`) takes nothing more: the output is dropped, and the command still
+/// writes its files and exits as it would have. Any other failure is an
+/// error.
+fn printed(outcome: io::Result<()>) -> Result<(), String> {
+    match outcome {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -264,7 +286,7 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(usage());
     };
     if matches!(name.as_str(), "help" | "--help" | "-h") {
-        println!("{}", usage());
+        say!("{}", usage())?;
         return Ok(());
     }
     let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
@@ -500,6 +522,14 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         let conflict = "cannot be used with --exact-machine, which measures nothing";
         return Err(format!("--{flag} {conflict}"));
     }
+    // A dense profile is two P × P matrices of doubles; past the size
+    // the serve protocol takes them at, only a compact one is made.
+    if (exact || !flags.has("compressed")) && p > MAX_RANKS {
+        return Err(format!(
+            "a dense profile of {p} ranks is too large: pass --ranks {MAX_RANKS} or fewer, \
+             or --clustered --compressed for a compact profile"
+        ));
+    }
     let out = flags.req("out")?;
     let (profile, summary) = if exact {
         // Closed-form noise-free profile (no benchmarking).
@@ -519,10 +549,10 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     profile
         .save(Path::new(out))
         .map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "profiled {} ranks on {} ({summary}) -> {out}",
-        p, machine.name
-    );
+    say!(
+        "profiled {p} ranks on {} ({summary}) -> {out}",
+        machine.name
+    )?;
     Ok(())
 }
 
@@ -568,12 +598,6 @@ fn sweep_profile(
         let spill = SpillConfig::in_memory(std::env::temp_dir());
         measure_profile_compressed(machine, mapping, p, noise, &sweep, &spill, &mut *exec).map(
             |(model, report, _)| {
-                println!(
-                    "scatter: {} classes over {} kinds of rank in {} B",
-                    model.classes(),
-                    model.class_map().kinds(),
-                    model.heap_bytes()
-                );
                 let (machine, mapping) = (machine.clone(), mapping.clone());
                 let compact = CompactProfile {
                     machine,
@@ -595,7 +619,16 @@ fn sweep_profile(
             }
         }
     }
-    measured.map_err(|e| format!("profiling sweep failed: {e}"))
+    let (profile, report) = measured.map_err(|e| format!("profiling sweep failed: {e}"))?;
+    if let StoredProfile::Compact(CompactProfile { model, .. }) = &profile {
+        say!(
+            "scatter: {} classes over {} kinds of rank in {} B",
+            model.classes(),
+            model.class_map().kinds(),
+            model.heap_bytes()
+        )?;
+    }
+    Ok((profile, report))
 }
 
 /// The `--listen` socket and the address it was bound to.
@@ -609,7 +642,7 @@ fn bind(flags: &Flags) -> Result<(TcpListener, SocketAddr), String> {
 
 fn cmd_profile_worker(flags: &Flags) -> Result<(), String> {
     let (listener, local) = bind(flags)?;
-    println!("profile worker listening on {local}");
+    say!("profile worker listening on {local}")?;
     serve_worker(listener, WorkerFault::None).map_err(|e| format!("worker failed: {e}"))
 }
 
@@ -628,14 +661,16 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         ));
     }
     let (listener, local) = bind(flags)?;
-    println!(
+    say!(
         "serve listening on {local} ({} shards, {} entries / {} bytes cache, {} workers)",
-        cfg.cache.shards, cfg.cache.capacity, cfg.cache.bytes_budget, cfg.workers
-    );
+        cfg.cache.shards,
+        cfg.cache.capacity,
+        cfg.cache.bytes_budget,
+        cfg.workers
+    )?;
     // Scripted callers (CI smoke, tests) parse the bound address from a
     // pipe, so it must not sit in a block buffer.
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    printed(io::stdout().flush())?;
     serve(&listener, &cfg).map_err(|e| format!("serve failed: {e}"))
 }
 
@@ -687,16 +722,16 @@ fn cmd_tune_client(flags: &Flags) -> Result<(), String> {
         }
     }
     let elapsed = started.elapsed().as_secs_f64();
-    println!(
+    say!(
         "{requests} requests over {count} topologies (zipf {zipf_s}): \
          {hits} hits ({:.1}% hit rate), {checked} parity-checked, \
          {:.0} req/s sync",
         100.0 * hits as f64 / requests.max(1) as f64,
         requests as f64 / elapsed.max(1e-9),
-    );
+    )?;
     if flags.has("stats") {
         let stats = client.stats().map_err(|e| format!("stats failed: {e}"))?;
-        println!(
+        say!(
             "server: {} requests, {} hits / {} misses ({} coalesced), {} tunes, \
              {} errors, cache {} entries / {} bytes / {} evictions",
             stats.requests,
@@ -708,12 +743,12 @@ fn cmd_tune_client(flags: &Flags) -> Result<(), String> {
             stats.cache_entries,
             stats.cache_bytes,
             stats.cache_evictions
-        );
+        )?;
     }
     client.drain().map_err(|e| format!("drain failed: {e}"))?;
     if flags.has("shutdown") {
         shutdown_server(addr).map_err(|e| format!("shutdown failed: {e}"))?;
-        println!("server shut down");
+        say!("server shut down")?;
     }
     Ok(())
 }
@@ -730,22 +765,22 @@ fn cmd_tune(flags: &Flags) -> Result<(), String> {
     let tuned = tune_hybrid_costs(profile.cost(), &members, &cfg);
     write_schedule(out, &tuned.schedule)?;
     let (stages, root) = (tuned.schedule.len(), tuned.root_algorithm());
-    println!(
+    say!(
         "tuned hybrid for {} ranks: {stages} stage{}, {} signals, root {}, predicted {:.1} us -> {out}",
         profile.p(),
         if stages == 1 { "" } else { "s" },
         tuned.schedule.total_signals(),
         root.map_or("none".to_string(), |a| a.to_string()),
         tuned.predicted_cost * 1e6
-    );
+    )?;
     for c in &tuned.choices {
-        println!(
+        say!(
             "  depth {}: {} over {} participants (score {:.1} us)",
             c.depth,
             c.algorithm,
             c.participants.len(),
             c.score * 1e6
-        );
+        )?;
     }
     Ok(())
 }
@@ -753,26 +788,26 @@ fn cmd_tune(flags: &Flags) -> Result<(), String> {
 fn cmd_predict(flags: &Flags) -> Result<(), String> {
     let (profile, schedule) = load_profile_and_schedule(flags)?;
     let pred = CostEvaluator::new(CostParams::default()).predict(&schedule, profile.cost(), None);
-    println!("predicted barrier cost: {:.3} us", pred.barrier_cost * 1e6);
-    println!(
+    say!("predicted barrier cost: {:.3} us", pred.barrier_cost * 1e6)?;
+    say!(
         "per-stage frontier (us): {:?}",
         pred.stage_frontier
             .iter()
             .map(|v| (v * 1e7).round() / 10.0)
             .collect::<Vec<_>>()
-    );
+    )?;
     Ok(())
 }
 
 fn cmd_verify(flags: &Flags) -> Result<(), String> {
     let schedule = load_schedule(flags)?;
     if verify::is_barrier(&schedule) {
-        println!(
+        say!(
             "valid barrier: {} ranks, {} stages, {} signals",
             schedule.n(),
             schedule.len(),
             schedule.total_signals()
-        );
+        )?;
         Ok(())
     } else {
         let missing = verify::missing_knowledge(&schedule);
@@ -824,22 +859,22 @@ fn cmd_analyze(flags: &Flags) -> Result<(), String> {
             ("failed".to_string(), Value::UInt(failed as u64)),
             ("results".to_string(), Value::Array(items)),
         ]);
-        println!(
+        say!(
             "{}",
             serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
         for (target, report) in &results {
             if !report.is_clean() {
-                println!("== {target}");
-                println!("{report}");
+                say!("== {target}")?;
+                say!("{report}")?;
             }
         }
-        println!(
+        say!(
             "analyzed {} schedule(s): {} clean, {failed} with findings",
             results.len(),
             results.len() - failed,
-        );
+        )?;
     }
     if failed > 0 {
         return Err(format!("{failed} schedule(s) with findings"));
@@ -891,11 +926,11 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     };
     let mut world = SimWorld::new(cfg, profile.p());
     let t = measure_schedule(&mut world, &schedule, reps);
-    println!(
+    say!(
         "measured barrier cost: {:.3} us (makespan of {reps} back-to-back executions / {reps}; \
          consecutive executions overlap)",
         t * 1e6
-    );
+    )?;
     Ok(())
 }
 
@@ -910,8 +945,7 @@ fn cmd_codegen(flags: &Flags) -> Result<(), String> {
         c_source
     };
     let src = emit(name, &programs).map_err(|e| format!("cannot emit {lang}: {e}"))?;
-    print!("{src}");
-    Ok(())
+    printed(write!(io::stdout(), "{src}"))
 }
 
 fn cmd_search(flags: &Flags) -> Result<(), String> {
@@ -937,7 +971,7 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
     let result = search_optimal_barrier(&cost, &cfg, Some(&greedy.schedule))
         .ok_or_else(|| format!("no barrier within --max-stages {}", cfg.max_stages))?;
     write_schedule(out, &result.schedule)?;
-    println!(
+    say!(
         "search {} after {} states: best {:.2} us ({} stages) vs greedy {:.2} us -> {out}",
         if result.complete {
             "complete"
@@ -948,7 +982,7 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
         result.cost * 1e6,
         result.schedule.len(),
         greedy.predicted_cost * 1e6
-    );
+    )?;
     Ok(())
 }
 
@@ -959,7 +993,7 @@ fn cmd_heatmap(flags: &Flags) -> Result<(), String> {
     } else {
         (&cost.l, "L matrix (per-message latency)")
     };
-    println!("{}", render_labelled(matrix, label));
+    say!("{}", render_labelled(matrix, label))?;
     Ok(())
 }
 
@@ -968,5 +1002,5 @@ fn cmd_figures(flags: &Flags) -> Result<(), String> {
     let which = (flags.text("only")).map_or(FIGURES.to_vec(), |names| names.split(',').collect());
     let step = flags.int("step").unwrap_or(if quick { 4 } else { 1 });
     let out = Path::new(flags.text("out").unwrap_or("results"));
-    run_figures(&which, quick, step, out)
+    run_figures(&which, quick, step, out, |text| say!("{text}"))
 }

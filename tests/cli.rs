@@ -194,6 +194,69 @@ fn verify_rejects_broken_schedule() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `hbar` with a stdout pipe that is closed once `lines` lines have
+/// been read from it.
+fn hbar_closing_stdout_after(args: &[&str], lines: usize) -> Output {
+    use std::io::BufRead;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hbar"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("hbar binary runs");
+    let mut reader = std::io::BufReader::new(child.stdout.take().unwrap());
+    for _ in 0..lines {
+        reader.read_line(&mut String::new()).unwrap();
+    }
+    drop(reader);
+    child.wait_with_output().expect("hbar exits")
+}
+
+/// A reader that goes away early (`hbar … | head`) is not a failure: the
+/// command drops what it can no longer print, still writes its files and
+/// exits 0 with nothing on stderr.
+#[test]
+fn closed_stdout_is_not_a_failure() {
+    let dir = workdir("closed_stdout");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (profile, whole, cut, big) = (
+        path("prof.json"),
+        path("whole.json"),
+        path("cut.json"),
+        path("big.json"),
+    );
+    let o = hbar(&[
+        "profile",
+        "--machine",
+        "8x2x4",
+        "--exact-machine",
+        "--out",
+        &profile,
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+
+    // `tune` prints a few short lines after it has tuned, so its pipe is
+    // closed before the first of them.
+    let o = hbar(&["tune", "--profile", &profile, "--out", &whole]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let o = hbar_closing_stdout_after(&["tune", "--profile", &profile, "--out", &cut], 0);
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    assert_eq!(stderr(&o), "");
+    assert_eq!(std::fs::read(&cut).unwrap(), std::fs::read(&whole).unwrap());
+
+    // The C of a P = 1024 dissemination barrier is megabytes, far more
+    // than a pipe holds, so `codegen` is still printing when its reader
+    // goes.
+    use hbarrier::prelude::Algorithm;
+    let members: Vec<usize> = (0..1024).collect();
+    let sched = Algorithm::Dissemination.full_schedule(1024, &members);
+    std::fs::write(&big, serde_json::to_string(&sched).unwrap()).unwrap();
+    let o = hbar_closing_stdout_after(&["codegen", "--schedule", &big], 1);
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    assert_eq!(stderr(&o), "");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `hbar analyze` exits 0 on clean schedules and 1 on a finding, which it
 /// prints on stdout (A005 for a schedule that does not synchronize).
 #[test]
@@ -330,6 +393,26 @@ fn helpful_errors() {
             "cannot profile 1 ranks",
         ),
         (&profile, &["--ranks", "17"], "the machine has 16 cores"),
+        // A dense profile past 4096 ranks is refused before anything is
+        // allocated (it was an aborted 200 GB allocation).
+        (
+            &[
+                "profile",
+                "--machine",
+                "20000x2x4",
+                "--exact-machine",
+                "--out",
+                out,
+            ][..],
+            &[],
+            "a dense profile of 160000 ranks is too large: pass --ranks 4096 or fewer, \
+             or --clustered --compressed",
+        ),
+        (
+            &["profile", "--machine", "600x2x4", "--out", out][..],
+            &["--ranks", "4097"],
+            "a dense profile of 4097 ranks is too large",
+        ),
         (
             &profile,
             &["--ranks", "17", "--exact-machine"],

@@ -15,53 +15,47 @@ use crate::{ns_to_sec, Time};
 use hbar_core::codegen::{compile_schedule, RankProgram};
 use hbar_core::schedule::BarrierSchedule;
 
-/// Converts one compiled rank program into a simulator program:
-/// per step, post receives, issue synchronous sends, wait for the
-/// receives; then wait for the sends.
-pub fn sim_program(program: &RankProgram) -> Program {
-    sim_program_repeated(program, 1)
-}
-
-/// Like [`sim_program`] but executing the barrier `reps` times
-/// back-to-back, the way the measurement loops run it: every repetition
-/// ends with its rank's sends complete. A rank with no steps gets an
+/// Converts one compiled rank program into a simulator program, one
+/// barrier long: per step, post receives, issue synchronous sends, wait
+/// for the receives; then wait for the sends. A rank with no steps gets an
 /// empty program.
-pub fn sim_program_repeated(program: &RankProgram, reps: usize) -> Program {
+pub fn sim_program(program: &RankProgram) -> Program {
     if program.steps.is_empty() {
         return Program::new();
     }
-    let per_rep: usize = program
+    let len: usize = program
         .steps
         .iter()
         .map(|step| step.recvs.len() + step.sends.len() + 1)
         .sum();
-    let mut p = Program::with_capacity(reps * (per_rep + 1));
-    for _ in 0..reps {
-        for step in &program.steps {
-            for &src in &step.recvs {
-                p.push_irecv(src);
-            }
-            for &dst in &step.sends {
-                p.push_issend(dst);
-            }
-            p.push_wait_recvs();
+    let mut p = Program::with_capacity(len + 1);
+    for step in &program.steps {
+        for &src in &step.recvs {
+            p.push_irecv(src);
         }
-        p.push_wait_all();
+        for &dst in &step.sends {
+            p.push_issend(dst);
+        }
+        p.push_wait_recvs();
     }
+    p.push_wait_all();
     p
 }
 
-/// Simulator programs for every rank of a schedule.
+/// Simulator programs for every rank of a schedule, executing the barrier
+/// `reps` times back-to-back, the way the measurement loops run it: each
+/// program is one barrier body (see [`sim_program`]) run `reps` times
+/// (see [`Program::set_reps`]), so its length does not grow with `reps`.
 ///
 /// # Panics
-/// Panics if the schedule fails codegen validation (see
-/// [`compile_schedule`]); impossible for schedules built through the
+/// Panics if `reps` is 0, or if the schedule fails codegen validation
+/// (see [`compile_schedule`]); impossible for schedules built through the
 /// `BarrierSchedule` API.
 pub fn schedule_programs(schedule: &BarrierSchedule, reps: usize) -> Vec<Program> {
     compile_schedule(schedule)
         .expect("schedule passes codegen validation")
         .iter()
-        .map(|rp| sim_program_repeated(rp, reps))
+        .map(|rp| sim_program(rp).repeated(reps))
         .collect()
 }
 
@@ -113,6 +107,8 @@ pub fn staggered_delay_check(
         world.p(),
         "schedule/world rank count mismatch"
     );
+    // One repetition: the delay goes in front of the body, which a
+    // repeated program would run before every barrier.
     let mut programs = schedule_programs(schedule, 1);
     let mut runs = Vec::with_capacity(world.p());
     let mut all_ok = true;

@@ -102,25 +102,21 @@ pub fn multi_message(k: usize) -> (Program, Program) {
 }
 
 /// Fills `a`/`b` in place with the transmission-free call workload
-/// (rank 0 active, rank 1 idle).
+/// (rank 0 active, rank 1 idle): one `NoOpCall` repeated `k` times, so
+/// nothing is sized by `k`.
 pub fn build_noop_calls(a: &mut Program, b: &mut Program, k: usize) {
     assert!(k > 0, "need at least one call");
     a.clear();
     b.clear();
-    a.reserve(k);
-    for _ in 0..k {
-        a.push_noop_call();
-    }
+    a.push_noop_call();
+    a.set_reps(k);
 }
 
-/// Builds the transmission-free call program (single rank active).
+/// Builds the transmission-free call program (single rank active): one
+/// `NoOpCall` repeated `k` times.
 pub fn noop_calls(k: usize) -> Program {
     assert!(k > 0, "need at least one call");
-    let mut p = Program::with_capacity(k);
-    for _ in 0..k {
-        p.push_noop_call();
-    }
-    p
+    Program::new().noop_call().repeated(k)
 }
 
 /// Amortized two-rank benchmark scratch: one reused world/engine, one

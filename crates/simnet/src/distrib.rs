@@ -121,7 +121,7 @@ fn serve_connection(
         Ok(j) if fits(&j.profiling) => j,
         _ => return Ok(ConnectionEnd::Continue),
     };
-    let machine = job.machine.clone();
+    let (machine, profiling) = (job.machine.clone(), job.profiling.clone());
     let mut executor = LocalExecutor::new(job.machine, job.noise, job.profiling);
 
     loop {
@@ -145,7 +145,7 @@ fn serve_connection(
                 // machine cannot place, ends the connection, not the
                 // worker.
                 let descriptors = match decode_batch(&payload) {
-                    Ok(d) if d.iter().all(|d| runs_on(&machine, d)) => d,
+                    Ok(d) if d.iter().all(|d| runs_on(&machine, &profiling, d)) => d,
                     _ => return Ok(ConnectionEnd::Continue),
                 };
                 let samples = executor
@@ -174,18 +174,43 @@ fn serve_connection(
     }
 }
 
-/// Whether `d` names two distinct cores of `machine`: the placement of
-/// its two-rank bench asserts exactly that.
-fn runs_on(machine: &MachineSpec, d: &PairWorkDescriptor) -> bool {
+/// The most messages a job's largest burst may send. A burst program
+/// holds one instruction per message, so this sizes the largest program a
+/// job makes the worker build: 2^16 sends of 24 bytes, 1.5 MiB.
+const MAX_BURST_MESSAGES: usize = 1 << 16;
+
+/// The most simulated runs plus transmission-free calls one descriptor may
+/// ask for at its `rep_scale`, that is `(reps · |sizes| + burst_reps ·
+/// max_messages + noop_calls) · rep_scale`. This sizes how long one
+/// descriptor holds the worker; the default schedule asks for 1,357 at
+/// `rep_scale` 1.
+const MAX_DESCRIPTOR_WORK: usize = 1 << 24;
+
+/// Whether `d` names two distinct cores of `machine` — the placement of
+/// its two-rank bench asserts exactly that — and asks for at most
+/// [`MAX_DESCRIPTOR_WORK`] runs and calls of `c`'s schedule.
+fn runs_on(machine: &MachineSpec, c: &ProfilingConfig, d: &PairWorkDescriptor) -> bool {
     let cores = machine.total_cores();
-    d.core_a != d.core_b && (d.core_a as usize) < cores && (d.core_b as usize) < cores
+    let work = (c.reps.checked_mul(c.sizes.len()))
+        .zip(c.burst_reps.checked_mul(c.max_messages))
+        .and_then(|(pings, bursts)| pings.checked_add(bursts)?.checked_add(c.noop_calls))
+        .and_then(|runs| runs.checked_mul(d.rep_scale.max(1) as usize));
+    d.core_a != d.core_b
+        && (d.core_a as usize) < cores
+        && (d.core_b as usize) < cores
+        && work.is_some_and(|w| w <= MAX_DESCRIPTOR_WORK)
 }
 
 /// Whether `c`'s schedule runs and regresses: each benchmark asserts a
-/// repetition or call, and each line fit two distinct points.
+/// repetition or call, each line fit two distinct points, and no burst
+/// exceeds [`MAX_BURST_MESSAGES`].
 fn fits(c: &ProfilingConfig) -> bool {
     let two_sizes = c.sizes.iter().any(|&s| s as f64 != c.sizes[0] as f64);
-    two_sizes && c.reps > 0 && c.burst_reps > 0 && c.noop_calls > 0 && c.max_messages >= 2
+    two_sizes
+        && c.reps > 0
+        && c.burst_reps > 0
+        && c.noop_calls > 0
+        && (2..=MAX_BURST_MESSAGES).contains(&c.max_messages)
 }
 
 fn is_disconnect(e: &io::Error) -> bool {

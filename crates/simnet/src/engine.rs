@@ -25,8 +25,8 @@
 //!
 //! `WaitAll` blocks until every request the process issued has completed;
 //! `WaitRecvs` only until its receives have, leaving synchronous sends in
-//! flight. A process that reaches the end of its program waits for all of
-//! its requests before it finishes.
+//! flight. A process that reaches the end of its program's last repetition
+//! waits for all of its requests before it finishes.
 //!
 //! Receives match per `(src, dst)` pair in FIFO order. Posting any call
 //! costs `call_overhead` on the caller's CPU. `Delay` models computation
@@ -39,15 +39,20 @@
 //! core list and ground truth) and then runs arbitrarily many program
 //! sets. It borrows programs, never stores them, and interprets
 //! instructions **by value** (`Instr` is `Copy`; mark labels are interned
-//! ids). A run has two preparations with different lifetimes:
+//! ids). A program is a body run [`Program::reps`] times: the interpreter
+//! keeps a `pc` into the body and an iteration counter, so a barrier
+//! repeated 1000 times is read from one barrier's instructions. A run has
+//! two preparations with different lifetimes:
 //!
-//! * [`bind`] — once per **program set**: validate every instruction
+//! * [`bind`] — once per **program set**: validate every body instruction
 //!   against the placement, intern the channels it names, count each
-//!   channel's messages and lay out the slot regions (next section). This
-//!   reads every instruction and hashes every new channel.
-//! * `rewind` — once per **run**: interpreter states, channel heads,
-//!   resource clocks, the event queue, `seq` and the event count go back to
-//!   zero. It touches nothing `bind` computed.
+//!   channel's messages per body and lay out the slot regions for all
+//!   repetitions (next section). This reads every body instruction once
+//!   and hashes every new channel.
+//! * `rewind` — once per **run**: interpreter states (`pc`, iteration,
+//!   request counts), channel heads, resource clocks, the event queue,
+//!   `seq` and the event count go back to zero. It touches nothing `bind`
+//!   computed.
 //!
 //! Every run is bind → rewind → event loop. [`run`](Engine::run) does all
 //! three, so a caller that knows nothing else is always right.
@@ -56,15 +61,34 @@
 //! §IV-A profile is the median of 25–100 runs of one program pair. Skipping
 //! is sound only if the slice passed is the one last bound, unchanged: the
 //! engine holds each instruction's channel, not the instruction, so it can
-//! check the slice's shape (it does, in debug builds) but not its contents.
-//! Inside this crate only `PairBench` skips, and it owns both the world and
-//! the program buffers, rebuilding and re-binding at the top of every
-//! sample point; `SimWorld::run` binds on every call.
+//! check the slice's shape — body lengths and repetition counts — (it
+//! does, in debug builds) but not its contents. Inside this crate only
+//! `PairBench` skips, and it owns both the world and the program buffers,
+//! rebuilding and re-binding at the top of every sample point;
+//! `SimWorld::run` binds on every call.
 //!
 //! Either way results are bit-identical to a freshly constructed engine:
 //! event ordering depends only on `(time, seq)` and `seq` restarts at zero
 //! each run, so the deterministic noise stream is consumed in the same
 //! order.
+//!
+//! ## Event accounting
+//!
+//! Three things happen in event order: a process resumes, a message
+//! arrives at its receiver's node, and a request completes. Only the first
+//! two run code that draws noise or reserves a resource; a completion only
+//! decrements its process's request count, and matters only when that
+//! drains a blocked `WaitRecvs`, `WaitAll` or program end. So a completion
+//! takes its sequence number and is counted when the match schedules it,
+//! but it enters the queue only as the **wake-up** of a process it drains:
+//! under the key `(time, seq)` of the last completion the wait covers,
+//! pushed when that completion is scheduled, or when the process blocks if
+//! every covered request has matched by then. A completion whose key is at
+//! most the current event's has fired, so the wake-up counts as fired
+//! itself. Since every completion still takes its sequence number, every
+//! queued event keeps its key, the queue pops resumes and arrivals in the
+//! same order, and `events` counts every resume, arrival and completion,
+//! queued or not.
 //!
 //! ## Channels and memory bound
 //!
@@ -72,11 +96,11 @@
 //! charges take one value per [`LinkClass`], so they live in a three-entry
 //! table; the class of a pair comes from the per-rank core list. Matching
 //! state exists only for the `(dst, src)` **channels** the programs name:
-//! [`bind`], which walks every instruction to validate it anyway, gives
-//! each distinct channel a dense id (hashing happens there, once per
+//! [`bind`], which walks every body instruction to validate it anyway,
+//! gives each distinct channel a dense id (hashing happens there, once per
 //! channel and naming rank, never in the event loop), writes the id of
-//! every instruction into a side table parallel to the programs, and
-//! counts the channel's receives and sends. In the event loop an `Irecv` or
+//! every instruction into a side table parallel to the bodies, and counts
+//! the channel's receives and sends per body. In the event loop an `Irecv` or
 //! `Issend` reads its channel id from the side table, and an arrival event
 //! carries the id in its payload, so reaching a channel is an array load.
 //!
@@ -86,16 +110,18 @@
 //! the first instead of queueing), so one queue with a flag for what it
 //! holds suffices. Head and tail only advance; a match is one push and one
 //! pop and an entry left unmatched is one push, so over a whole run a
-//! channel with `r` receives and `s` sends pushes at most `max(r, s)`
-//! entries, which is the size of its region.
+//! channel whose receiver's body posts `r` receives over `k_r` repetitions
+//! and whose sender's issues `s` sends over `k_s` pushes at most
+//! `max(r · k_r, s · k_s)` entries, which is the size of its region.
 //!
 //! Memory is therefore `O(P)` at construction (interpreter states, resource
 //! clocks, core list) plus, per binding, a 32-byte record and a hash-table
-//! entry per channel, 8 bytes per message and 4 bytes per instruction — at
-//! P = 16384 a dissemination barrier (229 k channels) needs about 20 MB
-//! where one 128-byte entry per ordered pair would need 34 GB. All of it is
-//! retained between runs, so the hot loop performs no heap allocation after
-//! warm-up.
+//! entry per channel, 4 bytes per body instruction and 8 bytes per message
+//! of the whole run — at P = 16384 one dissemination barrier (229 k
+//! channels) needs about 20 MB where one 128-byte entry per ordered pair
+//! would need 34 GB, and each further repetition adds only its messages'
+//! slots. All of it is retained between runs, so the hot loop performs no
+//! heap allocation after warm-up.
 //!
 //! [`bind`]: Engine::bind
 
@@ -124,14 +150,14 @@ impl Resource {
     }
 }
 
-/// Event tags, packed into the top bits of an event payload.
+/// Event tags, packed into the top bits of an event payload. A process
+/// resumes after a `Delay`, at the start, and when a completion drains its
+/// wait (see the module header).
 const TAG_RESUME: u32 = 0;
 const TAG_ARRIVE: u32 = 1;
-const TAG_RECV_DONE: u32 = 2;
-const TAG_SEND_DONE: u32 = 3;
 
 /// Width of the argument field of a packed event payload: a rank, or for
-/// an arrival a channel id (a 2-bit tag shares the 32-bit word).
+/// an arrival a channel id (the tag shares the 32-bit word).
 const ARG_BITS: u32 = 30;
 const ARG_MASK: u32 = (1 << ARG_BITS) - 1;
 
@@ -146,7 +172,9 @@ fn payload(tag: u32, arg: usize) -> u32 {
 /// in its high half and the packed `(tag, arg)` payload in its low
 /// half; in the queue both words live in one `u128` (`time` on top) whose
 /// integer order is exactly the engine's `(time, seq)` event order, since
-/// sequence numbers are unique.
+/// sequence numbers are unique. With the payload bits zero, the same
+/// `u128` is an event's key: what a completion records in place of an
+/// event.
 #[derive(Clone, Copy, Debug)]
 struct Event {
     time: Time,
@@ -182,27 +210,39 @@ struct ClassCost {
 /// What a blocked process waits to drain.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Blocked {
-    /// Running, or finished.
+    /// Running, finished, or with its wake-up queued.
     #[default]
     No,
-    /// In `WaitRecvs`: resumes when its last receive completes.
+    /// In `WaitRecvs` with a receive unmatched: its wake-up is queued when
+    /// the last one matches.
     OnRecvs,
-    /// In `WaitAll`, or at the end of its program: resumes when its last
-    /// request completes.
+    /// In `WaitAll`, or at the end of its program, with a request
+    /// unmatched: its wake-up is queued when the last one matches.
     OnAll,
 }
 
 /// Per-process interpreter state, reused across runs.
 #[derive(Clone, Debug, Default)]
 struct ProcState {
+    /// Next instruction of the body.
     pc: usize,
+    /// Repetition of the body being run, from 0.
+    iteration: usize,
+    /// The program's repetition count; set by `bind`, kept by `rewind`.
+    reps: usize,
     /// Index of this program's first instruction in the engine's
     /// instruction → channel side table; set by `bind`, kept by `rewind`.
     chan_base: usize,
-    /// Requests issued and not yet completed.
-    outstanding: usize,
-    /// The receives among `outstanding`.
-    recvs_outstanding: usize,
+    /// Sends issued and not yet matched: their completions have no key
+    /// yet.
+    unmatched_sends: usize,
+    /// Receives posted and not yet matched.
+    unmatched_recvs: usize,
+    /// The largest completion key (see [`Event`]) among the receives
+    /// matched so far; 0 before the first.
+    last_recv_done: u128,
+    /// The same for the sends.
+    last_send_done: u128,
     waiting: Blocked,
     done: bool,
     finish: Option<Time>,
@@ -214,12 +254,27 @@ struct ProcState {
 impl ProcState {
     fn rewind(&mut self) {
         self.pc = 0;
-        self.outstanding = 0;
-        self.recvs_outstanding = 0;
+        self.iteration = 0;
+        self.unmatched_sends = 0;
+        self.unmatched_recvs = 0;
+        self.last_recv_done = 0;
+        self.last_send_done = 0;
         self.waiting = Blocked::No;
         self.done = false;
         self.finish = None;
         self.marks.clear();
+    }
+
+    /// The key of the completion that drains `wait`: the last one the wait
+    /// covers, once every covered request has matched; `None` while one
+    /// has not.
+    fn drain_key(&self, wait: Blocked) -> Option<u128> {
+        match wait {
+            Blocked::No => None,
+            Blocked::OnRecvs => (self.unmatched_recvs == 0).then_some(self.last_recv_done),
+            Blocked::OnAll => (self.unmatched_recvs == 0 && self.unmatched_sends == 0)
+                .then_some(self.last_recv_done.max(self.last_send_done)),
+        }
     }
 }
 
@@ -247,8 +302,9 @@ struct Channel {
     base: u32,
     head: u32,
     tail: u32,
-    /// `Irecv`s and `Issend`s naming this channel, counted by `bind` to
-    /// size the region.
+    /// `Irecv`s and `Issend`s naming this channel in one body of the
+    /// receiver's and the sender's program, counted by `bind` to size the
+    /// region.
     recvs: u32,
     sends: u32,
 }
@@ -288,7 +344,9 @@ const NO_CHANNEL: u32 = u32::MAX;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimDeadlock {
     /// Processes that never finished, with their program counters and
-    /// outstanding request counts.
+    /// outstanding request counts. A program counter counts instructions
+    /// as if the body were written out once per repetition: iteration ×
+    /// body length + position in the body.
     pub stuck: Vec<(usize, usize, usize)>,
 }
 
@@ -342,9 +400,8 @@ pub struct Engine {
     /// `[2 * peer + dir]` → `(rank + 1, id)`: the channel `rank` last
     /// resolved for that peer and direction during `bind` (0 = none).
     peer_memo: Vec<(u32, u32)>,
-    /// Channel of every instruction of every program, programs
-    /// concatenated in rank order ([`NO_CHANNEL`] for non-message
-    /// instructions).
+    /// Channel of every instruction of every body, bodies concatenated in
+    /// rank order ([`NO_CHANNEL`] for non-message instructions).
     instr_channel: Vec<u32>,
     /// Backing storage of every channel's queue.
     slots: Vec<Time>,
@@ -353,8 +410,9 @@ pub struct Engine {
     /// Cached `GroundTruth::call_overhead_ns`.
     overhead_ns: Time,
     seq: u32,
-    /// Time of the event being handled: nothing is scheduled before it.
-    clock: Time,
+    /// Key of the event being handled (see [`Event`]): nothing is
+    /// scheduled before it, and every completion up to it has fired.
+    current: u128,
     noise: NoiseState,
     events: u64,
     trace: Option<Trace>,
@@ -410,7 +468,7 @@ impl Engine {
             node: cores.iter().map(|c| c.node as u32).collect(),
             overhead_ns: gt.call_overhead_ns,
             seq: 0,
-            clock: 0,
+            current: 0,
             noise: NoiseState::new(NoiseModel::none(), 0),
             events: 0,
             trace: None,
@@ -441,16 +499,18 @@ impl Engine {
     }
 
     /// Binds a program set: validates `programs` against the placement and
-    /// rebuilds the channel table for them — every `(dst, src)` an
+    /// rebuilds the channel table for them — every `(dst, src)` a body
     /// instruction names gets a dense id, recorded per instruction, and a
-    /// queue region large enough for a whole run. Whatever the previous
-    /// binding left behind is dropped with the old table. All storage
-    /// retains its capacity, so re-binding allocates nothing once warm.
+    /// queue region large enough for every repetition of a whole run.
+    /// Whatever the previous binding left behind is dropped with the old
+    /// table. All storage retains its capacity, so re-binding allocates
+    /// nothing once warm.
     ///
     /// # Panics
     /// Panics if the program count differs from the rank count, if any
-    /// instruction references an out-of-range rank, or if a rank messages
-    /// itself.
+    /// instruction references an out-of-range rank, if a rank messages
+    /// itself, if a repetition count is 0, or if a channel's messages over
+    /// all repetitions overflow the slot arena.
     pub fn bind(&mut self, programs: &[Program]) {
         let p = self.p();
         assert_eq!(programs.len(), p, "one program per rank required");
@@ -459,7 +519,10 @@ impl Engine {
         self.peer_memo.fill((0, 0));
         self.instr_channel.clear();
         for (r, prog) in programs.iter().enumerate() {
+            // `set_reps` refuses 0, but a deserialized program skips it.
+            assert!(prog.reps() > 0, "rank {r} runs its body at least once");
             self.procs[r].chan_base = self.instr_channel.len();
+            self.procs[r].reps = prog.reps();
             for ins in &prog.instrs {
                 let id = match *ins {
                     Instr::Issend { dst, .. } => {
@@ -481,11 +544,20 @@ impl Engine {
                 self.instr_channel.push(id);
             }
         }
+        // Per run: the per-body count times the naming rank's repetitions.
+        let per_run = |count: u32, reps: usize| {
+            u32::try_from(reps)
+                .ok()
+                .and_then(|reps| count.checked_mul(reps))
+                .expect("message count fits the slot arena")
+        };
         let mut slots = 0u32;
         for ch in &mut self.channels {
             ch.base = slots;
+            let recvs = per_run(ch.recvs, self.procs[ch.dst as usize].reps);
+            let sends = per_run(ch.sends, self.procs[ch.src as usize].reps);
             slots = slots
-                .checked_add(ch.recvs.max(ch.sends))
+                .checked_add(recvs.max(sends))
                 .expect("message count fits the slot arena");
         }
         // Entries are written before they are read, so stale ones may stay.
@@ -513,7 +585,7 @@ impl Engine {
         }
         self.queue.clear();
         self.seq = 0;
-        self.clock = 0;
+        self.current = 0;
         self.events = 0;
     }
 
@@ -584,13 +656,59 @@ impl Engine {
         }
     }
 
+    /// Takes the next sequence number for an event at `time`, counts the
+    /// event, and returns its key (see [`Event`]).
+    #[inline]
+    fn next_key(&mut self, time: Time) -> u128 {
+        debug_assert!(
+            time >= (self.current >> 64) as Time,
+            "event scheduled into the past"
+        );
+        self.seq = self.seq.checked_add(1).expect("event sequence overflow");
+        self.events += 1;
+        (time as u128) << 64 | (self.seq as u128) << 32
+    }
+
     #[inline]
     fn schedule(&mut self, time: Time, payload: u32) {
-        debug_assert!(time >= self.clock, "event scheduled into the past");
-        self.seq = self.seq.checked_add(1).expect("event sequence overflow");
-        self.queue.push(Reverse(
-            (time as u128) << 64 | (self.seq as u128) << 32 | payload as u128,
-        ));
+        let key = self.next_key(time);
+        self.queue.push(Reverse(key | payload as u128));
+    }
+
+    /// Queues `proc`'s wake-up under the key of the completion that drains
+    /// its wait; that completion was counted when it was scheduled.
+    #[inline]
+    fn wake_at(&mut self, proc: usize, key: u128) {
+        debug_assert!(key > self.current, "wake-up for a fired completion");
+        self.queue
+            .push(Reverse(key | payload(TAG_RESUME, proc) as u128));
+    }
+
+    /// Queues `proc`'s wake-up if a completion just drained its wait.
+    #[inline]
+    fn wake_if_drained(&mut self, proc: usize) {
+        let pr = &mut self.procs[proc];
+        if let Some(key) = pr.drain_key(pr.waiting) {
+            pr.waiting = Blocked::No;
+            self.wake_at(proc, key);
+        }
+    }
+
+    /// Enters `wait` for `proc`; false if every request it covers has
+    /// already completed, so the process runs on.
+    #[inline]
+    fn block(&mut self, proc: usize, wait: Blocked) -> bool {
+        match self.procs[proc].drain_key(wait) {
+            Some(key) if key <= self.current => false,
+            Some(key) => {
+                self.wake_at(proc, key);
+                true
+            }
+            None => {
+                self.procs[proc].waiting = wait;
+                true
+            }
+        }
     }
 
     /// Binds `programs` and runs them to completion with the given per-run
@@ -654,12 +772,13 @@ impl Engine {
     }
 
     /// Whether `programs` has the shape of the bound set: one program per
-    /// rank, each as long as its stretch of the side table.
+    /// rank, each body as long as its stretch of the side table and
+    /// repeated as often as bound.
     fn is_bound_to(&self, programs: &[Program]) -> bool {
         let mut base = 0;
         programs.len() == self.p()
             && programs.iter().zip(&self.procs).all(|(prog, pr)| {
-                let starts_here = pr.chan_base == base;
+                let starts_here = pr.chan_base == base && pr.reps == prog.reps();
                 base += prog.instrs.len();
                 starts_here
             })
@@ -688,8 +807,7 @@ impl Engine {
                 time: (v >> 64) as Time,
                 key: v as u64,
             };
-            self.clock = ev.time;
-            self.events += 1;
+            self.current = v & !(u32::MAX as u128);
             match ev.tag() {
                 TAG_RESUME => self.run_program(programs, ev.arg(), ev.time),
                 TAG_ARRIVE => {
@@ -715,24 +833,7 @@ impl Engine {
                         self.put(channel, Pending::Arrived, available);
                     }
                 }
-                tag => {
-                    let proc = ev.arg();
-                    let pr = &mut self.procs[proc];
-                    debug_assert!(pr.outstanding > 0, "completion without outstanding request");
-                    pr.outstanding -= 1;
-                    if tag == TAG_RECV_DONE {
-                        pr.recvs_outstanding -= 1;
-                    }
-                    let drained = match pr.waiting {
-                        Blocked::No => false,
-                        Blocked::OnRecvs => pr.recvs_outstanding == 0,
-                        Blocked::OnAll => pr.outstanding == 0,
-                    };
-                    if drained {
-                        pr.waiting = Blocked::No;
-                        self.run_program(programs, proc, ev.time);
-                    }
-                }
+                _ => unreachable!("unknown event tag"),
             }
         }
         let stuck: Vec<(usize, usize, usize)> = self
@@ -740,7 +841,10 @@ impl Engine {
             .iter()
             .enumerate()
             .filter(|(_, pr)| !pr.done)
-            .map(|(r, pr)| (r, pr.pc, pr.outstanding))
+            .map(|(r, pr)| {
+                let pc = pr.iteration * programs[r].instrs.len() + pr.pc;
+                (r, pc, pr.unmatched_sends + pr.unmatched_recvs)
+            })
             .collect();
         if !stuck.is_empty() {
             return Err(SimDeadlock { stuck });
@@ -749,12 +853,14 @@ impl Engine {
     }
 
     /// Matches a message `src → dst`: charges the receiver CPU, completes
-    /// the receive, and acknowledges the synchronous sender.
+    /// the receive, and acknowledges the synchronous sender. Each
+    /// completion gets its key; it is queued only as the wake-up of a
+    /// process it drains.
     #[inline]
     fn complete_match(&mut self, src: usize, dst: usize, c: ClassCost, at: Time) {
         let dur = self.noise.sample(c.cpu_recv_ns);
         let done = self.cpu[dst].acquire(at, dur);
-        self.schedule(done, payload(TAG_RECV_DONE, dst));
+        let recv_key = self.next_key(done);
         self.record(TraceEvent::RecvCompleted {
             time: done,
             src,
@@ -762,12 +868,20 @@ impl Engine {
         });
         // Acknowledgement back to the synchronous sender: one wire delay.
         let ack = self.noise.sample(c.wire_ns);
-        self.schedule(done + ack, payload(TAG_SEND_DONE, src));
+        let send_key = self.next_key(done + ack);
         self.record(TraceEvent::SendCompleted {
             time: done + ack,
             src,
             dst,
         });
+        let receiver = &mut self.procs[dst];
+        receiver.unmatched_recvs -= 1;
+        receiver.last_recv_done = receiver.last_recv_done.max(recv_key);
+        self.wake_if_drained(dst);
+        let sender = &mut self.procs[src];
+        sender.unmatched_sends -= 1;
+        sender.last_send_done = sender.last_send_done.max(send_key);
+        self.wake_if_drained(src);
     }
 
     /// Interprets `proc`'s program starting at time `now` until it blocks
@@ -777,18 +891,21 @@ impl Engine {
         let mut now = now;
         let instrs = &programs[proc].instrs;
         loop {
-            let pr = &self.procs[proc];
+            let pr = &mut self.procs[proc];
             if pr.done {
                 return;
             }
             if pr.pc >= instrs.len() {
-                let pr = &mut self.procs[proc];
-                if pr.outstanding == 0 {
+                if pr.iteration + 1 < pr.reps && !instrs.is_empty() {
+                    pr.iteration += 1;
+                    pr.pc = 0;
+                    continue;
+                }
+                // Implicit trailing WaitAll: finish when requests drain.
+                if !self.block(proc, Blocked::OnAll) {
+                    let pr = &mut self.procs[proc];
                     pr.done = true;
                     pr.finish = Some(now);
-                } else {
-                    // Implicit trailing WaitAll: finish when requests drain.
-                    pr.waiting = Blocked::OnAll;
                 }
                 return;
             }
@@ -808,18 +925,14 @@ impl Engine {
                     self.procs[proc].pc += 1;
                 }
                 Instr::WaitAll => {
-                    let pr = &mut self.procs[proc];
-                    pr.pc += 1; // resume past the wait
-                    if pr.outstanding > 0 {
-                        pr.waiting = Blocked::OnAll;
+                    self.procs[proc].pc += 1; // resume past the wait
+                    if self.block(proc, Blocked::OnAll) {
                         return;
                     }
                 }
                 Instr::WaitRecvs => {
-                    let pr = &mut self.procs[proc];
-                    pr.pc += 1;
-                    if pr.recvs_outstanding > 0 {
-                        pr.waiting = Blocked::OnRecvs;
+                    self.procs[proc].pc += 1;
+                    if self.block(proc, Blocked::OnRecvs) {
                         return;
                     }
                 }
@@ -829,8 +942,7 @@ impl Engine {
                     now = self.cpu[proc].acquire(now, dur);
                     let pr = &mut self.procs[proc];
                     pr.pc += 1;
-                    pr.outstanding += 1;
-                    pr.recvs_outstanding += 1;
+                    pr.unmatched_recvs += 1;
                     if let Some(available) = self.take(channel, Pending::Arrived) {
                         let c = self.charges[self.channels[channel].class as usize];
                         self.complete_match(src, proc, c, available.max(now));
@@ -849,7 +961,7 @@ impl Engine {
                         dst,
                     });
                     self.procs[proc].pc += 1;
-                    self.procs[proc].outstanding += 1;
+                    self.procs[proc].unmatched_sends += 1;
                     let after_tx = if c.inter_node {
                         let dur = self.noise.sample(c.nic_tx_ns);
                         self.nic_tx[self.node[proc] as usize].acquire(now, dur)
@@ -1135,6 +1247,15 @@ mod tests {
         let m = MachineSpec::new(1, 1, 2);
         let p0 = Program::new().issend(0);
         let _ = engine_for(&m, &[0, 1]).run(&[p0, Program::new()], exact());
+    }
+
+    #[test]
+    #[should_panic(expected = "message count fits the slot arena")]
+    fn repetitions_past_the_slot_arena_are_refused_before_allocating() {
+        let m = MachineSpec::new(1, 1, 2);
+        let p0 = Program::new().issend(1).issend(1).repeated(1 << 31);
+        let p1 = Program::new().irecv(0).irecv(0).repeated(1 << 31);
+        engine_for(&m, &[0, 1]).bind(&[p0, p1]);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! `Instr` is `Copy`: mark labels are interned into a per-program label
 //! table and referenced by [`LabelId`], so the engine's interpreter loop
 //! can read instructions by value without touching the heap.
+//!
+//! A program is a *body* and a repetition count: the process runs the
+//! body that many times back to back, exactly as if it were written out
+//! that many times. Barrier measurements repeat one barrier and the
+//! `O_ii` benchmark one call, so neither program grows with its
+//! repetitions.
 
 use crate::Time;
 use serde::{Deserialize, Serialize};
@@ -42,12 +48,22 @@ pub enum Instr {
     Mark { label: LabelId },
 }
 
-/// A straight-line program for one simulated process.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// A straight-line program for one simulated process: a body of
+/// instructions, run [`reps`](Self::reps) times back to back.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Program {
+    /// The body.
     pub instrs: Vec<Instr>,
     /// Interned `Mark` label strings, indexed by [`LabelId`].
     pub labels: Vec<String>,
+    /// How many times the body runs; at least 1.
+    reps: usize,
+}
+
+impl Default for Program {
+    fn default() -> Self {
+        Program::with_capacity(0)
+    }
 }
 
 impl Program {
@@ -57,13 +73,37 @@ impl Program {
     }
 
     /// An empty program with instruction capacity reserved up front, so
-    /// bulk builders (25-rep × 32-message bursts) never reallocate per
-    /// instruction.
+    /// bulk builders (32-message bursts) never reallocate per instruction.
     pub fn with_capacity(instrs: usize) -> Self {
         Program {
             instrs: Vec::with_capacity(instrs),
             labels: Vec::new(),
+            reps: 1,
         }
+    }
+
+    /// How many times the body runs back to back (1 unless set).
+    pub fn reps(&self) -> usize {
+        self.reps
+    }
+
+    /// Runs the body `reps` times back to back: the process behaves
+    /// exactly as if the body were written out `reps` times — the same
+    /// messages, marks and finish time — but the program stays one body
+    /// long.
+    ///
+    /// # Panics
+    /// Panics if `reps` is 0.
+    pub fn set_reps(&mut self, reps: usize) {
+        assert!(reps > 0, "a program runs its body at least once");
+        self.reps = reps;
+    }
+
+    /// Runs the body `reps` times back to back (by-value chaining; see
+    /// [`set_reps`](Self::set_reps)).
+    pub fn repeated(mut self, reps: usize) -> Self {
+        self.set_reps(reps);
+        self
     }
 
     /// Reserves capacity for at least `additional` more instructions.
@@ -71,11 +111,12 @@ impl Program {
         self.instrs.reserve(additional);
     }
 
-    /// Removes all instructions and labels, retaining capacity — the
-    /// reuse hook for benchmark scratch buffers.
+    /// Removes all instructions and labels and runs the body once again,
+    /// retaining capacity — the reuse hook for benchmark scratch buffers.
     pub fn clear(&mut self) {
         self.instrs.clear();
         self.labels.clear();
+        self.reps = 1;
     }
 
     /// Appends a synchronous zero-byte signal send.
@@ -185,18 +226,18 @@ impl Program {
         self
     }
 
-    /// Number of instructions.
+    /// Number of instructions in the body.
     pub fn len(&self) -> usize {
         self.instrs.len()
     }
 
-    /// True if the program has no instructions.
+    /// True if the body has no instructions.
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
     }
 
-    /// Number of send instructions (used by tests to sanity-check
-    /// program builders).
+    /// Number of send instructions in the body (used by tests to
+    /// sanity-check program builders).
     pub fn send_count(&self) -> usize {
         self.instrs
             .iter()
@@ -204,7 +245,7 @@ impl Program {
             .count()
     }
 
-    /// Number of receive instructions.
+    /// Number of receive instructions in the body.
     pub fn recv_count(&self) -> usize {
         self.instrs
             .iter()
@@ -298,10 +339,25 @@ mod tests {
         for _ in 0..64 {
             p.push_noop_call();
         }
+        p.set_reps(3);
         let cap = p.instrs.capacity();
         p.clear();
         assert!(p.is_empty());
+        assert_eq!(p.reps(), 1);
         assert_eq!(p.instrs.capacity(), cap);
+    }
+
+    #[test]
+    fn repetition_count_defaults_to_one() {
+        assert_eq!(Program::new().reps(), 1);
+        assert_eq!(Program::new().noop_call().repeated(4).reps(), 4);
+        assert_ne!(Program::new().repeated(2), Program::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least once")]
+    fn zero_repetitions_rejected() {
+        Program::new().set_reps(0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use hbar_core::algorithms::Algorithm;
 use hbar_simnet::barrier::{measure_schedule, staggered_delay_check};
 use hbar_simnet::engine::Engine;
-use hbar_simnet::program::Program;
+use hbar_simnet::program::{Instr, Program};
 use hbar_simnet::world::{SimConfig, SimWorld};
 use hbar_simnet::{NoiseModel, NoiseState};
 use hbar_topo::machine::MachineSpec;
@@ -207,5 +207,84 @@ proptest! {
         let mut world = SimWorld::new(SimConfig::exact(machine, RankMapping::RoundRobin), p);
         let (ok, _) = staggered_delay_check(&mut world, &sched, 5_000_000);
         prop_assert!(ok);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A body run k times is the body written out k times: same finish
+    /// times, marks and event count under realistic noise, and for a set
+    /// that deadlocks the same report, on a fresh engine and on one that
+    /// last ran the written-out set. Bodies are random sends, receives,
+    /// both waits, delays, no-op calls and marks. About two sets in five
+    /// complete; in the rest a lone send or receive, or a rank whose
+    /// count differs from its peers', leaves a message unmatched.
+    #[test]
+    fn repeated_body_is_its_unrolled_program(
+        machine in arb_machine(),
+        ops in prop::collection::vec((0usize..12, 0u8..10, 0usize..12, 0u64..4_000), 0..24),
+        ks in prop::collection::vec(1usize..=4, 12),
+        (one_count, lone) in (any::<bool>(), any::<bool>()),
+        seed in 0u64..100,
+    ) {
+        let p = machine.total_cores();
+        prop_assume!(p >= 2);
+        let mut bodies: Vec<Program> = (0..p).map(|_| Program::new()).collect();
+        for &(a, kind, b, v) in &ops {
+            let (a, b) = (a % p, b % p);
+            let body = &mut bodies[a];
+            match kind {
+                0..=3 if a != b => {
+                    body.push_issend_bytes(b, v as usize % 3 * 512);
+                    bodies[b].push_irecv(a);
+                }
+                4 if a != b && lone => match v % 2 {
+                    0 => body.push_issend(b),
+                    _ => body.push_irecv(b),
+                },
+                5 => body.push_wait_recvs(),
+                6 => body.push_wait_all(),
+                7 => body.push_delay(v),
+                8 => body.push_mark(["a", "b"][v as usize % 2]),
+                _ => body.push_noop_call(),
+            }
+        }
+        let count = |r: usize| if one_count { ks[0] } else { ks[r % ks.len()] };
+        let unrolled: Vec<Program> = bodies
+            .iter()
+            .enumerate()
+            .map(|(r, body)| {
+                let mut out = Program::new();
+                for _ in 0..count(r) {
+                    for &ins in &body.instrs {
+                        match ins {
+                            Instr::Mark { label } => out.push_mark(body.label(label)),
+                            ins => out.instrs.push(ins),
+                        }
+                    }
+                }
+                out
+            })
+            .collect();
+        let repeated: Vec<Program> = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(r, body)| body.repeated(count(r)))
+            .collect();
+
+        let cores = RankMapping::RoundRobin.cores(&machine, p);
+        let engine = || Engine::new(cores.clone(), machine.ground_truth.clone());
+        let noise = || NoiseState::new(NoiseModel::realistic(seed), 3);
+        let outcome = |r: Result<hbar_simnet::engine::EngineResult, _>| {
+            r.map(|r| (r.finish, r.marks, r.events))
+                .map_err(|e: hbar_simnet::engine::SimDeadlock| e.stuck)
+        };
+        let expect = outcome(engine().run(&unrolled, noise()));
+        prop_assert_eq!(&outcome(engine().run(&repeated, noise())), &expect);
+        let mut reused = engine();
+        prop_assert_eq!(&outcome(reused.run(&unrolled, noise())), &expect);
+        prop_assert_eq!(&outcome(reused.run(&repeated, noise())), &expect);
+        prop_assert_eq!(&outcome(reused.run_bound(&repeated, noise())), &expect);
     }
 }

@@ -651,6 +651,81 @@ fn worker_drops_a_job_its_schedule_cannot_fit_and_keeps_serving() {
     handle.join().expect("join").expect("worker ok");
 }
 
+/// A job that asks for more work than a worker measures — a burst past
+/// 2^16 messages, or more than 2^24 runs and calls in one descriptor at
+/// its `rep_scale` — ends that connection without an answer, instead of
+/// the worker aborting on the allocation or running for hours, and the
+/// worker serves the next session as before.
+#[test]
+fn worker_drops_a_job_too_large_to_measure_and_keeps_serving() {
+    use hbar_simnet::wire::{
+        encode_batch, encode_job, read_frame, write_frame, FRAME_BATCH, FRAME_JOB, FRAME_RESULT,
+    };
+    use std::io::ErrorKind;
+    use std::net::TcpStream;
+
+    let (addr, handle) = spawn_worker(WorkerFault::None);
+    let descriptor = |kind, rep_scale| PairWorkDescriptor {
+        id: 0,
+        kind,
+        i: 0,
+        j: 1,
+        core_a: 0,
+        core_b: 1,
+        sub_seed: 42,
+        rep_scale,
+    };
+    let session = |profiling: ProfilingConfig, d: PairWorkDescriptor| {
+        let job = JobHeader {
+            machine: MachineSpec::new(1, 1, 2),
+            noise: NoiseModel::none(),
+            profiling,
+        };
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        write_frame(&mut stream, FRAME_JOB, &encode_job(&job).unwrap()).expect("send job");
+        // The worker may already have closed the connection.
+        let _ = write_frame(&mut stream, FRAME_BATCH, &encode_batch(&[d]));
+        read_frame(&mut stream).map(|(tag, _)| tag)
+    };
+
+    let fast = ProfilingConfig::fast();
+    for (bad, d) in [
+        (
+            ProfilingConfig {
+                noop_calls: 1 << 40,
+                ..fast.clone()
+            },
+            descriptor(WorkKind::Diag, 1),
+        ),
+        (
+            ProfilingConfig {
+                max_messages: 1 << 40,
+                ..fast.clone()
+            },
+            descriptor(WorkKind::Burst, 1),
+        ),
+        (fast.clone(), descriptor(WorkKind::Pair, u32::MAX)),
+    ] {
+        match session(bad.clone(), d) {
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+                ),
+                "{bad:?} {d:?}: {e}"
+            ),
+            Ok(tag) => panic!("{bad:?} {d:?}: answered with frame {tag}"),
+        }
+        assert_eq!(
+            session(fast.clone(), descriptor(WorkKind::Pair, 2)).expect("next session"),
+            FRAME_RESULT
+        );
+    }
+
+    shutdown_worker(&addr).expect("shutdown worker");
+    handle.join().expect("join").expect("worker ok");
+}
+
 /// Drain handshake: a driver that finishes its queue sends FRAME_DRAIN
 /// and gets an acknowledging FRAME_DRAIN back, and the worker stays
 /// alive for the next session instead of seeing an abrupt EOF.

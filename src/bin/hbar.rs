@@ -220,7 +220,9 @@ const COMMANDS: &[Command] = &[
         values: &[
             ("profile", FILE, true),
             ("schedule", FILE, true),
-            // All built up front: ≈ 0.4 GB for a P = 1024 hybrid at 1000.
+            // One barrier body per rank, run `reps` times: the bound sizes
+            // 8 B of queue slot per message (≈ 28 MB for a P = 1024 hybrid
+            // at 1000) and a run time ∝ reps × signals.
             ("reps", Int(1, 1000), false),
             ("seed", ANY, false),
         ],

@@ -7,12 +7,12 @@
 //! `recv`/`drain`/`stats` flushes, so a burst of pipelined requests
 //! costs a handful of syscalls, not one per frame.
 
+use crate::frame::{
+    read_frame_into, write_frame, write_frame_buffered, FRAME_DRAIN, FRAME_SHUTDOWN,
+};
 use crate::proto::{
     decode_tune_error, ServeStats, TuneRequest, TuneResponse, FRAME_STATS_REQ, FRAME_STATS_RESP,
     FRAME_TUNE_ERR, FRAME_TUNE_REQ, FRAME_TUNE_RESP,
-};
-use hbar_simnet::wire::{
-    read_frame_into, write_frame, write_frame_buffered, FRAME_DRAIN, FRAME_SHUTDOWN,
 };
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};

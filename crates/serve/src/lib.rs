@@ -6,9 +6,11 @@
 //! tuned hybrid schedules plus generated code, with a warm path built
 //! to answer in tens of microseconds:
 //!
-//! * [`proto`] — the binary request/response frames, layered on
-//!   `hbar_simnet::wire`'s length-prefixed stream, and the versioned
-//!   [`CacheKey`] (cost fingerprint × tuner-knob fingerprint);
+//! * [`frame`] — the `[tag][len][payload]` stream every connection
+//!   speaks, and its drain and shutdown tags;
+//! * [`proto`] — the binary request/response frames carried on it, and
+//!   the versioned [`CacheKey`] (cost fingerprint × tuner-knob
+//!   fingerprint);
 //! * [`cache`] — the sharded slab-LRU schedule cache (per-shard locks,
 //!   entry + bytes budgets);
 //! * [`server`] — accept loop, per-connection readers with
@@ -27,6 +29,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod frame;
 pub mod proto;
 pub mod server;
 pub mod workload;

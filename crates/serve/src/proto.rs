@@ -1,9 +1,7 @@
-//! The tune-service extension of the framed wire protocol.
+//! The tune service's frames and their payload codecs.
 //!
-//! `hbar serve` speaks the same `[tag][len u32 LE][payload]` frame
-//! stream as the profiling fleet (`hbar_simnet::wire`), with its own tag
-//! range so a serve endpoint and a profile worker can never be confused
-//! by a stray frame:
+//! `hbar serve` carries these on the `[tag][len u32 LE][payload]` frame
+//! stream of [`crate::frame`]:
 //!
 //! * [`FRAME_TUNE_REQ`] — a compact binary [`TuneRequest`]: tuning knobs
 //!   plus the raw `O`/`L` cost matrices. Binary because the matrices
@@ -16,8 +14,9 @@
 //! * [`FRAME_TUNE_ERR`] — request id plus a human-readable reason.
 //! * [`FRAME_STATS_REQ`] / [`FRAME_STATS_RESP`] — JSON server counters
 //!   ([`ServeStats`]); small, rare, debuggable with `nc`.
-//! * `FRAME_DRAIN` / `FRAME_SHUTDOWN` are shared with the profiling
-//!   protocol: drain finishes everything in flight on one connection,
+//! * [`FRAME_DRAIN`](crate::frame::FRAME_DRAIN) /
+//!   [`FRAME_SHUTDOWN`](crate::frame::FRAME_SHUTDOWN), from the frame
+//!   layer: drain finishes everything in flight on one connection,
 //!   shutdown stops the whole daemon.
 //!
 //! Responses are keyed by the client-chosen request `id`, so a client

@@ -28,6 +28,7 @@
 //! blocked in `read` and unable to flush on the waiters' behalf.
 
 use crate::cache::{CacheConfig, ShardedCache};
+use crate::frame::{read_frame_into, write_frame_buffered, FRAME_DRAIN, FRAME_SHUTDOWN};
 use crate::proto::{
     encode_tune_error, CacheKey, ServeStats, TuneRequest, FRAME_STATS_REQ, FRAME_STATS_RESP,
     FRAME_TUNE_ERR, FRAME_TUNE_REQ, FRAME_TUNE_RESP, REQ_WANT_CODE,
@@ -36,7 +37,6 @@ use hbar_core::codegen::{c_source, compile_schedule};
 use hbar_core::compose::tune_hybrid_costs_with;
 use hbar_core::cost::CostEvaluator;
 use hbar_core::{BarrierSchedule, CostParams};
-use hbar_simnet::wire::{read_frame_into, write_frame_buffered, FRAME_DRAIN, FRAME_SHUTDOWN};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

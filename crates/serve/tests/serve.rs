@@ -235,11 +235,11 @@ fn malformed_requests_get_error_replies_not_disconnects() {
     TuneRequest::new(6, cost.clone()).encode_into(&mut retired_extended);
     retired_extended[24] |= 1 << 0;
     for (want_id, buf) in [(3, &bad_len), (5, &retired_bit), (6, &retired_extended)] {
-        use hbar_simnet::wire::write_frame;
+        use hbar_serve::frame::write_frame;
         // Reach under the client to send the corrupt frame verbatim.
         let mut raw = TcpStream::connect(server.addr()).expect("connect raw");
         write_frame(&mut raw, FRAME_TUNE_REQ, buf).expect("send corrupt");
-        let (tag, payload) = hbar_simnet::wire::read_frame(&mut raw).expect("read err");
+        let (tag, payload) = hbar_serve::frame::read_frame(&mut raw).expect("read err");
         assert_eq!(tag, hbar_serve::proto::FRAME_TUNE_ERR);
         let (id, reason) = hbar_serve::proto::decode_tune_error(&payload).expect("decode err");
         assert_eq!(

@@ -23,21 +23,16 @@
 //! * [`sweep`] — the one profiling sweep, exhaustive
 //!   ([`SweepConfig::exact`]: every pair, as the paper measures) or
 //!   pair-clustered (representatives + validation probes), over any
-//!   [`DescriptorExecutor`]: the work-stealing [`LocalExecutor`] or a
-//!   worker fleet;
+//!   [`DescriptorExecutor`], in process on the work-stealing
+//!   [`LocalExecutor`];
 //! * [`scatter`] — the out-of-core class-grid scatter that writes the
 //!   sweep's results into a [`hbar_topo::CompressedCostModel`]
 //!   tile-at-a-time under a memory budget, for `P ≫ 4096`;
-//! * [`wire`] — the compact framed codec for shipping sweep work to
-//!   remote workers;
-//! * [`distrib`] — the TCP worker loop and the fleet driver that shards
-//!   class representatives across workers with retry-on-disconnect;
 //! * [`barrier`] — compiled barrier execution and the staggered-delay
 //!   synchronization check of §VI.
 
 pub mod barrier;
 pub mod benchprog;
-pub mod distrib;
 pub mod engine;
 pub mod noise;
 pub mod profiling;
@@ -45,7 +40,6 @@ pub mod program;
 pub mod scatter;
 pub mod sweep;
 pub mod trace;
-pub mod wire;
 pub mod world;
 
 pub use noise::{NoiseModel, NoiseState};

@@ -27,9 +27,8 @@
 //!    `stopping_parity` regression test, which also pins the measurement
 //!    plan. Work items are self-contained
 //!    [`PairWorkDescriptor`]s (a cell `(i, i)` is a [`WorkKind::Diag`]
-//!    one), so execution can fan out to a work-stealing thread pool
-//!    ([`LocalExecutor`]) or a TCP worker fleet ([`crate::distrib`])
-//!    interchangeably;
+//!    one), so execution fans out over a work-stealing thread pool
+//!    ([`LocalExecutor`]) behind the [`DescriptorExecutor`] trait;
 //! 3. **scatter** — one estimate per class id is written back (both
 //!    orientations, per the symmetric-link assumption) into the full
 //!    `|P|²` matrices, or into the class-compressed model ([`crate::scatter`]).
@@ -37,8 +36,8 @@
 //! Everything is seed-deterministic: descriptors carry their noise
 //! sub-seed, representatives and probes are chosen by deterministic scan
 //! order and counter-hash reservoirs, and estimates are medians over a
-//! fixed sample order — so local, distributed, and differently-threaded
-//! runs produce bit-identical profiles.
+//! fixed sample order — so runs at any thread count, and under any
+//! executor, produce bit-identical profiles.
 //!
 //! In the **singleton regime** — every class has exactly one member, as
 //! forced by [`SweepConfig::exact`] or produced naturally by a fully
@@ -62,13 +61,12 @@ use hbar_topo::mapping::RankMapping;
 use hbar_topo::profile::TopologyProfile;
 use hbar_topo::regress::median;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What a work descriptor measures. A pair's two halves answer, bit for
 /// bit, the same component of a [`WorkKind::Pair`] descriptor at the same
 /// `rep_scale` and sub-seed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkKind {
     /// Off-diagonal `(O_ij, L_ij)` pair benchmark: both families.
     Pair,
@@ -80,11 +78,11 @@ pub enum WorkKind {
     Burst,
 }
 
-/// One self-contained unit of profiling work: everything a worker needs
-/// to reproduce the measurement, including the noise sub-seed (so the
-/// result is independent of *which* worker runs it, *when*, and in what
-/// order).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// One self-contained unit of profiling work: everything an executor
+/// needs to reproduce the measurement, including the noise sub-seed (so
+/// the result is independent of *which* thread runs it, *when*, and in
+/// what order).
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PairWorkDescriptor {
     /// Driver-assigned identity; responses are merged by this key.
     pub id: u32,
@@ -100,7 +98,7 @@ pub struct PairWorkDescriptor {
     pub core_b: u32,
     /// Pre-mixed noise sub-seed (see
     /// [`crate::profiling::pair_sub_seed`]); carried in the descriptor so
-    /// remote workers never re-derive it.
+    /// an executor never re-derives it.
     pub sub_seed: u64,
     /// Repetition multiplier from adaptive growth (1 = the base
     /// [`ProfilingConfig`] schedule).
@@ -109,7 +107,7 @@ pub struct PairWorkDescriptor {
 
 /// The measured result of one descriptor. `l` is 0 for diagonal and
 /// ping-pong work, `o` for burst work.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PairSample {
     /// Echoed descriptor identity.
     pub id: u32,
@@ -119,22 +117,16 @@ pub struct PairSample {
     pub l: f64,
 }
 
-/// Errors of the decomposed sweep. The distributed layer contributes the
-/// socket/protocol variants; the class-compressed scatter
+/// Errors of the decomposed sweep. The class-compressed scatter
 /// ([`crate::scatter`]) contributes spill i/o and model-construction
-/// failures. Local dense execution is infallible.
+/// failures; [`LocalExecutor`] itself is infallible.
 #[derive(Debug)]
 pub enum SweepError {
-    /// Socket-level failure talking to a worker, or spill-file i/o.
+    /// Spill-file i/o of the class-compressed scatter.
     Io(std::io::Error),
-    /// A worker answered with a malformed or mismatched frame.
+    /// An executor's answer, or a spill run read back, did not match
+    /// what was asked of it.
     Protocol(String),
-    /// Every worker died (reconnects exhausted) with work left over and
-    /// local fallback disabled.
-    WorkersExhausted {
-        /// Batches never executed.
-        remaining_batches: usize,
-    },
     /// The compressed scatter could not build a valid class model (e.g.
     /// the class space overflowed the `u16` grid).
     Compress(CompressError),
@@ -151,12 +143,8 @@ pub enum SweepError {
 impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SweepError::Io(e) => write!(f, "worker i/o failed: {e}"),
-            SweepError::Protocol(msg) => write!(f, "worker protocol violation: {msg}"),
-            SweepError::WorkersExhausted { remaining_batches } => write!(
-                f,
-                "all workers exhausted with {remaining_batches} batches unexecuted"
-            ),
+            SweepError::Io(e) => write!(f, "spill i/o failed: {e}"),
+            SweepError::Protocol(msg) => write!(f, "mismatched answer: {msg}"),
             SweepError::Compress(e) => write!(f, "compressed scatter failed: {e}"),
             SweepError::PlacementMismatch { classed, placed } => write!(
                 f,
@@ -176,8 +164,8 @@ impl From<std::io::Error> for SweepError {
 
 /// Something that can execute a batch of descriptors and return one
 /// sample per descriptor (any order; merging is by `id`). The sweep's
-/// control flow is executor-agnostic, which is what makes the local and
-/// distributed paths produce identical profiles.
+/// control flow is executor-agnostic, so an executor that wraps another
+/// (a timing one, say) leaves the profile bit-identical.
 pub trait DescriptorExecutor {
     /// Executes every descriptor, returning exactly one sample per id.
     fn execute_batch(
@@ -221,8 +209,8 @@ impl DescriptorExecutor for LocalExecutor {
 }
 
 /// Runs one descriptor's full measurement schedule. This is *the* leaf
-/// operation of the whole subsystem: local threads and remote workers
-/// both end up here, which is why their results agree bit-for-bit.
+/// operation of the whole subsystem: every executor ends up here, which
+/// is why their results agree bit-for-bit.
 pub fn execute_descriptor(
     machine: &MachineSpec,
     noise: NoiseModel,
@@ -1294,31 +1282,5 @@ mod tests {
             ..NoiseModel::realistic(1)
         };
         assert_ne!(a, noise_regime_of(&quiet));
-    }
-
-    #[test]
-    fn descriptor_serde_roundtrip() {
-        let d = PairWorkDescriptor {
-            id: 7,
-            kind: WorkKind::Pair,
-            i: 3,
-            j: 900_000,
-            core_a: 12,
-            core_b: 4095,
-            sub_seed: 0xDEAD_BEEF_CAFE_F00D,
-            rep_scale: 4,
-        };
-        let json = serde_json::to_string(&d).unwrap();
-        let back: PairWorkDescriptor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, d);
-        let s = PairSample {
-            id: 7,
-            o: 1.25e-6,
-            l: -0.0,
-        };
-        let json = serde_json::to_string(&s).unwrap();
-        let back: PairSample = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.id, s.id);
-        assert_eq!(back.o, s.o);
     }
 }

@@ -1,21 +1,15 @@
 //! Integration tests of the profiling sweep: singleton-regime bit-parity
-//! with a hand-measured exhaustive oracle, clustered-vs-exhaustive error
-//! bounds on the paper clusters, wire-format round trips, and the
-//! loopback driver↔worker fleet: a mid-sweep crash, a sweep that grows,
-//! and a batch the worker's machine cannot place.
+//! with a hand-measured exhaustive oracle, and clustered-vs-exhaustive
+//! error bounds on the paper clusters.
 
 use hbar_core::clustering::splitmix64;
 use hbar_core::compose::{tune_hybrid_costs, TunerConfig};
 use hbar_core::verify::is_barrier;
-use hbar_simnet::distrib::{
-    serve_worker, shutdown_worker, FleetExecutor, FleetOptions, WorkerFault,
-};
 use hbar_simnet::profiling::{diag_sub_seed, pair_sub_seed, ProfilingConfig};
 use hbar_simnet::sweep::{
-    execute_descriptor, measure_profile_decomposed, DescriptorExecutor, LocalExecutor, PairSample,
-    PairWorkDescriptor, SweepConfig, SweepError, SweepReport, WorkKind,
+    execute_descriptor, measure_profile_decomposed, LocalExecutor, PairWorkDescriptor, SweepConfig,
+    SweepReport, WorkKind,
 };
-use hbar_simnet::wire::JobHeader;
 use hbar_simnet::{measure_profile_compressed, NoiseModel, SpillConfig, SpillReport};
 use hbar_topo::compressed::CompressedCostModel;
 use hbar_topo::cost::{CostMatrices, CostProvider};
@@ -24,8 +18,6 @@ use hbar_topo::mapping::RankMapping;
 use hbar_topo::metric::DistanceMetric;
 use hbar_topo::profile::TopologyProfile;
 use proptest::prelude::*;
-use std::net::TcpListener;
-use std::time::Duration;
 
 /// Bit-level equality of two profiles' cost matrices.
 fn bits_equal(a: &TopologyProfile, b: &TopologyProfile) -> bool {
@@ -335,600 +327,5 @@ fn clustered_error_bounded_on_paper_clusters() {
     ] {
         let none = NoiseModel::none();
         check(name, &machine, mapping, p, none, &unprobed, 0.05);
-    }
-}
-
-/// JSON round trip of descriptor/response batches (the compact binary
-/// round trip is covered by `wire`'s unit tests).
-#[test]
-fn descriptor_batches_roundtrip_as_json() {
-    let batch: Vec<PairWorkDescriptor> = (0..5)
-        .map(|k| PairWorkDescriptor {
-            id: k,
-            kind: if k % 2 == 0 {
-                WorkKind::Pair
-            } else {
-                WorkKind::Diag
-            },
-            i: k * 7,
-            j: k * 7 + 1,
-            core_a: k,
-            core_b: k + 1,
-            sub_seed: 0x5EED ^ u64::from(k),
-            rep_scale: 1 << (k % 4),
-        })
-        .collect();
-    let json = serde_json::to_string(&batch).unwrap();
-    let back: Vec<PairWorkDescriptor> = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, batch);
-
-    let responses = vec![
-        PairSample {
-            id: 0,
-            o: 2.625e-6,
-            l: 1.07e-7,
-        },
-        PairSample {
-            id: 1,
-            o: 3.5e-6,
-            l: 0.0,
-        },
-    ];
-    let json = serde_json::to_string(&responses).unwrap();
-    let back: Vec<PairSample> = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.len(), responses.len());
-    for (a, b) in back.iter().zip(&responses) {
-        assert_eq!(a.id, b.id);
-        assert_eq!(a.o.to_bits(), b.o.to_bits());
-        assert_eq!(a.l.to_bits(), b.l.to_bits());
-    }
-
-    let job = JobHeader {
-        machine: MachineSpec::dual_quad_cluster(2),
-        noise: NoiseModel::realistic(1),
-        profiling: ProfilingConfig::fast(),
-    };
-    let json = serde_json::to_string(&job).unwrap();
-    let back: JobHeader = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, job);
-}
-
-/// Spawns a worker on an ephemeral loopback port, returning its address
-/// and join handle.
-fn spawn_worker(fault: WorkerFault) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || serve_worker(listener, fault));
-    (addr, handle)
-}
-
-/// The loopback fleet test: two workers on 127.0.0.1, one crashing
-/// mid-sweep (connection dropped after its first answered batch). The
-/// driver must requeue the in-flight batch, reconnect, and produce a
-/// merged profile bit-identical to the purely local sweep — with local
-/// fallback disabled, so every measurement demonstrably came through the
-/// fleet.
-#[test]
-fn loopback_fleet_survives_mid_sweep_crash_and_matches_local() {
-    let machine = MachineSpec::dual_quad_cluster(2);
-    let mapping = RankMapping::Block;
-    let noise = NoiseModel::realistic(77);
-    // Exact classes make the sweep big enough (120 pair + 16 diag
-    // descriptors) to spread over many small batches.
-    let sweep_cfg = SweepConfig::exact(ProfilingConfig::fast());
-    let p = 16;
-
-    let (local_profile, local_report) = local_sweep(&machine, &mapping, p, noise, &sweep_cfg);
-
-    let (addr_a, handle_a) = spawn_worker(WorkerFault::DropConnectionOnce { after: 1 });
-    let (addr_b, handle_b) = spawn_worker(WorkerFault::None);
-    let mut fleet = FleetExecutor::for_sweep(
-        vec![addr_a.clone(), addr_b.clone()],
-        machine.clone(),
-        noise,
-        sweep_cfg.profiling.clone(),
-        FleetOptions {
-            batch_size: 8,
-            reconnect_attempts: 4,
-            reconnect_backoff: Duration::from_millis(10),
-            local_fallback: false,
-        },
-    );
-    let (fleet_profile, fleet_report) =
-        measure_profile_decomposed(&machine, &mapping, p, noise, &sweep_cfg, &mut fleet)
-            .expect("fleet sweep must survive the crash");
-
-    assert!(
-        bits_equal(&local_profile, &fleet_profile),
-        "fleet-merged profile must be bit-identical to the local sweep"
-    );
-    assert_eq!(local_report.measurements, fleet_report.measurements);
-
-    shutdown_worker(&addr_a).expect("shutdown worker a");
-    shutdown_worker(&addr_b).expect("shutdown worker b");
-    handle_a.join().expect("join a").expect("worker a ok");
-    handle_b.join().expect("join b").expect("worker b ok");
-}
-
-/// Hands batches on to a fleet, noting the kind of every descriptor.
-struct KindsSeen<'a> {
-    fleet: &'a mut FleetExecutor,
-    kinds: Vec<WorkKind>,
-}
-
-impl DescriptorExecutor for KindsSeen<'_> {
-    fn execute_batch(
-        &mut self,
-        descriptors: &[PairWorkDescriptor],
-    ) -> Result<Vec<PairSample>, SweepError> {
-        self.kinds.extend(descriptors.iter().map(|d| d.kind));
-        self.fleet.execute_batch(descriptors)
-    }
-}
-
-/// The fleet on a sweep that grows: a 1 % tolerance that round 0 misses,
-/// so growth rounds ship `PingPong` and `Burst` descriptors (wire kinds 2
-/// and 3) as well as `Pair` and `Diag` ones. The merged profile must be
-/// the local run's, bit for bit, with every measurement from the fleet.
-#[test]
-fn loopback_fleet_matches_local_on_a_growing_sweep() {
-    let machine = MachineSpec::dual_quad_cluster(2);
-    let mapping = RankMapping::Block;
-    let noise = NoiseModel::realistic(42);
-    let sweep_cfg = SweepConfig {
-        probes_per_class: 2,
-        ci_rel_tol: 0.01,
-        ..SweepConfig::fast()
-    };
-    let p = 16;
-    let (local_profile, local_report) = local_sweep(&machine, &mapping, p, noise, &sweep_cfg);
-
-    let (addr, handle) = spawn_worker(WorkerFault::None);
-    let mut fleet = FleetExecutor::for_sweep(
-        vec![addr.clone()],
-        machine.clone(),
-        noise,
-        sweep_cfg.profiling.clone(),
-        FleetOptions {
-            batch_size: 4,
-            local_fallback: false,
-            ..FleetOptions::default()
-        },
-    );
-    let mut seen = KindsSeen {
-        fleet: &mut fleet,
-        kinds: Vec::new(),
-    };
-    let (fleet_profile, fleet_report) =
-        measure_profile_decomposed(&machine, &mapping, p, noise, &sweep_cfg, &mut seen)
-            .expect("fleet sweep");
-    for kind in [WorkKind::PingPong, WorkKind::Burst] {
-        assert!(seen.kinds.contains(&kind), "no {kind:?} descriptor shipped");
-    }
-    assert!(bits_equal(&local_profile, &fleet_profile));
-    assert_eq!(local_report.measurements, fleet_report.measurements);
-
-    shutdown_worker(&addr).expect("shutdown worker");
-    handle.join().expect("join").expect("worker ok");
-}
-
-/// A batch that decodes but names cores the job's machine cannot place —
-/// out of range, or both ranks on one core — ends that connection without
-/// an answer, and the worker serves the next session as before.
-#[test]
-fn worker_drops_a_batch_its_machine_cannot_place_and_keeps_serving() {
-    use hbar_simnet::wire::{
-        encode_batch, encode_job, read_frame, write_frame, FRAME_BATCH, FRAME_JOB, FRAME_RESULT,
-    };
-    use std::io::ErrorKind;
-    use std::net::TcpStream;
-
-    let (addr, handle) = spawn_worker(WorkerFault::None);
-    let job = JobHeader {
-        machine: MachineSpec::new(1, 1, 2),
-        noise: NoiseModel::none(),
-        profiling: ProfilingConfig::fast(),
-    };
-    let pair = |core_a, core_b| PairWorkDescriptor {
-        id: 0,
-        kind: WorkKind::Pair,
-        i: 0,
-        j: 1,
-        core_a,
-        core_b,
-        sub_seed: 42,
-        rep_scale: 1,
-    };
-    let session = |batch: Vec<PairWorkDescriptor>| {
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        write_frame(&mut stream, FRAME_JOB, &encode_job(&job).unwrap()).expect("send job");
-        write_frame(&mut stream, FRAME_BATCH, &encode_batch(&batch)).expect("send batch");
-        read_frame(&mut stream).map(|(tag, _)| tag)
-    };
-
-    for bad in [pair(0, 2), pair(u32::MAX, 1), pair(1, 1)] {
-        match session(vec![pair(0, 1), bad]) {
-            Err(e) => assert!(
-                matches!(
-                    e.kind(),
-                    ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
-                ),
-                "{bad:?}: {e}"
-            ),
-            Ok(tag) => panic!("{bad:?}: answered with frame {tag}"),
-        }
-        assert_eq!(
-            session(vec![pair(0, 1)]).expect("next session"),
-            FRAME_RESULT
-        );
-    }
-
-    shutdown_worker(&addr).expect("shutdown worker");
-    handle.join().expect("join").expect("worker ok");
-}
-
-/// A job header whose schedule the benchmarks cannot run (no repetitions,
-/// no calls) or the regression cannot fit (fewer than two distinct sizes
-/// or burst counts) ends that connection before its batch is measured,
-/// and the worker serves the next session as before.
-#[test]
-fn worker_drops_a_job_its_schedule_cannot_fit_and_keeps_serving() {
-    use hbar_simnet::wire::{
-        encode_batch, encode_job, read_frame, write_frame, FRAME_BATCH, FRAME_JOB, FRAME_RESULT,
-    };
-    use std::io::ErrorKind;
-    use std::net::TcpStream;
-
-    let (addr, handle) = spawn_worker(WorkerFault::None);
-    // One descriptor of each kind that reads the schedule.
-    let batch: Vec<PairWorkDescriptor> = [(0, WorkKind::Pair), (1, WorkKind::Diag)]
-        .into_iter()
-        .map(|(id, kind)| PairWorkDescriptor {
-            id,
-            kind,
-            i: 0,
-            j: 1,
-            core_a: 0,
-            core_b: 1,
-            sub_seed: 42,
-            rep_scale: 1,
-        })
-        .collect();
-    let session = |profiling: ProfilingConfig| {
-        let job = JobHeader {
-            machine: MachineSpec::new(1, 1, 2),
-            noise: NoiseModel::none(),
-            profiling,
-        };
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        write_frame(&mut stream, FRAME_JOB, &encode_job(&job).unwrap()).expect("send job");
-        // The worker may already have closed the connection.
-        let _ = write_frame(&mut stream, FRAME_BATCH, &encode_batch(&batch));
-        read_frame(&mut stream).map(|(tag, _)| tag)
-    };
-
-    let fast = ProfilingConfig::fast();
-    for bad in [
-        ProfilingConfig {
-            reps: 0,
-            ..fast.clone()
-        },
-        ProfilingConfig {
-            burst_reps: 0,
-            ..fast.clone()
-        },
-        ProfilingConfig {
-            noop_calls: 0,
-            ..fast.clone()
-        },
-        ProfilingConfig {
-            sizes: Vec::new(),
-            ..fast.clone()
-        },
-        ProfilingConfig {
-            sizes: vec![64, 64, 64],
-            ..fast.clone()
-        },
-        ProfilingConfig {
-            max_messages: 1,
-            ..fast.clone()
-        },
-    ] {
-        match session(bad.clone()) {
-            Err(e) => assert!(
-                matches!(
-                    e.kind(),
-                    ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
-                ),
-                "{bad:?}: {e}"
-            ),
-            Ok(tag) => panic!("{bad:?}: answered with frame {tag}"),
-        }
-        assert_eq!(session(fast.clone()).expect("next session"), FRAME_RESULT);
-    }
-
-    shutdown_worker(&addr).expect("shutdown worker");
-    handle.join().expect("join").expect("worker ok");
-}
-
-/// A job that asks for more work than a worker measures — a burst past
-/// 2^16 messages, or more than 2^24 runs and calls in one descriptor at
-/// its `rep_scale` — ends that connection without an answer, instead of
-/// the worker aborting on the allocation or running for hours, and the
-/// worker serves the next session as before.
-#[test]
-fn worker_drops_a_job_too_large_to_measure_and_keeps_serving() {
-    use hbar_simnet::wire::{
-        encode_batch, encode_job, read_frame, write_frame, FRAME_BATCH, FRAME_JOB, FRAME_RESULT,
-    };
-    use std::io::ErrorKind;
-    use std::net::TcpStream;
-
-    let (addr, handle) = spawn_worker(WorkerFault::None);
-    let descriptor = |kind, rep_scale| PairWorkDescriptor {
-        id: 0,
-        kind,
-        i: 0,
-        j: 1,
-        core_a: 0,
-        core_b: 1,
-        sub_seed: 42,
-        rep_scale,
-    };
-    let session = |profiling: ProfilingConfig, d: PairWorkDescriptor| {
-        let job = JobHeader {
-            machine: MachineSpec::new(1, 1, 2),
-            noise: NoiseModel::none(),
-            profiling,
-        };
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        write_frame(&mut stream, FRAME_JOB, &encode_job(&job).unwrap()).expect("send job");
-        // The worker may already have closed the connection.
-        let _ = write_frame(&mut stream, FRAME_BATCH, &encode_batch(&[d]));
-        read_frame(&mut stream).map(|(tag, _)| tag)
-    };
-
-    let fast = ProfilingConfig::fast();
-    for (bad, d) in [
-        (
-            ProfilingConfig {
-                noop_calls: 1 << 40,
-                ..fast.clone()
-            },
-            descriptor(WorkKind::Diag, 1),
-        ),
-        (
-            ProfilingConfig {
-                max_messages: 1 << 40,
-                ..fast.clone()
-            },
-            descriptor(WorkKind::Burst, 1),
-        ),
-        (fast.clone(), descriptor(WorkKind::Pair, u32::MAX)),
-    ] {
-        match session(bad.clone(), d) {
-            Err(e) => assert!(
-                matches!(
-                    e.kind(),
-                    ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
-                ),
-                "{bad:?} {d:?}: {e}"
-            ),
-            Ok(tag) => panic!("{bad:?} {d:?}: answered with frame {tag}"),
-        }
-        assert_eq!(
-            session(fast.clone(), descriptor(WorkKind::Pair, 2)).expect("next session"),
-            FRAME_RESULT
-        );
-    }
-
-    shutdown_worker(&addr).expect("shutdown worker");
-    handle.join().expect("join").expect("worker ok");
-}
-
-/// Drain handshake: a driver that finishes its queue sends FRAME_DRAIN
-/// and gets an acknowledging FRAME_DRAIN back, and the worker stays
-/// alive for the next session instead of seeing an abrupt EOF.
-#[test]
-fn worker_acknowledges_drain_and_keeps_serving() {
-    use hbar_simnet::wire::{
-        encode_batch, encode_job, read_frame, write_frame, FRAME_BATCH, FRAME_DRAIN, FRAME_JOB,
-        FRAME_RESULT,
-    };
-    use std::net::TcpStream;
-
-    let (addr, handle) = spawn_worker(WorkerFault::None);
-    let job = JobHeader {
-        machine: MachineSpec::new(1, 1, 2),
-        noise: NoiseModel::none(),
-        profiling: ProfilingConfig::fast(),
-    };
-
-    for session in 0..2 {
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        write_frame(&mut stream, FRAME_JOB, &encode_job(&job).unwrap()).expect("send job");
-        let batch = vec![PairWorkDescriptor {
-            id: 0,
-            kind: WorkKind::Pair,
-            i: 0,
-            j: 1,
-            core_a: 0,
-            core_b: 1,
-            sub_seed: 42 + session,
-            rep_scale: 1,
-        }];
-        write_frame(&mut stream, FRAME_BATCH, &encode_batch(&batch)).expect("send batch");
-        let (tag, _) = read_frame(&mut stream).expect("read result");
-        assert_eq!(tag, FRAME_RESULT, "session {session}: expected a result");
-        write_frame(&mut stream, FRAME_DRAIN, &[]).expect("send drain");
-        let (tag, payload) = read_frame(&mut stream).expect("read drain ack");
-        assert_eq!(tag, FRAME_DRAIN, "session {session}: expected a drain ack");
-        assert!(payload.is_empty());
-    }
-
-    shutdown_worker(&addr).expect("shutdown worker");
-    handle.join().expect("join").expect("worker ok");
-}
-
-/// A second fleet scenario, `runs` times over: a worker that dies for good
-/// (after one answered batch, in the middle of its second). The other
-/// worker must drain the whole queue alone — the dead worker's requeued
-/// batch included, whenever it comes back.
-fn fleet_outlives_a_dying_worker(runs: usize) {
-    let machine = MachineSpec::new(2, 2, 2);
-    let mapping = RankMapping::RoundRobin;
-    let noise = NoiseModel::realistic(13);
-    let sweep_cfg = SweepConfig::exact(ProfilingConfig::fast());
-    let p = 8;
-
-    let (local_profile, _) = local_sweep(&machine, &mapping, p, noise, &sweep_cfg);
-
-    for _ in 0..runs {
-        let (addr_a, handle_a) = spawn_worker(WorkerFault::DieAfter { after: 1 });
-        let (addr_b, handle_b) = spawn_worker(WorkerFault::None);
-        let mut fleet = FleetExecutor::for_sweep(
-            vec![addr_a.clone(), addr_b.clone()],
-            machine.clone(),
-            noise,
-            sweep_cfg.profiling.clone(),
-            FleetOptions {
-                batch_size: 4,
-                reconnect_attempts: 2,
-                reconnect_backoff: Duration::from_millis(5),
-                local_fallback: false,
-            },
-        );
-        let (fleet_profile, _) =
-            measure_profile_decomposed(&machine, &mapping, p, noise, &sweep_cfg, &mut fleet)
-                .expect("surviving worker must finish the sweep");
-        assert!(bits_equal(&local_profile, &fleet_profile));
-
-        // Worker a is dead, unless b drained the queue before a second
-        // batch reached it: then it still listens, and is told to stop.
-        if !handle_a.is_finished() {
-            let _ = shutdown_worker(&addr_a);
-        }
-        handle_a
-            .join()
-            .expect("join a")
-            .expect("worker a exited by fault or on request");
-        shutdown_worker(&addr_b).expect("shutdown worker b");
-        handle_b.join().expect("join b").expect("worker b ok");
-    }
-}
-
-#[test]
-fn loopback_fleet_tolerates_permanent_worker_death() {
-    fleet_outlives_a_dying_worker(1);
-}
-
-/// Whether the healthy feeder finds the queue empty before or after the
-/// dying worker's batch returns to it is up to the scheduler, and one
-/// order in ten used to lose the batch.
-#[test]
-fn loopback_fleet_tolerates_permanent_worker_death_200_times() {
-    fleet_outlives_a_dying_worker(200);
-}
-
-/// The losing order, forced. Two batches: worker A is handed one, holds it
-/// until feeder B has answered the other and — were it to leave the moment
-/// it sees the queue empty — has said goodbye to its worker, and then dies
-/// for good. B must still be around to run A's batch, and run it on its
-/// worker: not an error, and not the driver's local fallback either.
-#[test]
-fn healthy_feeder_waits_for_a_batch_in_flight_elsewhere() {
-    use hbar_simnet::wire::{
-        decode_batch, decode_job, encode_results, read_frame, write_frame, FRAME_BATCH,
-        FRAME_DRAIN, FRAME_JOB, FRAME_RESULT, FRAME_SHUTDOWN,
-    };
-    use std::sync::mpsc;
-
-    let machine = MachineSpec::new(1, 1, 2);
-    let mapping = RankMapping::Block;
-    let noise = NoiseModel::realistic(3);
-    // One pair and two diagonals: two batches of at most two descriptors.
-    let sweep_cfg = SweepConfig::exact(ProfilingConfig::fast());
-    let (local_profile, _) = local_sweep(&machine, &mapping, 2, noise, &sweep_cfg);
-
-    for local_fallback in [false, true] {
-        let (a_holds, a_held) = mpsc::channel::<()>();
-        let (b_answers, b_answered) = mpsc::channel::<()>();
-        let (b_drains, b_drained) = mpsc::channel::<()>();
-
-        let listener_a = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr_a = listener_a.local_addr().unwrap().to_string();
-        let worker_a = std::thread::spawn(move || {
-            let (mut stream, _) = listener_a.accept().expect("feeder a connects");
-            assert_eq!(read_frame(&mut stream).expect("job").0, FRAME_JOB);
-            assert_eq!(read_frame(&mut stream).expect("batch").0, FRAME_BATCH);
-            a_holds.send(()).unwrap();
-            b_answered.recv().expect("b answers the other batch");
-            // A feeder that leaves on an empty queue does so now, and its
-            // worker hears of it. One that stays says nothing; give it a
-            // moment it does not need.
-            let _ = b_drained.recv_timeout(Duration::from_millis(300));
-            // Connection and listener dropped: dead for good.
-        });
-
-        let listener_b = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr_b = listener_b.local_addr().unwrap().to_string();
-        let worker_b = std::thread::spawn(move || {
-            let mut answered = 0;
-            loop {
-                let (mut stream, _) = listener_b.accept().expect("accept");
-                let (tag, payload) = read_frame(&mut stream).expect("first frame");
-                if tag == FRAME_SHUTDOWN {
-                    return answered;
-                }
-                assert_eq!(tag, FRAME_JOB);
-                let job = decode_job(&payload).expect("job header");
-                loop {
-                    let (tag, payload) = read_frame(&mut stream).expect("frame");
-                    if tag == FRAME_DRAIN {
-                        let _ = b_drains.send(());
-                        write_frame(&mut stream, FRAME_DRAIN, &[]).expect("drain ack");
-                        break;
-                    }
-                    assert_eq!(tag, FRAME_BATCH);
-                    if answered == 0 {
-                        // Not before A is stuck with the other batch.
-                        a_held.recv().expect("a takes a batch");
-                    }
-                    let samples: Vec<PairSample> = decode_batch(&payload)
-                        .expect("batch")
-                        .iter()
-                        .map(|d| execute_descriptor(&job.machine, job.noise, &job.profiling, d))
-                        .collect();
-                    write_frame(&mut stream, FRAME_RESULT, &encode_results(&samples))
-                        .expect("result");
-                    answered += 1;
-                    let _ = b_answers.send(());
-                }
-            }
-        });
-
-        let mut fleet = FleetExecutor::for_sweep(
-            vec![addr_a, addr_b.clone()],
-            machine.clone(),
-            noise,
-            sweep_cfg.profiling.clone(),
-            FleetOptions {
-                batch_size: 2,
-                reconnect_attempts: 1,
-                reconnect_backoff: Duration::from_millis(5),
-                local_fallback,
-            },
-        );
-        let (fleet_profile, _) =
-            measure_profile_decomposed(&machine, &mapping, 2, noise, &sweep_cfg, &mut fleet)
-                .expect("feeder b is still there when a's batch comes back");
-        assert!(bits_equal(&local_profile, &fleet_profile));
-        worker_a.join().expect("worker a");
-        shutdown_worker(&addr_b).expect("shutdown worker b");
-        assert_eq!(
-            worker_b.join().expect("worker b"),
-            2,
-            "local_fallback = {local_fallback}: both batches belong on the surviving worker"
-        );
     }
 }

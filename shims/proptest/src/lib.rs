@@ -334,7 +334,9 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume};
 }
 
-/// Defines `#[test]` functions whose arguments are drawn from strategies.
+/// Defines functions whose arguments are drawn from strategies. As in
+/// proptest, the caller writes each one's `#[test]`: the macro adds none,
+/// so a test is registered once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($body:tt)*) => {
@@ -356,7 +358,6 @@ macro_rules! __proptest_tests {
     ) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let __config: $crate::ProptestConfig = $cfg;
                 let mut __rng = $crate::rng_for(::std::stringify!($name));

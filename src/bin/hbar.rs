@@ -22,20 +22,19 @@
 //! Machines are `NODESxSOCKETSxCORES` (e.g. `8x2x4`) or the presets
 //! `cluster-a` / `cluster-b`; mappings are `rr` (round-robin) or `block`.
 //!
-//! `hbar profile` makes three independent choices, all feeding the one
-//! profiling sweep. The **sweep** measures every pair, as the paper's
-//! §IV-A does, unless `--clustered` switches it to one representative
-//! benchmark per pair-feature equivalence class plus validation probes.
-//! The **executor** runs the measurements on local threads, or shards
-//! them across `hbar profile-worker` TCP processes with `--workers`
-//! (falling back to local execution if the fleet dies). The **scatter**
-//! writes dense matrices, or with `--compressed` writes the profile
-//! *compact* — the class-compressed model itself
-//! (`{machine, mapping, p, model}`, about 10 MB at P = 8192 where the
-//! dense document holds two 67 M-entry matrices). An exhaustive sweep
-//! has a class per pair, which the model holds up to P ≈ 361: larger
-//! compact profiles want `--clustered`. Every command that reads a
-//! profile reads either form and gives the same answers from both.
+//! `hbar profile` makes two independent choices, both feeding the one
+//! profiling sweep, whose measurements run in process on a
+//! work-stealing thread pool. The **sweep** measures every pair, as the
+//! paper's §IV-A does, unless `--clustered` switches it to one
+//! representative benchmark per pair-feature equivalence class plus
+//! validation probes. The **scatter** writes dense matrices, or with
+//! `--compressed` writes the profile *compact* — the class-compressed
+//! model itself (`{machine, mapping, p, model}`, about 10 MB at
+//! P = 8192 where the dense document holds two 67 M-entry matrices). An
+//! exhaustive sweep has a class per pair, which the model holds up to
+//! P ≈ 361: larger compact profiles want `--clustered`. Every command
+//! that reads a profile reads either form and gives the same answers
+//! from both.
 
 use hbar_bench::{run_figures, FIGURES};
 use hbarrier::core::codegen::{c_source, rust_source};
@@ -43,13 +42,10 @@ use hbarrier::core::verify;
 use hbarrier::prelude::*;
 use hbarrier::serve::proto::MAX_RANKS;
 use hbarrier::simnet::barrier::measure_schedule;
-use hbarrier::simnet::distrib::{
-    serve_worker, shutdown_worker, FleetExecutor, FleetOptions, WorkerFault,
-};
 use hbarrier::simnet::profiling::ProfilingConfig;
 use hbarrier::simnet::{
-    measure_profile_compressed, measure_profile_decomposed, DescriptorExecutor, LocalExecutor,
-    NoiseModel, SpillConfig, SweepConfig, SweepReport,
+    measure_profile_compressed, measure_profile_decomposed, LocalExecutor, NoiseModel, SpillConfig,
+    SweepConfig, SweepReport,
 };
 use hbarrier::topo::cost::CostMatrices;
 use hbarrier::topo::heatmap::render_labelled;
@@ -57,7 +53,7 @@ use hbarrier::topo::profile::{CompactProfile, StoredProfile};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
 use std::path::Path;
@@ -121,14 +117,12 @@ enum Form {
     Word(&'static [&'static str]),
     /// A comma-separated list of these words.
     Words(&'static [&'static str]),
-    /// A comma-separated list with at least one entry.
-    List(&'static str),
     /// `NxSxC` with fewer than 2³⁰ cores (a simulated rank id is 30
     /// bits), or a preset cluster.
     Machine,
 }
 
-use Form::{Int, List, Machine, Real, Text, Word, Words};
+use Form::{Int, Machine, Real, Text, Word, Words};
 
 /// Any count, or a seed.
 const ANY: Form = Int(0, usize::MAX);
@@ -147,21 +141,8 @@ const COMMANDS: &[Command] = &[
             ("ranks", ANY, false),
             ("seed", ANY, false),
             ("probes", ANY, false),
-            ("workers", List("HOST:PORT,..."), false),
         ],
-        switches: &[
-            "fast",
-            "exact-machine",
-            "clustered",
-            "stop-workers",
-            "compressed",
-        ],
-    },
-    Command {
-        name: "profile-worker",
-        run: cmd_profile_worker,
-        values: &[("listen", ADDR, true)],
-        switches: &[],
+        switches: &["fast", "exact-machine", "clustered", "compressed"],
     },
     Command {
         name: "serve",
@@ -292,7 +273,7 @@ fn run(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
-        return Err(format!("unknown command `{name}`\n{}", usage()));
+        return Err(format!("unknown command `{name}`: `hbar help` lists them"));
     };
     (cmd.run)(&parse_flags(cmd, &args[1..])?)
 }
@@ -319,7 +300,7 @@ fn usage() -> String {
 impl Form {
     fn placeholder(&self) -> String {
         match self {
-            Text(shown) | List(shown) => shown.to_string(),
+            Text(shown) => shown.to_string(),
             Int(..) => "N".to_string(),
             Real(..) => "F".to_string(),
             Word(words) => words.join("|"),
@@ -372,13 +353,6 @@ impl Form {
                 let known = v.split(',').all(|w| words.contains(&w));
                 _ = flags.texts.insert(name, known.then_some(v)?);
             }
-            List(_) => {
-                let items = v.split(',').map(str::trim).filter(|s| !s.is_empty());
-                let items: Vec<String> = items.map(String::from).collect();
-                flags
-                    .lists
-                    .insert(name, (!items.is_empty()).then_some(items)?);
-            }
             Machine => flags.machine = Some(parse_machine(v)?),
         }
         Some(())
@@ -393,7 +367,6 @@ struct Flags<'a> {
     texts: HashMap<&'a str, &'a str>,
     ints: HashMap<&'a str, usize>,
     reals: HashMap<&'a str, f64>,
-    lists: HashMap<&'a str, Vec<String>>,
     machine: Option<MachineSpec>,
 }
 
@@ -519,7 +492,7 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     // The closed form measures nothing, so no flag that shapes a
     // measurement applies to it.
     let exact = flags.has("exact-machine");
-    let shaping = "compressed clustered fast workers stop-workers probes seed";
+    let shaping = "compressed clustered fast probes seed";
     if let Some(flag) = shaping.split(' ').find(|f| exact && flags.has(f)) {
         let conflict = "cannot be used with --exact-machine, which measures nothing";
         return Err(format!("--{flag} {conflict}"));
@@ -558,10 +531,10 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// The measured profile, from three independent choices: the sweep (the
-/// exhaustive `SweepConfig::exact` unless `--clustered`), the executor
-/// (local threads, or the `--workers` fleet) and the scatter (dense
-/// matrices, or the `--compressed` model).
+/// The measured profile, from two independent choices: the sweep (the
+/// exhaustive `SweepConfig::exact` unless `--clustered`) and the scatter
+/// (dense matrices, or the `--compressed` model). The measurements run
+/// in process on a `LocalExecutor`.
 fn sweep_profile(
     flags: &Flags,
     machine: &MachineSpec,
@@ -584,21 +557,12 @@ fn sweep_profile(
     };
     sweep.probes_per_class = flags.int("probes").unwrap_or(sweep.probes_per_class);
 
-    let addrs = flags.lists.get("workers").map_or(&[][..], Vec::as_slice);
-    let schedule = sweep.profiling.clone();
-    let mut exec: Box<dyn DescriptorExecutor> = if addrs.is_empty() {
-        Box::new(LocalExecutor::new(machine.clone(), noise, schedule))
-    } else {
-        let opts = FleetOptions::default();
-        let fleet =
-            FleetExecutor::for_sweep(addrs.to_vec(), machine.clone(), noise, schedule, opts);
-        Box::new(fleet)
-    };
+    let mut exec = LocalExecutor::new(machine.clone(), noise, sweep.profiling.clone());
 
     let measured = if flags.has("compressed") {
         // No budget: nothing is spilled, so the directory is never made.
         let spill = SpillConfig::in_memory(std::env::temp_dir());
-        measure_profile_compressed(machine, mapping, p, noise, &sweep, &spill, &mut *exec).map(
+        measure_profile_compressed(machine, mapping, p, noise, &sweep, &spill, &mut exec).map(
             |(model, report, _)| {
                 let (machine, mapping) = (machine.clone(), mapping.clone());
                 let compact = CompactProfile {
@@ -611,16 +575,9 @@ fn sweep_profile(
             },
         )
     } else {
-        measure_profile_decomposed(machine, mapping, p, noise, &sweep, &mut *exec)
+        measure_profile_decomposed(machine, mapping, p, noise, &sweep, &mut exec)
             .map(|(profile, report)| (StoredProfile::Dense(profile), report))
     };
-    if flags.has("stop-workers") {
-        for a in addrs {
-            if let Err(e) = shutdown_worker(a.as_str()) {
-                eprintln!("warning: cannot stop worker {a}: {e}");
-            }
-        }
-    }
     let (profile, report) = measured.map_err(|e| format!("profiling sweep failed: {e}"))?;
     if let StoredProfile::Compact(CompactProfile { model, .. }) = &profile {
         say!(
@@ -631,21 +588,6 @@ fn sweep_profile(
         )?;
     }
     Ok((profile, report))
-}
-
-/// The `--listen` socket and the address it was bound to.
-fn bind(flags: &Flags) -> Result<(TcpListener, SocketAddr), String> {
-    let listen = flags.req("listen")?;
-    let listener = TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
-    let local =
-        (listener.local_addr()).map_err(|e| format!("cannot resolve bound address: {e}"))?;
-    Ok((listener, local))
-}
-
-fn cmd_profile_worker(flags: &Flags) -> Result<(), String> {
-    let (listener, local) = bind(flags)?;
-    say!("profile worker listening on {local}")?;
-    serve_worker(listener, WorkerFault::None).map_err(|e| format!("worker failed: {e}"))
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
@@ -662,7 +604,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             cfg.cache.shards, cfg.cache.capacity
         ));
     }
-    let (listener, local) = bind(flags)?;
+    let listen = flags.req("listen")?;
+    let listener = TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
+    let local =
+        (listener.local_addr()).map_err(|e| format!("cannot resolve bound address: {e}"))?;
     say!(
         "serve listening on {local} ({} shards, {} entries / {} bytes cache, {} workers)",
         cfg.cache.shards,

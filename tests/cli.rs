@@ -175,6 +175,116 @@ fn default_profile_is_the_exact_sweep() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--clustered` runs the pair-clustered sweep with `--probes` probes per
+/// class: the file holds the bytes of the in-process clustered sweep's
+/// profile, and the summary counts what that sweep measured.
+#[test]
+fn clustered_profile_is_the_in_process_clustered_sweep() {
+    use hbarrier::simnet::profiling::ProfilingConfig;
+    use hbarrier::simnet::{measure_profile_decomposed, LocalExecutor, NoiseModel, SweepConfig};
+    let dir = workdir("clustered");
+    let profile = dir.join("prof.json");
+    let o = hbar(&[
+        "profile",
+        "--machine",
+        "2x2x4",
+        "--ranks",
+        "16",
+        "--fast",
+        "--seed",
+        "5",
+        "--probes",
+        "3",
+        "--clustered",
+        "--out",
+        profile.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let (machine, noise) = (MachineSpec::new(2, 2, 4), NoiseModel::realistic(5));
+    let cfg = SweepConfig {
+        profiling: ProfilingConfig::fast(),
+        probes_per_class: 3,
+        ..SweepConfig::default()
+    };
+    let (expected, report) = measure_profile_decomposed(
+        &machine,
+        &RankMapping::RoundRobin,
+        16,
+        noise,
+        &cfg,
+        &mut LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone()),
+    )
+    .unwrap();
+    assert!(report.measurements < 16 * 16, "{report:?}");
+    let summary = format!(
+        "({} classes, {} measurements, ",
+        report.pair_classes + report.diag_classes,
+        report.measurements
+    );
+    assert!(stdout(&o).contains(&summary), "{}", stdout(&o));
+    assert_eq!(
+        std::fs::read_to_string(&profile).unwrap(),
+        expected.to_json()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--compressed` scatters the same sweep into a class model: the file
+/// holds the bytes of the in-process compressed sweep's compact profile.
+#[test]
+fn compressed_profile_is_the_in_process_compressed_sweep() {
+    use hbarrier::simnet::profiling::ProfilingConfig;
+    use hbarrier::simnet::{
+        measure_profile_compressed, LocalExecutor, NoiseModel, SpillConfig, SweepConfig,
+    };
+    use hbarrier::topo::profile::CompactProfile;
+    let dir = workdir("compressed");
+    let profile = dir.join("prof.json");
+    let o = hbar(&[
+        "profile",
+        "--machine",
+        "4x2x4",
+        "--mapping",
+        "block",
+        "--fast",
+        "--seed",
+        "9",
+        "--clustered",
+        "--compressed",
+        "--out",
+        profile.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let (machine, noise) = (MachineSpec::new(4, 2, 4), NoiseModel::realistic(9));
+    let cfg = SweepConfig {
+        profiling: ProfilingConfig::fast(),
+        ..SweepConfig::default()
+    };
+    let (model, _, _) = measure_profile_compressed(
+        &machine,
+        &RankMapping::Block,
+        32,
+        noise,
+        &cfg,
+        &SpillConfig::in_memory(std::env::temp_dir()),
+        &mut LocalExecutor::new(machine.clone(), noise, cfg.profiling.clone()),
+    )
+    .unwrap();
+    let scatter = format!("scatter: {} classes over ", model.classes());
+    assert!(stdout(&o).contains(&scatter), "{}", stdout(&o));
+    let expected = CompactProfile {
+        machine,
+        mapping: RankMapping::Block,
+        p: 32,
+        model,
+    };
+    assert_eq!(
+        std::fs::read_to_string(&profile).unwrap(),
+        serde_json::to_string(&expected).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn verify_rejects_broken_schedule() {
     let dir = workdir("broken");
@@ -494,12 +604,17 @@ fn helpful_errors() {
         (
             &exact,
             &["--workers", "127.0.0.1:1"],
-            "--workers cannot be used with --exact-machine",
+            "unknown flag --workers for `profile`",
         ),
         (
             &exact,
             &["--stop-workers"],
-            "--stop-workers cannot be used with --exact-machine",
+            "unknown flag --stop-workers for `profile`",
+        ),
+        (
+            &["profile-worker"],
+            &["--listen", &closed],
+            "unknown command `profile-worker`",
         ),
         (
             &exact,
@@ -672,32 +787,66 @@ fn tune_names_its_root() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A running `hbar serve` daemon, killed if a test ends without shutting
+/// it down.
+struct Daemon {
+    child: std::process::Child,
+    addr: String,
+}
+
+impl Daemon {
+    /// Starts `hbar serve` on a kernel-assigned port and parses the
+    /// address from its first stdout line, exactly as a scripted caller
+    /// would.
+    fn spawn() -> Daemon {
+        use std::io::BufRead;
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hbar"))
+            .args(["serve", "--listen", "127.0.0.1:0", "--cache-cap", "64"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("serve daemon spawns");
+        let mut banner = String::new();
+        std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut banner)
+            .expect("daemon prints its address");
+        let addr = banner
+            .split("listening on ")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap_or_else(|| panic!("unparseable banner: {banner:?}"))
+            .to_string();
+        Daemon { child, addr }
+    }
+
+    /// Waits for the daemon to exit; it must exit cleanly.
+    fn exits_cleanly(mut self) {
+        let status = self.child.wait().expect("daemon exits");
+        assert!(status.success(), "daemon exit: {status:?}");
+    }
+
+    /// Stops the daemon with the shutdown frame.
+    fn shut_down(self) {
+        hbarrier::serve::shutdown_server(&self.addr).expect("shutdown frame");
+        self.exits_cleanly();
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        // Already reaped after a clean exit: then this is a no-op.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 #[test]
 fn serve_and_tune_client_round_trip() {
-    use std::io::BufRead;
-
-    // Bind on port 0 and parse the kernel-assigned address from the
-    // daemon's first stdout line, exactly as a scripted caller would.
-    let mut server = Command::new(env!("CARGO_BIN_EXE_hbar"))
-        .args(["serve", "--listen", "127.0.0.1:0", "--cache-cap", "64"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("serve daemon spawns");
-    let mut banner = String::new();
-    std::io::BufReader::new(server.stdout.take().expect("piped stdout"))
-        .read_line(&mut banner)
-        .expect("daemon prints its address");
-    let addr = banner
-        .split("listening on ")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .unwrap_or_else(|| panic!("unparseable banner: {banner:?}"))
-        .to_string();
+    let server = Daemon::spawn();
 
     let o = hbar(&[
         "tune-client",
         "--connect",
-        &addr,
+        &server.addr,
         "--count",
         "8",
         "--requests",
@@ -712,8 +861,82 @@ fn serve_and_tune_client_round_trip() {
     assert!(out.contains("32 parity-checked"), "{out}");
     assert!(out.contains("server shut down"), "{out}");
     // The shutdown frame must take the daemon down cleanly.
-    let status = server.wait().expect("daemon exits");
-    assert!(status.success(), "daemon exit: {status:?}");
+    server.exits_cleanly();
+}
+
+/// A frame header that claims more than `MAX_FRAME_LEN` ends that
+/// connection before any payload is read, and the daemon goes on serving
+/// other clients.
+#[test]
+fn serve_drops_a_frame_over_the_cap_and_keeps_serving() {
+    use hbarrier::serve::frame::MAX_FRAME_LEN;
+    use hbarrier::serve::proto::FRAME_TUNE_REQ;
+    use hbarrier::serve::TuneClient;
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    let server = Daemon::spawn();
+    let addr = &server.addr;
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    let claimed = (MAX_FRAME_LEN as u32 + 1).to_le_bytes();
+    raw.write_all(&[&[FRAME_TUNE_REQ][..], &claimed].concat())
+        .expect("oversized header");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    match raw.read(&mut [0u8; 16]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("the daemon kept the connection open: {other:?}"),
+    }
+    let stats = TuneClient::connect(addr).and_then(|mut c| c.stats());
+    assert_eq!(stats.expect("stats after the dropped frame").requests, 0);
+    server.shut_down();
+}
+
+/// A client that announces a frame of `MAX_FRAME_LEN` bytes, sends 16 of
+/// them and stalls pins no payload buffer of the claimed size in the
+/// daemon: its resident set stays where it was.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_pins_no_memory_for_a_stalled_oversized_frame() {
+    use hbarrier::serve::frame::MAX_FRAME_LEN;
+    use hbarrier::serve::proto::FRAME_TUNE_REQ;
+    use hbarrier::serve::TuneClient;
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    let server = Daemon::spawn();
+    let addr = &server.addr;
+    let resident_kib = || {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", server.child.id()));
+        let status = status.unwrap();
+        let line = status.lines().find(|l| l.starts_with("VmRSS:")).unwrap();
+        let kib = line.split_whitespace().nth(1).unwrap();
+        kib.parse::<usize>().unwrap()
+    };
+    let mut client = TuneClient::connect(addr).expect("connect");
+    client.stats().expect("stats before the stall");
+    let before = resident_kib();
+
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    let claimed = (MAX_FRAME_LEN as u32).to_le_bytes();
+    stalled
+        .write_all(&[&[FRAME_TUNE_REQ][..], &claimed, &[0xAB; 16]].concat())
+        .expect("header and 16 payload bytes");
+    // The stalled connection was accepted first; once a later one has
+    // been answered, and a little after, its reader has long since
+    // parsed the header and is waiting for the rest.
+    let stats = TuneClient::connect(addr).and_then(|mut c| c.stats());
+    assert_eq!(stats.expect("stats during the stall").requests, 0);
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let grown_kib = resident_kib().saturating_sub(before);
+    assert!(
+        grown_kib < MAX_FRAME_LEN / 1024 / 4,
+        "a stalled {MAX_FRAME_LEN}-byte frame grew the daemon by {grown_kib} KiB"
+    );
+    drop(stalled);
+    drop(client);
+    server.shut_down();
 }
 
 #[test]

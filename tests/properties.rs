@@ -252,6 +252,79 @@ proptest! {
         prop_assert!(pred.barrier_cost >= 0.0);
     }
 
+    /// A stage only adds work: appending one to any schedule, under
+    /// either cost equation, moves no rank's exit earlier, and the
+    /// slowest rank after each stage is never earlier than after the one
+    /// before.
+    #[test]
+    fn appending_a_stage_delays_no_rank(
+        costs in arb_costs(8),
+        stages in prop::collection::vec((arb_stage(8), any::<bool>()), 1..6),
+    ) {
+        let mut eval = CostEvaluator::new(CostParams::default());
+        let mut sched = BarrierSchedule::new(8);
+        let mut before = eval.predict(&sched, &costs, None);
+        for (matrix, departure) in stages {
+            sched.push(if departure { Stage::departure(matrix) } else { Stage::arrival(matrix) });
+            let after = eval.predict(&sched, &costs, None);
+            for (rank, (a, b)) in after.rank_exit.iter().zip(&before.rank_exit).enumerate() {
+                prop_assert!(a >= b, "rank {} exits at {} after the stage, {} before", rank, a, b);
+            }
+            prop_assert!(after.stage_frontier.windows(2).all(|w| w[0] <= w[1]));
+            before = after;
+        }
+    }
+
+    /// Any schedule, with stages of either send mode, reads back from its
+    /// JSON unchanged and writes the same bytes again.
+    #[test]
+    fn schedule_json_round_trips_any_schedule(
+        n in 2usize..12,
+        stages in prop::collection::vec(
+            (prop::collection::vec((0usize..12, 0usize..12), 0..24), any::<bool>()),
+            0..6,
+        ),
+    ) {
+        let mut sched = BarrierSchedule::new(n);
+        for (edges, departure) in stages {
+            let edges = edges.into_iter().filter(|&(i, j)| i != j && i < n && j < n);
+            let matrix = SparseBoolMatrix::from_edges(n, edges);
+            sched.push(if departure { Stage::departure(matrix) } else { Stage::arrival(matrix) });
+        }
+        let json = serde_json::to_string(&sched).unwrap();
+        let back: BarrierSchedule = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&back, &sched);
+        prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    /// A profile's costs survive its JSON bit for bit, whatever finite
+    /// doubles they hold: subnormal, huge, negative or zero of either sign.
+    #[test]
+    fn profile_json_round_trips_every_bit(
+        machine in arb_machine(),
+        // Two cells per rank pair of `arb_machine`'s largest, 48-core machine.
+        cells in prop::collection::vec(any::<u64>(), 2 * 48 * 48),
+    ) {
+        let mut profile = TopologyProfile::from_ground_truth(&machine, &RankMapping::Block);
+        let p = profile.p;
+        // An all-ones exponent (infinity or NaN) loses its top bit.
+        let finite = |bits: u64| {
+            let v = f64::from_bits(bits);
+            if v.is_finite() { v } else { f64::from_bits(bits ^ (1 << 62)) }
+        };
+        for (k, pair) in cells.chunks(2).take(p * p).enumerate() {
+            profile.cost.o[(k / p, k % p)] = finite(pair[0]);
+            profile.cost.l[(k / p, k % p)] = finite(pair[1]);
+        }
+        let back = TopologyProfile::from_json(&profile.to_json()).unwrap();
+        let bits = |prof: &TopologyProfile| -> Vec<u64> {
+            let cells = prof.cost.o.as_slice().iter().chain(prof.cost.l.as_slice());
+            cells.map(|v| v.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&back), bits(&profile));
+        prop_assert_eq!((back.p, &back.machine, &back.mapping), (p, &profile.machine, &profile.mapping));
+    }
+
     /// The symmetrized metric derived from any symmetric positive cost
     /// matrix has zero diagonal and symmetric distances.
     #[test]

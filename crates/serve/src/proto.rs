@@ -22,11 +22,18 @@
 //! Responses are keyed by the client-chosen request `id`, so a client
 //! may pipeline arbitrarily many requests per connection; the server
 //! answers cache hits in arrival order and misses in completion order.
+//!
+//! A request is checked in one place: [`RequestHead::parse`] reads the
+//! header, then every matrix entry once, refusing a non-finite or
+//! negative one while it feeds the rest into the cache key's
+//! [`CostFingerprint`]. The daemon answers a hit from that head alone;
+//! [`RequestHead::to_request`] builds the matrices only for a tune, and
+//! [`TuneRequest::decode`] is the two in a row.
 
 use hbar_core::cost::cost_fingerprint;
 use hbar_core::{TunerConfig, COST_FINGERPRINT_VERSION};
 use hbar_matrix::DenseMatrix;
-use hbar_topo::cost::{CostMatrices, Fnv};
+use hbar_topo::cost::{CostFingerprint, CostMatrices, Fnv};
 use serde::{Deserialize, Serialize};
 use std::io;
 
@@ -86,31 +93,100 @@ impl TuneRequest {
 
     /// Encodes the request into `out` (cleared first): the fixed header
     /// followed by the raw `O` then `L` entries, row-major little-endian
-    /// `f64` bits.
+    /// `f64` bits. The buffer is sized once and each matrix copied in
+    /// one pass.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let p = self.cost.p();
         out.clear();
-        out.reserve(REQ_HEADER_LEN + 2 * p * p * 8);
         out.extend_from_slice(&self.id.to_le_bytes());
         out.extend_from_slice(&(p as u32).to_le_bytes());
         out.extend_from_slice(&self.sparseness.to_le_bytes());
         out.extend_from_slice(&self.max_depth.to_le_bytes());
         out.push(self.flags);
-        for v in self.cost.o.as_slice() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in self.cost.l.as_slice() {
-            out.extend_from_slice(&v.to_le_bytes());
+        out.resize(REQ_HEADER_LEN + 2 * p * p * 8, 0);
+        let (o_bytes, l_bytes) = out[REQ_HEADER_LEN..].split_at_mut(p * p * 8);
+        for (bytes, m) in [(o_bytes, &self.cost.o), (l_bytes, &self.cost.l)] {
+            for (dst, v) in bytes.chunks_exact_mut(8).zip(m.as_slice()) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
         }
     }
 
-    /// Decodes a request payload. Total: every malformed shape (short
-    /// header, a flag bit other than [`REQ_WANT_CODE`],
-    /// zero or oversized `p`, length mismatch, non-finite knobs or matrix
-    /// entries) is an `InvalidData` error, never a panic. An unknown bit
-    /// would otherwise split a request's cache key without changing its
-    /// tune.
+    /// Decodes a request payload: [`RequestHead::parse`] checks it, then
+    /// the checked bytes become the matrices. Total: every malformed
+    /// shape is an `InvalidData` error, never a panic.
     pub fn decode(payload: &[u8]) -> io::Result<TuneRequest> {
+        RequestHead::parse(payload).map(|head| head.to_request())
+    }
+
+    /// The sharded-cache key of this request: the versioned cost
+    /// fingerprint plus a fingerprint of every knob that affects the
+    /// tuned schedule. [`REQ_WANT_CODE`] is deliberately excluded —
+    /// whether the client wants source does not change what is tuned.
+    /// Equal to the key [`RequestHead::parse`] reads off its encoding.
+    pub fn cache_key(&self) -> CacheKey {
+        CacheKey {
+            cost_fp: cost_fingerprint(&self.cost),
+            cfg_fp: cfg_fingerprint(self.sparseness, self.max_depth, self.flags),
+        }
+    }
+
+    /// The [`TunerConfig`] this request asks for.
+    pub fn tuner_config(&self) -> TunerConfig {
+        TunerConfig {
+            sparseness: self.sparseness,
+            max_depth: self.max_depth as usize,
+            ..TunerConfig::default()
+        }
+    }
+}
+
+/// FNV-1a over the schedule-affecting knobs, seeded with
+/// [`COST_FINGERPRINT_VERSION`] so a fingerprint-scheme bump also
+/// invalidates configuration keys.
+fn cfg_fingerprint(sparseness: f64, max_depth: u32, flags: u8) -> u64 {
+    let mut h = Fnv::default();
+    h.bytes(&COST_FINGERPRINT_VERSION.to_le_bytes());
+    h.bytes(&sparseness.to_bits().to_le_bytes());
+    h.bytes(&max_depth.to_le_bytes());
+    h.bytes(&[flags & !REQ_WANT_CODE]);
+    h.0
+}
+
+/// A checked tune request, still in its wire bytes: the header fields
+/// and the cache key, read in one pass that builds no matrix. A cache
+/// hit is answered from this alone; [`to_request`](Self::to_request)
+/// turns the bytes into matrices when a tune has to run.
+#[derive(Clone, Copy, Debug)]
+pub struct RequestHead<'a> {
+    /// Client-chosen correlation id.
+    pub id: u64,
+    /// Rank count: both matrices are `p × p`.
+    pub p: usize,
+    /// SSS clustering sparseness (`TunerConfig::sparseness`).
+    pub sparseness: f64,
+    /// Cluster-tree depth cap (`TunerConfig::max_depth`).
+    pub max_depth: u32,
+    /// `REQ_*` bit set.
+    pub flags: u8,
+    /// What [`TuneRequest::cache_key`] gives for the decoded request.
+    pub key: CacheKey,
+    /// The checked `O` then `L` bytes.
+    matrices: &'a [u8],
+}
+
+impl<'a> RequestHead<'a> {
+    /// Checks a request payload and keys it, reading every matrix entry
+    /// once. Every malformed shape is an `InvalidData` error, never a
+    /// panic, reported in this order: a short header, a flag bit other
+    /// than [`REQ_WANT_CODE`] (an unknown bit would otherwise split a
+    /// request's cache key without changing its tune), zero or
+    /// oversized `p`, a length mismatch, a non-finite or non-positive
+    /// sparseness, a zero `max_depth`, then the first matrix entry that
+    /// is non-finite or negative, by its flat index within `O` or `L`.
+    /// A negative cost is no measurement: the profiler clamps both
+    /// estimates at zero. `-0.0` is zero and passes.
+    pub fn parse(payload: &'a [u8]) -> io::Result<RequestHead<'a>> {
         let fail = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         if payload.len() < REQ_HEADER_LEN {
             return Err(fail(format!(
@@ -142,60 +218,69 @@ impl TuneRequest {
         if max_depth == 0 {
             return Err(fail("max_depth must be at least 1".to_string()));
         }
-        let read_matrix = |offset: usize| -> io::Result<DenseMatrix<f64>> {
-            let mut data = Vec::with_capacity(p * p);
-            for k in 0..p * p {
-                let at = offset + 8 * k;
-                let v = f64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
-                if !v.is_finite() {
-                    return Err(fail(format!("non-finite cost entry at flat index {k}")));
-                }
-                data.push(v);
+        let matrices = &payload[REQ_HEADER_LEN..];
+        let (o, l) = matrices.split_at(p * p * 8);
+        let mut fp = CostFingerprint::new();
+        for m in [o, l] {
+            if !fp.matrix_le_bytes(m) {
+                return Err(fail(first_bad_entry(m)));
             }
-            Ok(DenseMatrix::from_vec(p, data))
-        };
-        let o = read_matrix(REQ_HEADER_LEN)?;
-        let l = read_matrix(REQ_HEADER_LEN + p * p * 8)?;
-        Ok(TuneRequest {
+        }
+        Ok(RequestHead {
             id,
+            p,
             sparseness,
             max_depth,
             flags,
-            cost: CostMatrices { o, l },
+            key: CacheKey {
+                cost_fp: fp.finish(p),
+                cfg_fp: cfg_fingerprint(sparseness, max_depth, flags),
+            },
+            matrices,
         })
     }
 
-    /// The sharded-cache key of this request: the versioned cost
-    /// fingerprint plus a fingerprint of every knob that affects the
-    /// tuned schedule. [`REQ_WANT_CODE`] is deliberately excluded —
-    /// whether the client wants source does not change what is tuned.
-    pub fn cache_key(&self) -> CacheKey {
-        CacheKey {
-            cost_fp: cost_fingerprint(&self.cost),
-            cfg_fp: self.cfg_fingerprint(),
-        }
-    }
-
-    /// FNV-1a over the schedule-affecting knobs, seeded with
-    /// [`COST_FINGERPRINT_VERSION`] so a fingerprint-scheme bump also
-    /// invalidates configuration keys.
-    fn cfg_fingerprint(&self) -> u64 {
-        let mut h = Fnv::default();
-        h.bytes(&COST_FINGERPRINT_VERSION.to_le_bytes());
-        h.bytes(&self.sparseness.to_bits().to_le_bytes());
-        h.bytes(&self.max_depth.to_le_bytes());
-        h.bytes(&[self.flags & !REQ_WANT_CODE]);
-        h.0
-    }
-
-    /// The [`TunerConfig`] this request asks for.
-    pub fn tuner_config(&self) -> TunerConfig {
-        TunerConfig {
+    /// The request these checked bytes encode.
+    pub fn to_request(&self) -> TuneRequest {
+        let (o, l) = self.matrices.split_at(self.p * self.p * 8);
+        let matrix = |bytes: &[u8]| {
+            let data = bytes
+                .as_chunks::<8>()
+                .0
+                .iter()
+                .map(|b| f64::from_le_bytes(*b));
+            DenseMatrix::from_vec(self.p, data.collect())
+        };
+        TuneRequest {
+            id: self.id,
             sparseness: self.sparseness,
-            max_depth: self.max_depth as usize,
-            ..TunerConfig::default()
+            max_depth: self.max_depth,
+            flags: self.flags,
+            cost: CostMatrices {
+                o: matrix(o),
+                l: matrix(l),
+            },
         }
     }
+}
+
+/// Why a matrix that failed [`CostFingerprint::matrix_le_bytes`] fails:
+/// its first non-finite or negative entry.
+fn first_bad_entry(bytes: &[u8]) -> String {
+    let values = bytes
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|b| f64::from_le_bytes(*b));
+    for (k, v) in values.enumerate() {
+        if !v.is_finite() {
+            return format!("non-finite cost entry at flat index {k}");
+        }
+        if v < 0.0 {
+            return format!("negative cost entry at flat index {k}");
+        }
+    }
+    unreachable!("the byte absorber refuses only non-finite or negative entries")
 }
 
 /// The cache key of the schedule cache: cost fingerprint × tuner-knob
@@ -386,6 +471,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(back.cache_key(), req.cache_key());
+        assert_eq!(RequestHead::parse(&buf).unwrap().key, req.cache_key());
     }
 
     #[test]
@@ -401,6 +487,22 @@ mod tests {
         let mut nan_entry = buf.clone();
         nan_entry[REQ_HEADER_LEN..REQ_HEADER_LEN + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(TuneRequest::decode(&nan_entry).is_err());
+        // L's entry 5 is negative, then O's entry 2 too: the first bad
+        // entry in O is reported before any in L.
+        let l_at = |k: usize| REQ_HEADER_LEN + (16 + k) * 8;
+        let mut negative = buf.clone();
+        negative[l_at(5)..l_at(5) + 8].copy_from_slice(&(-1e-9f64).to_le_bytes());
+        let err = TuneRequest::decode(&negative).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "negative cost entry at flat index 5");
+        let o_at = REQ_HEADER_LEN + 2 * 8;
+        negative[o_at..o_at + 8].copy_from_slice(&f64::NEG_INFINITY.to_le_bytes());
+        let err = TuneRequest::decode(&negative).unwrap_err();
+        assert_eq!(err.to_string(), "non-finite cost entry at flat index 2");
+        // Negative zero is zero.
+        let mut negative_zero = buf.clone();
+        negative_zero[l_at(5)..l_at(5) + 8].copy_from_slice(&(-0.0f64).to_le_bytes());
+        assert!(TuneRequest::decode(&negative_zero).is_ok());
         let mut bad_sparseness = buf.clone();
         bad_sparseness[12..20].copy_from_slice(&(-1.0f64).to_le_bytes());
         assert!(TuneRequest::decode(&bad_sparseness).is_err());

@@ -3,19 +3,23 @@
 //!
 //! ## Hot path (cache hit)
 //!
-//! reader thread → decode request → sharded-cache `get` → encode
-//! response into the connection's buffered writer. No tuner, no pool
-//! hand-off, no flush until the reader is about to block (so a client
-//! pipelining a window of requests gets the whole window's answers in
-//! one syscall burst).
+//! reader thread → [`RequestHead::parse`] (one pass over the payload
+//! that checks every entry and computes the cache key; no matrix is
+//! built) → sharded-cache `get` → encode response into the
+//! connection's buffered writer. No tuner, no pool hand-off, no flush
+//! until the reader is about to block (so a client pipelining a window
+//! of requests gets the whole window's answers in one syscall burst).
+//! A malformed request, a non-finite or negative cost among them, is
+//! answered `TUNE_ERR` before the cache is consulted.
 //!
 //! ## Miss path
 //!
 //! The reader re-checks the cache *under the in-flight lock* (closing
 //! the window where a tune completed between the first probe and the
 //! lock), then either joins an existing flight (coalesced: the tune
-//! runs once no matter how many connections ask) or registers a new
-//! flight and enqueues a job for the pool. Pool workers own a reusable
+//! runs once no matter how many connections ask, and the joiner never
+//! builds the matrices) or registers a new flight, builds the request's
+//! matrices from the checked bytes, and enqueues a job for the pool. Pool workers own a reusable
 //! [`CostEvaluator`] each, so scratch arenas and derived-topology
 //! caches amortize across requests; results are published to the cache
 //! *before* the flight is removed, which makes the
@@ -30,8 +34,8 @@
 use crate::cache::{CacheConfig, ShardedCache};
 use crate::frame::{read_frame_into, write_frame_buffered, FRAME_DRAIN, FRAME_SHUTDOWN};
 use crate::proto::{
-    encode_tune_error, CacheKey, ServeStats, TuneRequest, FRAME_STATS_REQ, FRAME_STATS_RESP,
-    FRAME_TUNE_ERR, FRAME_TUNE_REQ, FRAME_TUNE_RESP, REQ_WANT_CODE,
+    encode_tune_error, CacheKey, RequestHead, ServeStats, TuneRequest, FRAME_STATS_REQ,
+    FRAME_STATS_RESP, FRAME_TUNE_ERR, FRAME_TUNE_REQ, FRAME_TUNE_RESP, REQ_WANT_CODE,
 };
 use hbar_core::codegen::{c_source, compile_schedule};
 use hbar_core::compose::tune_hybrid_costs_with;
@@ -476,8 +480,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
 /// Decides hit / coalesce / enqueue for one tune request.
 fn handle_tune_request(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) -> io::Result<()> {
     Shared::bump(&shared.requests);
-    let req = match TuneRequest::decode(payload) {
-        Ok(req) => req,
+    let head = match RequestHead::parse(payload) {
+        Ok(head) => head,
         Err(e) => {
             Shared::bump(&shared.errors);
             // Salvage the id when at least the first field arrived, so
@@ -489,11 +493,11 @@ fn handle_tune_request(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) -> io:
             return conn.respond_error(id, &e.to_string(), false);
         }
     };
-    let key = req.cache_key();
-    let want_code = req.flags & REQ_WANT_CODE != 0;
+    let key = head.key;
+    let want_code = head.flags & REQ_WANT_CODE != 0;
     if let Some(artifact) = shared.cache.get(&key) {
         Shared::bump(&shared.hits);
-        return conn.respond_artifact(req.id, true, &artifact, want_code, false);
+        return conn.respond_artifact(head.id, true, &artifact, want_code, false);
     }
     let mut inflight = shared.inflight.lock().expect("inflight lock");
     // Double-check under the lock: the tune may have completed (and
@@ -501,13 +505,13 @@ fn handle_tune_request(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) -> io:
     if let Some(artifact) = shared.cache.peek(&key) {
         drop(inflight);
         Shared::bump(&shared.hits);
-        return conn.respond_artifact(req.id, true, &artifact, want_code, false);
+        return conn.respond_artifact(head.id, true, &artifact, want_code, false);
     }
     Shared::bump(&shared.misses);
     conn.inc_pending();
     let waiter = Waiter {
         conn: Arc::clone(conn),
-        id: req.id,
+        id: head.id,
         want_code,
     };
     use std::collections::hash_map::Entry;
@@ -524,6 +528,8 @@ fn handle_tune_request(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) -> io:
     };
     drop(inflight);
     if enqueue {
+        // Only the flight's opener builds matrices, outside the lock.
+        let req = head.to_request();
         shared
             .queue
             .lock()

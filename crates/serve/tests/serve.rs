@@ -269,6 +269,60 @@ fn malformed_requests_get_error_replies_not_disconnects() {
     server.shutdown().expect("shutdown");
 }
 
+/// A cached key does not let a corrupt copy of its request through: a
+/// NaN in `L` and a negative entry in `O` are refused with their own ids
+/// and reasons, caching and tuning nothing, and the intact request
+/// still hits with the same bytes.
+#[test]
+fn the_hit_path_never_answers_before_it_validates() {
+    use hbar_serve::frame::{read_frame, write_frame};
+    use hbar_serve::proto::{decode_tune_error, FRAME_TUNE_ERR, REQ_HEADER_LEN};
+    let server = default_server();
+    let mut client = TuneClient::connect(server.addr()).expect("connect");
+    let cost = synthetic_topologies(1, 31).pop().expect("one topology");
+    let p = cost.p();
+    let req = TuneRequest::new(1, cost);
+    let first = client.request(&req).expect("tune");
+    assert!(!first.cache_hit);
+
+    let mut raw = TcpStream::connect(server.addr()).expect("connect raw");
+    let l_entry = REQ_HEADER_LEN + (p * p + 3) * 8;
+    let o_entry = REQ_HEADER_LEN + 7 * 8;
+    for (id, at, value, reason) in [
+        (
+            2,
+            l_entry,
+            f64::NAN,
+            "non-finite cost entry at flat index 3",
+        ),
+        (3, o_entry, -1.0, "negative cost entry at flat index 7"),
+    ] {
+        let mut corrupt = req.clone();
+        corrupt.id = id;
+        let mut buf = Vec::new();
+        corrupt.encode_into(&mut buf);
+        buf[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        write_frame(&mut raw, FRAME_TUNE_REQ, &buf).expect("send corrupt");
+        let (tag, payload) = read_frame(&mut raw).expect("read answer");
+        assert_eq!(tag, FRAME_TUNE_ERR, "request {id} must be refused");
+        let answer = decode_tune_error(&payload).expect("decode err");
+        assert_eq!(answer, (id, reason.to_string()));
+    }
+
+    let mut again = req.clone();
+    again.id = 4;
+    let hit = client.request(&again).expect("hit");
+    assert!(hit.cache_hit, "the intact request still hits");
+    assert_eq!(hit.id, 4);
+    assert_eq!(hit.schedule_json, first.schedule_json);
+    assert_eq!(hit.predicted_cost.to_bits(), first.predicted_cost.to_bits());
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.errors, stats.tunes), (2, 1), "{stats:?}");
+    assert_eq!((stats.hits, stats.cache_entries), (1, 1), "{stats:?}");
+    client.drain().expect("drain");
+    server.shutdown().expect("shutdown");
+}
+
 #[test]
 fn drain_waits_for_pipelined_work_then_acknowledges() {
     let server = small_server(CacheConfig::default(), 2);

@@ -113,14 +113,8 @@ impl Fnv {
 /// FNV-1a over the raw bits of both cost matrices: the memo guard used
 /// by `CostEvaluator::rebind` and the schedule-cache key of
 /// `hbar serve` (fingerprint-equal matrices tune to bit-identical
-/// schedules, so one cached artifact serves every requester).
-///
-/// Runs four independent FNV lanes over interleaved words and folds them
-/// at the end: a single lane is a serial xor-multiply chain whose
-/// multiply latency caps throughput at one word per ~3 cycles, which at
-/// P = 1024 (2 M words) made the fingerprint itself a measurable slice
-/// of every tune. Any changed word still changes its lane and therefore
-/// the fold.
+/// schedules, so one cached artifact serves every requester). It is
+/// [`CostFingerprint`] fed `O`, then `L`, then finished with `p`.
 ///
 /// Stability: the mapping from matrix bits to fingerprint is frozen at
 /// [`COST_FINGERPRINT_VERSION`]; see the version constant for the
@@ -128,33 +122,115 @@ impl Fnv {
 /// differ only in NaN payload or `-0.0` vs `0.0` hash differently —
 /// exactly right for a cache whose values must be bit-reproducible.
 pub fn cost_fingerprint(cost: &CostMatrices) -> u64 {
-    fn absorb(lanes: &mut [u64; 4], data: &[f64]) {
-        let mut chunks = data.chunks_exact(4);
-        for c in &mut chunks {
-            for (lane, v) in lanes.iter_mut().zip(c) {
-                *lane ^= v.to_bits();
-                *lane = lane.wrapping_mul(FNV_PRIME);
+    let mut fp = CostFingerprint::new();
+    fp.matrix(cost.o.as_slice());
+    fp.matrix(cost.l.as_slice());
+    fp.finish(cost.p())
+}
+
+/// The [`cost_fingerprint`] of matrices absorbed one at a time, from
+/// `f64`s or straight from their little-endian bytes, with no copy:
+/// `hbar serve` keys a request off the wire without building a matrix.
+///
+/// Runs four independent FNV lanes over interleaved words and folds them
+/// at the end: a single lane is a serial xor-multiply chain whose
+/// multiply latency caps throughput at one word per ~3 cycles, which at
+/// P = 1024 (2 M words) made the fingerprint itself a measurable slice
+/// of every tune. Any changed word still changes its lane and therefore
+/// the fold. Word `k` of each matrix goes to lane `k mod 4`: the lane
+/// index restarts with every matrix, which matters when `p²` is odd.
+#[derive(Clone, Copy, Debug)]
+pub struct CostFingerprint {
+    lanes: [u64; 4],
+}
+
+impl Default for CostFingerprint {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CostFingerprint {
+    /// The fingerprint of nothing absorbed yet.
+    pub fn new() -> Self {
+        CostFingerprint {
+            lanes: [
+                FNV_OFFSET ^ 1,
+                FNV_OFFSET ^ 2,
+                FNV_OFFSET ^ 3,
+                FNV_OFFSET ^ 4,
+            ],
+        }
+    }
+
+    /// Absorbs one matrix's entries, row-major.
+    pub fn matrix(&mut self, data: &[f64]) {
+        let (quads, tail) = data.as_chunks::<4>();
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for q in quads {
+            a = (a ^ q[0].to_bits()).wrapping_mul(FNV_PRIME);
+            b = (b ^ q[1].to_bits()).wrapping_mul(FNV_PRIME);
+            c = (c ^ q[2].to_bits()).wrapping_mul(FNV_PRIME);
+            d = (d ^ q[3].to_bits()).wrapping_mul(FNV_PRIME);
+        }
+        self.lanes = [a, b, c, d];
+        for (lane, v) in self.lanes.iter_mut().zip(tail) {
+            *lane = (*lane ^ v.to_bits()).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Absorbs one matrix given as its row-major little-endian `f64`
+    /// bytes (a length that is not a multiple of 8 leaves its tail
+    /// unread), exactly as [`matrix`](Self::matrix) absorbs the decoded
+    /// values. Returns whether every entry is finite and `≥ 0.0`
+    /// (`-0.0` included), checked in the same pass.
+    pub fn matrix_le_bytes(&mut self, bytes: &[u8]) -> bool {
+        // Compared as floats, which the vector unit does for two or four
+        // words at a time: NaN fails both tests, `-0.0 >= 0.0` holds.
+        // One flag per lane keeps the check off the hash's critical path.
+        #[inline(always)]
+        fn bad(w: u64) -> bool {
+            let v = f64::from_bits(w);
+            !(0.0..=f64::MAX).contains(&v)
+        }
+        let (words, _) = bytes.as_chunks::<8>();
+        let (quads, tail) = words.as_chunks::<4>();
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        let mut flags = [false; 4];
+        for q in quads {
+            let w = q.map(u64::from_le_bytes);
+            for (flag, &w) in flags.iter_mut().zip(&w) {
+                *flag |= bad(w);
             }
+            a = (a ^ w[0]).wrapping_mul(FNV_PRIME);
+            b = (b ^ w[1]).wrapping_mul(FNV_PRIME);
+            c = (c ^ w[2]).wrapping_mul(FNV_PRIME);
+            d = (d ^ w[3]).wrapping_mul(FNV_PRIME);
         }
-        for (lane, v) in lanes.iter_mut().zip(chunks.remainder()) {
-            *lane ^= v.to_bits();
-            *lane = lane.wrapping_mul(FNV_PRIME);
+        self.lanes = [a, b, c, d];
+        for ((lane, flag), w) in self.lanes.iter_mut().zip(&mut flags).zip(tail) {
+            let w = u64::from_le_bytes(*w);
+            *flag |= bad(w);
+            *lane = (*lane ^ w).wrapping_mul(FNV_PRIME);
         }
+        flags == [false; 4]
     }
-    let mut lanes = [
-        FNV_OFFSET ^ 1,
-        FNV_OFFSET ^ 2,
-        FNV_OFFSET ^ 3,
-        FNV_OFFSET ^ 4,
-    ];
-    absorb(&mut lanes, cost.o.as_slice());
-    absorb(&mut lanes, cost.l.as_slice());
-    let mut h = FNV_OFFSET;
-    for v in [cost.p() as u64, lanes[0], lanes[1], lanes[2], lanes[3]] {
-        h ^= v;
-        h = h.wrapping_mul(FNV_PRIME);
+
+    /// The fingerprint of the matrices absorbed so far, for `p` ranks.
+    pub fn finish(self, p: usize) -> u64 {
+        let mut h = FNV_OFFSET;
+        for v in [
+            p as u64,
+            self.lanes[0],
+            self.lanes[1],
+            self.lanes[2],
+            self.lanes[3],
+        ] {
+            h ^= v;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
     }
-    h
 }
 
 /// Read access to a `P × P` topological cost model, independent of how
@@ -263,5 +339,77 @@ mod tests {
             }
         }
         assert_eq!(c.fingerprint(), cost_fingerprint(&c));
+    }
+
+    /// The streamed fingerprint, fed decoded values or their wire bytes,
+    /// is `cost_fingerprint` for every `p²` residue mod 4, and a flipped
+    /// bit in either matrix reaches it.
+    #[test]
+    fn streamed_fingerprint_matches_cost_fingerprint() {
+        fn le_bytes(m: &DenseMatrix<f64>) -> Vec<u8> {
+            m.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect()
+        }
+        fn streamed(c: &CostMatrices) -> (u64, u64) {
+            let mut from_values = CostFingerprint::new();
+            from_values.matrix(c.o.as_slice());
+            from_values.matrix(c.l.as_slice());
+            let mut from_bytes = CostFingerprint::new();
+            assert!(from_bytes.matrix_le_bytes(&le_bytes(&c.o)));
+            assert!(from_bytes.matrix_le_bytes(&le_bytes(&c.l)));
+            (from_values.finish(c.p()), from_bytes.finish(c.p()))
+        }
+        for p in 1..=9 {
+            let mut c = CostMatrices {
+                o: DenseMatrix::from_fn(p, |i, j| 1e-6 * (1 + i * p + j) as f64),
+                l: DenseMatrix::from_fn(p, |i, j| 1e-7 * (3 + j * p + i) as f64),
+            };
+            let fp = cost_fingerprint(&c);
+            assert_eq!(streamed(&c), (fp, fp), "p = {p}");
+            let last = (p - 1, p - 1);
+            c.o[last] = f64::from_bits(c.o[last].to_bits() ^ 1);
+            let o_flipped = cost_fingerprint(&c);
+            assert_ne!(o_flipped, fp, "p = {p}");
+            assert_eq!(streamed(&c), (o_flipped, o_flipped), "p = {p}");
+            c.l[last] = f64::from_bits(c.l[last].to_bits() ^ 1);
+            let l_flipped = cost_fingerprint(&c);
+            assert_ne!(l_flipped, o_flipped, "p = {p}");
+            assert_eq!(streamed(&c), (l_flipped, l_flipped), "p = {p}");
+        }
+    }
+
+    /// The byte absorber's check: finite and `≥ 0.0`, `-0.0` included.
+    #[test]
+    fn byte_absorber_flags_non_finite_and_negative_entries() {
+        let check = |v: f64| {
+            let bytes: Vec<u8> = [0.5, v, 2.0]
+                .iter()
+                .flat_map(|x: &f64| x.to_le_bytes())
+                .collect();
+            CostFingerprint::new().matrix_le_bytes(&bytes)
+        };
+        for good in [0.0, -0.0, f64::MIN_POSITIVE, 5e-324, 1.0, f64::MAX] {
+            assert!(check(good), "{good:e} is a valid cost");
+        }
+        for bad in [
+            -5e-324,
+            -1.0,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            assert!(!check(bad), "{bad:e} is not a valid cost");
+        }
+        // Every position of a four-word chunk and of the tail is checked.
+        for at in 0..7 {
+            let mut row = [1.0f64; 7];
+            row[at] = -1.0;
+            let bytes: Vec<u8> = row.iter().flat_map(|x| x.to_le_bytes()).collect();
+            assert!(
+                !CostFingerprint::new().matrix_le_bytes(&bytes),
+                "entry {at}"
+            );
+        }
     }
 }

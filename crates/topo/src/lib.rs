@@ -45,7 +45,10 @@ pub mod profile;
 pub mod regress;
 
 pub use compressed::{ClassMap, CompressError, CompressedCostModel, ModelParts, MAX_CLASSES};
-pub use cost::{cost_fingerprint, CostMatrices, CostProvider, SendMode, COST_FINGERPRINT_VERSION};
+pub use cost::{
+    cost_fingerprint, CostFingerprint, CostMatrices, CostProvider, SendMode,
+    COST_FINGERPRINT_VERSION,
+};
 pub use features::{
     ExactExtractor, PairFeatureExtractor, PairFeatures, RankFeatures, TopologyExtractor,
 };

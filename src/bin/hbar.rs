@@ -636,7 +636,12 @@ fn cmd_tune_client(flags: &Flags) -> Result<(), String> {
         _ => 16,
     };
 
-    let topologies = synthetic_topologies(count, seed);
+    // One request per topology, built once: each send only sets its id,
+    // so the timed loop measures the service, not a P × P copy.
+    let mut fleet: Vec<TuneRequest> = synthetic_topologies(count, seed)
+        .into_iter()
+        .map(|cost| TuneRequest::new(0, cost))
+        .collect();
     let zipf = ZipfSampler::new(count, zipf_s);
     let mut rng = SplitMix64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(7));
     let mut client =
@@ -646,17 +651,18 @@ fn cmd_tune_client(flags: &Flags) -> Result<(), String> {
     let started = std::time::Instant::now();
     for n in 0..requests {
         let k = zipf.sample(&mut rng);
-        let req = TuneRequest::new(n as u64, topologies[k].clone());
+        let req = &mut fleet[k];
+        req.id = n as u64;
         let resp = client
-            .request(&req)
+            .request(req)
             .map_err(|e| format!("request {n} failed: {e}"))?;
         if resp.cache_hit {
             hits += 1;
         }
         if check_every > 0 && n % check_every == 0 {
             let expected = local_cache.entry(k).or_insert_with(|| {
-                let members: Vec<usize> = (0..topologies[k].p()).collect();
-                let tuned = tune_hybrid_costs(&topologies[k], &members, &req.tuner_config());
+                let members: Vec<usize> = (0..req.cost.p()).collect();
+                let tuned = tune_hybrid_costs(&req.cost, &members, &req.tuner_config());
                 serde_json::to_string(&tuned.schedule).expect("schedule serializes")
             });
             if resp.schedule_json != *expected {

@@ -9,7 +9,7 @@
 //!
 //! Every shard enforces two budgets: an entry capacity and an
 //! approximate bytes budget (the caller passes each value's weight at
-//! insert). Eviction pops the least-recently-used entry until both
+//! insert, and re-weighs a value that grows in place). Eviction pops the least-recently-used entry until both
 //! budgets hold again, always keeping at least the entry being inserted.
 
 use crate::proto::CacheKey;
@@ -145,10 +145,8 @@ impl<V: Clone> Shard<V> {
         if let Some(&idx) = self.map.get(&key) {
             // Same key tuned twice (benign race between coalesced
             // flights): refresh value and accounting.
-            self.bytes = self.bytes - self.slots[idx].weight + weight;
             self.slots[idx].value = value;
-            self.slots[idx].weight = weight;
-            self.touch(idx);
+            self.recharge(idx, weight);
         } else {
             let idx = match self.free.pop() {
                 Some(i) => {
@@ -176,9 +174,29 @@ impl<V: Clone> Shard<V> {
             self.bytes += weight;
             self.push_front(idx);
         }
-        // Both budgets must hold, but the entry just inserted survives
-        // even when it alone exceeds the bytes budget (otherwise a
-        // single oversized schedule would thrash forever).
+        self.shed();
+    }
+
+    fn reweigh(&mut self, key: &CacheKey, weigh: impl FnOnce(&V) -> usize) {
+        let Some(&idx) = self.map.get(key) else {
+            return;
+        };
+        self.recharge(idx, weigh(&self.slots[idx].value));
+        self.shed();
+    }
+
+    /// Charges slot `idx` at `weight` and makes it the most recent.
+    fn recharge(&mut self, idx: usize, weight: usize) {
+        self.bytes = self.bytes - self.slots[idx].weight + weight;
+        self.slots[idx].weight = weight;
+        self.touch(idx);
+    }
+
+    /// Evicts from the tail until both budgets hold. The entry at the
+    /// head — the one just inserted or re-weighed — survives even when it
+    /// alone exceeds the bytes budget (otherwise a single oversized
+    /// schedule would thrash forever).
+    fn shed(&mut self) {
         while self.map.len() > 1
             && (self.map.len() > self.capacity || self.bytes > self.bytes_budget)
         {
@@ -230,6 +248,17 @@ impl<V: Clone> ShardedCache<V> {
             .lock()
             .expect("shard lock")
             .insert(key, value, weight);
+    }
+
+    /// Re-charges `key`'s entry at `weigh` of its current value (for a
+    /// value that grew after it was inserted), refreshes its recency, and
+    /// evicts LRU entries until the shard's budgets hold. An absent key —
+    /// never inserted or since evicted — stays absent.
+    pub fn reweigh(&self, key: &CacheKey, weigh: impl FnOnce(&V) -> usize) {
+        self.shard(key)
+            .lock()
+            .expect("shard lock")
+            .reweigh(key, weigh);
     }
 
     /// Aggregated counters (takes every shard lock in turn).
@@ -309,6 +338,23 @@ mod tests {
         cache.insert(key(2), 2, 10);
         assert_eq!(cache.get(&key(1)), None);
         assert_eq!(cache.get(&key(0)), Some(100));
+    }
+
+    #[test]
+    fn reweigh_recharges_a_resident_entry_and_leaves_an_evicted_key_evicted() {
+        let cache = single_shard(usize::MAX, 100);
+        cache.insert(key(0), 0, 30);
+        cache.insert(key(1), 1, 30);
+        cache.reweigh(&key(0), |&v| 40 + v as usize);
+        assert_eq!(cache.counters().bytes, 70);
+        // Re-weighing makes 1 the most recent, so growing it past the
+        // budget evicts 0.
+        cache.reweigh(&key(1), |_| 80);
+        assert_eq!(cache.get(&key(0)), None);
+        assert_eq!(cache.counters().bytes, 80);
+        cache.reweigh(&key(0), |_| unreachable!("an evicted key is not weighed"));
+        let c = cache.counters();
+        assert_eq!((c.entries, c.bytes, c.evictions), (1, 80, 1));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The ROADMAP's north star is serving tuned barrier schedules at
 //! scale; this crate is the concrete daemon: a long-running TCP service
 //! that accepts cost matrices (the `O`/`L` profiles of §VI) and returns
-//! tuned hybrid schedules plus generated code, with a warm path built
-//! to answer in tens of microseconds:
+//! tuned hybrid schedules plus, on request, generated C, with a warm
+//! path built to answer in tens of microseconds:
 //!
 //! * [`frame`] — the `[tag][len][payload]` stream every connection
 //!   speaks, and its drain and shutdown tags;

@@ -49,8 +49,9 @@ pub const FRAME_STATS_REQ: u8 = 0x13;
 pub const FRAME_STATS_RESP: u8 = 0x14;
 
 /// Request flag: include generated C source in the response. Excluded
-/// from the cache key — code is emitted at tune time and stored with the
-/// schedule, so hit/miss behaviour cannot depend on it.
+/// from the cache key — the code is emitted from the cached schedule the
+/// first time a client asks for it and kept with that entry, so hit/miss
+/// behaviour cannot depend on it.
 pub const REQ_WANT_CODE: u8 = 1 << 2;
 
 /// Largest accepted rank count (matches the profiling sweep's envelope;

@@ -30,6 +30,14 @@
 //!
 //! Worker responses are flushed immediately — the owning reader may be
 //! blocked in `read` and unable to flush on the waiters' behalf.
+//!
+//! ## Generated C
+//!
+//! A tune caches its schedule's JSON only. The first response owed to a
+//! `REQ_WANT_CODE` requester — a coalesced waiter on the worker or a hit
+//! on a reader — compiles that JSON back into C once per cache entry and
+//! re-charges the entry's weight by it; clients that never ask for code
+//! never pay for it.
 
 use crate::cache::{CacheConfig, ShardedCache};
 use crate::frame::{read_frame_into, write_frame_buffered, FRAME_DRAIN, FRAME_SHUTDOWN};
@@ -46,12 +54,12 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Name codegen uses for served barrier functions.
-const SERVED_BARRIER_NAME: &str = "served_barrier";
+pub const SERVED_BARRIER_NAME: &str = "served_barrier";
 
 /// Daemon shape: cache geometry and pool size.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,23 +82,23 @@ impl Default for ServeConfig {
     }
 }
 
-/// A cached tune result: everything needed to answer any request with
-/// the same cache key, including clients that want generated code.
+/// A cached tune result: the schedule's JSON and prediction, which
+/// answer every request with its cache key, and a slot for its
+/// generated C, which the first client that asks for code fills.
 struct TunedArtifact {
     predicted_cost: f64,
     schedule_json: String,
-    code_c: String,
+    code_c: OnceLock<String>,
 }
 
 impl TunedArtifact {
-    /// Everything the cache keeps of one tune: the JSON and generated C
-    /// of its schedule, which is checked against Eq. 3 first (never cache
-    /// a non-barrier).
+    /// Everything the cache keeps of one tune: the JSON of its schedule,
+    /// which is checked against Eq. 3 first (never cache a non-barrier).
+    /// No C is emitted here.
     ///
     /// # Panics
-    /// Panics if the schedule is not a barrier, does not compile or does
-    /// not emit — a tuner bug each time; the worker catches the panic and
-    /// answers `TUNE_ERR` with its message.
+    /// Panics if the schedule is not a barrier — a tuner bug; the worker
+    /// catches the panic and answers `TUNE_ERR` with its message.
     fn build(
         schedule: &BarrierSchedule,
         predicted_cost: f64,
@@ -100,24 +108,41 @@ impl TunedArtifact {
             eval.is_barrier(schedule),
             "tuned schedule is not a barrier: it fails the Eq. 3 knowledge closure"
         );
-        let programs = compile_schedule(schedule)
-            .unwrap_or_else(|e| panic!("tuned schedule does not compile: {e}"));
-        let code_c = c_source(SERVED_BARRIER_NAME, &programs)
-            .unwrap_or_else(|e| panic!("tuned schedule does not emit C: {e}"));
         let schedule_json = serde_json::to_string(schedule).expect("schedule serializes");
         TunedArtifact {
             predicted_cost,
             schedule_json,
-            code_c,
+            code_c: OnceLock::new(),
         }
     }
 
+    /// The generated C, emitted by the first call from the artifact's own
+    /// JSON; later and concurrent calls wait for and share that string.
+    /// The flag says whether this call emitted it.
+    ///
+    /// Neither step can fail: `compile_schedule` has no error case, and
+    /// `c_source` refuses only an invalid name, which
+    /// [`SERVED_BARRIER_NAME`] is not.
+    fn code(&self) -> (&str, bool) {
+        let mut emitted = false;
+        let code = self.code_c.get_or_init(|| {
+            emitted = true;
+            let schedule: BarrierSchedule =
+                serde_json::from_str(&self.schedule_json).expect("cached schedule JSON parses");
+            let programs = compile_schedule(&schedule).expect("a schedule always compiles");
+            let mut code = c_source(SERVED_BARRIER_NAME, &programs).expect("a valid C name");
+            code.shrink_to_fit();
+            code
+        });
+        (code, emitted)
+    }
+
     /// Resident bytes, charged against the cache budget. This must
-    /// follow every heap allocation the artifact keeps alive: its two
-    /// strings.
+    /// follow every heap allocation the artifact keeps alive: its JSON,
+    /// and its C once emitted.
     fn weight(&self) -> usize {
         self.schedule_json.capacity()
-            + self.code_c.capacity()
+            + self.code_c.get().map_or(0, String::capacity)
             + std::mem::size_of::<TunedArtifact>()
             + 64
     }
@@ -166,7 +191,8 @@ impl Conn {
         self.writer.lock().expect("writer lock").w.flush()
     }
 
-    /// Encodes and writes one artifact response. Pool workers flush
+    /// Encodes and writes one artifact response carrying `code` (empty
+    /// unless the client asked for it). Pool workers flush
     /// (`flush: true`); the reader defers flushing until it is about to
     /// block, batching a pipelined window into few syscalls.
     fn respond_artifact(
@@ -174,12 +200,11 @@ impl Conn {
         id: u64,
         cache_hit: bool,
         artifact: &TunedArtifact,
-        want_code: bool,
+        code: &str,
         flush: bool,
     ) -> io::Result<()> {
         let mut wr = self.writer.lock().expect("writer lock");
         let ConnWriter { w, scratch } = &mut *wr;
-        let code: &str = if want_code { &artifact.code_c } else { "" };
         scratch.clear();
         scratch.reserve(25 + artifact.schedule_json.len() + code.len());
         scratch.extend_from_slice(&id.to_le_bytes());
@@ -290,6 +315,25 @@ impl Shared {
 
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The C a response to `artifact`, cached under `key`, carries: empty
+    /// unless `want_code`. The call that emits the code re-charges the
+    /// entry's weight, if the entry is still resident.
+    fn code_for<'a>(
+        &self,
+        key: &CacheKey,
+        artifact: &'a TunedArtifact,
+        want_code: bool,
+    ) -> &'a str {
+        if !want_code {
+            return "";
+        }
+        let (code, emitted) = artifact.code();
+        if emitted {
+            self.cache.reweigh(key, |resident| resident.weight());
+        }
+        code
     }
 }
 
@@ -410,9 +454,8 @@ fn finish_flight(shared: &Shared, key: CacheKey, outcome: std::thread::Result<Tu
     match outcome {
         Ok(artifact) => {
             for w in waiters {
-                let _ = w
-                    .conn
-                    .respond_artifact(w.id, false, &artifact, w.want_code, true);
+                let code = shared.code_for(&key, &artifact, w.want_code);
+                let _ = w.conn.respond_artifact(w.id, false, &artifact, code, true);
                 w.conn.dec_pending();
             }
         }
@@ -497,7 +540,8 @@ fn handle_tune_request(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) -> io:
     let want_code = head.flags & REQ_WANT_CODE != 0;
     if let Some(artifact) = shared.cache.get(&key) {
         Shared::bump(&shared.hits);
-        return conn.respond_artifact(head.id, true, &artifact, want_code, false);
+        let code = shared.code_for(&key, &artifact, want_code);
+        return conn.respond_artifact(head.id, true, &artifact, code, false);
     }
     let mut inflight = shared.inflight.lock().expect("inflight lock");
     // Double-check under the lock: the tune may have completed (and
@@ -505,7 +549,8 @@ fn handle_tune_request(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) -> io:
     if let Some(artifact) = shared.cache.peek(&key) {
         drop(inflight);
         Shared::bump(&shared.hits);
-        return conn.respond_artifact(head.id, true, &artifact, want_code, false);
+        let code = shared.code_for(&key, &artifact, want_code);
+        return conn.respond_artifact(head.id, true, &artifact, code, false);
     }
     Shared::bump(&shared.misses);
     conn.inc_pending();
@@ -559,7 +604,17 @@ mod tests {
         schedule.append(schedule.departure_reversed(0));
         let mut eval = CostEvaluator::new(CostParams::default());
         let artifact = TunedArtifact::build(&schedule, 1.0, &mut eval);
-        assert!(artifact.code_c.contains(SERVED_BARRIER_NAME));
+        assert!(artifact.code_c.get().is_none(), "no C before a client asks");
+        let (code, emitted) = artifact.code();
+        assert!(emitted && code.contains(SERVED_BARRIER_NAME));
+        let programs = compile_schedule(&schedule).expect("compiles");
+        assert_eq!(
+            code,
+            c_source(SERVED_BARRIER_NAME, &programs).expect("emits")
+        );
+        let (again, emitted) = artifact.code();
+        assert!(!emitted, "the C is emitted once");
+        assert!(std::ptr::eq(code, again));
     }
 
     #[test]
@@ -612,11 +667,14 @@ mod tests {
         let artifact = TunedArtifact {
             predicted_cost: 1.0,
             schedule_json: String::from("{}"),
-            code_c: String::with_capacity(100),
+            code_c: OnceLock::new(),
         };
-        assert_eq!(
-            artifact.weight(),
-            2 + 100 + std::mem::size_of::<TunedArtifact>() + 64
-        );
+        let fixed = std::mem::size_of::<TunedArtifact>() + 64;
+        assert_eq!(artifact.weight(), 2 + fixed, "no code, no charge");
+        artifact
+            .code_c
+            .set(String::with_capacity(100))
+            .expect("empty slot");
+        assert_eq!(artifact.weight(), 2 + 100 + fixed);
     }
 }

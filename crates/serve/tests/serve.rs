@@ -1,13 +1,18 @@
 //! Loopback integration tests of the tune service: bit-parity against
-//! local tunes, coalesced-miss single-tune accounting, eviction under a
-//! bytes budget, client-death robustness, and graceful drain.
+//! local tunes, generated C emitted once and only on request,
+//! coalesced-miss single-tune accounting, eviction under a bytes budget,
+//! client-death robustness, and graceful drain.
 
+use hbar_core::codegen::{c_source, compile_schedule};
 use hbar_core::compose::tune_hybrid_costs;
 use hbar_serve::cache::CacheConfig;
 use hbar_serve::client::{TuneClient, TuneReply};
 use hbar_serve::proto::{TuneRequest, FRAME_TUNE_REQ, REQ_WANT_CODE};
-use hbar_serve::server::{ServeConfig, ServerHandle};
+use hbar_serve::server::{ServeConfig, ServerHandle, SERVED_BARRIER_NAME};
 use hbar_serve::workload::synthetic_topologies;
+use hbar_topo::machine::MachineSpec;
+use hbar_topo::mapping::RankMapping;
+use hbar_topo::profile::TopologyProfile;
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -24,6 +29,188 @@ fn local_schedule_json(req: &TuneRequest) -> String {
     let members: Vec<usize> = (0..req.cost.p()).collect();
     let tuned = tune_hybrid_costs(&req.cost, &members, &req.tuner_config());
     serde_json::to_string(&tuned.schedule).expect("schedule serializes")
+}
+
+/// The C a client that asks for code must receive: the local tune's
+/// schedule, compiled and emitted under the served name.
+fn local_code(req: &TuneRequest) -> String {
+    let members: Vec<usize> = (0..req.cost.p()).collect();
+    let tuned = tune_hybrid_costs(&req.cost, &members, &req.tuner_config());
+    let programs = compile_schedule(&tuned.schedule).expect("schedule compiles");
+    c_source(SERVED_BARRIER_NAME, &programs).expect("schedule emits")
+}
+
+fn wanting_code(mut req: TuneRequest) -> TuneRequest {
+    req.flags |= REQ_WANT_CODE;
+    req
+}
+
+/// `cache_bytes` of a fresh server after one code-less miss per request:
+/// what the entries weigh before any C is emitted.
+fn code_less_bytes(reqs: &[&TuneRequest]) -> u64 {
+    let server = default_server();
+    let mut client = TuneClient::connect(server.addr()).expect("connect");
+    for req in reqs {
+        let mut req = (*req).clone();
+        req.flags &= !REQ_WANT_CODE;
+        assert!(client.request(&req).expect("tune").code_c.is_empty());
+    }
+    let bytes = client.stats().expect("stats").cache_bytes;
+    client.drain().expect("drain");
+    server.shutdown().expect("shutdown");
+    bytes
+}
+
+#[test]
+fn a_miss_that_wants_code_gets_the_local_c_once() {
+    let server = default_server();
+    let mut client = TuneClient::connect(server.addr()).expect("connect");
+    let cost = synthetic_topologies(3, 41).pop().expect("third shape");
+    let req = wanting_code(TuneRequest::new(1, cost));
+    let code = local_code(&req);
+    let miss = client.request(&req).expect("tune");
+    assert!(!miss.cache_hit);
+    assert_eq!(miss.schedule_json, local_schedule_json(&req));
+    assert_eq!(miss.code_c, code);
+    let bytes = client.stats().expect("stats").cache_bytes;
+    assert_eq!(bytes, code_less_bytes(&[&req]) + code.len() as u64);
+    let hit = client.request(&req).expect("hit");
+    assert!(hit.cache_hit);
+    assert_eq!(hit.code_c, code);
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.cache_bytes, stats.tunes), (bytes, 1), "{stats:?}");
+    client.drain().expect("drain");
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_hit_that_wants_code_after_a_code_less_miss_gets_the_local_c_once() {
+    let server = default_server();
+    let mut client = TuneClient::connect(server.addr()).expect("connect");
+    let cost = synthetic_topologies(2, 43).pop().expect("second shape");
+    let plain = TuneRequest::new(1, cost);
+    let with = wanting_code(plain.clone());
+    let code = local_code(&plain);
+    assert!(client.request(&plain).expect("miss").code_c.is_empty());
+    let before = client.stats().expect("stats").cache_bytes;
+    for _ in 0..2 {
+        let hit = client.request(&with).expect("hit");
+        assert!(hit.cache_hit);
+        assert_eq!(hit.code_c, code);
+        assert_eq!(
+            client.stats().expect("stats").cache_bytes,
+            before + code.len() as u64,
+            "the code is charged once"
+        );
+    }
+    let hit = client.request(&plain).expect("code-less hit");
+    assert!(hit.code_c.is_empty(), "only a client that asks gets code");
+    assert_eq!(hit.schedule_json, local_schedule_json(&plain));
+    client.drain().expect("drain");
+    server.shutdown().expect("shutdown");
+}
+
+/// One worker, busy with a P = 128 tune, while four requests for one key
+/// arrive: the first opens a flight and the other three join it, two of
+/// the four wanting code.
+#[test]
+fn a_coalesced_flight_serves_code_only_to_waiters_that_want_it() {
+    let server = small_server(CacheConfig::default(), 1);
+    let mut client = TuneClient::connect(server.addr()).expect("connect");
+    let slow_cost =
+        TopologyProfile::from_ground_truth(&MachineSpec::new(8, 2, 8), &RankMapping::Block).cost;
+    let slow = TuneRequest::new(0, slow_cost);
+    let cost = synthetic_topologies(1, 47).pop().expect("one topology");
+    let plain = TuneRequest::new(0, cost);
+    let code = local_code(&plain);
+    let json = local_schedule_json(&plain);
+    client.send(&slow).expect("send slow");
+    for id in 1..=4 {
+        let mut req = plain.clone();
+        req.id = id;
+        if id % 2 == 0 {
+            req.flags |= REQ_WANT_CODE;
+        }
+        client.send(&req).expect("send");
+    }
+    for _ in 0..5 {
+        let resp = match client.recv().expect("recv") {
+            TuneReply::Ok(resp) => resp,
+            TuneReply::Err { id, reason } => panic!("request {id} failed: {reason}"),
+        };
+        if resp.id == 0 {
+            continue;
+        }
+        assert!(!resp.cache_hit, "request {} waited on the flight", resp.id);
+        assert_eq!(resp.schedule_json, json);
+        let want = if resp.id % 2 == 0 { code.as_str() } else { "" };
+        assert_eq!(resp.code_c, want, "request {}", resp.id);
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.tunes, stats.coalesced), (2, 3), "{stats:?}");
+    assert_eq!(
+        stats.cache_bytes,
+        code_less_bytes(&[&slow, &plain]) + code.len() as u64
+    );
+    client.drain().expect("drain");
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn eight_threads_wanting_code_after_a_code_less_miss_emit_it_once() {
+    let server = default_server();
+    let addr = server.addr();
+    let cost = synthetic_topologies(3, 53).pop().expect("third shape");
+    let plain = TuneRequest::new(0, cost);
+    let code = local_code(&plain);
+    let mut client = TuneClient::connect(addr).expect("connect");
+    assert!(client.request(&plain).expect("miss").code_c.is_empty());
+    let before = client.stats().expect("stats").cache_bytes;
+    let threads: Vec<_> = (1..=8)
+        .map(|t| {
+            let mut req = wanting_code(plain.clone());
+            req.id = t;
+            let code = code.clone();
+            std::thread::spawn(move || {
+                let mut client = TuneClient::connect(addr).expect("connect");
+                let hit = client.request(&req).expect("hit");
+                assert!(hit.cache_hit);
+                assert_eq!(hit.code_c, code, "thread {t}");
+                client.drain().expect("drain");
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("client thread");
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.cache_bytes, before + code.len() as u64, "{stats:?}");
+    assert_eq!((stats.hits, stats.tunes), (8, 1), "{stats:?}");
+    client.drain().expect("drain");
+    server.shutdown().expect("shutdown");
+}
+
+/// `O[0][1] = O[1][0] = f64::MAX` once overflowed the clustering
+/// distance and panicked the tune; it is now an ordinary request, and
+/// the connection goes on serving.
+#[test]
+fn a_pair_at_f64_max_is_answered_without_a_panic() {
+    let server = default_server();
+    let mut client = TuneClient::connect(server.addr()).expect("connect");
+    let cost = synthetic_topologies(3, 21).pop().expect("third shape");
+    let mut extreme = cost.clone();
+    extreme.o[(0, 1)] = f64::MAX;
+    extreme.o[(1, 0)] = f64::MAX;
+    let req = TuneRequest::new(1, extreme);
+    let resp = client.request(&req).expect("answered Ok");
+    assert_eq!(resp.schedule_json, local_schedule_json(&req));
+    let next = TuneRequest::new(2, cost);
+    let resp = client.request(&next).expect("the next request");
+    assert_eq!(resp.schedule_json, local_schedule_json(&next));
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.errors, stats.tunes), (0, 2), "{stats:?}");
+    client.drain().expect("drain");
+    server.shutdown().expect("shutdown");
 }
 
 #[test]
@@ -145,7 +332,7 @@ fn bytes_budget_evicts_and_evicted_keys_retune_identically() {
         CacheConfig {
             shards: 1,
             capacity: 1024,
-            bytes_budget: 3 * 4096,
+            bytes_budget: 3 * 1024,
         },
         2,
     );

@@ -37,7 +37,7 @@
 //! when their values collide. That invariant is what lets the derived
 //! [`DistanceMetric`] share the map zero-copy: the per-class distance
 //! table maps diagonal classes to `0.0` and off-diagonal classes to the
-//! symmetrized `(O_c + O_c) / 2` without consulting positions.
+//! symmetrized `O_c / 2 + O_c / 2` without consulting positions.
 
 use crate::cost::{CostMatrices, CostProvider, Fnv};
 use crate::metric::DistanceMetric;
@@ -793,7 +793,7 @@ impl CostProvider for CompressedCostModel {
 
     /// The clustering metric. For a symmetric map (every symmetric
     /// sweep's) this shares the map zero-copy and only builds a
-    /// per-class distance table: `(O_c + O_c) / 2` is bit-equal to what
+    /// per-class distance table: `O_c / 2 + O_c / 2` is bit-equal to what
     /// the dense view computes per cell, and diagonal classes map to
     /// `0.0` exactly as the dense view zeroes its diagonal; the classes
     /// that occur off the diagonal go along, so the metric's diameter is a
@@ -808,7 +808,7 @@ impl CostProvider for CompressedCostModel {
         let table = (self.table_o.iter().zip(&self.placement))
             .map(|(&o, &at)| match at {
                 ClassPlacement::Diagonal => 0.0,
-                _ => (o + o) / 2.0,
+                _ => o / 2.0 + o / 2.0,
             })
             .collect();
         let off_diagonal = (self.placement.iter())

@@ -7,7 +7,10 @@
 //!
 //! [`DistanceMetric`] reads a profile's `O` matrix as that metric: distance
 //! between distinct ranks `i, j` is the symmetrized single-message cost
-//! `(O_ij + O_ji) / 2`, and `d(i, i) = 0`. It is a view: nothing is
+//! `(O_ij + O_ji) / 2`, and `d(i, i) = 0`. It is computed as
+//! `O_ij / 2 + O_ji / 2`, which is finite for every finite pair (the sum
+//! first overflows at `f64::MAX`) and the same bits wherever the sum is
+//! finite and the halves are normal. It is a view: nothing is
 //! computed until a distance is asked for, and clustering asks for few —
 //! one maximum over the pairs of each set it splits, and the distances
 //! from each centre it admits to the members of that centre's own set.
@@ -68,8 +71,8 @@ impl<'a> DistanceMetric<'a> {
     }
 
     /// Builds directly from a distance matrix, read symmetrized and with
-    /// a zero diagonal like any other (`(d + d) / 2 == d` bit for bit, so
-    /// a symmetric matrix is read as it stands).
+    /// a zero diagonal like any other (`d / 2 + d / 2 == d` bit for bit
+    /// for a normal `d`, so a symmetric matrix is read as it stands).
     pub fn from_matrix(d: DenseMatrix<f64>) -> Self {
         DistanceMetric {
             backing: Backing::Dense(Cow::Owned(d)),
@@ -234,14 +237,15 @@ impl<'a> DistanceMetric<'a> {
 }
 
 /// `d(i, j)` over the square matrix `o` of side `p`: the arithmetic every
-/// dense read goes through, operands in `(low, high)` rank order.
+/// dense read goes through, operands in `(low, high)` rank order, halved
+/// before they are added so that no finite pair overflows.
 #[inline]
 fn symmetrized(o: &[f64], p: usize, i: usize, j: usize) -> f64 {
     if i == j {
         return 0.0;
     }
     let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-    (o[lo * p + hi] + o[hi * p + lo]) / 2.0
+    o[lo * p + hi] / 2.0 + o[hi * p + lo] / 2.0
 }
 
 /// [`DistanceMetric::diameter_of`] over a square matrix: pairs of member
@@ -257,7 +261,7 @@ fn dense_diameter_of(o: &[f64], p: usize, members: &[usize]) -> f64 {
         let v = if i == j {
             0.0
         } else {
-            (row[j] + o[j * p + i]) / 2.0
+            row[j] / 2.0 + o[j * p + i] / 2.0
         };
         if v > lanes[lane] {
             lanes[lane] = v;
@@ -513,6 +517,78 @@ mod tests {
                 .diameter_of(&identity),
             f64::INFINITY
         );
+    }
+
+    /// `O_ij = O_ji = f64::MAX` is a finite distance: the sum the
+    /// symmetrisation once formed overflowed to infinity.
+    #[test]
+    fn a_pair_at_f64_max_is_a_finite_distance() {
+        let mut cost = CostMatrices::zeros(3);
+        cost.o[(0, 1)] = f64::MAX;
+        cost.o[(1, 0)] = f64::MAX;
+        cost.o[(1, 2)] = 1.0;
+        let m = DistanceMetric::from_costs(&cost);
+        assert_eq!(m.dist(0, 1), f64::MAX);
+        assert_eq!(m.dist(1, 2), 0.5);
+        assert_eq!(m.diameter(), f64::MAX);
+        assert_eq!(m.diameter_of(&[2, 1, 0]), f64::MAX);
+        #[rustfmt::skip]
+        let grid = [
+            2u16, 0, 1,
+            0, 2, 1,
+            1, 1, 2,
+        ];
+        let model = classed(3, &grid, &[f64::MAX, 1.0, 0.0]);
+        let m = model.distance_metric();
+        assert_eq!(m.dist(0, 1), f64::MAX);
+        assert_eq!(m.diameter(), f64::MAX);
+    }
+
+    proptest::proptest! {
+        /// Halving before adding is the old `(a + b) / 2` bit for bit
+        /// wherever that sum is finite and the halves are normal, and is
+        /// finite for every finite pair; the classed view of a symmetric
+        /// model still reads what the dense view of its image reads.
+        #[test]
+        fn halved_sum_is_the_old_symmetrisation_and_views_agree(
+            a_bits in proptest::prelude::any::<u64>(),
+            b_bits in proptest::prelude::any::<u64>(),
+            same_exponent in proptest::prelude::any::<bool>(),
+        ) {
+            const MANTISSA: u64 = (1 << 52) - 1;
+            let a = f64::from_bits(a_bits >> 1);
+            let b = if same_exponent {
+                f64::from_bits((a.to_bits() & !MANTISSA) | (b_bits & MANTISSA))
+            } else {
+                f64::from_bits(b_bits >> 1)
+            };
+            proptest::prop_assume!(a.is_finite() && b.is_finite());
+            let halved = a / 2.0 + b / 2.0;
+            proptest::prop_assert!(halved.is_finite());
+            if (a + b).is_finite() && (a / 2.0).is_normal() && (b / 2.0).is_normal() {
+                proptest::prop_assert_eq!(halved.to_bits(), ((a + b) / 2.0).to_bits());
+            }
+
+            let p = 3;
+            #[rustfmt::skip]
+            let grid = [
+                2u16, 0, 1,
+                0, 2, 0,
+                1, 0, 2,
+            ];
+            let table = [a, b, 0.0];
+            let model = classed(p, &grid, &table);
+            let classed = model.distance_metric();
+            let dense = DistanceMetric::from_matrix(DenseMatrix::from_fn(p, |i, j| {
+                table[grid[i * p + j] as usize]
+            }));
+            for i in 0..p {
+                for j in 0..p {
+                    proptest::prop_assert_eq!(classed.dist(i, j).to_bits(), dense.dist(i, j).to_bits());
+                }
+            }
+            proptest::prop_assert_eq!(classed.diameter().to_bits(), dense.diameter().to_bits());
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@ use hbar_topo::cost::CostProvider;
 use std::collections::HashMap;
 
 /// Configuration of the adaptive tuner. Scoring has no switch: a
-/// candidate is priced by its full local schedule ([`LevelChoice::score`]).
+/// candidate is priced by its full local schedule ([`LevelChoice::score`]),
+/// and a root candidate by the whole barrier it completes.
 #[derive(Clone, Debug)]
 pub struct TunerConfig {
     /// SSS sparseness as a fraction of the clustered set's diameter
@@ -63,12 +64,16 @@ pub struct LevelChoice {
     pub participants: Vec<usize>,
     /// Depth in the cluster tree (0 = root).
     pub depth: usize,
-    /// The greedily selected algorithm.
+    /// The selected algorithm: greedily by [`Self::score`] below the
+    /// root; at the root, in context, by the predicted cost of the whole
+    /// barrier it completes ([`TunedBarrier::predicted_cost`]).
     pub algorithm: Algorithm,
-    /// The score it was selected on: the predicted critical path of the
-    /// algorithm's full local schedule over the participants — its
-    /// arrival stages, then their transposed Eq. 2 departure unless a
-    /// fully synchronizing algorithm sits at the root.
+    /// The algorithm's local price: the predicted critical path of its
+    /// full local schedule over the participants — its arrival stages,
+    /// then their transposed Eq. 2 departure unless a fully synchronizing
+    /// algorithm sits at the root. Below the root it is what the
+    /// algorithm was selected on; at the root it stays the local price,
+    /// while the choice was made in context.
     pub score: f64,
 }
 
@@ -81,7 +86,9 @@ pub struct TunedBarrier {
     pub tree: ClusterNode,
     /// Per-cluster algorithm selections, parents before children.
     pub choices: Vec<LevelChoice>,
-    /// Predicted critical-path cost of the full schedule (seconds).
+    /// Predicted critical-path cost of the full schedule (seconds): the
+    /// price the root was chosen on, bit-equal to
+    /// [`CostEvaluator::barrier_cost`] of `schedule`.
     pub predicted_cost: f64,
 }
 
@@ -174,31 +181,69 @@ fn tune<C: CostProvider + ?Sized>(
     let tree = eval.cluster_tree(cost, members, cfg.sparseness, cfg.max_depth);
     let n = cost.p();
     let mut local = std::mem::take(&mut eval.local_schedules);
-    let plan = plan_node(&tree, 0, cost, cfg, eval, &mut local);
-    // A fully synchronizing root's own stages need no departure.
-    let skip = match plan.choice {
-        Some((algorithm, _)) if !algorithm.needs_departure() => plan.own_stages,
-        _ => 0,
-    };
-    let mut signals = vec![Vec::new(); plan.len];
-    emit(&plan, &mut local, &mut signals, 0);
-    local.keep_used();
-    eval.local_schedules = local;
+    let children: Vec<PlanNode> = (tree.children.iter())
+        .map(|c| plan_node(c, cost, cfg, eval, &mut local))
+        .collect();
+    // The children's arrival, composed once: the root is priced after it
+    // and before its transposed departure, and the schedule is built from
+    // both.
+    let mut signals = vec![Vec::new(); span(&children)];
+    for c in &children {
+        emit(c, &mut local, &mut signals);
+    }
     let mut schedule = BarrierSchedule::new(n);
     for pairs in signals {
         schedule.push(Stage::arrival(SparseBoolMatrix::from_pairs(n, pairs)));
     }
-    let mut choices = Vec::new();
-    collect_choices(plan, 0, &mut choices);
-    schedule.append(schedule.departure_reversed(skip));
+    let departure = schedule.departure_reversed(0);
+    let participants = level_participants(&tree);
+    let (choice, predicted_cost) = choose_root(
+        &participants,
+        &schedule,
+        &departure,
+        cost,
+        cfg,
+        eval,
+        &mut local,
+    );
+    if let Some((algorithm, _)) = choice {
+        // A fully synchronizing root's own stages need no departure.
+        let own = local.get(algorithm, participants.len(), !algorithm.needs_departure());
+        for stage in own.stages() {
+            let mut pairs = Vec::new();
+            stage.matrix.embed_into(&participants, &mut pairs);
+            schedule.push(Stage {
+                matrix: SparseBoolMatrix::from_pairs(n, pairs),
+                mode: stage.mode,
+            });
+        }
+    }
+    schedule.append(departure);
     schedule.strip_noop_stages();
+    local.keep_used();
+    eval.local_schedules = local;
+    let mut choices = Vec::new();
+    for c in children {
+        collect_choices(c, 1, &mut choices);
+    }
+    if let Some((algorithm, score)) = choice {
+        choices.push(LevelChoice {
+            participants,
+            depth: 0,
+            algorithm,
+            score,
+        });
+    }
 
     debug_assert!(
         eval.synchronizes_subset(&schedule, members),
         "composed schedule fails verification:\n{schedule}"
     );
-
-    let predicted_cost = eval.barrier_cost(&schedule, cost, None);
+    debug_assert_eq!(
+        predicted_cost.to_bits(),
+        eval.barrier_cost(&schedule, cost, None).to_bits(),
+        "the root's price is not the composed schedule's"
+    );
     TunedBarrier {
         schedule,
         tree,
@@ -235,8 +280,8 @@ impl LocalSchedules {
     }
 }
 
-/// One planned cluster level: the algorithm is selected and its local
-/// schedule built, but nothing is mapped into the global rank space
+/// One planned level below the root: the algorithm is selected and its
+/// local schedule built, but nothing is mapped into the global rank space
 /// yet. Splitting planning from emission keeps the entire selection pass
 /// in cluster-local index spaces; [`emit`] then maps every level's
 /// signals onto global ranks in one pass over the plan.
@@ -247,9 +292,8 @@ struct PlanNode {
     participants: Vec<usize>,
     /// The greedy selection and its score; `None` for singleton levels.
     choice: Option<(Algorithm, f64)>,
-    /// Whether the selection's [`LocalSchedules`] entry skips departure.
-    skip_departure: bool,
-    /// The selection's arrival stages: that entry's first stages.
+    /// The selection's arrival stages: the first half of its
+    /// [`LocalSchedules`] entry.
     own_stages: usize,
     /// Child plans, in cluster order.
     children: Vec<PlanNode>,
@@ -258,76 +302,135 @@ struct PlanNode {
     len: usize,
 }
 
-/// Recursively selects algorithms for `node`'s subtree.
+/// Arrival stages a level's children span: the deepest child's.
+fn span(children: &[PlanNode]) -> usize {
+    children.iter().map(|c| c.len).max().unwrap_or(0)
+}
+
+/// A level's participants: a leaf's members, or the representatives of
+/// its children.
+fn level_participants(node: &ClusterNode) -> Vec<usize> {
+    if node.is_leaf() {
+        node.members.clone()
+    } else {
+        (node.children.iter())
+            .map(ClusterNode::representative)
+            .collect()
+    }
+}
+
+/// Recursively selects algorithms for the subtree of `node`, a level
+/// below the root: each by the price of its full local schedule.
 fn plan_node<C: CostProvider + ?Sized>(
     node: &ClusterNode,
-    depth: usize,
     cost: &C,
     cfg: &TunerConfig,
     eval: &mut CostEvaluator,
     local: &mut LocalSchedules,
 ) -> PlanNode {
     let children: Vec<PlanNode> = (node.children.iter())
-        .map(|c| plan_node(c, depth + 1, cost, cfg, eval, local))
+        .map(|c| plan_node(c, cost, cfg, eval, local))
         .collect();
-    let participants: Vec<usize> = if node.is_leaf() {
-        node.members.clone()
-    } else {
-        node.children
-            .iter()
-            .map(ClusterNode::representative)
-            .collect()
-    };
-    let child_span = children.iter().map(|c| c.len).max().unwrap_or(0);
+    let participants = level_participants(node);
+    let child_span = span(&children);
     if participants.len() < 2 {
         // A singleton level contributes no signals.
         return PlanNode {
             participants: Vec::new(),
             choice: None,
-            skip_departure: false,
             own_stages: 0,
             children,
             len: child_span,
         };
     }
-    let (algorithm, score) = select_algorithm(&participants, depth == 0, cost, cfg, eval, local);
-    let skip_departure = depth == 0 && !algorithm.needs_departure();
-    let stages = local
-        .get(algorithm, participants.len(), skip_departure)
-        .len();
-    let own_stages = if skip_departure { stages } else { stages / 2 };
+    let (algorithm, score) = greedy(&score_level(&participants, false, cost, cfg, eval, local));
+    let own_stages = local.get(algorithm, participants.len(), false).len() / 2;
     PlanNode {
         participants,
         choice: Some((algorithm, score)),
-        skip_departure,
         own_stages,
         children,
         len: child_span + own_stages,
     }
 }
 
-/// Collects a plan's arrival signals, as global `(sender, target)` pairs
-/// per stage, starting at stage `offset`: children merge concurrently,
-/// aligned at their first stage, and the node's own level follows the
-/// deepest child (§VII-B's "merge shorter sequences with longer ones as
-/// early as possible"). Clusters arrive in tree order, not rank order;
-/// the caller canonicalises each stage's pairs once.
-fn emit(
-    plan: &PlanNode,
+/// Chooses the root's algorithm by the price of the whole barrier it
+/// completes, and returns it with its local score, plus that price.
+///
+/// The children's `arrival` runs once; each root candidate is priced from
+/// the ready times it leaves — the candidate's full local schedule through
+/// the participant view, then the children's transposed `departure`. That
+/// is, bit for bit, the prediction of the composed schedule
+/// ([`CostEvaluator::resumed_cost`]). A candidate's local score, or the
+/// [`lower_bound`] that skipped it, is a floor under that price, since the
+/// recurrence never moves a rank back: candidates are priced in the order
+/// of their floors, the greedy selection first, until the next floor
+/// reaches the cheapest price. A tie keeps the earlier candidate.
+///
+/// Only the root is chosen so: its price in context is the barrier's,
+/// while below it the parent's choice, and so the context, is still open.
+fn choose_root<C: CostProvider + ?Sized>(
+    participants: &[usize],
+    arrival: &BarrierSchedule,
+    departure: &BarrierSchedule,
+    cost: &C,
+    cfg: &TunerConfig,
+    eval: &mut CostEvaluator,
     local: &mut LocalSchedules,
-    stages: &mut [Vec<(u32, u32)>],
-    offset: usize,
-) {
-    let child_span = plan.children.iter().map(|c| c.len).max().unwrap_or(0);
+) -> (Option<(Algorithm, f64)>, f64) {
+    let ready = eval.ready_after(arrival, cost);
+    let m = participants.len();
+    if m < 2 {
+        let nothing = BarrierSchedule::new(m);
+        return (
+            None,
+            eval.resumed_cost(&ready, &nothing, participants, departure, cost),
+        );
+    }
+    let mut floors = score_level(participants, true, cost, cfg, eval, local);
+    floors.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let mut best: Option<(Algorithm, f64)> = None;
+    for (alg, floor) in floors {
+        if best.is_some_and(|(_, price)| floor >= price) {
+            break;
+        }
+        let own = local.get(alg, m, !alg.needs_departure());
+        let price = eval.resumed_cost(&ready, own, participants, departure, cost);
+        if best.is_none_or(|(_, b)| price < b) {
+            best = Some((alg, price));
+        }
+    }
+    let (algorithm, price) = best.expect("score_level yields a candidate");
+    let key = ScoreKey {
+        members_hash: member_set_hash(participants),
+        members_len: m,
+        algorithm,
+        is_root: true,
+    };
+    // A radix the greedy pass skipped unbuilt is scored here, outside the
+    // memo, which keeps what the greedy pass scored.
+    let score = (eval.cached_score(&key))
+        .unwrap_or_else(|| score_candidate(algorithm, participants, true, cost, eval, local));
+    (Some((algorithm, score)), price)
+}
+
+/// Collects a plan's arrival signals, as global `(sender, target)` pairs
+/// per stage: children merge concurrently, aligned at the first stage,
+/// and the node's own level follows the deepest child (§VII-B's "merge
+/// shorter sequences with longer ones as early as possible"). Clusters
+/// arrive in tree order, not rank order; the caller canonicalises each
+/// stage's pairs once.
+fn emit(plan: &PlanNode, local: &mut LocalSchedules, stages: &mut [Vec<(u32, u32)>]) {
+    let child_span = span(&plan.children);
     for c in &plan.children {
-        emit(c, local, stages, offset);
+        emit(c, local, stages);
     }
     let Some((algorithm, _)) = plan.choice else {
         return;
     };
-    let own = local.get(algorithm, plan.participants.len(), plan.skip_departure);
+    let own = local.get(algorithm, plan.participants.len(), false);
     for (k, stage) in own.stages()[..plan.own_stages].iter().enumerate() {
-        (stage.matrix).embed_into(&plan.participants, &mut stages[offset + child_span + k]);
+        (stage.matrix).embed_into(&plan.participants, &mut stages[child_span + k]);
     }
 }
 
@@ -361,17 +464,20 @@ pub fn level_candidates(alg: Algorithm, m: usize) -> Vec<Algorithm> {
     }
 }
 
-/// Greedy candidate selection for one cluster level: the lowest
-/// predicted cost of a candidate's full local schedule. A candidate whose
-/// [`lower_bound`] already exceeds the best score is skipped unbuilt.
-fn select_algorithm<C: CostProvider + ?Sized>(
+/// Scores one level's candidates, in scoring order: each one's price by
+/// its full local schedule, or — for a dissemination radix skipped unbuilt
+/// because its [`lower_bound`] already exceeds the best price so far —
+/// that bound. Each is a floor under the candidate's price in any
+/// context, and the first smallest is a price: the greedy selection
+/// ([`greedy`]).
+fn score_level<C: CostProvider + ?Sized>(
     participants: &[usize],
     is_root: bool,
     cost: &C,
     cfg: &TunerConfig,
     eval: &mut CostEvaluator,
     local: &mut LocalSchedules,
-) -> (Algorithm, f64) {
+) -> Vec<(Algorithm, f64)> {
     debug_assert!(
         participants.windows(2).all(|w| w[0] < w[1]),
         "level participants {participants:?} are not ascending"
@@ -379,7 +485,8 @@ fn select_algorithm<C: CostProvider + ?Sized>(
     let m = participants.len();
     let members_hash = member_set_hash(participants);
     let mut cheapest = None;
-    let mut best: Option<(Algorithm, f64)> = None;
+    let mut best: Option<f64> = None;
+    let mut floors = Vec::new();
     for alg in (cfg.candidates.iter()).flat_map(|&c| level_candidates(c, m)) {
         let key = ScoreKey {
             members_hash,
@@ -390,10 +497,12 @@ fn select_algorithm<C: CostProvider + ?Sized>(
         let score = match eval.cached_score(&key) {
             Some(hit) => hit,
             None => {
-                if let Some((_, b)) = best {
+                if let Some(b) = best {
                     let first =
                         *cheapest.get_or_insert_with(|| cheapest_from_first(participants, cost));
-                    if lower_bound(alg, m, is_root, first) > b {
+                    let bound = lower_bound(alg, m, is_root, first);
+                    if bound > b {
+                        floors.push((alg, bound));
                         continue;
                     }
                 }
@@ -402,11 +511,22 @@ fn select_algorithm<C: CostProvider + ?Sized>(
                 fresh
             }
         };
-        if best.is_none_or(|(_, b)| score < b) {
-            best = Some((alg, score));
-        }
+        best = Some(best.map_or(score, |b| b.min(score)));
+        floors.push((alg, score));
     }
-    best.unwrap_or_else(|| panic!("no applicable candidate for a cluster of {m} participants"))
+    assert!(
+        !floors.is_empty(),
+        "no applicable candidate for a cluster of {m} participants"
+    );
+    floors
+}
+
+/// The greedy selection of [`score_level`]'s floors: the first smallest.
+/// A skipped radix's bound exceeds some price, so it is never selected.
+fn greedy(floors: &[(Algorithm, f64)]) -> (Algorithm, f64) {
+    (floors.iter().copied())
+        .reduce(|a, b| if b.1 < a.1 { b } else { a })
+        .expect("score_level yields a candidate")
 }
 
 /// The level's first participant's own `O` (its departure startup), and

@@ -24,6 +24,12 @@
 //! a costlier root on cluster A at P = 64 (EXPERIMENTS.md). Dissemination
 //! is scored at one n-way radix per stage count, so the model picks the
 //! radix; [`TunerConfig::paper`] fixes radix 2.
+//!
+//! Beyond the paper, the root is chosen in context: each root candidate
+//! is priced after its children's arrival and before their departure,
+//! which is the predicted cost of the whole composed barrier. Below the
+//! root a level's context depends on its parent's choice, so the local
+//! rule stays.
 
 mod exhaustive;
 mod greedy;

@@ -262,6 +262,70 @@ impl CostEvaluator {
         self.ready.iter().copied().fold(f64::NEG_INFINITY, f64::max) - origin
     }
 
+    /// Per-rank ready times after `schedule`, every rank entering at 0:
+    /// the state [`Self::resumed_cost`] continues from.
+    pub(crate) fn ready_after<C: CostProvider + ?Sized>(
+        &mut self,
+        schedule: &BarrierSchedule,
+        cost: &C,
+    ) -> Vec<f64> {
+        assert_covers(cost, schedule.n());
+        self.advance(schedule, cost, |r| r, None, None);
+        self.ready.clone()
+    }
+
+    /// Critical-path cost of a barrier resumed from the per-rank `ready`
+    /// times of [`Self::ready_after`]: `local`'s stages over the ascending
+    /// participants `ranks` (local rank `a` is rank `ranks[a]`, as in
+    /// [`Self::participant_cost`]), then `tail`'s stages over all ranks.
+    ///
+    /// No rank outside `ranks` takes part in `local`, and the participant
+    /// view runs each of its stages over the same values in the same
+    /// order as the stage embedded over all ranks would, so this equals,
+    /// bit for bit, [`Self::barrier_cost`] of the schedule `ready` was
+    /// taken after, `local` embedded, then `tail`.
+    pub(crate) fn resumed_cost<C: CostProvider + ?Sized>(
+        &mut self,
+        ready: &[f64],
+        local: &BarrierSchedule,
+        ranks: &[usize],
+        tail: &BarrierSchedule,
+        cost: &C,
+    ) -> f64 {
+        assert_eq!(ranks.len(), local.n(), "one participant per local rank");
+        assert_eq!(ready.len(), tail.n(), "one ready time per rank");
+        assert_covers(cost, tail.n());
+        let mut cur = std::mem::take(&mut self.ready);
+        let mut next = std::mem::take(&mut self.next);
+        cur.clear();
+        cur.extend(ranks.iter().map(|&r| ready[r]));
+        for stage in local.stages() {
+            self.step(
+                &stage.matrix,
+                stage.mode,
+                cost,
+                |a| ranks[a],
+                &cur,
+                &mut next,
+            );
+            std::mem::swap(&mut cur, &mut next);
+        }
+        next.clear();
+        next.extend_from_slice(ready);
+        for (&r, &t) in ranks.iter().zip(&cur) {
+            next[r] = t;
+        }
+        std::mem::swap(&mut cur, &mut next);
+        for stage in tail.stages() {
+            self.step(&stage.matrix, stage.mode, cost, |r| r, &cur, &mut next);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        let latest = cur.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        self.ready = cur;
+        self.next = next;
+        latest
+    }
+
     /// Full prediction; only the returned vectors are allocated.
     pub fn predict<C: CostProvider + ?Sized>(
         &mut self,
@@ -323,8 +387,9 @@ impl CostEvaluator {
     /// times after `matrix`'s signals, sent under `mode`, from the ready
     /// times `ready` before them. Schedule rank `r` reads `cost`'s rank
     /// `rank(r)`. Every caller of the model — [`Self::predict`], the
-    /// composer's participant view and the exhaustive search's partial
-    /// schedules — prices a stage here and nowhere else.
+    /// composer's participant view, its root priced in context and the
+    /// exhaustive search's partial schedules — prices a stage here and
+    /// nowhere else.
     #[inline]
     pub(crate) fn step<C: CostProvider + ?Sized>(
         &mut self,
@@ -746,6 +811,45 @@ mod tests {
             let sched = alg.full_schedule(p, &members);
             let reference = predict_barrier_cost(&sched, &c, None);
             assert_eq!(eval.predict(&sched, &c, None), reference);
+        }
+    }
+
+    /// Resuming from the ready times a prefix leaves — a local schedule
+    /// through the participant view, then a tail over all ranks — prices
+    /// the whole schedule bit for bit, on costs skewed per ordered pair
+    /// and a prefix that touches every rank.
+    #[test]
+    fn resumed_cost_equals_the_whole_schedules_price() {
+        let machine = MachineSpec::dual_quad_cluster(3);
+        let mut cost = TopologyProfile::from_ground_truth(&machine, &RankMapping::RoundRobin).cost;
+        let n = cost.p();
+        for i in 0..n {
+            for j in 0..n {
+                let f =
+                    1.0 + (crate::clustering::splitmix64((i * 64 + j) as u64) % 64) as f64 / 64.0;
+                cost.o[(i, j)] *= f;
+                cost.l[(i, j)] *= f;
+            }
+        }
+        let all: Vec<usize> = (0..n).collect();
+        let prefix = Algorithm::Dissemination.full_schedule(n, &all);
+        let tail = Algorithm::Tree.full_schedule(n, &all);
+        let ranks = [1, 4, 5, 11, 17, 23];
+        let mut eval = CostEvaluator::new(CostParams::default());
+        let ready = eval.ready_after(&prefix, &cost);
+        for alg in [Algorithm::Linear, Algorithm::Tree, Algorithm::NWay(3)] {
+            let local = alg.full_schedule(ranks.len(), &[0, 1, 2, 3, 4, 5]);
+            let mut whole = prefix.clone();
+            whole.append(alg.full_schedule(n, &ranks));
+            whole.append(tail.clone());
+            assert_eq!(
+                eval.resumed_cost(&ready, &local, &ranks, &tail, &cost)
+                    .to_bits(),
+                predict_barrier_cost(&whole, &cost, None)
+                    .barrier_cost
+                    .to_bits(),
+                "{alg}"
+            );
         }
     }
 

@@ -47,7 +47,8 @@ impl Serialize for Severity {
 /// Stable diagnostic codes. The numeric part never changes meaning; new
 /// checks get new codes. A001 (self-signal) and A007 (stage dimension) are
 /// retired, not reused: a `BarrierSchedule` can no longer hold either, its
-/// `push` and its JSON reader reject them.
+/// `push` and its JSON reader reject them. A020 (Rust-source drift) went
+/// with the Rust emitter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Code {
     /// A002: a stage carries no signals at all.
@@ -70,9 +71,6 @@ pub enum Code {
     /// A012: a rank program is malformed (bad rank order, out-of-range or
     /// self partner).
     InvalidProgram,
-    /// A020: the emitted Rust source does not encode the compiled
-    /// programs.
-    RustDrift,
     /// A021: the emitted C source does not encode the compiled programs.
     CDrift,
     /// A022: an emitted source could not be generated or parsed back.
@@ -91,7 +89,6 @@ impl Code {
             Code::UnmatchedSignal => "A010",
             Code::Deadlock => "A011",
             Code::InvalidProgram => "A012",
-            Code::RustDrift => "A020",
             Code::CDrift => "A021",
             Code::EmitterFailure => "A022",
         }

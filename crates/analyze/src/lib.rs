@@ -1,14 +1,13 @@
 //! Static analysis for barrier schedules and their compiled artifacts.
 //!
 //! Everything else in this workspace establishes correctness dynamically:
-//! the Eq. 3 closure *runs* over a schedule, generated code is trusted,
-//! and the threadrun primitives are only exercised by tests. This crate
-//! adds the static layer: a schedule (from the tuner, or read from JSON,
-//! which rejects malformed stages at the door) is checked for empty
-//! stages, non-synchronization, dead signals, unsound Eq. 2 cost modes,
-//! deadlocks in its compiled rank
-//! programs, and drift between those programs and the emitted C/Rust
-//! sources — all before anything executes.
+//! the Eq. 3 closure *runs* over a schedule, and the emitted C is run by
+//! the test suite. This crate adds the static layer: a schedule (from the
+//! tuner, or read from JSON, which rejects malformed stages at the door)
+//! is checked for empty stages, non-synchronization, dead signals, unsound
+//! Eq. 2 cost modes, deadlocks in its compiled rank programs, and drift
+//! between those programs and the emitted C source — all before anything
+//! executes.
 //!
 //! Entry points: [`analyze_schedule`] for the full pipeline over a
 //! [`BarrierSchedule`], [`analyze_programs`] for program-level checks
@@ -22,7 +21,7 @@ mod progress;
 mod roundtrip;
 
 pub use diag::{AnalysisReport, Code, Diagnostic, Severity};
-pub use roundtrip::{parse_c_source, parse_rust_source, source_drift, CParse, Lang};
+pub use roundtrip::{parse_c_source, source_drift, CParse};
 
 use hbar_core::codegen::{compile_schedule, RankProgram};
 use hbar_core::schedule::BarrierSchedule;
@@ -35,7 +34,7 @@ pub struct AnalyzeConfig {
     pub dead_signals: bool,
     /// Run the program-level progress/deadlock pass (A010–A012).
     pub progress: bool,
-    /// Round-trip the C and Rust emitters (A020–A022). Skipped by
+    /// Round-trip the C emitter (A021–A022). Skipped by
     /// [`AnalyzeConfig::quick`].
     pub roundtrip: bool,
     /// Also report *pessimistic* modes (A006): Eq. 1 stages whose
@@ -44,7 +43,7 @@ pub struct AnalyzeConfig {
     /// optimal library schedules (e.g. the last stage of a
     /// non-power-of-two dissemination) trip it legitimately.
     pub strict_modes: bool,
-    /// Function name handed to the emitters during round-trip.
+    /// Function name handed to the emitter during round-trip.
     pub codegen_name: String,
 }
 

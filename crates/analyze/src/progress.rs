@@ -2,15 +2,14 @@
 //! deadlock detection over compiled rank programs.
 //!
 //! The abstract machine mirrors the discipline every backend executes
-//! (the `SignalBoard` sig/ack counters of `hbar-threadrun`, the
-//! simulator's `WaitRecvs` / `WaitAll`, zero-byte `MPI_Issend`): a send is
-//! *posted* the moment its step begins and matches FIFO against the
-//! receiver's cumulative demand for that `(src, dst)` pair; a step
-//! completes when every receive it posted has a matching send, and a rank
-//! completes when, after its last step, every synchronous send it posted
-//! has been consumed by its receiver. This over-approximates nothing the
-//! real backends allow: a schedule that cannot complete here blocks every
-//! backend too.
+//! (the simulator's `WaitRecvs` / `WaitAll`, the emitted C's zero-byte
+//! `MPI_Issend` and `MPI_Waitall`): a send is *posted* the moment its
+//! step begins and matches FIFO against the receiver's cumulative demand
+//! for that `(src, dst)` pair; a step completes when every receive it
+//! posted has a matching send, and a rank completes when, after its last
+//! step, every synchronous send it posted has been consumed by its
+//! receiver. This over-approximates nothing the real backends allow: a
+//! schedule that cannot complete here blocks every backend too.
 
 use crate::diag::{Code, Diagnostic, Severity};
 use hbar_core::codegen::RankProgram;

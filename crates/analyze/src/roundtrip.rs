@@ -1,54 +1,22 @@
-//! Codegen round-trip verification: parse the emitted Rust and C barrier
-//! sources back into abstract rank programs and structurally diff them
-//! against the `compile_schedule` output, so codegen drift is a static
-//! failure instead of a runtime surprise.
+//! Codegen round-trip verification: parse the emitted C barrier source
+//! back into abstract rank programs and structurally diff them against
+//! the `compile_schedule` output, so codegen drift is a static failure
+//! instead of a runtime surprise.
 //!
-//! The parsers are deliberately strict: they accept exactly the shape the
-//! emitters produce (receives posted before sends, request indices dense,
+//! The parser is deliberately strict: it accepts exactly the shape the
+//! emitter produces (receives posted before sends, request indices dense,
 //! one wait on the receives per step, one wait on the sends at exit) and
-//! report anything else as a parse failure. A
-//! "cleverer" parser would hide precisely the drift this pass exists to
-//! catch.
+//! reports anything else as a parse failure. A "cleverer" parser would
+//! hide precisely the drift this pass exists to catch.
 
 use crate::diag::{Code, Diagnostic, Severity};
-use hbar_core::codegen::{c_source, rust_source, RankProgram, RankStep};
+use hbar_core::codegen::{c_source, RankProgram, RankStep};
 
-/// Which emitted language a parsed source came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Lang {
-    Rust,
-    C,
-}
-
-impl Lang {
-    fn drift_code(self) -> Code {
-        match self {
-            Lang::Rust => Code::RustDrift,
-            Lang::C => Code::CDrift,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Lang::Rust => "Rust",
-            Lang::C => "C",
-        }
-    }
-}
-
-/// Emits both sources for `programs` and verifies each parses back to the
+/// Emits the C source for `programs` and verifies it parses back to the
 /// exact same abstract programs. Appends findings to `out`.
 pub(crate) fn check_roundtrip(programs: &[RankProgram], name: &str, out: &mut Vec<Diagnostic>) {
-    match rust_source(name, programs) {
-        Ok(src) => out.extend(source_drift(programs, &src, Lang::Rust)),
-        Err(e) => out.push(Diagnostic::new(
-            Code::EmitterFailure,
-            Severity::Error,
-            format!("Rust emitter failed: {e}"),
-        )),
-    }
     match c_source(name, programs) {
-        Ok(src) => out.extend(source_drift(programs, &src, Lang::C)),
+        Ok(src) => out.extend(source_drift(programs, &src)),
         Err(e) => out.push(Diagnostic::new(
             Code::EmitterFailure,
             Severity::Error,
@@ -57,75 +25,66 @@ pub(crate) fn check_roundtrip(programs: &[RankProgram], name: &str, out: &mut Ve
     }
 }
 
-/// Parses `source` as emitted `lang` text and structurally diffs it
-/// against `expected`. Returns all findings (empty = faithful).
-pub fn source_drift(expected: &[RankProgram], source: &str, lang: Lang) -> Vec<Diagnostic> {
+/// Parses `source` as emitted C and structurally diffs it against
+/// `expected`. Returns all findings (empty = faithful).
+pub fn source_drift(expected: &[RankProgram], source: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let parsed = match lang {
-        Lang::Rust => parse_rust_source(source),
-        Lang::C => parse_c_source(source).map(|c| {
-            let widest = c
-                .programs
-                .iter()
-                .flat_map(|p| p.steps.iter())
-                .map(|s| s.recvs.len())
-                .max()
-                .unwrap_or(0)
-                .max(1);
-            let most_sends = c
-                .programs
-                .iter()
-                .map(RankProgram::send_count)
-                .max()
-                .unwrap_or(0)
-                .max(1);
-            let sizes = [
-                ("rreq", c.declared_recv_requests, widest),
-                ("sreq", c.declared_send_requests, most_sends),
-            ];
-            for (array, declared, needed) in sizes {
-                if declared != needed {
-                    out.push(Diagnostic::new(
-                        Code::CDrift,
-                        Severity::Error,
-                        format!("request array {array} holds {declared} slot(s), {needed} needed"),
-                    ));
-                }
+    let parsed = parse_c_source(source).map(|c| {
+        let widest = c
+            .programs
+            .iter()
+            .flat_map(|p| p.steps.iter())
+            .map(|s| s.recvs.len())
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        let most_sends = c
+            .programs
+            .iter()
+            .map(RankProgram::send_count)
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        let sizes = [
+            ("rreq", c.declared_recv_requests, widest),
+            ("sreq", c.declared_send_requests, most_sends),
+        ];
+        for (array, declared, needed) in sizes {
+            if declared != needed {
+                out.push(Diagnostic::new(
+                    Code::CDrift,
+                    Severity::Error,
+                    format!("request array {array} holds {declared} slot(s), {needed} needed"),
+                ));
             }
-            c.programs
-        }),
-    };
+        }
+        c.programs
+    });
     let parsed = match parsed {
         Ok(p) => p,
         Err(e) => {
             out.push(Diagnostic::new(
                 Code::EmitterFailure,
                 Severity::Error,
-                format!("emitted {} source does not parse: {e}", lang.name()),
+                format!("emitted C source does not parse: {e}"),
             ));
             return out;
         }
     };
-    diff_programs(expected, &parsed, lang, &mut out);
+    diff_programs(expected, &parsed, &mut out);
     out
 }
 
 /// Structural diff: the emitted source must encode exactly the non-empty
 /// rank programs, in rank order, step for step.
-fn diff_programs(
-    expected: &[RankProgram],
-    parsed: &[RankProgram],
-    lang: Lang,
-    out: &mut Vec<Diagnostic>,
-) {
+fn diff_programs(expected: &[RankProgram], parsed: &[RankProgram], out: &mut Vec<Diagnostic>) {
     let want: Vec<&RankProgram> = expected.iter().filter(|p| !p.steps.is_empty()).collect();
     if want.len() != parsed.len() {
         out.push(Diagnostic::new(
-            lang.drift_code(),
+            Code::CDrift,
             Severity::Error,
             format!(
-                "{} source encodes {} rank arm(s); programs require {}",
-                lang.name(),
+                "C source encodes {} rank arm(s); programs require {}",
                 parsed.len(),
                 want.len()
             ),
@@ -136,7 +95,7 @@ fn diff_programs(
         if exp.rank != got.rank {
             out.push(
                 Diagnostic::new(
-                    lang.drift_code(),
+                    Code::CDrift,
                     Severity::Error,
                     format!(
                         "arm order drift: expected rank {}, found {}",
@@ -170,7 +129,7 @@ fn diff_programs(
         };
         out.push(
             Diagnostic::new(
-                lang.drift_code(),
+                Code::CDrift,
                 Severity::Error,
                 format!("rank {} program drift: {detail}", exp.rank),
             )
@@ -193,77 +152,6 @@ fn parse_num(text: &str, what: &str) -> Result<usize, String> {
     text.trim()
         .parse::<usize>()
         .map_err(|_| format!("cannot read {what} from `{text}`"))
-}
-
-/// Parses the output of [`rust_source`] back into rank programs.
-///
-/// # Errors
-/// Fails on any line shape the emitter cannot have produced, including
-/// receives posted after sends, requests left without a `wait_recvs`, or
-/// an arm that does not end in exactly one `wait_all`.
-pub fn parse_rust_source(src: &str) -> Result<Vec<RankProgram>, String> {
-    let mut programs: Vec<RankProgram> = Vec::new();
-    let mut arm: Option<RankProgram> = None;
-    let mut step = RankStep::default();
-    let mut exited = false;
-    for (ln, raw) in src.lines().enumerate() {
-        let line = raw.trim();
-        let ctx = |msg: &str| format!("line {}: {msg}", ln + 1);
-        if let Some(prog) = arm.as_mut() {
-            let posting = line.starts_with("t.irecv(") || line.starts_with("t.issend(");
-            if exited && (posting || line == "t.wait_recvs();") {
-                return Err(ctx("statement after the closing wait_all"));
-            }
-            if let Some(inner) = line
-                .strip_prefix("t.irecv(")
-                .and_then(|r| r.strip_suffix(");"))
-            {
-                if !step.sends.is_empty() {
-                    return Err(ctx("receive posted after a send in the same step"));
-                }
-                step.recvs.push(parse_num(inner, "source rank")?);
-            } else if let Some(inner) = line
-                .strip_prefix("t.issend(")
-                .and_then(|r| r.strip_suffix(");"))
-            {
-                step.sends.push(parse_num(inner, "destination rank")?);
-            } else if line == "t.wait_recvs();" {
-                if step.is_empty() {
-                    return Err(ctx("wait_recvs with no posted requests"));
-                }
-                prog.steps.push(std::mem::take(&mut step));
-            } else if line == "t.wait_all();" {
-                if !step.is_empty() {
-                    return Err(ctx("requests posted without a closing wait_recvs"));
-                }
-                if prog.steps.is_empty() || exited {
-                    return Err(ctx("wait_all must close an arm's steps exactly once"));
-                }
-                exited = true;
-            } else if line == "}" {
-                if !exited {
-                    return Err(ctx("rank arm ends without wait_all"));
-                }
-                exited = false;
-                programs.push(arm.take().expect("inside arm"));
-            } else {
-                return Err(ctx("unrecognized statement inside a rank arm"));
-            }
-        } else if let Some(head) = line.strip_suffix(" => {") {
-            if head != "_" {
-                arm = Some(RankProgram {
-                    rank: parse_num(head, "rank")?,
-                    steps: Vec::new(),
-                });
-            }
-        }
-        // Everything outside arms (fn header, match header, braces,
-        // comments, the `_ => {}` arm) carries no program content.
-    }
-    if arm.is_some() {
-        return Err("source ends inside a rank arm".to_string());
-    }
-    Ok(programs)
 }
 
 /// Parses the output of [`c_source`] back into rank programs plus the
@@ -441,19 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn rust_parser_recovers_programs() {
-        let progs = programs(Algorithm::Tree, 7);
-        let src = rust_source("t7", &progs).unwrap();
-        let parsed = parse_rust_source(&src).unwrap();
-        let nonempty: Vec<&RankProgram> = progs.iter().filter(|p| !p.steps.is_empty()).collect();
-        assert_eq!(parsed.len(), nonempty.len());
-        for (exp, got) in nonempty.iter().zip(&parsed) {
-            assert_eq!(exp.rank, got.rank);
-            assert_eq!(exp.steps, got.steps);
-        }
-    }
-
-    #[test]
     fn c_parser_recovers_programs_and_request_bound() {
         let progs = programs(Algorithm::Linear, 5);
         let src = c_source("l5", &progs).unwrap();
@@ -467,11 +342,12 @@ mod tests {
     #[test]
     fn tampered_partner_is_drift() {
         let progs = programs(Algorithm::Dissemination, 4);
-        let src = rust_source("d4", &progs).unwrap();
-        let tampered = src.replacen("t.issend(1);", "t.issend(2);", 1);
-        let diags = source_drift(&progs, &tampered, Lang::Rust);
+        let src = c_source("d4", &progs).unwrap();
+        let send = "MPI_Issend(0, 0, MPI_BYTE, 1, 0, comm, &sreq[0]);";
+        let tampered = src.replacen(send, &send.replace(", 1, ", ", 2, "), 1);
+        let diags = source_drift(&progs, &tampered);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, Code::RustDrift);
+        assert_eq!(diags[0].code, Code::CDrift);
         assert!(diags[0].message.contains("drift"), "{}", diags[0].message);
     }
 
@@ -487,34 +363,13 @@ mod tests {
     fn deleted_wait_is_caught() {
         let progs = programs(Algorithm::Tree, 4);
         let c = c_source("t4", &progs).unwrap();
-        let rust = rust_source("t4", &progs).unwrap();
-        for (tampered, lang, code) in [
-            (
-                drop_line(&c, "MPI_Waitall(1, rreq"),
-                Lang::C,
-                Code::EmitterFailure,
-            ),
-            (
-                drop_line(&c, "MPI_Waitall(1, sreq"),
-                Lang::C,
-                Code::EmitterFailure,
-            ),
-            // Rank 0's first two steps only receive, so without the wait
-            // between them they parse as one step.
-            (
-                drop_line(&rust, "    t.wait_recvs();"),
-                Lang::Rust,
-                Code::RustDrift,
-            ),
-            (
-                drop_line(&rust, "    t.wait_all();"),
-                Lang::Rust,
-                Code::EmitterFailure,
-            ),
+        for tampered in [
+            drop_line(&c, "MPI_Waitall(1, rreq"),
+            drop_line(&c, "MPI_Waitall(1, sreq"),
         ] {
-            let diags = source_drift(&progs, &tampered, lang);
+            let diags = source_drift(&progs, &tampered);
             assert_eq!(diags.len(), 1, "{diags:?}");
-            assert_eq!(diags[0].code, code, "{diags:?}");
+            assert_eq!(diags[0].code, Code::EmitterFailure, "{diags:?}");
         }
     }
 
@@ -529,7 +384,7 @@ mod tests {
             "MPI_Waitall(1, rreq, MPI_STATUSES_IGNORE);\n        MPI_Waitall(1, sreq, MPI_STATUSES_IGNORE);",
             1,
         );
-        let diags = source_drift(&progs, &tampered, Lang::C);
+        let diags = source_drift(&progs, &tampered);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::EmitterFailure);
     }
@@ -539,7 +394,7 @@ mod tests {
         let progs = programs(Algorithm::Linear, 4);
         let src = c_source("l4", &progs).unwrap();
         let tampered = src.replace("MPI_Request rreq[3];", "MPI_Request req[3];");
-        let diags = source_drift(&progs, &tampered, Lang::C);
+        let diags = source_drift(&progs, &tampered);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::EmitterFailure);
         assert!(diags[0].message.contains("declaration"), "{diags:?}");
@@ -554,7 +409,7 @@ mod tests {
             ("MPI_Request sreq[3];", "MPI_Request sreq[2];"),
         ] {
             let tampered = src.replace(from, to);
-            let diags = source_drift(&progs, &tampered, Lang::C);
+            let diags = source_drift(&progs, &tampered);
             assert!(
                 diags
                     .iter()
@@ -567,11 +422,11 @@ mod tests {
     #[test]
     fn dropped_arm_is_drift() {
         let progs = programs(Algorithm::Dissemination, 3);
-        let src = rust_source("d3", &progs).unwrap();
-        let start = src.find("        2 => {").unwrap();
-        let end = src[start..].find("        }\n").unwrap() + start + "        }\n".len();
+        let src = c_source("d3", &progs).unwrap();
+        let start = src.find("    case 2:").unwrap();
+        let end = src[start..].find("break;\n").unwrap() + start + "break;\n".len();
         let tampered = format!("{}{}", &src[..start], &src[end..]);
-        let diags = source_drift(&progs, &tampered, Lang::Rust);
+        let diags = source_drift(&progs, &tampered);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(
             diags[0].message.contains("rank arm"),
@@ -580,15 +435,27 @@ mod tests {
         );
     }
 
+    /// The master's second receive dropped and its wait lowered, so the
+    /// source still parses: rank 0's program drifts (and `rreq` is now
+    /// one slot wider than the widest step).
     #[test]
     fn dropped_receive_statement_is_drift() {
         let progs = programs(Algorithm::Linear, 3);
-        let src = rust_source("l3", &progs).unwrap();
-        let tampered = src.replacen("            t.irecv(1);\n", "", 1);
-        let diags = source_drift(&progs, &tampered, Lang::Rust);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, Code::RustDrift);
-        assert_eq!(diags[0].rank, Some(0));
+        let src = c_source("l3", &progs).unwrap();
+        let tampered = src
+            .replacen(
+                "        MPI_Irecv(0, 0, MPI_BYTE, 2, 0, comm, &rreq[1]);\n",
+                "",
+                1,
+            )
+            .replacen("MPI_Waitall(2, rreq,", "MPI_Waitall(1, rreq,", 1);
+        let diags = source_drift(&progs, &tampered);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.code == Code::CDrift && d.rank == Some(0)),
+            "{diags:?}"
+        );
     }
 
     #[test]
@@ -596,7 +463,7 @@ mod tests {
         let progs = programs(Algorithm::Linear, 3);
         let mut out = Vec::new();
         check_roundtrip(&progs, "not a name", &mut out);
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out.iter().all(|d| d.code == Code::EmitterFailure));
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].code, Code::EmitterFailure);
     }
 }

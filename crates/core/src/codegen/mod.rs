@@ -6,18 +6,15 @@
 //! hard-coded sequence of synchronous point-to-point sends", with no-op
 //! transmission steps eliminated.
 //!
-//! Our equivalent of the emitted-and-compiled C object file is the
-//! [`RankProgram`]: a flattened per-rank list of steps, each holding the
-//! exact receive and send partners, with stages the rank does not
-//! participate in removed. Both execution backends (the discrete-event
-//! simulator and the real-thread executor) run `RankProgram`s directly.
-//! For fidelity with the paper's tooling, [`c_source`] and [`rust_source`]
-//! also emit human-readable source text of the same hard-coded barrier.
+//! [`compile_schedule`] flattens a schedule into [`RankProgram`]s: per
+//! rank, a list of steps holding the exact receive and send partners, with
+//! stages the rank does not participate in removed. The discrete-event
+//! simulator runs them directly; [`c_source`] emits them as the paper's
+//! artifact, one C function of hard-coded MPI calls, which the test suite
+//! compiles and runs on threads under the §VI delay check.
 
 mod c_src;
 mod program;
-mod rust_src;
 
 pub use c_src::c_source;
 pub use program::{compile_schedule, CodegenError, RankProgram, RankStep};
-pub use rust_src::rust_source;

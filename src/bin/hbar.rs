@@ -37,7 +37,7 @@
 //! from both.
 
 use hbar_bench::{run_figures, FIGURES};
-use hbarrier::core::codegen::{c_source, rust_source};
+use hbarrier::core::codegen::c_source;
 use hbarrier::core::verify;
 use hbarrier::prelude::*;
 use hbarrier::serve::proto::MAX_RANKS;
@@ -212,11 +212,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "codegen",
         run: cmd_codegen,
-        values: &[
-            ("schedule", FILE, true),
-            ("lang", Word(&["c", "rust"]), false),
-            ("name", Text("NAME"), false),
-        ],
+        values: &[("schedule", FILE, true), ("name", Text("NAME"), false)],
         switches: &[],
     },
     Command {
@@ -891,13 +887,7 @@ fn cmd_codegen(flags: &Flags) -> Result<(), String> {
     let schedule = load_schedule(flags)?;
     let name = flags.text("name").unwrap_or("generated_barrier");
     let programs = compile_schedule(&schedule).map_err(|e| format!("cannot compile: {e}"))?;
-    let lang = flags.text("lang").unwrap_or("c");
-    let emit = if lang == "rust" {
-        rust_source
-    } else {
-        c_source
-    };
-    let src = emit(name, &programs).map_err(|e| format!("cannot emit {lang}: {e}"))?;
+    let src = c_source(name, &programs).map_err(|e| format!("cannot emit C: {e}"))?;
     printed(write!(io::stdout(), "{src}"))
 }
 

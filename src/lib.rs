@@ -15,11 +15,12 @@
 //!    their cost by critical-path analysis against the profile, and greedily
 //!    compose a specialized *hybrid* barrier over an SSS cluster tree.
 //!
-//! Compiled schedules ([`core::codegen::RankProgram`]) execute on either the
-//! discrete-event simulator ([`simnet`]) or real OS threads ([`threadrun`]),
-//! and are audited before anything runs by the static analyzer ([`analyze`]):
-//! schedule lints, deadlock detection over compiled programs, and round-trip
-//! verification of the emitted C/Rust sources.
+//! Compiled schedules ([`core::codegen::RankProgram`]) execute on the
+//! discrete-event simulator ([`simnet`]) and leave the system as C
+//! ([`core::codegen::c_source`]), which the test suite compiles and runs on
+//! OS threads. The static analyzer ([`analyze`]) audits them before anything
+//! runs: schedule lints, deadlock detection over compiled programs, and
+//! round-trip verification of the emitted C.
 //!
 //! ```
 //! use hbarrier::prelude::*;
@@ -39,7 +40,6 @@ pub use hbar_core as core;
 pub use hbar_matrix as matrix;
 pub use hbar_serve as serve;
 pub use hbar_simnet as simnet;
-pub use hbar_threadrun as threadrun;
 pub use hbar_topo as topo;
 
 /// Commonly used items for downstream code and the examples.

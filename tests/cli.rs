@@ -80,22 +80,11 @@ fn full_cli_workflow() {
     assert!(o.status.success(), "{}", stderr(&o));
     assert!(stdout(&o).contains("measured barrier cost"));
 
-    // codegen (both languages)
-    let o = hbar(&[
-        "codegen",
-        "--schedule",
-        schedule_s,
-        "--lang",
-        "c",
-        "--name",
-        "b8",
-    ]);
+    // codegen
+    let o = hbar(&["codegen", "--schedule", schedule_s, "--name", "b8"]);
     assert!(o.status.success(), "{}", stderr(&o));
     assert!(stdout(&o).contains("void b8(MPI_Comm comm)"));
     assert!(stdout(&o).contains("MPI_Issend"));
-    let o = hbar(&["codegen", "--schedule", schedule_s, "--lang", "rust"]);
-    assert!(o.status.success(), "{}", stderr(&o));
-    assert!(stdout(&o).contains("pub fn generated_barrier"));
 
     // heatmap
     let o = hbar(&["heatmap", "--profile", profile_s, "--matrix", "l"]);
@@ -483,6 +472,7 @@ fn helpful_errors() {
         "--out",
         out,
     ];
+    let codegen = ["codegen", "--schedule", "/nonexistent.json"];
     let figures = ["figures", "--out", out];
     // `figures` makes its directory before any figure runs: one under a
     // regular file is refused with nothing printed.
@@ -583,6 +573,12 @@ fn helpful_errors() {
             &tune,
             &["--exact-scoring"],
             "unknown flag --exact-scoring for `tune`",
+        ),
+        // C is the one language emitted.
+        (
+            &codegen,
+            &["--lang", "c"],
+            "unknown flag --lang for `codegen`",
         ),
         // The closed-form profile measures nothing: a flag that shapes a
         // measurement is refused, not ignored.
@@ -1191,7 +1187,7 @@ fn malformed_schedule_files_are_error_messages() {
         vec!["verify", "--schedule", &schedule],
         vec!["predict", "--profile", &profile, "--schedule", &schedule],
         vec!["simulate", "--profile", &profile, "--schedule", &schedule],
-        vec!["codegen", "--lang", "c", "--schedule", &schedule],
+        vec!["codegen", "--schedule", &schedule],
         vec!["analyze", "--schedule", &schedule],
     ];
     // The file as written is fine.

@@ -1,7 +1,10 @@
 //! End-to-end integration: the full paper pipeline across all crates.
 //!
 //! profile (measured on the simulator) → cluster → tune → verify →
-//! compile → execute on both backends.
+//! compile → execute on both backends: the simulator, and the emitted C
+//! run on threads (`tests/c/`).
+
+mod c;
 
 use hbarrier::core::algorithms::Algorithm;
 use hbarrier::core::codegen::compile_schedule;
@@ -10,7 +13,7 @@ use hbarrier::prelude::*;
 use hbarrier::simnet::barrier::{measure_schedule, staggered_delay_check};
 use hbarrier::simnet::profiling::ProfilingConfig;
 use hbarrier::simnet::{measure_profile_decomposed, LocalExecutor, NoiseModel, SweepConfig};
-use hbarrier::threadrun::harness;
+use std::time::Duration;
 
 /// The complete workflow of Fig. 1 on a 2-node machine, with a *measured*
 /// (noisy) profile rather than a closed-form one.
@@ -67,8 +70,9 @@ fn measured_profile_to_tuned_barrier_end_to_end() {
     );
 }
 
-/// The same compiled programs run on the simulator and on real threads;
-/// both must satisfy the staggered-delay synchronization property.
+/// The same schedule runs on the simulator and, as emitted C, on real
+/// threads; both must satisfy the staggered-delay synchronization
+/// property.
 #[test]
 fn both_backends_agree_on_synchronization() {
     let machine = MachineSpec::dual_quad_cluster(1);
@@ -81,10 +85,9 @@ fn both_backends_agree_on_synchronization() {
     let (sim_ok, _) = staggered_delay_check(&mut world, &tuned.schedule, 10_000_000);
     assert!(sim_ok);
 
-    // Thread backend (smaller delay to keep wall-clock short; 8 threads).
-    let (thr_ok, _) =
-        harness::staggered_delay_check(&tuned.schedule, std::time::Duration::from_millis(10));
-    assert!(thr_ok);
+    // The emitted C, one thread per rank (8 threads).
+    let source = c::Source::emitted("tuned hybrid", "b", &tuned.schedule);
+    c::build("pipeline", &[source], &[]).assert_all_synchronize(Duration::from_millis(10));
 }
 
 /// Predictions from a profile distinguish the three paper algorithms the

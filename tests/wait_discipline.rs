@@ -1,7 +1,10 @@
 //! The execution discipline every backend shares — a step waits for its
 //! receives alone, a rank for its synchronous sends once, at exit — held
 //! against the analyzer's abstract machine (A011) and the §VI
-//! staggered-delay check on both backends.
+//! staggered-delay check on both backends: the simulator, and the emitted
+//! C run on threads (`tests/c/`).
+
+mod c;
 
 use hbarrier::analyze::{analyze_programs, Code};
 use hbarrier::core::schedule::Stage;
@@ -9,9 +12,12 @@ use hbarrier::core::verify;
 use hbarrier::prelude::*;
 use hbarrier::simnet::barrier::{sim_program, staggered_delay_check};
 use hbarrier::simnet::NoiseModel;
-use hbarrier::threadrun::harness;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
 use std::time::Duration;
+
+const DELAY: Duration = Duration::from_millis(2);
 
 /// A schedule over `n` ranks from random edge lists, self-signals and
 /// out-of-range ranks dropped.
@@ -45,9 +51,9 @@ fn engine_completes(programs: &[RankProgram]) -> bool {
     world.run(&sim).is_ok()
 }
 
-/// Both backends' staggered-delay checks, the simulator's with and
-/// without noise.
-fn synchronizes_on_both_backends(sched: &BarrierSchedule, what: &str) {
+/// The simulator's staggered-delay check, with and without noise; returns
+/// the schedule's emitted C for the other backend.
+fn synchronizes_on_the_simulator(sched: &BarrierSchedule, what: String) -> c::Source {
     let p = sched.n();
     let machine = MachineSpec::new(p.div_ceil(4), 2, 2);
     for noise in [NoiseModel::none(), NoiseModel::realistic(7)] {
@@ -59,13 +65,13 @@ fn synchronizes_on_both_backends(sched: &BarrierSchedule, what: &str) {
         let (ok, _) = staggered_delay_check(&mut SimWorld::new(cfg, p), sched, 10_000_000);
         assert!(ok, "{what}: a rank left the simulated barrier early");
     }
-    let (ok, runs) = harness::staggered_delay_check(sched, Duration::from_millis(2));
-    assert!(ok, "{what}: a thread left the barrier early: {runs:?}");
+    c::Source::emitted(what, "b", sched)
 }
 
 /// Every library algorithm and the tuned hybrid, at every P ≤ 16.
 #[test]
 fn verified_library_and_tuned_schedules_synchronize_on_both_backends() {
+    let mut sources = Vec::new();
     for p in 2usize..=16 {
         let members: Vec<usize> = (0..p).collect();
         let machine = MachineSpec::new(p.div_ceil(4), 2, 2);
@@ -81,9 +87,45 @@ fn verified_library_and_tuned_schedules_synchronize_on_both_backends() {
         }
         for (name, sched) in &schedules {
             assert!(verify::is_barrier(sched), "{name} p={p}");
-            synchronizes_on_both_backends(sched, &format!("{name} p={p}"));
+            sources.push(synchronizes_on_the_simulator(
+                sched,
+                format!("{name} p={p}"),
+            ));
         }
     }
+    c::build("library_and_tuned", &sources, &[]).assert_all_synchronize(DELAY);
+}
+
+/// Random schedules that verify (Eq. 3) synchronize on both backends:
+/// 96 of them, drawn up front from a fixed seed (a draw that does not
+/// verify is skipped), so that their C compiles as one unit.
+#[test]
+fn verified_random_schedules_synchronize_on_both_backends() {
+    let mut rng = SmallRng::seed_from_u64(0x5eed_0047);
+    let mut below = |n: usize| rng.random::<usize>() % n;
+    let mut sources = Vec::new();
+    for _ in 0..96 * 32 {
+        if sources.len() == 96 {
+            break;
+        }
+        let n = 2 + below(15);
+        let stages: Vec<Vec<(usize, usize)>> = (0..3 + below(5))
+            .map(|_| {
+                (0..16 + below(48))
+                    .map(|_| (below(16), below(16)))
+                    .collect()
+            })
+            .collect();
+        let sched = schedule_from(n, &stages);
+        if verify::is_barrier(&sched) {
+            sources.push(synchronizes_on_the_simulator(
+                &sched,
+                format!("random p={n}"),
+            ));
+        }
+    }
+    assert_eq!(sources.len(), 96, "too few draws verify");
+    c::build("random", &sources, &[]).assert_all_synchronize(DELAY);
 }
 
 proptest! {
@@ -119,16 +161,5 @@ proptest! {
         let report = analyze_programs(n, &programs);
         prop_assert!(report.diagnostics.iter().all(|d| d.code == Code::Deadlock), "{report}");
         prop_assert_eq!(engine_completes(&programs), report.is_clean(), "{}", report);
-    }
-
-    /// Random schedules that verify (Eq. 3) synchronize on both backends.
-    #[test]
-    fn verified_random_schedules_synchronize_on_both_backends(
-        n in 2usize..17,
-        stages in prop::collection::vec(prop::collection::vec((0usize..16, 0usize..16), 16..64), 3..8),
-    ) {
-        let sched = schedule_from(n, &stages);
-        prop_assume!(verify::is_barrier(&sched));
-        synchronizes_on_both_backends(&sched, &format!("random p={n}"));
     }
 }
